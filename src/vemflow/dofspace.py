@@ -1,4 +1,4 @@
-"""Degree-of-freedom layouts for the velocity/pressure pair, the reduced
+r"""Degree-of-freedom layouts for the velocity/pressure pair, the reduced
 pair, dimension formulas of the four complex spaces, and interpolation of
 analytic fields into DoF vectors.
 

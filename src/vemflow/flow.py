@@ -17,11 +17,17 @@ from .polynomials import dim_poly
 from .projection import CellProjections
 
 
+# Newton stops as diverged once an increment exceeds this multiple of the
+# smallest one so far; in its convergence basin the increments only shrink
+DIVERGENCE_GROWTH = 1e2
+
+
 @dataclass
 class NSOptions:
     tol: float = 1e-10           # relative increment tolerance
     max_iter: int = 25
     initial_guess: str = "stokes"   # or "zero"
+    estimate_condition: bool = False   # 1-norm condition estimate per step (extra LU solves)
 
 
 @dataclass
@@ -31,7 +37,7 @@ class FlowSolution:
     lam: float                   # zero-mean multiplier (0.0 when absent)
     increments: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
-    condition_estimates: list = field(default_factory=list)
+    condition_estimates: list = field(default_factory=list)   # per step, if requested
     linear_residual: float = 0.0
     converged: bool = True
     diagnostic: str = ""
@@ -131,7 +137,10 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
                         opts: NSOptions | None = None,
                         system: GlobalSystem | None = None) -> FlowSolution:
     """Newton iteration with the displacement stopping criterion
-    ||x_n - x_{n+1}|| < tol ||x_n|| on the combined DoF vector."""
+    ||x_n - x_{n+1}|| < tol ||x_n|| on the combined DoF vector.
+
+    A non-finite increment, or one over DIVERGENCE_GROWTH times the smallest
+    so far, stops the iteration as diverged; that step is not applied."""
     opts = opts or NSOptions()
     if opts.max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -171,10 +180,23 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
             rhs = -np.concatenate([Rm[free], Rc])
             residuals.append(float(np.linalg.norm(rhs)))
         try:
-            dx, cond = _equilibrated_solve(K, rhs, estimate_condition=True)
-            condition_estimates.append(cond)
+            dx, cond = _equilibrated_solve(K, rhs, estimate_condition=opts.estimate_condition)
         except RuntimeError as exc:
             raise SolverError(f"linear solve failed in Newton step {it}") from exc
+        if opts.estimate_condition:
+            condition_estimates.append(cond)
+
+        inc = float(np.linalg.norm(dx))
+        if not np.isfinite(inc) or (increments and inc > DIVERGENCE_GROWTH * min(increments)):
+            smallest = min(increments, default=float("nan"))
+            increments.append(inc)
+            return FlowSolution(
+                u=u, p=p, lam=lam, increments=increments, residuals=residuals,
+                condition_estimates=condition_estimates, converged=False,
+                diagnostic=(f"Newton diverged at step {it + 1}: increment {inc:.3e}, "
+                            f"smallest earlier increment {smallest:.3e}; "
+                            f"the iterate before that step is returned"),
+            )
 
         nf = len(free)
         state = np.concatenate([u[free], p, [lam] if system.e is not None else []])
@@ -183,7 +205,6 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
         p = p + dx[nf: nf + system.ndof_q]
         if system.e is not None:
             lam += float(dx[nf + system.ndof_q])
-        inc = float(np.linalg.norm(dx))
         increments.append(inc)
         base = float(np.linalg.norm(state))
         if inc < opts.tol * max(base, 1e-300) or (base == 0.0 and inc == 0.0):

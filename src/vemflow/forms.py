@@ -10,12 +10,18 @@ pressure monomials and a_h the projected-strain consistency term plus the
 D-recipe stabilization acting through (I - Pi^D).  The zero-mean pressure
 constraint is one dense row of pressure-basis integrals, added only when
 every boundary face is Dirichlet.
+
+The convective form c_h(w; u, v) pairs only projected polynomials, so C(w)
+and its Newton companion Cg(w) are built without quadrature points: exact
+contractions of Pi^0_k, the projected gradient and the cell's monomial
+integrals, batched over all cells that share a local DoF layout.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -23,7 +29,8 @@ import scipy.sparse as sp
 
 from .dofspace import DofMapQ, DofMapV, interpolate_boundary
 from .meshing import PolyMesh
-from .projection import CellProjections, FaceProjections, face_extraction
+from .polynomials import dim_poly, multi_indices
+from .projection import CellProjections, FaceProjections, _index3, face_extraction
 
 
 @dataclass
@@ -67,25 +74,49 @@ def local_b(proj: CellProjections) -> np.ndarray:
     return proj.Hq @ proj.div
 
 
-def _projected_values(proj: CellProjections):
-    """Evaluate the projected basis fields at the cell quadrature points.
+@lru_cache(maxsize=None)
+def _triple_index(k: int) -> np.ndarray:
+    """Positions in the cell monomial integrals of m_a m_b m_c for |a| <= k,
+    |b| <= k-1, |c| <= k: the (pi_k, pi_{k-1}, pi_k) triple-product table."""
+    lookup = _index3(3 * k - 1)
+    a_k = multi_indices(k, 3)
+    a_q = multi_indices(k - 1, 3)
+    table = np.empty((len(a_k), len(a_q), len(a_k)), dtype=int)
+    for i, a in enumerate(a_k):
+        for j, b in enumerate(a_q):
+            for l, c in enumerate(a_k):
+                table[i, j, l] = lookup[tuple(x + y + z for x, y, z in zip(a, b, c))]
+    table.flags.writeable = False
+    return table
 
-    Returns (P, G): P is (nq, ndof, 3) values of Pi^0_k of each basis
-    function, G is (nq, ndof, 3, 3) values of the projected gradients."""
-    pk = proj.Hk.shape[0]
-    pq = proj.Hq.shape[0]
-    phi = proj.basis.eval(proj.rule.points)
-    phik = phi[:, :pk]
-    phiq = phi[:, :pq]
-    nq = phik.shape[0]
-    P = np.empty((nq, proj.ndof, 3))
-    for c in range(3):
-        P[:, :, c] = phik @ proj.pi_0k[c * pk: (c + 1) * pk, :]
-    G = np.empty((nq, proj.ndof, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            G[:, :, i, j] = phiq @ proj.pi_0grad[(3 * i + j) * pq: (3 * i + j + 1) * pq, :]
-    return P, G
+
+def _convection_batch(projs: list[CellProjections], w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C(w) and Cg(w) of cells sharing one local layout, w of shape (nc, ndof).
+
+    With Pi^0_k v_i = sum_m P[a,m,i] m_m e_a, the projected gradient
+    (grad u_j)_ab = sum_n G[a,b,n,j] m_n and M3[m,n,l] = int m_m m_n m_l,
+    the trilinear form is an exact contraction, since the rule behind the
+    monomial integrals is exact to the integrand degree 3k-1:
+        C[i,j]  = sum P[a,m,i] G[a,b,n,j] (P w)[b,l] M3[m,n,l]
+        Cg[i,j] = sum P[a,m,i] (G w)[a,b,n] P[b,l,j] M3[m,n,l]"""
+    k = projs[0].k
+    nd = projs[0].ndof
+    pk = dim_poly(k, 3)
+    pq = dim_poly(k - 1, 3)
+    nc = len(projs)
+    P = np.stack([pr.pi_0k for pr in projs]).reshape(nc, 3, pk, nd)
+    G = np.stack([pr.pi_0grad for pr in projs]).reshape(nc, 3, 3 * pq, nd)
+    M3 = np.stack([pr.mono_int for pr in projs])[:, _triple_index(k)]
+    Pw = np.einsum("cbln,cn->cbl", P, w)
+    Gw = np.einsum("cakn,cn->cak", G, w)
+    # C: sum over (b, n) of G[a,b,n,j] against sum_l M3[m,n,l] Pw[b,l]
+    MW = np.einsum("cmnl,cbl->cmbn", M3, Pw).reshape(nc, 1, pk, 3 * pq)
+    Y = MW @ G                                                   # (nc, 3, pk, nd)
+    # Cg: sum over (b, l) of Z[a,m,b,l] P[b,l,j], Z = sum_n Gw[a,b,n] M3[m,n,l]
+    Z = np.einsum("cabn,cmnl->cambl", Gw.reshape(nc, 3, 3, pq), M3)
+    Yg = Z.reshape(nc, 3 * pk, 3 * pk) @ P.reshape(nc, 3 * pk, nd)
+    Pt = P.reshape(nc, 3 * pk, nd).transpose(0, 2, 1)
+    return Pt @ Y.reshape(nc, 3 * pk, nd), Pt @ Yg
 
 
 def local_c(proj: CellProjections, w_loc: np.ndarray) -> np.ndarray:
@@ -97,16 +128,8 @@ def local_c(proj: CellProjections, w_loc: np.ndarray) -> np.ndarray:
 def local_convection(proj: CellProjections, w_loc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Convective matrix C(w)[i,j] = c_h(w; phi_j, phi_i) and the transposed
     slot Cg(w)[i,j] = c_h(phi_j; w, phi_i) used by the Newton linearization."""
-    P, G = _projected_values(proj)
-    wq = proj.rule.weights
-    Pw = np.einsum("qjc,j->qc", P, w_loc)
-    Gw = np.einsum("qjab,j->qab", G, w_loc)
-    T = np.einsum("qjab,qb->qja", G, Pw)       # (grad u_j) w  at points
-    U = np.einsum("qab,qjb->qja", Gw, P)       # (grad w) u_j  at points
-    PW = P * wq[:, None, None]
-    C = np.einsum("qia,qja->ij", PW, T, optimize=True)
-    Cg = np.einsum("qia,qja->ij", PW, U, optimize=True)
-    return C, Cg
+    C, Cg = _convection_batch([proj], np.asarray(w_loc, dtype=float)[None, :])
+    return C[0], Cg[0]
 
 
 def local_load(proj: CellProjections, load: Callable) -> np.ndarray:
@@ -267,14 +290,17 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
 
 def assemble_convection(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],
                         u: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Global C(u) and the gradient-slot matrix Cg(u) at the state u."""
-    rows, cols, vc, vg = [], [], [], []
+    """Global C(u) and the gradient-slot matrix Cg(u) at the state u, one
+    batched contraction per group of cells with the same local DoF count."""
+    groups: dict[int, list[int]] = {}
     for ci, proj in enumerate(projs):
-        gdof = mapv.cell_global[ci]
-        C, Cg = local_convection(proj, u[gdof])
-        rc = np.meshgrid(gdof, gdof, indexing="ij")
-        rows.append(rc[0].ravel())
-        cols.append(rc[1].ravel())
+        groups.setdefault(proj.ndof, []).append(ci)
+    rows, cols, vc, vg = [], [], [], []
+    for nd, cells in groups.items():
+        gdof = np.array([mapv.cell_global[ci] for ci in cells])
+        C, Cg = _convection_batch([projs[ci] for ci in cells], u[gdof])
+        rows.append(np.repeat(gdof, nd, axis=1).ravel())
+        cols.append(np.tile(gdof, (1, nd)).ravel())
         vc.append(C.ravel())
         vg.append(Cg.ravel())
     rows = np.concatenate(rows)

@@ -144,7 +144,7 @@ class MonomialBasis2(_MonomialBasis):
 
 
 def cross_field_descriptors(n: int) -> list[tuple[int, tuple[int, int, int]]]:
-    """Descriptors (component i, alpha) of an independent basis of
+    r"""Descriptors (component i, alpha) of an independent basis of
     xhat /\ [P_{n-1}]^3 as fields of degree <= n.
 
     Candidates xhat /\ (m_a e_i) for |a| <= n-1 span the space; the kernel of
@@ -163,7 +163,7 @@ def cross_field_descriptors(n: int) -> list[tuple[int, tuple[int, int, int]]]:
 
 
 def cross_dimension(n: int) -> int:
-    """dim(xhat /\ [P_{n-1}]^3) = 3 pi_{n-1,3} - pi_{n-2,3}."""
+    r"""dim(xhat /\ [P_{n-1}]^3) = 3 pi_{n-1,3} - pi_{n-2,3}."""
     return 3 * dim_poly(n - 1, 3) - dim_poly(n - 2, 3)
 
 
@@ -265,7 +265,7 @@ def decomp_basis(k: int) -> DecompBasis:
 
 
 def cross_basis(n: int, basis: MonomialBasis3) -> list[np.ndarray]:
-    """Independent spanning set of xhat /\ [P_{n-1}]^3 on the cell of `basis`,
+    r"""Independent spanning set of xhat /\ [P_{n-1}]^3 on the cell of `basis`,
     as coefficient columns over the vector monomials of `basis`."""
     if basis.degree < n:
         raise ValueError("basis degree too low to represent the cross fields")

@@ -217,7 +217,7 @@ class CellProjections:
     vol: float
     basis: MonomialBasis3        # degree k+1
     rule: quad.QuadRule
-    mono_int: np.ndarray         # integrals of monomials up to degree 2k+2
+    mono_int: np.ndarray         # integrals of monomials up to degree max(2k+2, 3k-1)
     Hq: np.ndarray               # mass matrix of the degree k-1 basis
     Hk: np.ndarray               # mass matrix of the degree k basis
     div: np.ndarray              # (pi_{k-1,3}, ndof) coefficients of div v
@@ -252,9 +252,12 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, ci: int,
     fids, signs = mesh.cells[ci]
     dec = decomp_basis(k)
 
-    rule = quad.cell_quadrature(mesh, ci, cell_rule_exactness(k))
-    ints = MonomialBasis3(2 * (k + 1), geom.barycenter, h).eval(rule.points).T @ rule.weights
-    lk3 = _index3(2 * (k + 1))
+    # the monomial integrals go to the rule's degree: the convective form
+    # contracts them as triple products of degree 3k-1
+    deg = cell_rule_exactness(k)
+    rule = quad.cell_quadrature(mesh, ci, deg)
+    ints = MonomialBasis3(deg, geom.barycenter, h).eval(rule.points).T @ rule.weights
+    lk3 = _index3(deg)
     a_k = multi_indices(k, 3)
     a_q = multi_indices(k - 1, 3)
     a_k1 = multi_indices(k + 1, 3)

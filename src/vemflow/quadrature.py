@@ -13,6 +13,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
+from .meshing import MeshError
+
 
 @dataclass
 class QuadRule:
@@ -118,7 +120,7 @@ def face_quadrature(mesh, f: int, exactness: int) -> tuple[np.ndarray, np.ndarra
         tri = np.array([c2, verts2[i], verts2[(i + 1) % nv]])
         p, w = triangle_rule_2d(tri, exactness)
         if np.sum(w) <= 0:
-            raise ValueError(f"degenerate fan triangle on face {f}")
+            raise MeshError(f"degenerate fan triangle on face {f}")
         pts2.append(p)
         wts.append(w)
     pts2 = np.vstack(pts2)
@@ -149,7 +151,7 @@ def cell_quadrature(mesh, c: int, exactness: int) -> QuadRule:
             verts = np.array([xb, cf, a, b])
             p, w = tet_rule(verts, exactness)
             if np.sum(w) <= 1e-300:
-                raise ValueError(f"cell {c} not star-shaped about barycenter")
+                raise MeshError(f"cell {c} not star-shaped about barycenter")
             pts.append(p)
             wts.append(w)
     return QuadRule(np.vstack(pts), np.concatenate(wts), exactness)

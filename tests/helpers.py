@@ -112,3 +112,51 @@ def face_poly_dofs(mesh, mapv, f, fp, coef: np.ndarray) -> np.ndarray:
     g = mesh.face_geom[f]
     d[nv * k:] = (phi[:, :nm] * (fp.w * vals)[:, None]).sum(axis=0) / g.area
     return d
+
+
+def _projected_values(proj):
+    """Evaluate the projected basis fields at the cell quadrature points.
+
+    Returns (P, G): P is (nq, ndof, 3) values of Pi^0_k of each basis
+    function, G is (nq, ndof, 3, 3) values of the projected gradients."""
+    pk = proj.Hk.shape[0]
+    pq = proj.Hq.shape[0]
+    phi = proj.basis.eval(proj.rule.points)
+    phik = phi[:, :pk]
+    phiq = phi[:, :pq]
+    nq = phik.shape[0]
+    P = np.empty((nq, proj.ndof, 3))
+    for c in range(3):
+        P[:, :, c] = phik @ proj.pi_0k[c * pk: (c + 1) * pk, :]
+    G = np.empty((nq, proj.ndof, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            G[:, :, i, j] = phiq @ proj.pi_0grad[(3 * i + j) * pq: (3 * i + j + 1) * pq, :]
+    return P, G
+
+
+def convection_oracle(proj, w_loc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C(w) and Cg(w) of one cell by the cell quadrature rule, evaluating the
+    projected fields pointwise: the reference for the quadrature-free kernel."""
+    P, G = _projected_values(proj)
+    wq = proj.rule.weights
+    Pw = np.einsum("qjc,j->qc", P, w_loc)
+    Gw = np.einsum("qjab,j->qab", G, w_loc)
+    T = np.einsum("qjab,qb->qja", G, Pw)       # (grad u_j) w  at points
+    U = np.einsum("qab,qjb->qja", Gw, P)       # (grad w) u_j  at points
+    PW = P * wq[:, None, None]
+    C = np.einsum("qia,qja->ij", PW, T, optimize=True)
+    Cg = np.einsum("qia,qja->ij", PW, U, optimize=True)
+    return C, Cg
+
+
+def convection_oracle_scatter(mapv, projs, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense global C(u), Cg(u) scattered cell by cell from the oracle."""
+    C = np.zeros((mapv.ndof, mapv.ndof))
+    Cg = np.zeros((mapv.ndof, mapv.ndof))
+    for ci, proj in enumerate(projs):
+        gdof = mapv.cell_global[ci]
+        Cl, Cgl = convection_oracle(proj, u[gdof])
+        C[np.ix_(gdof, gdof)] += Cl
+        Cg[np.ix_(gdof, gdof)] += Cgl
+    return C, Cg

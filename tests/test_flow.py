@@ -5,8 +5,9 @@ import pytest
 import sympy
 
 from vemflow.cases import _build, make_case
-from vemflow.dofspace import interpolate_velocity
+from vemflow.dofspace import build_dof_maps, interpolate_velocity
 from vemflow.flow import (
+    DIVERGENCE_GROWTH,
     NSOptions,
     export_solution_json,
     reduce_and_compare,
@@ -15,6 +16,8 @@ from vemflow.flow import (
     solve_stokes,
 )
 from vemflow.forms import ProblemSpec, assemble
+from vemflow.meshing import generate_tetra_mesh
+from vemflow.projection import build_projections
 
 
 def _patch_case(k, nu=1.0):
@@ -140,12 +143,46 @@ def test_newton_nonconvergence_returns_last_iterate(cube2, disc):
     maps, projs, fps = disc(cube2, 2)
     spec = _spec_for(case, 2)
     sol = solve_navier_stokes(cube2, maps, spec, projs, fps,
-                              NSOptions(tol=1e-10, max_iter=1, initial_guess="zero"))
+                              NSOptions(tol=1e-10, max_iter=1, initial_guess="zero",
+                                        estimate_condition=True))
     assert not sol.converged
     assert "did not converge" in sol.diagnostic
     assert sol.newton_iterations == 1
     assert np.all(np.isfinite(sol.u))
     assert len(sol.condition_estimates) == 1 and sol.condition_estimates[0] > 1.0
+
+
+def test_newton_stops_early_when_diverging():
+    """At nu = 0.005 the increments grow by orders of magnitude; Newton stops
+    with a diagnostic long before max_iter and keeps a finite iterate."""
+    mesh = generate_tetra_mesh(2, seed=0)
+    maps = build_dof_maps(mesh, 2)
+    projs, fps = build_projections(mesh, maps[0])
+    case = make_case("ex2-ns", nu=0.005)
+    opts = NSOptions(tol=1e-10)
+    sol = solve_navier_stokes(mesh, maps, _spec_for(case, 2), projs, fps, opts)
+    assert not sol.converged
+    assert "diverged" in sol.diagnostic
+    assert sol.newton_iterations < opts.max_iter
+    assert sol.increments[-1] > DIVERGENCE_GROWTH * min(sol.increments[:-1])
+    assert np.all(np.isfinite(sol.u)) and np.all(np.isfinite(sol.p))
+    assert sol.condition_estimates == []
+    # the same mesh converges at nu = 0.02 without tripping the rule
+    case = make_case("ex2-ns", nu=0.02)
+    sol = solve_navier_stokes(mesh, maps, _spec_for(case, 2), projs, fps, opts)
+    assert sol.converged and sol.newton_iterations == 6
+
+
+def test_newton_stops_on_nonfinite_increment(cube1, disc):
+    maps, projs, fps = disc(cube1, 2)
+    zero3 = lambda p: np.zeros((len(np.atleast_2d(p)), 3))
+    nan3 = lambda p: np.full((len(np.atleast_2d(p)), 3), np.nan)
+    spec = ProblemSpec(nu=1.0, load=nan3, dirichlet=zero3, k=2, convective=True)
+    sol = solve_navier_stokes(cube1, maps, spec, projs, fps, NSOptions(initial_guess="zero"))
+    assert not sol.converged
+    assert "diverged" in sol.diagnostic
+    assert sol.newton_iterations == 1 and not np.isfinite(sol.increments[0])
+    assert np.all(np.isfinite(sol.u))
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -276,16 +276,20 @@ def test_incompatible_dirichlet_rejected(cube1, disc):
         assemble(cube1, maps, spec, projs, fps)
 
 
-def test_assemble_convection_jacobian_fd(cube1, disc):
+@pytest.mark.parametrize("name,k", [("cube1", 2), ("tets2", 3)])
+def test_assemble_convection_jacobian_fd(name, k, request, disc):
     """C(u) u is the convective residual; its Jacobian is C(u) + Cg(u)."""
-    maps, projs, fps = disc(cube1, 2)
+    mesh = request.getfixturevalue(name)
+    maps, projs, fps = disc(mesh, k)
     mapv = maps[0]
     rng = np.random.default_rng(47)
     u = rng.standard_normal(mapv.ndof)
-    C, Cg = assemble_convection(cube1, mapv, projs, u)
-    N = lambda w: assemble_convection(cube1, mapv, projs, w)[0] @ w
+    C, Cg = assemble_convection(mesh, mapv, projs, u)
+    N = lambda w: assemble_convection(mesh, mapv, projs, w)[0] @ w
     J = (C + Cg).toarray()
-    eps = 1e-6
+    # N is quadratic in u, so the central difference is exact for any step;
+    # a unit step keeps the 1/eps amplification of round-off out of the check
+    eps = 1.0
     for j in rng.choice(mapv.ndof, 5, replace=False):
         dp = np.zeros(mapv.ndof)
         dp[j] = eps
