@@ -18,7 +18,9 @@ from .projection import CellProjections
 
 
 # Newton stops as diverged once an increment exceeds this multiple of the
-# smallest one so far; in its convergence basin the increments only shrink
+# smallest one so far.  In the quadratic basin the increments only shrink; a
+# converging run whose increments jump by more than this after a small early
+# step (far from the basin) is also reported unconverged.
 DIVERGENCE_GROWTH = 1e2
 
 
@@ -27,7 +29,6 @@ class NSOptions:
     tol: float = 1e-10           # relative increment tolerance
     max_iter: int = 25
     initial_guess: str = "stokes"   # or "zero"
-    estimate_condition: bool = False   # 1-norm condition estimate per step (extra LU solves)
 
 
 @dataclass
@@ -37,7 +38,6 @@ class FlowSolution:
     lam: float                   # zero-mean multiplier (0.0 when absent)
     increments: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
-    condition_estimates: list = field(default_factory=list)   # per step, if requested
     linear_residual: float = 0.0
     converged: bool = True
     diagnostic: str = ""
@@ -51,30 +51,21 @@ class SolverError(RuntimeError):
     pass
 
 
-def _equilibrated_solve(K: sp.csc_matrix, rhs: np.ndarray,
-                        estimate_condition: bool = False) -> tuple[np.ndarray, float]:
+def _equilibrated_solve(K: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
     """Direct solve with one pass of symmetric inf-norm equilibration.
 
     Saddle systems mix strain-scaled velocity rows with volume-scaled
     constraint rows; rescaling keeps the factorization accurate on the
     constraint block (the diagonal is zero there, so plain Jacobi would not
-    apply).  Optionally returns a 1-norm condition estimate of the
-    equilibrated matrix (nan when not requested)."""
+    apply)."""
     absK = abs(K)
     rowmax = np.asarray(absK.max(axis=1).todense()).ravel()
     rowmax[rowmax == 0] = 1.0
     d = 1.0 / np.sqrt(rowmax)
     Dm = sp.diags(d)
     Ks = (Dm @ K @ Dm).tocsc()
-    lu = spla.splu(Ks)
-    cond = float("nan")
-    if estimate_condition:
-        n = Ks.shape[0]
-        inv = spla.LinearOperator((n, n), matvec=lu.solve,
-                                  rmatvec=lambda v: lu.solve(v, trans="T"))
-        cond = float(spla.onenormest(Ks) * spla.onenormest(inv))
-    y = lu.solve(d * rhs)
-    return d * y, cond
+    y = spla.splu(Ks).solve(d * rhs)
+    return d * y
 
 
 def _saddle_matrix(system: GlobalSystem, C: sp.spmatrix | None = None) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
@@ -118,7 +109,7 @@ def solve_stokes(system: GlobalSystem) -> FlowSolution:
     """Direct sparse solve of the assembled Stokes system."""
     K, rhs, free = _saddle_matrix(system)
     try:
-        x, _ = _equilibrated_solve(K, rhs)
+        x = _equilibrated_solve(K, rhs)
     except RuntimeError as exc:
         raise SolverError(
             "singular Stokes system: check the zero-mean pressure constraint "
@@ -160,7 +151,6 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
 
     increments = []
     residuals = []
-    condition_estimates = []
     for it in range(opts.max_iter):
         C, Cg = assemble_convection(mesh, mapv, projs, u)
         Rm = system.A @ u + C @ u + system.B.T @ p - system.F
@@ -180,11 +170,9 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
             rhs = -np.concatenate([Rm[free], Rc])
             residuals.append(float(np.linalg.norm(rhs)))
         try:
-            dx, cond = _equilibrated_solve(K, rhs, estimate_condition=opts.estimate_condition)
+            dx = _equilibrated_solve(K, rhs)
         except RuntimeError as exc:
             raise SolverError(f"linear solve failed in Newton step {it}") from exc
-        if opts.estimate_condition:
-            condition_estimates.append(cond)
 
         inc = float(np.linalg.norm(dx))
         if not np.isfinite(inc) or (increments and inc > DIVERGENCE_GROWTH * min(increments)):
@@ -192,7 +180,7 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
             increments.append(inc)
             return FlowSolution(
                 u=u, p=p, lam=lam, increments=increments, residuals=residuals,
-                condition_estimates=condition_estimates, converged=False,
+                converged=False,
                 diagnostic=(f"Newton diverged at step {it + 1}: increment {inc:.3e}, "
                             f"smallest earlier increment {smallest:.3e}; "
                             f"the iterate before that step is returned"),
@@ -209,13 +197,11 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
         base = float(np.linalg.norm(state))
         if inc < opts.tol * max(base, 1e-300) or (base == 0.0 and inc == 0.0):
             return FlowSolution(u=u, p=p, lam=lam, increments=increments,
-                                residuals=residuals,
-                                condition_estimates=condition_estimates,
-                                linear_residual=0.0)
+                                residuals=residuals, linear_residual=0.0)
     # non-convergence returns the last iterate with a diagnostic
     return FlowSolution(
         u=u, p=p, lam=lam, increments=increments, residuals=residuals,
-        condition_estimates=condition_estimates, converged=False,
+        converged=False,
         diagnostic=(f"Newton did not converge in {opts.max_iter} iterations; "
                     f"last increment {increments[-1]:.3e}"),
     )

@@ -6,8 +6,6 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import convection_oracle, convection_oracle_scatter
 from vemflow.dofspace import build_dof_maps
@@ -23,7 +21,15 @@ from vemflow.meshing import (
 from vemflow.projection import build_projections
 
 RTOL = 1e-10
-PROPERTY = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+
+
+def _jittered_tet_cases(n=10):
+    """Fixed pseudo-random (seed, jitter, k, u_seed) draws: both degrees,
+    jitter over [0, 0.25] with both ends included."""
+    rng = np.random.default_rng(20261018)
+    jitters = np.concatenate([[0.0, 0.25], rng.uniform(0.0, 0.25, n - 2)])
+    return [(int(rng.integers(2**16)), float(j), 2 + i % 2, int(rng.integers(2**16)))
+            for i, j in enumerate(jitters)]
 
 
 def _rel(got, want) -> float:
@@ -42,9 +48,7 @@ def _check_global(mesh, k, u_seed):
     return projs
 
 
-@PROPERTY
-@given(seed=st.integers(0, 2**16), jitter=st.floats(0.0, 0.25),
-       k=st.sampled_from([2, 3]), u_seed=st.integers(0, 2**16))
+@pytest.mark.parametrize("seed,jitter,k,u_seed", _jittered_tet_cases())
 def test_batched_convection_matches_oracle_on_jittered_tets(seed, jitter, k, u_seed):
     # the six Kuhn tets around the box at the origin, whose other grid
     # points all move under the jitter
@@ -64,8 +68,7 @@ def _single_cell(name: str, k: int):
     ("hex_cell", 2), ("hex_cell", 3),
     ("voronoi_cell", 2), ("voronoi_cell", 3),
 ])
-@settings(PROPERTY, max_examples=3)     # C(w), Cg(w) are linear in w
-@given(w_seed=st.integers(0, 2**16))
+@pytest.mark.parametrize("w_seed", [0, 1, 2])     # C(w), Cg(w) are linear in w
 def test_local_convection_matches_oracle_on_polyhedra(name, k, w_seed):
     pr = _single_cell(name, k)
     w = np.random.default_rng(w_seed).standard_normal(pr.ndof)

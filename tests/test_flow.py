@@ -111,6 +111,7 @@ def test_navier_stokes_newton(cube2, disc):
     maps, projs, fps = disc(cube2, 2)
     spec = _spec_for(case, 2)
     sol = solve_navier_stokes(cube2, maps, spec, projs, fps, NSOptions(tol=1e-10))
+    assert sol.converged, sol.diagnostic     # the divergence stop does not fire
     assert sol.newton_iterations <= 10
     # stopping criterion honored
     state = np.concatenate([sol.u, sol.p, [sol.lam]])
@@ -143,13 +144,11 @@ def test_newton_nonconvergence_returns_last_iterate(cube2, disc):
     maps, projs, fps = disc(cube2, 2)
     spec = _spec_for(case, 2)
     sol = solve_navier_stokes(cube2, maps, spec, projs, fps,
-                              NSOptions(tol=1e-10, max_iter=1, initial_guess="zero",
-                                        estimate_condition=True))
+                              NSOptions(tol=1e-10, max_iter=1, initial_guess="zero"))
     assert not sol.converged
     assert "did not converge" in sol.diagnostic
     assert sol.newton_iterations == 1
     assert np.all(np.isfinite(sol.u))
-    assert len(sol.condition_estimates) == 1 and sol.condition_estimates[0] > 1.0
 
 
 def test_newton_stops_early_when_diverging():
@@ -166,7 +165,6 @@ def test_newton_stops_early_when_diverging():
     assert sol.newton_iterations < opts.max_iter
     assert sol.increments[-1] > DIVERGENCE_GROWTH * min(sol.increments[:-1])
     assert np.all(np.isfinite(sol.u)) and np.all(np.isfinite(sol.p))
-    assert sol.condition_estimates == []
     # the same mesh converges at nu = 0.02 without tripping the rule
     case = make_case("ex2-ns", nu=0.02)
     sol = solve_navier_stokes(mesh, maps, _spec_for(case, 2), projs, fps, opts)
