@@ -10,9 +10,23 @@ import sys
 from . import bench, derham
 from .cases import make_case, x_plane_neumann
 from .dofspace import build_dof_maps, dof_summary
-from .flow import NSOptions, export_solution_json, sample_fields_csv, solve_navier_stokes, solve_stokes
+from .flow import (
+    NSOptions,
+    SolverError,
+    export_solution_json,
+    sample_fields_csv,
+    solve_navier_stokes,
+    solve_stokes,
+)
 from .forms import ProblemSpec, assemble, dump_matrix
-from .meshing import generate_structured_cubes, generate_tetra_mesh, load_mesh, mesh_size, quality_check
+from .meshing import (
+    MeshError,
+    generate_structured_cubes,
+    generate_tetra_mesh,
+    load_mesh,
+    mesh_size,
+    quality_check,
+)
 from .projection import build_projections
 
 STAB_HELP = ("stabilization weights on (I - Pi^D): drecipe = max(h_P, diag of the "
@@ -83,6 +97,9 @@ def cmd_solve(args):
     if case.convective:
         sol = solve_navier_stokes(mesh, maps, spec, projs, faceprojs,
                                   NSOptions(tol=args.newton_tol), system=system)
+        if not sol.converged:
+            print(sol.diagnostic)
+            return 1
         print(f"Newton converged in {sol.newton_iterations} iterations")
     else:
         sol = solve_stokes(system)
@@ -179,7 +196,11 @@ def main(argv=None) -> int:
     rates.set_defaults(func=cmd_bench_rates)
 
     args = ap.parse_args(argv)
-    rc = args.func(args)
+    try:
+        rc = args.func(args)
+    except (MeshError, SolverError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return int(rc) if rc else 0
 
 

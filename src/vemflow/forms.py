@@ -19,7 +19,6 @@ integrals, batched over all cells that share a local DoF layout.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -29,8 +28,8 @@ import scipy.sparse as sp
 
 from .dofspace import DofMapQ, DofMapV, interpolate_boundary
 from .meshing import PolyMesh
-from .polynomials import dim_poly, multi_indices
-from .projection import CellProjections, FaceProjections, _index3, face_extraction
+from .polynomials import _index_lookup, dim_poly, multi_indices
+from .projection import CellProjections, FaceProjections, face_extraction
 
 
 @dataclass
@@ -78,7 +77,7 @@ def local_b(proj: CellProjections) -> np.ndarray:
 def _triple_index(k: int) -> np.ndarray:
     """Positions in the cell monomial integrals of m_a m_b m_c for |a| <= k,
     |b| <= k-1, |c| <= k: the (pi_k, pi_{k-1}, pi_k) triple-product table."""
-    lookup = _index3(3 * k - 1)
+    lookup = _index_lookup(3 * k - 1, 3)
     a_k = multi_indices(k, 3)
     a_q = multi_indices(k - 1, 3)
     table = np.empty((len(a_k), len(a_q), len(a_k)), dtype=int)
@@ -119,12 +118,6 @@ def _convection_batch(projs: list[CellProjections], w: np.ndarray) -> tuple[np.n
     return Pt @ Y.reshape(nc, 3 * pk, nd), Pt @ Yg
 
 
-def local_c(proj: CellProjections, w_loc: np.ndarray) -> np.ndarray:
-    """Matrix of c_h(w; ., .): entry (i, j) = int [(grad_pi u_j) pi w] . pi v_i."""
-    C, _ = local_convection(proj, w_loc)
-    return C
-
-
 def local_convection(proj: CellProjections, w_loc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Convective matrix C(w)[i,j] = c_h(w; phi_j, phi_i) and the transposed
     slot Cg(w)[i,j] = c_h(phi_j; w, phi_i) used by the Newton linearization."""
@@ -157,7 +150,6 @@ class GlobalSystem:
     dirichlet_mask: np.ndarray
     dirichlet_values: np.ndarray
     neumann_face_ids: list = field(default_factory=list)
-    assembly_seconds: float = 0.0
 
     @property
     def ndof_v(self) -> int:
@@ -203,7 +195,6 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
              projs: list[CellProjections],
              faceprojs: dict[int, FaceProjections]) -> GlobalSystem:
     """Scatter-add the local contributions into the sparse saddle system."""
-    t0 = time.perf_counter()
     mapv, mapq = maps
     rows_a, cols_a, vals_a = [], [], []
     rows_b, cols_b, vals_b = [], [], []
@@ -235,10 +226,9 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
         fp = faceprojs[f]
         g = mesh.face_geom[f]
         tvals = np.asarray(spec.traction(fp.pts3, sign * g.normal), dtype=float).reshape(-1, 3)
-        phi2 = fp.basis.eval(fp.pts2)
         gdof = mapv.cell_global[ci]
         for c in range(3):
-            FT = phi2 @ (fp.l2 @ face_extraction(mesh, mapv, ci, fi_loc, c))
+            FT = fp.vals @ (fp.l2 @ face_extraction(mesh, mapv, ci, fi_loc, c))
             F[gdof] += FT.T @ (fp.w * tvals[:, c])
 
     A = sp.csr_matrix(
@@ -284,7 +274,6 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
         e=None if neumann else e,
         dirichlet_mask=dir_mask, dirichlet_values=gvals,
         neumann_face_ids=neumann,
-        assembly_seconds=time.perf_counter() - t0,
     )
 
 

@@ -8,7 +8,7 @@ package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -115,10 +115,6 @@ class _MonomialBasis:
 
     def index_of(self, alpha) -> int:
         return _index_lookup(self.degree, self.dim_space)[tuple(alpha)]
-
-    def restrict_count(self, degree: int) -> int:
-        """Number of leading basis members with degree <= the given one."""
-        return dim_poly(degree, self.dim_space)
 
 
 class MonomialBasis3(_MonomialBasis):
@@ -229,9 +225,7 @@ class DecompBasis:
     n_grad: int
     n_cross_low: int
     n_cross_high: int
-    grad_sources: list = field(default_factory=list)
-    cross_low_descr: list = field(default_factory=list)
-    cross_high_descr: list = field(default_factory=list)
+    grad_sources: tuple = ()
     Tinv_T: np.ndarray | None = None
 
     @property
@@ -258,7 +252,7 @@ def decomp_basis(k: int) -> DecompBasis:
         raise ValueError(f"decomposition basis of [P_{k}]^3 is not square: {T.shape}")
     dec = DecompBasis(
         k=k, T=T, n_grad=G.shape[1], n_cross_low=Clow.shape[1], n_cross_high=Chigh.shape[1],
-        grad_sources=sources, cross_low_descr=low, cross_high_descr=high,
+        grad_sources=tuple(sources),
     )
     dec.Tinv_T = np.linalg.inv(T.T)
     return dec

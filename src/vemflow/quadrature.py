@@ -22,9 +22,6 @@ class QuadRule:
     weights: np.ndarray  # (n,)
     exactness: int
 
-    def integrate(self, values: np.ndarray) -> float | np.ndarray:
-        return np.tensordot(self.weights, values, axes=(0, 0))
-
 
 def _gauss_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = roots_legendre(n)

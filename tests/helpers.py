@@ -3,7 +3,9 @@
 The integral oracles here are independent of the projector/quadrature code
 paths they are used to check: closed-form monomial integrals on the unit
 cube and unit tetrahedron, and direct pointwise evaluation of analytic
-fields for form values.
+fields for form values.  The H1-seminorm projections, which the scheme does
+not use (it takes the DoF-euclidean one), live here as reproduction oracles,
+next to the simple reference versions of the package's fast paths.
 """
 
 from __future__ import annotations
@@ -11,8 +13,12 @@ from __future__ import annotations
 from math import factorial
 
 import numpy as np
+from scipy.linalg import solve
 
-from vemflow.polynomials import dim_poly
+from vemflow import quadrature as quad
+from vemflow.dofspace import edge_point_params, face_basis, face_coords
+from vemflow.polynomials import _index_lookup, dim_poly, multi_indices
+from vemflow.projection import face_extraction
 
 
 def cube_monomial_integral(a: int, b: int, c: int) -> float:
@@ -160,3 +166,126 @@ def convection_oracle_scatter(mapv, projs, u: np.ndarray) -> tuple[np.ndarray, n
         C[np.ix_(gdof, gdof)] += Cl
         Cg[np.ix_(gdof, gdof)] += Cgl
     return C, Cg
+
+
+def mass_from_integrals_loop(ints: np.ndarray, lookup: dict, rows, cols) -> np.ndarray:
+    """Gram matrix [int m_a m_b] by a loop over the multi-index pairs: the
+    reference for the gather in `projection._mass_from_integrals`."""
+    H = np.empty((len(rows), len(cols)))
+    for i, a in enumerate(rows):
+        for j, b in enumerate(cols):
+            H[i, j] = ints[lookup[tuple(x + y for x, y in zip(a, b))]]
+    return H
+
+
+def _lagrange_values(nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Values of the Lagrange basis on `nodes` at `pts` -> (npts, nnodes)."""
+    n = len(nodes)
+    out = np.ones((len(pts), n))
+    for j in range(n):
+        for m in range(n):
+            if m != j:
+                out[:, j] *= (pts - nodes[m]) / (nodes[j] - nodes[m])
+    return out
+
+
+def face_h1_projection(mesh, f: int, k: int, edge_points3) -> np.ndarray:
+    """H1-seminorm projection onto P_k(f) of the scalar face DoF vector, by
+    the in-plane Green identity with the boundary mean as fixing condition.
+    Shape (pi_{k,2}, ndof)."""
+    g = mesh.face_geom[f]
+    loop = mesh.faces[f]
+    nv = len(loop)
+    n_mom = dim_poly(k - 2, 2)
+    ndof = nv * k + n_mom
+    basis = face_basis(mesh, f, k + 1)
+    npk = dim_poly(k, 2)
+    pts2, _, w = quad.face_quadrature(mesh, f, 2 * k + 2)
+    ints = face_basis(mesh, f, 2 * (k + 1)).eval(pts2).T @ w
+    a_k = multi_indices(k, 2)
+    Hk = mass_from_integrals_loop(ints, _index_lookup(2 * (k + 1), 2), a_k, a_k)
+    verts2 = face_coords(mesh, f, mesh.vertices[loop])
+    pos_in_loop = {int(loop[i]): i for i in range(nv)}
+    eids, _ = mesh.face_edges[f]
+
+    Dx, Dy = basis.deriv_matrices()
+    Dxk, Dyk = Dx[:npk, :npk], Dy[:npk, :npk]
+    G = (Dxk.T @ Hk @ Dxk + Dyk.T @ Hk @ Dyk) / g.h**2
+    B = np.zeros((npk, ndof))
+    lap = (Dxk @ Dxk + Dyk @ Dyk) / g.h**2      # column a: coefficients of laplace(m_a)
+    B[:, nv * k:] -= g.area * lap[:n_mom, :].T
+
+    tnodes = np.concatenate([[0.0], np.array(edge_point_params(k)), [1.0]])
+    perimeter = sum(mesh.edge_geom[e].length for e in eids)
+    P0_m = np.zeros(npk)     # boundary integrals of the monomials
+    P0_dof = np.zeros(ndof)  # boundary integral functional on the DoFs
+    for le in range(nv):
+        a_id, b_id = int(loop[le]), int(loop[(le + 1) % nv])
+        vmin, vmax = min(a_id, b_id), max(a_id, b_id)
+        cols = [pos_in_loop[vmin]] \
+            + list(range(nv + le * (k - 1), nv + (le + 1) * (k - 1))) \
+            + [pos_in_loop[vmax]]
+        va2, vb2 = verts2[pos_in_loop[vmin]], verts2[pos_in_loop[vmax]]
+        erule = quad.edge_quadrature(va2, vb2, 2 * k + 2)
+        s = np.linalg.norm(erule.points - va2, axis=1) / np.linalg.norm(vb2 - va2)
+        L = _lagrange_values(tnodes, s)
+        phi_e = basis.eval(erule.points)[:, :npk]
+        # outward in-plane normal from the loop direction (loop is CCW)
+        t2 = verts2[(le + 1) % nv] - verts2[le]
+        t2 /= np.linalg.norm(t2)
+        n2 = np.array([t2[1], -t2[0]])
+        gphi = basis.eval_grad(erule.points)[:, :npk, :]
+        dn = gphi[:, :, 0] * n2[0] + gphi[:, :, 1] * n2[1]
+        B[:, cols] += (dn * erule.weights[:, None]).T @ L
+        P0_m += phi_e.T @ erule.weights
+        P0_dof[cols] += L.T @ erule.weights
+    G[0, :] = P0_m / perimeter
+    B[0, :] = P0_dof / perimeter
+    return solve(G, B)
+
+
+def cell_h1_projection(mesh, mapv, proj, faceprojs) -> np.ndarray:
+    """H1-seminorm projection onto [P_k]^3 of the cell-local DoF vector, from
+    the interior moments and the projected face traces, with the boundary
+    mean of each component as fixing condition.  Shape (3 pi_{k,3}, ndof)."""
+    k = mapv.k
+    ci = proj.c
+    lay = mapv.layouts[ci]
+    h, ndof, basis, Hk, moments = proj.h, proj.ndof, proj.basis, proj.Hk, proj.moments
+    pk = dim_poly(k, 3)
+    fids, signs = mesh.cells[ci]
+    Dm = basis.deriv_matrices()
+    Dk = [Dm[j][:pk, :pk] for j in range(3)]
+    phi3f, gphi3f, FT = [], [], []
+    for fi_loc, f in enumerate(fids):
+        fp = faceprojs[f]
+        phi3f.append(basis.eval(fp.pts3))
+        gphi3f.append(basis.eval_grad(fp.pts3)[:, :pk, :])
+        FT.append([fp.vals @ (fp.l2 @ face_extraction(mesh, mapv, ci, fi_loc, c)) for c in range(3)])
+
+    Gs = sum(Dk[d].T @ Hk @ Dk[d] for d in range(3)) / h**2
+    lap = sum(Dk[d] @ Dk[d] for d in range(3)) / h**2
+    area_tot = sum(mesh.face_geom[f].area for f in fids)
+    bdry_int = np.zeros(pk)
+    for fi_loc, f in enumerate(fids):
+        bdry_int += phi3f[fi_loc][:, :pk].T @ faceprojs[fids[fi_loc]].w
+    Gnab = np.zeros((3 * pk, 3 * pk))
+    Bnab = np.zeros((3 * pk, ndof))
+    for c in range(3):
+        blk = slice(c * pk, (c + 1) * pk)
+        Gnab[blk, blk] = Gs
+        Bnab[blk, :] = -(lap.T @ moments[blk, :])
+        for fi_loc, f in enumerate(fids):
+            fp = faceprojs[f]
+            dn = gphi3f[fi_loc] @ mesh.face_geom[f].normal
+            Bnab[blk, :] += signs[fi_loc] * (dn * fp.w[:, None]).T @ FT[fi_loc][c]
+        # boundary-mean fixing condition replaces the constant-monomial row
+        Gnab[c * pk, :] = 0.0
+        Gnab[c * pk, blk] = bdry_int / area_tot
+        row = np.zeros(ndof)
+        for fi_loc, f in enumerate(fids):
+            g = mesh.face_geom[f]
+            for d, direction in enumerate((g.normal, g.tau1, g.tau2)):
+                row[lay.face[fi_loc, d, 0]] += direction[c] * g.area
+        Bnab[c * pk, :] = row / area_tot
+    return solve(Gnab, Bnab)

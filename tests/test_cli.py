@@ -56,3 +56,26 @@ def test_bench_run_and_rates(tmp_path, capsys):
     assert main(["bench", "rates", str(out)]) == 0
     fitted = json.loads(capsys.readouterr().out)
     assert 1.5 < fitted["eH1u"] < 2.5
+
+
+def test_solve_reports_newton_failure(capsys):
+    """A Newton run that stops unconverged prints its diagnostic, not a
+    convergence message, and fails."""
+    rc = main(["solve", "--tets", "2", "--case", "ex2-ns", "--nu", "0.005"])
+    assert rc != 0
+    out = capsys.readouterr().out
+    assert "Newton diverged" in out
+    assert "converged" not in out.replace("not converge", "")
+
+
+def test_mesh_error_is_one_line(tmp_path, capsys):
+    """A mesh file with one mis-signed face is rejected with a one-line error."""
+    out = tmp_path / "m.json"
+    assert main(["mesh", "gen", "--cubes", "1", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    data["cells"][0][0] = -data["cells"][0][0]
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["mesh", "check", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cell 0 is not closed: inconsistent face orientations\n"

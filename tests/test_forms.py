@@ -16,7 +16,7 @@ from vemflow.forms import (
     dump_matrix,
     local_a,
     local_b,
-    local_c,
+    local_convection,
     local_load,
     stabilization_weights,
 )
@@ -154,7 +154,7 @@ def test_local_c_zero_cases(cube1, disc):
     maps, projs, fps = disc(cube1, 2)
     mapv = maps[0]
     pr = projs[0]
-    C0 = local_c(pr, np.zeros(pr.ndof))
+    C0 = local_convection(pr, np.zeros(pr.ndof))[0]
     assert np.max(np.abs(C0)) == 0.0
     # u constant -> zero column (the projected gradient of u vanishes)
     u = lambda p: np.tile([1.0, 2.0, 3.0], (len(np.atleast_2d(p)), 1))
@@ -162,7 +162,7 @@ def test_local_c_zero_cases(cube1, disc):
     d_const = local_dofs(mapv, 0, interpolate_velocity(cube1, mapv, u, div_u))
     rng = np.random.default_rng(37)
     w = rng.standard_normal(pr.ndof)
-    C = local_c(pr, w)
+    C = local_convection(pr, w)[0]
     assert np.max(np.abs(C @ d_const)) < 1e-12 * np.max(np.abs(C))
 
 
@@ -185,7 +185,7 @@ def test_local_c_polynomial_oracle(cube1, disc):
         dofs.append(local_dofs(mapv, 0, interpolate_velocity(cube1, mapv, u, dv)))
     (w, _), (u, gu), (v, _) = fields
     dw, du, dv_ = dofs
-    C = local_c(pr, dw)
+    C = local_convection(pr, dw)[0]
     got = dv_ @ C @ du
     expected = convective_form_oracle(w, gu, v, pr.rule)
     assert abs(got - expected) < 1e-9 * max(1.0, abs(expected))

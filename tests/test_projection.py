@@ -1,11 +1,22 @@
 import numpy as np
 import pytest
 
-from helpers import local_dofs, poly_field
+from helpers import (
+    cell_h1_projection,
+    face_h1_projection,
+    local_dofs,
+    mass_from_integrals_loop,
+    poly_field,
+)
 from vemflow import quadrature as quad
-from vemflow.dofspace import build_dof_maps, interpolate_velocity
-from vemflow.polynomials import dim_poly
-from vemflow.projection import build_face_projections, build_projections
+from vemflow.dofspace import build_dof_maps, face_basis, interpolate_velocity
+from vemflow.polynomials import _index_lookup, decomp_basis, dim_poly, multi_indices
+from vemflow.projection import (
+    _mass_from_integrals,
+    build_face_projections,
+    build_projections,
+    cell_rule_exactness,
+)
 
 
 def _interp_local(mesh, mapv, ci, u, div_u):
@@ -24,7 +35,7 @@ def test_reproduction_all_projectors(k, cube1, unit_tet, hex_cell, voronoi_cell,
         pk = dim_poly(k, 3)
         coef = np.concatenate([rng.standard_normal(pk) for _ in range(3)])
         d = pr.D @ coef
-        for M in (pr.pi_d, pr.pi_0k, pr.pi_nabla):
+        for M in (pr.pi_d, pr.pi_0k, cell_h1_projection(mesh, mapv, pr, fps)):
             assert np.max(np.abs(M @ d - coef)) < 1e-10
         P = pr.pi_d_dof
         assert np.max(np.abs(P @ P - P)) < 1e-10
@@ -45,7 +56,7 @@ def test_interpolation_round_trip(k, cube1, hex_cell, disc):
             coef[c * basis.n: c * basis.n + pk] = rng.standard_normal(pk)
         u, grad_u, div_u = poly_field(basis, coef)
         d = _interp_local(mesh, mapv, 0, u, div_u)
-        got = pr.pi_nabla @ d
+        got = cell_h1_projection(mesh, mapv, pr, fps) @ d
         expected = np.concatenate([coef[c * basis.n: c * basis.n + pk] for c in range(3)])
         assert np.max(np.abs(got - expected)) < 1e-10
 
@@ -62,7 +73,7 @@ def test_face_projection_reproduces_polynomials(cube1, voronoi_cell):
                 npk = dim_poly(k, 2)
                 coef = rng.standard_normal(npk)
                 d = face_poly_dofs(mesh, mapv, f, fp, coef)
-                for M in (fp.nabla, fp.dproj):
+                for M in (face_h1_projection(mesh, f, k, mapv.edge_points), fp.dproj):
                     assert np.max(np.abs(M @ d - coef)) < 1e-10
                 # the L2 projection of degree k+1 also returns the polynomial
                 got = fp.l2 @ d
@@ -221,3 +232,40 @@ def test_rank_deficient_face_raises(cube1):
         )
         mapv, _ = build_dof_maps(mesh, 2)
         build_projections(mesh, mapv)
+
+
+def _mass_sets(k: int, dim: int):
+    """(integral degree, [(rows, cols)]) of every Gram gather build_* makes."""
+    if dim == 2:
+        a_k, a_k1 = multi_indices(k, 2), multi_indices(k + 1, 2)
+        n_mom = dim_poly(k - 2, 2)
+        return 2 * (k + 1), [(a_k[:n_mom], a_k), (a_k1[n_mom:], a_k), (a_k1, a_k1)]
+    a_k, a_q, a_k1 = multi_indices(k, 3), multi_indices(k - 1, 3), multi_indices(k + 1, 3)
+    return cell_rule_exactness(k), [(a_k, a_k), (a_q, a_k1), (decomp_basis(k).grad_sources, a_q)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_mass_gather_matches_loop(k, dim, seed):
+    """The cached index gather gives exactly the pairwise loop's Gram matrices."""
+    degree, sets = _mass_sets(k, dim)
+    ints = np.random.default_rng([seed, k, dim]).standard_normal(dim_poly(degree, dim))
+    for rows, cols in sets:
+        got = _mass_from_integrals(ints, degree, dim, rows, cols)
+        ref = mass_from_integrals_loop(ints, _index_lookup(degree, dim), rows, cols)
+        assert got.shape == (len(rows), len(cols))
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_face_values_match_fresh_evaluation(k, cube1, voronoi_cell):
+    """The stored face basis values are exactly a fresh evaluation, and their
+    leading columns exactly the degree k-2 moment basis."""
+    for mesh in (cube1, voronoi_cell):
+        mapv, _ = build_dof_maps(mesh, k)
+        for f in range(mesh.n_faces):
+            fp = build_face_projections(mesh, f, k, mapv.edge_points)
+            assert np.array_equal(fp.vals, fp.basis.eval(fp.pts2))
+            n_mom = dim_poly(k - 2, 2)
+            assert np.array_equal(fp.vals[:, :n_mom], face_basis(mesh, f, k - 2).eval(fp.pts2))
