@@ -121,40 +121,37 @@ def family_meshes(family: str, levels: int, mesh_paths=None, tet_seed: int = 0):
     raise ValueError(f"unknown mesh family {family!r}")
 
 
-def solve_case(case: ManufacturedCase, mesh: PolyMesh, k: int,
-               stabilization: str = "drecipe", neumann: bool = False,
-               newton_tol: float = 1e-10, maps=None, projs=None, faceprojs=None,
-               disc_cache: dict | None = None):
-    """Assemble and solve one manufactured problem on one mesh.
-
-    Returns (solution, maps, projs, faceprojs, newton_iters).  A disc_cache
-    dict memoizes (maps, projections) per (mesh, k) across repeated studies
-    on the same meshes."""
-    if disc_cache is not None and maps is None:
-        key = (id(mesh), k)
-        if key not in disc_cache:
-            m = build_dof_maps(mesh, k)
-            p, fp = build_projections(mesh, m[0])
-            disc_cache[key] = (mesh, m, p, fp)
-        _, maps, projs, faceprojs = disc_cache[key]
-    if maps is None:
-        maps = build_dof_maps(mesh, k)
-    mapv, mapq = maps
-    if projs is None:
-        projs, faceprojs = build_projections(mesh, mapv)
-    spec = ProblemSpec(
+def case_spec(case: ManufacturedCase, k: int, stabilization: str = "drecipe",
+              neumann: bool = False) -> ProblemSpec:
+    """The flow problem of a manufactured case; with `neumann` the faces on
+    x = 0 and x = 1 carry the case's traction."""
+    return ProblemSpec(
         nu=case.nu, load=case.load, dirichlet=case.velocity, k=k,
         convective=case.convective, stabilization=stabilization,
         neumann_faces=x_plane_neumann if neumann else None,
         traction=case.traction if neumann else None,
     )
+
+
+def solve_case(case: ManufacturedCase, mesh: PolyMesh, k: int,
+               stabilization: str = "drecipe", neumann: bool = False,
+               newton_tol: float = 1e-10, disc_cache: dict | None = None):
+    """Assemble and solve one manufactured problem on one mesh.
+
+    Returns (solution, maps, projs, faceprojs, newton_iters).  A disc_cache
+    dict memoizes (maps, projections) per (mesh, k) across repeated studies
+    on the same meshes."""
+    disc_cache = {} if disc_cache is None else disc_cache
+    if (mesh, k) not in disc_cache:
+        maps = build_dof_maps(mesh, k)
+        disc_cache[mesh, k] = (maps, *build_projections(mesh, maps[0]))
+    maps, projs, faceprojs = disc_cache[mesh, k]
+    spec = case_spec(case, k, stabilization, neumann)
     system = assemble(mesh, maps, spec, projs, faceprojs)
     if case.convective:
         sol = solve_navier_stokes(mesh, maps, spec, projs, faceprojs,
                                   NSOptions(tol=newton_tol), system=system)
         if not sol.converged:
-            from .flow import SolverError
-
             raise SolverError(sol.diagnostic)
         iters = sol.newton_iterations
     else:

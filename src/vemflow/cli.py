@@ -8,7 +8,7 @@ import json
 import sys
 
 from . import bench, derham
-from .cases import make_case, x_plane_neumann
+from .cases import make_case
 from .dofspace import build_dof_maps, dof_summary
 from .flow import (
     NSOptions,
@@ -18,7 +18,7 @@ from .flow import (
     solve_navier_stokes,
     solve_stokes,
 )
-from .forms import ProblemSpec, assemble, dump_matrix
+from .forms import assemble, dump_matrix
 from .meshing import (
     MeshError,
     generate_structured_cubes,
@@ -85,12 +85,7 @@ def cmd_solve(args):
     maps = build_dof_maps(mesh, args.k)
     mapv, mapq = maps
     projs, faceprojs = build_projections(mesh, mapv)
-    spec = ProblemSpec(
-        nu=args.nu, load=case.load, dirichlet=case.velocity, k=args.k,
-        convective=case.convective, stabilization=args.stab,
-        neumann_faces=x_plane_neumann if args.neumann else None,
-        traction=case.traction if args.neumann else None,
-    )
+    spec = bench.case_spec(case, args.k, args.stab, args.neumann)
     system = assemble(mesh, maps, spec, projs, faceprojs)
     if args.dump_matrix:
         dump_matrix(system, args.dump_matrix)

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dofspace import ComplexDims, DofMapV, build_dof_maps, complex_dims
+from .forms import divergence_matrix
 from .meshing import PolyMesh
 from .projection import CellProjections, build_projections
 
@@ -77,17 +78,10 @@ def check_exactness_dims(mesh: PolyMesh, k: int) -> ComplexReport:
 
 def assemble_divergence(mesh: PolyMesh, k: int, maps=None, projs=None) -> np.ndarray:
     """Dense global divergence pairing (dim Q x dim V), no boundary conditions."""
-    from .forms import local_b
-
-    maps = maps or build_dof_maps(mesh, k)
-    mapv, mapq = maps
+    mapv, mapq = maps or build_dof_maps(mesh, k)
     if projs is None:
         projs, _ = build_projections(mesh, mapv)
-    B = np.zeros((mapq.ndof, mapv.ndof))
-    pq = mapq.n_per_cell
-    for ci, proj in enumerate(projs):
-        B[ci * pq: (ci + 1) * pq][:, mapv.cell_global[ci]] += local_b(proj)
-    return B
+    return divergence_matrix(mapv, mapq, projs).toarray()
 
 
 def check_div_surjectivity(mesh: PolyMesh, k: int, maps=None, projs=None,

@@ -105,9 +105,6 @@ class DofMapQ:
     n_per_cell: int
     ndof: int
 
-    def cell_slice(self, c: int) -> slice:
-        return slice(c * self.n_per_cell, (c + 1) * self.n_per_cell)
-
 
 @dataclass
 class ReducedMaps:
@@ -122,7 +119,6 @@ class ReducedMaps:
 
     @property
     def saving(self) -> int:
-        n_cells = len(self.full_v.cell_global)
         return (self.full_v.ndof - self.ndof_v) + (self.full_q.ndof - self.ndof_q)
 
 

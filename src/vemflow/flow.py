@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dofspace import DofMapQ, DofMapV, ReducedMaps, build_reduced_maps
-from .forms import GlobalSystem, ProblemSpec, assemble, assemble_convection, local_a
+from .forms import GlobalSystem, ProblemSpec, assemble, assemble_convection
 from .meshing import PolyMesh
 from .polynomials import dim_poly
 from .projection import CellProjections
@@ -68,31 +68,19 @@ def _equilibrated_solve(K: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
     return d * y
 
 
-def _saddle_matrix(system: GlobalSystem, C: sp.spmatrix | None = None) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-    """Eliminate Dirichlet DoFs and append the zero-mean row when present.
+def _saddle_matrix(system: GlobalSystem, J: sp.spmatrix) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The saddle matrix [J_ff B_f^T; B_f 0] on the free velocity DoFs, with
+    the zero-mean row e bordering the pressure block when present.
 
-    Returns (K, rhs, free velocity index)."""
-    mask = system.dirichlet_mask
-    free = np.nonzero(~mask)[0]
-    A = system.A if C is None else (system.A + C).tocsr()
-    lift = system.dirichlet_values
-    F = system.F - A @ lift
-    G = -(system.B @ lift)
-    A_ff = A[free][:, free]
+    J is the velocity block: A for Stokes, the Newton Jacobian A + C + Cg for
+    Navier-Stokes.  Returns (K, free velocity index)."""
+    free = np.nonzero(~system.dirichlet_mask)[0]
+    J_ff = J[free][:, free]
     B_f = system.B[:, free]
-    nq = system.ndof_q
-    if system.e is not None:
-        e = sp.csr_matrix(system.e[None, :])
-        K = sp.bmat([
-            [A_ff, B_f.T, None],
-            [B_f, None, e.T],
-            [None, e, None],
-        ], format="csc")
-        rhs = np.concatenate([F[free], G, [0.0]])
-    else:
-        K = sp.bmat([[A_ff, B_f.T], [B_f, None]], format="csc")
-        rhs = np.concatenate([F[free], G])
-    return K, rhs, free
+    if system.e is None:
+        return sp.bmat([[J_ff, B_f.T], [B_f, None]], format="csc"), free
+    e = sp.csr_matrix(system.e[None, :])
+    return sp.bmat([[J_ff, B_f.T, None], [B_f, None, e.T], [None, e, None]], format="csc"), free
 
 
 def _split(system: GlobalSystem, free: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -107,7 +95,10 @@ def _split(system: GlobalSystem, free: np.ndarray, x: np.ndarray) -> tuple[np.nd
 
 def solve_stokes(system: GlobalSystem) -> FlowSolution:
     """Direct sparse solve of the assembled Stokes system."""
-    K, rhs, free = _saddle_matrix(system)
+    K, free = _saddle_matrix(system, system.A)
+    lift = system.dirichlet_values
+    F = system.F - system.A @ lift
+    rhs = np.concatenate([F[free], -(system.B @ lift), [0.0] if system.e is not None else []])
     try:
         x = _equilibrated_solve(K, rhs)
     except RuntimeError as exc:
@@ -138,8 +129,6 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
     mapv, mapq = maps
     if system is None:
         system = assemble(mesh, maps, spec, projs, faceprojs)
-    mask = system.dirichlet_mask
-    free = np.nonzero(~mask)[0]
 
     if opts.initial_guess == "stokes":
         sol = solve_stokes(system)
@@ -153,22 +142,14 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
     residuals = []
     for it in range(opts.max_iter):
         C, Cg = assemble_convection(mesh, mapv, projs, u)
+        K, free = _saddle_matrix(system, system.A + C + Cg)
         Rm = system.A @ u + C @ u + system.B.T @ p - system.F
         Rc = system.B @ u
-        J = system.A + C + Cg
-        J_ff = J[free][:, free]
-        B_f = system.B[:, free]
         if system.e is not None:
-            Rc = Rc + lam * system.e
-            Re = np.array([system.e @ p])
-            e = sp.csr_matrix(system.e[None, :])
-            K = sp.bmat([[J_ff, B_f.T, None], [B_f, None, e.T], [None, e, None]], format="csc")
-            rhs = -np.concatenate([Rm[free], Rc, Re])
-            residuals.append(float(np.linalg.norm(rhs)))
+            rhs = -np.concatenate([Rm[free], Rc + lam * system.e, [system.e @ p]])
         else:
-            K = sp.bmat([[J_ff, B_f.T], [B_f, None]], format="csc")
             rhs = -np.concatenate([Rm[free], Rc])
-            residuals.append(float(np.linalg.norm(rhs)))
+        residuals.append(float(np.linalg.norm(rhs)))
         try:
             dx = _equilibrated_solve(K, rhs)
         except RuntimeError as exc:
@@ -212,65 +193,47 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
 # ---------------------------------------------------------------------------
 
 
-def reduced_embedding(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections], ci: int) -> np.ndarray:
-    """Cell matrix mapping reduced local DoFs (families 1-4) to the full local
-    vector: on the reduced space the divergence is the constant boundary flux
-    over the volume, which determines the divergence moments."""
-    lay = mapv.layouts[ci]
-    proj = projs[ci]
-    keep = np.ones(lay.ndof, dtype=bool)
-    keep[lay.d5] = False
-    E = np.zeros((lay.ndof, int(keep.sum())))
-    E[np.nonzero(keep)[0], np.arange(int(keep.sum()))] = 1.0
-    if mapv.n_d5:
-        fids, signs = mesh.cells[ci]
-        flux_row = np.zeros(lay.ndof)
-        for fi_loc, f in enumerate(fids):
-            flux_row[lay.face[fi_loc, 0, 0]] += signs[fi_loc] * mesh.face_geom[f].area
-        # D5_b(v) = (div v) * int m_b / vol^2 with div v = flux / vol
-        mono = proj.mono_int[1: 1 + mapv.n_d5]
-        E[lay.d5, :] = np.outer(mono / proj.vol**2, flux_row[np.nonzero(keep)[0]])
-    return E
+def reduced_embedding(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],
+                      red: ReducedMaps) -> sp.csr_matrix:
+    """Sparse embedding E of the reduced velocity DoFs (families 1-4) into the
+    full ones, (ndof_v, red.ndof_v).  E is the identity on the kept DoFs.  On
+    the reduced space div v is the constant boundary flux over the volume,
+    which fixes the divergence moments: D5_b(v) = (int m_b / vol^2) flux(v),
+    flux(v) = sum over the cell's faces of sign |f| (constant normal moment)."""
+    # flux[c, j]: boundary flux of cell c per unit of reduced DoF j
+    fc, slot = np.nonzero(mesh.face_cells >= 0)
+    normal0 = mapv.offsets["face"] + 3 * mapv.n_face_moms * fc
+    area = np.array([g.area for g in mesh.face_geom])[fc]
+    flux = sp.csr_matrix((mesh.face_cell_signs[fc, slot] * area,
+                          (mesh.face_cells[fc, slot], red.full_to_red[normal0])),
+                         shape=(mesh.n_cells, red.ndof_v))
+    # the dropped DoFs are the divergence moments, cell by cell
+    d5 = np.nonzero(~red.keep)[0]
+    mono = np.stack([pr.mono_int[1: 1 + mapv.n_d5] / pr.vol**2 for pr in projs])
+    per_cell = sp.csr_matrix((mono.ravel(), (d5, np.arange(d5.size) // mapv.n_d5)),
+                             shape=(mapv.ndof, mesh.n_cells))
+    return (sp.identity(mapv.ndof, format="csr")[:, red.keep] + per_cell @ flux).tocsr()
 
 
 def solve_stokes_reduced(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
                          projs: list[CellProjections], faceprojs: dict,
                          red: ReducedMaps | None = None) -> tuple[FlowSolution, ReducedMaps]:
     """Stokes solve in the reduced pair (no divergence moments, constant
-    pressures); returns the solution in reduced numbering."""
+    pressures) as the restriction E^T [A B^T; B 0] E of the full system to
+    the reduced velocities and the cells' constant pressure rows; Neumann
+    faces and the zero-mean row carry over from the full system.  Returns
+    the solution in reduced numbering."""
     mapv, mapq = maps
     red = red or build_reduced_maps(mesh, mapv.k, maps)
-    rows_a, cols_a, vals_a = [], [], []
-    rows_b, cols_b, vals_b = [], [], []
-    F = np.zeros(red.ndof_v)
-    e = np.zeros(red.ndof_q)
-    from .forms import local_b, local_load
-
-    for ci, proj in enumerate(projs):
-        E = reduced_embedding(mesh, mapv, projs, ci)
-        gfull = mapv.cell_global[ci]
-        lay = mapv.layouts[ci]
-        keep_loc = np.ones(lay.ndof, dtype=bool)
-        keep_loc[lay.d5] = False
-        gred = red.full_to_red[gfull[keep_loc]]
-        A_loc = E.T @ local_a(proj, spec.nu, spec.stabilization) @ E
-        b_loc = (local_b(proj) @ E)[0:1, :]
-        rc = np.meshgrid(gred, gred, indexing="ij")
-        rows_a.append(rc[0].ravel()); cols_a.append(rc[1].ravel()); vals_a.append(A_loc.ravel())
-        rows_b.append(np.full(len(gred), ci)); cols_b.append(gred); vals_b.append(b_loc.ravel())
-        F[gred] += E.T @ local_load(proj, spec.load)
-        e[ci] = proj.vol
-
-    A = sp.csr_matrix((np.concatenate(vals_a), (np.concatenate(rows_a), np.concatenate(cols_a))),
-                      shape=(red.ndof_v, red.ndof_v))
-    B = sp.csr_matrix((np.concatenate(vals_b), (np.concatenate(rows_b), np.concatenate(cols_b))),
-                      shape=(red.ndof_q, red.ndof_v))
-    dir_mask = mapv.dirichlet[red.keep]
-    from .dofspace import interpolate_boundary
-    gvals = interpolate_boundary(mesh, mapv, spec.dirichlet)[red.keep]
-    gvals[~dir_mask] = 0.0
-    system = GlobalSystem(k=spec.k, nu=spec.nu, A=A, B=B, F=F, e=e,
-                          dirichlet_mask=dir_mask, dirichlet_values=gvals)
+    full = assemble(mesh, maps, spec, projs, faceprojs)
+    E = reduced_embedding(mesh, mapv, projs, red)
+    pq = mapq.n_per_cell
+    system = GlobalSystem(
+        k=spec.k, nu=spec.nu, A=(E.T @ full.A @ E).tocsr(), B=(full.B[::pq] @ E).tocsr(),
+        F=E.T @ full.F, e=None if full.e is None else full.e[::pq],
+        dirichlet_mask=full.dirichlet_mask[red.keep],
+        dirichlet_values=full.dirichlet_values[red.keep],
+    )
     return solve_stokes(system), red
 
 
@@ -302,9 +265,8 @@ def reduce_and_compare(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Prob
     for ci, proj in enumerate(projs):
         mean_full = float(proj.mono_int[:pq] @ full.p[ci * pq: (ci + 1) * pq]) / proj.vol
         dp = max(dp, abs(mean_full - redsol.p[ci]))
-    saving = (mapv.ndof + mapq.ndof) - (red.ndof_v + red.ndof_q)
     expected = (2 * dim_poly(mapv.k - 1, 3) - 2) * mesh.n_cells
-    return ReducedComparison(du, dp, saving, expected)
+    return ReducedComparison(du, dp, red.saving, expected)
 
 
 # ---------------------------------------------------------------------------

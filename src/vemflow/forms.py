@@ -19,7 +19,7 @@ integrals, batched over all cells that share a local DoF layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -149,11 +149,6 @@ class GlobalSystem:
     e: np.ndarray | None             # pressure-integral vector (None: no mean row)
     dirichlet_mask: np.ndarray
     dirichlet_values: np.ndarray
-    neumann_face_ids: list = field(default_factory=list)
-
-    @property
-    def ndof_v(self) -> int:
-        return self.A.shape[0]
 
     @property
     def ndof_q(self) -> int:
@@ -166,15 +161,13 @@ def classify_neumann(mesh: PolyMesh, spec: ProblemSpec) -> list[int]:
     out = []
     for f in np.nonzero(mesh.boundary_face)[0]:
         g = mesh.face_geom[f]
-        ci = mesh.face_cells[f, 0]
         sign = mesh.face_cell_signs[f, 0]
         if spec.neumann_faces(g.centroid, sign * g.normal):
             out.append(int(f))
     return out
 
 
-def _check_compatibility(mesh: PolyMesh, mapv: DofMapV, gvals: np.ndarray,
-                         faceprojs: dict[int, FaceProjections]) -> None:
+def _check_compatibility(mesh: PolyMesh, mapv: DofMapV, gvals: np.ndarray) -> None:
     """Full-Dirichlet data must satisfy the flux compatibility
     |integral of g.n over the boundary| <= 1e-10 * |boundary|."""
     flux = 0.0
@@ -191,32 +184,58 @@ def _check_compatibility(mesh: PolyMesh, mapv: DofMapV, gvals: np.ndarray,
         )
 
 
+def _layout_groups(mapv: DofMapV, projs: list[CellProjections]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Cells grouped by local DoF count: (cell ids, their global velocity
+    DoFs stacked to (nc, ndof)) per group, in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for ci, proj in enumerate(projs):
+        groups.setdefault(proj.ndof, []).append(ci)
+    return [(np.array(cells), np.array([mapv.cell_global[ci] for ci in cells]))
+            for cells in groups.values()]
+
+
+def _scatter(shape: tuple[int, int], rows: list[np.ndarray], cols: list[np.ndarray],
+             *blocks: list[np.ndarray]) -> list[sp.csr_matrix]:
+    """Sum group-stacked cell blocks into CSR matrices of `shape`.
+
+    rows[g] (nc, m) and cols[g] (nc, n) are the global indices of group g's
+    cells; each item of `blocks` holds one output's (nc, m, n) blocks per
+    group.  The COO indices are broadcast once and shared by every output."""
+    r = np.concatenate([np.broadcast_to(ri[:, :, None], ri.shape + cj.shape[1:]).ravel()
+                        for ri, cj in zip(rows, cols)])
+    c = np.concatenate([np.broadcast_to(cj[:, None, :], ri.shape + cj.shape[1:]).ravel()
+                        for ri, cj in zip(rows, cols)])
+    return [sp.csr_matrix((np.concatenate([b.ravel() for b in out]), (r, c)), shape=shape)
+            for out in blocks]
+
+
+def divergence_matrix(mapv: DofMapV, mapq: DofMapQ, projs: list[CellProjections]) -> sp.csr_matrix:
+    """Global divergence pairing B, (ndof_q, ndof_v), without boundary conditions."""
+    pq = mapq.n_per_cell
+    groups = _layout_groups(mapv, projs)
+    (B,) = _scatter((mapq.ndof, mapv.ndof),
+                    [cells[:, None] * pq + np.arange(pq) for cells, _ in groups],
+                    [gdof for _, gdof in groups],
+                    [np.stack([local_b(projs[ci]) for ci in cells]) for cells, _ in groups])
+    return B
+
+
 def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
              projs: list[CellProjections],
              faceprojs: dict[int, FaceProjections]) -> GlobalSystem:
     """Scatter-add the local contributions into the sparse saddle system."""
     mapv, mapq = maps
-    rows_a, cols_a, vals_a = [], [], []
-    rows_b, cols_b, vals_b = [], [], []
-    F = np.zeros(mapv.ndof)
-    e = np.zeros(mapq.ndof)
     pq = mapq.n_per_cell
-
+    groups = _layout_groups(mapv, projs)
+    gdofs = [gdof for _, gdof in groups]
+    (A,) = _scatter((mapv.ndof, mapv.ndof), gdofs, gdofs,
+                    [np.stack([local_a(projs[ci], spec.nu, spec.stabilization) for ci in cells])
+                     for cells, _ in groups])
+    B = divergence_matrix(mapv, mapq, projs)
+    F = np.zeros(mapv.ndof)
     for ci, proj in enumerate(projs):
-        gdof = mapv.cell_global[ci]
-        A_loc = local_a(proj, spec.nu, spec.stabilization)
-        B_loc = local_b(proj)
-        rc = np.meshgrid(gdof, gdof, indexing="ij")
-        rows_a.append(rc[0].ravel())
-        cols_a.append(rc[1].ravel())
-        vals_a.append(A_loc.ravel())
-        qdof = np.arange(ci * pq, (ci + 1) * pq)
-        rc = np.meshgrid(qdof, gdof, indexing="ij")
-        rows_b.append(rc[0].ravel())
-        cols_b.append(rc[1].ravel())
-        vals_b.append(B_loc.ravel())
-        F[gdof] += local_load(proj, spec.load)
-        e[qdof] = proj.mono_int[:pq]
+        F[mapv.cell_global[ci]] += local_load(proj, spec.load)
+    e = np.concatenate([proj.mono_int[:pq] for proj in projs])
 
     neumann = classify_neumann(mesh, spec)
     for f in neumann:
@@ -227,53 +246,30 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
         g = mesh.face_geom[f]
         tvals = np.asarray(spec.traction(fp.pts3, sign * g.normal), dtype=float).reshape(-1, 3)
         gdof = mapv.cell_global[ci]
+        FT = fp.vals @ face_extraction(mesh, mapv, ci, fi_loc, fp)
         for c in range(3):
-            FT = fp.vals @ (fp.l2 @ face_extraction(mesh, mapv, ci, fi_loc, c))
-            F[gdof] += FT.T @ (fp.w * tvals[:, c])
+            F[gdof] += FT[c].T @ (fp.w * tvals[:, c])
 
-    A = sp.csr_matrix(
-        (np.concatenate(vals_a), (np.concatenate(rows_a), np.concatenate(cols_a))),
-        shape=(mapv.ndof, mapv.ndof),
-    )
-    B = sp.csr_matrix(
-        (np.concatenate(vals_b), (np.concatenate(rows_b), np.concatenate(cols_b))),
-        shape=(mapq.ndof, mapv.ndof),
-    )
-
-    dir_mask = mapv.dirichlet.copy()
-    if neumann:
-        n_fm = mapv.n_face_moms
-        n_ep = mapv.n_edge_pts
-        neumann_set = set(neumann)
-        for f in neumann:
-            base = mapv.offsets["face"] + 3 * n_fm * f
-            dir_mask[base: base + 3 * n_fm] = False
-        # vertices/edges stay Dirichlet unless all their boundary faces are Neumann
-        vertex_faces: dict[int, list[int]] = {}
-        edge_faces: dict[int, list[int]] = {}
-        for f in np.nonzero(mesh.boundary_face)[0]:
-            for v in mesh.faces[f]:
-                vertex_faces.setdefault(int(v), []).append(int(f))
-            for eid in mesh.face_edges[f][0]:
-                edge_faces.setdefault(int(eid), []).append(int(f))
-        for v, fs in vertex_faces.items():
-            if all(f in neumann_set for f in fs):
-                dir_mask[3 * v: 3 * v + 3] = False
-        for eid, fs in edge_faces.items():
-            if all(f in neumann_set for f in fs):
-                base = mapv.offsets["edge"] + 3 * n_ep * eid
-                dir_mask[base: base + 3 * n_ep] = False
+    # Dirichlet DoFs: the vertex, edge and moment DoFs of the boundary faces
+    # that are not Neumann, so a vertex or an edge stays Dirichlet unless all
+    # its boundary faces are Neumann
+    dir_mask = np.zeros(mapv.ndof, dtype=bool)
+    n_ep, n_fm = mapv.n_edge_pts, mapv.n_face_moms
+    for f in set(np.nonzero(mesh.boundary_face)[0]) - set(neumann):
+        dir_mask[3 * mesh.faces[f][:, None] + np.arange(3)] = True
+        dir_mask[mapv.offsets["edge"] + 3 * n_ep * mesh.face_edges[f][0][:, None]
+                 + np.arange(3 * n_ep)] = True
+        dir_mask[mapv.offsets["face"] + 3 * n_fm * f + np.arange(3 * n_fm)] = True
 
     gvals = interpolate_boundary(mesh, mapv, spec.dirichlet)
     gvals[~dir_mask] = 0.0
     if not neumann:
-        _check_compatibility(mesh, mapv, interpolate_boundary(mesh, mapv, spec.dirichlet), faceprojs)
+        _check_compatibility(mesh, mapv, gvals)
 
     return GlobalSystem(
         k=spec.k, nu=spec.nu, A=A, B=B, F=F,
         e=None if neumann else e,
         dirichlet_mask=dir_mask, dirichlet_values=gvals,
-        neumann_face_ids=neumann,
     )
 
 
@@ -281,22 +277,12 @@ def assemble_convection(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjectio
                         u: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Global C(u) and the gradient-slot matrix Cg(u) at the state u, one
     batched contraction per group of cells with the same local DoF count."""
-    groups: dict[int, list[int]] = {}
-    for ci, proj in enumerate(projs):
-        groups.setdefault(proj.ndof, []).append(ci)
-    rows, cols, vc, vg = [], [], [], []
-    for nd, cells in groups.items():
-        gdof = np.array([mapv.cell_global[ci] for ci in cells])
-        C, Cg = _convection_batch([projs[ci] for ci in cells], u[gdof])
-        rows.append(np.repeat(gdof, nd, axis=1).ravel())
-        cols.append(np.tile(gdof, (1, nd)).ravel())
-        vc.append(C.ravel())
-        vg.append(Cg.ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    shape = (mapv.ndof, mapv.ndof)
-    return (sp.csr_matrix((np.concatenate(vc), (rows, cols)), shape=shape),
-            sp.csr_matrix((np.concatenate(vg), (rows, cols)), shape=shape))
+    groups = _layout_groups(mapv, projs)
+    batches = [_convection_batch([projs[ci] for ci in cells], u[gdof]) for cells, gdof in groups]
+    gdofs = [gdof for _, gdof in groups]
+    C, Cg = _scatter((mapv.ndof, mapv.ndof), gdofs, gdofs,
+                     [C for C, _ in batches], [Cg for _, Cg in batches])
+    return C, Cg
 
 
 def dump_matrix(system: GlobalSystem, path: str) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import qr, solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, qr, solve, solve_triangular
 
 from . import quadrature as quad
 from .dofspace import DofMapV, cell_basis, face_basis, face_coords
@@ -55,6 +55,15 @@ def _mass_index(degree: int, dim: int, rows: tuple, cols: tuple) -> np.ndarray:
 def _mass_from_integrals(ints: np.ndarray, degree: int, dim: int, rows: tuple, cols: tuple) -> np.ndarray:
     """Gram matrix [int m_a m_b] gathered from the monomial integrals `ints`."""
     return ints[_mass_index(degree, dim, rows, cols)]
+
+
+def _solve_blocks(factor, blocks: list[np.ndarray]) -> np.ndarray:
+    """Solutions for several right-hand side blocks from one Cholesky factor
+    in one call, stacked by rows in block order.  The result is C-ordered,
+    as the stacked contractions of the convection kernel expect (LAPACK
+    returns Fortran order, which would change their summation order)."""
+    X = np.ascontiguousarray(cho_solve(factor, np.hstack(blocks)))
+    return np.vstack(np.hsplit(X, len(blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,30 +134,27 @@ def build_face_projections(mesh: PolyMesh, f: int, k: int, edge_points3) -> Face
                            pts2=pts2, pts3=pts3, w=w, vals=phi[:, :npk1].copy())
 
 
-def face_extraction(mesh: PolyMesh, mapv: DofMapV, ci: int, fi_loc: int, comp: int) -> np.ndarray:
-    """Matrix picking the scalar face DoFs of velocity component `comp` on
-    local face fi_loc out of the cell-local DoF vector."""
-    k = mapv.k
+def face_extraction(mesh: PolyMesh, mapv: DofMapV, ci: int, fi_loc: int,
+                    fp: FaceProjections) -> np.ndarray:
+    """The enhanced L2 projection of local face fi_loc acting on the
+    cell-local DoF vector, one slice per velocity component: shape
+    (3, pi_{k+1,2}, ndof).  The columns of fp.l2 go to the cell's vertex and
+    edge DoFs on the face; its moment columns go to the normal and tangential
+    face moments, scaled by the component of each direction."""
     lay = mapv.layouts[ci]
     f = mesh.cells[ci][0][fi_loc]
     g = mesh.face_geom[f]
-    loop = mesh.faces[f]
-    nv = len(loop)
-    n_mom = mapv.n_face_moms
-    E = np.zeros((nv * k + n_mom, lay.ndof))
-    cvs = mesh.cell_vertices[ci]
-    ces = mesh.cell_edges[ci]
-    for i, v in enumerate(loop):
-        vpos = int(np.searchsorted(cvs, v))
-        E[i, lay.vertex[vpos, comp]] = 1.0
-    eids, _ = mesh.face_edges[f]
-    for le in range(nv):
-        epos = int(np.searchsorted(ces, eids[le]))
-        for p in range(k - 1):
-            E[nv + le * (k - 1) + p, lay.edge[epos, p, comp]] = 1.0
-    for d, direction in enumerate((g.normal, g.tau1, g.tau2)):
-        E[nv * k:, lay.face[fi_loc, d, :]] += direction[comp] * np.eye(n_mom)
-    return E
+    nb = len(mesh.faces[f]) * mapv.k            # vertex and edge values on the face
+    vpos = np.searchsorted(mesh.cell_vertices[ci], mesh.faces[f])
+    epos = np.searchsorted(mesh.cell_edges[ci], mesh.face_edges[f][0])
+    # (3, nb): local column of each face value, per component
+    cols = np.concatenate([lay.vertex[vpos], lay.edge[epos].reshape(-1, 3)]).T
+    out = np.zeros((3, fp.l2.shape[0], lay.ndof))
+    for c in range(3):
+        out[c][:, cols[c]] = fp.l2[:, :nb]
+    frame = np.stack([g.normal, g.tau1, g.tau2])   # frame[d, c]: component c of direction d
+    out[:, :, lay.face[fi_loc]] = fp.l2[None, :, None, nb:] * frame.T[:, None, :, None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +217,10 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, ci: int,
     a_k1 = multi_indices(k + 1, 3)
     Hk = _mass_from_integrals(ints, deg, 3, a_k, a_k)
     Hq = Hk[:pq, :pq]
+    # Hq is the leading block of Hk, so its Cholesky factor is the leading
+    # block of Hk's: one factorisation serves both mass matrices
+    chol_k = cho_factor(Hk)
+    chol_q = (chol_k[0][:pq, :pq], chol_k[1])
 
     # deg k+1 monomial values at the face quadrature points, reused across
     # all the moment systems
@@ -256,7 +266,7 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, ci: int,
         rhs[0, lay.face[fi_loc, 0, 0]] += signs[fi_loc] * mesh.face_geom[f].area
     if mapv.n_d5:
         rhs[1:, lay.d5] = vol * np.eye(mapv.n_d5)
-    div = solve(Hq, rhs)
+    div = _solve_blocks(chol_q, [rhs])
 
     # --- projected traces at the face quadrature points ------------------------
     # FT[fi_loc][c]: (nq_f, ndof) values of the projected component-c trace
@@ -264,7 +274,7 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, ci: int,
     FTn = []
     for fi_loc, f in enumerate(fids):
         fp = faceprojs[f]
-        trace = [fp.vals @ (fp.l2 @ face_extraction(mesh, mapv, ci, fi_loc, c)) for c in range(3)]
+        trace = fp.vals @ face_extraction(mesh, mapv, ci, fi_loc, fp)
         FT.append(trace)
         nrm = mesh.face_geom[f].normal
         FTn.append(nrm[0] * trace[0] + nrm[1] * trace[1] + nrm[2] * trace[2])
@@ -290,13 +300,11 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, ci: int,
     moments = dec.Tinv_T @ adapted
 
     # --- L2 projection onto [P_k]^3 ---------------------------------------------
-    pi_0k = np.empty_like(moments)
-    for c in range(3):
-        pi_0k[c * pk: (c + 1) * pk, :] = solve(Hk, moments[c * pk: (c + 1) * pk, :])
+    pi_0k = _solve_blocks(chol_k, np.vsplit(moments, 3))
 
     # --- L2 projection of the gradient onto [P_{k-1}]^{3x3} ---------------------
-    pi_0grad = np.empty((9 * pq, ndof))
     Dk = [Dm[j][:pk, :pk] for j in range(3)]
+    vterms = []                     # row-block order (3i+j): (grad v)_ij
     for i in range(3):
         Mi = moments[i * pk: (i + 1) * pk, :]
         vterm = [-(Dk[j][:, :pq].T @ Mi) / h for j in range(3)]
@@ -306,8 +314,8 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, ci: int,
             nrm = mesh.face_geom[f].normal
             for j in range(3):
                 vterm[j] += signs[fi_loc] * nrm[j] * phiq_w
-        for j in range(3):
-            pi_0grad[(3 * i + j) * pq: (3 * i + j + 1) * pq, :] = solve(Hq, vterm[j])
+        vterms += vterm
+    pi_0grad = _solve_blocks(chol_q, vterms)
 
     # --- consistency part of the viscous form (symmetric-gradient pairing) ------
     cons = np.zeros((ndof, ndof))

@@ -61,12 +61,9 @@ def disc():
     """Memoized (maps, projs, faceprojs) per (mesh, k) across the session."""
 
     def build(mesh, k):
-        key = (id(mesh), k)
-        if key not in _DISC_CACHE:
+        if (mesh, k) not in _DISC_CACHE:
             maps = build_dof_maps(mesh, k)
-            projs, faceprojs = build_projections(mesh, maps[0])
-            _DISC_CACHE[key] = (mesh, maps, projs, faceprojs)
-        _, maps, projs, faceprojs = _DISC_CACHE[key]
-        return maps, projs, faceprojs
+            _DISC_CACHE[mesh, k] = (maps, *build_projections(mesh, maps[0]))
+        return _DISC_CACHE[mesh, k]
 
     return build

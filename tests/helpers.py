@@ -15,10 +15,12 @@ from math import factorial
 import numpy as np
 from scipy.linalg import solve
 
+import scipy.sparse as sp
+
 from vemflow import quadrature as quad
-from vemflow.dofspace import edge_point_params, face_basis, face_coords
+from vemflow.dofspace import edge_point_params, face_basis, face_coords, interpolate_boundary
+from vemflow.forms import GlobalSystem, local_a, local_b, local_load
 from vemflow.polynomials import _index_lookup, dim_poly, multi_indices
-from vemflow.projection import face_extraction
 
 
 def cube_monomial_integral(a: int, b: int, c: int) -> float:
@@ -261,7 +263,7 @@ def cell_h1_projection(mesh, mapv, proj, faceprojs) -> np.ndarray:
         fp = faceprojs[f]
         phi3f.append(basis.eval(fp.pts3))
         gphi3f.append(basis.eval_grad(fp.pts3)[:, :pk, :])
-        FT.append([fp.vals @ (fp.l2 @ face_extraction(mesh, mapv, ci, fi_loc, c)) for c in range(3)])
+        FT.append([fp.vals @ (fp.l2 @ face_extraction_loop(mesh, mapv, ci, fi_loc, c)) for c in range(3)])
 
     Gs = sum(Dk[d].T @ Hk @ Dk[d] for d in range(3)) / h**2
     lap = sum(Dk[d] @ Dk[d] for d in range(3)) / h**2
@@ -289,3 +291,138 @@ def cell_h1_projection(mesh, mapv, proj, faceprojs) -> np.ndarray:
                 row[lay.face[fi_loc, d, 0]] += direction[c] * g.area
         Bnab[c * pk, :] = row / area_tot
     return solve(Gnab, Bnab)
+
+
+def face_extraction_loop(mesh, mapv, ci: int, fi_loc: int, comp: int) -> np.ndarray:
+    """Matrix picking the scalar face DoFs of velocity component `comp` on
+    local face fi_loc out of the cell-local DoF vector: the reference for
+    the column gather in `projection.face_extraction`, which equals
+    fp.l2 @ face_extraction_loop(...) for each component."""
+    k = mapv.k
+    lay = mapv.layouts[ci]
+    f = mesh.cells[ci][0][fi_loc]
+    g = mesh.face_geom[f]
+    loop = mesh.faces[f]
+    nv = len(loop)
+    n_mom = mapv.n_face_moms
+    E = np.zeros((nv * k + n_mom, lay.ndof))
+    cvs = mesh.cell_vertices[ci]
+    ces = mesh.cell_edges[ci]
+    for i, v in enumerate(loop):
+        vpos = int(np.searchsorted(cvs, v))
+        E[i, lay.vertex[vpos, comp]] = 1.0
+    eids, _ = mesh.face_edges[f]
+    for le in range(nv):
+        epos = int(np.searchsorted(ces, eids[le]))
+        for p in range(k - 1):
+            E[nv + le * (k - 1) + p, lay.edge[epos, p, comp]] = 1.0
+    for d, direction in enumerate((g.normal, g.tau1, g.tau2)):
+        E[nv * k:, lay.face[fi_loc, d, :]] += direction[comp] * np.eye(n_mom)
+    return E
+
+
+def saddle_matrix_oracle(system, C=None):
+    """Eliminate Dirichlet DoFs and append the zero-mean row when present:
+    the reference for `flow._saddle_matrix` and the Stokes right-hand side.
+
+    Returns (K, rhs, free velocity index)."""
+    mask = system.dirichlet_mask
+    free = np.nonzero(~mask)[0]
+    A = system.A if C is None else (system.A + C).tocsr()
+    lift = system.dirichlet_values
+    F = system.F - A @ lift
+    G = -(system.B @ lift)
+    A_ff = A[free][:, free]
+    B_f = system.B[:, free]
+    if system.e is not None:
+        e = sp.csr_matrix(system.e[None, :])
+        K = sp.bmat([
+            [A_ff, B_f.T, None],
+            [B_f, None, e.T],
+            [None, e, None],
+        ], format="csc")
+        rhs = np.concatenate([F[free], G, [0.0]])
+    else:
+        K = sp.bmat([[A_ff, B_f.T], [B_f, None]], format="csc")
+        rhs = np.concatenate([F[free], G])
+    return K, rhs, free
+
+
+def newton_step_oracle(system, C, Cg, u, p, lam):
+    """Newton matrix and right-hand side at the state (u, p, lam) with
+    C = C(u), Cg = Cg(u): the reference for one step of
+    `flow.solve_navier_stokes`.  Returns (K, rhs)."""
+    free = np.nonzero(~system.dirichlet_mask)[0]
+    Rm = system.A @ u + C @ u + system.B.T @ p - system.F
+    Rc = system.B @ u
+    J = system.A + C + Cg
+    J_ff = J[free][:, free]
+    B_f = system.B[:, free]
+    if system.e is not None:
+        Rc = Rc + lam * system.e
+        Re = np.array([system.e @ p])
+        e = sp.csr_matrix(system.e[None, :])
+        K = sp.bmat([[J_ff, B_f.T, None], [B_f, None, e.T], [None, e, None]], format="csc")
+        rhs = -np.concatenate([Rm[free], Rc, Re])
+    else:
+        K = sp.bmat([[J_ff, B_f.T], [B_f, None]], format="csc")
+        rhs = -np.concatenate([Rm[free], Rc])
+    return K, rhs
+
+
+def reduced_cell_embedding(mesh, mapv, projs, ci: int) -> np.ndarray:
+    """Cell matrix mapping reduced local DoFs (families 1-4) to the full local
+    vector: on the reduced space the divergence is the constant boundary flux
+    over the volume, which determines the divergence moments."""
+    lay = mapv.layouts[ci]
+    proj = projs[ci]
+    keep = np.ones(lay.ndof, dtype=bool)
+    keep[lay.d5] = False
+    E = np.zeros((lay.ndof, int(keep.sum())))
+    E[np.nonzero(keep)[0], np.arange(int(keep.sum()))] = 1.0
+    if mapv.n_d5:
+        fids, signs = mesh.cells[ci]
+        flux_row = np.zeros(lay.ndof)
+        for fi_loc, f in enumerate(fids):
+            flux_row[lay.face[fi_loc, 0, 0]] += signs[fi_loc] * mesh.face_geom[f].area
+        # D5_b(v) = (div v) * int m_b / vol^2 with div v = flux / vol
+        mono = proj.mono_int[1: 1 + mapv.n_d5]
+        E[lay.d5, :] = np.outer(mono / proj.vol**2, flux_row[np.nonzero(keep)[0]])
+    return E
+
+
+def reduced_system_oracle(mesh, maps, spec, projs, red) -> GlobalSystem:
+    """The reduced Stokes system assembled cell by cell from the embedded
+    local matrices, with full Dirichlet conditions and the mean row: the
+    reference for the restriction in `flow.solve_stokes_reduced` (Dirichlet
+    data only; it ignores Neumann faces)."""
+    mapv, mapq = maps
+    rows_a, cols_a, vals_a = [], [], []
+    rows_b, cols_b, vals_b = [], [], []
+    F = np.zeros(red.ndof_v)
+    e = np.zeros(red.ndof_q)
+
+    for ci, proj in enumerate(projs):
+        E = reduced_cell_embedding(mesh, mapv, projs, ci)
+        gfull = mapv.cell_global[ci]
+        lay = mapv.layouts[ci]
+        keep_loc = np.ones(lay.ndof, dtype=bool)
+        keep_loc[lay.d5] = False
+        gred = red.full_to_red[gfull[keep_loc]]
+        A_loc = E.T @ local_a(proj, spec.nu, spec.stabilization) @ E
+        b_loc = (local_b(proj) @ E)[0:1, :]
+        rc = np.meshgrid(gred, gred, indexing="ij")
+        rows_a.append(rc[0].ravel()); cols_a.append(rc[1].ravel()); vals_a.append(A_loc.ravel())
+        rows_b.append(np.full(len(gred), ci)); cols_b.append(gred); vals_b.append(b_loc.ravel())
+        F[gred] += E.T @ local_load(proj, spec.load)
+        e[ci] = proj.vol
+
+    A = sp.csr_matrix((np.concatenate(vals_a), (np.concatenate(rows_a), np.concatenate(cols_a))),
+                      shape=(red.ndof_v, red.ndof_v))
+    B = sp.csr_matrix((np.concatenate(vals_b), (np.concatenate(rows_b), np.concatenate(cols_b))),
+                      shape=(red.ndof_q, red.ndof_v))
+    dir_mask = mapv.dirichlet[red.keep]
+    gvals = interpolate_boundary(mesh, mapv, spec.dirichlet)[red.keep]
+    gvals[~dir_mask] = 0.0
+    return GlobalSystem(k=spec.k, nu=spec.nu, A=A, B=B, F=F, e=e,
+                        dirichlet_mask=dir_mask, dirichlet_values=gvals)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import sympy
 
+from helpers import newton_step_oracle, reduced_system_oracle, saddle_matrix_oracle
+from vemflow import flow
+from vemflow.bench import case_spec
 from vemflow.cases import _build, make_case
-from vemflow.dofspace import build_dof_maps, interpolate_velocity
+from vemflow.dofspace import build_dof_maps, build_reduced_maps, interpolate_velocity
 from vemflow.flow import (
     DIVERGENCE_GROWTH,
     NSOptions,
@@ -14,8 +17,9 @@ from vemflow.flow import (
     sample_fields_csv,
     solve_navier_stokes,
     solve_stokes,
+    solve_stokes_reduced,
 )
-from vemflow.forms import ProblemSpec, assemble
+from vemflow.forms import ProblemSpec, assemble, assemble_convection
 from vemflow.meshing import generate_tetra_mesh
 from vemflow.projection import build_projections
 
@@ -196,9 +200,66 @@ def test_reduced_equivalence(k, cube2, disc):
     assert cmp.expected_saving == (2 * dim_poly(k - 1, 3) - 2) * cube2.n_cells
 
 
-def test_reduced_zero_data(cube1, disc):
-    from vemflow.flow import solve_stokes_reduced
+@pytest.mark.parametrize("k", [2, 3])
+def test_reduced_equivalence_neumann(k, cube2, disc):
+    """The reduced scheme honours Neumann faces: with traction on x = 0, 1
+    (no mean row) it still matches the full solve."""
+    case = make_case("ex1-stokes", k=k)
+    maps, projs, fps = disc(cube2, k)
+    cmp = reduce_and_compare(cube2, maps, case_spec(case, k, neumann=True), projs, fps)
+    assert cmp.max_velocity_diff < 1e-9
+    assert cmp.max_pressure_diff < 1e-9
 
+
+@pytest.mark.parametrize("name,k", [("cube2", 2), ("tets2", 3)])
+def test_reduced_restriction_matches_cell_assembly(name, k, request, disc, monkeypatch):
+    """E^T A E and B[::pq] E of the full system equal the cell-by-cell
+    reduced assembly, and so do the reduced solutions (full Dirichlet)."""
+    mesh = request.getfixturevalue(name)
+    case = make_case("ex1-stokes", k=k)
+    maps, projs, fps = disc(mesh, k)
+    spec = _spec_for(case, k)
+    red = build_reduced_maps(mesh, k, maps)
+    systems = []
+    monkeypatch.setattr(flow, "solve_stokes",
+                        lambda system: systems.append(system) or solve_stokes(system))
+    sol, _ = solve_stokes_reduced(mesh, maps, spec, projs, fps, red)
+    got, want = systems[0], reduced_system_oracle(mesh, maps, spec, projs, red)
+    for block in ("A", "B"):
+        g, w = getattr(got, block).toarray(), getattr(want, block).toarray()
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+    assert np.max(np.abs(got.F - want.F)) <= 1e-13 * np.max(np.abs(want.F))
+    assert np.allclose(got.e, want.e, rtol=1e-13, atol=0)
+    assert np.array_equal(got.dirichlet_mask, want.dirichlet_mask)
+    assert np.array_equal(got.dirichlet_values, want.dirichlet_values)
+    ref = solve_stokes(want)
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-11 * np.max(np.abs(ref.u))
+    assert np.max(np.abs(sol.p - ref.p)) <= 1e-11 * np.max(np.abs(ref.p))
+
+
+@pytest.mark.parametrize("neumann", [False, True])
+def test_saddle_systems_match_oracles(neumann, cube2, disc, monkeypatch):
+    """The one saddle builder gives, bit for bit, the Stokes and the Newton
+    systems of the former separate builders, with and without the mean row."""
+    case = make_case("ex2-ns")
+    maps, projs, fps = disc(cube2, 2)
+    spec = case_spec(case, 2, neumann=neumann)
+    system = assemble(cube2, maps, spec, projs, fps)
+    solved = []
+    orig = flow._equilibrated_solve
+    monkeypatch.setattr(flow, "_equilibrated_solve",
+                        lambda K, rhs: solved.append((K, rhs)) or orig(K, rhs))
+    solve_navier_stokes(cube2, maps, spec, projs, fps, NSOptions(max_iter=1), system=system)
+    (K_s, rhs_s), (K_n, rhs_n) = solved
+    K, rhs, _ = saddle_matrix_oracle(system)
+    assert np.array_equal(K_s.toarray(), K.toarray()) and np.array_equal(rhs_s, rhs)
+    stokes = solve_stokes(system)
+    C, Cg = assemble_convection(cube2, maps[0], projs, stokes.u)
+    K, rhs = newton_step_oracle(system, C, Cg, stokes.u, stokes.p, stokes.lam)
+    assert np.array_equal(K_n.toarray(), K.toarray()) and np.array_equal(rhs_n, rhs)
+
+
+def test_reduced_zero_data(cube1, disc):
     maps, projs, fps = disc(cube1, 2)
     zero3 = lambda p: np.zeros((len(np.atleast_2d(p)), 3))
     sol, red = solve_stokes_reduced(cube1, maps, ProblemSpec(nu=1.0, load=zero3, dirichlet=zero3, k=2), projs, fps)

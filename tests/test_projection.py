@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     cell_h1_projection,
+    face_extraction_loop,
     face_h1_projection,
     local_dofs,
     mass_from_integrals_loop,
@@ -16,6 +17,7 @@ from vemflow.projection import (
     build_face_projections,
     build_projections,
     cell_rule_exactness,
+    face_extraction,
 )
 
 
@@ -269,3 +271,17 @@ def test_face_values_match_fresh_evaluation(k, cube1, voronoi_cell):
             assert np.array_equal(fp.vals, fp.basis.eval(fp.pts2))
             n_mom = dim_poly(k - 2, 2)
             assert np.array_equal(fp.vals[:, :n_mom], face_basis(mesh, f, k - 2).eval(fp.pts2))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_face_extraction_matches_loop(k, cube1, unit_tet, hex_cell, voronoi_cell, tets2, disc):
+    """The column gather equals fp.l2 times the loop-built selection matrix,
+    bit for bit, on every face of every cell."""
+    for mesh in (cube1, unit_tet, hex_cell, voronoi_cell, tets2):
+        maps, projs, fps = disc(mesh, k)
+        for ci in range(mesh.n_cells):
+            for fi_loc, f in enumerate(mesh.cells[ci][0]):
+                got = face_extraction(mesh, maps[0], ci, fi_loc, fps[f])
+                for c in range(3):
+                    want = fps[f].l2 @ face_extraction_loop(mesh, maps[0], ci, fi_loc, c)
+                    assert np.array_equal(got[c], want)
