@@ -101,7 +101,8 @@ def cmd_solve(args):
     e1 = bench.error_h1_velocity(sol.u, case, mesh, mapv, projs)
     e2 = bench.error_l2_pressure(sol.p, case, mesh, mapq, projs)
     dv = derham.check_divfree(sol.u, mesh, mapv, projs)
-    print(f"h = {mesh_size(mesh):.6g}  eH1u = {e1:.6e}  eL2p = {e2:.6e}  max div = {dv:.3e}")
+    print(f"h = {mesh_size(mesh):.6g}  eH1u = {e1:.6e}  eL2p = {e2:.6e}  max div = {dv:.3e}  "
+          f"saddle rows = {sol.saddle_rows}  LU fill = {sol.lu_fill}")
     if args.export:
         export_solution_json(sol, args.export, meta={"case": args.case, "k": args.k})
     if args.sample:

@@ -203,6 +203,45 @@ def build_reduced_maps(mesh: PolyMesh, k: int, maps: tuple[DofMapV, DofMapQ] | N
     )
 
 
+def nested_dissection(centres: np.ndarray, cells: np.ndarray, unknowns: np.ndarray,
+                      n: int) -> np.ndarray:
+    """Geometric nested-dissection positions (George, SIAM J. Numer. Anal.
+    1973) of n unknowns, where unknown unknowns[i] lies on cell cells[i].
+
+    The cells are bisected recursively at the median of their barycentres
+    along the longest axis of their bounding box, down to single cells.  An
+    unknown goes with the smallest part that holds all its cells, which
+    comes after both its halves.  Returns one sort key per unknown: sorting
+    by it orders the parts in post-order.  Every unknown needs a cell."""
+    nc = len(centres)
+    depth = max(1, int(np.ceil(np.log2(nc))))
+    code = np.empty(nc, dtype=np.int64)    # a cell's path in the bisection tree, left-aligned
+    level = np.empty(nc, dtype=np.int64)   # its length
+    stack = [(np.arange(nc), 0, 0)]
+    while stack:
+        part, path, d = stack.pop()
+        if len(part) == 1:
+            code[part], level[part] = path << (depth - d), d
+            continue
+        x = centres[part]
+        part = part[np.argsort(x[:, np.argmax(np.ptp(x, axis=0))], kind="stable")]
+        half = len(part) // 2
+        stack += [(part[:half], 2 * path, d + 1), (part[half:], 2 * path + 1, d + 1)]
+    # the smallest part holding all cells of an unknown: the common prefix of
+    # the smallest and the largest path, or the cell itself when it is one
+    lo = np.full(n, np.int64(1) << depth)
+    hi = np.zeros(n, dtype=np.int64)
+    lvl = np.zeros(n, dtype=np.int64)
+    np.minimum.at(lo, unknowns, code[cells])
+    np.maximum.at(hi, unknowns, code[cells])
+    np.maximum.at(lvl, unknowns, level[cells])
+    common = np.minimum(depth - np.frexp((lo ^ hi).astype(float))[1], lvl)
+    shift = depth - common
+    # post-order: a part sorts by its last path, after the deeper parts ending there
+    last = ((lo >> shift) << shift) | ((np.int64(1) << shift) - 1)
+    return last * (depth + 1) + shift
+
+
 # ---------------------------------------------------------------------------
 # Interpolation of analytic fields
 # ---------------------------------------------------------------------------

@@ -1,5 +1,15 @@
 """Linear Stokes solve and Newton iteration for the discrete Navier-Stokes
-problem, plus the reduced-scheme solve and solution export."""
+problem, and solution export.
+
+Every linear solve runs on the reduced pair (Beirao da Veiga, Lovadina &
+Vacca, ESAIM:M2AN 2017): the restriction E^T [J B^T; B 0] E of the full
+saddle system to the velocities without divergence moments and to one
+constant pressure per cell.  The solution of the full system lies in the
+range of E, so the velocity is E u_r; the full pressure comes back cell by
+cell from the divergence-moment rows of the momentum equation and the
+reduced cell mean.  The reduced matrix is equilibrated and factored by
+sparse LU in a geometric nested-dissection order of its unknowns, computed
+once per assembled system."""
 
 from __future__ import annotations
 
@@ -10,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dofspace import DofMapQ, DofMapV, ReducedMaps, build_reduced_maps
+from .dofspace import DofMapQ, DofMapV
 from .forms import GlobalSystem, ProblemSpec, assemble, assemble_convection
 from .meshing import PolyMesh
 from .polynomials import dim_poly
@@ -41,6 +51,8 @@ class FlowSolution:
     linear_residual: float = 0.0
     converged: bool = True
     diagnostic: str = ""
+    saddle_rows: int = 0         # rows of the last factored saddle matrix
+    lu_fill: int = 0             # L.nnz + U.nnz of its LU factor
 
     @property
     def newton_iterations(self) -> int:
@@ -51,8 +63,10 @@ class SolverError(RuntimeError):
     pass
 
 
-def _equilibrated_solve(K: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Direct solve with one pass of symmetric inf-norm equilibration.
+def _equilibrated_solve(K: sp.csc_matrix, rhs: np.ndarray,
+                        order: np.ndarray) -> tuple[np.ndarray, int]:
+    """Direct solve with one pass of symmetric inf-norm equilibration, the
+    LU factor taken in the given symmetric order.  Returns (x, LU fill).
 
     Saddle systems mix strain-scaled velocity rows with volume-scaled
     constraint rows; rescaling keeps the factorization accurate on the
@@ -63,63 +77,89 @@ def _equilibrated_solve(K: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
     rowmax[rowmax == 0] = 1.0
     d = 1.0 / np.sqrt(rowmax)
     Dm = sp.diags(d)
-    Ks = (Dm @ K @ Dm).tocsc()
-    y = spla.splu(Ks).solve(d * rhs)
-    return d * y
+    Ks = (Dm @ K @ Dm).tocsr()[order][:, order].tocsc()
+    lu = spla.splu(Ks, permc_spec="NATURAL")
+    x = np.empty_like(rhs)
+    x[order] = lu.solve((d * rhs)[order])
+    return d * x, lu.L.nnz + lu.U.nnz
 
 
-def _saddle_matrix(system: GlobalSystem, J: sp.spmatrix) -> tuple[sp.csc_matrix, np.ndarray]:
-    """The saddle matrix [J_ff B_f^T; B_f 0] on the free velocity DoFs, with
-    the zero-mean row e bordering the pressure block when present.
+def _saddle_matrix(system: GlobalSystem, J: sp.spmatrix) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+    """The reduced saddle matrix E_f^T [J B^T; B 0] E_f: the velocity block
+    J restricted to the free reduced velocities (E_f = E[:, free]), tested
+    against the cells' constant pressure rows B[::pq], bordered by the
+    zero-mean row e[::pq] when present.
 
     J is the velocity block: A for Stokes, the Newton Jacobian A + C + Cg for
-    Navier-Stokes.  Returns (K, free velocity index)."""
-    free = np.nonzero(~system.dirichlet_mask)[0]
-    J_ff = J[free][:, free]
-    B_f = system.B[:, free]
+    Navier-Stokes.  Returns (K, E_f)."""
+    pq = system.pressure_ints.shape[1]
+    Ef = system.E[:, np.nonzero(~system.dirichlet_mask[system.red.keep])[0]]
+    J_r = Ef.T @ J @ Ef
+    B_r = system.B[::pq] @ Ef
     if system.e is None:
-        return sp.bmat([[J_ff, B_f.T], [B_f, None]], format="csc"), free
-    e = sp.csr_matrix(system.e[None, :])
-    return sp.bmat([[J_ff, B_f.T, None], [B_f, None, e.T], [None, e, None]], format="csc"), free
+        return sp.bmat([[J_r, B_r.T], [B_r, None]], format="csc"), Ef
+    e = sp.csr_matrix(system.e[None, ::pq])
+    return sp.bmat([[J_r, B_r.T, None], [B_r, None, e.T], [None, e, None]], format="csc"), Ef
 
 
-def _split(system: GlobalSystem, free: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    nf = len(free)
-    nq = system.ndof_q
-    u = system.dirichlet_values.copy()
-    u[free] = x[:nf]
-    p = x[nf: nf + nq]
-    lam = float(x[nf + nq]) if system.e is not None else 0.0
-    return u, p, lam
+def _solve_step(system: GlobalSystem, J: sp.spmatrix, Rm: np.ndarray, u: np.ndarray,
+                p: np.ndarray, lam: float) -> FlowSolution:
+    """The increment (du, dp, dlam) of [J B^T; B 0] (du, dp) = -(Rm, B u + lam e)
+    with e . (p + dp) = 0, solved on the reduced pair; returned as a
+    FlowSolution with the norm of the reduced right-hand side as its one
+    residual.
+
+    u is in the range of E, and so is du.  The pressure comes back cell by
+    cell from the divergence-moment rows of the momentum equation, where B^T
+    is |P| times the identity on the non-constant moments:
+        dp_b = (-Rm - J du)[d5_b] / |P|                      (b >= 1)
+        dp_0 = mean - sum_{b>=1} int m_b dp_b / |P|
+    with `mean` the reduced (cell-mean) pressure increment."""
+    K, Ef = _saddle_matrix(system, J)
+    nf, nc = Ef.shape[1], len(system.volumes)
+    pq = system.pressure_ints.shape[1]
+    Rc = system.B[::pq] @ u
+    if system.e is not None:
+        rhs = -np.concatenate([Ef.T @ Rm, Rc + lam * system.e[::pq], [system.e @ p]])
+    else:
+        rhs = -np.concatenate([Ef.T @ Rm, Rc])
+    x, fill = _equilibrated_solve(K, rhs, system.order)
+    du = Ef @ x[:nf]
+    dp = np.empty((nc, pq))
+    dp[:, 1:] = -(Rm + J @ du)[~system.red.keep].reshape(nc, pq - 1) / system.volumes[:, None]
+    dp[:, 0] = (x[nf: nf + nc]
+                - np.sum(system.pressure_ints[:, 1:] * dp[:, 1:], axis=1) / system.volumes)
+    nrm = float(np.linalg.norm(rhs))
+    res = float(np.linalg.norm(K @ x - rhs)) / (nrm if nrm > 0 else 1.0)
+    return FlowSolution(u=du, p=dp.ravel(), lam=float(x[nf + nc]) if system.e is not None else 0.0,
+                        residuals=[nrm], linear_residual=res, saddle_rows=K.shape[0], lu_fill=fill)
 
 
 def solve_stokes(system: GlobalSystem) -> FlowSolution:
-    """Direct sparse solve of the assembled Stokes system."""
-    K, free = _saddle_matrix(system, system.A)
-    lift = system.dirichlet_values
-    F = system.F - system.A @ lift
-    rhs = np.concatenate([F[free], -(system.B @ lift), [0.0] if system.e is not None else []])
+    """Direct sparse solve of the assembled Stokes system on the reduced pair."""
+    u0 = system.E @ system.dirichlet_values[system.red.keep]
     try:
-        x = _equilibrated_solve(K, rhs)
+        step = _solve_step(system, system.A, system.A @ u0 - system.F, u0,
+                           np.zeros(system.ndof_q), 0.0)
     except RuntimeError as exc:
         raise SolverError(
             "singular Stokes system: check the zero-mean pressure constraint "
             "and that not every velocity DoF is constrained"
         ) from exc
-    u, p, lam = _split(system, free, x)
-    nrm = np.linalg.norm(rhs)
-    res = np.linalg.norm(K @ x - rhs) / (nrm if nrm > 0 else 1.0)
+    res = step.linear_residual
     if not np.isfinite(res) or res > 1e-8:
         raise SolverError(f"direct solve failed: relative residual {res:.3e}")
-    return FlowSolution(u=u, p=p, lam=lam, linear_residual=float(res))
+    return FlowSolution(u=u0 + step.u, p=step.p, lam=step.lam, linear_residual=res,
+                        saddle_rows=step.saddle_rows, lu_fill=step.lu_fill)
 
 
 def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
                         projs: list[CellProjections], faceprojs: dict,
                         opts: NSOptions | None = None,
                         system: GlobalSystem | None = None) -> FlowSolution:
-    """Newton iteration with the displacement stopping criterion
-    ||x_n - x_{n+1}|| < tol ||x_n|| on the combined DoF vector.
+    """Newton iteration on the reduced pair with the displacement stopping
+    criterion ||x_n - x_{n+1}|| < tol ||x_n|| on the combined full DoF
+    vector x = (free velocities, pressures, multiplier).
 
     A non-finite increment, or one over DIVERGENCE_GROWTH times the smallest
     so far, stops the iteration as diverged; that step is not applied."""
@@ -134,139 +174,53 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
         sol = solve_stokes(system)
         u, p, lam = sol.u, sol.p, sol.lam
     else:
-        u = system.dirichlet_values.copy()
+        u = system.E @ system.dirichlet_values[system.red.keep]
         p = np.zeros(system.ndof_q)
         lam = 0.0
 
+    free = ~system.dirichlet_mask
+    has_mean = system.e is not None
     increments = []
     residuals = []
     for it in range(opts.max_iter):
         C, Cg = assemble_convection(mesh, mapv, projs, u)
-        K, free = _saddle_matrix(system, system.A + C + Cg)
         Rm = system.A @ u + C @ u + system.B.T @ p - system.F
-        Rc = system.B @ u
-        if system.e is not None:
-            rhs = -np.concatenate([Rm[free], Rc + lam * system.e, [system.e @ p]])
-        else:
-            rhs = -np.concatenate([Rm[free], Rc])
-        residuals.append(float(np.linalg.norm(rhs)))
         try:
-            dx = _equilibrated_solve(K, rhs)
+            step = _solve_step(system, system.A + C + Cg, Rm, u, p, lam)
         except RuntimeError as exc:
             raise SolverError(f"linear solve failed in Newton step {it}") from exc
+        residuals += step.residuals
+        report = dict(saddle_rows=step.saddle_rows, lu_fill=step.lu_fill)
 
-        inc = float(np.linalg.norm(dx))
+        inc = float(np.linalg.norm(
+            np.concatenate([step.u[free], step.p, [step.lam] if has_mean else []])))
         if not np.isfinite(inc) or (increments and inc > DIVERGENCE_GROWTH * min(increments)):
             smallest = min(increments, default=float("nan"))
             increments.append(inc)
             return FlowSolution(
                 u=u, p=p, lam=lam, increments=increments, residuals=residuals,
-                converged=False,
+                converged=False, **report,
                 diagnostic=(f"Newton diverged at step {it + 1}: increment {inc:.3e}, "
                             f"smallest earlier increment {smallest:.3e}; "
                             f"the iterate before that step is returned"),
             )
 
-        nf = len(free)
-        state = np.concatenate([u[free], p, [lam] if system.e is not None else []])
-        u = u.copy()
-        u[free] += dx[:nf]
-        p = p + dx[nf: nf + system.ndof_q]
-        if system.e is not None:
-            lam += float(dx[nf + system.ndof_q])
+        state = np.concatenate([u[free], p, [lam] if has_mean else []])
+        u = u + step.u
+        p = p + step.p
+        lam += step.lam
         increments.append(inc)
         base = float(np.linalg.norm(state))
         if inc < opts.tol * max(base, 1e-300) or (base == 0.0 and inc == 0.0):
             return FlowSolution(u=u, p=p, lam=lam, increments=increments,
-                                residuals=residuals, linear_residual=0.0)
+                                residuals=residuals, linear_residual=0.0, **report)
     # non-convergence returns the last iterate with a diagnostic
     return FlowSolution(
         u=u, p=p, lam=lam, increments=increments, residuals=residuals,
-        converged=False,
+        converged=False, **report,
         diagnostic=(f"Newton did not converge in {opts.max_iter} iterations; "
                     f"last increment {increments[-1]:.3e}"),
     )
-
-
-# ---------------------------------------------------------------------------
-# Reduced scheme
-# ---------------------------------------------------------------------------
-
-
-def reduced_embedding(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],
-                      red: ReducedMaps) -> sp.csr_matrix:
-    """Sparse embedding E of the reduced velocity DoFs (families 1-4) into the
-    full ones, (ndof_v, red.ndof_v).  E is the identity on the kept DoFs.  On
-    the reduced space div v is the constant boundary flux over the volume,
-    which fixes the divergence moments: D5_b(v) = (int m_b / vol^2) flux(v),
-    flux(v) = sum over the cell's faces of sign |f| (constant normal moment)."""
-    # flux[c, j]: boundary flux of cell c per unit of reduced DoF j
-    fc, slot = np.nonzero(mesh.face_cells >= 0)
-    normal0 = mapv.offsets["face"] + 3 * mapv.n_face_moms * fc
-    area = np.array([g.area for g in mesh.face_geom])[fc]
-    flux = sp.csr_matrix((mesh.face_cell_signs[fc, slot] * area,
-                          (mesh.face_cells[fc, slot], red.full_to_red[normal0])),
-                         shape=(mesh.n_cells, red.ndof_v))
-    # the dropped DoFs are the divergence moments, cell by cell
-    d5 = np.nonzero(~red.keep)[0]
-    mono = np.stack([pr.mono_int[1: 1 + mapv.n_d5] / pr.vol**2 for pr in projs])
-    per_cell = sp.csr_matrix((mono.ravel(), (d5, np.arange(d5.size) // mapv.n_d5)),
-                             shape=(mapv.ndof, mesh.n_cells))
-    return (sp.identity(mapv.ndof, format="csr")[:, red.keep] + per_cell @ flux).tocsr()
-
-
-def solve_stokes_reduced(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
-                         projs: list[CellProjections], faceprojs: dict,
-                         red: ReducedMaps | None = None) -> tuple[FlowSolution, ReducedMaps]:
-    """Stokes solve in the reduced pair (no divergence moments, constant
-    pressures) as the restriction E^T [A B^T; B 0] E of the full system to
-    the reduced velocities and the cells' constant pressure rows; Neumann
-    faces and the zero-mean row carry over from the full system.  Returns
-    the solution in reduced numbering."""
-    mapv, mapq = maps
-    red = red or build_reduced_maps(mesh, mapv.k, maps)
-    full = assemble(mesh, maps, spec, projs, faceprojs)
-    E = reduced_embedding(mesh, mapv, projs, red)
-    pq = mapq.n_per_cell
-    system = GlobalSystem(
-        k=spec.k, nu=spec.nu, A=(E.T @ full.A @ E).tocsr(), B=(full.B[::pq] @ E).tocsr(),
-        F=E.T @ full.F, e=None if full.e is None else full.e[::pq],
-        dirichlet_mask=full.dirichlet_mask[red.keep],
-        dirichlet_values=full.dirichlet_values[red.keep],
-    )
-    return solve_stokes(system), red
-
-
-@dataclass
-class ReducedComparison:
-    max_velocity_diff: float
-    max_pressure_diff: float
-    dof_saving: int
-    expected_saving: int
-
-    @property
-    def saving_matches(self) -> bool:
-        return self.dof_saving == self.expected_saving
-
-
-def reduce_and_compare(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
-                       projs: list[CellProjections], faceprojs: dict) -> ReducedComparison:
-    """Solve the full and the reduced Stokes problems and compare: shared
-    velocity DoFs must coincide and the reduced pressure must equal the cell
-    means of the full pressure."""
-    mapv, mapq = maps
-    system = assemble(mesh, maps, spec, projs, faceprojs)
-    full = solve_stokes(system)
-    redsol, red = solve_stokes_reduced(mesh, maps, spec, projs, faceprojs)
-    u_shared_full = full.u[red.keep]
-    du = float(np.max(np.abs(u_shared_full - redsol.u)))
-    dp = 0.0
-    pq = mapq.n_per_cell
-    for ci, proj in enumerate(projs):
-        mean_full = float(proj.mono_int[:pq] @ full.p[ci * pq: (ci + 1) * pq]) / proj.vol
-        dp = max(dp, abs(mean_full - redsol.p[ci]))
-    expected = (2 * dim_poly(mapv.k - 1, 3) - 2) * mesh.n_cells
-    return ReducedComparison(du, dp, red.saving, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ The convective form c_h(w; u, v) pairs only projected polynomials, so C(w)
 and its Newton companion Cg(w) are built without quadrature points: exact
 contractions of Pi^0_k, the projected gradient and the cell's monomial
 integrals, batched over all cells that share a local DoF layout.
+
+The assembled system also carries what the solver needs for the reduced
+pair it solves on: the embedding E of the velocities without divergence
+moments, the cell volumes and pressure-monomial integrals for the pressure
+recovery, and a nested-dissection order of the reduced saddle unknowns.
 """
 
 from __future__ import annotations
@@ -26,7 +31,14 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .dofspace import DofMapQ, DofMapV, interpolate_boundary
+from .dofspace import (
+    DofMapQ,
+    DofMapV,
+    ReducedMaps,
+    build_reduced_maps,
+    interpolate_boundary,
+    nested_dissection,
+)
 from .meshing import PolyMesh
 from .polynomials import _index_lookup, dim_poly, multi_indices
 from .projection import CellProjections, FaceProjections, face_extraction
@@ -130,16 +142,14 @@ def local_load(proj: CellProjections, load: Callable) -> np.ndarray:
     pk = proj.Hk.shape[0]
     phi = proj.basis.eval(proj.rule.points)[:, :pk]
     fvals = np.asarray(load(proj.rule.points), dtype=float).reshape(-1, 3)
-    rhs = np.zeros(proj.ndof)
-    for c in range(3):
-        cf = np.linalg.solve(proj.Hk, phi.T @ (proj.rule.weights * fvals[:, c]))
-        rhs += proj.moments[c * pk: (c + 1) * pk, :].T @ cf
-    return rhs
+    cf = np.linalg.solve(proj.Hk, phi.T @ (proj.rule.weights[:, None] * fvals))   # (pk, 3)
+    return proj.moments.T @ cf.T.ravel()
 
 
 @dataclass
 class GlobalSystem:
-    """Assembled saddle-point operator and right-hand side."""
+    """Assembled saddle-point operator and right-hand side, with what the
+    solver needs to solve it on the reduced pair and map the result back."""
 
     k: int
     nu: float
@@ -149,6 +159,11 @@ class GlobalSystem:
     e: np.ndarray | None             # pressure-integral vector (None: no mean row)
     dirichlet_mask: np.ndarray
     dirichlet_values: np.ndarray
+    red: ReducedMaps                 # reduced pair: no divergence moments, cell-mean pressures
+    E: sp.csr_matrix                 # reduced -> full velocity embedding, (ndof_v, red.ndof_v)
+    volumes: np.ndarray              # |P| per cell
+    pressure_ints: np.ndarray        # (n_cells, pi_{k-1,3}) integrals of the pressure monomials
+    order: np.ndarray                # LU order of the reduced saddle unknowns
 
     @property
     def ndof_q(self) -> int:
@@ -220,6 +235,47 @@ def divergence_matrix(mapv: DofMapV, mapq: DofMapQ, projs: list[CellProjections]
     return B
 
 
+def reduced_embedding(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],
+                      red: ReducedMaps) -> sp.csr_matrix:
+    """Sparse embedding E of the reduced velocity DoFs (families 1-4) into the
+    full ones, (ndof_v, red.ndof_v).  E is the identity on the kept DoFs.  On
+    the reduced space div v is the constant boundary flux over the volume,
+    which fixes the divergence moments: D5_b(v) = (int m_b / vol^2) flux(v),
+    flux(v) = sum over the cell's faces of sign |f| (constant normal moment)."""
+    # flux[c, j]: boundary flux of cell c per unit of reduced DoF j
+    fc, slot = np.nonzero(mesh.face_cells >= 0)
+    normal0 = mapv.offsets["face"] + 3 * mapv.n_face_moms * fc
+    area = np.array([g.area for g in mesh.face_geom])[fc]
+    flux = sp.csr_matrix((mesh.face_cell_signs[fc, slot] * area,
+                          (mesh.face_cells[fc, slot], red.full_to_red[normal0])),
+                         shape=(mesh.n_cells, red.ndof_v))
+    # the dropped DoFs are the divergence moments, cell by cell
+    d5 = np.nonzero(~red.keep)[0]
+    mono = np.stack([pr.mono_int[1: 1 + mapv.n_d5] / pr.vol**2 for pr in projs])
+    per_cell = sp.csr_matrix((mono.ravel(), (d5, np.arange(d5.size) // mapv.n_d5)),
+                             shape=(mapv.ndof, mesh.n_cells))
+    return (sp.identity(mapv.ndof, format="csr")[:, red.keep] + per_cell @ flux).tocsr()
+
+
+def _saddle_order(mesh: PolyMesh, mapv: DofMapV, free: np.ndarray, mean_row: bool) -> np.ndarray:
+    """LU order of the reduced saddle unknowns (the velocity DoFs in `free`,
+    one pressure per cell, the zero-mean multiplier when `mean_row`): the
+    velocities in nested-dissection order, each pressure right after the
+    last velocity of its cell, so that its zero diagonal is eliminated after
+    all its couplings, and the multiplier last."""
+    nf = int(np.count_nonzero(free))
+    unknown = np.full(mapv.ndof, -1)
+    unknown[free] = np.arange(nf)
+    cells = np.repeat(np.arange(mesh.n_cells), [len(g) for g in mapv.cell_global])
+    vel = unknown[np.concatenate(mapv.cell_global)]
+    cells, vel = cells[vel >= 0], vel[vel >= 0]
+    key = nested_dissection(np.array([g.barycenter for g in mesh.cell_geom]), cells, vel, nf)
+    pkey = np.full(mesh.n_cells, -1)
+    np.maximum.at(pkey, cells, key[vel])
+    order = np.lexsort((np.repeat([0, 1], [nf, mesh.n_cells]), np.concatenate([key, pkey])))
+    return np.append(order, nf + mesh.n_cells) if mean_row else order
+
+
 def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
              projs: list[CellProjections],
              faceprojs: dict[int, FaceProjections]) -> GlobalSystem:
@@ -266,10 +322,15 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     if not neumann:
         _check_compatibility(mesh, mapv, gvals)
 
+    red = build_reduced_maps(mesh, mapv.k, maps)
     return GlobalSystem(
         k=spec.k, nu=spec.nu, A=A, B=B, F=F,
         e=None if neumann else e,
         dirichlet_mask=dir_mask, dirichlet_values=gvals,
+        red=red, E=reduced_embedding(mesh, mapv, projs, red),
+        volumes=np.array([proj.vol for proj in projs]),
+        pressure_ints=e.reshape(mesh.n_cells, pq),
+        order=_saddle_order(mesh, mapv, red.keep & ~dir_mask, mean_row=not neumann),
     )
 
 

@@ -231,25 +231,6 @@ class PolyMesh:
     def euler_number(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces - self.n_cells
 
-    def outward_sign(self, c: int, f: int) -> int:
-        fids, signs = self.cells[c]
-        pos = np.nonzero(fids == f)[0]
-        if len(pos) == 0:
-            raise MeshError(f"face {f} not in cell {c}")
-        return int(signs[pos[0]])
-
-    def face_loop_edge_frame(self, f: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """In-plane (tangent, outward normal) of loop edge i of face f,
-        following the stored loop direction (counterclockwise w.r.t. the
-        intrinsic face normal)."""
-        loop = self.faces[f]
-        a = self.vertices[loop[i]]
-        b = self.vertices[loop[(i + 1) % len(loop)]]
-        t = b - a
-        t = t / np.linalg.norm(t)
-        n = np.cross(t, self.face_geom[f].normal)
-        return t, n
-
     def scaled(self, factor: float) -> "PolyMesh":
         signed = [((f + 1) * s).tolist() for f, s in self.cells]
         return PolyMesh(self.vertices * factor, [f.copy() for f in self.faces], signed)

@@ -5,21 +5,26 @@ paths they are used to check: closed-form monomial integrals on the unit
 cube and unit tetrahedron, and direct pointwise evaluation of analytic
 fields for form values.  The H1-seminorm projections, which the scheme does
 not use (it takes the DoF-euclidean one), live here as reproduction oracles,
-next to the simple reference versions of the package's fast paths.
+next to the simple reference versions of the package's fast paths and the
+full-system Stokes and Newton solves that the reduced-pair production solve
+is checked against.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 from scipy.linalg import solve
 
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from vemflow import quadrature as quad
 from vemflow.dofspace import edge_point_params, face_basis, face_coords, interpolate_boundary
-from vemflow.forms import GlobalSystem, local_a, local_b, local_load
+from vemflow.flow import DIVERGENCE_GROWTH, FlowSolution, NSOptions, SolverError, solve_stokes
+from vemflow.forms import GlobalSystem, assemble, assemble_convection, local_a, local_b, local_load
 from vemflow.polynomials import _index_lookup, dim_poly, multi_indices
 
 
@@ -168,6 +173,19 @@ def convection_oracle_scatter(mapv, projs, u: np.ndarray) -> tuple[np.ndarray, n
         C[np.ix_(gdof, gdof)] += Cl
         Cg[np.ix_(gdof, gdof)] += Cgl
     return C, Cg
+
+
+def local_load_loop(proj, load) -> np.ndarray:
+    """(f_h, v)_P with one Hk solve per load component: the reference for the
+    stacked solve in `forms.local_load`."""
+    pk = proj.Hk.shape[0]
+    phi = proj.basis.eval(proj.rule.points)[:, :pk]
+    fvals = np.asarray(load(proj.rule.points), dtype=float).reshape(-1, 3)
+    rhs = np.zeros(proj.ndof)
+    for c in range(3):
+        cf = np.linalg.solve(proj.Hk, phi.T @ (proj.rule.weights * fvals[:, c]))
+        rhs += proj.moments[c * pk: (c + 1) * pk, :].T @ cf
+    return rhs
 
 
 def mass_from_integrals_loop(ints: np.ndarray, lookup: dict, rows, cols) -> np.ndarray:
@@ -424,5 +442,179 @@ def reduced_system_oracle(mesh, maps, spec, projs, red) -> GlobalSystem:
     dir_mask = mapv.dirichlet[red.keep]
     gvals = interpolate_boundary(mesh, mapv, spec.dirichlet)[red.keep]
     gvals[~dir_mask] = 0.0
+    # the full-system oracle solves it; it reads none of the reduced-pair fields
     return GlobalSystem(k=spec.k, nu=spec.nu, A=A, B=B, F=F, e=e,
-                        dirichlet_mask=dir_mask, dirichlet_values=gvals)
+                        dirichlet_mask=dir_mask, dirichlet_values=gvals,
+                        red=None, E=None, volumes=None, pressure_ints=None, order=None)
+
+
+# ---------------------------------------------------------------------------
+# Full-system solves: the differential oracle of the reduced production solve
+# ---------------------------------------------------------------------------
+
+
+def equilibrated_solve_full(K, rhs: np.ndarray) -> np.ndarray:
+    """Direct solve with one pass of symmetric inf-norm equilibration
+    (SuperLU in its default COLAMD order) and one step of iterative
+    refinement: at k = 4 the full system's conditioning leaves the plain
+    solve 1e-11 (velocity) and 1e-8 (pressure) from the refined one."""
+    absK = abs(K)
+    rowmax = np.asarray(absK.max(axis=1).todense()).ravel()
+    rowmax[rowmax == 0] = 1.0
+    d = 1.0 / np.sqrt(rowmax)
+    Dm = sp.diags(d)
+    lu = spla.splu((Dm @ K @ Dm).tocsc())
+    x = d * lu.solve(d * rhs)
+    return x + d * lu.solve(d * (rhs - K @ x))
+
+
+def saddle_matrix_full(system, J):
+    """The saddle matrix [J_ff B_f^T; B_f 0] on the free velocity DoFs, with
+    the zero-mean row e bordering the pressure block when present.
+    Returns (K, free velocity index)."""
+    free = np.nonzero(~system.dirichlet_mask)[0]
+    J_ff = J[free][:, free]
+    B_f = system.B[:, free]
+    if system.e is None:
+        return sp.bmat([[J_ff, B_f.T], [B_f, None]], format="csc"), free
+    e = sp.csr_matrix(system.e[None, :])
+    return sp.bmat([[J_ff, B_f.T, None], [B_f, None, e.T], [None, e, None]], format="csc"), free
+
+
+def _split(system, free: np.ndarray, x: np.ndarray):
+    nf = len(free)
+    nq = system.ndof_q
+    u = system.dirichlet_values.copy()
+    u[free] = x[:nf]
+    p = x[nf: nf + nq]
+    lam = float(x[nf + nq]) if system.e is not None else 0.0
+    return u, p, lam
+
+
+def solve_stokes_full(system) -> FlowSolution:
+    """Direct sparse solve of the full assembled Stokes system."""
+    K, free = saddle_matrix_full(system, system.A)
+    lift = system.dirichlet_values
+    F = system.F - system.A @ lift
+    rhs = np.concatenate([F[free], -(system.B @ lift), [0.0] if system.e is not None else []])
+    try:
+        x = equilibrated_solve_full(K, rhs)
+    except RuntimeError as exc:
+        raise SolverError("singular Stokes system") from exc
+    u, p, lam = _split(system, free, x)
+    nrm = np.linalg.norm(rhs)
+    res = np.linalg.norm(K @ x - rhs) / (nrm if nrm > 0 else 1.0)
+    if not np.isfinite(res) or res > 1e-8:
+        raise SolverError(f"direct solve failed: relative residual {res:.3e}")
+    return FlowSolution(u=u, p=p, lam=lam, linear_residual=float(res))
+
+
+def solve_navier_stokes_full(mesh, maps, spec, projs, faceprojs, opts=None,
+                             system=None) -> FlowSolution:
+    """Newton iteration on the full system, with the production stopping
+    and divergence rules."""
+    opts = opts or NSOptions()
+    mapv, mapq = maps
+    if system is None:
+        system = assemble(mesh, maps, spec, projs, faceprojs)
+
+    if opts.initial_guess == "stokes":
+        sol = solve_stokes_full(system)
+        u, p, lam = sol.u, sol.p, sol.lam
+    else:
+        u = system.dirichlet_values.copy()
+        p = np.zeros(system.ndof_q)
+        lam = 0.0
+
+    increments = []
+    residuals = []
+    for it in range(opts.max_iter):
+        C, Cg = assemble_convection(mesh, mapv, projs, u)
+        K, free = saddle_matrix_full(system, system.A + C + Cg)
+        Rm = system.A @ u + C @ u + system.B.T @ p - system.F
+        Rc = system.B @ u
+        if system.e is not None:
+            rhs = -np.concatenate([Rm[free], Rc + lam * system.e, [system.e @ p]])
+        else:
+            rhs = -np.concatenate([Rm[free], Rc])
+        residuals.append(float(np.linalg.norm(rhs)))
+        dx = equilibrated_solve_full(K, rhs)
+
+        inc = float(np.linalg.norm(dx))
+        if not np.isfinite(inc) or (increments and inc > DIVERGENCE_GROWTH * min(increments)):
+            increments.append(inc)
+            return FlowSolution(u=u, p=p, lam=lam, increments=increments,
+                                residuals=residuals, converged=False, diagnostic="Newton diverged")
+
+        nf = len(free)
+        state = np.concatenate([u[free], p, [lam] if system.e is not None else []])
+        u = u.copy()
+        u[free] += dx[:nf]
+        p = p + dx[nf: nf + system.ndof_q]
+        if system.e is not None:
+            lam += float(dx[nf + system.ndof_q])
+        increments.append(inc)
+        base = float(np.linalg.norm(state))
+        if inc < opts.tol * max(base, 1e-300) or (base == 0.0 and inc == 0.0):
+            return FlowSolution(u=u, p=p, lam=lam, increments=increments,
+                                residuals=residuals, linear_residual=0.0)
+    return FlowSolution(u=u, p=p, lam=lam, increments=increments, residuals=residuals,
+                        converged=False, diagnostic="Newton did not converge")
+
+
+def restrict_to_reduced(system, K, rhs):
+    """A full saddle matrix and right-hand side (free velocities, all
+    pressures, multiplier) restricted to the reduced unknowns: T^T K T and
+    T^T rhs with T = diag(E[free][:, free reduced], S, 1), S picking each
+    cell's constant pressure."""
+    free = ~system.dirichlet_mask
+    nc, pq = system.pressure_ints.shape
+    S = sp.csr_matrix((np.ones(nc), (pq * np.arange(nc), np.arange(nc))), shape=(nc * pq, nc))
+    blocks = [system.E[free][:, ~system.dirichlet_mask[system.red.keep]], S]
+    if system.e is not None:
+        blocks.append(sp.identity(1))
+    T = sp.block_diag(blocks, format="csr")
+    return T.T @ K @ T, T.T @ rhs
+
+
+def cell_means(p: np.ndarray, system) -> np.ndarray:
+    """Cell means int p / |P| of a full pressure vector."""
+    ints = system.pressure_ints
+    return np.sum(ints * p.reshape(ints.shape), axis=1) / system.volumes
+
+
+def solve_stokes_reduced(mesh, maps, spec, projs, faceprojs):
+    """The reduced-pair solution of the production Stokes solve: the velocity
+    without divergence moments and the cell-mean pressures.  Returns
+    (FlowSolution in reduced numbering, reduced maps)."""
+    system = assemble(mesh, maps, spec, projs, faceprojs)
+    sol = solve_stokes(system)
+    return FlowSolution(u=sol.u[system.red.keep], p=cell_means(sol.p, system),
+                        lam=sol.lam, linear_residual=sol.linear_residual), system.red
+
+
+@dataclass
+class ReducedComparison:
+    max_velocity_diff: float
+    max_pressure_diff: float
+    dof_saving: int
+    expected_saving: int
+
+    @property
+    def saving_matches(self) -> bool:
+        return self.dof_saving == self.expected_saving
+
+
+def reduce_and_compare(mesh, maps, spec, projs, faceprojs) -> ReducedComparison:
+    """Solve the Stokes problem on the reduced pair (production) and on the
+    full system (oracle) from one assembly, and compare: the velocities must
+    coincide and the reduced pressure must equal the cell means of the full
+    pressure."""
+    mapv, mapq = maps
+    system = assemble(mesh, maps, spec, projs, faceprojs)
+    full = solve_stokes_full(system)
+    sol = solve_stokes(system)
+    du = float(np.max(np.abs(full.u - sol.u)))
+    dp = float(np.max(np.abs(cell_means(full.p, system) - cell_means(sol.p, system))))
+    expected = (2 * dim_poly(mapv.k - 1, 3) - 2) * mesh.n_cells
+    return ReducedComparison(du, dp, system.red.saving, expected)

@@ -45,6 +45,8 @@ def test_solve_with_exports(tmp_path, capsys):
     assert mat.exists() and sol.exists() and csv.exists()
     out = capsys.readouterr().out
     assert "eH1u" in out
+    # 2^3 cubes at k = 2: 57 free reduced velocities, 8 cell pressures, the mean row
+    assert "saddle rows = 66" in out and "LU fill = " in out
 
 
 def test_bench_run_and_rates(tmp_path, capsys):

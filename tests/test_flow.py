@@ -1,26 +1,37 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 import sympy
 
-from helpers import newton_step_oracle, reduced_system_oracle, saddle_matrix_oracle
+from helpers import (
+    newton_step_oracle,
+    reduce_and_compare,
+    reduced_system_oracle,
+    restrict_to_reduced,
+    saddle_matrix_oracle,
+    solve_navier_stokes_full,
+    solve_stokes_full,
+    solve_stokes_reduced,
+)
 from vemflow import flow
 from vemflow.bench import case_spec
 from vemflow.cases import _build, make_case
-from vemflow.dofspace import build_dof_maps, build_reduced_maps, interpolate_velocity
+from vemflow.derham import check_divfree
+from vemflow.dofspace import build_dof_maps, interpolate_velocity
 from vemflow.flow import (
     DIVERGENCE_GROWTH,
     NSOptions,
     export_solution_json,
-    reduce_and_compare,
     sample_fields_csv,
     solve_navier_stokes,
     solve_stokes,
-    solve_stokes_reduced,
 )
 from vemflow.forms import ProblemSpec, assemble, assemble_convection
-from vemflow.meshing import generate_tetra_mesh
+from vemflow.meshing import generate_structured_cubes, generate_tetra_mesh
 from vemflow.projection import build_projections
 
 
@@ -212,35 +223,38 @@ def test_reduced_equivalence_neumann(k, cube2, disc):
 
 
 @pytest.mark.parametrize("name,k", [("cube2", 2), ("tets2", 3)])
-def test_reduced_restriction_matches_cell_assembly(name, k, request, disc, monkeypatch):
+def test_reduced_restriction_matches_cell_assembly(name, k, request, disc):
     """E^T A E and B[::pq] E of the full system equal the cell-by-cell
     reduced assembly, and so do the reduced solutions (full Dirichlet)."""
     mesh = request.getfixturevalue(name)
     case = make_case("ex1-stokes", k=k)
     maps, projs, fps = disc(mesh, k)
     spec = _spec_for(case, k)
-    red = build_reduced_maps(mesh, k, maps)
-    systems = []
-    monkeypatch.setattr(flow, "solve_stokes",
-                        lambda system: systems.append(system) or solve_stokes(system))
-    sol, _ = solve_stokes_reduced(mesh, maps, spec, projs, fps, red)
-    got, want = systems[0], reduced_system_oracle(mesh, maps, spec, projs, red)
+    system = assemble(mesh, maps, spec, projs, fps)
+    red, E = system.red, system.E
+    pq = maps[1].n_per_cell
+    got = dict(A=E.T @ system.A @ E, B=system.B[::pq] @ E, F=E.T @ system.F,
+               e=system.e[::pq], dirichlet_mask=system.dirichlet_mask[red.keep],
+               dirichlet_values=system.dirichlet_values[red.keep])
+    want = reduced_system_oracle(mesh, maps, spec, projs, red)
     for block in ("A", "B"):
-        g, w = getattr(got, block).toarray(), getattr(want, block).toarray()
+        g, w = got[block].toarray(), getattr(want, block).toarray()
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
-    assert np.max(np.abs(got.F - want.F)) <= 1e-13 * np.max(np.abs(want.F))
-    assert np.allclose(got.e, want.e, rtol=1e-13, atol=0)
-    assert np.array_equal(got.dirichlet_mask, want.dirichlet_mask)
-    assert np.array_equal(got.dirichlet_values, want.dirichlet_values)
-    ref = solve_stokes(want)
+    assert np.max(np.abs(got["F"] - want.F)) <= 1e-13 * np.max(np.abs(want.F))
+    assert np.allclose(got["e"], want.e, rtol=1e-13, atol=0)
+    assert np.array_equal(got["dirichlet_mask"], want.dirichlet_mask)
+    assert np.array_equal(got["dirichlet_values"], want.dirichlet_values)
+    sol, _ = solve_stokes_reduced(mesh, maps, spec, projs, fps)
+    ref = solve_stokes_full(want)
     assert np.max(np.abs(sol.u - ref.u)) <= 1e-11 * np.max(np.abs(ref.u))
     assert np.max(np.abs(sol.p - ref.p)) <= 1e-11 * np.max(np.abs(ref.p))
 
 
 @pytest.mark.parametrize("neumann", [False, True])
 def test_saddle_systems_match_oracles(neumann, cube2, disc, monkeypatch):
-    """The one saddle builder gives, bit for bit, the Stokes and the Newton
-    systems of the former separate builders, with and without the mean row."""
+    """The one saddle builder gives, bit for bit, the restriction to the
+    reduced unknowns of the full Stokes and Newton systems of the former
+    separate builders, with and without the mean row."""
     case = make_case("ex2-ns")
     maps, projs, fps = disc(cube2, 2)
     spec = case_spec(case, 2, neumann=neumann)
@@ -248,15 +262,88 @@ def test_saddle_systems_match_oracles(neumann, cube2, disc, monkeypatch):
     solved = []
     orig = flow._equilibrated_solve
     monkeypatch.setattr(flow, "_equilibrated_solve",
-                        lambda K, rhs: solved.append((K, rhs)) or orig(K, rhs))
+                        lambda K, rhs, order: solved.append((K, rhs)) or orig(K, rhs, order))
     solve_navier_stokes(cube2, maps, spec, projs, fps, NSOptions(max_iter=1), system=system)
     (K_s, rhs_s), (K_n, rhs_n) = solved
-    K, rhs, _ = saddle_matrix_oracle(system)
+    # the reduced Stokes solve lifts the Dirichlet data into the range of E
+    lifted = dataclasses.replace(
+        system, dirichlet_values=system.E @ system.dirichlet_values[system.red.keep])
+    K, rhs, _ = saddle_matrix_oracle(lifted)
+    K, rhs = restrict_to_reduced(system, K, rhs)
     assert np.array_equal(K_s.toarray(), K.toarray()) and np.array_equal(rhs_s, rhs)
     stokes = solve_stokes(system)
     C, Cg = assemble_convection(cube2, maps[0], projs, stokes.u)
     K, rhs = newton_step_oracle(system, C, Cg, stokes.u, stokes.p, stokes.lam)
+    K, rhs = restrict_to_reduced(system, K, rhs)
     assert np.array_equal(K_n.toarray(), K.toarray()) and np.array_equal(rhs_n, rhs)
+
+
+# seeded draws of (mesh seed, jitter) for the differential tests
+_RNG = np.random.default_rng(2017)
+_DRAWS = [(int(s), round(float(j), 3)) for s, j in zip(_RNG.integers(0, 10_000, 5),
+                                                        _RNG.uniform(0.0, 0.25, 5))]
+
+
+def _assert_matches_full(sol, ref, mesh, mapv, projs):
+    """Production (reduced) against oracle (full) solution: full velocity to
+    1e-11 and full pressure to 1e-9 relative, divergence-free to 1e-9."""
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-11 * np.max(np.abs(ref.u))
+    assert np.max(np.abs(sol.p - ref.p)) <= 1e-9 * np.max(np.abs(ref.p))
+    assert abs(sol.lam - ref.lam) <= 1e-9 * max(1.0, abs(ref.lam))
+    assert check_divfree(sol.u, mesh, mapv, projs) <= 1e-9
+
+
+@pytest.mark.parametrize("k,draw", [(2, _DRAWS[0]), (3, _DRAWS[1]), (4, _DRAWS[2])])
+def test_stokes_matches_full_oracle_on_jittered_tets(k, draw):
+    seed, jitter = draw
+    mesh = generate_tetra_mesh(2, jitter=jitter, seed=seed)
+    maps = build_dof_maps(mesh, k)
+    projs, fps = build_projections(mesh, maps[0])
+    system = assemble(mesh, maps, _spec_for(make_case("ex1-stokes", k=k), k), projs, fps)
+    _assert_matches_full(solve_stokes(system), solve_stokes_full(system), mesh, maps[0], projs)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_stokes_matches_full_oracle_neumann(k, cube2, disc):
+    maps, projs, fps = disc(cube2, k)
+    system = assemble(cube2, maps, case_spec(make_case("ex1-stokes", k=k), k, neumann=True),
+                      projs, fps)
+    assert system.e is None
+    _assert_matches_full(solve_stokes(system), solve_stokes_full(system), cube2, maps[0], projs)
+
+
+@pytest.mark.parametrize("k,draw", [(2, _DRAWS[3]), (3, _DRAWS[4])])
+def test_newton_matches_full_oracle(k, draw):
+    """Newton on the reduced pair takes the full system's steps: the same
+    iteration count on ex2-ns and the same solution."""
+    seed, jitter = draw
+    mesh = generate_tetra_mesh(2, jitter=jitter, seed=seed)
+    maps = build_dof_maps(mesh, k)
+    projs, fps = build_projections(mesh, maps[0])
+    spec = _spec_for(make_case("ex2-ns", k=k), k)
+    system = assemble(mesh, maps, spec, projs, fps)
+    opts = NSOptions(tol=1e-10)
+    sol = solve_navier_stokes(mesh, maps, spec, projs, fps, opts, system=system)
+    ref = solve_navier_stokes_full(mesh, maps, spec, projs, fps, opts, system=system)
+    assert sol.converged and ref.converged
+    assert sol.newton_iterations == ref.newton_iterations
+    _assert_matches_full(sol, ref, mesh, maps[0], projs)
+
+
+def test_nested_dissection_beats_colamd():
+    """The saddle order is a permutation with the multiplier last, and on
+    4^3 cubes at k = 2 its LU fill is below COLAMD's on the same matrix."""
+    mesh = generate_structured_cubes(4)
+    maps = build_dof_maps(mesh, 2)
+    projs, fps = build_projections(mesh, maps[0])
+    system = assemble(mesh, maps, _spec_for(make_case("ex1-stokes"), 2), projs, fps)
+    K, _ = flow._saddle_matrix(system, system.A)
+    n = K.shape[0]
+    assert np.array_equal(np.sort(system.order), np.arange(n)) and system.order[-1] == n - 1
+    _, fill_nd = flow._equilibrated_solve(K, np.ones(n), system.order)
+    d = 1.0 / np.sqrt(np.asarray(abs(K).max(axis=1).todense()).ravel())
+    lu = spla.splu((sp.diags(d) @ K @ sp.diags(d)).tocsc(), permc_spec="COLAMD")
+    assert fill_nd < lu.L.nnz + lu.U.nnz
 
 
 def test_reduced_zero_data(cube1, disc):

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from helpers import (
     convective_form_oracle,
     local_dofs,
+    local_load_loop,
     poly_field,
     strain_form_oracle,
 )
@@ -216,6 +217,23 @@ def test_local_load_examples(cube1, disc):
     got2 = local_load(pr, fpoly) @ d
     exact = float(pr.rule.weights @ np.sum(fpoly(pr.rule.points) * v(pr.rule.points), axis=1))
     assert abs(got2 - exact) < 1e-10 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("name,k", [("cube2", 2), ("tets2", 3)])
+def test_load_matches_per_component_solves(name, k, request, disc):
+    """The stacked (pk, 3) Hk solve of the cell load gives the assembled F of
+    the three per-component solves to 1e-14 relative."""
+    from vemflow.cases import make_case
+
+    mesh = request.getfixturevalue(name)
+    maps, projs, fps = disc(mesh, k)
+    case = make_case("ex1-stokes", k=k)
+    F = assemble(mesh, maps, ProblemSpec(nu=1.0, load=case.load, dirichlet=case.velocity, k=k),
+                 projs, fps).F
+    want = np.zeros(maps[0].ndof)
+    for ci, pr in enumerate(projs):
+        want[maps[0].cell_global[ci]] += local_load_loop(pr, case.load)
+    assert np.max(np.abs(F - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _zero_spec(k):
