@@ -35,31 +35,28 @@ class ManufacturedCase:
     traction: Callable           # ((n,3), normal) -> (n,3)
 
 
-def _lambdify_vec(exprs) -> Callable:
-    funs = [sp.lambdify(_X, e, "numpy") for e in exprs]
+def _lambdify(exprs, shape: tuple) -> Callable:
+    """One compiled function of x, y, z for all entries of `exprs`, with
+    their common subexpressions shared: (n, 3) points -> (n, *shape) values.
+    Constant entries are broadcast to the point count."""
+    fun = sp.lambdify(_X, list(exprs), "numpy", cse=True)
 
     def call(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        cols = [np.broadcast_to(f(pts[:, 0], pts[:, 1], pts[:, 2]), (len(pts),)) for f in funs]
-        return np.stack(cols, axis=1)
+        out = np.empty((len(pts), len(exprs)))
+        for i, vals in enumerate(fun(pts[:, 0], pts[:, 1], pts[:, 2])):
+            out[:, i] = vals
+        return out.reshape((len(pts),) + shape)
 
     return call
 
 
-def _lambdify_scalar(expr) -> Callable:
-    f = sp.lambdify(_X, expr, "numpy")
-
-    def call(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.broadcast_to(f(pts[:, 0], pts[:, 1], pts[:, 2]), (len(pts),)).astype(float)
-
-    return call
-
-
-def _build(name: str, u_expr, p_expr, nu: float, convective: bool) -> ManufacturedCase:
+def _symbolic(name: str, u_expr, p_expr, nu: float, convective: bool):
+    """The case's fields as sympy expressions: velocity u, its gradient
+    ([i, j] = du_i/dx_j), pressure p, load f and strain eps(u)."""
     u = sp.Matrix(u_expr)
     p = sp.sympify(p_expr)
-    grad_u = u.jacobian(_X)                       # [i, j] = du_i / dx_j
+    grad_u = u.jacobian(_X)
     div_u = sp.simplify(sum(sp.diff(u[i], _X[i]) for i in range(3)))
     if div_u != 0:
         raise ValueError(f"case {name}: manufactured velocity is not divergence-free")
@@ -68,44 +65,28 @@ def _build(name: str, u_expr, p_expr, nu: float, convective: bool) -> Manufactur
     grad_p = sp.Matrix([sp.diff(p, v) for v in _X])
     conv = grad_u * u
     f = -nu * div_eps - grad_p + (conv if convective else sp.zeros(3, 1))
+    return u, grad_u, p, f, eps
 
-    u_fun = _lambdify_vec(list(u))
-    f_fun = _lambdify_vec(list(f))
-    p_fun = _lambdify_scalar(p)
-    g_funs = [[_lambdify_scalar(grad_u[i, j]) for j in range(3)] for i in range(3)]
-    eps_funs = [[_lambdify_scalar(eps[i, j]) for j in range(3)] for i in range(3)]
 
-    def grad_fun(pts):
-        pts = np.atleast_2d(pts)
-        out = np.empty((len(pts), 3, 3))
-        for i in range(3):
-            for j in range(3):
-                out[:, i, j] = g_funs[i][j](pts)
-        return out
+def _build(name: str, u_expr, p_expr, nu: float, convective: bool) -> ManufacturedCase:
+    u, grad_u, p, f, eps = _symbolic(name, u_expr, p_expr, nu, convective)
+    p_fun = _lambdify([p], ())
+    eps_fun = _lambdify(eps, (3, 3))
 
     def traction(pts, normal):
-        pts = np.atleast_2d(pts)
         normal = np.asarray(normal, dtype=float)
-        out = np.zeros((len(pts), 3))
-        for i in range(3):
-            for j in range(3):
-                out[:, i] += nu * eps_funs[i][j](pts) * normal[j]
-        out += p_fun(pts)[:, None] * normal[None, :]
-        return out
+        return (nu * eps_fun(pts) * normal).sum(axis=2) + p_fun(pts)[:, None] * normal
 
     return ManufacturedCase(
         name=name, convective=convective, nu=nu,
-        velocity=u_fun, grad_velocity=grad_fun,
+        velocity=_lambdify(u, (3,)), grad_velocity=_lambdify(grad_u, (3, 3)),
         div_velocity=lambda pts: np.zeros(len(np.atleast_2d(pts))),
-        pressure=p_fun, load=f_fun, traction=traction,
+        pressure=p_fun, load=_lambdify(f, (3,)), traction=traction,
     )
 
 
-@lru_cache(maxsize=None)
-def make_case(name: str, k: int = 2, nu: float = 1.0) -> ManufacturedCase:
-    """Manufactured cases: the trigonometric Stokes and Navier-Stokes pair,
-    and the degree-k benchmark velocity with polynomial (p1) or sinusoidal
-    (p2) pressure."""
+def _expressions(name: str, k: int):
+    """(velocity, pressure, convective) of a named case as sympy expressions."""
     x, y, z = _X
     pi = sp.pi
     if name in ("ex1-stokes", "ex2-ns"):
@@ -115,10 +96,8 @@ def make_case(name: str, k: int = 2, nu: float = 1.0) -> ManufacturedCase:
             -2 * sp.cos(pi * x) * sp.cos(pi * y) * sp.sin(pi * z),
         )
         if name == "ex1-stokes":
-            p = -pi * sp.cos(pi * x) * sp.cos(pi * y) * sp.cos(pi * z)
-            return _build(name, u, p, nu, convective=False)
-        p = sp.sin(2 * pi * x) * sp.sin(2 * pi * y) * sp.sin(2 * pi * z)
-        return _build(name, u, p, nu, convective=True)
+            return u, -pi * sp.cos(pi * x) * sp.cos(pi * y) * sp.cos(pi * z), False
+        return u, sp.sin(2 * pi * x) * sp.sin(2 * pi * y) * sp.sin(2 * pi * z), True
     if name in ("ex3-p1", "ex3-p2"):
         u = (
             k * x * z ** (k - 1),
@@ -126,11 +105,18 @@ def make_case(name: str, k: int = 2, nu: float = 1.0) -> ManufacturedCase:
             (2 - k) * x**k + (2 - k) * y**k - 2 * z**k,
         )
         if name == "ex3-p1":
-            p = x**k * y + y**k * z + z**k * x - sp.Rational(3, 2 * (k + 1))
-        else:
-            p = sp.sin(2 * pi * x) * sp.sin(2 * pi * y) * sp.sin(2 * pi * z)
-        return _build(name, u, p, nu, convective=False)
+            return u, x**k * y + y**k * z + z**k * x - sp.Rational(3, 2 * (k + 1)), False
+        return u, sp.sin(2 * pi * x) * sp.sin(2 * pi * y) * sp.sin(2 * pi * z), False
     raise ValueError(f"unknown case {name!r}; known: {CASE_NAMES}")
+
+
+@lru_cache(maxsize=None)
+def make_case(name: str, k: int = 2, nu: float = 1.0) -> ManufacturedCase:
+    """Manufactured cases: the trigonometric Stokes and Navier-Stokes pair,
+    and the degree-k benchmark velocity with polynomial (p1) or sinusoidal
+    (p2) pressure."""
+    u, p, convective = _expressions(name, k)
+    return _build(name, u, p, nu, convective)
 
 
 def x_plane_neumann(centroid: np.ndarray, normal: np.ndarray) -> bool:

@@ -44,16 +44,6 @@ def edge_point_params(k: int) -> tuple[float, ...]:
     return tuple((interior + 1.0) / 2.0)
 
 
-def face_coords(mesh: PolyMesh, f: int, pts3: np.ndarray) -> np.ndarray:
-    g = mesh.face_geom[f]
-    rel = np.atleast_2d(pts3) - g.centroid
-    return np.stack([rel @ g.tau1, rel @ g.tau2], axis=1)
-
-
-def face_basis(mesh: PolyMesh, f: int, degree: int) -> MonomialBasis2:
-    return MonomialBasis2(degree, np.zeros(2), mesh.face_geom[f].h)
-
-
 def cell_basis(mesh: PolyMesh, c: int, degree: int) -> MonomialBasis3:
     g = mesh.cell_geom[c]
     return MonomialBasis3(degree, g.barycenter, g.h)
@@ -271,16 +261,7 @@ def interpolate_velocity(mesh: PolyMesh, mapv: DofMapV, u, div_u=None) -> np.nda
         mapv.edge_points.reshape(-1, 3)
     ).ravel()
 
-    n_fm = mapv.n_face_moms
-    for f in range(mesh.n_faces):
-        g = mesh.face_geom[f]
-        pts2, pts3, w = quad.face_quadrature(mesh, f, 2 * k + 2)
-        phi = face_basis(mesh, f, k - 2).eval(pts2)
-        vals = u(pts3)
-        base = mapv.offsets["face"] + 3 * n_fm * f
-        for d, direction in enumerate((g.normal, g.tau1, g.tau2)):
-            comp = vals @ direction
-            dof[base + d * n_fm: base + (d + 1) * n_fm] = (phi * (w * comp)[:, None]).sum(axis=0) / g.area
+    _face_moments(mesh, mapv, u, np.arange(mesh.n_faces), dof)
 
     blk = mapv.n_d4 + mapv.n_d5
     for ci in range(mesh.n_cells):
@@ -311,28 +292,40 @@ def w_dot(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w * np.sum(a * b, axis=1)
 
 
+def _face_moments(mesh: PolyMesh, mapv: DofMapV, u, faces: np.ndarray, dof: np.ndarray) -> None:
+    """Write into `dof` the face moments of the field u on `faces`: its
+    normal and tangential components against the face monomials of degree
+    <= k-2, divided by the area.  One exactness-(2k+2) rule and one
+    evaluation of u per group of faces with one vertex count."""
+    n_fm = mapv.n_face_moms
+    fs = mesh.face_stack
+    unit = MonomialBasis2(mapv.k - 2, np.zeros(2), 1.0)    # on points scaled by h_f
+    for grp in mesh.face_groups(faces):
+        pts2, pts3, w = quad.face_quadrature(mesh, grp, 2 * mapv.k + 2)
+        phi = unit.eval((pts2 / fs.h[grp, None, None]).reshape(-1, 2)).reshape(len(grp), 1, -1, n_fm)
+        # normal and tangential components: one matrix-vector product per
+        # face and direction
+        frame = np.stack([fs.normal[grp], fs.tau1[grp], fs.tau2[grp]], axis=1)[..., None]
+        comp = (u(pts3.reshape(-1, 3)).reshape(len(grp), 1, -1, 3) @ frame)[..., 0]  # (nf, 3, nq)
+        moms = (phi * (w[:, None] * comp)[..., None]).sum(axis=2) / fs.area[grp, None, None]
+        dof[mapv.offsets["face"] + 3 * n_fm * grp[:, None] + np.arange(3 * n_fm)] = \
+            moms.reshape(len(grp), -1)
+
+
 def interpolate_boundary(mesh: PolyMesh, mapv: DofMapV, g) -> np.ndarray:
     """DoF values of boundary data g on the Dirichlet-masked entries only
-    (vertex values, edge values and face moments of boundary entities)."""
-    k = mapv.k
+    (vertex values, edge values and face moments of boundary entities), with
+    one evaluation of g on all boundary vertices and one on all boundary
+    edge points."""
     g = _as_field(g)
     dof = np.zeros(mapv.ndof)
-    for v in np.nonzero(mesh.boundary_vertex)[0]:
-        dof[3 * v: 3 * v + 3] = g(mesh.vertices[v][None, :]).ravel()
+    bv = np.flatnonzero(mesh.boundary_vertex)
+    dof[3 * bv[:, None] + np.arange(3)] = g(mesh.vertices[bv])
+    be = np.flatnonzero(mesh.boundary_edge)
     n_ep = mapv.n_edge_pts
-    for e in np.nonzero(mesh.boundary_edge)[0]:
-        base = mapv.offsets["edge"] + 3 * n_ep * e
-        dof[base: base + 3 * n_ep] = g(mapv.edge_points[e]).ravel()
-    n_fm = mapv.n_face_moms
-    for f in np.nonzero(mesh.boundary_face)[0]:
-        geom = mesh.face_geom[f]
-        pts2, pts3, w = quad.face_quadrature(mesh, f, 2 * k + 2)
-        phi = face_basis(mesh, f, k - 2).eval(pts2)
-        vals = g(pts3)
-        base = mapv.offsets["face"] + 3 * n_fm * f
-        for d, direction in enumerate((geom.normal, geom.tau1, geom.tau2)):
-            comp = vals @ direction
-            dof[base + d * n_fm: base + (d + 1) * n_fm] = (phi * (w * comp)[:, None]).sum(axis=0) / geom.area
+    dof[mapv.offsets["edge"] + 3 * n_ep * be[:, None] + np.arange(3 * n_ep)] = \
+        g(mapv.edge_points[be].reshape(-1, 3)).reshape(len(be), -1)
+    _face_moments(mesh, mapv, g, np.flatnonzero(mesh.boundary_face), dof)
     return dof
 
 

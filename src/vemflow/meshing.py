@@ -6,6 +6,14 @@ A mesh stores vertices, oriented face loops and cells as signed face lists
 cell).  Edges are derived from the face loops with the canonical key
 (min vertex, max vertex); they are never stored in input files.  Meshes are
 immutable after construction and safe to share read-only across workers.
+
+Geometry is computed without per-entity loops, over flat arrays with one
+row per face loop position (the fan triangles about each face's vertex
+mean) and one per sub-tetrahedron {cell vertex mean, face centroid, loop
+edge}, reduced per entity.  The per-entity records `edge_geom`, `face_geom`
+and `cell_geom` view the stacked fields `face_stack` and `cell_stack`; the
+sub-tetrahedra stay on the mesh for the cell rules, and `face_groups` splits
+the faces by vertex count for the batched face kernels.
 """
 
 from __future__ import annotations
@@ -21,6 +29,30 @@ class MeshError(Exception):
 
 
 PLANARITY_RTOL = 1e-9
+
+
+def raise_first(bad: np.ndarray, message, error=MeshError, ids=None) -> None:
+    """Raise `error(message(i))` for the first entity i flagged in `bad`, as a
+    loop over the entities in order would; `ids` maps positions in `bad` to
+    entity ids.  The exception carries the id as `entity`."""
+    if np.any(bad):
+        i = int(np.argmax(bad)) if ids is None else int(ids[np.argmax(bad)])
+        exc = error(message(i))
+        exc.entity = i
+        raise exc
+
+
+def _diameters(vertices: np.ndarray, flat: np.ndarray, start: np.ndarray,
+               sizes: np.ndarray) -> np.ndarray:
+    """Largest vertex distance of each entity whose vertex ids are
+    flat[start:start + size]; shorter rows are padded with their last id."""
+    idx = start[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
+    P = vertices[flat[idx]]
+    return np.linalg.norm(P[:, :, None] - P[:, None], axis=-1).max(axis=(1, 2))
+
+
+# The per-entity records below; PolyMesh also keeps each one's fields stacked
+# over all entities (`face_stack`, `cell_stack`) for the batched kernels.
 
 
 @dataclass
@@ -133,82 +165,91 @@ class PolyMesh:
             self.cell_edges.append(es)
 
     def _build_geometry(self):
-        self.edge_geom = []
-        for a, b in self.edges:
-            vec = self.vertices[b] - self.vertices[a]
-            length = float(np.linalg.norm(vec))
-            if length <= 0:
-                raise MeshError("degenerate edge of zero length")
-            self.edge_geom.append(EdgeGeom(length, vec / length))
+        """Edge, face and cell geometry over flat arrays: one row per loop
+        position (fan triangle about the face's vertex mean) and one per
+        sub-tetrahedron {cell vertex mean, face centroid, loop edge}.  Each
+        check raises for the first offending entity, in the order edges,
+        face areas, cell volumes."""
+        V = self.vertices
+        vec = V[self.edges[:, 1]] - V[self.edges[:, 0]]
+        length = np.linalg.norm(vec, axis=1)
+        raise_first(length <= 0, lambda e: f"degenerate edge {e} (vertices "
+                     f"{self.edges[e, 0]}, {self.edges[e, 1]}) of zero length")
+        self.edge_geom = [EdgeGeom(*g) for g in zip(length.tolist(), vec / length[:, None])]
 
-        self.face_geom = []
-        for fi, f in enumerate(self.faces):
-            pts = self.vertices[f]
-            ctr0 = pts.mean(axis=0)
-            rel = pts - ctr0
-            nv = len(f)
-            crosses = [np.cross(rel[i], rel[(i + 1) % nv]) for i in range(nv)]
-            nrm = np.sum(crosses, axis=0)
-            a2 = np.linalg.norm(nrm)
-            if a2 <= 0:
-                raise MeshError(f"face {fi} has zero area")
-            normal = nrm / a2
-            # signed fan areas about the vertex mean; exact for planar
-            # star-shaped faces (non-planarity is rejected below)
-            area = 0.0
-            centroid = np.zeros(3)
-            for i in range(nv):
-                a = 0.5 * (crosses[i] @ normal)
-                area += a
-                centroid += a * (ctr0 + (rel[i] + rel[(i + 1) % nv]) / 3.0)
-            centroid /= area
-            h = 0.0
-            for i in range(nv):
-                h = max(h, float(np.max(np.linalg.norm(pts - pts[i], axis=1))))
-            tau1 = pts[1] - pts[0]
-            tau1 = tau1 - (tau1 @ normal) * normal
-            tau1 /= np.linalg.norm(tau1)
-            tau2 = np.cross(normal, tau1)
-            self.face_geom.append(FaceGeom(h, float(a2 / 2.0), centroid, normal, tau1, tau2))
+        # faces: fan triangles {vertex mean, loop[i], loop[i+1]}
+        sizes = np.array([len(f) for f in self.faces])
+        start = np.cumsum(sizes) - sizes
+        loop = np.concatenate(self.faces)
+        owner = np.repeat(np.arange(len(sizes)), sizes)       # face of each loop position
+        nxt = np.arange(len(loop)) + 1                        # next position in its loop
+        nxt[start + sizes - 1] = start
+        ctr0 = np.add.reduceat(V[loop], start) / sizes[:, None]
+        rel = V[loop] - ctr0[owner]
+        crosses = np.cross(rel, rel[nxt])
+        nrm = np.add.reduceat(crosses, start)
+        a2 = np.linalg.norm(nrm, axis=1)
+        raise_first(a2 <= 0, lambda f: f"face {f} has zero area")
+        normal = nrm / a2[:, None]
+        # signed fan areas about the vertex mean; exact for planar
+        # star-shaped faces (non-planarity is rejected below)
+        fan = 0.5 * np.einsum("ij,ij->i", crosses, normal[owner])
+        centroid = (np.add.reduceat(fan[:, None] * (ctr0[owner] + (rel + rel[nxt]) / 3.0), start)
+                    / np.add.reduceat(fan, start)[:, None])
+        tau1 = V[loop[start + 1]] - V[loop[start]]
+        tau1 -= np.einsum("ij,ij->i", tau1, normal)[:, None] * normal
+        tau1 /= np.linalg.norm(tau1, axis=1)[:, None]
+        self.face_stack = FaceGeom(_diameters(V, loop, start, sizes), a2 / 2.0, centroid,
+                                   normal, tau1, np.cross(normal, tau1))
+        self.face_geom = [FaceGeom(*g) for g in zip(self.face_stack.h.tolist(),
+                                                    self.face_stack.area.tolist(),
+                                                    centroid, normal, tau1, self.face_stack.tau2)]
+        self._face_loop = (loop, start, sizes, owner)
 
-        self.cell_geom = []
-        for ci, (fids, signs) in enumerate(self.cells):
-            vol = 0.0
-            mom = np.zeros(3)
-            xref = self.vertices[self.cell_vertices[ci]].mean(axis=0)
-            for f, s in zip(fids, signs):
-                loop = self.faces[f] if s > 0 else self.faces[f][::-1]
-                cf = self.face_geom[f].centroid
-                nv = len(loop)
-                for i in range(nv):
-                    a = self.vertices[loop[i]]
-                    b = self.vertices[loop[(i + 1) % nv]]
-                    v6 = np.dot(np.cross(cf - xref, a - xref), b - xref)
-                    vol += v6 / 6.0
-                    mom += (v6 / 6.0) * (xref + cf + a + b) / 4.0
-            if vol <= 0:
-                raise MeshError(f"inverted cell {ci}: negative volume by divergence-theorem formula")
-            pts = self.vertices[self.cell_vertices[ci]]
-            h = 0.0
-            for i in range(len(pts)):
-                h = max(h, float(np.max(np.linalg.norm(pts - pts[i], axis=1))))
-            self.cell_geom.append(CellGeom(h, float(vol), mom / vol))
+        # cells: sub-tetrahedra {vertex mean, face centroid, a, b} over the
+        # loop edges (a, b) of each face, taken in the cell's outward order
+        inc_face = np.concatenate([fids for fids, _ in self.cells])
+        inc_sign = np.concatenate([signs for _, signs in self.cells])
+        inc_cell = np.repeat(np.arange(len(self.cells)), [len(fids) for fids, _ in self.cells])
+        n_sub = sizes[inc_face]
+        inc = np.repeat(np.arange(len(inc_face)), n_sub)
+        i = np.arange(len(inc)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+        n = n_sub[inc]
+        rev = inc_sign[inc] < 0                # a reversed loop runs l[n-1], ..., l[0]
+        cur = np.where(rev, n - 1 - i, i)
+        nxt_pos = np.where(rev, (2 * n - 2 - i) % n, (i + 1) % n)
+        base = start[inc_face[inc]]
+        self.subtets = np.stack([inc_face[inc], loop[base + cur], loop[base + nxt_pos]], axis=1)
+        sub_cell = inc_cell[inc]
+        self.subtet_start = np.searchsorted(sub_cell, np.arange(len(self.cells) + 1))
+        cv = np.concatenate(self.cell_vertices)
+        cv_sizes = np.array([len(vs) for vs in self.cell_vertices])
+        cv_start = np.cumsum(cv_sizes) - cv_sizes
+        xref = (np.add.reduceat(V[cv], cv_start) / cv_sizes[:, None])[sub_cell]
+        cf, a, b = centroid[self.subtets[:, 0]], V[self.subtets[:, 1]], V[self.subtets[:, 2]]
+        v6 = np.einsum("ij,ij->i", np.cross(cf - xref, a - xref), b - xref) / 6.0
+        vol = np.bincount(sub_cell, v6, minlength=len(self.cells))
+        raise_first(vol <= 0, lambda c: f"inverted cell {c}: negative volume by "
+                     "divergence-theorem formula")
+        mom = np.stack([np.bincount(sub_cell, v6 * x, minlength=len(self.cells))
+                        for x in ((xref + cf + a + b) / 4.0).T], axis=1)
+        self.cell_stack = CellGeom(_diameters(V, cv, cv_start, cv_sizes), vol, mom / vol[:, None])
+        self.cell_geom = [CellGeom(*g) for g in zip(self.cell_stack.h.tolist(), vol.tolist(),
+                                                    self.cell_stack.barycenter)]
+        self._incidence = (inc_cell, inc_face, inc_sign)
 
     def _validate_geometry(self):
-        for fi, f in enumerate(self.faces):
-            g = self.face_geom[fi]
-            dist = np.abs((self.vertices[f] - g.centroid) @ g.normal)
-            if np.max(dist) > PLANARITY_RTOL * g.h:
-                raise MeshError(
-                    f"non-planar face {fi}: max deviation {np.max(dist):.3e} "
-                    f"exceeds {PLANARITY_RTOL:g}*h_f"
-                )
-        for ci, (fids, signs) in enumerate(self.cells):
-            closure = np.zeros(3)
-            for f, s in zip(fids, signs):
-                closure += s * self.face_geom[f].area * self.face_geom[f].normal
-            if np.linalg.norm(closure) > 1e-8 * self.cell_geom[ci].h ** 2:
-                raise MeshError(f"cell {ci} is not closed: inconsistent face orientations")
+        loop, start, sizes, owner = self._face_loop
+        fs = self.face_stack
+        dist = np.abs(np.einsum("ij,ij->i", self.vertices[loop] - fs.centroid[owner], fs.normal[owner]))
+        dmax = np.maximum.reduceat(dist, start)
+        raise_first(dmax > PLANARITY_RTOL * fs.h, lambda f: f"non-planar face {f}: max deviation "
+                     f"{dmax[f]:.3e} exceeds {PLANARITY_RTOL:g}*h_f")
+        inc_cell, inc_face, inc_sign = self._incidence
+        flux = (inc_sign * fs.area[inc_face])[:, None] * fs.normal[inc_face]
+        closure = np.stack([np.bincount(inc_cell, x, minlength=self.n_cells) for x in flux.T], axis=1)
+        raise_first(np.linalg.norm(closure, axis=1) > 1e-8 * self.cell_stack.h ** 2,
+                     lambda c: f"cell {c} is not closed: inconsistent face orientations")
 
     # -- counts and derived quantities ----------------------------------------
 
@@ -227,6 +268,19 @@ class PolyMesh:
     @property
     def n_cells(self) -> int:
         return len(self.cells)
+
+    def face_groups(self, faces=None) -> list[np.ndarray]:
+        """Face ids grouped by vertex count, ascending, each group in index
+        order: the unit of the batched face kernels.  `faces` restricts the
+        grouping to a subset."""
+        faces = np.arange(self.n_faces) if faces is None else np.asarray(faces, dtype=int)
+        sizes = self._face_loop[2][faces]
+        return [faces[sizes == n] for n in np.unique(sizes)]
+
+    def face_loops(self, faces: np.ndarray) -> np.ndarray:
+        """Vertex loops of faces with one vertex count, stacked to (nf, nv)."""
+        loop, start, sizes, _ = self._face_loop
+        return loop[start[faces][:, None] + np.arange(sizes[faces[0]])]
 
     def euler_number(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces - self.n_cells
@@ -465,32 +519,6 @@ def truncated_octahedron_cell() -> PolyMesh:
         faces.append([on[i] for i in order])  # CCW w.r.t. nrm = outward
     cells = [[f + 1 for f in range(len(faces))]]
     return PolyMesh(verts / 4.0 + 0.5, faces, cells)
-
-
-def extract_cells(mesh: PolyMesh, cell_ids) -> PolyMesh:
-    """Submesh of selected cells with vertices and faces renumbered."""
-    cell_ids = list(cell_ids)
-    fmap: dict[int, int] = {}
-    vmap: dict[int, int] = {}
-    faces = []
-    verts = []
-    cells = []
-    for ci in cell_ids:
-        fids, signs = mesh.cells[ci]
-        signed = []
-        for f, s in zip(fids, signs):
-            if f not in fmap:
-                loop = []
-                for v in mesh.faces[f]:
-                    if v not in vmap:
-                        vmap[v] = len(verts)
-                        verts.append(mesh.vertices[v])
-                    loop.append(vmap[v])
-                fmap[f] = len(faces)
-                faces.append(loop)
-            signed.append(int(s) * (fmap[f] + 1))
-        cells.append(signed)
-    return PolyMesh(np.array(verts), faces, cells)
 
 
 def mesh_size(mesh: PolyMesh) -> float:

@@ -105,14 +105,6 @@ class _MonomialBasis:
         """Coefficient maps of d/dxhat_j (divide by scale for physical d/dx_j)."""
         return _derivative_matrices(self.degree, self.dim_space)
 
-    def laplace_matrix(self) -> np.ndarray:
-        """Coefficient map of the physical Laplacian within this basis."""
-        D = self.deriv_matrices()
-        L = np.zeros((self.n, self.n))
-        for Dj in D:
-            L += Dj @ Dj
-        return L / self.scale**2
-
     def index_of(self, alpha) -> int:
         return _index_lookup(self.degree, self.dim_space)[tuple(alpha)]
 
@@ -257,11 +249,3 @@ def decomp_basis(k: int) -> DecompBasis:
     dec.Tinv_T = np.linalg.inv(T.T)
     return dec
 
-
-def cross_basis(n: int, basis: MonomialBasis3) -> list[np.ndarray]:
-    r"""Independent spanning set of xhat /\ [P_{n-1}]^3 on the cell of `basis`,
-    as coefficient columns over the vector monomials of `basis`."""
-    if basis.degree < n:
-        raise ValueError("basis degree too low to represent the cross fields")
-    C = cross_coefficients(n, basis.degree)
-    return [C[:, j] for j in range(C.shape[1])]

@@ -13,6 +13,10 @@ Enhancement constraints use the DoF-euclidean projection in place of the
 H1-seminorm one on both faces and cells (the space definitions admit any
 computable polynomial projection there), which is cheaper to build; the
 H1-seminorm projections exist only as a test oracle.
+
+The face projections are built per group of faces with one vertex count:
+rules, basis values, DoF matrices, QR factors and the enhanced L2 solves are
+stacked arrays over the group, and each face's `FaceProjections` views them.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr, solve, solve_triangular
 
 from . import quadrature as quad
-from .dofspace import DofMapV, cell_basis, face_basis, face_coords
-from .meshing import PolyMesh
+from .dofspace import DofMapV, cell_basis
+from .meshing import MeshError, PolyMesh, raise_first
 from .polynomials import (
     MonomialBasis2,
     MonomialBasis3,
@@ -53,8 +57,9 @@ def _mass_index(degree: int, dim: int, rows: tuple, cols: tuple) -> np.ndarray:
 
 
 def _mass_from_integrals(ints: np.ndarray, degree: int, dim: int, rows: tuple, cols: tuple) -> np.ndarray:
-    """Gram matrix [int m_a m_b] gathered from the monomial integrals `ints`."""
-    return ints[_mass_index(degree, dim, rows, cols)]
+    """Gram matrix [int m_a m_b] gathered from the monomial integrals `ints`
+    (stacked over a leading axis when `ints` is)."""
+    return ints[..., _mass_index(degree, dim, rows, cols)]
 
 
 def _solve_blocks(factor, blocks: list[np.ndarray]) -> np.ndarray:
@@ -75,12 +80,13 @@ def _solve_blocks(factor, blocks: list[np.ndarray]) -> np.ndarray:
 class FaceProjections:
     """Projection matrices acting on the scalar face DoF vector
     [vertex values (loop order) | per loop edge k-1 canonical values |
-    moments against face monomials of degree <= k-2, divided by area]."""
+    moments against face monomials of degree <= k-2, divided by area].
+    The arrays are views into the stacked arrays of the face's group."""
 
     f: int
     k: int
     ndof: int
-    basis: MonomialBasis2            # degree k+1, face frame
+    h: float                         # face diameter, the scale of the face basis
     dproj: np.ndarray                # (pi_{k,2}, ndof) DoF-euclidean projection
     l2: np.ndarray                   # (pi_{k+1,2}, ndof) enhanced L2 projection
     pts2: np.ndarray                 # face quadrature points, face frame
@@ -88,50 +94,68 @@ class FaceProjections:
     w: np.ndarray                    # their weights
     vals: np.ndarray                 # (npts, pi_{k+1,2}) basis values at pts2
 
+    @property
+    def basis(self) -> MonomialBasis2:
+        """The degree k+1 face basis that `dproj`, `l2` and `vals` refer to."""
+        return MonomialBasis2(self.k + 1, np.zeros(2), self.h)
 
-def build_face_projections(mesh: PolyMesh, f: int, k: int, edge_points3) -> FaceProjections:
-    g = mesh.face_geom[f]
-    loop = mesh.faces[f]
-    nv = len(loop)
+
+def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
+                           edge_points3: np.ndarray) -> list[FaceProjections]:
+    """The projections of a group of faces with one vertex count (see
+    `PolyMesh.face_groups`), built as stacked arrays over the group."""
+    faces = np.asarray(faces, dtype=int)
+    fs = mesh.face_stack
+    h, area = fs.h[faces], fs.area[faces]
+    loops = mesh.face_loops(faces)
+    nf, nv = loops.shape
     n_mom = dim_poly(k - 2, 2)
     ndof = nv * k + n_mom
-    basis = face_basis(mesh, f, k + 1)
     npk = dim_poly(k, 2)
     npk1 = dim_poly(k + 1, 2)
 
-    # one evaluation per face: the degree k+1 basis values are the leading
-    # columns of the degree 2k+2 ones (graded order, same centre and scale)
+    # one evaluation per group at the quadrature points, scaled by each
+    # face's h_f so that one unit basis serves every face: the degree k+1
+    # basis values are the leading columns of the degree 2k+2 ones (graded
+    # order, same centre and scale)
     deg = 2 * (k + 1)
-    pts2, pts3, w = quad.face_quadrature(mesh, f, deg)
-    phi = face_basis(mesh, f, deg).eval(pts2)
-    ints = phi.T @ w
+    pts2, pts3, w = quad.face_quadrature(mesh, faces, deg)
+    unit = MonomialBasis2(deg, np.zeros(2), 1.0)
+    phi = unit.eval((pts2 / h[:, None, None]).reshape(-1, 2)).reshape(nf, -1, unit.n)
+    ints = (w[:, None, :] @ phi)[:, 0]
     a_k = multi_indices(k, 2)
     a_k1 = multi_indices(k + 1, 2)
 
     # --- DoF-values matrix of the deg-k monomials -----------------------------
-    D = np.zeros((ndof, npk))
-    D[:nv, :] = basis.eval(face_coords(mesh, f, mesh.vertices[loop]))[:, :npk]
-    eids, _ = mesh.face_edges[f]
-    for le in range(nv):
-        ep2 = face_coords(mesh, f, edge_points3[eids[le]])
-        D[nv + le * (k - 1): nv + (le + 1) * (k - 1), :] = basis.eval(ep2)[:, :npk]
-    D[nv * k:, :] = _mass_from_integrals(ints, deg, 2, a_k[:n_mom], a_k) / g.area
+    # rows: the loop vertices, the edge points of each loop edge, the moments
+    eids = np.array([mesh.face_edges[f][0] for f in faces])
+    bpts = np.concatenate([mesh.vertices[loops], edge_points3[eids].reshape(nf, -1, 3)], axis=1)
+    # in-plane coordinates, one matrix-vector product per face and direction
+    frame = np.stack([fs.tau1[faces], fs.tau2[faces]], axis=1)[..., None]     # (nf, 2, 3, 1)
+    b2 = ((bpts - fs.centroid[faces][:, None])[:, None] @ frame)[..., 0].transpose(0, 2, 1)
+    b2 /= h[:, None, None]
+    D = np.concatenate([unit.eval(b2.reshape(-1, 2)).reshape(nf, nv * k, -1)[..., :npk],
+                        _mass_from_integrals(ints, deg, 2, a_k[:n_mom], a_k) / area[:, None, None]],
+                       axis=1)
 
     # --- DoF-euclidean projection ---------------------------------------------
-    Q, R = qr(D, mode="economic")
-    if np.min(np.abs(np.diag(R))) < 1e-12 * np.max(np.abs(np.diag(R))):
-        raise np.linalg.LinAlgError(f"rank-deficient DoF system on face {f}")
-    dproj = solve_triangular(R, Q.T)
+    Q, R = np.linalg.qr(D)
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    raise_first(diag.min(axis=1) < 1e-12 * diag.max(axis=1),
+                lambda f: f"rank-deficient DoF system on face {f}",
+                error=np.linalg.LinAlgError, ids=faces)
+    dproj = np.linalg.solve(R, Q.transpose(0, 2, 1))
 
     # --- enhanced L2 projection onto P_{k+1}(f) --------------------------------
-    MOM = np.zeros((npk1, ndof))
-    MOM[:n_mom, nv * k:] = g.area * np.eye(n_mom)
-    Hhi = _mass_from_integrals(ints, deg, 2, a_k1[n_mom:], a_k)
-    MOM[n_mom:, :] = Hhi @ dproj
+    MOM = np.zeros((nf, npk1, ndof))
+    MOM[:, :n_mom, nv * k:] = area[:, None, None] * np.eye(n_mom)
+    MOM[:, n_mom:, :] = _mass_from_integrals(ints, deg, 2, a_k1[n_mom:], a_k) @ dproj
     l2 = solve(_mass_from_integrals(ints, deg, 2, a_k1, a_k1), MOM)
 
-    return FaceProjections(f=f, k=k, ndof=ndof, basis=basis, dproj=dproj, l2=l2,
-                           pts2=pts2, pts3=pts3, w=w, vals=phi[:, :npk1].copy())
+    vals = np.ascontiguousarray(phi[..., :npk1])
+    return [FaceProjections(f=f, k=k, ndof=ndof, h=hf, dproj=dproj[i], l2=l2[i], pts2=pts2[i],
+                            pts3=pts3[i], w=w[i], vals=vals[i])
+            for i, (f, hf) in enumerate(zip(faces.tolist(), h.tolist()))]
 
 
 def face_extraction(mesh: PolyMesh, mapv: DofMapV, ci: int, fi_loc: int,
@@ -336,10 +360,16 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, ci: int,
 
 
 def build_projections(mesh: PolyMesh, mapv: DofMapV) -> tuple[list[CellProjections], dict[int, FaceProjections]]:
-    """All face and cell projection operators for the mesh."""
-    faceprojs = {
-        f: build_face_projections(mesh, f, mapv.k, mapv.edge_points)
-        for f in range(mesh.n_faces)
-    }
+    """All face and cell projection operators for the mesh, the faces by one
+    `build_face_projections` call per group of equal vertex count."""
+    faceprojs, failed = {}, []
+    for faces in mesh.face_groups():
+        try:
+            faceprojs.update(zip(faces.tolist(),
+                                 build_face_projections(mesh, faces, mapv.k, mapv.edge_points)))
+        except (np.linalg.LinAlgError, MeshError) as exc:
+            failed.append(exc)
+    if failed:   # the first offending face of the mesh, not of the first group
+        raise min(failed, key=lambda exc: exc.entity)
     cells = [build_cell_projection(mesh, mapv, ci, faceprojs) for ci in range(mesh.n_cells)]
     return cells, faceprojs

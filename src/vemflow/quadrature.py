@@ -1,8 +1,11 @@
-"""Quadrature on edges, polygonal faces and polyhedral cells.
+"""Quadrature on polygonal faces and polyhedral cells.
 
 Cells are subdivided into tetrahedra {barycenter, face centroid, edge
 endpoints}; faces into the triangle fan about their centroid.  Simplex rules
 are conical (collapsed Gauss-Jacobi) products, exact to any requested degree.
+A face call builds the rules of a whole group of faces with one vertex count
+as stacked arrays; a cell call maps all sub-tetrahedra of its cell in one
+broadcast.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .meshing import MeshError
+from .meshing import MeshError, raise_first
 
 
 @dataclass
@@ -69,86 +72,44 @@ def reference_triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(pts), np.array(wts)
 
 
-def tet_rule(verts: np.ndarray, exactness: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map the reference rule to the tetrahedron with rows `verts` (4, 3)."""
-    ref_pts, ref_w = reference_tet_rule(exactness)
-    v0 = verts[0]
-    J = np.stack([verts[1] - v0, verts[2] - v0, verts[3] - v0], axis=1)
-    vol6 = np.linalg.det(J)
-    pts = v0 + ref_pts @ J.T
-    return pts, ref_w * vol6
+def face_quadrature(mesh, faces, exactness: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triangle-fan rules about the centroids of a group of faces that share
+    one vertex count (see `PolyMesh.face_groups`).
 
-
-def triangle_rule_2d(verts: np.ndarray, exactness: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rule on a 2D triangle (3, 2)."""
-    ref_pts, ref_w = reference_triangle_rule(exactness)
-    v0 = verts[0]
-    J = np.stack([verts[1] - v0, verts[2] - v0], axis=1)
-    area2 = np.linalg.det(J)
-    pts = v0 + ref_pts @ J.T
-    return pts, ref_w * area2
-
-
-def edge_quadrature(p0: np.ndarray, p1: np.ndarray, exactness: int) -> QuadRule:
-    """Gauss rule along the segment p0 -> p1 (points in physical space)."""
-    n = max(1, (exactness + 2) // 2)
-    t, w = _gauss_01(n)
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    length = np.linalg.norm(p1 - p0)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    return QuadRule(pts, w * length, exactness)
-
-
-def face_quadrature(mesh, f: int, exactness: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Triangle-fan rule on face f about its centroid.
-
-    Returns (points2d in the face frame, points3d, weights).  Weights sum to
-    the face area; degenerate fan triangles raise.
+    Returns (points in each face's (tau1, tau2) frame (nf, nq, 2), the same
+    points in space (nf, nq, 3), weights (nf, nq)).  A face's weights sum to
+    its area; a degenerate fan triangle raises for the first face with one.
     """
-    g = mesh.face_geom[f]
-    loop = mesh.faces[f]
-    verts2 = (mesh.vertices[loop] - g.centroid) @ np.stack([g.tau1, g.tau2], axis=1)
-    c2 = np.zeros(2)
-    pts2 = []
-    wts = []
-    nv = len(loop)
-    for i in range(nv):
-        tri = np.array([c2, verts2[i], verts2[(i + 1) % nv]])
-        p, w = triangle_rule_2d(tri, exactness)
-        if np.sum(w) <= 0:
-            raise MeshError(f"degenerate fan triangle on face {f}")
-        pts2.append(p)
-        wts.append(w)
-    pts2 = np.vstack(pts2)
-    wts = np.concatenate(wts)
-    pts3 = g.centroid + pts2[:, :1] * g.tau1 + pts2[:, 1:] * g.tau2
-    return pts2, pts3, wts
+    faces = np.asarray(faces, dtype=int)
+    fs = mesh.face_stack
+    ctr = fs.centroid[faces]
+    frame = np.stack([fs.tau1[faces], fs.tau2[faces]], axis=2)           # (nf, 3, 2)
+    verts2 = (mesh.vertices[mesh.face_loops(faces)] - ctr[:, None]) @ frame
+    # fan triangle i is {centroid, v_i, v_i+1}: Jacobian columns v_i, v_i+1
+    J = np.stack([verts2, np.roll(verts2, -1, axis=1)], axis=3)          # (nf, nv, 2, 2)
+    ref_pts, ref_w = reference_triangle_rule(exactness)
+    w = ref_w * np.linalg.det(J)[..., None]                               # (nf, nv, nref)
+    raise_first(np.any(w.sum(axis=2) <= 0, axis=1),
+                lambda f: f"degenerate fan triangle on face {f}", ids=faces)
+    pts2 = (ref_pts @ J.transpose(0, 1, 3, 2)).reshape(len(faces), -1, 2)
+    pts3 = ctr[:, None] + pts2[..., :1] * fs.tau1[faces, None] + pts2[..., 1:] * fs.tau2[faces, None]
+    return pts2, pts3, w.reshape(len(faces), -1)
 
 
 def cell_quadrature(mesh, c: int, exactness: int) -> QuadRule:
-    """Tetrahedral-subdivision rule on cell c.
+    """Tetrahedral-subdivision rule on cell c, mapped in one broadcast.
 
     Subdivision tetrahedra are {x_B, face centroid, edge endpoints} with the
     cell's outward face orientation; a non-positive tetrahedron volume means
     the cell is not star-shaped about its barycenter.
     """
-    xb = mesh.cell_geom[c].barycenter
-    pts = []
-    wts = []
-    for f, sign in zip(mesh.cells[c][0], mesh.cells[c][1]):
-        loop = mesh.faces[f]
-        if sign < 0:
-            loop = loop[::-1]
-        cf = mesh.face_geom[f].centroid
-        nv = len(loop)
-        for i in range(nv):
-            a = mesh.vertices[loop[i]]
-            b = mesh.vertices[loop[(i + 1) % nv]]
-            verts = np.array([xb, cf, a, b])
-            p, w = tet_rule(verts, exactness)
-            if np.sum(w) <= 1e-300:
-                raise MeshError(f"cell {c} not star-shaped about barycenter")
-            pts.append(p)
-            wts.append(w)
-    return QuadRule(np.vstack(pts), np.concatenate(wts), exactness)
+    sub = mesh.subtets[mesh.subtet_start[c]: mesh.subtet_start[c + 1]]
+    xb = mesh.cell_stack.barycenter[c]
+    J = np.stack([mesh.face_stack.centroid[sub[:, 0]] - xb,
+                  mesh.vertices[sub[:, 1]] - xb, mesh.vertices[sub[:, 2]] - xb], axis=2)
+    ref_pts, ref_w = reference_tet_rule(exactness)
+    w = ref_w * np.linalg.det(J)[:, None]
+    if np.any(w.sum(axis=1) <= 1e-300):
+        raise MeshError(f"cell {c} not star-shaped about barycenter")
+    pts = xb + ref_pts @ J.transpose(0, 2, 1)
+    return QuadRule(pts.reshape(-1, 3), w.ravel(), exactness)

@@ -7,7 +7,10 @@ fields for form values.  The H1-seminorm projections, which the scheme does
 not use (it takes the DoF-euclidean one), live here as reproduction oracles,
 next to the simple reference versions of the package's fast paths and the
 full-system Stokes and Newton solves that the reduced-pair production solve
-is checked against.
+is checked against.  The per-entity loops that the batched geometry, face
+rule, face projection, boundary interpolation and case-field kernels
+replaced are kept here as their oracles, with the helpers that only tests
+call.
 """
 
 from __future__ import annotations
@@ -16,16 +19,26 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.linalg import solve
+from scipy.linalg import qr, solve, solve_triangular
 
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+import sympy
 
+from vemflow import cases
 from vemflow import quadrature as quad
-from vemflow.dofspace import edge_point_params, face_basis, face_coords, interpolate_boundary
+from vemflow.dofspace import _as_field, edge_point_params, interpolate_boundary
 from vemflow.flow import DIVERGENCE_GROWTH, FlowSolution, NSOptions, SolverError, solve_stokes
 from vemflow.forms import GlobalSystem, assemble, assemble_convection, local_a, local_b, local_load
-from vemflow.polynomials import _index_lookup, dim_poly, multi_indices
+from vemflow.meshing import CellGeom, EdgeGeom, FaceGeom, MeshError, PolyMesh
+from vemflow.polynomials import (
+    MonomialBasis2,
+    _index_lookup,
+    cross_coefficients,
+    dim_poly,
+    multi_indices,
+)
+from vemflow.projection import FaceProjections, _mass_from_integrals
 
 
 def cube_monomial_integral(a: int, b: int, c: int) -> float:
@@ -107,8 +120,6 @@ def local_dofs(mapv, ci: int, global_vec: np.ndarray) -> np.ndarray:
 def face_poly_dofs(mesh, mapv, f, fp, coef: np.ndarray) -> np.ndarray:
     """Scalar face DoF vector sampled from the 2D polynomial with the given
     coefficients over the face basis of fp (degree k part)."""
-    from vemflow.dofspace import face_coords
-
     k = mapv.k
     npk = dim_poly(k, 2)
     loop = mesh.faces[f]
@@ -220,7 +231,7 @@ def face_h1_projection(mesh, f: int, k: int, edge_points3) -> np.ndarray:
     ndof = nv * k + n_mom
     basis = face_basis(mesh, f, k + 1)
     npk = dim_poly(k, 2)
-    pts2, _, w = quad.face_quadrature(mesh, f, 2 * k + 2)
+    pts2, _, w = face_quadrature_loop(mesh, f, 2 * k + 2)
     ints = face_basis(mesh, f, 2 * (k + 1)).eval(pts2).T @ w
     a_k = multi_indices(k, 2)
     Hk = mass_from_integrals_loop(ints, _index_lookup(2 * (k + 1), 2), a_k, a_k)
@@ -246,7 +257,7 @@ def face_h1_projection(mesh, f: int, k: int, edge_points3) -> np.ndarray:
             + list(range(nv + le * (k - 1), nv + (le + 1) * (k - 1))) \
             + [pos_in_loop[vmax]]
         va2, vb2 = verts2[pos_in_loop[vmin]], verts2[pos_in_loop[vmax]]
-        erule = quad.edge_quadrature(va2, vb2, 2 * k + 2)
+        erule = edge_quadrature(va2, vb2, 2 * k + 2)
         s = np.linalg.norm(erule.points - va2, axis=1) / np.linalg.norm(vb2 - va2)
         L = _lagrange_values(tnodes, s)
         phi_e = basis.eval(erule.points)[:, :npk]
@@ -618,3 +629,314 @@ def reduce_and_compare(mesh, maps, spec, projs, faceprojs) -> ReducedComparison:
     dp = float(np.max(np.abs(cell_means(full.p, system) - cell_means(sol.p, system))))
     expected = (2 * dim_poly(mapv.k - 1, 3) - 2) * mesh.n_cells
     return ReducedComparison(du, dp, system.red.saving, expected)
+
+
+# ---------------------------------------------------------------------------
+# Helpers only tests call
+# ---------------------------------------------------------------------------
+
+
+def face_coords(mesh, f: int, pts3: np.ndarray) -> np.ndarray:
+    """Coordinates of points in the (tau1, tau2) frame about face f's centroid."""
+    g = mesh.face_geom[f]
+    rel = np.atleast_2d(pts3) - g.centroid
+    return np.stack([rel @ g.tau1, rel @ g.tau2], axis=1)
+
+
+def face_basis(mesh, f: int, degree: int) -> MonomialBasis2:
+    return MonomialBasis2(degree, np.zeros(2), mesh.face_geom[f].h)
+
+
+def laplace_matrix(basis) -> np.ndarray:
+    """Coefficient map of the physical Laplacian within a monomial basis."""
+    L = sum(Dj @ Dj for Dj in basis.deriv_matrices())
+    return L / basis.scale**2
+
+
+def cross_basis(n: int, basis) -> list[np.ndarray]:
+    r"""Independent spanning set of xhat /\ [P_{n-1}]^3 on the cell of `basis`,
+    as coefficient columns over the vector monomials of `basis`."""
+    if basis.degree < n:
+        raise ValueError("basis degree too low to represent the cross fields")
+    C = cross_coefficients(n, basis.degree)
+    return [C[:, j] for j in range(C.shape[1])]
+
+
+def extract_cells(mesh: PolyMesh, cell_ids) -> PolyMesh:
+    """Submesh of selected cells with vertices and faces renumbered."""
+    fmap: dict[int, int] = {}
+    vmap: dict[int, int] = {}
+    faces, verts, cells = [], [], []
+    for ci in cell_ids:
+        fids, signs = mesh.cells[ci]
+        signed = []
+        for f, s in zip(fids, signs):
+            if f not in fmap:
+                loop = []
+                for v in mesh.faces[f]:
+                    if v not in vmap:
+                        vmap[v] = len(verts)
+                        verts.append(mesh.vertices[v])
+                    loop.append(vmap[v])
+                fmap[f] = len(faces)
+                faces.append(loop)
+            signed.append(int(s) * (fmap[f] + 1))
+        cells.append(signed)
+    return PolyMesh(np.array(verts), faces, cells)
+
+
+def cube_and_pyramids() -> PolyMesh:
+    """The hexahedron [0,1]^3 next to [1,2]x[0,1]^2 cut into six pyramids
+    about its centre: two local DoF layouts in one conforming mesh."""
+    corners = [(x, y, z) for x in (0, 1, 2) for y in (0, 1) for z in (0, 1)]
+    verts = np.array(corners + [(1.5, 0.5, 0.5)], dtype=float)
+    vid = {c: i for i, c in enumerate(corners)}
+    apex = len(corners)
+
+    def box_faces(x0):
+        x1 = x0 + 1
+        return [[vid[(x0, y, z)] for y, z in ((0, 0), (1, 0), (1, 1), (0, 1))],
+                [vid[(x1, y, z)] for y, z in ((0, 0), (1, 0), (1, 1), (0, 1))],
+                [vid[(x, 0, z)] for x, z in ((x0, 0), (x1, 0), (x1, 1), (x0, 1))],
+                [vid[(x, 1, z)] for x, z in ((x0, 0), (x1, 0), (x1, 1), (x0, 1))],
+                [vid[(x, y, 0)] for x, y in ((x0, 0), (x1, 0), (x1, 1), (x0, 1))],
+                [vid[(x, y, 1)] for x, y in ((x0, 0), (x1, 0), (x1, 1), (x0, 1))]]
+
+    hex_faces = box_faces(0)
+    faces = list(hex_faces)
+    cells = [list(range(6))]
+    tri_id = {}
+    for base in box_faces(1):
+        if sorted(base) == sorted(hex_faces[1]):
+            bid = 1                        # shared with the hexahedron
+        else:
+            bid = len(faces)
+            faces.append(base)
+        cell = [bid]
+        for i in range(4):
+            key = tuple(sorted((base[i], base[(i + 1) % 4])))
+            if key not in tri_id:
+                tri_id[key] = len(faces)
+                faces.append([base[i], base[(i + 1) % 4], apex])
+            cell.append(tri_id[key])
+        cells.append(cell)
+
+    # orientation signs: +1 where the stored loop's normal points out of the cell
+    signed = []
+    for cell in cells:
+        centre = verts[sorted({v for f in cell for v in faces[f]})].mean(axis=0)
+        row = []
+        for f in cell:
+            p = verts[faces[f]]
+            normal = np.cross(p[1] - p[0], p[2] - p[0])
+            row.append((f + 1) * (1 if normal @ (p.mean(axis=0) - centre) > 0 else -1))
+        signed.append(row)
+    return PolyMesh(verts, faces, signed)
+
+
+def tet_rule(verts: np.ndarray, exactness: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reference rule mapped to the tetrahedron with rows `verts` (4, 3)."""
+    ref_pts, ref_w = quad.reference_tet_rule(exactness)
+    v0 = verts[0]
+    J = np.stack([verts[1] - v0, verts[2] - v0, verts[3] - v0], axis=1)
+    return v0 + ref_pts @ J.T, ref_w * np.linalg.det(J)
+
+
+def triangle_rule_2d(verts: np.ndarray, exactness: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reference rule mapped to a 2D triangle (3, 2)."""
+    ref_pts, ref_w = quad.reference_triangle_rule(exactness)
+    v0 = verts[0]
+    J = np.stack([verts[1] - v0, verts[2] - v0], axis=1)
+    return v0 + ref_pts @ J.T, ref_w * np.linalg.det(J)
+
+
+def edge_quadrature(p0: np.ndarray, p1: np.ndarray, exactness: int) -> quad.QuadRule:
+    """Gauss rule along the segment p0 -> p1 (points in physical space)."""
+    t, w = quad._gauss_01(max(1, (exactness + 2) // 2))
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
+    return quad.QuadRule(pts, w * np.linalg.norm(p1 - p0), exactness)
+
+
+# ---------------------------------------------------------------------------
+# Per-entity loops: the oracles of the batched kernels
+# ---------------------------------------------------------------------------
+
+
+def geometry_loop(mesh: PolyMesh) -> tuple[list, list, list]:
+    """Edge, face and cell geometry of the mesh's topology, entity by
+    entity: the reference for `PolyMesh._build_geometry`."""
+    edge_geom = []
+    for a, b in mesh.edges:
+        vec = mesh.vertices[b] - mesh.vertices[a]
+        length = float(np.linalg.norm(vec))
+        edge_geom.append(EdgeGeom(length, vec / length))
+    face_geom = []
+    for f in mesh.faces:
+        pts = mesh.vertices[f]
+        ctr0 = pts.mean(axis=0)
+        rel = pts - ctr0
+        nv = len(f)
+        crosses = [np.cross(rel[i], rel[(i + 1) % nv]) for i in range(nv)]
+        nrm = np.sum(crosses, axis=0)
+        a2 = np.linalg.norm(nrm)
+        normal = nrm / a2
+        area = 0.0
+        centroid = np.zeros(3)
+        for i in range(nv):
+            a = 0.5 * (crosses[i] @ normal)
+            area += a
+            centroid += a * (ctr0 + (rel[i] + rel[(i + 1) % nv]) / 3.0)
+        centroid /= area
+        h = max(float(np.max(np.linalg.norm(pts - p, axis=1))) for p in pts)
+        tau1 = pts[1] - pts[0]
+        tau1 = tau1 - (tau1 @ normal) * normal
+        tau1 /= np.linalg.norm(tau1)
+        face_geom.append(FaceGeom(h, float(a2 / 2.0), centroid, normal, tau1, np.cross(normal, tau1)))
+    cell_geom = []
+    for ci, (fids, signs) in enumerate(mesh.cells):
+        vol = 0.0
+        mom = np.zeros(3)
+        xref = mesh.vertices[mesh.cell_vertices[ci]].mean(axis=0)
+        for f, s in zip(fids, signs):
+            loop = mesh.faces[f] if s > 0 else mesh.faces[f][::-1]
+            cf = face_geom[f].centroid
+            for i in range(len(loop)):
+                a = mesh.vertices[loop[i]]
+                b = mesh.vertices[loop[(i + 1) % len(loop)]]
+                v6 = np.dot(np.cross(cf - xref, a - xref), b - xref)
+                vol += v6 / 6.0
+                mom += (v6 / 6.0) * (xref + cf + a + b) / 4.0
+        pts = mesh.vertices[mesh.cell_vertices[ci]]
+        h = max(float(np.max(np.linalg.norm(pts - p, axis=1))) for p in pts)
+        cell_geom.append(CellGeom(h, float(vol), mom / vol))
+    return edge_geom, face_geom, cell_geom
+
+
+def face_quadrature_loop(mesh, f: int, exactness: int):
+    """Triangle-fan rule on one face, triangle by triangle: the reference
+    for the group kernel `quadrature.face_quadrature`."""
+    g = mesh.face_geom[f]
+    loop = mesh.faces[f]
+    verts2 = (mesh.vertices[loop] - g.centroid) @ np.stack([g.tau1, g.tau2], axis=1)
+    pts2, wts = [], []
+    for i in range(len(loop)):
+        p, w = triangle_rule_2d(np.array([np.zeros(2), verts2[i], verts2[(i + 1) % len(loop)]]),
+                                exactness)
+        if np.sum(w) <= 0:
+            raise MeshError(f"degenerate fan triangle on face {f}")
+        pts2.append(p)
+        wts.append(w)
+    pts2 = np.vstack(pts2)
+    return pts2, g.centroid + pts2[:, :1] * g.tau1 + pts2[:, 1:] * g.tau2, np.concatenate(wts)
+
+
+def cell_quadrature_loop(mesh, c: int, exactness: int) -> quad.QuadRule:
+    """Tetrahedral-subdivision rule on one cell, one `tet_rule` per
+    sub-tetrahedron: the reference for `quadrature.cell_quadrature`."""
+    xb = mesh.cell_geom[c].barycenter
+    pts, wts = [], []
+    for f, sign in zip(*mesh.cells[c]):
+        loop = mesh.faces[f] if sign > 0 else mesh.faces[f][::-1]
+        cf = mesh.face_geom[f].centroid
+        for i in range(len(loop)):
+            verts = np.array([xb, cf, mesh.vertices[loop[i]], mesh.vertices[loop[(i + 1) % len(loop)]]])
+            p, w = tet_rule(verts, exactness)
+            if np.sum(w) <= 1e-300:
+                raise MeshError(f"cell {c} not star-shaped about barycenter")
+            pts.append(p)
+            wts.append(w)
+    return quad.QuadRule(np.vstack(pts), np.concatenate(wts), exactness)
+
+
+def face_projections_loop(mesh, f: int, k: int, edge_points3) -> FaceProjections:
+    """The face projections of one face, built alone: the reference for the
+    group kernel `projection.build_face_projections`."""
+    g = mesh.face_geom[f]
+    loop = mesh.faces[f]
+    nv = len(loop)
+    n_mom = dim_poly(k - 2, 2)
+    ndof = nv * k + n_mom
+    basis = face_basis(mesh, f, k + 1)
+    npk = dim_poly(k, 2)
+    npk1 = dim_poly(k + 1, 2)
+    deg = 2 * (k + 1)
+    pts2, pts3, w = face_quadrature_loop(mesh, f, deg)
+    phi = face_basis(mesh, f, deg).eval(pts2)
+    ints = phi.T @ w
+    a_k = multi_indices(k, 2)
+    a_k1 = multi_indices(k + 1, 2)
+    D = np.zeros((ndof, npk))
+    D[:nv, :] = basis.eval(face_coords(mesh, f, mesh.vertices[loop]))[:, :npk]
+    eids, _ = mesh.face_edges[f]
+    for le in range(nv):
+        ep2 = face_coords(mesh, f, edge_points3[eids[le]])
+        D[nv + le * (k - 1): nv + (le + 1) * (k - 1), :] = basis.eval(ep2)[:, :npk]
+    D[nv * k:, :] = _mass_from_integrals(ints, deg, 2, a_k[:n_mom], a_k) / g.area
+    Q, R = qr(D, mode="economic")
+    if np.min(np.abs(np.diag(R))) < 1e-12 * np.max(np.abs(np.diag(R))):
+        raise np.linalg.LinAlgError(f"rank-deficient DoF system on face {f}")
+    dproj = solve_triangular(R, Q.T)
+    MOM = np.zeros((npk1, ndof))
+    MOM[:n_mom, nv * k:] = g.area * np.eye(n_mom)
+    MOM[n_mom:, :] = _mass_from_integrals(ints, deg, 2, a_k1[n_mom:], a_k) @ dproj
+    l2 = solve(_mass_from_integrals(ints, deg, 2, a_k1, a_k1), MOM)
+    return FaceProjections(f=f, k=k, ndof=ndof, h=g.h, dproj=dproj, l2=l2,
+                           pts2=pts2, pts3=pts3, w=w, vals=phi[:, :npk1].copy())
+
+
+def interpolate_boundary_loop(mesh, mapv, g) -> np.ndarray:
+    """Boundary DoF values entity by entity, one call of g per vertex, edge
+    and face: the reference for `dofspace.interpolate_boundary`."""
+    k = mapv.k
+    g = _as_field(g)
+    dof = np.zeros(mapv.ndof)
+    for v in np.nonzero(mesh.boundary_vertex)[0]:
+        dof[3 * v: 3 * v + 3] = g(mesh.vertices[v][None, :]).ravel()
+    n_ep = mapv.n_edge_pts
+    for e in np.nonzero(mesh.boundary_edge)[0]:
+        base = mapv.offsets["edge"] + 3 * n_ep * e
+        dof[base: base + 3 * n_ep] = g(mapv.edge_points[e]).ravel()
+    n_fm = mapv.n_face_moms
+    for f in np.nonzero(mesh.boundary_face)[0]:
+        geom = mesh.face_geom[f]
+        pts2, pts3, w = face_quadrature_loop(mesh, f, 2 * k + 2)
+        phi = face_basis(mesh, f, k - 2).eval(pts2)
+        vals = g(pts3)
+        base = mapv.offsets["face"] + 3 * n_fm * f
+        for d, direction in enumerate((geom.normal, geom.tau1, geom.tau2)):
+            comp = vals @ direction
+            dof[base + d * n_fm: base + (d + 1) * n_fm] = \
+                (phi * (w * comp)[:, None]).sum(axis=0) / geom.area
+    return dof
+
+
+def per_entry_case_fields(name: str, k: int, nu: float) -> dict:
+    """The fields of a manufactured case from one scalar lambda per entry:
+    the reference for the one-lambdify-per-field functions of `cases`."""
+    u_expr, p_expr, convective = cases._expressions(name, k)
+    u, grad_u, p, f, eps = cases._symbolic(name, u_expr, p_expr, nu, convective)
+
+    def entries(exprs, shape):
+        funs = [sympy.lambdify(cases._X, e, "numpy") for e in exprs]
+
+        def call(pts):
+            out = np.empty((len(pts), len(funs)))
+            for i, fun in enumerate(funs):
+                out[:, i] = fun(pts[:, 0], pts[:, 1], pts[:, 2])
+            return out.reshape((len(pts),) + shape)
+
+        return call
+
+    p_fun, eps_fun = entries([p], ()), entries(eps, (3, 3))
+
+    def traction(pts, normal):
+        out = np.zeros((len(pts), 3))
+        for i in range(3):
+            for j in range(3):
+                out[:, i] += nu * eps_fun(pts)[:, i, j] * normal[j]
+        return out + p_fun(pts)[:, None] * normal[None, :]
+
+    return {"velocity": entries(u, (3,)), "grad_velocity": entries(grad_u, (3, 3)),
+            "pressure": p_fun, "load": entries(f, (3,)), "traction": traction}

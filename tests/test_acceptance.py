@@ -9,14 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import reduce_and_compare
+from helpers import extract_cells, reduce_and_compare
 from vemflow.bench import run_convergence
 from vemflow.cases import make_case
 from vemflow.derham import check_div_surjectivity, check_exactness_dims
 from vemflow.dofspace import build_dof_maps
 from vemflow.forms import ProblemSpec
 from vemflow.meshing import (
-    extract_cells,
     generate_structured_cubes,
     generate_tetra_mesh,
     mesh_from_tets,

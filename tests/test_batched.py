@@ -1,0 +1,197 @@
+"""The batched geometry, face-rule, face-projection, boundary-interpolation
+and case-field kernels against the per-entity loops of helpers.py, on
+jittered tetrahedra, cubes, a distorted hexahedron, a truncated octahedron
+and a mesh mixing hexahedra and pyramids, at k = 2, 3, 4.  The bounds were
+fixed before the first run: geometry, rules and basis values 1e-14
+relative, dproj 1e-12, l2 1e-9, and the Stokes solutions from either set
+of face projections 1e-9."""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from helpers import (
+    cell_quadrature_loop,
+    cube_and_pyramids,
+    extract_cells,
+    face_projections_loop,
+    face_quadrature_loop,
+    geometry_loop,
+    interpolate_boundary_loop,
+    per_entry_case_fields,
+)
+from vemflow import polynomials, projection
+from vemflow import quadrature as quad
+from vemflow.cases import CASE_NAMES, make_case, x_plane_neumann
+from vemflow.derham import check_divfree
+from vemflow.dofspace import build_dof_maps
+from vemflow.flow import solve_stokes
+from vemflow.forms import ProblemSpec, assemble
+from vemflow.meshing import (
+    generate_structured_cubes,
+    generate_tetra_mesh,
+    single_distorted_hex,
+    truncated_octahedron_cell,
+)
+from vemflow.projection import build_cell_projection, build_projections
+
+
+def _jittered_tets(seed: int, jitter: float):
+    # the six Kuhn tets around the box at the origin, whose other grid
+    # points all move under the jitter
+    return extract_cells(generate_tetra_mesh(2, jitter=jitter, seed=seed), range(6))
+
+
+_RNG = np.random.default_rng(20261019)
+MESHES = {
+    **{f"tets-{s}": (lambda s=s, j=j: _jittered_tets(s, j))
+       for s, j in zip(_RNG.integers(2**16, size=3).tolist(), [0.0, 0.25, 0.17])},
+    "cubes2": lambda: generate_structured_cubes(2),
+    "hex": single_distorted_hex,
+    "octahedron": truncated_octahedron_cell,
+    "mixed": cube_and_pyramids,
+}
+
+
+@lru_cache(maxsize=None)
+def _mesh(name: str):
+    return MESHES[name]()
+
+
+@lru_cache(maxsize=None)
+def _disc(name: str, k: int):
+    mesh = _mesh(name)
+    maps = build_dof_maps(mesh, k)
+    return maps, *build_projections(mesh, maps[0])
+
+
+def _rel(got, want) -> float:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_geometry_matches_loop(name):
+    mesh = _mesh(name)
+    edges, faces, cells = geometry_loop(mesh)
+    for got, want, fields in ((mesh.edge_geom, edges, ("length", "tangent")),
+                              (mesh.face_geom, faces, ("h", "area", "centroid", "normal", "tau1", "tau2")),
+                              (mesh.cell_geom, cells, ("h", "volume", "barycenter"))):
+        for field in fields:
+            assert _rel([getattr(g, field) for g in got], [getattr(g, field) for g in want]) <= 1e-14, field
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", MESHES)
+def test_face_and_cell_rules_match_loop(name, k):
+    mesh = _mesh(name)
+    deg = 2 * k + 2
+    for faces in mesh.face_groups():
+        pts2, pts3, w = quad.face_quadrature(mesh, faces, deg)
+        for i, f in enumerate(faces):
+            for got, want in zip((pts2[i], pts3[i], w[i]), face_quadrature_loop(mesh, f, deg)):
+                assert _rel(got, want) <= 1e-14
+    for c in range(mesh.n_cells):
+        got, want = quad.cell_quadrature(mesh, c, deg), cell_quadrature_loop(mesh, c, deg)
+        assert _rel(got.points, want.points) <= 1e-14
+        assert _rel(got.weights, want.weights) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", MESHES)
+def test_face_projections_match_loop(name, k):
+    mesh = _mesh(name)
+    (mapv, _), _, fps = _disc(name, k)
+    for f, fp in fps.items():
+        ref = face_projections_loop(mesh, f, k, mapv.edge_points)
+        assert (fp.f, fp.ndof, fp.h) == (ref.f, ref.ndof, ref.h)
+        for field in ("pts2", "pts3", "w", "vals"):
+            assert _rel(getattr(fp, field), getattr(ref, field)) <= 1e-14, field
+        assert _rel(fp.dproj, ref.dproj) <= 1e-12
+        assert _rel(fp.l2, ref.l2) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", MESHES)
+def test_stokes_from_loop_face_projections(name, k):
+    """The whole Stokes solve, once on the batched face projections and once
+    on cell projections built from the per-face oracle's."""
+    mesh = _mesh(name)
+    maps, projs, fps = _disc(name, k)
+    mapv = maps[0]
+    fps_loop = {f: face_projections_loop(mesh, f, k, mapv.edge_points) for f in range(mesh.n_faces)}
+    projs_loop = [build_cell_projection(mesh, mapv, c, fps_loop) for c in range(mesh.n_cells)]
+    case = make_case("ex3-p1", k=k)
+    spec = ProblemSpec(nu=1.0, load=case.load, dirichlet=case.velocity, k=k)
+    sols = [solve_stokes(assemble(mesh, maps, spec, pr, fp_set))
+            for pr, fp_set in ((projs, fps), (projs_loop, fps_loop))]
+    assert _rel(sols[0].u, sols[1].u) <= 1e-9
+    assert _rel(sols[0].p, sols[1].p) <= 1e-9
+    for sol, pr in zip(sols, (projs, projs_loop)):
+        assert check_divfree(sol.u, mesh, mapv, pr) <= 1e-9
+
+
+@pytest.mark.parametrize("mesh_name,k,neumann", [
+    ("cube2", 2, False), ("cube2", 2, True), ("cube2", 3, True), ("tets2", 3, False),
+])
+def test_interpolate_boundary_matches_loop(mesh_name, k, neumann, cube2, tets2, disc):
+    """The Dirichlet values of an assembled system against the entity-by-
+    entity interpolation, with and without Neumann faces on x = 0, 1."""
+    mesh = {"cube2": cube2, "tets2": tets2}[mesh_name]
+    maps, projs, fps = disc(mesh, k)
+    case = make_case("ex1-stokes", k=k)
+    spec = ProblemSpec(nu=1.0, load=case.load, dirichlet=case.velocity, k=k,
+                       neumann_faces=x_plane_neumann if neumann else None,
+                       traction=case.traction if neumann else None)
+    system = assemble(mesh, maps, spec, projs, fps)
+    want = interpolate_boundary_loop(mesh, maps[0], case.velocity)
+    want[~system.dirichlet_mask] = 0.0
+    assert _rel(system.dirichlet_values, want) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_case_fields_match_per_entry_lambdas(name, k):
+    rng = np.random.default_rng([k, CASE_NAMES.index(name)])
+    pts = rng.uniform(0.0, 1.0, (200, 3))
+    normal = rng.standard_normal(3)
+    normal /= np.linalg.norm(normal)
+    case = make_case(name, k=k, nu=0.3)
+    ref = per_entry_case_fields(name, k, 0.3)
+    for field in ("velocity", "grad_velocity", "pressure", "load"):
+        got = getattr(case, field)(pts)
+        assert got.dtype == float
+        assert _rel(got, ref[field](pts)) <= 1e-14, field
+    assert _rel(case.traction(pts, normal), ref["traction"](pts, normal)) <= 1e-14
+
+
+def _count_calls(monkeypatch, owner, attr) -> list:
+    calls = []
+    fn = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,groups", [
+    ("cubes3", 1), ("tets", 1), ("mixed", 2),
+])
+def test_face_kernels_run_once_per_group(name, groups, monkeypatch):
+    """Deterministic guard on the batched face layer: build_projections
+    calls the face kernel once per group of equal vertex count, and the
+    face side evaluates the basis a fixed number of times, not once or more
+    per face (the cell side evaluates it at most 9 times per cell)."""
+    mesh = {"cubes3": lambda: generate_structured_cubes(3), "tets": lambda: generate_tetra_mesh(2, seed=5),
+            "mixed": cube_and_pyramids}[name]()
+    mapv = build_dof_maps(mesh, 2)[0]
+    kernel = _count_calls(monkeypatch, projection, "build_face_projections")
+    evals = _count_calls(monkeypatch, polynomials._MonomialBasis, "eval")
+    build_projections(mesh, mapv)
+    assert len(kernel) == groups
+    assert len(evals) <= 9 * mesh.n_cells + 8

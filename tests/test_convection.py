@@ -7,12 +7,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from helpers import convection_oracle, convection_oracle_scatter
+from helpers import convection_oracle, convection_oracle_scatter, cube_and_pyramids, extract_cells
 from vemflow.dofspace import build_dof_maps
 from vemflow.forms import assemble_convection, local_convection
 from vemflow.meshing import (
-    PolyMesh,
-    extract_cells,
     generate_structured_cubes,
     generate_tetra_mesh,
     single_distorted_hex,
@@ -78,58 +76,9 @@ def test_local_convection_matches_oracle_on_polyhedra(name, k, w_seed):
     assert _rel(Cg, Cg_ref) < RTOL
 
 
-def _cube_and_pyramids() -> PolyMesh:
-    """The hexahedron [0,1]^3 next to [1,2]x[0,1]^2 cut into six pyramids
-    about its centre: two local DoF layouts in one conforming mesh."""
-    corners = [(x, y, z) for x in (0, 1, 2) for y in (0, 1) for z in (0, 1)]
-    verts = np.array(corners + [(1.5, 0.5, 0.5)], dtype=float)
-    vid = {c: i for i, c in enumerate(corners)}
-    apex = len(corners)
-
-    def box_faces(x0):
-        x1 = x0 + 1
-        return [[vid[(x0, y, z)] for y, z in ((0, 0), (1, 0), (1, 1), (0, 1))],
-                [vid[(x1, y, z)] for y, z in ((0, 0), (1, 0), (1, 1), (0, 1))],
-                [vid[(x, 0, z)] for x, z in ((x0, 0), (x1, 0), (x1, 1), (x0, 1))],
-                [vid[(x, 1, z)] for x, z in ((x0, 0), (x1, 0), (x1, 1), (x0, 1))],
-                [vid[(x, y, 0)] for x, y in ((x0, 0), (x1, 0), (x1, 1), (x0, 1))],
-                [vid[(x, y, 1)] for x, y in ((x0, 0), (x1, 0), (x1, 1), (x0, 1))]]
-
-    hex_faces = box_faces(0)
-    faces = list(hex_faces)
-    cells = [list(range(6))]
-    tri_id = {}
-    for base in box_faces(1):
-        if sorted(base) == sorted(hex_faces[1]):
-            bid = 1                        # shared with the hexahedron
-        else:
-            bid = len(faces)
-            faces.append(base)
-        cell = [bid]
-        for i in range(4):
-            key = tuple(sorted((base[i], base[(i + 1) % 4])))
-            if key not in tri_id:
-                tri_id[key] = len(faces)
-                faces.append([base[i], base[(i + 1) % 4], apex])
-            cell.append(tri_id[key])
-        cells.append(cell)
-
-    # orientation signs: +1 where the stored loop's normal points out of the cell
-    signed = []
-    for cell in cells:
-        centre = verts[sorted({v for f in cell for v in faces[f]})].mean(axis=0)
-        row = []
-        for f in cell:
-            p = verts[faces[f]]
-            normal = np.cross(p[1] - p[0], p[2] - p[0])
-            row.append((f + 1) * (1 if normal @ (p.mean(axis=0) - centre) > 0 else -1))
-        signed.append(row)
-    return PolyMesh(verts, faces, signed)
-
-
 @pytest.mark.parametrize("k", [2, 3])
 def test_batched_convection_groups_mixed_layouts(k):
-    mesh = _cube_and_pyramids()
+    mesh = cube_and_pyramids()
     assert mesh.n_cells == 7
     projs = _check_global(mesh, k, u_seed=53)
     assert len({pr.ndof for pr in projs}) == 2

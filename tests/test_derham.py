@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import extract_cells
 from vemflow.cases import make_case
 from vemflow.derham import (
     assemble_divergence,
@@ -11,7 +12,7 @@ from vemflow.derham import (
 from vemflow.dofspace import interpolate_velocity
 from vemflow.flow import solve_stokes
 from vemflow.forms import ProblemSpec, assemble
-from vemflow.meshing import extract_cells, generate_structured_cubes
+from vemflow.meshing import generate_structured_cubes
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import local_dofs
+from helpers import extract_cells, local_dofs
 from vemflow.dofspace import (
     build_dof_maps,
     build_reduced_maps,
@@ -13,7 +13,7 @@ from vemflow.dofspace import (
     interpolate_boundary,
     interpolate_velocity,
 )
-from vemflow.meshing import extract_cells, generate_structured_cubes
+from vemflow.meshing import generate_structured_cubes
 from vemflow.polynomials import dim_poly
 
 
@@ -176,7 +176,6 @@ def test_shared_face_dof_convention_agrees():
     """The two cells adjacent to a face evaluate every shared DoF functional
     identically: sampling a global polynomial through either cell's DoF-value
     matrix gives the same numbers on the shared entries."""
-    from vemflow.meshing import extract_cells
     from vemflow.projection import build_projections
 
     mesh = extract_cells(generate_structured_cubes(2), [0, 1])

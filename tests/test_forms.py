@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from helpers import (
     convective_form_oracle,
+    extract_cells,
     local_dofs,
     local_load_loop,
     poly_field,
@@ -21,7 +22,7 @@ from vemflow.forms import (
     local_load,
     stabilization_weights,
 )
-from vemflow.meshing import extract_cells, generate_structured_cubes
+from vemflow.meshing import generate_structured_cubes
 from vemflow.polynomials import dim_poly
 from vemflow.projection import build_projections
 

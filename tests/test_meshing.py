@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from helpers import extract_cells
 from vemflow.meshing import (
     MeshError,
     PolyMesh,
-    extract_cells,
     generate_structured_cubes,
     generate_tetra_mesh,
     load_mesh,
@@ -117,7 +117,7 @@ def test_divergence_volume_vs_subdivision(cube2, tets2, voronoi_cell):
         for ci in range(mesh.n_cells):
             v_div = 0.0
             for f, s in zip(*mesh.cells[ci]):
-                _, pts3, w = quad.face_quadrature(mesh, f, 2)
+                _, (pts3,), (w,) = quad.face_quadrature(mesh, [f], 2)
                 nrm = mesh.face_geom[f].normal
                 v_div += s * float(w @ (pts3 @ nrm)) / 3.0
             rule = quad.cell_quadrature(mesh, ci, 1)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import cross_basis, laplace_matrix
 from vemflow.polynomials import (
     MonomialBasis2,
     MonomialBasis3,
-    cross_basis,
     cross_dimension,
     cross_field_descriptors,
     decomp_basis,
@@ -61,7 +61,7 @@ def test_derivative_matrices_consistent_with_grad():
 
 def test_laplace_matrix():
     basis = MonomialBasis2(3, np.zeros(2), 0.7)
-    L = basis.laplace_matrix()
+    L = laplace_matrix(basis)
     # laplace of xhat^2 + yhat^2 is 4 / scale^2 in physical coordinates
     c = np.zeros(basis.n)
     c[basis.index_of((2, 0))] = 1.0

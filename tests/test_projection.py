@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     cell_h1_projection,
+    face_basis,
     face_extraction_loop,
     face_h1_projection,
     local_dofs,
@@ -10,7 +11,7 @@ from helpers import (
     poly_field,
 )
 from vemflow import quadrature as quad
-from vemflow.dofspace import build_dof_maps, face_basis, interpolate_velocity
+from vemflow.dofspace import build_dof_maps, interpolate_velocity
 from vemflow.polynomials import _index_lookup, decomp_basis, dim_poly, multi_indices
 from vemflow.projection import (
     _mass_from_integrals,
@@ -71,7 +72,7 @@ def test_face_projection_reproduces_polynomials(cube1, voronoi_cell):
             mapv, _ = build_dof_maps(mesh, k)
             rng = np.random.default_rng(5)
             for f in range(0, mesh.n_faces, max(1, mesh.n_faces // 3)):
-                fp = build_face_projections(mesh, f, k, mapv.edge_points)
+                (fp,) = build_face_projections(mesh, [f], k, mapv.edge_points)
                 npk = dim_poly(k, 2)
                 coef = rng.standard_normal(npk)
                 d = face_poly_dofs(mesh, mapv, f, fp, coef)
@@ -85,7 +86,7 @@ def test_face_projection_reproduces_polynomials(cube1, voronoi_cell):
 
 def test_face_constant_projection(cube1):
     mapv, _ = build_dof_maps(cube1, 2)
-    fp = build_face_projections(cube1, 0, 2, mapv.edge_points)
+    (fp,) = build_face_projections(cube1, [0], 2, mapv.edge_points)
     d = np.ones(fp.ndof)
     d[-1] = 1.0   # the constant's scaled moment: (1/|f|) int 1 = 1
     got = fp.l2 @ d
@@ -99,7 +100,7 @@ def test_face_l2_low_moment_preserved(cube1):
     DoF moments exactly, for any (virtual) DoF vector."""
     k = 2
     mapv, _ = build_dof_maps(cube1, k)
-    fp = build_face_projections(cube1, 0, k, mapv.edge_points)
+    (fp,) = build_face_projections(cube1, [0], k, mapv.edge_points)
     rng = np.random.default_rng(7)
     g = cube1.face_geom[0]
     phi = fp.basis.eval(fp.pts2)
@@ -196,7 +197,7 @@ def test_divergence_reconstruction_consistency(cube2, tets2, disc):
             coef = pr.div @ local_dofs(mapv, ci, d)
             flux = 0.0
             for f, s in zip(*mesh.cells[ci]):
-                _, pts3, w = quad.face_quadrature(mesh, f, 4)
+                _, (pts3,), (w,) = quad.face_quadrature(mesh, [f], 4)
                 nrm = mesh.face_geom[f].normal
                 flux += s * float(w @ (u(pts3) @ nrm))
             mean_div = flux / pr.vol
@@ -267,7 +268,7 @@ def test_face_values_match_fresh_evaluation(k, cube1, voronoi_cell):
     for mesh in (cube1, voronoi_cell):
         mapv, _ = build_dof_maps(mesh, k)
         for f in range(mesh.n_faces):
-            fp = build_face_projections(mesh, f, k, mapv.edge_points)
+            (fp,) = build_face_projections(mesh, [f], k, mapv.edge_points)
             assert np.array_equal(fp.vals, fp.basis.eval(fp.pts2))
             n_mom = dim_poly(k - 2, 2)
             assert np.array_equal(fp.vals[:, :n_mom], face_basis(mesh, f, k - 2).eval(fp.pts2))
