@@ -263,33 +263,20 @@ def interpolate_velocity(mesh: PolyMesh, mapv: DofMapV, u, div_u=None) -> np.nda
 
     _face_moments(mesh, mapv, u, np.arange(mesh.n_faces), dof)
 
-    blk = mapv.n_d4 + mapv.n_d5
+    # cell moments: against the cross basis of degree k-2 (family 4) and the
+    # monomials of degree 1..k-1 (family 5), divided by the volume
+    n4, blk = mapv.n_d4, mapv.n_d4 + mapv.n_d5
+    ns = dim_poly(k - 2, 3)
+    C = cross_coefficients(k - 2, k - 2).reshape(3, ns, n4)
     for ci in range(mesh.n_cells):
-        g = mesh.cell_geom[ci]
         rule = quad.cell_quadrature(mesh, ci, 2 * k + 2)
-        vals = u(rule.points)
+        phi = cell_basis(mesh, ci, k - 1).eval(rule.points)
+        dv = np.asarray(div_u(rule.points), dtype=float).reshape(-1)
         base = mapv.offsets["cell"] + blk * ci
-        if mapv.n_d4:
-            basis = cell_basis(mesh, ci, k - 2)
-            phi = basis.eval(rule.points)
-            C = cross_coefficients(k - 2, k - 2)
-            ns = basis.n
-            for j in range(mapv.n_d4):
-                coef = C[:, j].reshape(3, ns)
-                field = phi @ coef.T  # (npts, 3)
-                dof[base + j] = np.sum(w_dot(rule.weights, vals, field)) / g.volume
-        if mapv.n_d5:
-            basis = cell_basis(mesh, ci, k - 1)
-            phi = basis.eval(rule.points)
-            dv = np.asarray(div_u(rule.points), dtype=float).reshape(-1)
-            moms = phi.T @ (rule.weights * dv)
-            dof[base + mapv.n_d4: base + blk] = moms[1:] / g.volume
+        dof[base: base + n4] = np.einsum("q,qc,qs,csj->j", rule.weights, u(rule.points), phi[:, :ns], C)
+        dof[base + n4: base + blk] = (phi.T @ (rule.weights * dv))[1:]
+        dof[base: base + blk] /= mesh.cell_geom[ci].volume
     return dof
-
-
-def w_dot(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Weighted pointwise dot product contributions w * (a . b)."""
-    return w * np.sum(a * b, axis=1)
 
 
 def _face_moments(mesh: PolyMesh, mapv: DofMapV, u, faces: np.ndarray, dof: np.ndarray) -> None:

@@ -138,12 +138,11 @@ def local_convection(proj: CellProjections, w_loc: np.ndarray) -> tuple[np.ndarr
 
 
 def local_load(proj: CellProjections, load: Callable) -> np.ndarray:
-    """(f_h, v)_P = moments(v) . coefficients of Pi^0_k f."""
-    pk = proj.Hk.shape[0]
-    phi = proj.basis.eval(proj.rule.points)[:, :pk]
+    """(f_h, v)_P = moments(v) . Hk^-1 (f, m)_P, which is pi_0k(v) . (f, m)_P
+    since Hk is symmetric and pi_0k = Hk^-1 moments per component."""
     fvals = np.asarray(load(proj.rule.points), dtype=float).reshape(-1, 3)
-    cf = np.linalg.solve(proj.Hk, phi.T @ (proj.rule.weights[:, None] * fvals))   # (pk, 3)
-    return proj.moments.T @ cf.T.ravel()
+    return proj.pi_0k.T @ np.concatenate([proj.rule_vals.T @ (proj.rule.weights * fvals[:, c])
+                                          for c in range(3)])
 
 
 @dataclass
@@ -185,15 +184,11 @@ def classify_neumann(mesh: PolyMesh, spec: ProblemSpec) -> list[int]:
 def _check_compatibility(mesh: PolyMesh, mapv: DofMapV, gvals: np.ndarray) -> None:
     """Full-Dirichlet data must satisfy the flux compatibility
     |integral of g.n over the boundary| <= 1e-10 * |boundary|."""
-    flux = 0.0
-    area = 0.0
-    for f in np.nonzero(mesh.boundary_face)[0]:
-        g = mesh.face_geom[f]
-        sign = mesh.face_cell_signs[f, 0]
-        base = mapv.offsets["face"] + 3 * mapv.n_face_moms * f
-        flux += sign * g.area * gvals[base]      # constant normal moment
-        area += g.area
-    if abs(flux) > 1e-10 * max(1.0, area):
+    bf = np.flatnonzero(mesh.boundary_face)
+    area = mesh.face_stack.area[bf]
+    normal0 = gvals[mapv.offsets["face"] + 3 * mapv.n_face_moms * bf]    # constant normal moments
+    flux = float(np.sum(mesh.face_cell_signs[bf, 0] * area * normal0))
+    if abs(flux) > 1e-10 * max(1.0, area.sum()):
         raise ValueError(
             f"incompatible Dirichlet data: boundary flux {flux:.3e} is not zero"
         )

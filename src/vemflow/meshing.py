@@ -12,8 +12,9 @@ row per face loop position (the fan triangles about each face's vertex
 mean) and one per sub-tetrahedron {cell vertex mean, face centroid, loop
 edge}, reduced per entity.  The per-entity records `edge_geom`, `face_geom`
 and `cell_geom` view the stacked fields `face_stack` and `cell_stack`; the
-sub-tetrahedra stay on the mesh for the cell rules, and `face_groups` splits
-the faces by vertex count for the batched face kernels.
+sub-tetrahedra stay on the mesh for the cell rules.  `face_groups` splits
+the faces by vertex count and `cell_groups` the cells by face layout for the
+batched face and cell kernels.
 """
 
 from __future__ import annotations
@@ -277,6 +278,14 @@ class PolyMesh:
         sizes = self._face_loop[2][faces]
         return [faces[sizes == n] for n in np.unique(sizes)]
 
+    def cell_groups(self) -> list[np.ndarray]:
+        """Cell ids grouped by their vertex count and the vertex counts of their
+        faces in local order, which fix the local edge and DoF counts, each
+        group in index order: the unit of the batched cell kernel."""
+        keys = [(len(vs), *self._face_loop[2][fids].tolist())
+                for vs, (fids, _) in zip(self.cell_vertices, self.cells)]
+        return [np.flatnonzero([key == other for other in keys]) for key in dict.fromkeys(keys)]
+
     def face_loops(self, faces: np.ndarray) -> np.ndarray:
         """Vertex loops of faces with one vertex count, stacked to (nf, nv)."""
         loop, start, sizes, _ = self._face_loop
@@ -367,55 +376,26 @@ def mesh_from_tets(nodes: np.ndarray, tets: np.ndarray) -> PolyMesh:
 
 
 def generate_structured_cubes(n: int) -> PolyMesh:
-    """n^3 congruent cubes tiling [0,1]^3."""
+    """n^3 congruent cubes tiling [0,1]^3.  Faces are numbered by direction,
+    x- then y- then z-constant, each loop counter-clockwise seen from the
+    positive axis; cell (i, j, k) lists its +x, -x, +y, -y, +z, -z faces."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    idx = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
-    pts = np.array([
-        (i / n, j / n, k / n)
-        for i in range(n + 1) for j in range(n + 1) for k in range(n + 1)
+    g = np.arange(n + 1)
+    pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3) / n
+    v = np.arange((n + 1) ** 3).reshape(n + 1, n + 1, n + 1)
+    a, b = slice(0, n), slice(1, n + 1)
+    faces = np.concatenate([
+        np.stack([v[:, a, a], v[:, b, a], v[:, b, b], v[:, a, b]], axis=-1).reshape(-1, 4),
+        np.stack([v[a, :, a], v[a, :, b], v[b, :, b], v[b, :, a]], axis=-1).transpose(1, 0, 2, 3).reshape(-1, 4),
+        np.stack([v[a, a, :], v[b, a, :], v[b, b, :], v[a, b, :]], axis=-1).transpose(2, 0, 1, 3).reshape(-1, 4),
     ])
-    faces = []
-    fid = {}
-
-    def add_face(loop):
-        fid[loop] = len(faces)
-        faces.append(list(loop))
-
-    # x-constant faces, loop CCW seen from +x
-    for i in range(n + 1):
-        for j in range(n):
-            for k in range(n):
-                add_face((idx(i, j, k), idx(i, j + 1, k), idx(i, j + 1, k + 1), idx(i, j, k + 1)))
-    # y-constant, CCW seen from +y
-    for j in range(n + 1):
-        for i in range(n):
-            for k in range(n):
-                add_face((idx(i, j, k), idx(i, j, k + 1), idx(i + 1, j, k + 1), idx(i + 1, j, k)))
-    # z-constant, CCW seen from +z
-    for k in range(n + 1):
-        for i in range(n):
-            for j in range(n):
-                add_face((idx(i, j, k), idx(i + 1, j, k), idx(i + 1, j + 1, k), idx(i, j + 1, k)))
-
-    def xf(i, j, k):
-        return fid[(idx(i, j, k), idx(i, j + 1, k), idx(i, j + 1, k + 1), idx(i, j, k + 1))]
-
-    def yf(j, i, k):
-        return fid[(idx(i, j, k), idx(i, j, k + 1), idx(i + 1, j, k + 1), idx(i + 1, j, k))]
-
-    def zf(k, i, j):
-        return fid[(idx(i, j, k), idx(i + 1, j, k), idx(i + 1, j + 1, k), idx(i, j + 1, k))]
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                cells.append([
-                    +(xf(i + 1, j, k) + 1), -(xf(i, j, k) + 1),
-                    +(yf(j + 1, i, k) + 1), -(yf(j, i, k) + 1),
-                    +(zf(k + 1, i, j) + 1), -(zf(k, i, j) + 1),
-                ])
+    # 1-based face ids on the grid of cells (i, j, k), per direction
+    nx = (n + 1) * n * n
+    X = 1 + np.arange(nx).reshape(n + 1, n, n)
+    Y = 1 + nx + np.arange(nx).reshape(n + 1, n, n).transpose(1, 0, 2)
+    Z = 1 + 2 * nx + np.arange(nx).reshape(n + 1, n, n).transpose(1, 2, 0)
+    cells = np.stack([X[1:], -X[:-1], Y[:, 1:], -Y[:, :-1], Z[..., 1:], -Z[..., :-1]], axis=-1).reshape(-1, 6)
     return PolyMesh(pts, faces, cells)
 
 

@@ -82,15 +82,19 @@ class _MonomialBasis:
         return (np.atleast_2d(points) - self.center) / self.scale
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate all monomials at physical points -> (npts, n)."""
-        xi = self.local_coords(points)
-        maxdeg = self.degree
-        # powers[j][p] = xi_j ** p, arranged (npts, maxdeg+1)
-        pw = [np.vander(xi[:, j], maxdeg + 1, increasing=True) for j in range(self.dim_space)]
-        vals = pw[0][:, self.alphas[:, 0]]
+        """Evaluate all monomials at physical points -> (npts, n), a
+        Fortran-ordered array: the values are built one monomial row at a
+        time, which gathers and multiplies contiguous rows."""
+        xi = self.local_coords(points).T
+        # pw[p, j] = xi_j ** p by repeated multiplication, as np.vander does
+        pw = np.empty((self.degree + 1,) + xi.shape)
+        pw[0] = 1.0
+        for p in range(1, self.degree + 1):
+            np.multiply(pw[p - 1], xi, out=pw[p])
+        vals = pw[self.alphas[:, 0], 0]
         for j in range(1, self.dim_space):
-            vals = vals * pw[j][:, self.alphas[:, j]]
-        return vals
+            vals *= pw[self.alphas[:, j], j]
+        return vals.T
 
     def eval_grad(self, points: np.ndarray) -> np.ndarray:
         """Physical-coordinate gradients at points -> (npts, n, d)."""

@@ -14,9 +14,12 @@ H1-seminorm one on both faces and cells (the space definitions admit any
 computable polynomial projection there), which is cheaper to build; the
 H1-seminorm projections exist only as a test oracle.
 
-The face projections are built per group of faces with one vertex count:
-rules, basis values, DoF matrices, QR factors and the enhanced L2 solves are
-stacked arrays over the group, and each face's `FaceProjections` views them.
+The face projections are built per group of faces with one vertex count and
+the cell projections per group of cells with one face layout: rules, basis
+values, DoF matrices, factors and solves are stacked arrays over the group
+(one LAPACK call per entity, as a loop makes), which each entity's record
+views.  Only a cell's rule and monomial integrals are made cell by cell; its
+degree-k basis values at the rule (`rule_vals`) serve the load and errors.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr, solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve
 
 from . import quadrature as quad
-from .dofspace import DofMapV, cell_basis
+from .dofspace import DofMapV
 from .meshing import MeshError, PolyMesh, raise_first
 from .polynomials import (
     MonomialBasis2,
@@ -62,13 +65,26 @@ def _mass_from_integrals(ints: np.ndarray, degree: int, dim: int, rows: tuple, c
     return ints[..., _mass_index(degree, dim, rows, cols)]
 
 
-def _solve_blocks(factor, blocks: list[np.ndarray]) -> np.ndarray:
-    """Solutions for several right-hand side blocks from one Cholesky factor
-    in one call, stacked by rows in block order.  The result is C-ordered,
-    as the stacked contractions of the convection kernel expect (LAPACK
-    returns Fortran order, which would change their summation order)."""
-    X = np.ascontiguousarray(cho_solve(factor, np.hstack(blocks)))
-    return np.vstack(np.hsplit(X, len(blocks)))
+def _solve_blocks(factor, blocks: np.ndarray) -> np.ndarray:
+    """Solutions for the right-hand side blocks (n, b, m, ndof) from each
+    cell's Cholesky factor in one call, stacked by rows in block order to
+    (n, b*m, ndof).  The result is C-ordered, as the stacked contractions of
+    the convection kernel expect (LAPACK returns Fortran order, which would
+    change their summation order)."""
+    n, b, m, d = blocks.shape
+    X = cho_solve(factor, blocks.transpose(0, 2, 1, 3).reshape(n, m, b * d))
+    return np.ascontiguousarray(X.reshape(n, m, b, d).transpose(0, 2, 1, 3)).reshape(n, b * m, d)
+
+
+def _dof_projection(D: np.ndarray, ids: np.ndarray, message) -> np.ndarray:
+    """The DoF-euclidean projections (D^T D)^-1 D^T of a group stacked over a
+    leading axis, by QR; raises `LinAlgError(message(i))` for the first
+    entity i whose DoFs do not separate the polynomials."""
+    Q, R = np.linalg.qr(D)
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    raise_first(diag.min(axis=1) < 1e-12 * diag.max(axis=1), message,
+                error=np.linalg.LinAlgError, ids=ids)
+    return np.linalg.solve(R, Q.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +155,7 @@ def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
                        axis=1)
 
     # --- DoF-euclidean projection ---------------------------------------------
-    Q, R = np.linalg.qr(D)
-    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-    raise_first(diag.min(axis=1) < 1e-12 * diag.max(axis=1),
-                lambda f: f"rank-deficient DoF system on face {f}",
-                error=np.linalg.LinAlgError, ids=faces)
-    dproj = np.linalg.solve(R, Q.transpose(0, 2, 1))
+    dproj = _dof_projection(D, faces, lambda f: f"rank-deficient DoF system on face {f}")
 
     # --- enhanced L2 projection onto P_{k+1}(f) --------------------------------
     MOM = np.zeros((nf, npk1, ndof))
@@ -158,27 +169,48 @@ def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
             for i, (f, hf) in enumerate(zip(faces.tolist(), h.tolist()))]
 
 
+def _face_extractions(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray, slot: int,
+                      l2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projections `l2` (n, pi_{k+1,2}, face ndof) of local face `slot` of
+    a group of cells acting on the cell-local DoF vectors, per velocity
+    component, as local DoF columns (n, 3, m) and values (n, 3, pi_{k+1,2}, m)
+    for `_place`: l2's vertex and edge columns go to the cell's DoFs on the
+    face, its moment columns to the normal and tangential face moments, scaled
+    by the component of each direction."""
+    n = len(cells)
+    lay = mapv.layouts[cells[0]]
+    faces = np.array([mesh.cells[c][0][slot] for c in cells])
+    # local position of each face vertex and edge among the cell's
+    cv = np.array([mesh.cell_vertices[c] for c in cells])
+    ce = np.array([mesh.cell_edges[c] for c in cells])
+    fe = np.array([mesh.face_edges[f][0] for f in faces])
+    vpos = np.argmax(cv[:, :, None] == mesh.face_loops(faces)[:, None], axis=1)
+    epos = np.argmax(ce[:, :, None] == fe[:, None], axis=1)
+    vcols = np.concatenate([lay.vertex[vpos], lay.edge[epos].reshape(n, -1, 3)], axis=1)
+    nb = vcols.shape[1]
+    cols = np.concatenate([vcols.transpose(0, 2, 1),
+                           np.broadcast_to(lay.face[slot].ravel(), (n, 3, lay.face[slot].size))], axis=2)
+    fs = mesh.face_stack
+    frame = np.stack([fs.normal[faces], fs.tau1[faces], fs.tau2[faces]], axis=2)   # [n, c, d]
+    moms = l2[:, None, :, None, nb:] * frame[:, :, None, :, None]
+    return cols, np.concatenate([np.broadcast_to(l2[:, None, :, :nb], moms.shape[:3] + (nb,)),
+                                 moms.reshape(moms.shape[:3] + (-1,))], axis=3)
+
+
+def _place(cols: np.ndarray, values: np.ndarray, ndof: int) -> np.ndarray:
+    """Compact face columns `values` (n, 3, rows, m) spread over the local
+    DoF columns `cols` (n, 3, m): (n, 3, rows, ndof)."""
+    out = np.zeros(values.shape[:3] + (ndof,))
+    np.put_along_axis(out, cols[:, :, None], values, axis=3)
+    return out
+
+
 def face_extraction(mesh: PolyMesh, mapv: DofMapV, ci: int, fi_loc: int,
                     fp: FaceProjections) -> np.ndarray:
-    """The enhanced L2 projection of local face fi_loc acting on the
-    cell-local DoF vector, one slice per velocity component: shape
-    (3, pi_{k+1,2}, ndof).  The columns of fp.l2 go to the cell's vertex and
-    edge DoFs on the face; its moment columns go to the normal and tangential
-    face moments, scaled by the component of each direction."""
-    lay = mapv.layouts[ci]
-    f = mesh.cells[ci][0][fi_loc]
-    g = mesh.face_geom[f]
-    nb = len(mesh.faces[f]) * mapv.k            # vertex and edge values on the face
-    vpos = np.searchsorted(mesh.cell_vertices[ci], mesh.faces[f])
-    epos = np.searchsorted(mesh.cell_edges[ci], mesh.face_edges[f][0])
-    # (3, nb): local column of each face value, per component
-    cols = np.concatenate([lay.vertex[vpos], lay.edge[epos].reshape(-1, 3)]).T
-    out = np.zeros((3, fp.l2.shape[0], lay.ndof))
-    for c in range(3):
-        out[c][:, cols[c]] = fp.l2[:, :nb]
-    frame = np.stack([g.normal, g.tau1, g.tau2])   # frame[d, c]: component c of direction d
-    out[:, :, lay.face[fi_loc]] = fp.l2[None, :, None, nb:] * frame.T[:, None, :, None]
-    return out
+    """The enhanced L2 projection of local face fi_loc of cell ci acting on the
+    cell-local DoF vector, one slice per velocity component: (3, pi_{k+1,2}, ndof)."""
+    cols, values = _face_extractions(mesh, mapv, np.array([ci]), fi_loc, fp.l2[None])
+    return _place(cols, values, mapv.layouts[ci].ndof)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +220,8 @@ def face_extraction(mesh: PolyMesh, mapv: DofMapV, ci: int, fi_loc: int,
 
 @dataclass
 class CellProjections:
-    """Per-cell projector and moment matrices acting on the local DoF vector."""
+    """Per-cell projector and moment matrices acting on the local DoF vector.
+    The matrices are views into the stacked arrays of the cell's group."""
 
     c: int
     k: int
@@ -203,173 +236,183 @@ class CellProjections:
     div: np.ndarray              # (pi_{k-1,3}, ndof) coefficients of div v
     D: np.ndarray                # (ndof, 3 pi_{k,3}) DoF values of vector monomials
     pi_d: np.ndarray             # (3 pi_{k,3}, ndof) DoF-euclidean projection
-    moments: np.ndarray          # (3 pi_{k,3}, ndof) interior moments
     pi_0k: np.ndarray            # (3 pi_{k,3}, ndof) L2 projection coefficients
     pi_0grad: np.ndarray         # (9 pi_{k-1,3}, ndof), row (3i+j)*pq+b: (grad v)_ij
-    consistency: np.ndarray      # (ndof, ndof) integral of projected strains
     sigma: np.ndarray            # D-recipe stabilization weights
+    rule_vals: np.ndarray        # (n rule points, pi_{k,3}) degree k basis values at the rule
+
+    @property
+    def moments(self) -> np.ndarray:
+        """(3 pi_{k,3}, ndof) interior moments, Hk pi_0k per component."""
+        pk = self.Hk.shape[0]
+        return (self.Hk @ self.pi_0k.reshape(3, pk, -1)).reshape(3 * pk, -1)
 
     @property
     def pi_d_dof(self) -> np.ndarray:
         return self.D @ self.pi_d
+
+    @property
+    def consistency(self) -> np.ndarray:
+        """(ndof, ndof) integral of the projected strains, eps^T Hq eps summed
+        over the strain components; formed when read (once per assembly)."""
+        cons = np.zeros((self.ndof, self.ndof))
+        for e in _strains(self.pi_0grad[None])[0]:
+            cons += e.T @ self.Hq @ e
+        return cons
 
     def grad_coeff(self, comp: int, deriv: int) -> np.ndarray:
         pq = self.Hq.shape[0]
         return self.pi_0grad[(3 * comp + deriv) * pq: (3 * comp + deriv + 1) * pq, :]
 
 
-def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, ci: int,
-                          faceprojs: dict[int, FaceProjections]) -> CellProjections:
-    k = mapv.k
-    lay = mapv.layouts[ci]
-    geom = mesh.cell_geom[ci]
-    h, vol = geom.h, geom.volume
-    basis = cell_basis(mesh, ci, k + 1)
-    pk = dim_poly(k, 3)
-    pq = dim_poly(k - 1, 3)
+def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
+                          faceprojs: dict[int, FaceProjections]) -> list[CellProjections]:
+    """The projections of a group of cells with one face layout (see
+    `PolyMesh.cell_groups`), built as stacked arrays over the group.  Only
+    the cell rules and the monomial integrals are made cell by cell."""
+    cells = np.asarray(cells, dtype=int)
+    n, k = len(cells), mapv.k
+    lay = mapv.layouts[cells[0]]
     ndof = lay.ndof
-    fids, signs = mesh.cells[ci]
+    cs, fs = mesh.cell_stack, mesh.face_stack
+    h, vol, xb = cs.h[cells], cs.volume[cells], cs.barycenter[cells]
+    fids = np.array([mesh.cells[c][0] for c in cells])
+    signs = np.array([mesh.cells[c][1] for c in cells])
+    pk, pq = dim_poly(k, 3), dim_poly(k - 1, 3)
+    a_k, a_q = multi_indices(k, 3), multi_indices(k - 1, 3)
     dec = decomp_basis(k)
+    gsl, losl, hisl = dec.slices
 
     # the monomial integrals go to the rule's degree: the convective form
-    # contracts them as triple products of degree 3k-1
+    # contracts them as triple products of degree 3k-1; the leading pi_k
+    # columns of the same evaluation are kept for the load and the errors
     deg = cell_rule_exactness(k)
-    rule = quad.cell_quadrature(mesh, ci, deg)
-    ints = MonomialBasis3(deg, geom.barycenter, h).eval(rule.points).T @ rule.weights
-    a_k = multi_indices(k, 3)
-    a_q = multi_indices(k - 1, 3)
-    a_k1 = multi_indices(k + 1, 3)
+    unit = MonomialBasis3(deg, np.zeros(3), 1.0)       # on points scaled by h_P
+    rules, ints, rule_vals = [], [], []
+    for c, xc, hc in zip(cells.tolist(), xb, h.tolist()):
+        rule = quad.cell_quadrature(mesh, c, deg)
+        phi = unit.eval((rule.points - xc) / hc)
+        rules.append(rule)
+        ints.append(phi.T @ rule.weights)
+        rule_vals.append(phi[:, :pk].copy())
+    ints = np.array(ints)
     Hk = _mass_from_integrals(ints, deg, 3, a_k, a_k)
-    Hq = Hk[:pq, :pq]
+    Hq = Hk[:, :pq, :pq]
     # Hq is the leading block of Hk, so its Cholesky factor is the leading
     # block of Hk's: one factorisation serves both mass matrices
     chol_k = cho_factor(Hk)
-    chol_q = (chol_k[0][:pq, :pq], chol_k[1])
-
-    # deg k+1 monomial values at the face quadrature points, reused across
-    # all the moment systems
-    phi3f = [basis.eval(faceprojs[f].pts3) for f in fids]
-
-    # --- DoF values of the 3 pi_k vector monomials -----------------------------
-    D = np.zeros((ndof, 3 * pk))
-    vert_vals = basis.eval(mesh.vertices[mesh.cell_vertices[ci]])[:, :pk]
-    edge_vals = basis.eval(mapv.edge_points[mesh.cell_edges[ci]].reshape(-1, 3))[:, :pk]
-    for c in range(3):
-        D[lay.vertex[:, c], c * pk: (c + 1) * pk] = vert_vals
-        D[lay.edge[:, :, c].reshape(-1), c * pk: (c + 1) * pk] = edge_vals
-    for fi_loc, f in enumerate(fids):
-        fp = faceprojs[f]
-        g = mesh.face_geom[f]
-        phi2f = fp.vals[:, :mapv.n_face_moms]
-        mom = np.einsum("q,qm,qs->ms", fp.w, phi2f, phi3f[fi_loc][:, :pk]) / g.area
-        for d, direction in enumerate((g.normal, g.tau1, g.tau2)):
-            for c in range(3):
-                D[lay.face[fi_loc, d, :], c * pk: (c + 1) * pk] += direction[c] * mom
-    gsl, losl, hisl = dec.slices
-    if mapv.n_d4:
-        Clo = dec.T[:, losl]
-        for c in range(3):
-            D[lay.d4, c * pk: (c + 1) * pk] += Clo[c * pk: (c + 1) * pk, :].T @ Hk / vol
-    Dm = basis.deriv_matrices()
-    if mapv.n_d5:
-        Hq_k1 = _mass_from_integrals(ints, deg, 3, a_q, a_k1)
-        for c in range(3):
-            dcoef = Dm[c][:, :pk] / h    # div of m e_c, coefficients over deg k+1
-            D[lay.d5, c * pk: (c + 1) * pk] = (Hq_k1 @ dcoef)[1:, :] / vol
-
-    Q, R = qr(D, mode="economic")
-    if np.min(np.abs(np.diag(R))) < 1e-12 * np.max(np.abs(np.diag(R))):
-        raise np.linalg.LinAlgError(
-            f"DoF set does not separate [P_{k}]^3 on cell {ci} (geometry degeneracy)"
-        )
-    pi_d = solve_triangular(R, Q.T)
+    chol_q = (chol_k[0][:, :pq, :pq], chol_k[1])
 
     # --- divergence reconstruction ---------------------------------------------
-    rhs = np.zeros((pq, ndof))
-    for fi_loc, f in enumerate(fids):
-        rhs[0, lay.face[fi_loc, 0, 0]] += signs[fi_loc] * mesh.face_geom[f].area
-    if mapv.n_d5:
-        rhs[1:, lay.d5] = vol * np.eye(mapv.n_d5)
-    div = _solve_blocks(chol_q, [rhs])
+    rhs = np.zeros((n, pq, ndof))
+    rhs[:, 0, lay.face[:, 0, 0]] = signs * fs.area[fids]
+    rhs[:, 1:, lay.d5] = vol[:, None, None] * np.eye(mapv.n_d5)
+    div = _solve_blocks(chol_q, rhs[:, None])
 
-    # --- projected traces at the face quadrature points ------------------------
-    # FT[fi_loc][c]: (nq_f, ndof) values of the projected component-c trace
-    FT = []
-    FTn = []
-    for fi_loc, f in enumerate(fids):
-        fp = faceprojs[f]
-        trace = fp.vals @ face_extraction(mesh, mapv, ci, fi_loc, fp)
-        FT.append(trace)
-        nrm = mesh.face_geom[f].normal
-        FTn.append(nrm[0] * trace[0] + nrm[1] * trace[1] + nrm[2] * trace[2])
+    # --- basis values at the vertices, the edge points and the face points of
+    # every local face slot, in one evaluation; phi[i] (n, points, basis) views
+    # the values at one kind of point --------------------------------------------
+    unit = MonomialBasis3(k + 1, np.zeros(3), 1.0)
+    cv = np.array([mesh.cell_vertices[c] for c in cells])
+    ce = np.array([mesh.cell_edges[c] for c in cells])
+    slots = [[faceprojs[f] for f in faces] for faces in fids.T.tolist()]
+    pts = [mesh.vertices[cv], mapv.edge_points[ce].reshape(n, len(ce[0]) * (k - 1), 3)]
+    pts += [np.array([fp.pts3 for fp in fps]) for fps in slots]
+    vals = unit.eval(np.concatenate([((p - xb[:, None]) / h[:, None, None]).reshape(-1, 3) for p in pts])).T
+    phi = [v.reshape(unit.n, n, -1).transpose(1, 2, 0)
+           for v in np.split(vals, np.cumsum([p.shape[0] * p.shape[1] for p in pts[:-1]]), axis=1)]
+
+    # --- DoF values of the 3 pi_k vector monomials ------------------------------
+    D = np.zeros((n, ndof, 3 * pk))
+    Dm = unit.deriv_matrices()
+    Hq_k1 = _mass_from_integrals(ints, deg, 3, a_q, multi_indices(k + 1, 3))
+    for c in range(3):
+        cols = slice(c * pk, (c + 1) * pk)
+        D[:, lay.vertex[:, c], cols] = phi[0][..., :pk]
+        D[:, lay.edge[:, :, c].ravel(), cols] = phi[1][..., :pk]
+        if mapv.n_d4:
+            D[:, lay.d4, cols] = dec.T[cols, losl].T @ Hk / vol[:, None, None]
+        if mapv.n_d5:   # div of m e_c, coefficients over deg k+1
+            D[:, lay.d5, cols] = (Hq_k1 @ (Dm[c][:, :pk] / h[:, None, None]))[:, 1:] / vol[:, None, None]
+
+    # --- per local face slot: the face moment rows of D, and the moments of
+    # the projected traces against the cell basis for the gradient terms -------
+    sn = signs[..., None] * fs.normal[fids]                  # signed normals
+    srcidx = [unit.index_of(s) for s in dec.grad_sources]
+    grad_rows = np.zeros((n, dec.n_grad, ndof))
+    vterms = np.zeros((n, 3, 3, pq, ndof))                    # [i, j]: (grad v)_ij against P_{k-1}
+    for slot, (fps, phif) in enumerate(zip(slots, phi[2:])):
+        w, fvals, l2 = (np.array([getattr(fp, a) for fp in fps]) for a in ("w", "vals", "l2"))
+        f = fids[:, slot]
+        frame = np.stack([fs.normal[f], fs.tau1[f], fs.tau2[f]], axis=1)  # [n, d, c]
+        mom = np.einsum("nq,nqm,nqs->nms", w, fvals[..., :mapv.n_face_moms], phif[..., :pk])
+        D[:, lay.face[slot].ravel()] = np.einsum(
+            "ndc,nms->ndmcs", frame, mom / fs.area[f, None, None]).reshape(n, -1, 3 * pk)
+        # the trace values at the face points first, then their moments; the
+        # other orders lose up to 75 times more to round-off at k = 4
+        cols, ext = _face_extractions(mesh, mapv, cells, slot, l2)
+        phiw = (phif * w[..., None]).transpose(0, 2, 1)
+        traces = _place(cols, phiw[:, None] @ (fvals[:, None] @ ext), ndof)   # (n, 3, pi_{k+1,3}, ndof)
+        grad_rows += h[:, None, None] * np.einsum("nc,ncad->nad", sn[:, slot], traces[:, :, srcidx])
+        vterms += sn[:, slot, None, :, None, None] * traces[:, :, None, :pq]
+    del vals, phi, phif, traces
+    pi_d = _dof_projection(D, cells, lambda c: f"DoF set does not separate [P_{k}]^3 on cell {c} "
+                                               "(geometry degeneracy)")
 
     # --- interior moments via the adapted decomposition of [P_k]^3 -------------
-    adapted = np.zeros((3 * pk, ndof))
-    srcidx = [basis.index_of(s) for s in dec.grad_sources]
-    Hgq = _mass_from_integrals(ints, deg, 3, dec.grad_sources, a_q)
-    grad_rows = -h * (Hgq @ div)
-    for fi_loc, f in enumerate(fids):
-        fp = faceprojs[f]
-        phi_s = phi3f[fi_loc][:, srcidx]
-        grad_rows += h * signs[fi_loc] * (phi_s * fp.w[:, None]).T @ FTn[fi_loc]
-    adapted[gsl, :] = grad_rows
+    adapted = np.zeros((n, 3 * pk, ndof))
+    adapted[:, gsl] = grad_rows - h[:, None, None] * (
+        _mass_from_integrals(ints, deg, 3, dec.grad_sources, a_q) @ div)
     if dec.n_cross_low:
-        adapted[losl, lay.d4] = vol * np.eye(dec.n_cross_low)
+        adapted[:, losl, lay.d4] = vol[:, None, None] * np.eye(dec.n_cross_low)
     if dec.n_cross_high:
-        Chi = dec.T[:, hisl]
-        acc = np.zeros((dec.n_cross_high, ndof))
-        for c in range(3):
-            acc += Chi[c * pk: (c + 1) * pk, :].T @ Hk @ pi_d[c * pk: (c + 1) * pk, :]
-        adapted[hisl, :] = acc
+        Chi = dec.T[:, hisl].reshape(3, pk, -1).transpose(0, 2, 1)      # [c]: (n_hi, pk)
+        adapted[:, hisl] = (Chi @ Hk[:, None] @ pi_d.reshape(n, 3, pk, ndof)).sum(axis=1)
     moments = dec.Tinv_T @ adapted
 
-    # --- L2 projection onto [P_k]^3 ---------------------------------------------
-    pi_0k = _solve_blocks(chol_k, np.vsplit(moments, 3))
+    # --- L2 projections onto [P_k]^3 and of the gradient onto [P_{k-1}]^{3x3} ---
+    pi_0k = _solve_blocks(chol_k, moments.reshape(n, 3, pk, ndof))
+    DT = np.stack([Dm[j][:pk, :pq].T for j in range(3)])                # [j]: (pq, pk)
+    vterms -= DT @ moments.reshape(n, 3, 1, pk, ndof) / h[:, None, None, None, None]
+    pi_0grad = _solve_blocks(chol_q, vterms.reshape(n, 9, pq, ndof))
 
-    # --- L2 projection of the gradient onto [P_{k-1}]^{3x3} ---------------------
-    Dk = [Dm[j][:pk, :pk] for j in range(3)]
-    vterms = []                     # row-block order (3i+j): (grad v)_ij
-    for i in range(3):
-        Mi = moments[i * pk: (i + 1) * pk, :]
-        vterm = [-(Dk[j][:, :pq].T @ Mi) / h for j in range(3)]
-        for fi_loc, f in enumerate(fids):
-            fp = faceprojs[f]
-            phiq_w = (phi3f[fi_loc][:, :pq] * fp.w[:, None]).T @ FT[fi_loc][i]
-            nrm = mesh.face_geom[f].normal
-            for j in range(3):
-                vterm[j] += signs[fi_loc] * nrm[j] * phiq_w
-        vterms += vterm
-    pi_0grad = _solve_blocks(chol_q, vterms)
+    # D-recipe weights: the diagonal of the consistency matrix
+    eps = _strains(pi_0grad)
+    sigma = np.maximum(h[:, None], np.einsum("nsad,nsad->nd", eps, Hq[:, None] @ eps))
+    return [CellProjections(
+        c=c, k=k, ndof=ndof, h=hc, vol=vc, basis=MonomialBasis3(k + 1, xc, hc), rule=rules[i],
+        mono_int=ints[i], Hq=Hq[i], Hk=Hk[i], div=div[i], D=D[i], pi_d=pi_d[i],
+        pi_0k=pi_0k[i], pi_0grad=pi_0grad[i], sigma=sigma[i], rule_vals=rule_vals[i],
+    ) for i, (c, hc, vc, xc) in enumerate(zip(cells.tolist(), h.tolist(), vol.tolist(), xb))]
 
-    # --- consistency part of the viscous form (symmetric-gradient pairing) ------
-    cons = np.zeros((ndof, ndof))
-    for i in range(3):
-        for j in range(3):
-            gij = pi_0grad[(3 * i + j) * pq: (3 * i + j + 1) * pq, :]
-            gji = pi_0grad[(3 * j + i) * pq: (3 * j + i + 1) * pq, :]
-            eij = 0.5 * (gij + gji)
-            cons += eij.T @ Hq @ eij
-    sigma = np.maximum(h, np.diag(cons))
 
-    return CellProjections(
-        c=ci, k=k, ndof=ndof, h=h, vol=vol, basis=basis, rule=rule,
-        mono_int=ints, Hq=Hq, Hk=Hk, div=div, D=D, pi_d=pi_d, moments=moments,
-        pi_0k=pi_0k, pi_0grad=pi_0grad,
-        consistency=cons, sigma=sigma,
-    )
+def _strains(pi_0grad: np.ndarray) -> np.ndarray:
+    """The symmetric-gradient coefficients (n, 9, pi_{k-1,3}, ndof) from the
+    stacked projected gradients (n, 9 pi_{k-1,3}, ndof)."""
+    g = pi_0grad.reshape(len(pi_0grad), 3, 3, -1, pi_0grad.shape[-1])
+    return (0.5 * (g + g.transpose(0, 2, 1, 3, 4))).reshape(len(g), 9, -1, g.shape[-1])
+
+
+def _by_group(groups: list[np.ndarray], kernel) -> dict:
+    """kernel(ids) for each group of entity ids, keyed by id; the error raised
+    is that of the lowest offending id of the mesh, not of the first group."""
+    out, failed = {}, []
+    for ids in groups:
+        try:
+            out.update(zip(ids.tolist(), kernel(ids)))
+        except (np.linalg.LinAlgError, MeshError) as exc:
+            failed.append(exc)
+    if failed:
+        raise min(failed, key=lambda exc: getattr(exc, "entity", -1))
+    return out
 
 
 def build_projections(mesh: PolyMesh, mapv: DofMapV) -> tuple[list[CellProjections], dict[int, FaceProjections]]:
-    """All face and cell projection operators for the mesh, the faces by one
-    `build_face_projections` call per group of equal vertex count."""
-    faceprojs, failed = {}, []
-    for faces in mesh.face_groups():
-        try:
-            faceprojs.update(zip(faces.tolist(),
-                                 build_face_projections(mesh, faces, mapv.k, mapv.edge_points)))
-        except (np.linalg.LinAlgError, MeshError) as exc:
-            failed.append(exc)
-    if failed:   # the first offending face of the mesh, not of the first group
-        raise min(failed, key=lambda exc: exc.entity)
-    cells = [build_cell_projection(mesh, mapv, ci, faceprojs) for ci in range(mesh.n_cells)]
-    return cells, faceprojs
+    """All face and cell projection operators for the mesh: one
+    `build_face_projections` call per group of faces of equal vertex count,
+    then one `build_cell_projection` call per group of cells of one face
+    layout."""
+    faceprojs = _by_group(mesh.face_groups(),
+                          lambda faces: build_face_projections(mesh, faces, mapv.k, mapv.edge_points))
+    cells = _by_group(mesh.cell_groups(), lambda ids: build_cell_projection(mesh, mapv, ids, faceprojs))
+    return [cells[c] for c in range(mesh.n_cells)], faceprojs

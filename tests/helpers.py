@@ -8,9 +8,9 @@ not use (it takes the DoF-euclidean one), live here as reproduction oracles,
 next to the simple reference versions of the package's fast paths and the
 full-system Stokes and Newton solves that the reduced-pair production solve
 is checked against.  The per-entity loops that the batched geometry, face
-rule, face projection, boundary interpolation and case-field kernels
-replaced are kept here as their oracles, with the helpers that only tests
-call.
+rule, face projection, cell projection, boundary interpolation and
+case-field kernels replaced are kept here as their oracles, with the helpers
+that only tests call.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.linalg import qr, solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, qr, solve, solve_triangular
 
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -27,18 +27,26 @@ import sympy
 
 from vemflow import cases
 from vemflow import quadrature as quad
-from vemflow.dofspace import _as_field, edge_point_params, interpolate_boundary
+from vemflow.dofspace import _as_field, cell_basis, edge_point_params, interpolate_boundary
 from vemflow.flow import DIVERGENCE_GROWTH, FlowSolution, NSOptions, SolverError, solve_stokes
 from vemflow.forms import GlobalSystem, assemble, assemble_convection, local_a, local_b, local_load
 from vemflow.meshing import CellGeom, EdgeGeom, FaceGeom, MeshError, PolyMesh
 from vemflow.polynomials import (
     MonomialBasis2,
+    MonomialBasis3,
     _index_lookup,
     cross_coefficients,
+    decomp_basis,
     dim_poly,
     multi_indices,
 )
-from vemflow.projection import FaceProjections, _mass_from_integrals
+from vemflow.projection import (
+    CellProjections,
+    FaceProjections,
+    _mass_from_integrals,
+    cell_rule_exactness,
+    face_extraction,
+)
 
 
 def cube_monomial_integral(a: int, b: int, c: int) -> float:
@@ -188,9 +196,9 @@ def convection_oracle_scatter(mapv, projs, u: np.ndarray) -> tuple[np.ndarray, n
 
 def local_load_loop(proj, load) -> np.ndarray:
     """(f_h, v)_P with one Hk solve per load component: the reference for the
-    stacked solve in `forms.local_load`."""
+    solve-free contraction with pi_0k in `forms.local_load`."""
     pk = proj.Hk.shape[0]
-    phi = proj.basis.eval(proj.rule.points)[:, :pk]
+    phi = proj.rule_vals
     fvals = np.asarray(load(proj.rule.points), dtype=float).reshape(-1, 3)
     rhs = np.zeros(proj.ndof)
     for c in range(3):
@@ -320,6 +328,159 @@ def cell_h1_projection(mesh, mapv, proj, faceprojs) -> np.ndarray:
                 row[lay.face[fi_loc, d, 0]] += direction[c] * g.area
         Bnab[c * pk, :] = row / area_tot
     return solve(Gnab, Bnab)
+
+
+def _solve_blocks_loop(factor, blocks: list[np.ndarray]) -> np.ndarray:
+    """Solutions for several right-hand side blocks from one Cholesky factor
+    in one call, stacked by rows in block order.  The result is C-ordered,
+    as the stacked contractions of the convection kernel expect (LAPACK
+    returns Fortran order, which would change their summation order)."""
+    X = np.ascontiguousarray(cho_solve(factor, np.hstack(blocks)))
+    return np.vstack(np.hsplit(X, len(blocks)))
+
+
+def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjections:
+    """The projections of one cell, built alone with one basis evaluation and
+    one face extraction per face: the reference for the group kernel
+    `projection.build_cell_projection`."""
+    k = mapv.k
+    lay = mapv.layouts[ci]
+    geom = mesh.cell_geom[ci]
+    h, vol = geom.h, geom.volume
+    basis = cell_basis(mesh, ci, k + 1)
+    pk = dim_poly(k, 3)
+    pq = dim_poly(k - 1, 3)
+    ndof = lay.ndof
+    fids, signs = mesh.cells[ci]
+    dec = decomp_basis(k)
+
+    # the monomial integrals go to the rule's degree: the convective form
+    # contracts them as triple products of degree 3k-1
+    deg = cell_rule_exactness(k)
+    rule = quad.cell_quadrature(mesh, ci, deg)
+    phi_rule = MonomialBasis3(deg, geom.barycenter, h).eval(rule.points)
+    ints = phi_rule.T @ rule.weights
+    a_k = multi_indices(k, 3)
+    a_q = multi_indices(k - 1, 3)
+    a_k1 = multi_indices(k + 1, 3)
+    Hk = _mass_from_integrals(ints, deg, 3, a_k, a_k)
+    Hq = Hk[:pq, :pq]
+    # Hq is the leading block of Hk, so its Cholesky factor is the leading
+    # block of Hk's: one factorisation serves both mass matrices
+    chol_k = cho_factor(Hk)
+    chol_q = (chol_k[0][:pq, :pq], chol_k[1])
+
+    # deg k+1 monomial values at the face quadrature points, reused across
+    # all the moment systems
+    phi3f = [basis.eval(faceprojs[f].pts3) for f in fids]
+
+    # --- DoF values of the 3 pi_k vector monomials -----------------------------
+    D = np.zeros((ndof, 3 * pk))
+    vert_vals = basis.eval(mesh.vertices[mesh.cell_vertices[ci]])[:, :pk]
+    edge_vals = basis.eval(mapv.edge_points[mesh.cell_edges[ci]].reshape(-1, 3))[:, :pk]
+    for c in range(3):
+        D[lay.vertex[:, c], c * pk: (c + 1) * pk] = vert_vals
+        D[lay.edge[:, :, c].reshape(-1), c * pk: (c + 1) * pk] = edge_vals
+    for fi_loc, f in enumerate(fids):
+        fp = faceprojs[f]
+        g = mesh.face_geom[f]
+        phi2f = fp.vals[:, :mapv.n_face_moms]
+        mom = np.einsum("q,qm,qs->ms", fp.w, phi2f, phi3f[fi_loc][:, :pk]) / g.area
+        for d, direction in enumerate((g.normal, g.tau1, g.tau2)):
+            for c in range(3):
+                D[lay.face[fi_loc, d, :], c * pk: (c + 1) * pk] += direction[c] * mom
+    gsl, losl, hisl = dec.slices
+    if mapv.n_d4:
+        Clo = dec.T[:, losl]
+        for c in range(3):
+            D[lay.d4, c * pk: (c + 1) * pk] += Clo[c * pk: (c + 1) * pk, :].T @ Hk / vol
+    Dm = basis.deriv_matrices()
+    if mapv.n_d5:
+        Hq_k1 = _mass_from_integrals(ints, deg, 3, a_q, a_k1)
+        for c in range(3):
+            dcoef = Dm[c][:, :pk] / h    # div of m e_c, coefficients over deg k+1
+            D[lay.d5, c * pk: (c + 1) * pk] = (Hq_k1 @ dcoef)[1:, :] / vol
+
+    Q, R = qr(D, mode="economic")
+    if np.min(np.abs(np.diag(R))) < 1e-12 * np.max(np.abs(np.diag(R))):
+        raise np.linalg.LinAlgError(
+            f"DoF set does not separate [P_{k}]^3 on cell {ci} (geometry degeneracy)"
+        )
+    pi_d = solve_triangular(R, Q.T)
+
+    # --- divergence reconstruction ---------------------------------------------
+    rhs = np.zeros((pq, ndof))
+    for fi_loc, f in enumerate(fids):
+        rhs[0, lay.face[fi_loc, 0, 0]] += signs[fi_loc] * mesh.face_geom[f].area
+    if mapv.n_d5:
+        rhs[1:, lay.d5] = vol * np.eye(mapv.n_d5)
+    div = _solve_blocks_loop(chol_q, [rhs])
+
+    # --- projected traces at the face quadrature points ------------------------
+    # FT[fi_loc][c]: (nq_f, ndof) values of the projected component-c trace
+    FT = []
+    FTn = []
+    for fi_loc, f in enumerate(fids):
+        fp = faceprojs[f]
+        trace = fp.vals @ face_extraction(mesh, mapv, ci, fi_loc, fp)
+        FT.append(trace)
+        nrm = mesh.face_geom[f].normal
+        FTn.append(nrm[0] * trace[0] + nrm[1] * trace[1] + nrm[2] * trace[2])
+
+    # --- interior moments via the adapted decomposition of [P_k]^3 -------------
+    adapted = np.zeros((3 * pk, ndof))
+    srcidx = [basis.index_of(s) for s in dec.grad_sources]
+    Hgq = _mass_from_integrals(ints, deg, 3, dec.grad_sources, a_q)
+    grad_rows = -h * (Hgq @ div)
+    for fi_loc, f in enumerate(fids):
+        fp = faceprojs[f]
+        phi_s = phi3f[fi_loc][:, srcidx]
+        grad_rows += h * signs[fi_loc] * (phi_s * fp.w[:, None]).T @ FTn[fi_loc]
+    adapted[gsl, :] = grad_rows
+    if dec.n_cross_low:
+        adapted[losl, lay.d4] = vol * np.eye(dec.n_cross_low)
+    if dec.n_cross_high:
+        Chi = dec.T[:, hisl]
+        acc = np.zeros((dec.n_cross_high, ndof))
+        for c in range(3):
+            acc += Chi[c * pk: (c + 1) * pk, :].T @ Hk @ pi_d[c * pk: (c + 1) * pk, :]
+        adapted[hisl, :] = acc
+    moments = dec.Tinv_T @ adapted
+
+    # --- L2 projection onto [P_k]^3 ---------------------------------------------
+    pi_0k = _solve_blocks_loop(chol_k, np.vsplit(moments, 3))
+
+    # --- L2 projection of the gradient onto [P_{k-1}]^{3x3} ---------------------
+    Dk = [Dm[j][:pk, :pk] for j in range(3)]
+    vterms = []                     # row-block order (3i+j): (grad v)_ij
+    for i in range(3):
+        Mi = moments[i * pk: (i + 1) * pk, :]
+        vterm = [-(Dk[j][:, :pq].T @ Mi) / h for j in range(3)]
+        for fi_loc, f in enumerate(fids):
+            fp = faceprojs[f]
+            phiq_w = (phi3f[fi_loc][:, :pq] * fp.w[:, None]).T @ FT[fi_loc][i]
+            nrm = mesh.face_geom[f].normal
+            for j in range(3):
+                vterm[j] += signs[fi_loc] * nrm[j] * phiq_w
+        vterms += vterm
+    pi_0grad = _solve_blocks_loop(chol_q, vterms)
+
+    # --- consistency part of the viscous form (symmetric-gradient pairing) ------
+    cons = np.zeros((ndof, ndof))
+    for i in range(3):
+        for j in range(3):
+            gij = pi_0grad[(3 * i + j) * pq: (3 * i + j + 1) * pq, :]
+            gji = pi_0grad[(3 * j + i) * pq: (3 * j + i + 1) * pq, :]
+            eij = 0.5 * (gij + gji)
+            cons += eij.T @ Hq @ eij
+    sigma = np.maximum(h, np.diag(cons))
+
+    return CellProjections(
+        c=ci, k=k, ndof=ndof, h=h, vol=vol, basis=basis, rule=rule,
+        mono_int=ints, Hq=Hq, Hk=Hk, div=div, D=D, pi_d=pi_d,
+        pi_0k=pi_0k, pi_0grad=pi_0grad,
+        sigma=sigma, rule_vals=phi_rule[:, :pk].copy(),
+    )
 
 
 def face_extraction_loop(mesh, mapv, ci: int, fi_loc: int, comp: int) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""The batched geometry, face-rule, face-projection, boundary-interpolation
-and case-field kernels against the per-entity loops of helpers.py, on
-jittered tetrahedra, cubes, a distorted hexahedron, a truncated octahedron
-and a mesh mixing hexahedra and pyramids, at k = 2, 3, 4.  The bounds were
-fixed before the first run: geometry, rules and basis values 1e-14
-relative, dproj 1e-12, l2 1e-9, and the Stokes solutions from either set
-of face projections 1e-9."""
+"""The batched geometry, face-rule, face-projection, cell-projection,
+boundary-interpolation and case-field kernels against the per-entity loops
+of helpers.py, on jittered tetrahedra, cubes, a distorted hexahedron, a
+truncated octahedron and a mesh mixing hexahedra and pyramids, at
+k = 2, 3, 4.  The bounds were fixed before the first run: geometry, rules
+and basis values 1e-14 relative, dproj 1e-12, l2 1e-9, every cell
+projection array 1e-10 relative to its largest entry, and the Stokes and
+Navier-Stokes solutions from either set of projections 1e-9."""
 
 from functools import lru_cache
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    cell_projection_loop,
     cell_quadrature_loop,
     cube_and_pyramids,
     extract_cells,
@@ -23,10 +25,11 @@ from helpers import (
 )
 from vemflow import polynomials, projection
 from vemflow import quadrature as quad
+from vemflow.bench import error_h1_velocity, error_l2_pressure
 from vemflow.cases import CASE_NAMES, make_case, x_plane_neumann
 from vemflow.derham import check_divfree
 from vemflow.dofspace import build_dof_maps
-from vemflow.flow import solve_stokes
+from vemflow.flow import NSOptions, solve_navier_stokes, solve_stokes
 from vemflow.forms import ProblemSpec, assemble
 from vemflow.meshing import (
     generate_structured_cubes,
@@ -122,7 +125,8 @@ def test_stokes_from_loop_face_projections(name, k):
     maps, projs, fps = _disc(name, k)
     mapv = maps[0]
     fps_loop = {f: face_projections_loop(mesh, f, k, mapv.edge_points) for f in range(mesh.n_faces)}
-    projs_loop = [build_cell_projection(mesh, mapv, c, fps_loop) for c in range(mesh.n_cells)]
+    projs_loop = sorted((pr for cells in mesh.cell_groups()
+                         for pr in build_cell_projection(mesh, mapv, cells, fps_loop)), key=lambda pr: pr.c)
     case = make_case("ex3-p1", k=k)
     spec = ProblemSpec(nu=1.0, load=case.load, dirichlet=case.velocity, k=k)
     sols = [solve_stokes(assemble(mesh, maps, spec, pr, fp_set))
@@ -131,6 +135,88 @@ def test_stokes_from_loop_face_projections(name, k):
     assert _rel(sols[0].p, sols[1].p) <= 1e-9
     for sol, pr in zip(sols, (projs, projs_loop)):
         assert check_divfree(sol.u, mesh, mapv, pr) <= 1e-9
+
+
+CELL_FIELDS = ("mono_int", "Hk", "div", "D", "pi_d", "moments", "pi_0k", "pi_0grad",
+               "consistency", "sigma", "rule_vals")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", MESHES)
+def test_cell_projections_match_loop(name, k):
+    mesh = _mesh(name)
+    (mapv, _), projs, fps = _disc(name, k)
+    for c, pr in enumerate(projs):
+        ref = cell_projection_loop(mesh, mapv, c, fps)
+        assert (pr.c, pr.ndof, pr.h, pr.vol) == (ref.c, ref.ndof, ref.h, ref.vol)
+        assert _rel(pr.rule.points, ref.rule.points) == 0.0
+        for field in CELL_FIELDS:
+            assert _rel(getattr(pr, field), getattr(ref, field)) <= 1e-10, (c, field)
+
+
+def test_rule_vals_are_the_basis_at_the_rule():
+    _, projs, _ = _disc("mixed", 3)
+    for pr in projs:
+        assert np.array_equal(pr.rule_vals, pr.basis.eval(pr.rule.points)[:, :pr.Hk.shape[0]])
+
+
+@pytest.mark.parametrize("name", ["cubes2", "mixed", *[n for n in MESHES if n.startswith("tets")]])
+def test_cell_groups_partition_the_cells(name):
+    mesh = _mesh(name)
+    groups = mesh.cell_groups()
+    assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(mesh.n_cells))
+    for cells in groups:
+        assert np.all(np.diff(cells) > 0)
+        layouts = {tuple(len(mesh.faces[f]) for f in mesh.cells[c][0]) for c in cells}
+        assert len(layouts) == 1
+    assert len(groups) == (2 if name == "mixed" else 1)
+    assert len(generate_tetra_mesh(2, jitter=0.2, seed=1).cell_groups()) == 1
+
+
+def _solutions_agree(mesh, mapv, sols, projs_pair):
+    assert _rel(sols[0].u, sols[1].u) <= 1e-9
+    assert _rel(sols[0].p, sols[1].p) <= 1e-9
+    for sol, pr in zip(sols, projs_pair):
+        assert check_divfree(sol.u, mesh, mapv, pr) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", MESHES)
+def test_stokes_from_loop_cell_projections(name, k):
+    """The Stokes solve, once on the batched cell projections and once on
+    the per-cell oracle's."""
+    mesh = _mesh(name)
+    maps, projs, fps = _disc(name, k)
+    projs_loop = [cell_projection_loop(mesh, maps[0], c, fps) for c in range(mesh.n_cells)]
+    case = make_case("ex3-p1", k=k)
+    spec = ProblemSpec(nu=1.0, load=case.load, dirichlet=case.velocity, k=k)
+    sols = [solve_stokes(assemble(mesh, maps, spec, pr, fps)) for pr in (projs, projs_loop)]
+    _solutions_agree(mesh, maps[0], sols, (projs, projs_loop))
+
+
+_NS_SEED = int(_RNG.integers(2**16))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", ["cubes2", "mixed", f"tets-n2-{_NS_SEED}"])
+def test_navier_stokes_from_loop_cell_projections(name, k):
+    """The ex2-ns Newton solve, once on the batched cell projections and
+    once on the per-cell oracle's, with equal Newton counts.  Its meshes
+    fill the unit cube: on the others the interpolated boundary data of
+    ex2-ns carry a flux of 1e-9 to 3e-8, which assemble rejects.  The
+    tolerance sits above the round-off floor of the increments (at k = 4 on
+    the jittered tetrahedra their third increment is 2e-7 to 5e-7, about
+    1e-10 of the iterate), so that the count is the iteration's, not the
+    round-off's."""
+    mesh = _mesh(name) if name in MESHES else generate_tetra_mesh(2, jitter=0.2, seed=_NS_SEED)
+    maps = build_dof_maps(mesh, k)
+    projs, fps = build_projections(mesh, maps[0])
+    projs_loop = [cell_projection_loop(mesh, maps[0], c, fps) for c in range(mesh.n_cells)]
+    case = make_case("ex2-ns", k=k)
+    spec = ProblemSpec(nu=case.nu, load=case.load, dirichlet=case.velocity, k=k, convective=True)
+    sols = [solve_navier_stokes(mesh, maps, spec, pr, fps, NSOptions(tol=1e-8)) for pr in (projs, projs_loop)]
+    assert sols[0].converged and sols[0].newton_iterations == sols[1].newton_iterations
+    _solutions_agree(mesh, maps[0], sols, (projs, projs_loop))
 
 
 @pytest.mark.parametrize("mesh_name,k,neumann", [
@@ -183,15 +269,41 @@ def _count_calls(monkeypatch, owner, attr) -> list:
     ("cubes3", 1), ("tets", 1), ("mixed", 2),
 ])
 def test_face_kernels_run_once_per_group(name, groups, monkeypatch):
-    """Deterministic guard on the batched face layer: build_projections
-    calls the face kernel once per group of equal vertex count, and the
-    face side evaluates the basis a fixed number of times, not once or more
-    per face (the cell side evaluates it at most 9 times per cell)."""
+    """Deterministic guard on the batched face and cell layers:
+    build_projections calls the face kernel once per group of equal vertex
+    count and the cell kernel once per group of one face layout (the same
+    number of groups on these meshes), and evaluates the basis once per
+    cell (for the monomial integrals) plus a fixed number of times, not once
+    or more per face."""
     mesh = {"cubes3": lambda: generate_structured_cubes(3), "tets": lambda: generate_tetra_mesh(2, seed=5),
             "mixed": cube_and_pyramids}[name]()
     mapv = build_dof_maps(mesh, 2)[0]
     kernel = _count_calls(monkeypatch, projection, "build_face_projections")
+    cell_kernel = _count_calls(monkeypatch, projection, "build_cell_projection")
     evals = _count_calls(monkeypatch, polynomials._MonomialBasis, "eval")
     build_projections(mesh, mapv)
     assert len(kernel) == groups
-    assert len(evals) <= 9 * mesh.n_cells + 8
+    assert len(cell_kernel) == groups == len(mesh.cell_groups())
+    assert len(evals) <= mesh.n_cells + 16
+
+
+def test_assembly_and_errors_evaluate_no_basis_per_cell(monkeypatch):
+    """assemble and both error norms on a prebuilt Stokes discretisation
+    read the kept rule values: their basis evaluations do not grow with the
+    number of cells."""
+    counts = []
+    for n in (2, 3):
+        mesh = generate_structured_cubes(n)
+        maps = build_dof_maps(mesh, 2)
+        projs, fps = build_projections(mesh, maps[0])
+        case = make_case("ex1-stokes", k=2)
+        spec = ProblemSpec(nu=1.0, load=case.load, dirichlet=case.velocity, k=2)
+        u = np.zeros(maps[0].ndof)
+        p = np.zeros(maps[1].ndof)
+        with monkeypatch.context() as m:
+            evals = _count_calls(m, polynomials._MonomialBasis, "eval")
+            assemble(mesh, maps, spec, projs, fps)
+            error_h1_velocity(u, case, mesh, maps[0], projs)
+            error_l2_pressure(p, case, mesh, maps[1], projs)
+        counts.append(len(evals))
+    assert counts[0] == counts[1]
