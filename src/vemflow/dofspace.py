@@ -12,6 +12,10 @@ Velocity DoFs per cell, in local order:
   family 5: cell moments of div v against scaled monomials of degree 1..k-1,
             divided by the cell volume.
 Shared entities are numbered once; moment scalings keep DoF values O(1).
+
+The velocity map lays the DoFs out per group of cells of one local layout
+and owns the CSC pattern of every matrix summed from cell blocks, built once
+from the entity pairs that share a cell, with each group's slots in it.
 """
 
 from __future__ import annotations
@@ -62,8 +66,20 @@ class CellDofLayout:
 
 
 @dataclass
+class DofGroup:
+    """The cells of one `PolyMesh.cell_groups` group, which share one local
+    layout, with their global DoFs and their blocks' slots in the pattern."""
+
+    cells: np.ndarray            # (nc,) cell ids
+    dofs: np.ndarray             # (nc, ndof) global velocity DoFs, in local order
+    layout: CellDofLayout        # shared by the group's cells
+    slots: np.ndarray            # (nc, ndof, ndof) int32: local entry (i, j) -> CSC data index
+
+
+@dataclass
 class DofMapV:
-    """Global numbering of the five velocity DoF families."""
+    """Global numbering of the five velocity DoF families, and the CSC
+    pattern (`indptr`, `indices`) of every matrix summed from cell blocks."""
 
     k: int
     ndof: int
@@ -72,8 +88,12 @@ class DofMapV:
     n_d4: int
     n_d5: int
     offsets: dict
-    cell_global: list[np.ndarray]
-    layouts: list[CellDofLayout]
+    entity_size: np.ndarray      # DoFs of each entity: vertices, edges, faces, cells
+    groups: list[DofGroup]
+    cell_global: list[np.ndarray]   # per cell: a view of its group's `dofs` row
+    layouts: list[CellDofLayout]    # per cell: its group's layout
+    indptr: np.ndarray           # int32, symmetric pattern: CSR and CSC alike
+    indices: np.ndarray          # int32
     dirichlet: np.ndarray        # bool mask over global velocity DoFs
     edge_points: np.ndarray      # (L_e, k-1, 3) physical coordinates
 
@@ -113,6 +133,8 @@ class ReducedMaps:
 
 
 def build_dof_maps(mesh: PolyMesh, k: int) -> tuple[DofMapV, DofMapQ]:
+    """The global DoF numbering, group by group of `mesh.cell_groups()`, and
+    the CSC pattern of the cell-block matrices with each group's slots."""
     if k not in SUPPORTED_DEGREES:
         raise ValueError(f"unsupported degree k={k}; supported: {SUPPORTED_DEGREES}")
     n_ep = k - 1
@@ -120,59 +142,51 @@ def build_dof_maps(mesh: PolyMesh, k: int) -> tuple[DofMapV, DofMapQ]:
     n_d4 = cross_dimension(k - 2)
     n_d5 = dim_poly(k - 1, 3) - 1
 
-    off_vertex = 0
-    off_edge = 3 * mesh.n_vertices
-    off_face = off_edge + 3 * n_ep * mesh.n_edges
-    off_cell = off_face + 3 * n_fm * mesh.n_faces
-    ndof = off_cell + (n_d4 + n_d5) * mesh.n_cells
-    offsets = {"vertex": off_vertex, "edge": off_edge, "face": off_face, "cell": off_cell}
+    # the entities in global order: vertices, edges, faces, cells; each
+    # one's DoFs are a contiguous block, and the blocks follow that order
+    counts = (mesh.n_vertices, mesh.n_edges, mesh.n_faces, mesh.n_cells)
+    first = np.cumsum((0,) + counts)            # first entity id of each kind
+    size = np.repeat([3, 3 * n_ep, 3 * n_fm, n_d4 + n_d5], counts)
+    start = np.cumsum(size) - size
+    offsets = dict(zip(("vertex", "edge", "face", "cell"), start[first[:4]].tolist()))
 
-    params = np.array(edge_point_params(k))
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
-    edge_points = a[:, None, :] + params[None, :, None] * (b - a)[:, None, :]
+    a, b = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
+    edge_points = a[:, None, :] + np.array(edge_point_params(k))[None, :, None] * (b - a)[:, None, :]
 
-    cell_global = []
-    layouts = []
-    for ci in range(mesh.n_cells):
-        vs = mesh.cell_vertices[ci]
-        es = mesh.cell_edges[ci]
-        fs = mesh.cells[ci][0]
-        gl = []
-        for v in vs:
-            gl.extend(off_vertex + 3 * v + np.arange(3))
-        for e in es:
-            gl.extend(off_edge + 3 * n_ep * e + np.arange(3 * n_ep))
-        for f in fs:
-            gl.extend(off_face + 3 * n_fm * f + np.arange(3 * n_fm))
-        gl.extend(off_cell + (n_d4 + n_d5) * ci + np.arange(n_d4 + n_d5))
-        cell_global.append(np.array(gl, dtype=int))
+    # per group: the cells' entities in local order (sorted vertices, sorted
+    # edges, faces in cell order, the cell), and their DoFs in that order
+    groups, ents = [], []
+    for cells in mesh.cell_groups():
+        ent = [np.array([mesh.cell_vertices[c] for c in cells]),
+               first[1] + np.array([mesh.cell_edges[c] for c in cells]),
+               first[2] + np.array([mesh.cells[c][0] for c in cells]), first[3] + cells[:, None]]
+        nv, ne, nf = (e.shape[1] for e in ent[:3])
+        ent = np.concatenate(ent, axis=1)
+        pos = np.cumsum([0, 3 * nv, 3 * n_ep * ne, 3 * n_fm * nf, n_d4, n_d5])
+        layout = CellDofLayout(np.arange(pos[1]).reshape(nv, 3),
+                               np.arange(pos[1], pos[2]).reshape(ne, n_ep, 3),
+                               np.arange(pos[2], pos[3]).reshape(nf, 3, n_fm),
+                               np.arange(pos[3], pos[4]), np.arange(pos[4], pos[5]), int(pos[5]))
+        lsize = size[ent[0]]
+        local = np.repeat(np.arange(len(lsize)), lsize)             # entity of each local DoF
+        offset = np.arange(pos[5]) - (np.cumsum(lsize) - lsize)[local]    # and its place in the block
+        # in C order: the convection kernel's sums follow the memory order of u[dofs]
+        groups.append((cells, np.ascontiguousarray(start[ent][:, local] + offset), layout))
+        ents.append((ent, local, offset))
 
-        pos = 0
-        vertex_idx = np.arange(3 * len(vs)).reshape(len(vs), 3)
-        pos += 3 * len(vs)
-        edge_idx = pos + np.arange(3 * n_ep * len(es)).reshape(len(es), n_ep, 3)
-        pos += 3 * n_ep * len(es)
-        face_idx = pos + np.arange(3 * n_fm * len(fs)).reshape(len(fs), 3, n_fm)
-        pos += 3 * n_fm * len(fs)
-        d4_idx = pos + np.arange(n_d4)
-        pos += n_d4
-        d5_idx = pos + np.arange(n_d5)
-        pos += n_d5
-        layouts.append(CellDofLayout(vertex_idx, edge_idx, face_idx, d4_idx, d5_idx, pos))
+    indptr, indices, slots = _cell_pattern(ents, [dofs for _, dofs, _ in groups], size, start)
+    groups = [DofGroup(*g, g_slots) for g, g_slots in zip(groups, slots)]
+    indptr.flags.writeable = indices.flags.writeable = False    # shared by every matrix on the pattern
+    of_cell = {c: (dofs, g.layout) for g in groups for c, dofs in zip(g.cells.tolist(), g.dofs)}
+    cell_global, layouts = (list(x) for x in zip(*(of_cell[c] for c in range(mesh.n_cells))))
 
-    dirichlet = np.zeros(ndof, dtype=bool)
-    for v in np.nonzero(mesh.boundary_vertex)[0]:
-        dirichlet[off_vertex + 3 * v: off_vertex + 3 * v + 3] = True
-    for e in np.nonzero(mesh.boundary_edge)[0]:
-        dirichlet[off_edge + 3 * n_ep * e: off_edge + 3 * n_ep * (e + 1)] = True
-    for f in np.nonzero(mesh.boundary_face)[0]:
-        dirichlet[off_face + 3 * n_fm * f: off_face + 3 * n_fm * (f + 1)] = True
-
+    boundary = np.concatenate([mesh.boundary_vertex, mesh.boundary_edge, mesh.boundary_face,
+                               np.zeros(mesh.n_cells, dtype=bool)])
     mapv = DofMapV(
-        k=k, ndof=ndof, n_edge_pts=n_ep, n_face_moms=n_fm, n_d4=n_d4, n_d5=n_d5,
-        offsets=offsets, cell_global=cell_global, layouts=layouts,
-        dirichlet=dirichlet, edge_points=edge_points,
+        k=k, ndof=int(size.sum()), n_edge_pts=n_ep, n_face_moms=n_fm, n_d4=n_d4, n_d5=n_d5,
+        offsets=offsets, entity_size=size, groups=groups, cell_global=cell_global,
+        layouts=layouts, indptr=indptr, indices=indices,
+        dirichlet=np.repeat(boundary, size), edge_points=edge_points,
     )
     mapq = DofMapQ(k=k, n_per_cell=dim_poly(k - 1, 3), ndof=dim_poly(k - 1, 3) * mesh.n_cells)
     return mapv, mapq
@@ -181,16 +195,47 @@ def build_dof_maps(mesh: PolyMesh, k: int) -> tuple[DofMapV, DofMapQ]:
 def build_reduced_maps(mesh: PolyMesh, k: int, maps: tuple[DofMapV, DofMapQ] | None = None) -> ReducedMaps:
     mapv, mapq = maps if maps is not None else build_dof_maps(mesh, k)
     keep = np.ones(mapv.ndof, dtype=bool)
-    blk = mapv.n_d4 + mapv.n_d5
-    for ci in range(mesh.n_cells):
-        start = mapv.offsets["cell"] + blk * ci + mapv.n_d4
-        keep[start: start + mapv.n_d5] = False
+    # the cell blocks close the numbering: family 4, then family 5, per cell
+    keep[mapv.offsets["cell"]:].reshape(mesh.n_cells, -1)[:, mapv.n_d4:] = False
     full_to_red = np.full(mapv.ndof, -1, dtype=int)
     full_to_red[keep] = np.arange(int(keep.sum()))
     return ReducedMaps(
         full_v=mapv, full_q=mapq, keep=keep, full_to_red=full_to_red,
         ndof_v=int(keep.sum()), ndof_q=mesh.n_cells,
     )
+
+
+def _cell_pattern(ents: list, dofs: list[np.ndarray], size: np.ndarray,
+                  start: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The CSR pattern (indptr, indices) of the DoF pairs that share a cell,
+    from the entity pairs that share one, and each group's slots.  Entity
+    pair (a, b) stands for the block of a's and b's DoF pairs: the DoF rows
+    of a share one column list, the blocks of a's entity pairs in turn.
+    Per group, `ents` holds the cells' entities, and each local DoF's entity
+    and offset in that entity's block; `dofs` holds the cells' DoFs."""
+    n = len(size)
+    keys = np.concatenate([(ent[:, :, None] * n + ent[:, None, :]).ravel() for ent, _, _ in ents])
+    keys, pair = np.unique(keys, return_inverse=True)
+    row, col = np.divmod(keys, n)
+    width = np.bincount(row, size[col], minlength=n).astype(np.int64)   # of each column list
+    row_start = np.cumsum(width) - width
+    place = np.cumsum(size[col]) - size[col]               # of each block in the lists in turn
+    lists = np.repeat(start[col] - place, size[col]) + np.arange(width.sum())
+    row_len = np.repeat(width, size)
+    indptr = np.concatenate([[0], np.cumsum(row_len)])
+    indices = lists[np.repeat(np.repeat(row_start, size) - indptr[:-1], row_len) + np.arange(indptr[-1])]
+    idx = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+    indptr, col_offset = indptr.astype(idx), (place - row_start[row]).astype(idx)
+    # the pattern is symmetric, so the CSC place of local entry (i, j) is the
+    # CSR place of (j, i): j's row start, the place of the entity pair in
+    # that row's column list, and i's offset in its block
+    pairs = np.split(pair, np.cumsum([ent.size * ent.shape[1] for ent, _, _ in ents])[:-1])
+    slots = []
+    for (ent, local, offset), d, pp in zip(ents, dofs, pairs):
+        pp = pp.reshape(-1, ent.shape[1], ent.shape[1]).transpose(0, 2, 1)
+        within = col_offset[pp][:, local][:, :, local]
+        slots.append((indptr[d][:, None, :] + within + offset[:, None]).astype(idx))
+    return indptr, indices.astype(idx), slots
 
 
 def nested_dissection(centres: np.ndarray, cells: np.ndarray, unknowns: np.ndarray,

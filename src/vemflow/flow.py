@@ -9,7 +9,8 @@ range of E, so the velocity is E u_r; the full pressure comes back cell by
 cell from the divergence-moment rows of the momentum equation and the
 reduced cell mean.  The reduced matrix is equilibrated and factored by
 sparse LU in a geometric nested-dissection order of its unknowns, computed
-once per assembled system."""
+once per assembled system.  The velocity block stays CSC, as assembled, and
+the equilibration and the permutation work on the saddle matrix's CSC arrays."""
 
 from __future__ import annotations
 
@@ -71,13 +72,15 @@ def _equilibrated_solve(K: sp.csc_matrix, rhs: np.ndarray,
     Saddle systems mix strain-scaled velocity rows with volume-scaled
     constraint rows; rescaling keeps the factorization accurate on the
     constraint block (the diagonal is zero there, so plain Jacobi would not
-    apply)."""
-    absK = abs(K)
-    rowmax = np.asarray(absK.max(axis=1).todense()).ravel()
-    rowmax[rowmax == 0] = 1.0
-    d = 1.0 / np.sqrt(rowmax)
-    Dm = sp.diags(d)
-    Ks = (Dm @ K @ Dm).tocsr()[order][:, order].tocsc()
+    apply).  The scaling and the permutation work on K's CSC arrays."""
+    rowmax = np.zeros(K.shape[0])
+    np.maximum.at(rowmax, K.indices, np.abs(K.data))
+    d = 1.0 / np.sqrt(np.where(rowmax == 0, 1.0, rowmax))
+    # d_i K_ij d_j on the columns taken in `order`, their rows renumbered
+    Kc = K[:, order]
+    Ks = sp.csc_matrix((d[Kc.indices] * Kc.data * np.repeat(d[order], np.diff(Kc.indptr)),
+                        np.argsort(order)[Kc.indices], Kc.indptr), shape=K.shape)
+    Ks.sort_indices()
     lu = spla.splu(Ks, permc_spec="NATURAL")
     x = np.empty_like(rhs)
     x[order] = lu.solve((d * rhs)[order])
@@ -90,8 +93,8 @@ def _saddle_matrix(system: GlobalSystem, J: sp.spmatrix) -> tuple[sp.csc_matrix,
     against the cells' constant pressure rows B[::pq], bordered by the
     zero-mean row e[::pq] when present.
 
-    J is the velocity block: A for Stokes, the Newton Jacobian A + C + Cg for
-    Navier-Stokes.  Returns (K, E_f)."""
+    J is the velocity block, CSC: A for Stokes, the Newton Jacobian
+    A + C + Cg for Navier-Stokes.  Returns (K, E_f)."""
     pq = system.pressure_ints.shape[1]
     Ef = system.E[:, np.nonzero(~system.dirichlet_mask[system.red.keep])[0]]
     J_r = Ef.T @ J @ Ef

@@ -16,6 +16,9 @@ and its Newton companion Cg(w) are built without quadrature points: exact
 contractions of Pi^0_k, the projected gradient and the cell's monomial
 integrals, batched over all cells that share a local DoF layout.
 
+A, C and Cg are CSC on the DoF map's pattern, its index arrays shared, each
+filled by one bincount per group of cells; B is laid out row by row.
+
 The assembled system also carries what the solver needs for the reduced
 pair it solves on: the embedding E of the velocities without divergence
 moments, the cell volumes and pressure-monomial integrals for the pressure
@@ -152,7 +155,7 @@ class GlobalSystem:
 
     k: int
     nu: float
-    A: sp.csr_matrix                 # velocity block (viscous + stabilization)
+    A: sp.csc_matrix                 # velocity block (viscous + stabilization), on the DoF map's pattern
     B: sp.csr_matrix                 # div pairing, (ndof_q, ndof_v)
     F: np.ndarray                    # velocity right-hand side
     e: np.ndarray | None             # pressure-integral vector (None: no mean row)
@@ -169,16 +172,13 @@ class GlobalSystem:
         return self.B.shape[0]
 
 
-def classify_neumann(mesh: PolyMesh, spec: ProblemSpec) -> list[int]:
+def classify_neumann(mesh: PolyMesh, spec: ProblemSpec) -> np.ndarray:
+    """The boundary faces that spec.neumann_faces(centroid, outward normal) takes, ascending."""
+    bf = np.flatnonzero(mesh.boundary_face)
     if spec.neumann_faces is None:
-        return []
-    out = []
-    for f in np.nonzero(mesh.boundary_face)[0]:
-        g = mesh.face_geom[f]
-        sign = mesh.face_cell_signs[f, 0]
-        if spec.neumann_faces(g.centroid, sign * g.normal):
-            out.append(int(f))
-    return out
+        return bf[:0]
+    normal = mesh.face_cell_signs[bf, 0, None] * mesh.face_stack.normal[bf]
+    return bf[[bool(spec.neumann_faces(c, n)) for c, n in zip(mesh.face_stack.centroid[bf], normal)]]
 
 
 def _check_compatibility(mesh: PolyMesh, mapv: DofMapV, gvals: np.ndarray) -> None:
@@ -194,40 +194,28 @@ def _check_compatibility(mesh: PolyMesh, mapv: DofMapV, gvals: np.ndarray) -> No
         )
 
 
-def _layout_groups(mapv: DofMapV, projs: list[CellProjections]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Cells grouped by local DoF count: (cell ids, their global velocity
-    DoFs stacked to (nc, ndof)) per group, in order of first appearance."""
-    groups: dict[int, list[int]] = {}
-    for ci, proj in enumerate(projs):
-        groups.setdefault(proj.ndof, []).append(ci)
-    return [(np.array(cells), np.array([mapv.cell_global[ci] for ci in cells]))
-            for cells in groups.values()]
-
-
-def _scatter(shape: tuple[int, int], rows: list[np.ndarray], cols: list[np.ndarray],
-             *blocks: list[np.ndarray]) -> list[sp.csr_matrix]:
-    """Sum group-stacked cell blocks into CSR matrices of `shape`.
-
-    rows[g] (nc, m) and cols[g] (nc, n) are the global indices of group g's
-    cells; each item of `blocks` holds one output's (nc, m, n) blocks per
-    group.  The COO indices are broadcast once and shared by every output."""
-    r = np.concatenate([np.broadcast_to(ri[:, :, None], ri.shape + cj.shape[1:]).ravel()
-                        for ri, cj in zip(rows, cols)])
-    c = np.concatenate([np.broadcast_to(cj[:, None, :], ri.shape + cj.shape[1:]).ravel()
-                        for ri, cj in zip(rows, cols)])
-    return [sp.csr_matrix((np.concatenate([b.ravel() for b in out]), (r, c)), shape=shape)
-            for out in blocks]
+def _cell_matrix(mapv: DofMapV, blocks: list[np.ndarray]) -> sp.csc_matrix:
+    """Sum the cell blocks (nc, ndof, ndof) of each group of the DoF map into
+    a CSC matrix on the map's pattern: one bincount per group over its slots."""
+    data = sum(np.bincount(g.slots.ravel(), b.ravel(), minlength=len(mapv.indices))
+               for g, b in zip(mapv.groups, blocks))
+    return sp.csc_matrix((data, mapv.indices, mapv.indptr), shape=(mapv.ndof, mapv.ndof))
 
 
 def divergence_matrix(mapv: DofMapV, mapq: DofMapQ, projs: list[CellProjections]) -> sp.csr_matrix:
-    """Global divergence pairing B, (ndof_q, ndof_v), without boundary conditions."""
+    """Global divergence pairing B, (ndof_q, ndof_v), without boundary
+    conditions, laid out row by row: a cell's rows hold its DoFs, ascending."""
     pq = mapq.n_per_cell
-    groups = _layout_groups(mapv, projs)
-    (B,) = _scatter((mapq.ndof, mapv.ndof),
-                    [cells[:, None] * pq + np.arange(pq) for cells, _ in groups],
-                    [gdof for _, gdof in groups],
-                    [np.stack([local_b(projs[ci]) for ci in cells]) for cells, _ in groups])
-    return B
+    blocks = []
+    for g in mapv.groups:
+        order = np.argsort(g.dofs, axis=1)
+        local = np.stack([projs[c].Hq for c in g.cells]) @ np.stack([projs[c].div for c in g.cells])
+        blocks.append(sp.csr_matrix((np.take_along_axis(local, order[:, None], axis=2).ravel(),
+                                     np.repeat(np.take_along_axis(g.dofs, order, axis=1), pq, axis=0).ravel(),
+                                     np.arange(g.dofs.size * pq + 1, step=g.layout.ndof)),
+                                    shape=(len(g.cells) * pq, mapv.ndof)))
+    cells = np.concatenate([g.cells for g in mapv.groups])
+    return sp.vstack(blocks, format="csr")[np.argsort(np.repeat(cells, pq), kind="stable")]
 
 
 def reduced_embedding(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],
@@ -237,18 +225,19 @@ def reduced_embedding(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections
     the reduced space div v is the constant boundary flux over the volume,
     which fixes the divergence moments: D5_b(v) = (int m_b / vol^2) flux(v),
     flux(v) = sum over the cell's faces of sign |f| (constant normal moment)."""
-    # flux[c, j]: boundary flux of cell c per unit of reduced DoF j
+    # flux[c, j]: boundary flux of cell c per unit of reduced DoF j, row by
+    # row, each cell's faces in ascending order
     fc, slot = np.nonzero(mesh.face_cells >= 0)
+    by_cell = np.argsort(mesh.face_cells[fc, slot], kind="stable")
+    fc, slot = fc[by_cell], slot[by_cell]
     normal0 = mapv.offsets["face"] + 3 * mapv.n_face_moms * fc
-    area = np.array([g.area for g in mesh.face_geom])[fc]
-    flux = sp.csr_matrix((mesh.face_cell_signs[fc, slot] * area,
-                          (mesh.face_cells[fc, slot], red.full_to_red[normal0])),
+    flux = sp.csr_matrix((mesh.face_cell_signs[fc, slot] * mesh.face_stack.area[fc], red.full_to_red[normal0],
+                          np.searchsorted(mesh.face_cells[fc, slot], np.arange(mesh.n_cells + 1))),
                          shape=(mesh.n_cells, red.ndof_v))
     # the dropped DoFs are the divergence moments, cell by cell
-    d5 = np.nonzero(~red.keep)[0]
     mono = np.stack([pr.mono_int[1: 1 + mapv.n_d5] / pr.vol**2 for pr in projs])
-    per_cell = sp.csr_matrix((mono.ravel(), (d5, np.arange(d5.size) // mapv.n_d5)),
-                             shape=(mapv.ndof, mesh.n_cells))
+    per_cell = sp.csr_matrix((mono.ravel(), np.arange(mono.size) // mapv.n_d5,
+                              np.concatenate([[0], np.cumsum(~red.keep)])), shape=(mapv.ndof, mesh.n_cells))
     return (sp.identity(mapv.ndof, format="csr")[:, red.keep] + per_cell @ flux).tocsr()
 
 
@@ -261,10 +250,10 @@ def _saddle_order(mesh: PolyMesh, mapv: DofMapV, free: np.ndarray, mean_row: boo
     nf = int(np.count_nonzero(free))
     unknown = np.full(mapv.ndof, -1)
     unknown[free] = np.arange(nf)
-    cells = np.repeat(np.arange(mesh.n_cells), [len(g) for g in mapv.cell_global])
-    vel = unknown[np.concatenate(mapv.cell_global)]
+    cells = np.concatenate([np.repeat(g.cells, g.layout.ndof) for g in mapv.groups])
+    vel = unknown[np.concatenate([g.dofs.ravel() for g in mapv.groups])]
     cells, vel = cells[vel >= 0], vel[vel >= 0]
-    key = nested_dissection(np.array([g.barycenter for g in mesh.cell_geom]), cells, vel, nf)
+    key = nested_dissection(mesh.cell_stack.barycenter, cells, vel, nf)
     pkey = np.full(mesh.n_cells, -1)
     np.maximum.at(pkey, cells, key[vel])
     order = np.lexsort((np.repeat([0, 1], [nf, mesh.n_cells]), np.concatenate([key, pkey])))
@@ -277,15 +266,11 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     """Scatter-add the local contributions into the sparse saddle system."""
     mapv, mapq = maps
     pq = mapq.n_per_cell
-    groups = _layout_groups(mapv, projs)
-    gdofs = [gdof for _, gdof in groups]
-    (A,) = _scatter((mapv.ndof, mapv.ndof), gdofs, gdofs,
-                    [np.stack([local_a(projs[ci], spec.nu, spec.stabilization) for ci in cells])
-                     for cells, _ in groups])
+    A = _cell_matrix(mapv, [np.stack([local_a(projs[c], spec.nu, spec.stabilization) for c in g.cells])
+                            for g in mapv.groups])
     B = divergence_matrix(mapv, mapq, projs)
-    F = np.zeros(mapv.ndof)
-    for ci, proj in enumerate(projs):
-        F[mapv.cell_global[ci]] += local_load(proj, spec.load)
+    F = np.bincount(np.concatenate(mapv.cell_global),
+                    np.concatenate([local_load(proj, spec.load) for proj in projs]), minlength=mapv.ndof)
     e = np.concatenate([proj.mono_int[:pq] for proj in projs])
 
     neumann = classify_neumann(mesh, spec)
@@ -301,51 +286,48 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
         for c in range(3):
             F[gdof] += FT[c].T @ (fp.w * tvals[:, c])
 
-    # Dirichlet DoFs: the vertex, edge and moment DoFs of the boundary faces
-    # that are not Neumann, so a vertex or an edge stays Dirichlet unless all
-    # its boundary faces are Neumann
-    dir_mask = np.zeros(mapv.ndof, dtype=bool)
-    n_ep, n_fm = mapv.n_edge_pts, mapv.n_face_moms
-    for f in set(np.nonzero(mesh.boundary_face)[0]) - set(neumann):
-        dir_mask[3 * mesh.faces[f][:, None] + np.arange(3)] = True
-        dir_mask[mapv.offsets["edge"] + 3 * n_ep * mesh.face_edges[f][0][:, None]
-                 + np.arange(3 * n_ep)] = True
-        dir_mask[mapv.offsets["face"] + 3 * n_fm * f + np.arange(3 * n_fm)] = True
+    # Dirichlet DoFs: those of the vertices, edges and faces of the boundary
+    # faces that are not Neumann, so a vertex or an edge stays Dirichlet
+    # unless all its boundary faces are Neumann; entity flags expand to DoFs
+    dfaces = np.setdiff1d(np.flatnonzero(mesh.boundary_face), neumann)
+    verts, edges = mesh.face_closure(dfaces)
+    on = np.zeros(len(mapv.entity_size), dtype=bool)
+    on[np.concatenate([verts, mesh.n_vertices + edges, mesh.n_vertices + mesh.n_edges + dfaces])] = True
+    dir_mask = np.repeat(on, mapv.entity_size)
 
     gvals = interpolate_boundary(mesh, mapv, spec.dirichlet)
     gvals[~dir_mask] = 0.0
-    if not neumann:
+    mean_row = len(neumann) == 0
+    if mean_row:
         _check_compatibility(mesh, mapv, gvals)
 
     red = build_reduced_maps(mesh, mapv.k, maps)
     return GlobalSystem(
         k=spec.k, nu=spec.nu, A=A, B=B, F=F,
-        e=None if neumann else e,
+        e=e if mean_row else None,
         dirichlet_mask=dir_mask, dirichlet_values=gvals,
         red=red, E=reduced_embedding(mesh, mapv, projs, red),
         volumes=np.array([proj.vol for proj in projs]),
         pressure_ints=e.reshape(mesh.n_cells, pq),
-        order=_saddle_order(mesh, mapv, red.keep & ~dir_mask, mean_row=not neumann),
+        order=_saddle_order(mesh, mapv, red.keep & ~dir_mask, mean_row=mean_row),
     )
 
 
 def assemble_convection(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],
-                        u: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+                        u: np.ndarray) -> tuple[sp.csc_matrix, sp.csc_matrix]:
     """Global C(u) and the gradient-slot matrix Cg(u) at the state u, one
-    batched contraction per group of cells with the same local DoF count."""
-    groups = _layout_groups(mapv, projs)
-    batches = [_convection_batch([projs[ci] for ci in cells], u[gdof]) for cells, gdof in groups]
-    gdofs = [gdof for _, gdof in groups]
-    C, Cg = _scatter((mapv.ndof, mapv.ndof), gdofs, gdofs,
-                     [C for C, _ in batches], [Cg for _, Cg in batches])
-    return C, Cg
+    batched contraction per group of cells of the DoF map, both CSC on its
+    pattern."""
+    batches = [_convection_batch([projs[c] for c in g.cells], u[g.dofs]) for g in mapv.groups]
+    return _cell_matrix(mapv, [C for C, _ in batches]), _cell_matrix(mapv, [Cg for _, Cg in batches])
 
 
 def dump_matrix(system: GlobalSystem, path: str) -> None:
-    """Write the assembled blocks in (row, col, value) coordinate text form."""
+    """Write the assembled blocks in (row, col, value) coordinate text form,
+    row by row."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# block A (velocity), B (divergence pairing)\n")
         for name, M in (("A", system.A), ("B", system.B)):
-            coo = M.tocoo()
+            coo = M.tocsr().tocoo()
             for r, c, v in zip(coo.row, coo.col, coo.data):
                 fh.write(f"{name} {r} {c} {v:.17e}\n")

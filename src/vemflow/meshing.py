@@ -132,6 +132,7 @@ class PolyMesh:
             face_edges.append((np.array(eids), np.array(dirs)))
         self.edges = np.array(sorted(key_to_id, key=key_to_id.get), dtype=int).reshape(-1, 2)
         self.face_edges = face_edges
+        self._loop_edges = np.concatenate([eids for eids, _ in face_edges])   # by loop position
 
     def _build_incidence(self):
         nf = len(self.faces)
@@ -285,6 +286,11 @@ class PolyMesh:
         keys = [(len(vs), *self._face_loop[2][fids].tolist())
                 for vs, (fids, _) in zip(self.cell_vertices, self.cells)]
         return [np.flatnonzero([key == other for other in keys]) for key in dict.fromkeys(keys)]
+
+    def face_closure(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The vertex ids and the edge ids of the loops of `faces`, with repeats."""
+        on = np.isin(self._face_loop[3], faces)
+        return self._face_loop[0][on], self._loop_edges[on]
 
     def face_loops(self, faces: np.ndarray) -> np.ndarray:
         """Vertex loops of faces with one vertex count, stacked to (nf, nv)."""

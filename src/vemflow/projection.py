@@ -411,8 +411,9 @@ def build_projections(mesh: PolyMesh, mapv: DofMapV) -> tuple[list[CellProjectio
     """All face and cell projection operators for the mesh: one
     `build_face_projections` call per group of faces of equal vertex count,
     then one `build_cell_projection` call per group of cells of one face
-    layout."""
+    layout, the DoF map's groups."""
     faceprojs = _by_group(mesh.face_groups(),
                           lambda faces: build_face_projections(mesh, faces, mapv.k, mapv.edge_points))
-    cells = _by_group(mesh.cell_groups(), lambda ids: build_cell_projection(mesh, mapv, ids, faceprojs))
+    cells = _by_group([g.cells for g in mapv.groups],
+                      lambda ids: build_cell_projection(mesh, mapv, ids, faceprojs))
     return [cells[c] for c in range(mesh.n_cells)], faceprojs

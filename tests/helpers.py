@@ -10,7 +10,11 @@ full-system Stokes and Newton solves that the reduced-pair production solve
 is checked against.  The per-entity loops that the batched geometry, face
 rule, face projection, cell projection, boundary interpolation and
 case-field kernels replaced are kept here as their oracles, with the helpers
-that only tests call.
+that only tests call.  So are the per-cell DoF-map loop, the COO scatter of
+cell blocks and the equilibration through CSR/CSC conversions that the DoF
+map's CSC pattern replaced, with the per-face and per-cell loops of the
+Dirichlet mask, the Neumann classification, the reduced maps and the
+reduced embedding.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import sympy
 
 from vemflow import cases
 from vemflow import quadrature as quad
-from vemflow.dofspace import _as_field, cell_basis, edge_point_params, interpolate_boundary
+from vemflow.dofspace import CellDofLayout, _as_field, cell_basis, edge_point_params, interpolate_boundary
 from vemflow.flow import DIVERGENCE_GROWTH, FlowSolution, NSOptions, SolverError, solve_stokes
 from vemflow.forms import GlobalSystem, assemble, assemble_convection, local_a, local_b, local_load
 from vemflow.meshing import CellGeom, EdgeGeom, FaceGeom, MeshError, PolyMesh
@@ -36,6 +40,7 @@ from vemflow.polynomials import (
     MonomialBasis3,
     _index_lookup,
     cross_coefficients,
+    cross_dimension,
     decomp_basis,
     dim_poly,
     multi_indices,
@@ -1101,3 +1106,146 @@ def per_entry_case_fields(name: str, k: int, nu: float) -> dict:
 
     return {"velocity": entries(u, (3,)), "grad_velocity": entries(grad_u, (3, 3)),
             "pressure": p_fun, "load": entries(f, (3,)), "traction": traction}
+
+
+# ---------------------------------------------------------------------------
+# Per-cell loops, COO scatter and CSR/CSC equilibration: the oracles of the
+# DoF map's CSC pattern and the sums into it
+# ---------------------------------------------------------------------------
+
+
+def dof_maps_loop(mesh: PolyMesh, k: int) -> tuple[dict, list, list, np.ndarray]:
+    """(offsets, cell_global, layouts, dirichlet) cell by cell and entity by
+    entity: the reference for `dofspace.build_dof_maps`."""
+    n_ep = k - 1
+    n_fm = dim_poly(k - 2, 2)
+    n_d4 = cross_dimension(k - 2)
+    n_d5 = dim_poly(k - 1, 3) - 1
+    off_vertex = 0
+    off_edge = 3 * mesh.n_vertices
+    off_face = off_edge + 3 * n_ep * mesh.n_edges
+    off_cell = off_face + 3 * n_fm * mesh.n_faces
+    ndof = off_cell + (n_d4 + n_d5) * mesh.n_cells
+    offsets = {"vertex": off_vertex, "edge": off_edge, "face": off_face, "cell": off_cell}
+
+    cell_global = []
+    layouts = []
+    for ci in range(mesh.n_cells):
+        vs = mesh.cell_vertices[ci]
+        es = mesh.cell_edges[ci]
+        fs = mesh.cells[ci][0]
+        gl = []
+        for v in vs:
+            gl.extend(off_vertex + 3 * v + np.arange(3))
+        for e in es:
+            gl.extend(off_edge + 3 * n_ep * e + np.arange(3 * n_ep))
+        for f in fs:
+            gl.extend(off_face + 3 * n_fm * f + np.arange(3 * n_fm))
+        gl.extend(off_cell + (n_d4 + n_d5) * ci + np.arange(n_d4 + n_d5))
+        cell_global.append(np.array(gl, dtype=int))
+
+        pos = 0
+        vertex_idx = np.arange(3 * len(vs)).reshape(len(vs), 3)
+        pos += 3 * len(vs)
+        edge_idx = pos + np.arange(3 * n_ep * len(es)).reshape(len(es), n_ep, 3)
+        pos += 3 * n_ep * len(es)
+        face_idx = pos + np.arange(3 * n_fm * len(fs)).reshape(len(fs), 3, n_fm)
+        pos += 3 * n_fm * len(fs)
+        d4_idx = pos + np.arange(n_d4)
+        pos += n_d4
+        d5_idx = pos + np.arange(n_d5)
+        pos += n_d5
+        layouts.append(CellDofLayout(vertex_idx, edge_idx, face_idx, d4_idx, d5_idx, pos))
+
+    dirichlet = np.zeros(ndof, dtype=bool)
+    for v in np.nonzero(mesh.boundary_vertex)[0]:
+        dirichlet[off_vertex + 3 * v: off_vertex + 3 * v + 3] = True
+    for e in np.nonzero(mesh.boundary_edge)[0]:
+        dirichlet[off_edge + 3 * n_ep * e: off_edge + 3 * n_ep * (e + 1)] = True
+    for f in np.nonzero(mesh.boundary_face)[0]:
+        dirichlet[off_face + 3 * n_fm * f: off_face + 3 * n_fm * (f + 1)] = True
+    return offsets, cell_global, layouts, dirichlet
+
+
+def scatter_oracle(shape: tuple[int, int], rows: list[np.ndarray], cols: list[np.ndarray],
+                   *blocks: list[np.ndarray]) -> list[sp.csr_matrix]:
+    """Sum group-stacked cell blocks into CSR matrices of `shape`.
+
+    rows[g] (nc, m) and cols[g] (nc, n) are the global indices of group g's
+    cells; each item of `blocks` holds one output's (nc, m, n) blocks per
+    group.  The COO indices are broadcast once and shared by every output."""
+    r = np.concatenate([np.broadcast_to(ri[:, :, None], ri.shape + cj.shape[1:]).ravel()
+                        for ri, cj in zip(rows, cols)])
+    c = np.concatenate([np.broadcast_to(cj[:, None, :], ri.shape + cj.shape[1:]).ravel()
+                        for ri, cj in zip(rows, cols)])
+    return [sp.csr_matrix((np.concatenate([b.ravel() for b in out]), (r, c)), shape=shape)
+            for out in blocks]
+
+
+def equilibrated_solve_oracle(K, rhs: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, int]:
+    """The equilibrated, permuted solve through scipy's products and format
+    conversions: the reference for `flow._equilibrated_solve`."""
+    absK = abs(K)
+    rowmax = np.asarray(absK.max(axis=1).todense()).ravel()
+    rowmax[rowmax == 0] = 1.0
+    d = 1.0 / np.sqrt(rowmax)
+    Dm = sp.diags(d)
+    Ks = (Dm @ K @ Dm).tocsr()[order][:, order].tocsc()
+    lu = spla.splu(Ks, permc_spec="NATURAL")
+    x = np.empty_like(rhs)
+    x[order] = lu.solve((d * rhs)[order])
+    return d * x, lu.L.nnz + lu.U.nnz
+
+
+def classify_neumann_loop(mesh, spec) -> list[int]:
+    """Neumann faces read from the per-face records: the reference for
+    `forms.classify_neumann`."""
+    if spec.neumann_faces is None:
+        return []
+    out = []
+    for f in np.nonzero(mesh.boundary_face)[0]:
+        g = mesh.face_geom[f]
+        sign = mesh.face_cell_signs[f, 0]
+        if spec.neumann_faces(g.centroid, sign * g.normal):
+            out.append(int(f))
+    return out
+
+
+def dirichlet_mask_loop(mesh, mapv, neumann) -> np.ndarray:
+    """The DoFs of the boundary faces that are not Neumann, face by face:
+    the reference for the Dirichlet mask of `forms.assemble`."""
+    dir_mask = np.zeros(mapv.ndof, dtype=bool)
+    n_ep, n_fm = mapv.n_edge_pts, mapv.n_face_moms
+    for f in set(np.nonzero(mesh.boundary_face)[0]) - set(neumann):
+        dir_mask[3 * mesh.faces[f][:, None] + np.arange(3)] = True
+        dir_mask[mapv.offsets["edge"] + 3 * n_ep * mesh.face_edges[f][0][:, None]
+                 + np.arange(3 * n_ep)] = True
+        dir_mask[mapv.offsets["face"] + 3 * n_fm * f + np.arange(3 * n_fm)] = True
+    return dir_mask
+
+
+def reduced_keep_loop(mesh, mapv) -> np.ndarray:
+    """The velocity DoFs without the divergence moments, cell by cell: the
+    reference for `dofspace.build_reduced_maps`."""
+    keep = np.ones(mapv.ndof, dtype=bool)
+    blk = mapv.n_d4 + mapv.n_d5
+    for ci in range(mesh.n_cells):
+        start = mapv.offsets["cell"] + blk * ci + mapv.n_d4
+        keep[start: start + mapv.n_d5] = False
+    return keep
+
+
+def reduced_embedding_coo(mesh, mapv, projs, red) -> sp.csr_matrix:
+    """The reduced embedding from COO triplets and the per-face records:
+    the reference for `forms.reduced_embedding`."""
+    fc, slot = np.nonzero(mesh.face_cells >= 0)
+    normal0 = mapv.offsets["face"] + 3 * mapv.n_face_moms * fc
+    area = np.array([g.area for g in mesh.face_geom])[fc]
+    flux = sp.csr_matrix((mesh.face_cell_signs[fc, slot] * area,
+                          (mesh.face_cells[fc, slot], red.full_to_red[normal0])),
+                         shape=(mesh.n_cells, red.ndof_v))
+    d5 = np.nonzero(~red.keep)[0]
+    mono = np.stack([pr.mono_int[1: 1 + mapv.n_d5] / pr.vol**2 for pr in projs])
+    per_cell = sp.csr_matrix((mono.ravel(), (d5, np.arange(d5.size) // mapv.n_d5)),
+                             shape=(mapv.ndof, mesh.n_cells))
+    return (sp.identity(mapv.ndof, format="csr")[:, red.keep] + per_cell @ flux).tocsr()
