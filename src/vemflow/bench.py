@@ -101,13 +101,13 @@ class ErrorReport:
         }
 
 
-def family_meshes(family: str, levels: int, mesh_paths=None, tet_seed: int = 0):
+def family_meshes(family: str, levels: int, mesh_paths=None):
     """Mesh sequence for a family: structured n = 2, 4, 8, ...; tetra from the
     jittered-grid Delaunay; cvt/random are import-only (paths required)."""
     if family == "structured":
         return [generate_structured_cubes(2 ** (i + 1)) for i in range(levels)]
     if family == "tetra":
-        return [generate_tetra_mesh(2 ** (i + 1), seed=tet_seed) for i in range(levels)]
+        return [generate_tetra_mesh(2 ** (i + 1)) for i in range(levels)]
     if family in ("cvt", "random"):
         if not mesh_paths:
             raise ValueError(f"family {family!r} is import-only: provide mesh paths")

@@ -11,7 +11,7 @@ import numpy as np
 from .dofspace import ComplexDims, DofMapV, build_dof_maps, complex_dims
 from .forms import divergence_matrix
 from .meshing import PolyMesh
-from .projection import CellProjections, build_projections
+from .projection import CellProjections
 
 DENSE_DOF_CAP = 3000
 SV_RTOL = 1e-9
@@ -76,15 +76,14 @@ def check_exactness_dims(mesh: PolyMesh, k: int) -> ComplexReport:
     return ComplexReport(dims, exactness_applicable=True, exactness_ok=dims.alternating_sum == 0)
 
 
-def assemble_divergence(mesh: PolyMesh, k: int, maps=None, projs=None) -> np.ndarray:
-    """Dense global divergence pairing (dim Q x dim V), no boundary conditions."""
-    mapv, mapq = maps or build_dof_maps(mesh, k)
-    if projs is None:
-        projs, _ = build_projections(mesh, mapv)
-    return divergence_matrix(mapv, mapq, projs).toarray()
+def assemble_divergence(mesh: PolyMesh, k: int, maps=None) -> np.ndarray:
+    """Dense global divergence pairing (dim Q x dim V), no boundary
+    conditions; built from the DoF map alone, without projections."""
+    mapv, _ = maps or build_dof_maps(mesh, k)
+    return divergence_matrix(mesh, mapv).toarray()
 
 
-def check_div_surjectivity(mesh: PolyMesh, k: int, maps=None, projs=None,
+def check_div_surjectivity(mesh: PolyMesh, k: int, maps=None,
                            cap: int = DENSE_DOF_CAP) -> ComplexReport:
     """Rank of the assembled divergence operator by dense SVD: the rank must
     equal dim Q_h and the kernel dimension the closed-form dim Z_h."""
@@ -92,7 +91,7 @@ def check_div_surjectivity(mesh: PolyMesh, k: int, maps=None, projs=None,
     dims = report.dims
     if dims.dim_V > cap:
         raise ValueError(f"dense SVD refused: {dims.dim_V} DoFs exceed cap {cap}")
-    B = assemble_divergence(mesh, k, maps=maps, projs=projs)
+    B = assemble_divergence(mesh, k, maps=maps)
     # scale-free rows: each pressure-monomial row is normalized
     scale = np.linalg.norm(B, axis=1)
     scale[scale == 0] = 1.0

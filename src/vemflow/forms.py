@@ -5,11 +5,12 @@ The discrete problem follows the saddle layout
     nu a_h(u, v) + c_h(u; u, v) + b(v, p) = (f_h, v)
                                   b(u, q) = 0
 
-with b(v, q) the exact pairing of the reconstructed divergence against the
-pressure monomials and a_h the projected-strain consistency term plus the
-D-recipe stabilization acting through (I - Pi^D).  The zero-mean pressure
-constraint is one dense row of pressure-basis integrals, added only when
-every boundary face is Dirichlet.
+with b(v, q) the exact pairing of div v against the pressure monomials,
+which the DoFs fix: the boundary flux for the constant and |P| times the
+divergence moments for the others.  a_h is the projected-strain
+consistency term plus the D-recipe stabilization acting through
+(I - Pi^D).  The zero-mean pressure constraint is one dense row of
+pressure-basis integrals, added only when every boundary face is Dirichlet.
 
 The convective form c_h(w; u, v) pairs only projected polynomials, so C(w)
 and its Newton companion Cg(w) are built without quadrature points: exact
@@ -17,7 +18,9 @@ contractions of Pi^0_k, the projected gradient and the cell's monomial
 integrals, batched over all cells that share a local DoF layout.
 
 A, C and Cg are CSC on the DoF map's pattern, its index arrays shared, each
-filled by one bincount per group of cells; B is laid out row by row.
+filled by one bincount per group of cells; B is laid out row by row, and
+its constant-pressure rows are the cell-face flux incidence that the
+reduced embedding and the compatibility check read.
 
 The assembled system also carries what the solver needs for the reduced
 pair it solves on: the embedding E of the velocities without divergence
@@ -83,11 +86,6 @@ def local_a(proj: CellProjections, nu: float, stabilization: str = "drecipe") ->
     return nu * (proj.consistency + Qd.T @ (sig[:, None] * Qd))
 
 
-def local_b(proj: CellProjections) -> np.ndarray:
-    """Exact pairing of div v against the pressure monomials: (pi_{k-1,3}, ndof)."""
-    return proj.Hq @ proj.div
-
-
 @lru_cache(maxsize=None)
 def _triple_index(k: int) -> np.ndarray:
     """Positions in the cell monomial integrals of m_a m_b m_c for |a| <= k,
@@ -104,8 +102,10 @@ def _triple_index(k: int) -> np.ndarray:
     return table
 
 
-def _convection_batch(projs: list[CellProjections], w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C(w) and Cg(w) of cells sharing one local layout, w of shape (nc, ndof).
+def local_convection(projs: list[CellProjections], w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C(w)[i,j] = c_h(w; phi_j, phi_i) and the Newton linearization's
+    transposed slot Cg(w)[i,j] = c_h(phi_j; w, phi_i) of cells sharing one
+    local layout, w of shape (nc, ndof); both (nc, ndof, ndof).
 
     With Pi^0_k v_i = sum_m P[a,m,i] m_m e_a, the projected gradient
     (grad u_j)_ab = sum_n G[a,b,n,j] m_n and M3[m,n,l] = int m_m m_n m_l,
@@ -131,13 +131,6 @@ def _convection_batch(projs: list[CellProjections], w: np.ndarray) -> tuple[np.n
     Yg = Z.reshape(nc, 3 * pk, 3 * pk) @ P.reshape(nc, 3 * pk, nd)
     Pt = P.reshape(nc, 3 * pk, nd).transpose(0, 2, 1)
     return Pt @ Y.reshape(nc, 3 * pk, nd), Pt @ Yg
-
-
-def local_convection(proj: CellProjections, w_loc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Convective matrix C(w)[i,j] = c_h(w; phi_j, phi_i) and the transposed
-    slot Cg(w)[i,j] = c_h(phi_j; w, phi_i) used by the Newton linearization."""
-    C, Cg = _convection_batch([proj], np.asarray(w_loc, dtype=float)[None, :])
-    return C[0], Cg[0]
 
 
 def local_load(proj: CellProjections, load: Callable) -> np.ndarray:
@@ -181,16 +174,14 @@ def classify_neumann(mesh: PolyMesh, spec: ProblemSpec) -> np.ndarray:
     return bf[[bool(spec.neumann_faces(c, n)) for c, n in zip(mesh.face_stack.centroid[bf], normal)]]
 
 
-def _check_compatibility(mesh: PolyMesh, mapv: DofMapV, gvals: np.ndarray) -> None:
+def _check_compatibility(mesh: PolyMesh, flux: sp.csr_matrix, gvals: np.ndarray) -> None:
     """Full-Dirichlet data must satisfy the flux compatibility
-    |integral of g.n over the boundary| <= 1e-10 * |boundary|."""
-    bf = np.flatnonzero(mesh.boundary_face)
-    area = mesh.face_stack.area[bf]
-    normal0 = gvals[mapv.offsets["face"] + 3 * mapv.n_face_moms * bf]    # constant normal moments
-    flux = float(np.sum(mesh.face_cell_signs[bf, 0] * area * normal0))
-    if abs(flux) > 1e-10 * max(1.0, area.sum()):
+    |integral of g.n over the boundary| <= 1e-10 * |boundary|; `flux` holds
+    the cells' boundary-flux rows, so their sum is the boundary flux."""
+    total = float(np.sum(flux @ gvals))
+    if abs(total) > 1e-10 * max(1.0, mesh.face_stack.area[mesh.boundary_face].sum()):
         raise ValueError(
-            f"incompatible Dirichlet data: boundary flux {flux:.3e} is not zero"
+            f"incompatible Dirichlet data: boundary flux {total:.3e} is not zero"
         )
 
 
@@ -202,43 +193,46 @@ def _cell_matrix(mapv: DofMapV, blocks: list[np.ndarray]) -> sp.csc_matrix:
     return sp.csc_matrix((data, mapv.indices, mapv.indptr), shape=(mapv.ndof, mapv.ndof))
 
 
-def divergence_matrix(mapv: DofMapV, mapq: DofMapQ, projs: list[CellProjections]) -> sp.csr_matrix:
-    """Global divergence pairing B, (ndof_q, ndof_v), without boundary
-    conditions, laid out row by row: a cell's rows hold its DoFs, ascending."""
-    pq = mapq.n_per_cell
-    blocks = []
-    for g in mapv.groups:
-        order = np.argsort(g.dofs, axis=1)
-        local = np.stack([projs[c].Hq for c in g.cells]) @ np.stack([projs[c].div for c in g.cells])
-        blocks.append(sp.csr_matrix((np.take_along_axis(local, order[:, None], axis=2).ravel(),
-                                     np.repeat(np.take_along_axis(g.dofs, order, axis=1), pq, axis=0).ravel(),
-                                     np.arange(g.dofs.size * pq + 1, step=g.layout.ndof)),
-                                    shape=(len(g.cells) * pq, mapv.ndof)))
-    cells = np.concatenate([g.cells for g in mapv.groups])
-    return sp.vstack(blocks, format="csr")[np.argsort(np.repeat(cells, pq), kind="stable")]
+def divergence_matrix(mesh: PolyMesh, mapv: DofMapV) -> sp.csr_matrix:
+    """Global divergence pairing B[c pq + b, :] v = int_{P_c} div v m_b,
+    (ndof_q, ndof_v), without boundary conditions, in closed form from the
+    DoFs and laid out row by row.  Row c pq is the boundary flux of cell c:
+    sign |f| on the constant normal moment of each of its faces, ascending.
+    Row c pq + b (b >= 1) is |P_c| on the cell's b-th divergence moment."""
+    nc, n5 = mesh.n_cells, mapv.n_d5
+    fc, slot = np.nonzero(mesh.face_cells >= 0)
+    by_cell = np.argsort(mesh.face_cells[fc, slot], kind="stable")     # faces stay ascending
+    fc, slot = fc[by_cell], slot[by_cell]
+    row_len = np.ones((nc, 1 + n5), dtype=int)
+    row_len[:, 0] = np.bincount(mesh.face_cells[fc, slot], minlength=nc)
+    indptr = np.concatenate([[0], np.cumsum(row_len)])
+    is_flux = np.ones(indptr[-1], dtype=bool)
+    is_flux[indptr[:-1].reshape(nc, 1 + n5)[:, 1:]] = False
+    indices = np.empty(indptr[-1], dtype=int)
+    data = np.empty(indptr[-1])
+    indices[is_flux] = mapv.offsets["face"] + 3 * mapv.n_face_moms * fc
+    data[is_flux] = mesh.face_cell_signs[fc, slot] * mesh.face_stack.area[fc]
+    # the cell blocks close the numbering: family 4, then family 5, per cell
+    indices[~is_flux] = (mapv.offsets["cell"] + mapv.n_d4 + (mapv.n_d4 + n5) * np.arange(nc)[:, None]
+                      + np.arange(n5)).ravel()
+    data[~is_flux] = np.repeat(mesh.cell_stack.volume, n5)
+    return sp.csr_matrix((data, indices, indptr), shape=(nc * (1 + n5), mapv.ndof))
 
 
-def reduced_embedding(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],
-                      red: ReducedMaps) -> sp.csr_matrix:
+def reduced_embedding(B: sp.csr_matrix, red: ReducedMaps, pressure_ints: np.ndarray,
+                      volumes: np.ndarray) -> sp.csr_matrix:
     """Sparse embedding E of the reduced velocity DoFs (families 1-4) into the
     full ones, (ndof_v, red.ndof_v).  E is the identity on the kept DoFs.  On
     the reduced space div v is the constant boundary flux over the volume,
     which fixes the divergence moments: D5_b(v) = (int m_b / vol^2) flux(v),
-    flux(v) = sum over the cell's faces of sign |f| (constant normal moment)."""
-    # flux[c, j]: boundary flux of cell c per unit of reduced DoF j, row by
-    # row, each cell's faces in ascending order
-    fc, slot = np.nonzero(mesh.face_cells >= 0)
-    by_cell = np.argsort(mesh.face_cells[fc, slot], kind="stable")
-    fc, slot = fc[by_cell], slot[by_cell]
-    normal0 = mapv.offsets["face"] + 3 * mapv.n_face_moms * fc
-    flux = sp.csr_matrix((mesh.face_cell_signs[fc, slot] * mesh.face_stack.area[fc], red.full_to_red[normal0],
-                          np.searchsorted(mesh.face_cells[fc, slot], np.arange(mesh.n_cells + 1))),
-                         shape=(mesh.n_cells, red.ndof_v))
+    with flux(v) the cell's row of B against the constant pressure."""
+    nc, pq = pressure_ints.shape
+    flux = B[::pq][:, red.keep]
     # the dropped DoFs are the divergence moments, cell by cell
-    mono = np.stack([pr.mono_int[1: 1 + mapv.n_d5] / pr.vol**2 for pr in projs])
-    per_cell = sp.csr_matrix((mono.ravel(), np.arange(mono.size) // mapv.n_d5,
-                              np.concatenate([[0], np.cumsum(~red.keep)])), shape=(mapv.ndof, mesh.n_cells))
-    return (sp.identity(mapv.ndof, format="csr")[:, red.keep] + per_cell @ flux).tocsr()
+    mono = pressure_ints[:, 1:] / volumes[:, None] ** 2
+    per_cell = sp.csr_matrix((mono.ravel(), np.arange(mono.size) // (pq - 1),
+                              np.concatenate([[0], np.cumsum(~red.keep)])), shape=(len(red.keep), nc))
+    return (sp.identity(len(red.keep), format="csr")[:, red.keep] + per_cell @ flux).tocsr()
 
 
 def _saddle_order(mesh: PolyMesh, mapv: DofMapV, free: np.ndarray, mean_row: bool) -> np.ndarray:
@@ -268,7 +262,7 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     pq = mapq.n_per_cell
     A = _cell_matrix(mapv, [np.stack([local_a(projs[c], spec.nu, spec.stabilization) for c in g.cells])
                             for g in mapv.groups])
-    B = divergence_matrix(mapv, mapq, projs)
+    B = divergence_matrix(mesh, mapv)
     F = np.bincount(np.concatenate(mapv.cell_global),
                     np.concatenate([local_load(proj, spec.load) for proj in projs]), minlength=mapv.ndof)
     e = np.concatenate([proj.mono_int[:pq] for proj in projs])
@@ -299,16 +293,16 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     gvals[~dir_mask] = 0.0
     mean_row = len(neumann) == 0
     if mean_row:
-        _check_compatibility(mesh, mapv, gvals)
+        _check_compatibility(mesh, B[::pq], gvals)
 
     red = build_reduced_maps(mesh, mapv.k, maps)
+    pressure_ints = e.reshape(mesh.n_cells, pq)
     return GlobalSystem(
         k=spec.k, nu=spec.nu, A=A, B=B, F=F,
         e=e if mean_row else None,
         dirichlet_mask=dir_mask, dirichlet_values=gvals,
-        red=red, E=reduced_embedding(mesh, mapv, projs, red),
-        volumes=np.array([proj.vol for proj in projs]),
-        pressure_ints=e.reshape(mesh.n_cells, pq),
+        red=red, E=reduced_embedding(B, red, pressure_ints, mesh.cell_stack.volume),
+        volumes=mesh.cell_stack.volume, pressure_ints=pressure_ints,
         order=_saddle_order(mesh, mapv, red.keep & ~dir_mask, mean_row=mean_row),
     )
 
@@ -318,7 +312,7 @@ def assemble_convection(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjectio
     """Global C(u) and the gradient-slot matrix Cg(u) at the state u, one
     batched contraction per group of cells of the DoF map, both CSC on its
     pattern."""
-    batches = [_convection_batch([projs[c] for c in g.cells], u[g.dofs]) for g in mapv.groups]
+    batches = [local_convection([projs[c] for c in g.cells], u[g.dofs]) for g in mapv.groups]
     return _cell_matrix(mapv, [C for C, _ in batches]), _cell_matrix(mapv, [Cg for _, Cg in batches])
 
 

@@ -14,7 +14,10 @@ that only tests call.  So are the per-cell DoF-map loop, the COO scatter of
 cell blocks and the equilibration through CSR/CSC conversions that the DoF
 map's CSC pattern replaced, with the per-face and per-cell loops of the
 Dirichlet mask, the Neumann classification, the reduced maps and the
-reduced embedding.
+reduced embedding.  The divergence pairing has two oracles: the pairing
+through the cell projections (`local_b`, Hq times the reconstructed
+divergence), which the closed form reproduces to round-off, and the
+closed form cell by cell from the per-cell records.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from vemflow import cases
 from vemflow import quadrature as quad
 from vemflow.dofspace import CellDofLayout, _as_field, cell_basis, edge_point_params, interpolate_boundary
 from vemflow.flow import DIVERGENCE_GROWTH, FlowSolution, NSOptions, SolverError, solve_stokes
-from vemflow.forms import GlobalSystem, assemble, assemble_convection, local_a, local_b, local_load
+from vemflow.forms import GlobalSystem, assemble, assemble_convection, local_a, local_load
 from vemflow.meshing import CellGeom, EdgeGeom, FaceGeom, MeshError, PolyMesh
 from vemflow.polynomials import (
     MonomialBasis2,
@@ -1249,3 +1252,28 @@ def reduced_embedding_coo(mesh, mapv, projs, red) -> sp.csr_matrix:
     per_cell = sp.csr_matrix((mono.ravel(), (d5, np.arange(d5.size) // mapv.n_d5)),
                              shape=(mapv.ndof, mesh.n_cells))
     return (sp.identity(mapv.ndof, format="csr")[:, red.keep] + per_cell @ flux).tocsr()
+
+
+def local_b(proj) -> np.ndarray:
+    """Exact pairing of div v against the pressure monomials through the cell
+    projections, Hq @ div: (pi_{k-1,3}, ndof).  The projections reproduce
+    the closed-form rows of `forms.divergence_matrix` to round-off."""
+    return proj.Hq @ proj.div
+
+
+def divergence_matrix_loop(mesh, mapv) -> sp.csr_matrix:
+    """The closed-form divergence pairing cell by cell from the per-cell
+    records: the flux row sign |f| on each face's constant normal moment,
+    faces ascending, then |P| on each divergence moment.  The reference
+    for `forms.divergence_matrix`."""
+    blk = mapv.n_d4 + mapv.n_d5
+    rows = []
+    for ci, (fids, signs) in enumerate(mesh.cells):
+        order = np.argsort(fids)
+        rows.append((mapv.offsets["face"] + 3 * mapv.n_face_moms * fids[order],
+                     [s * mesh.face_geom[f].area for f, s in zip(fids[order], signs[order])]))
+        for b in range(mapv.n_d5):
+            rows.append(([mapv.offsets["cell"] + blk * ci + mapv.n_d4 + b], [mesh.cell_geom[ci].volume]))
+    indptr = np.cumsum([0] + [len(cols) for cols, _ in rows])
+    return sp.csr_matrix((np.concatenate([v for _, v in rows]), np.concatenate([c for c, _ in rows]), indptr),
+                         shape=(len(rows), mapv.ndof))

@@ -305,8 +305,10 @@ def test_criterion_10_stabilization_robustness(study_ex1_k2, structured_meshes):
     import vemflow.forms as forms
 
     orig = forms.local_a
+    calls = []
 
     def scaled(proj, nu, stabilization="drecipe"):
+        calls.append(proj.c)
         Qd = np.eye(proj.ndof) - proj.pi_d_dof
         return nu * (proj.consistency + Qd.T @ ((10.0 * proj.sigma)[:, None] * Qd))
 
@@ -316,6 +318,9 @@ def test_criterion_10_stabilization_robustness(study_ex1_k2, structured_meshes):
                                 meshes=structured_meshes, disc_cache=_CACHE)
     finally:
         forms.local_a = orig
+    # the rescale reaches assembly: one call per cell of each of the three
+    # Stokes assemblies, else the companion below would compare a run with itself
+    assert len(calls) == sum(mesh.n_cells for mesh in structured_meshes)
     s10 = rep10.slopes()
     c1 = abs(s_ref["eH1u"] - s10["eH1u"])
     c2 = abs(s_ref["eL2p"] - s10["eL2p"])

@@ -70,7 +70,7 @@ def _single_cell(name: str, k: int):
 def test_local_convection_matches_oracle_on_polyhedra(name, k, w_seed):
     pr = _single_cell(name, k)
     w = np.random.default_rng(w_seed).standard_normal(pr.ndof)
-    C, Cg = local_convection(pr, w)
+    (C,), (Cg,) = local_convection([pr], w[None])
     C_ref, Cg_ref = convection_oracle(pr, w)
     assert _rel(C, C_ref) < RTOL
     assert _rel(Cg, Cg_ref) < RTOL

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import extract_cells
+from vemflow import projection
 from vemflow.cases import make_case
 from vemflow.derham import (
     assemble_divergence,
@@ -54,6 +55,21 @@ def test_div_surjectivity_frozen_values(cube1, unit_tet, two_cell):
     assert (r.rank, r.kernel_dim) == (4, 41)
     r = check_div_surjectivity(two_cell, 2).rank
     assert r.rank == 8
+
+
+def test_div_surjectivity_builds_no_projections(cube1, unit_tet, two_cell, monkeypatch):
+    """B comes from the DoF map in closed form: the rank check builds no
+    face or cell projection, and the frozen ranks hold without them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rank check built projections")
+
+    for name in ("build_projections", "build_face_projections", "build_cell_projection"):
+        monkeypatch.setattr(projection, name, refuse)
+    r = check_div_surjectivity(cube1, 2).rank
+    assert (r.rank, r.kernel_dim) == (4, 77)
+    r = check_div_surjectivity(unit_tet, 2).rank
+    assert (r.rank, r.kernel_dim) == (4, 41)
+    assert check_div_surjectivity(two_cell, 2).rank.rank == 8
 
 
 def test_rank_invariance_scaling_permutation(unit_tet):

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from helpers import (
     convective_form_oracle,
     extract_cells,
+    local_b,
     local_dofs,
     local_load_loop,
     poly_field,
@@ -15,9 +16,9 @@ from vemflow.forms import (
     ProblemSpec,
     assemble,
     assemble_convection,
+    divergence_matrix,
     dump_matrix,
     local_a,
-    local_b,
     local_convection,
     local_load,
     stabilization_weights,
@@ -119,12 +120,22 @@ def test_stabilization_vanishes_on_polynomials(cube1, disc):
     assert abs(d_any @ A @ d_poly - consistency_only) < 1e-10 * max(1.0, abs(consistency_only))
 
 
+def _cell_b_rows(mesh, maps, c=0):
+    """Cell c's rows of the closed-form B, on its local DoFs."""
+    mapv, mapq = maps
+    pq = mapq.n_per_cell
+    return divergence_matrix(mesh, mapv)[c * pq: (c + 1) * pq][:, mapv.cell_global[c]].toarray()
+
+
 def test_local_b_examples(cube1, unit_tet, disc):
+    """The rows of B on one cell equal the projections' pairing (local_b)
+    and pair interpolants with their divergence."""
     for mesh in (cube1, unit_tet):
         maps, projs, fps = disc(mesh, 2)
         mapv = maps[0]
         pr = projs[0]
-        B = local_b(pr)
+        B = _cell_b_rows(mesh, maps)
+        assert np.max(np.abs(B - local_b(pr))) <= 1e-12 * np.max(np.abs(B))
         # v from u = (x, 0, 0), q = 1 -> |P|
         u = lambda p: np.stack([np.atleast_2d(p)[:, 0], np.zeros(len(np.atleast_2d(p))), np.zeros(len(np.atleast_2d(p)))], axis=1)
         div_u = lambda p: np.ones(len(np.atleast_2d(p)))
@@ -139,24 +150,26 @@ def test_local_b_examples(cube1, unit_tet, disc):
 
 def test_local_b_matches_reconstruction_quadrature(cube1, disc):
     """B rows equal the quadrature of the reconstructed divergence times the
-    pressure monomials for arbitrary DoF vectors."""
+    pressure monomials for arbitrary DoF vectors, as the projections'
+    pairing (local_b) does."""
     maps, projs, fps = disc(cube1, 2)
     pr = projs[0]
     rng = np.random.default_rng(31)
     d = rng.standard_normal(pr.ndof)
-    B = local_b(pr)
+    B = _cell_b_rows(cube1, maps)
     pq = dim_poly(1, 3)
     phi = pr.basis.eval(pr.rule.points)[:, :pq]
     divvals = phi @ (pr.div @ d)
     direct = phi.T @ (pr.rule.weights * divvals)
-    assert np.max(np.abs(B @ d - direct)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
+    for got in (B @ d, local_b(pr) @ d):
+        assert np.max(np.abs(got - direct)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
 
 
 def test_local_c_zero_cases(cube1, disc):
     maps, projs, fps = disc(cube1, 2)
     mapv = maps[0]
     pr = projs[0]
-    C0 = local_convection(pr, np.zeros(pr.ndof))[0]
+    C0 = local_convection([pr], np.zeros((1, pr.ndof)))[0][0]
     assert np.max(np.abs(C0)) == 0.0
     # u constant -> zero column (the projected gradient of u vanishes)
     u = lambda p: np.tile([1.0, 2.0, 3.0], (len(np.atleast_2d(p)), 1))
@@ -164,7 +177,7 @@ def test_local_c_zero_cases(cube1, disc):
     d_const = local_dofs(mapv, 0, interpolate_velocity(cube1, mapv, u, div_u))
     rng = np.random.default_rng(37)
     w = rng.standard_normal(pr.ndof)
-    C = local_convection(pr, w)[0]
+    C = local_convection([pr], w[None])[0][0]
     assert np.max(np.abs(C @ d_const)) < 1e-12 * np.max(np.abs(C))
 
 
@@ -187,7 +200,7 @@ def test_local_c_polynomial_oracle(cube1, disc):
         dofs.append(local_dofs(mapv, 0, interpolate_velocity(cube1, mapv, u, dv)))
     (w, _), (u, gu), (v, _) = fields
     dw, du, dv_ = dofs
-    C = local_convection(pr, dw)[0]
+    C = local_convection([pr], dw[None])[0][0]
     got = dv_ @ C @ du
     expected = convective_form_oracle(w, gu, v, pr.rule)
     assert abs(got - expected) < 1e-9 * max(1.0, abs(expected))

@@ -6,7 +6,9 @@ to zero or breaking the benchmark.  perfbench/ is only read."""
 
 import importlib.util
 import inspect
+import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -82,3 +84,17 @@ def test_traced_op_times_every_layer():
     timed = set(tracing.SELF_TIME.values()) - {"cases.build_s"}
     assert {m for m in timed if not metrics.get(m, 0.0) > 0.0} == set()
     assert metrics["polynomials.eval_calls"] > 0 and metrics["quadrature.cell_points"] > 0
+
+
+@pytest.mark.parametrize("name,count", [("cubes-stokes", 1), ("tets-ns", 1), ("tets-sweep-k3", 9)])
+def test_reference_inputs_verify(name, count):
+    """The first reference inputs of each workload (the one cubes-stokes
+    input, the first tets-ns mesh, the nine sweep pairs of the first sweep
+    mesh) pass the benchmark's oracle: a change that moves the answers past
+    its tolerance fails here, not only in the benchmark."""
+    with open(PERFBENCH / "reference.json", encoding="utf-8") as fh:
+        reference = json.load(fh)["entries"]
+    wl = workloads.make_workload(name)
+    for inp in islice(wl.reference_inputs(), count):
+        reason = workloads.check(wl.run_op(inp), reference.get(inp.key))
+        assert reason is None, f"{inp.key}: {reason}"
