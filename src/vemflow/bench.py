@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import time
 from dataclasses import dataclass, field
@@ -68,20 +69,7 @@ class ErrorReport:
     failures: list = field(default_factory=list)
 
     def slopes(self) -> dict:
-        """Least-squares log-log slopes over the last max(levels-1, 2) points."""
-        if len(self.levels) < 2:
-            return {"eH1u": None, "eL2p": None}
-        n = max(len(self.levels) - 1, 2)
-        pts = self.levels[-n:]
-        h = np.log([r.h for r in pts])
-        out = {}
-        for key in ("eH1u", "eL2p"):
-            e = np.array([getattr(r, key) for r in pts])
-            if np.any(e <= 0):
-                out[key] = None
-            else:
-                out[key] = float(np.polyfit(h, np.log(e), 1)[0])
-        return out
+        return fit_slopes([vars(r) for r in self.levels])
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -99,6 +87,21 @@ class ErrorReport:
             "levels": [vars(r) for r in self.levels],
             "failures": self.failures,
         }
+
+
+def fit_slopes(levels: list[dict]) -> dict:
+    """Least-squares log-log slopes of eH1u and eL2p against h over the last
+    max(levels-1, 2) levels; None for an error column that is not all
+    positive, and for both with fewer than two levels."""
+    if len(levels) < 2:
+        return {"eH1u": None, "eL2p": None}
+    pts = levels[-max(len(levels) - 1, 2):]
+    h = np.log([float(r["h"]) for r in pts])
+    out = {}
+    for key in ("eH1u", "eL2p"):
+        e = np.array([float(r[key]) for r in pts])
+        out[key] = float(np.polyfit(h, np.log(e), 1)[0]) if np.all(e > 0) else None
+    return out
 
 
 def family_meshes(family: str, levels: int, mesh_paths=None):
@@ -194,19 +197,8 @@ def run_convergence(case_name: str, family: str, k: int, levels: int,
 
 def rates_from_csv(path: str) -> dict:
     """Fit slopes from a results CSV written by run_convergence."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            vals = line.strip().split(",")
-            rows.append({k: v for k, v in zip(header, vals)})
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     if len(rows) < 2:
         raise ValueError("need at least two levels to fit a slope")
-    n = max(len(rows) - 1, 2)
-    rows = rows[-n:]
-    h = np.log([float(r["h"]) for r in rows])
-    out = {}
-    for key in ("eH1u", "eL2p"):
-        e = np.log([float(r[key]) for r in rows])
-        out[key] = float(np.polyfit(h, e, 1)[0])
-    return out
+    return fit_slopes(rows)

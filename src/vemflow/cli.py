@@ -34,11 +34,11 @@ STAB_HELP = ("stabilization weights on (I - Pi^D): drecipe = max(h_P, diag of th
 
 
 def _get_mesh(args):
-    if getattr(args, "mesh", None):
+    if getattr(args, "mesh", None) is not None:
         return load_mesh(args.mesh, getattr(args, "format", "json-poly"))
-    if getattr(args, "cubes", None):
+    if getattr(args, "cubes", None) is not None:
         return generate_structured_cubes(args.cubes)
-    if getattr(args, "tets", None):
+    if getattr(args, "tets", None) is not None:
         return generate_tetra_mesh(args.tets, jitter=args.jitter, seed=args.seed)
     raise SystemExit("no mesh specified: use --mesh, --cubes or --tets")
 
@@ -69,7 +69,7 @@ def cmd_dofs(args):
 
 def cmd_complex_check(args):
     mesh = _get_mesh(args)
-    rep = derham.check_div_surjectivity(mesh, args.k, cap=args.cap)
+    rep = derham.check_div_surjectivity(mesh, args.k)
     payload = rep.to_json_dict()
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -155,7 +155,6 @@ def main(argv=None) -> int:
     cc = sub.add_parser("complex-check", help="discrete complex verification")
     _add_mesh_source(cc)
     cc.add_argument("--k", type=int, default=2)
-    cc.add_argument("--cap", type=int, default=derham.DENSE_DOF_CAP)
     cc.add_argument("--json", help="write the report to this file")
     cc.set_defaults(func=cmd_complex_check)
 
@@ -194,7 +193,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         rc = args.func(args)
-    except (MeshError, SolverError) as exc:
+    except (MeshError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return int(rc) if rc else 0

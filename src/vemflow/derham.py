@@ -1,35 +1,41 @@
 """Numerical verification of the discrete complex structure: dimension
-identities, divergence-operator rank and kernel, and exact divergence-
-freeness of computed velocities."""
+identities, the rank and kernel of the divergence operator, and exact
+divergence-freeness of computed velocities.
+
+The rank of the divergence pairing B (`forms.divergence_matrix`) is
+certified exactly from its structure, in O(nnz) and with no tolerance.  Each
+divergence-moment row (b >= 1) holds one nonzero, |P|, in a column that no
+other row touches, so these rows add n_cells (pq - 1) to the rank.  The
+constant rows B[::pq] are a signed cell-face incidence with the columns
+scaled by |f|: an interior face holds two entries that cancel exactly, a
+boundary face one.  Their rank is n_cells minus the number of connected
+components of the cells, linked across interior faces, that hold no
+boundary face.  A B of any other structure is given no rank."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .dofspace import ComplexDims, DofMapV, build_dof_maps, complex_dims
 from .forms import divergence_matrix
 from .meshing import PolyMesh
 from .projection import CellProjections
 
-DENSE_DOF_CAP = 3000
-SV_RTOL = 1e-9
-
 
 @dataclass
 class RankResult:
-    rank: int
+    rank: int | None                 # None: B is not of the certified structure
     expected_rank: int
-    kernel_dim: int
+    kernel_dim: int | None
     expected_kernel_dim: int
-    conclusive: bool
-    gap: float
 
     @property
     def passed(self) -> bool:
-        return self.conclusive and self.rank == self.expected_rank \
-            and self.kernel_dim == self.expected_kernel_dim
+        return self.rank == self.expected_rank and self.kernel_dim == self.expected_kernel_dim
 
 
 @dataclass
@@ -59,7 +65,7 @@ class ComplexReport:
                 "rank_B": self.rank.rank, "expected": self.rank.expected_rank,
                 "kernel_dim": self.rank.kernel_dim,
                 "expected_kernel_dim": self.rank.expected_kernel_dim,
-                "conclusive": self.rank.conclusive, "passed": self.rank.passed,
+                "passed": self.rank.passed,
             }
         if self.max_div_coefficient is not None:
             out["max_div_coefficient"] = self.max_div_coefficient
@@ -76,40 +82,39 @@ def check_exactness_dims(mesh: PolyMesh, k: int) -> ComplexReport:
     return ComplexReport(dims, exactness_applicable=True, exactness_ok=dims.alternating_sum == 0)
 
 
-def assemble_divergence(mesh: PolyMesh, k: int, maps=None) -> np.ndarray:
-    """Dense global divergence pairing (dim Q x dim V), no boundary
-    conditions; built from the DoF map alone, without projections."""
-    mapv, _ = maps or build_dof_maps(mesh, k)
-    return divergence_matrix(mesh, mapv).toarray()
+def certified_rank(B: sp.spmatrix, pq: int) -> int | None:
+    """Exact rank of a divergence pairing with pq rows per cell, read from
+    its structure (see the module docstring); None for any other structure."""
+    B = sp.csc_matrix(B, copy=True)
+    B.sum_duplicates()
+    rows, nq = B.indices, B.shape[0]
+    col_nnz = np.repeat(np.diff(B.indptr), np.diff(B.indptr))      # per entry
+    moment = rows % pq != 0
+    pairs = col_nnz == 2
+    if (np.any(B.data == 0) or np.any(col_nnz > 2) or np.any(col_nnz[moment] != 1)
+            or np.any(np.bincount(rows, minlength=nq).reshape(-1, pq)[:, 1:] != 1)
+            or np.any(B.data[pairs].reshape(-1, 2).sum(axis=1) != 0)):
+        return None
+    nc = nq // pq
+    cells = rows // pq
+    links = cells[pairs].reshape(-1, 2).T
+    n_comp, label = connected_components(
+        sp.csr_matrix((np.ones(links.shape[1]), links), shape=(nc, nc)), directed=False)
+    grounded = np.zeros(n_comp, dtype=bool)
+    grounded[label[cells[(col_nnz == 1) & ~moment]]] = True
+    return nq - int(np.count_nonzero(~grounded))
 
 
-def check_div_surjectivity(mesh: PolyMesh, k: int, maps=None,
-                           cap: int = DENSE_DOF_CAP) -> ComplexReport:
-    """Rank of the assembled divergence operator by dense SVD: the rank must
+def check_div_surjectivity(mesh: PolyMesh, k: int, maps=None) -> ComplexReport:
+    """Certified rank of the assembled divergence operator: the rank must
     equal dim Q_h and the kernel dimension the closed-form dim Z_h."""
     report = check_exactness_dims(mesh, k)
     dims = report.dims
-    if dims.dim_V > cap:
-        raise ValueError(f"dense SVD refused: {dims.dim_V} DoFs exceed cap {cap}")
-    B = assemble_divergence(mesh, k, maps=maps)
-    # scale-free rows: each pressure-monomial row is normalized
-    scale = np.linalg.norm(B, axis=1)
-    scale[scale == 0] = 1.0
-    sv = np.linalg.svd(B / scale[:, None], compute_uv=False)
-    tol = SV_RTOL * sv[0]
-    rank = int(np.sum(sv > tol))
-    if rank < len(sv):
-        gap = sv[rank - 1] / max(sv[rank], 1e-300)
-    else:
-        gap = np.inf
-    conclusive = gap >= 10.0
-    report.rank = RankResult(
-        rank=rank, expected_rank=dims.dim_Q,
-        kernel_dim=dims.dim_V - rank, expected_kernel_dim=dims.dim_Z,
-        conclusive=conclusive, gap=float(gap),
-    )
-    if not conclusive:
-        report.notes.append(f"singular-value gap {gap:.2e} below 10x threshold: inconclusive")
+    mapv, mapq = maps or build_dof_maps(mesh, k)
+    rank = certified_rank(divergence_matrix(mesh, mapv), mapq.n_per_cell)
+    if rank is None:
+        report.notes.append("B is not a signed cell-face incidence plus |P| I: no rank certified")
+    report.rank = RankResult(rank, dims.dim_Q, None if rank is None else dims.dim_V - rank, dims.dim_Z)
     return report
 
 

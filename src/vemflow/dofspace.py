@@ -127,10 +127,6 @@ class ReducedMaps:
     ndof_v: int
     ndof_q: int               # = number of cells
 
-    @property
-    def saving(self) -> int:
-        return (self.full_v.ndof - self.ndof_v) + (self.full_q.ndof - self.ndof_q)
-
 
 def build_dof_maps(mesh: PolyMesh, k: int) -> tuple[DofMapV, DofMapQ]:
     """The global DoF numbering, group by group of `mesh.cell_groups()`, and

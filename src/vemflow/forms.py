@@ -146,8 +146,6 @@ class GlobalSystem:
     """Assembled saddle-point operator and right-hand side, with what the
     solver needs to solve it on the reduced pair and map the result back."""
 
-    k: int
-    nu: float
     A: sp.csc_matrix                 # velocity block (viscous + stabilization), on the DoF map's pattern
     B: sp.csr_matrix                 # div pairing, (ndof_q, ndof_v)
     F: np.ndarray                    # velocity right-hand side
@@ -298,7 +296,7 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     red = build_reduced_maps(mesh, mapv.k, maps)
     pressure_ints = e.reshape(mesh.n_cells, pq)
     return GlobalSystem(
-        k=spec.k, nu=spec.nu, A=A, B=B, F=F,
+        A=A, B=B, F=F,
         e=e if mean_row else None,
         dirichlet_mask=dir_mask, dirichlet_values=gvals,
         red=red, E=reduced_embedding(B, red, pressure_ints, mesh.cell_stack.volume),

@@ -449,64 +449,6 @@ def generate_tetra_mesh(n: int, jitter: float = 0.15, seed: int = 0) -> PolyMesh
     return mesh_from_tets(pts, np.array(tets))
 
 
-def single_distorted_hex(top_scale: float = 0.6, shear: float = 0.25) -> PolyMesh:
-    """One non-affine hexahedral cell (sheared frustum) with planar faces."""
-    s = top_scale
-    bot = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], dtype=float)
-    ctr = np.array([0.5, 0.5, 0.0])
-    top = ctr + s * (bot - ctr) + np.array([shear, 0.4 * shear, 1.0])
-    verts = np.vstack([bot, top])
-    faces = [
-        [0, 3, 2, 1],              # bottom, outward -z
-        [4, 5, 6, 7],              # top, outward +z
-        [0, 1, 5, 4],              # y=0 side
-        [1, 2, 6, 5],              # x=1 side
-        [2, 3, 7, 6],              # y=1 side
-        [3, 0, 4, 7],              # x=0 side
-    ]
-    cells = [[1, 2, 3, 4, 5, 6]]
-    return PolyMesh(verts, faces, cells)
-
-
-def truncated_octahedron_cell() -> PolyMesh:
-    """The Voronoi cell of the BCC lattice (truncated octahedron), scaled
-    into [0,1]^3.  Used as an imported polyhedral (Voronoi) test cell."""
-    verts = []
-    for perm in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
-        for s1 in (-1, 1):
-            for s2 in (-1, 1):
-                v = [0.0, 0.0, 0.0]
-                v[perm[0]] = 0.0
-                v[perm[1]] = s1 * 1.0
-                v[perm[2]] = s2 * 2.0
-                verts.append(tuple(v))
-    verts = np.array(sorted(set(verts)))
-    center = np.zeros(3)
-    faces = []
-    planes = []
-    for axis in range(3):
-        for s in (-1, 1):
-            nrm = np.zeros(3)
-            nrm[axis] = s
-            planes.append((nrm, 2.0))
-    for sx in (-1, 1):
-        for sy in (-1, 1):
-            for sz in (-1, 1):
-                planes.append((np.array([sx, sy, sz]) / np.sqrt(3.0), 3.0 / np.sqrt(3.0)))
-    for nrm, off in planes:
-        on = [i for i, v in enumerate(verts) if abs(v @ nrm - off) < 1e-9]
-        pts = verts[on]
-        ctr = pts.mean(axis=0)
-        t1 = pts[0] - ctr
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(nrm, t1)
-        ang = np.arctan2((pts - ctr) @ t2, (pts - ctr) @ t1)
-        order = np.argsort(ang)
-        faces.append([on[i] for i in order])  # CCW w.r.t. nrm = outward
-    cells = [[f + 1 for f in range(len(faces))]]
-    return PolyMesh(verts / 4.0 + 0.5, faces, cells)
-
-
 def mesh_size(mesh: PolyMesh) -> float:
     """Mesh size h = arithmetic mean of the cell diameters."""
     return float(np.mean([g.h for g in mesh.cell_geom]))

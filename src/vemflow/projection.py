@@ -260,10 +260,6 @@ class CellProjections:
             cons += e.T @ self.Hq @ e
         return cons
 
-    def grad_coeff(self, comp: int, deriv: int) -> np.ndarray:
-        pq = self.Hq.shape[0]
-        return self.pi_0grad[(3 * comp + deriv) * pq: (3 * comp + deriv + 1) * pq, :]
-
 
 def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
                           faceprojs: dict[int, FaceProjections]) -> list[CellProjections]:

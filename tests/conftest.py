@@ -6,13 +6,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from helpers import single_distorted_hex, truncated_octahedron_cell
 from vemflow.dofspace import build_dof_maps
 from vemflow.meshing import (
     generate_structured_cubes,
     generate_tetra_mesh,
     mesh_from_tets,
-    single_distorted_hex,
-    truncated_octahedron_cell,
 )
 from vemflow.projection import build_projections
 

@@ -17,7 +17,9 @@ Dirichlet mask, the Neumann classification, the reduced maps and the
 reduced embedding.  The divergence pairing has two oracles: the pairing
 through the cell projections (`local_b`, Hq times the reconstructed
 divergence), which the closed form reproduces to round-off, and the
-closed form cell by cell from the per-cell records.
+closed form cell by cell from the per-cell records.  The dense SVD of B,
+with its DoF cap and singular-value gap, is the oracle of the rank that
+`derham` certifies from the structure of B.
 """
 
 from __future__ import annotations
@@ -34,9 +36,16 @@ import sympy
 
 from vemflow import cases
 from vemflow import quadrature as quad
-from vemflow.dofspace import CellDofLayout, _as_field, cell_basis, edge_point_params, interpolate_boundary
+from vemflow.dofspace import (
+    CellDofLayout,
+    _as_field,
+    build_dof_maps,
+    cell_basis,
+    edge_point_params,
+    interpolate_boundary,
+)
 from vemflow.flow import DIVERGENCE_GROWTH, FlowSolution, NSOptions, SolverError, solve_stokes
-from vemflow.forms import GlobalSystem, assemble, assemble_convection, local_a, local_load
+from vemflow.forms import GlobalSystem, assemble, assemble_convection, divergence_matrix, local_a, local_load
 from vemflow.meshing import CellGeom, EdgeGeom, FaceGeom, MeshError, PolyMesh
 from vemflow.polynomials import (
     MonomialBasis2,
@@ -623,7 +632,7 @@ def reduced_system_oracle(mesh, maps, spec, projs, red) -> GlobalSystem:
     gvals = interpolate_boundary(mesh, mapv, spec.dirichlet)[red.keep]
     gvals[~dir_mask] = 0.0
     # the full-system oracle solves it; it reads none of the reduced-pair fields
-    return GlobalSystem(k=spec.k, nu=spec.nu, A=A, B=B, F=F, e=e,
+    return GlobalSystem(A=A, B=B, F=F, e=e,
                         dirichlet_mask=dir_mask, dirichlet_values=gvals,
                         red=None, E=None, volumes=None, pressure_ints=None, order=None)
 
@@ -797,12 +806,81 @@ def reduce_and_compare(mesh, maps, spec, projs, faceprojs) -> ReducedComparison:
     du = float(np.max(np.abs(full.u - sol.u)))
     dp = float(np.max(np.abs(cell_means(full.p, system) - cell_means(sol.p, system))))
     expected = (2 * dim_poly(mapv.k - 1, 3) - 2) * mesh.n_cells
-    return ReducedComparison(du, dp, system.red.saving, expected)
+    return ReducedComparison(du, dp, reduced_saving(system.red), expected)
 
 
 # ---------------------------------------------------------------------------
 # Helpers only tests call
 # ---------------------------------------------------------------------------
+
+
+def grad_coeff(proj, comp: int, deriv: int) -> np.ndarray:
+    """Rows of pi_0grad giving d u_comp / d x_deriv over the pressure monomials."""
+    pq = proj.Hq.shape[0]
+    return proj.pi_0grad[(3 * comp + deriv) * pq: (3 * comp + deriv + 1) * pq, :]
+
+
+def reduced_saving(red) -> int:
+    """Unknowns the reduced pair drops from the full one."""
+    return (red.full_v.ndof - red.ndof_v) + (red.full_q.ndof - red.ndof_q)
+
+
+def single_distorted_hex(top_scale: float = 0.6, shear: float = 0.25) -> PolyMesh:
+    """One non-affine hexahedral cell (sheared frustum) with planar faces."""
+    s = top_scale
+    bot = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], dtype=float)
+    ctr = np.array([0.5, 0.5, 0.0])
+    top = ctr + s * (bot - ctr) + np.array([shear, 0.4 * shear, 1.0])
+    verts = np.vstack([bot, top])
+    faces = [
+        [0, 3, 2, 1],              # bottom, outward -z
+        [4, 5, 6, 7],              # top, outward +z
+        [0, 1, 5, 4],              # y=0 side
+        [1, 2, 6, 5],              # x=1 side
+        [2, 3, 7, 6],              # y=1 side
+        [3, 0, 4, 7],              # x=0 side
+    ]
+    cells = [[1, 2, 3, 4, 5, 6]]
+    return PolyMesh(verts, faces, cells)
+
+
+def truncated_octahedron_cell() -> PolyMesh:
+    """The Voronoi cell of the BCC lattice (truncated octahedron), scaled
+    into [0,1]^3.  Used as an imported polyhedral (Voronoi) test cell."""
+    verts = []
+    for perm in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
+        for s1 in (-1, 1):
+            for s2 in (-1, 1):
+                v = [0.0, 0.0, 0.0]
+                v[perm[0]] = 0.0
+                v[perm[1]] = s1 * 1.0
+                v[perm[2]] = s2 * 2.0
+                verts.append(tuple(v))
+    verts = np.array(sorted(set(verts)))
+    center = np.zeros(3)
+    faces = []
+    planes = []
+    for axis in range(3):
+        for s in (-1, 1):
+            nrm = np.zeros(3)
+            nrm[axis] = s
+            planes.append((nrm, 2.0))
+    for sx in (-1, 1):
+        for sy in (-1, 1):
+            for sz in (-1, 1):
+                planes.append((np.array([sx, sy, sz]) / np.sqrt(3.0), 3.0 / np.sqrt(3.0)))
+    for nrm, off in planes:
+        on = [i for i, v in enumerate(verts) if abs(v @ nrm - off) < 1e-9]
+        pts = verts[on]
+        ctr = pts.mean(axis=0)
+        t1 = pts[0] - ctr
+        t1 /= np.linalg.norm(t1)
+        t2 = np.cross(nrm, t1)
+        ang = np.arctan2((pts - ctr) @ t2, (pts - ctr) @ t1)
+        order = np.argsort(ang)
+        faces.append([on[i] for i in order])  # CCW w.r.t. nrm = outward
+    cells = [[f + 1 for f in range(len(faces))]]
+    return PolyMesh(verts / 4.0 + 0.5, faces, cells)
 
 
 def face_coords(mesh, f: int, pts3: np.ndarray) -> np.ndarray:
@@ -1277,3 +1355,30 @@ def divergence_matrix_loop(mesh, mapv) -> sp.csr_matrix:
     indptr = np.cumsum([0] + [len(cols) for cols, _ in rows])
     return sp.csr_matrix((np.concatenate([v for _, v in rows]), np.concatenate([c for c, _ in rows]), indptr),
                          shape=(len(rows), mapv.ndof))
+
+
+DENSE_DOF_CAP = 3000
+SV_RTOL = 1e-9
+
+
+def assemble_divergence(mesh, k: int, maps=None) -> np.ndarray:
+    """Dense global divergence pairing (dim Q x dim V), no boundary
+    conditions; built from the DoF map alone, without projections."""
+    mapv, _ = maps or build_dof_maps(mesh, k)
+    return divergence_matrix(mesh, mapv).toarray()
+
+
+def svd_rank(mesh, k: int) -> tuple[int, int, float]:
+    """(rank, kernel dimension, singular-value gap) of B by dense SVD of the
+    row-normalised pairing, counting singular values above SV_RTOL times the
+    largest: the oracle of `derham.certified_rank`.  The rank is conclusive
+    when the gap (the last kept over the first dropped value) is >= 10."""
+    B = assemble_divergence(mesh, k)
+    if B.shape[1] > DENSE_DOF_CAP:
+        raise ValueError(f"dense SVD refused: {B.shape[1]} DoFs exceed cap {DENSE_DOF_CAP}")
+    scale = np.linalg.norm(B, axis=1)
+    scale[scale == 0] = 1.0
+    sv = np.linalg.svd(B / scale[:, None], compute_uv=False)
+    rank = int(np.sum(sv > SV_RTOL * sv[0]))
+    gap = sv[rank - 1] / max(sv[rank], 1e-300) if rank < len(sv) else np.inf
+    return rank, B.shape[1] - rank, float(gap)

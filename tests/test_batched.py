@@ -22,6 +22,8 @@ from helpers import (
     geometry_loop,
     interpolate_boundary_loop,
     per_entry_case_fields,
+    single_distorted_hex,
+    truncated_octahedron_cell,
 )
 from vemflow import polynomials, projection
 from vemflow import quadrature as quad
@@ -34,8 +36,6 @@ from vemflow.forms import ProblemSpec, assemble
 from vemflow.meshing import (
     generate_structured_cubes,
     generate_tetra_mesh,
-    single_distorted_hex,
-    truncated_octahedron_cell,
 )
 from vemflow.projection import build_cell_projection, build_projections
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,21 @@ def test_slope_fit_window():
     one = ErrorReport(case="x", family="structured", k=2, nu=1.0,
                       levels=[LevelResult(0, 0.5, 1, 1, 1.0, 1.0, 0, 0.0, 0.0)])
     assert one.slopes() == {"eH1u": None, "eL2p": None}
+
+
+def test_csv_slopes_match_report_with_zero_column(tmp_path):
+    """One fit serves the report and its CSV: a column with an error of 0
+    gives None in both, without a warning."""
+    rep = ErrorReport(case="x", family="structured", k=2, nu=1.0)
+    for lvl, h in enumerate((0.8, 0.4, 0.2)):
+        rep.levels.append(LevelResult(lvl, h, 1, 1, h**3, 0.0, 0, 0.0, 0.0))
+    path = tmp_path / "zero.csv"
+    path.write_text(rep.to_csv())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fitted = rates_from_csv(str(path))
+    assert fitted == rep.slopes()
+    assert fitted["eL2p"] is None and abs(fitted["eH1u"] - 3.0) < 1e-12
 
 
 def test_csv_deterministic_modulo_walltime(tmp_path):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from vemflow.cli import main
 
 
@@ -33,6 +35,31 @@ def test_complex_check(tmp_path, capsys):
     assert data["rank"]["passed"] is True
 
 
+def test_complex_check_at_benchmark_size(capsys):
+    """The certified rank has no DoF cap: the 6^3 cube mesh of the Stokes
+    benchmark (6591 velocity DoFs) passes with rank dim Q and kernel dim Z."""
+    assert main(["complex-check", "--cubes", "6", "--k", "2"]) == 0
+    rank = json.loads(capsys.readouterr().out)["rank"]
+    assert (rank["rank_B"], rank["kernel_dim"]) == (864, 5727)
+    assert (rank["expected"], rank["expected_kernel_dim"]) == (864, 5727)
+    assert "conclusive" not in rank
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dofs", "--cubes", "1", "--k", "5"], "unsupported degree k=5"),
+    (["solve", "--cubes", "1", "--case", "nope"], "unknown case 'nope'"),
+    (["mesh", "gen", "--tets", "2", "--jitter", "0.7", "--out", "m.json"], "jitter must be in"),
+    (["dofs", "--cubes", "0"], "n must be >= 1"),
+    (["dofs", "--tets", "0"], "n must be >= 1"),
+])
+def test_invalid_input_is_one_line(argv, message, capsys):
+    """Invalid arguments end in a one-line error and exit code 2, not a
+    traceback; a zero mesh size is invalid, not a missing mesh."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_solve_with_exports(tmp_path, capsys):
     mat = tmp_path / "mat.txt"
     sol = tmp_path / "sol.json"
@@ -58,6 +85,19 @@ def test_bench_run_and_rates(tmp_path, capsys):
     assert main(["bench", "rates", str(out)]) == 0
     fitted = json.loads(capsys.readouterr().out)
     assert 1.5 < fitted["eH1u"] < 2.5
+
+
+def test_bench_rates_zero_error_is_null(tmp_path, capsys):
+    """A column with an error of 0 has no slope: `bench rates` prints null,
+    valid JSON, as the report's own slopes do."""
+    path = tmp_path / "r.csv"
+    path.write_text("level,h,ndof_u,ndof_p,eH1u,eL2p,newton_iters,wall_time_s\n"
+                    "0,0.5,1,1,0.25,0.0,0,0.0\n1,0.25,1,1,0.0625,0.0,0,0.0\n")
+    assert main(["bench", "rates", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "NaN" not in out
+    fitted = json.loads(out)
+    assert fitted["eL2p"] is None and abs(fitted["eH1u"] - 2.0) < 1e-12
 
 
 def test_solve_reports_newton_failure(capsys):

@@ -7,14 +7,19 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from helpers import convection_oracle, convection_oracle_scatter, cube_and_pyramids, extract_cells
+from helpers import (
+    convection_oracle,
+    convection_oracle_scatter,
+    cube_and_pyramids,
+    extract_cells,
+    single_distorted_hex,
+    truncated_octahedron_cell,
+)
 from vemflow.dofspace import build_dof_maps
 from vemflow.forms import assemble_convection, local_convection
 from vemflow.meshing import (
     generate_structured_cubes,
     generate_tetra_mesh,
-    single_distorted_hex,
-    truncated_octahedron_cell,
 )
 from vemflow.projection import build_projections
 

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from helpers import extract_cells
-from vemflow import projection
+from helpers import DENSE_DOF_CAP, assemble_divergence, cube_and_pyramids, extract_cells, svd_rank
+from vemflow import derham, forms, projection
 from vemflow.cases import make_case
 from vemflow.derham import (
-    assemble_divergence,
+    certified_rank,
     check_div_surjectivity,
     check_divfree,
     check_exactness_dims,
 )
-from vemflow.dofspace import interpolate_velocity
+from vemflow.dofspace import complex_dims, interpolate_velocity
 from vemflow.flow import solve_stokes
 from vemflow.forms import ProblemSpec, assemble
 from vemflow.meshing import generate_structured_cubes
@@ -19,6 +20,17 @@ from vemflow.meshing import generate_structured_cubes
 @pytest.fixture(scope="module")
 def two_cell():
     return extract_cells(generate_structured_cubes(2), [0, 1])
+
+
+@pytest.fixture(scope="module")
+def torus(cube3):
+    """Eight cubes of one layer of 3^3 around the middle column: Euler number 0."""
+    return extract_cells(cube3, [i * 9 + j * 3 for i in range(3) for j in range(3) if not (i == 1 and j == 1)])
+
+
+@pytest.fixture(scope="module")
+def hex_and_pyramids():
+    return cube_and_pyramids()
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -30,13 +42,20 @@ def test_exactness_dims(k, cube1, cube3, tets2):
         assert rep.dims.alternating_sum == 0
 
 
-def test_exactness_guard_noncontractible(cube3):
-    ring = [i * 9 + j * 3 for i in range(3) for j in range(3) if not (i == 1 and j == 1)]
-    torus = extract_cells(cube3, ring)
+def test_exactness_guard_noncontractible(torus):
     rep = check_exactness_dims(torus, 2)
     assert not rep.exactness_applicable
     assert rep.exactness_ok is None
     assert any("Euler" in note for note in rep.notes)
+
+
+def test_div_surjectivity_noncontractible(torus):
+    """The rank check does not need a contractible mesh: on the ring (Euler
+    number 0) B is still onto Q_h, with the frozen values of the SVD."""
+    rep = check_div_surjectivity(torus, 2)
+    assert rep.dims.euler == 0 and not rep.exactness_applicable
+    assert (rep.rank.rank, rep.rank.kernel_dim) == (32, 400)
+    assert rep.rank.passed
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -84,9 +103,61 @@ def test_rank_invariance_scaling_permutation(unit_tet):
     assert np.linalg.matrix_rank(base[:, perm], tol=1e-9 * np.linalg.norm(base)) == rank0
 
 
-def test_dense_cap_refused(cube3):
-    with pytest.raises(ValueError, match="dense SVD refused"):
-        check_div_surjectivity(cube3, 3, cap=100)
+ORACLE_MESHES = ("cube1", "unit_tet", "two_cell", "cube2", "tets2", "torus", "hex_and_pyramids",
+                 "hex_cell", "voronoi_cell")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", ORACLE_MESHES)
+def test_certified_rank_matches_svd(name, k, request):
+    """The structural certificate gives the rank and kernel dimension of the
+    dense SVD on every test mesh the SVD oracle can take."""
+    mesh = request.getfixturevalue(name)
+    if complex_dims(mesh, k).dim_V > DENSE_DOF_CAP:
+        pytest.skip("above the dense SVD cap")
+    rank, kernel, gap = svd_rank(mesh, k)
+    assert gap >= 10.0
+    r = check_div_surjectivity(mesh, k).rank
+    assert (r.rank, r.kernel_dim) == (rank, kernel)
+
+
+def _tampered(mesh, mapv, where):
+    """B with one interior face whose two entries no longer cancel, or with a
+    second entry in the first divergence-moment row."""
+    B = forms.divergence_matrix(mesh, mapv).tolil()
+    if where == "interior face":
+        col = next(c for c in B[0].rows[0] if B[:, c].nnz == 2)
+        B[0, col] *= 1.5
+    else:
+        B[1, B[0].rows[0][0]] = 1.0
+    return B.tocsr()
+
+
+@pytest.mark.parametrize("where", ["interior face", "moment row"])
+def test_tampered_divergence_gets_no_rank(two_cell, where, monkeypatch):
+    """A B off the certified structure is reported not passed and given no
+    rank, although it still has full row rank."""
+    tampered = []
+    monkeypatch.setattr(derham, "divergence_matrix",
+                        lambda mesh, mapv: tampered.append(_tampered(mesh, mapv, where)) or tampered[-1])
+    rep = check_div_surjectivity(two_cell, 2)
+    assert np.linalg.matrix_rank(tampered[0].toarray()) == rep.dims.dim_Q
+    assert rep.rank.rank is None and rep.rank.kernel_dim is None
+    assert not rep.rank.passed
+    assert rep.to_json_dict()["rank"]["passed"] is False
+    assert any("no rank certified" in note for note in rep.notes)
+
+
+def test_certified_rank_counts_closed_components():
+    """Constant rows of cells linked only by interior faces, with no boundary
+    face, lose one rank per such component: the incidence of a closed graph."""
+    pq = 2
+    # cells 0-1 share two faces and touch nothing else; cell 2 has a boundary face
+    rows = [0, 2, 0, 2, 1, 3, 4, 5]
+    cols = [0, 0, 1, 1, 2, 3, 4, 5]
+    vals = [1.0, -1.0, -2.0, 2.0, 3.0, 3.0, 0.5, 4.0]
+    B = sp.csr_matrix((vals, (rows, cols)), shape=(6, 6))
+    assert certified_rank(B, pq) == np.linalg.matrix_rank(B.toarray()) == 5
 
 
 def test_divfree_zero_solution(cube1, disc):
