@@ -123,7 +123,7 @@ def cmd_bench_rates(args):
     print(json.dumps(bench.rates_from_csv(args.file), indent=1))
 
 
-def _add_mesh_source(p, gen=False):
+def _add_mesh_source(p):
     p.add_argument("--mesh", help="mesh file (json-poly)")
     p.add_argument("--format", default="json-poly", choices=["json-poly", "tetra-list"])
     p.add_argument("--cubes", type=int, help="generate n^3 structured cubes")
@@ -138,7 +138,7 @@ def main(argv=None) -> int:
 
     mesh = sub.add_parser("mesh", help="mesh utilities").add_subparsers(dest="sub", required=True)
     gen = mesh.add_parser("gen", help="generate a mesh file")
-    _add_mesh_source(gen, gen=True)
+    _add_mesh_source(gen)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_mesh_gen)
     chk = mesh.add_parser("check", help="shape-regularity diagnostics")

@@ -15,13 +15,16 @@ Shared entities are numbered once; moment scalings keep DoF values O(1).
 
 The velocity map lays the DoFs out per group of cells of one local layout
 and owns the CSC pattern of every matrix summed from cell blocks, built once
-from the entity pairs that share a cell, with each group's slots in it.
+from the entity pairs that share a cell, with each group's slots in it.  It
+also owns one factor cache, so a factor of a matrix on the map lives no
+longer than the map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -77,6 +80,33 @@ class DofGroup:
 
 
 @dataclass
+class FactorCache:
+    """One factor of a matrix built on a DoF map, with the key it was built
+    for: a tuple of every array the matrix is made from, compared by content
+    (`np.array_equal`), never by hash or object id.
+
+    The factor is kept only when the same key comes a second time, so a map
+    that serves one solve never holds a factor past it.  A new key evicts the
+    old factor before the new one is built."""
+
+    key: tuple | None = None
+    value: object = None
+
+    def get(self, key: tuple, build: Callable[[], object]) -> tuple[object, bool]:
+        """The value for `key` and whether `build()` made it in this call."""
+        if self.key is None or not all(np.array_equal(a, b) for a, b in zip(self.key, key)):
+            # held without copies, so none of the key's arrays may change under it
+            for a in key:
+                a.flags.writeable = False
+            self.key, self.value = key, None
+            return build(), True
+        if self.value is None:
+            self.value = build()
+            return self.value, True
+        return self.value, False
+
+
+@dataclass
 class DofMapV:
     """Global numbering of the five velocity DoF families, and the CSC
     pattern (`indptr`, `indices`) of every matrix summed from cell blocks."""
@@ -96,6 +126,7 @@ class DofMapV:
     indices: np.ndarray          # int32
     dirichlet: np.ndarray        # bool mask over global velocity DoFs
     edge_points: np.ndarray      # (L_e, k-1, 3) physical coordinates
+    factors: FactorCache = field(default_factory=FactorCache, repr=False, compare=False)
 
     def counts_by_family(self) -> dict:
         return {
@@ -120,8 +151,6 @@ class DofMapQ:
 class ReducedMaps:
     """Velocity map without the divergence-moment family; constant pressures."""
 
-    full_v: DofMapV
-    full_q: DofMapQ
     keep: np.ndarray          # bool over full velocity DoFs
     full_to_red: np.ndarray   # int, -1 on dropped DoFs
     ndof_v: int
@@ -189,14 +218,14 @@ def build_dof_maps(mesh: PolyMesh, k: int) -> tuple[DofMapV, DofMapQ]:
 
 
 def build_reduced_maps(mesh: PolyMesh, k: int, maps: tuple[DofMapV, DofMapQ] | None = None) -> ReducedMaps:
-    mapv, mapq = maps if maps is not None else build_dof_maps(mesh, k)
+    mapv = maps[0] if maps is not None else build_dof_maps(mesh, k)[0]
     keep = np.ones(mapv.ndof, dtype=bool)
     # the cell blocks close the numbering: family 4, then family 5, per cell
     keep[mapv.offsets["cell"]:].reshape(mesh.n_cells, -1)[:, mapv.n_d4:] = False
     full_to_red = np.full(mapv.ndof, -1, dtype=int)
     full_to_red[keep] = np.arange(int(keep.sum()))
     return ReducedMaps(
-        full_v=mapv, full_q=mapq, keep=keep, full_to_red=full_to_red,
+        keep=keep, full_to_red=full_to_red,
         ndof_v=int(keep.sum()), ndof_q=mesh.n_cells,
     )
 

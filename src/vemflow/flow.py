@@ -10,7 +10,23 @@ cell from the divergence-moment rows of the momentum equation and the
 reduced cell mean.  The reduced matrix is equilibrated and factored by
 sparse LU in a geometric nested-dissection order of its unknowns, computed
 once per assembled system.  The velocity block stays CSC, as assembled, and
-the equilibration and the permutation work on the saddle matrix's CSC arrays."""
+the equilibration and the permutation work on the saddle matrix's CSC arrays.
+
+The Stokes solve works in the unknowns (u, p/nu, lam/nu).  With the viscous
+block A = nu A1 assembled as A1 (`forms.assemble`), its reduced matrix
+K1 = E_f^T [A1 B^T; B 0] E_f does not depend on nu or on the load case:
+    K1 (u, p/nu, lam/nu) = (E_f^T (F/nu - A1 u0), -B u0, 0)
+with u0 the lifted Dirichlet data; p and lam are scaled back by nu, and the
+pressure recovery reads A1 and F/nu likewise.  At nu = 1 the factored
+matrix and the solution are those of the solve in (u, p), bit for bit.  The
+DoF map keeps one equilibrated factor of K1 (`dofspace.FactorCache`): its
+key is the content of every input of K1 (A1, E, the flux rows B[::pq], the
+free mask, the zero-mean row, the order), compared array by array, and the
+factor is kept only once the same key comes a second time, so a map that
+serves one solve holds none past it.  The factor dies with the map.
+Nothing that depends on nu or the case (F, the boundary values, u, p) is
+kept, and Newton's Jacobians nu A1 + C + Cg, new at every step, are factored
+and dropped."""
 
 from __future__ import annotations
 
@@ -52,8 +68,9 @@ class FlowSolution:
     linear_residual: float = 0.0
     converged: bool = True
     diagnostic: str = ""
-    saddle_rows: int = 0         # rows of the last factored saddle matrix
+    saddle_rows: int = 0         # rows of the last saddle matrix solved
     lu_fill: int = 0             # L.nnz + U.nnz of its LU factor
+    factored: bool = True        # False when the DoF map's kept factor was reused
 
     @property
     def newton_iterations(self) -> int:
@@ -64,27 +81,32 @@ class SolverError(RuntimeError):
     pass
 
 
-def _equilibrated_solve(K: sp.csc_matrix, rhs: np.ndarray,
-                        order: np.ndarray) -> tuple[np.ndarray, int]:
-    """Direct solve with one pass of symmetric inf-norm equilibration, the
-    LU factor taken in the given symmetric order.  Returns (x, LU fill).
+class _EquilibratedLU:
+    """The LU factor of a saddle matrix K after one pass of symmetric
+    inf-norm equilibration, taken in the given symmetric order.
 
     Saddle systems mix strain-scaled velocity rows with volume-scaled
     constraint rows; rescaling keeps the factorization accurate on the
     constraint block (the diagonal is zero there, so plain Jacobi would not
     apply).  The scaling and the permutation work on K's CSC arrays."""
-    rowmax = np.zeros(K.shape[0])
-    np.maximum.at(rowmax, K.indices, np.abs(K.data))
-    d = 1.0 / np.sqrt(np.where(rowmax == 0, 1.0, rowmax))
-    # d_i K_ij d_j on the columns taken in `order`, their rows renumbered
-    Kc = K[:, order]
-    Ks = sp.csc_matrix((d[Kc.indices] * Kc.data * np.repeat(d[order], np.diff(Kc.indptr)),
-                        np.argsort(order)[Kc.indices], Kc.indptr), shape=K.shape)
-    Ks.sort_indices()
-    lu = spla.splu(Ks, permc_spec="NATURAL")
-    x = np.empty_like(rhs)
-    x[order] = lu.solve((d * rhs)[order])
-    return d * x, lu.L.nnz + lu.U.nnz
+
+    def __init__(self, K: sp.csc_matrix, order: np.ndarray):
+        rowmax = np.zeros(K.shape[0])
+        np.maximum.at(rowmax, K.indices, np.abs(K.data))
+        self.d = 1.0 / np.sqrt(np.where(rowmax == 0, 1.0, rowmax))
+        # d_i K_ij d_j on the columns taken in `order`, their rows renumbered
+        Kc = K[:, order]
+        Ks = sp.csc_matrix((self.d[Kc.indices] * Kc.data * np.repeat(self.d[order], np.diff(Kc.indptr)),
+                            np.argsort(order)[Kc.indices], Kc.indptr), shape=K.shape)
+        Ks.sort_indices()
+        self.K, self.order = K, order
+        self.lu = spla.splu(Ks, permc_spec="NATURAL")
+        self.fill = self.lu.L.nnz + self.lu.U.nnz
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x = np.empty_like(rhs)
+        x[self.order] = self.lu.solve((self.d * rhs)[self.order])
+        return self.d * x
 
 
 def _saddle_matrix(system: GlobalSystem, J: sp.spmatrix) -> tuple[sp.csc_matrix, sp.csr_matrix]:
@@ -93,8 +115,8 @@ def _saddle_matrix(system: GlobalSystem, J: sp.spmatrix) -> tuple[sp.csc_matrix,
     against the cells' constant pressure rows B[::pq], bordered by the
     zero-mean row e[::pq] when present.
 
-    J is the velocity block, CSC: A for Stokes, the Newton Jacobian
-    A + C + Cg for Navier-Stokes.  Returns (K, E_f)."""
+    J is the velocity block, CSC: A1 for Stokes, the Newton Jacobian
+    nu A1 + C + Cg for Navier-Stokes.  Returns (K, E_f)."""
     pq = system.pressure_ints.shape[1]
     Ef = system.E[:, np.nonzero(~system.dirichlet_mask[system.red.keep])[0]]
     J_r = Ef.T @ J @ Ef
@@ -105,10 +127,29 @@ def _saddle_matrix(system: GlobalSystem, J: sp.spmatrix) -> tuple[sp.csc_matrix,
     return sp.bmat([[J_r, B_r.T, None], [B_r, None, e.T], [None, e, None]], format="csc"), Ef
 
 
-def _solve_step(system: GlobalSystem, J: sp.spmatrix, Rm: np.ndarray, u: np.ndarray,
-                p: np.ndarray, lam: float) -> FlowSolution:
+def _factor(system: GlobalSystem, J: sp.spmatrix) -> tuple[sp.csr_matrix, _EquilibratedLU]:
+    """E_f and the equilibrated LU factor of the reduced saddle matrix of J."""
+    K, Ef = _saddle_matrix(system, J)
+    return Ef, _EquilibratedLU(K, system.order)
+
+
+def _stokes_key(system: GlobalSystem) -> tuple:
+    """Every input of the nu-free reduced Stokes matrix E_f^T [A1 B^T; B 0] E_f
+    and of its factor: A1, E, the flux rows B[::pq], the free mask, the
+    zero-mean row (empty when absent) and the LU order."""
+    pq = system.pressure_ints.shape[1]
+    A1, E, flux = system.A1, system.E, system.B[::pq]
+    return (system.order, ~system.dirichlet_mask[system.red.keep],
+            np.empty(0) if system.e is None else system.e[::pq].copy(),
+            flux.data, flux.indices, flux.indptr, E.data, E.indices, E.indptr,
+            A1.indptr, A1.indices, A1.data)
+
+
+def _solve_step(system: GlobalSystem, Ef: sp.csr_matrix, lu: _EquilibratedLU, J: sp.spmatrix,
+                Rm: np.ndarray, u: np.ndarray, p: np.ndarray, lam: float) -> FlowSolution:
     """The increment (du, dp, dlam) of [J B^T; B 0] (du, dp) = -(Rm, B u + lam e)
-    with e . (p + dp) = 0, solved on the reduced pair; returned as a
+    with e . (p + dp) = 0, solved on the reduced pair with the factor `lu` of
+    its saddle matrix (from `_factor(system, J)`); returned as a
     FlowSolution with the norm of the reduced right-hand side as its one
     residual.
 
@@ -118,7 +159,6 @@ def _solve_step(system: GlobalSystem, J: sp.spmatrix, Rm: np.ndarray, u: np.ndar
         dp_b = (-Rm - J du)[d5_b] / |P|                      (b >= 1)
         dp_0 = mean - sum_{b>=1} int m_b dp_b / |P|
     with `mean` the reduced (cell-mean) pressure increment."""
-    K, Ef = _saddle_matrix(system, J)
     nf, nc = Ef.shape[1], len(system.volumes)
     pq = system.pressure_ints.shape[1]
     Rc = system.B[::pq] @ u
@@ -126,23 +166,28 @@ def _solve_step(system: GlobalSystem, J: sp.spmatrix, Rm: np.ndarray, u: np.ndar
         rhs = -np.concatenate([Ef.T @ Rm, Rc + lam * system.e[::pq], [system.e @ p]])
     else:
         rhs = -np.concatenate([Ef.T @ Rm, Rc])
-    x, fill = _equilibrated_solve(K, rhs, system.order)
+    x = lu.solve(rhs)
     du = Ef @ x[:nf]
     dp = np.empty((nc, pq))
     dp[:, 1:] = -(Rm + J @ du)[~system.red.keep].reshape(nc, pq - 1) / system.volumes[:, None]
     dp[:, 0] = (x[nf: nf + nc]
                 - np.sum(system.pressure_ints[:, 1:] * dp[:, 1:], axis=1) / system.volumes)
     nrm = float(np.linalg.norm(rhs))
-    res = float(np.linalg.norm(K @ x - rhs)) / (nrm if nrm > 0 else 1.0)
+    res = float(np.linalg.norm(lu.K @ x - rhs)) / (nrm if nrm > 0 else 1.0)
     return FlowSolution(u=du, p=dp.ravel(), lam=float(x[nf + nc]) if system.e is not None else 0.0,
-                        residuals=[nrm], linear_residual=res, saddle_rows=K.shape[0], lu_fill=fill)
+                        residuals=[nrm], linear_residual=res, saddle_rows=lu.K.shape[0],
+                        lu_fill=lu.fill)
 
 
 def solve_stokes(system: GlobalSystem) -> FlowSolution:
-    """Direct sparse solve of the assembled Stokes system on the reduced pair."""
+    """Direct sparse solve of the assembled Stokes system on the reduced pair,
+    in the unknowns (u, p/nu, lam/nu) of the nu-free matrix, with the factor
+    the DoF map keeps when it has seen the same matrix before."""
+    nu = system.nu
     u0 = system.E @ system.dirichlet_values[system.red.keep]
     try:
-        step = _solve_step(system, system.A, system.A @ u0 - system.F, u0,
+        (Ef, lu), factored = system.factors.get(_stokes_key(system), lambda: _factor(system, system.A1))
+        step = _solve_step(system, Ef, lu, system.A1, system.A1 @ u0 - system.F / nu, u0,
                            np.zeros(system.ndof_q), 0.0)
     except RuntimeError as exc:
         raise SolverError(
@@ -152,8 +197,20 @@ def solve_stokes(system: GlobalSystem) -> FlowSolution:
     res = step.linear_residual
     if not np.isfinite(res) or res > 1e-8:
         raise SolverError(f"direct solve failed: relative residual {res:.3e}")
-    return FlowSolution(u=u0 + step.u, p=step.p, lam=step.lam, linear_residual=res,
-                        saddle_rows=step.saddle_rows, lu_fill=step.lu_fill)
+    return FlowSolution(u=u0 + step.u, p=nu * step.p, lam=nu * step.lam, linear_residual=res,
+                        saddle_rows=step.saddle_rows, lu_fill=step.lu_fill, factored=factored)
+
+
+def _newton_step(system: GlobalSystem, mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],
+                 u: np.ndarray, p: np.ndarray, lam: float) -> FlowSolution:
+    """The Newton increment at (u, p, lam), with the Jacobian nu A1 + C(u) +
+    Cg(u) factored here and dropped on return.  A1, C and Cg lie on the DoF
+    map's one pattern, so the Jacobian is the sum of their data."""
+    C, Cg = assemble_convection(mesh, mapv, projs, u)
+    A1, nu = system.A1, system.nu
+    Rm = nu * (A1 @ u) + C @ u + system.B.T @ p - system.F
+    J = sp.csc_matrix((nu * A1.data + C.data + Cg.data, A1.indices, A1.indptr), shape=A1.shape)
+    return _solve_step(system, *_factor(system, J), J, Rm, u, p, lam)
 
 
 def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
@@ -186,10 +243,8 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
     increments = []
     residuals = []
     for it in range(opts.max_iter):
-        C, Cg = assemble_convection(mesh, mapv, projs, u)
-        Rm = system.A @ u + C @ u + system.B.T @ p - system.F
         try:
-            step = _solve_step(system, system.A + C + Cg, Rm, u, p, lam)
+            step = _newton_step(system, mesh, mapv, projs, u, p, lam)
         except RuntimeError as exc:
             raise SolverError(f"linear solve failed in Newton step {it}") from exc
         residuals += step.residuals

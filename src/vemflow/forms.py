@@ -18,19 +18,23 @@ contractions of Pi^0_k, the projected gradient and the cell's monomial
 integrals, batched over all cells that share a local DoF layout.
 
 A, C and Cg are CSC on the DoF map's pattern, its index arrays shared, each
-filled by one bincount per group of cells; B is laid out row by row, and
+filled by one scatter-add per group of cells; B is laid out row by row, and
 its constant-pressure rows are the cell-face flux incidence that the
 reduced embedding and the compatibility check read.
 
+The viscous block is assembled at nu = 1 (A1, with A = nu A1), since both
+stabilization recipes are linear in nu: the Stokes matrix in the unknowns
+(u, p/nu) does not depend on nu, and the solver factors it once per DoF map.
 The assembled system also carries what the solver needs for the reduced
 pair it solves on: the embedding E of the velocities without divergence
 moments, the cell volumes and pressure-monomial integrals for the pressure
-recovery, and a nested-dissection order of the reduced saddle unknowns.
+recovery, a nested-dissection order of the reduced saddle unknowns, and the
+DoF map's factor cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -40,6 +44,7 @@ import scipy.sparse as sp
 from .dofspace import (
     DofMapQ,
     DofMapV,
+    FactorCache,
     ReducedMaps,
     build_reduced_maps,
     interpolate_boundary,
@@ -146,7 +151,8 @@ class GlobalSystem:
     """Assembled saddle-point operator and right-hand side, with what the
     solver needs to solve it on the reduced pair and map the result back."""
 
-    A: sp.csc_matrix                 # velocity block (viscous + stabilization), on the DoF map's pattern
+    A1: sp.csc_matrix                # velocity block at nu = 1 (viscous + stabilization), map's pattern
+    nu: float                        # viscosity: the velocity block is nu A1
     B: sp.csr_matrix                 # div pairing, (ndof_q, ndof_v)
     F: np.ndarray                    # velocity right-hand side
     e: np.ndarray | None             # pressure-integral vector (None: no mean row)
@@ -157,6 +163,12 @@ class GlobalSystem:
     volumes: np.ndarray              # |P| per cell
     pressure_ints: np.ndarray        # (n_cells, pi_{k-1,3}) integrals of the pressure monomials
     order: np.ndarray                # LU order of the reduced saddle unknowns
+    factors: FactorCache = field(default_factory=FactorCache)   # the DoF map's
+
+    @property
+    def A(self) -> sp.csc_matrix:
+        """The velocity block nu A1, on A1's index arrays."""
+        return sp.csc_matrix((self.nu * self.A1.data, self.A1.indices, self.A1.indptr), shape=self.A1.shape)
 
     @property
     def ndof_q(self) -> int:
@@ -183,11 +195,23 @@ def _check_compatibility(mesh: PolyMesh, flux: sp.csr_matrix, gvals: np.ndarray)
         )
 
 
+def _group_sum(slots: np.ndarray, blocks: np.ndarray, n: int) -> np.ndarray:
+    """The data array of length n that a group's blocks sum to over its slots.
+    `np.add.at` reads the int32 slots in place, where `np.bincount` would
+    copy them to int64; both add in the order of the slots."""
+    out = np.zeros(n)
+    np.add.at(out, slots.ravel(), blocks.ravel())
+    return out
+
+
 def _cell_matrix(mapv: DofMapV, blocks: list[np.ndarray]) -> sp.csc_matrix:
     """Sum the cell blocks (nc, ndof, ndof) of each group of the DoF map into
-    a CSC matrix on the map's pattern: one bincount per group over its slots."""
-    data = sum(np.bincount(g.slots.ravel(), b.ravel(), minlength=len(mapv.indices))
-               for g, b in zip(mapv.groups, blocks))
+    a CSC matrix on the map's pattern: one scatter-add per group over its
+    slots, the groups' sums added in place in turn."""
+    parts = (_group_sum(g.slots, b, len(mapv.indices)) for g, b in zip(mapv.groups, blocks))
+    data = next(parts)
+    for part in parts:
+        data += part
     return sp.csc_matrix((data, mapv.indices, mapv.indptr), shape=(mapv.ndof, mapv.ndof))
 
 
@@ -255,11 +279,16 @@ def _saddle_order(mesh: PolyMesh, mapv: DofMapV, free: np.ndarray, mean_row: boo
 def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
              projs: list[CellProjections],
              faceprojs: dict[int, FaceProjections]) -> GlobalSystem:
-    """Scatter-add the local contributions into the sparse saddle system."""
+    """Scatter-add the local contributions into the sparse saddle system.
+
+    The viscosity must be finite and positive: the solver's unknowns divide
+    the pressure by it."""
+    if not (np.isfinite(spec.nu) and spec.nu > 0):
+        raise ValueError(f"viscosity must be finite and > 0, got nu = {spec.nu}")
     mapv, mapq = maps
     pq = mapq.n_per_cell
-    A = _cell_matrix(mapv, [np.stack([local_a(projs[c], spec.nu, spec.stabilization) for c in g.cells])
-                            for g in mapv.groups])
+    A1 = _cell_matrix(mapv, [np.stack([local_a(projs[c], 1.0, spec.stabilization) for c in g.cells])
+                             for g in mapv.groups])
     B = divergence_matrix(mesh, mapv)
     F = np.bincount(np.concatenate(mapv.cell_global),
                     np.concatenate([local_load(proj, spec.load) for proj in projs]), minlength=mapv.ndof)
@@ -296,12 +325,13 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     red = build_reduced_maps(mesh, mapv.k, maps)
     pressure_ints = e.reshape(mesh.n_cells, pq)
     return GlobalSystem(
-        A=A, B=B, F=F,
+        A1=A1, nu=spec.nu, B=B, F=F,
         e=e if mean_row else None,
         dirichlet_mask=dir_mask, dirichlet_values=gvals,
         red=red, E=reduced_embedding(B, red, pressure_ints, mesh.cell_stack.volume),
         volumes=mesh.cell_stack.volume, pressure_ints=pressure_ints,
         order=_saddle_order(mesh, mapv, red.keep & ~dir_mask, mean_row=mean_row),
+        factors=mapv.factors,
     )
 
 

@@ -616,7 +616,7 @@ def reduced_system_oracle(mesh, maps, spec, projs, red) -> GlobalSystem:
         keep_loc = np.ones(lay.ndof, dtype=bool)
         keep_loc[lay.d5] = False
         gred = red.full_to_red[gfull[keep_loc]]
-        A_loc = E.T @ local_a(proj, spec.nu, spec.stabilization) @ E
+        A_loc = E.T @ local_a(proj, 1.0, spec.stabilization) @ E
         b_loc = (local_b(proj) @ E)[0:1, :]
         rc = np.meshgrid(gred, gred, indexing="ij")
         rows_a.append(rc[0].ravel()); cols_a.append(rc[1].ravel()); vals_a.append(A_loc.ravel())
@@ -632,7 +632,7 @@ def reduced_system_oracle(mesh, maps, spec, projs, red) -> GlobalSystem:
     gvals = interpolate_boundary(mesh, mapv, spec.dirichlet)[red.keep]
     gvals[~dir_mask] = 0.0
     # the full-system oracle solves it; it reads none of the reduced-pair fields
-    return GlobalSystem(A=A, B=B, F=F, e=e,
+    return GlobalSystem(A1=A, nu=spec.nu, B=B, F=F, e=e,
                         dirichlet_mask=dir_mask, dirichlet_values=gvals,
                         red=None, E=None, volumes=None, pressure_ints=None, order=None)
 
@@ -806,7 +806,7 @@ def reduce_and_compare(mesh, maps, spec, projs, faceprojs) -> ReducedComparison:
     du = float(np.max(np.abs(full.u - sol.u)))
     dp = float(np.max(np.abs(cell_means(full.p, system) - cell_means(sol.p, system))))
     expected = (2 * dim_poly(mapv.k - 1, 3) - 2) * mesh.n_cells
-    return ReducedComparison(du, dp, reduced_saving(system.red), expected)
+    return ReducedComparison(du, dp, reduced_saving(system.red, mapq), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -820,9 +820,9 @@ def grad_coeff(proj, comp: int, deriv: int) -> np.ndarray:
     return proj.pi_0grad[(3 * comp + deriv) * pq: (3 * comp + deriv + 1) * pq, :]
 
 
-def reduced_saving(red) -> int:
-    """Unknowns the reduced pair drops from the full one."""
-    return (red.full_v.ndof - red.ndof_v) + (red.full_q.ndof - red.ndof_q)
+def reduced_saving(red, mapq) -> int:
+    """Unknowns the reduced pair drops from the full one, whose pressure map is mapq."""
+    return (len(red.keep) - red.ndof_v) + (mapq.ndof - red.ndof_q)
 
 
 def single_distorted_hex(top_scale: float = 0.6, shear: float = 0.25) -> PolyMesh:
@@ -1265,7 +1265,7 @@ def scatter_oracle(shape: tuple[int, int], rows: list[np.ndarray], cols: list[np
 
 def equilibrated_solve_oracle(K, rhs: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, int]:
     """The equilibrated, permuted solve through scipy's products and format
-    conversions: the reference for `flow._equilibrated_solve`."""
+    conversions: the reference for `flow._EquilibratedLU`."""
     absK = abs(K)
     rowmax = np.asarray(absK.max(axis=1).todense()).ravel()
     rowmax[rowmax == 0] = 1.0

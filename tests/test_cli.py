@@ -51,6 +51,7 @@ def test_complex_check_at_benchmark_size(capsys):
     (["mesh", "gen", "--tets", "2", "--jitter", "0.7", "--out", "m.json"], "jitter must be in"),
     (["dofs", "--cubes", "0"], "n must be >= 1"),
     (["dofs", "--tets", "0"], "n must be >= 1"),
+    (["solve", "--cubes", "2", "--nu", "0"], "viscosity must be finite and > 0"),
 ])
 def test_invalid_input_is_one_line(argv, message, capsys):
     """Invalid arguments end in a one-line error and exit code 2, not a

@@ -260,9 +260,9 @@ def test_saddle_systems_match_oracles(neumann, cube2, disc, monkeypatch):
     spec = case_spec(case, 2, neumann=neumann)
     system = assemble(cube2, maps, spec, projs, fps)
     solved = []
-    orig = flow._equilibrated_solve
-    monkeypatch.setattr(flow, "_equilibrated_solve",
-                        lambda K, rhs, order: solved.append((K, rhs)) or orig(K, rhs, order))
+    orig = flow._EquilibratedLU.solve
+    monkeypatch.setattr(flow._EquilibratedLU, "solve",
+                        lambda lu, rhs: solved.append((lu.K, rhs)) or orig(lu, rhs))
     solve_navier_stokes(cube2, maps, spec, projs, fps, NSOptions(max_iter=1), system=system)
     (K_s, rhs_s), (K_n, rhs_n) = solved
     # the reduced Stokes solve lifts the Dirichlet data into the range of E
@@ -340,7 +340,7 @@ def test_nested_dissection_beats_colamd():
     K, _ = flow._saddle_matrix(system, system.A)
     n = K.shape[0]
     assert np.array_equal(np.sort(system.order), np.arange(n)) and system.order[-1] == n - 1
-    _, fill_nd = flow._equilibrated_solve(K, np.ones(n), system.order)
+    fill_nd = flow._EquilibratedLU(K, system.order).fill
     d = 1.0 / np.sqrt(np.asarray(abs(K).max(axis=1).todense()).ravel())
     lu = spla.splu((sp.diags(d) @ K @ sp.diags(d)).tocsc(), permc_spec="COLAMD")
     assert fill_nd < lu.L.nnz + lu.U.nnz

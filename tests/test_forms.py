@@ -308,6 +308,19 @@ def test_incompatible_dirichlet_rejected(cube1, disc):
         assemble(cube1, maps, spec, projs, fps)
 
 
+@pytest.mark.parametrize("nu", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_viscosity_rejected(nu, cube1, disc, monkeypatch):
+    """A viscosity that is not finite and positive is refused before any
+    cell is assembled: the solver's pressure unknown is p / nu."""
+    import vemflow.forms as forms
+
+    maps, projs, fps = disc(cube1, 2)
+    zero3 = lambda p: np.zeros((len(np.atleast_2d(p)), 3))
+    monkeypatch.setattr(forms, "local_a", lambda *a, **kw: pytest.fail("assembly began"))
+    with pytest.raises(ValueError, match="viscosity must be finite and > 0"):
+        assemble(cube1, maps, ProblemSpec(nu=nu, load=zero3, dirichlet=zero3, k=2), projs, fps)
+
+
 @pytest.mark.parametrize("name,k", [("cube1", 2), ("tets2", 3)])
 def test_assemble_convection_jacobian_fd(name, k, request, disc):
     """C(u) u is the convective residual; its Jacobian is C(u) + Cg(u)."""
