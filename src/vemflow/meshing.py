@@ -7,14 +7,16 @@ cell).  Edges are derived from the face loops with the canonical key
 (min vertex, max vertex); they are never stored in input files.  Meshes are
 immutable after construction and safe to share read-only across workers.
 
-Geometry is computed without per-entity loops, over flat arrays with one
-row per face loop position (the fan triangles about each face's vertex
-mean) and one per sub-tetrahedron {cell vertex mean, face centroid, loop
-edge}, reduced per entity.  The per-entity records `edge_geom`, `face_geom`
-and `cell_geom` view the stacked fields `face_stack` and `cell_stack`; the
-sub-tetrahedra stay on the mesh for the cell rules.  `face_groups` splits
-the faces by vertex count and `cell_groups` the cells by face layout for the
-batched face and cell kernels.
+`PolyMesh` is built one way, without per-entity loops: the faces are parsed
+into one flat loop array and the signed cells into one flat cell-face
+incidence, and the checks, the edges, the face-cell incidence, the boundary
+flags, the sorted cell vertex and edge lists and the geometry (one row per
+loop position and one per sub-tetrahedron, reduced per entity) all derive
+from these two.  The lists `faces`, `cells`, `face_edges`, `cell_vertices`
+and `cell_edges` are views of flat arrays, and the records `edge_geom`,
+`face_geom` and `cell_geom` view the stacked fields `face_stack` and
+`cell_stack`.  `face_groups` and `cell_groups` split the faces by vertex
+count and the cells by face layout for the batched kernels.
 """
 
 from __future__ import annotations
@@ -52,8 +54,29 @@ def _diameters(vertices: np.ndarray, flat: np.ndarray, start: np.ndarray,
     return np.linalg.norm(P[:, :, None] - P[:, None], axis=-1).max(axis=(1, 2))
 
 
-# The per-entity records below; PolyMesh also keeps each one's fields stacked
-# over all entities (`face_stack`, `cell_stack`) for the batched kernels.
+def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment id and offset within it of each position of segments of
+    lengths `sizes` laid end to end."""
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    return seg, np.arange(len(seg)) - (np.cumsum(sizes) - sizes)[seg]
+
+
+def _by_appearance(keys: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct keys in order of first appearance: the position of
+    each one's first occurrence, in that order, and the number of every key."""
+    _, first, inverse = np.unique(keys, axis=axis, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.ravel()]
+
+
+def _parse_ids(rows, entity: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of `rows`, one row per `entity`, laid end to end, and the row
+    lengths.  A non-integral id raises; integral floats such as 3.0 pass."""
+    sizes = np.array([len(r) for r in rows], dtype=int)
+    flat = np.concatenate(rows)
+    raise_first(~np.isfinite(flat) | (flat != np.round(flat)),
+                lambda i: f"{entity} {i}: {kind} ids must be integers", ids=_segments(sizes)[0])
+    return flat.astype(int), sizes
 
 
 @dataclass
@@ -83,96 +106,82 @@ class PolyMesh:
     """Polyhedral mesh with derived topology and geometric caches."""
 
     def __init__(self, vertices, faces, signed_cells):
-        self.vertices = np.asarray(vertices, dtype=float)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+        """Parse the faces into one flat loop and the signed cells into one
+        flat cell-face incidence, and derive and check the topology and the
+        geometry from these.  Each check names the first offending entity in
+        the order a loop over the entities would meet it."""
+        V = self.vertices = np.asarray(vertices, dtype=float)
+        if V.ndim != 2 or V.shape[1] != 3:
             raise MeshError("vertices must be an (n, 3) array")
-        self.faces = [np.asarray(f, dtype=int) for f in faces]
-        self.cells = []
-        for c in signed_cells:
-            c = np.asarray(c, dtype=int)
-            if np.any(c == 0):
-                raise MeshError("cell face ids are signed and 1-based; 0 is invalid")
-            self.cells.append((np.abs(c) - 1, np.sign(c)))
-        self._validate_indices()
-        self._build_edges()
-        self._build_incidence()
-        self._build_geometry()
-        self._validate_geometry()
-
-    # -- construction helpers -------------------------------------------------
-
-    def _validate_indices(self):
-        nv = len(self.vertices)
-        for i, f in enumerate(self.faces):
-            if len(f) < 3 or len(np.unique(f)) != len(f):
-                raise MeshError(f"face {i} must be a loop of >= 3 distinct vertices")
-            if f.min() < 0 or f.max() >= nv:
-                raise MeshError(f"face {i}: vertex index out of range")
-        nf = len(self.faces)
-        for i, (fids, _) in enumerate(self.cells):
-            if len(fids) < 4:
-                raise MeshError(f"cell {i} must have >= 4 faces")
-            if fids.min() < 0 or fids.max() >= nf:
-                raise MeshError(f"cell {i}: face index out of range")
-
-    def _build_edges(self):
-        key_to_id: dict[tuple[int, int], int] = {}
-        face_edges = []
-        for f in self.faces:
-            eids = []
-            dirs = []
-            nv = len(f)
-            for i in range(nv):
-                a, b = int(f[i]), int(f[(i + 1) % nv])
-                key = (min(a, b), max(a, b))
-                if key not in key_to_id:
-                    key_to_id[key] = len(key_to_id)
-                eids.append(key_to_id[key])
-                dirs.append(1 if a < b else -1)
-            face_edges.append((np.array(eids), np.array(dirs)))
-        self.edges = np.array(sorted(key_to_id, key=key_to_id.get), dtype=int).reshape(-1, 2)
-        self.face_edges = face_edges
-        self._loop_edges = np.concatenate([eids for eids, _ in face_edges])   # by loop position
-
-    def _build_incidence(self):
-        nf = len(self.faces)
+        nv = len(V)
+        loop, sizes = _parse_ids(faces, "face", "vertex")
+        signed, n_inc = _parse_ids(signed_cells, "cell", "face")
+        inc_cell, _ = _segments(n_inc)
+        raise_first(signed == 0, lambda c: "cell face ids are signed and 1-based; 0 is invalid",
+                    ids=inc_cell)
+        inc_face, inc_sign = np.abs(signed) - 1, np.sign(signed)
+        nf, nc = len(sizes), len(n_inc)
+        owner, _ = _segments(sizes)                           # face of each loop position
+        by_vertex = np.lexsort((loop, owner))
+        repeated = owner[1:][(np.diff(loop[by_vertex]) == 0) & (np.diff(owner) == 0)]
+        bad_loop = (sizes < 3) | (np.bincount(repeated, minlength=nf) > 0)
+        out = np.bincount(owner, (loop < 0) | (loop >= nv), minlength=nf) > 0
+        raise_first(bad_loop | out, lambda f: f"face {f} must be a loop of >= 3 distinct vertices"
+                    if bad_loop[f] else f"face {f}: vertex index out of range")
+        out = np.bincount(inc_cell, inc_face >= nf, minlength=nc) > 0
+        raise_first((n_inc < 4) | out, lambda c: f"cell {c}: face index out of range" if n_inc[c] >= 4
+                    else f"cell {c} must have >= 4 faces")
+        pairs = np.sort(inc_cell * nf + inc_face)             # (cell, face) keys, ascending
+        twice = pairs[1:][np.diff(pairs) == 0]
+        if len(twice):
+            raise MeshError(f"cell {twice[0] // nf} lists face {twice[0] % nf} twice")
+        count = np.bincount(inc_face, minlength=nf)
+        slot = np.empty_like(inc_face)                        # rank among the face's incidences
+        slot[np.argsort(inc_face, kind="stable")] = _segments(count)[1]
+        raise_first(slot > 1, lambda f: f"non-manifold face {f}: more than 2 incident cells",
+                    ids=inc_face)
         self.face_cells = np.full((nf, 2), -1, dtype=int)
         self.face_cell_signs = np.zeros((nf, 2), dtype=int)
-        for ci, (fids, signs) in enumerate(self.cells):
-            for f, s in zip(fids, signs):
-                slot = 0 if self.face_cells[f, 0] < 0 else 1
-                if slot == 1 and self.face_cells[f, 1] >= 0:
-                    raise MeshError(f"non-manifold face {f}: more than 2 incident cells")
-                self.face_cells[f, slot] = ci
-                self.face_cell_signs[f, slot] = s
-        for f in range(nf):
-            if self.face_cells[f, 0] < 0:
-                raise MeshError(f"face {f} belongs to no cell")
-            if self.face_cells[f, 1] >= 0:
-                if self.face_cell_signs[f, 0] * self.face_cell_signs[f, 1] != -1:
-                    raise MeshError(f"interior face {f} must have opposite orientation signs")
-        self.boundary_face = self.face_cells[:, 1] < 0
-        self.boundary_vertex = np.zeros(len(self.vertices), dtype=bool)
-        self.boundary_edge = np.zeros(len(self.edges), dtype=bool)
-        for f in np.nonzero(self.boundary_face)[0]:
-            self.boundary_vertex[self.faces[f]] = True
-            self.boundary_edge[self.face_edges[f][0]] = True
-        # cell -> vertices/edges (sorted, deterministic)
-        self.cell_vertices = []
-        self.cell_edges = []
-        for fids, _ in self.cells:
-            vs = np.unique(np.concatenate([self.faces[f] for f in fids]))
-            es = np.unique(np.concatenate([self.face_edges[f][0] for f in fids]))
-            self.cell_vertices.append(vs)
-            self.cell_edges.append(es)
+        self.face_cells[inc_face, slot] = inc_cell
+        self.face_cell_signs[inc_face, slot] = inc_sign
+        raise_first((count == 0) | ((count == 2) & (self.face_cell_signs.prod(axis=1) != -1)),
+                    lambda f: f"face {f} belongs to no cell" if count[f] == 0
+                    else f"interior face {f} must have opposite orientation signs")
+        raise_first(np.bincount(loop, minlength=nv) == 0, lambda v: f"vertex {v} belongs to no face")
 
-    def _build_geometry(self):
-        """Edge, face and cell geometry over flat arrays: one row per loop
-        position (fan triangle about the face's vertex mean) and one per
-        sub-tetrahedron {cell vertex mean, face centroid, loop edge}.  Each
-        check raises for the first offending entity, in the order edges,
-        face areas, cell volumes."""
-        V = self.vertices
+        # edges (min vertex, max vertex), numbered in order of first appearance along the loops
+        start = np.cumsum(sizes) - sizes
+        nxt = np.arange(len(loop)) + 1                        # next position in its loop
+        nxt[start + sizes - 1] = start
+        lo, hi = np.minimum(loop, loop[nxt]), np.maximum(loop, loop[nxt])
+        first, self._loop_edges = _by_appearance(lo * nv + hi)        # by loop position
+        self.edges = np.stack([lo, hi], axis=1)[first]
+        ne = len(first)
+        self.boundary_face = self.face_cells[:, 1] < 0
+        self.boundary_vertex = np.bincount(loop, self.boundary_face[owner], minlength=nv) > 0
+        self.boundary_edge = np.bincount(self._loop_edges, self.boundary_face[owner], minlength=ne) > 0
+        self._face_loop = (loop, start, sizes, owner, nxt)
+        self._incidence = (inc_cell, inc_face, inc_sign)
+
+        # sub-tetrahedra: the loop positions of each cell's faces, cell by cell
+        inc, i = _segments(sizes[inc_face])
+        base = start[inc_face[inc]]
+        sub_cell = inc_cell[inc]
+        cv = np.unique(sub_cell * nv + loop[base + i])        # (cell, vertex) keys, ascending
+        ce = np.unique(sub_cell * ne + self._loop_edges[base + i])
+        cv_bounds = np.searchsorted(cv, nv * np.arange(nc + 1))
+        cv %= nv
+        self.faces = np.split(loop, start[1:])
+        self.cells = list(zip(*(np.split(x, np.cumsum(n_inc)[:-1]) for x in (inc_face, inc_sign))))
+        self.face_edges = list(zip(*(np.split(x, start[1:])
+                                     for x in (self._loop_edges, np.where(loop < loop[nxt], 1, -1)))))
+        self.cell_vertices = np.split(cv, cv_bounds[1:-1])
+        self.cell_edges = np.split(ce % ne, np.searchsorted(ce, ne * np.arange(1, nc)))
+        self._cell_sizes = np.diff(cv_bounds)                 # vertex count of each cell
+
+        # geometry: one row per loop position (the fan triangle about the
+        # face's vertex mean) and one per sub-tetrahedron {cell vertex mean,
+        # face centroid, loop edge}, reduced per entity
         vec = V[self.edges[:, 1]] - V[self.edges[:, 0]]
         length = np.linalg.norm(vec, axis=1)
         raise_first(length <= 0, lambda e: f"degenerate edge {e} (vertices "
@@ -180,12 +189,6 @@ class PolyMesh:
         self.edge_geom = [EdgeGeom(*g) for g in zip(length.tolist(), vec / length[:, None])]
 
         # faces: fan triangles {vertex mean, loop[i], loop[i+1]}
-        sizes = np.array([len(f) for f in self.faces])
-        start = np.cumsum(sizes) - sizes
-        loop = np.concatenate(self.faces)
-        owner = np.repeat(np.arange(len(sizes)), sizes)       # face of each loop position
-        nxt = np.arange(len(loop)) + 1                        # next position in its loop
-        nxt[start + sizes - 1] = start
         ctr0 = np.add.reduceat(V[loop], start) / sizes[:, None]
         rel = V[loop] - ctr0[owner]
         crosses = np.cross(rel, rel[nxt])
@@ -201,56 +204,38 @@ class PolyMesh:
         tau1 = V[loop[start + 1]] - V[loop[start]]
         tau1 -= np.einsum("ij,ij->i", tau1, normal)[:, None] * normal
         tau1 /= np.linalg.norm(tau1, axis=1)[:, None]
-        self.face_stack = FaceGeom(_diameters(V, loop, start, sizes), a2 / 2.0, centroid,
-                                   normal, tau1, np.cross(normal, tau1))
-        self.face_geom = [FaceGeom(*g) for g in zip(self.face_stack.h.tolist(),
-                                                    self.face_stack.area.tolist(),
-                                                    centroid, normal, tau1, self.face_stack.tau2)]
-        self._face_loop = (loop, start, sizes, owner)
+        fs = self.face_stack = FaceGeom(_diameters(V, loop, start, sizes), a2 / 2.0, centroid,
+                                        normal, tau1, np.cross(normal, tau1))
+        self.face_geom = [FaceGeom(*g) for g in zip(fs.h.tolist(), fs.area.tolist(),
+                                                    centroid, normal, tau1, fs.tau2)]
 
         # cells: sub-tetrahedra {vertex mean, face centroid, a, b} over the
         # loop edges (a, b) of each face, taken in the cell's outward order
-        inc_face = np.concatenate([fids for fids, _ in self.cells])
-        inc_sign = np.concatenate([signs for _, signs in self.cells])
-        inc_cell = np.repeat(np.arange(len(self.cells)), [len(fids) for fids, _ in self.cells])
-        n_sub = sizes[inc_face]
-        inc = np.repeat(np.arange(len(inc_face)), n_sub)
-        i = np.arange(len(inc)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-        n = n_sub[inc]
+        n = sizes[inc_face[inc]]
         rev = inc_sign[inc] < 0                # a reversed loop runs l[n-1], ..., l[0]
         cur = np.where(rev, n - 1 - i, i)
         nxt_pos = np.where(rev, (2 * n - 2 - i) % n, (i + 1) % n)
-        base = start[inc_face[inc]]
         self.subtets = np.stack([inc_face[inc], loop[base + cur], loop[base + nxt_pos]], axis=1)
-        sub_cell = inc_cell[inc]
-        self.subtet_start = np.searchsorted(sub_cell, np.arange(len(self.cells) + 1))
-        cv = np.concatenate(self.cell_vertices)
-        cv_sizes = np.array([len(vs) for vs in self.cell_vertices])
-        cv_start = np.cumsum(cv_sizes) - cv_sizes
-        xref = (np.add.reduceat(V[cv], cv_start) / cv_sizes[:, None])[sub_cell]
+        self.subtet_start = np.searchsorted(sub_cell, np.arange(nc + 1))
+        xref = (np.add.reduceat(V[cv], cv_bounds[:-1]) / self._cell_sizes[:, None])[sub_cell]
         cf, a, b = centroid[self.subtets[:, 0]], V[self.subtets[:, 1]], V[self.subtets[:, 2]]
         v6 = np.einsum("ij,ij->i", np.cross(cf - xref, a - xref), b - xref) / 6.0
-        vol = np.bincount(sub_cell, v6, minlength=len(self.cells))
+        vol = np.bincount(sub_cell, v6, minlength=nc)
         raise_first(vol <= 0, lambda c: f"inverted cell {c}: negative volume by "
                      "divergence-theorem formula")
-        mom = np.stack([np.bincount(sub_cell, v6 * x, minlength=len(self.cells))
+        mom = np.stack([np.bincount(sub_cell, v6 * x, minlength=nc)
                         for x in ((xref + cf + a + b) / 4.0).T], axis=1)
-        self.cell_stack = CellGeom(_diameters(V, cv, cv_start, cv_sizes), vol, mom / vol[:, None])
-        self.cell_geom = [CellGeom(*g) for g in zip(self.cell_stack.h.tolist(), vol.tolist(),
-                                                    self.cell_stack.barycenter)]
-        self._incidence = (inc_cell, inc_face, inc_sign)
+        cs = self.cell_stack = CellGeom(_diameters(V, cv, cv_bounds[:-1], self._cell_sizes), vol,
+                                        mom / vol[:, None])
+        self.cell_geom = [CellGeom(*g) for g in zip(cs.h.tolist(), vol.tolist(), cs.barycenter)]
 
-    def _validate_geometry(self):
-        loop, start, sizes, owner = self._face_loop
-        fs = self.face_stack
-        dist = np.abs(np.einsum("ij,ij->i", self.vertices[loop] - fs.centroid[owner], fs.normal[owner]))
+        dist = np.abs(np.einsum("ij,ij->i", V[loop] - centroid[owner], normal[owner]))
         dmax = np.maximum.reduceat(dist, start)
         raise_first(dmax > PLANARITY_RTOL * fs.h, lambda f: f"non-planar face {f}: max deviation "
                      f"{dmax[f]:.3e} exceeds {PLANARITY_RTOL:g}*h_f")
-        inc_cell, inc_face, inc_sign = self._incidence
-        flux = (inc_sign * fs.area[inc_face])[:, None] * fs.normal[inc_face]
-        closure = np.stack([np.bincount(inc_cell, x, minlength=self.n_cells) for x in flux.T], axis=1)
-        raise_first(np.linalg.norm(closure, axis=1) > 1e-8 * self.cell_stack.h ** 2,
+        flux = (inc_sign * fs.area[inc_face])[:, None] * normal[inc_face]
+        closure = np.stack([np.bincount(inc_cell, x, minlength=nc) for x in flux.T], axis=1)
+        raise_first(np.linalg.norm(closure, axis=1) > 1e-8 * cs.h ** 2,
                      lambda c: f"cell {c} is not closed: inconsistent face orientations")
 
     # -- counts and derived quantities ----------------------------------------
@@ -283,9 +268,13 @@ class PolyMesh:
         """Cell ids grouped by their vertex count and the vertex counts of their
         faces in local order, which fix the local edge and DoF counts, each
         group in index order: the unit of the batched cell kernel."""
-        keys = [(len(vs), *self._face_loop[2][fids].tolist())
-                for vs, (fids, _) in zip(self.cell_vertices, self.cells)]
-        return [np.flatnonzero([key == other for other in keys]) for key in dict.fromkeys(keys)]
+        inc_cell, inc_face, _ = self._incidence
+        local = _segments(np.bincount(inc_cell))[1]
+        keys = np.full((self.n_cells, local.max() + 2), -1)    # padded past a cell's last face
+        keys[:, 0] = self._cell_sizes
+        keys[inc_cell, local + 1] = self._face_loop[2][inc_face]
+        first, key = _by_appearance(keys, axis=0)
+        return [np.flatnonzero(key == g) for g in range(len(first))]
 
     def face_closure(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The vertex ids and the edge ids of the loops of `faces`, with repeats."""
@@ -294,15 +283,14 @@ class PolyMesh:
 
     def face_loops(self, faces: np.ndarray) -> np.ndarray:
         """Vertex loops of faces with one vertex count, stacked to (nf, nv)."""
-        loop, start, sizes, _ = self._face_loop
+        loop, start, sizes, _, _ = self._face_loop
         return loop[start[faces][:, None] + np.arange(sizes[faces[0]])]
 
     def euler_number(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces - self.n_cells
 
     def scaled(self, factor: float) -> "PolyMesh":
-        signed = [((f + 1) * s).tolist() for f, s in self.cells]
-        return PolyMesh(self.vertices * factor, [f.copy() for f in self.faces], signed)
+        return PolyMesh(self.vertices * factor, self.faces, [(f + 1) * s for f, s in self.cells])
 
     # -- I/O -------------------------------------------------------------------
 
@@ -352,33 +340,19 @@ def load_mesh(path: str, fmt: str = "json-poly") -> PolyMesh:
 
 
 def mesh_from_tets(nodes: np.ndarray, tets: np.ndarray) -> PolyMesh:
-    """Build a PolyMesh from a tetrahedron list, deduplicating shared faces."""
+    """Build a PolyMesh from a tetrahedron list, deduplicating shared faces.
+    Faces are numbered in order of first appearance, tet by tet, and stored
+    outward for the first tet that lists them."""
     nodes = np.asarray(nodes, dtype=float)
-    tets = np.asarray(tets, dtype=int)
-    faces: list[list[int]] = []
-    key_to_id: dict[tuple[int, ...], int] = {}
-    cells = []
-    for tet in tets:
-        v = nodes[tet]
-        vol6 = np.dot(np.cross(v[1] - v[0], v[2] - v[0]), v[3] - v[0])
-        t = list(map(int, tet))
-        if vol6 < 0:
-            t[2], t[3] = t[3], t[2]
-        # outward-oriented faces of the positively oriented tet
-        louts = [(t[0], t[2], t[1]), (t[0], t[1], t[3]), (t[1], t[2], t[3]), (t[0], t[3], t[2])]
-        signed = []
-        for loop in louts:
-            key = tuple(sorted(loop))
-            if key in key_to_id:
-                fid = key_to_id[key]
-                signed.append(-(fid + 1))  # stored loop is outward for the first cell
-            else:
-                fid = len(faces)
-                key_to_id[key] = fid
-                faces.append(list(loop))
-                signed.append(fid + 1)
-        cells.append(signed)
-    return PolyMesh(nodes, faces, cells)
+    t = np.array(tets, dtype=int)
+    v = nodes[t]
+    flip = np.einsum("ij,ij->i", np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), v[:, 3] - v[:, 0]) < 0
+    t[flip, 2:] = t[flip, 3:1:-1]
+    # outward-oriented faces of the positively oriented tets
+    loops = t[:, [0, 2, 1, 0, 1, 3, 1, 2, 3, 0, 3, 2]].reshape(-1, 3)
+    first, face_id = _by_appearance(np.sort(loops, axis=1), axis=0)
+    sign = np.where(first[face_id] == np.arange(len(loops)), 1, -1)
+    return PolyMesh(nodes, loops[first], (sign * (face_id + 1)).reshape(-1, 4))
 
 
 def generate_structured_cubes(n: int) -> PolyMesh:
@@ -424,34 +398,20 @@ def generate_tetra_mesh(n: int, jitter: float = 0.15, seed: int = 0) -> PolyMesh
     if not 0 <= jitter < 0.5:
         raise ValueError("jitter must be in [0, 0.5)")
     rng = np.random.default_rng(seed)
-    hgrid = 1.0 / n
-    idx = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
-    pts = np.empty(((n + 1) ** 3, 3))
-    for i in range(n + 1):
-        for j in range(n + 1):
-            for k in range(n + 1):
-                p = np.array([i, j, k], dtype=float) / n
-                free = np.array([0 < i < n, 0 < j < n, 0 < k < n])
-                dp = rng.uniform(-jitter, jitter, 3) * hgrid
-                pts[idx(i, j, k)] = p + dp * free
-    tets = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for perm in _KUHN_PERMS:
-                    steps = [base.copy()]
-                    for ax in perm:
-                        nxt = steps[-1].copy()
-                        nxt[ax] += 1
-                        steps.append(nxt)
-                    tets.append([idx(*q) for q in steps])
-    return mesh_from_tets(pts, np.array(tets))
+    grid = (n + 1,) * 3
+    ijk = np.stack(np.unravel_index(np.arange((n + 1) ** 3), grid), axis=1)
+    dp = rng.uniform(-jitter, jitter, ijk.shape) * (1.0 / n)
+    pts = ijk.astype(float) / n + dp * ((0 < ijk) & (ijk < n))
+    # box (i, j, k) and Kuhn path: corners base, + e_p0, + e_p0 + e_p1, + (1, 1, 1)
+    steps = np.cumsum(np.eye(3, dtype=int)[list(_KUHN_PERMS)], axis=1)
+    corners = np.concatenate([np.zeros((6, 1, 3), dtype=int), steps], axis=1)
+    q = ijk[np.all(ijk < n, axis=1), None, None] + corners
+    return mesh_from_tets(pts, np.ravel_multi_index(np.moveaxis(q, -1, 0), grid).reshape(-1, 4))
 
 
 def mesh_size(mesh: PolyMesh) -> float:
     """Mesh size h = arithmetic mean of the cell diameters."""
-    return float(np.mean([g.h for g in mesh.cell_geom]))
+    return float(np.mean(mesh.cell_stack.h))
 
 
 @dataclass
@@ -475,20 +435,17 @@ class QualityReport:
 
 
 def quality_check(mesh: PolyMesh, rho: float) -> QualityReport:
-    nc = mesh.n_cells
-    edge_ratio = np.empty(nc)
-    face_ratio = np.empty(nc)
-    ball_ratio = np.empty(nc)
-    for ci in range(nc):
-        h = mesh.cell_geom[ci].h
-        edge_ratio[ci] = min(mesh.edge_geom[e].length for e in mesh.cell_edges[ci]) / h
-        face_ratio[ci] = min(mesh.face_geom[f].h for f in mesh.cells[ci][0]) / h
-        xb = mesh.cell_geom[ci].barycenter
-        r = np.inf
-        for f, s in zip(*mesh.cells[ci]):
-            g = mesh.face_geom[f]
-            r = min(r, s * np.dot(g.centroid - xb, g.normal))
-        ball_ratio[ci] = r / h
+    inc_cell, inc_face, inc_sign = mesh._incidence
+    fs, cs = mesh.face_stack, mesh.cell_stack
+    length = np.linalg.norm(np.diff(mesh.vertices[mesh.edges], axis=1)[:, 0], axis=1)
+    shortest = np.minimum.reduceat(length[mesh._loop_edges], mesh._face_loop[1])   # per face
+    cell_start = np.searchsorted(inc_cell, np.arange(mesh.n_cells))
+    ratio = lambda x: np.minimum.reduceat(x, cell_start) / cs.h      # min over each cell's faces
+    edge_ratio = ratio(shortest[inc_face])
+    face_ratio = ratio(fs.h[inc_face])
+    # stacked 1x3 by 3x1 products round as np.dot of each pair
+    ball = (fs.centroid[inc_face] - cs.barycenter[inc_cell])[:, None] @ fs.normal[inc_face, :, None]
+    ball_ratio = ratio(inc_sign * ball[:, 0, 0])
     per_cell = np.minimum(edge_ratio, face_ratio)
     failing = [int(i) for i in np.nonzero(per_cell < rho)[0]]
     return QualityReport(

@@ -19,13 +19,17 @@ through the cell projections (`local_b`, Hq times the reconstructed
 divergence), which the closed form reproduces to round-off, and the
 closed form cell by cell from the per-cell records.  The dense SVD of B,
 with its DoF cap and singular-value gap, is the oracle of the rank that
-`derham` certifies from the structure of B.
+`derham` certifies from the structure of B.  The face-by-face and
+cell-by-cell loops of the mesh topology and its checks, the tet-by-tet
+tetra-list dedupe, the point-by-point tetra generator and the cell-by-cell
+quality report are the oracles of the flat construction in `meshing`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr, solve, solve_triangular
@@ -46,7 +50,7 @@ from vemflow.dofspace import (
 )
 from vemflow.flow import DIVERGENCE_GROWTH, FlowSolution, NSOptions, SolverError, solve_stokes
 from vemflow.forms import GlobalSystem, assemble, assemble_convection, divergence_matrix, local_a, local_load
-from vemflow.meshing import CellGeom, EdgeGeom, FaceGeom, MeshError, PolyMesh
+from vemflow.meshing import CellGeom, EdgeGeom, FaceGeom, MeshError, PolyMesh, QualityReport
 from vemflow.polynomials import (
     MonomialBasis2,
     MonomialBasis3,
@@ -1382,3 +1386,178 @@ def svd_rank(mesh, k: int) -> tuple[int, int, float]:
     rank = int(np.sum(sv > SV_RTOL * sv[0]))
     gap = sv[rank - 1] / max(sv[rank], 1e-300) if rank < len(sv) else np.inf
     return rank, B.shape[1] - rank, float(gap)
+
+
+# ---------------------------------------------------------------------------
+# Per-face and per-cell loops: the oracles of the flat mesh topology, the
+# tetra generators and the quality report
+# ---------------------------------------------------------------------------
+
+
+def topology_loop(vertices, faces, signed_cells) -> SimpleNamespace:
+    """Validation, edges, incidence, boundary flags, cell vertex and edge
+    lists and cell groups, face by face and cell by cell: the reference for
+    the flat topology of `PolyMesh`.  Raises the same `MeshError`s, except
+    for the checks the flat build adds (non-integral ids, a face listed
+    twice by one cell, a vertex in no face)."""
+    t = SimpleNamespace()
+    t.faces = [np.asarray(f, dtype=int) for f in faces]
+    t.cells = []
+    for c in signed_cells:
+        c = np.asarray(c, dtype=int)
+        if np.any(c == 0):
+            raise MeshError("cell face ids are signed and 1-based; 0 is invalid")
+        t.cells.append((np.abs(c) - 1, np.sign(c)))
+
+    nv = len(vertices)
+    for i, f in enumerate(t.faces):
+        if len(f) < 3 or len(np.unique(f)) != len(f):
+            raise MeshError(f"face {i} must be a loop of >= 3 distinct vertices")
+        if f.min() < 0 or f.max() >= nv:
+            raise MeshError(f"face {i}: vertex index out of range")
+    nf = len(t.faces)
+    for i, (fids, _) in enumerate(t.cells):
+        if len(fids) < 4:
+            raise MeshError(f"cell {i} must have >= 4 faces")
+        if fids.min() < 0 or fids.max() >= nf:
+            raise MeshError(f"cell {i}: face index out of range")
+
+    key_to_id: dict[tuple[int, int], int] = {}
+    t.face_edges = []
+    for f in t.faces:
+        eids = []
+        dirs = []
+        n = len(f)
+        for i in range(n):
+            a, b = int(f[i]), int(f[(i + 1) % n])
+            key = (min(a, b), max(a, b))
+            if key not in key_to_id:
+                key_to_id[key] = len(key_to_id)
+            eids.append(key_to_id[key])
+            dirs.append(1 if a < b else -1)
+        t.face_edges.append((np.array(eids), np.array(dirs)))
+    t.edges = np.array(sorted(key_to_id, key=key_to_id.get), dtype=int).reshape(-1, 2)
+
+    t.face_cells = np.full((nf, 2), -1, dtype=int)
+    t.face_cell_signs = np.zeros((nf, 2), dtype=int)
+    for ci, (fids, signs) in enumerate(t.cells):
+        for f, s in zip(fids, signs):
+            slot = 0 if t.face_cells[f, 0] < 0 else 1
+            if slot == 1 and t.face_cells[f, 1] >= 0:
+                raise MeshError(f"non-manifold face {f}: more than 2 incident cells")
+            t.face_cells[f, slot] = ci
+            t.face_cell_signs[f, slot] = s
+    for f in range(nf):
+        if t.face_cells[f, 0] < 0:
+            raise MeshError(f"face {f} belongs to no cell")
+        if t.face_cells[f, 1] >= 0:
+            if t.face_cell_signs[f, 0] * t.face_cell_signs[f, 1] != -1:
+                raise MeshError(f"interior face {f} must have opposite orientation signs")
+    t.boundary_face = t.face_cells[:, 1] < 0
+    t.boundary_vertex = np.zeros(nv, dtype=bool)
+    t.boundary_edge = np.zeros(len(t.edges), dtype=bool)
+    for f in np.nonzero(t.boundary_face)[0]:
+        t.boundary_vertex[t.faces[f]] = True
+        t.boundary_edge[t.face_edges[f][0]] = True
+    t.cell_vertices = []
+    t.cell_edges = []
+    for fids, _ in t.cells:
+        t.cell_vertices.append(np.unique(np.concatenate([t.faces[f] for f in fids])))
+        t.cell_edges.append(np.unique(np.concatenate([t.face_edges[f][0] for f in fids])))
+
+    keys = [(len(vs), *[len(t.faces[f]) for f in fids])
+            for vs, (fids, _) in zip(t.cell_vertices, t.cells)]
+    t.cell_groups = [np.flatnonzero([key == other for other in keys]) for key in dict.fromkeys(keys)]
+    return t
+
+
+def mesh_from_tets_loop(nodes: np.ndarray, tets: np.ndarray) -> PolyMesh:
+    """Tet by tet, face by face: the reference for `meshing.mesh_from_tets`."""
+    nodes = np.asarray(nodes, dtype=float)
+    tets = np.asarray(tets, dtype=int)
+    faces: list[list[int]] = []
+    key_to_id: dict[tuple[int, ...], int] = {}
+    cells = []
+    for tet in tets:
+        v = nodes[tet]
+        vol6 = np.dot(np.cross(v[1] - v[0], v[2] - v[0]), v[3] - v[0])
+        t = list(map(int, tet))
+        if vol6 < 0:
+            t[2], t[3] = t[3], t[2]
+        # outward-oriented faces of the positively oriented tet
+        louts = [(t[0], t[2], t[1]), (t[0], t[1], t[3]), (t[1], t[2], t[3]), (t[0], t[3], t[2])]
+        signed = []
+        for loop in louts:
+            key = tuple(sorted(loop))
+            if key in key_to_id:
+                fid = key_to_id[key]
+                signed.append(-(fid + 1))  # stored loop is outward for the first cell
+            else:
+                fid = len(faces)
+                key_to_id[key] = fid
+                faces.append(list(loop))
+                signed.append(fid + 1)
+        cells.append(signed)
+    return PolyMesh(nodes, faces, cells)
+
+
+_KUHN_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
+def generate_tetra_mesh_loop(n: int, jitter: float = 0.15, seed: int = 0) -> PolyMesh:
+    """Grid point by grid point, one jitter draw each, and box by box: the
+    reference for `meshing.generate_tetra_mesh`."""
+    rng = np.random.default_rng(seed)
+    hgrid = 1.0 / n
+    idx = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
+    pts = np.empty(((n + 1) ** 3, 3))
+    for i in range(n + 1):
+        for j in range(n + 1):
+            for k in range(n + 1):
+                p = np.array([i, j, k], dtype=float) / n
+                free = np.array([0 < i < n, 0 < j < n, 0 < k < n])
+                dp = rng.uniform(-jitter, jitter, 3) * hgrid
+                pts[idx(i, j, k)] = p + dp * free
+    tets = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                base = np.array([i, j, k])
+                for perm in _KUHN_PERMS:
+                    steps = [base.copy()]
+                    for ax in perm:
+                        nxt = steps[-1].copy()
+                        nxt[ax] += 1
+                        steps.append(nxt)
+                    tets.append([idx(*q) for q in steps])
+    return mesh_from_tets_loop(pts, np.array(tets))
+
+
+def quality_check_loop(mesh, rho: float) -> QualityReport:
+    """Cell by cell over the per-entity records: the reference for
+    `meshing.quality_check`."""
+    nc = mesh.n_cells
+    edge_ratio = np.empty(nc)
+    face_ratio = np.empty(nc)
+    ball_ratio = np.empty(nc)
+    for ci in range(nc):
+        h = mesh.cell_geom[ci].h
+        edge_ratio[ci] = min(mesh.edge_geom[e].length for e in mesh.cell_edges[ci]) / h
+        face_ratio[ci] = min(mesh.face_geom[f].h for f in mesh.cells[ci][0]) / h
+        xb = mesh.cell_geom[ci].barycenter
+        r = np.inf
+        for f, s in zip(*mesh.cells[ci]):
+            g = mesh.face_geom[f]
+            r = min(r, s * np.dot(g.centroid - xb, g.normal))
+        ball_ratio[ci] = r / h
+    per_cell = np.minimum(edge_ratio, face_ratio)
+    failing = [int(i) for i in np.nonzero(per_cell < rho)[0]]
+    return QualityReport(
+        rho=rho,
+        edge_ratio=edge_ratio,
+        face_ratio=face_ratio,
+        ball_ratio=ball_ratio,
+        rho_hat=float(per_cell.min()),
+        passed=not failing,
+        failing_cells=failing,
+    )

@@ -1,9 +1,17 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from helpers import extract_cells
+from helpers import (
+    cube_and_pyramids,
+    extract_cells,
+    generate_tetra_mesh_loop,
+    mesh_from_tets_loop,
+    quality_check_loop,
+    topology_loop,
+)
 from vemflow.meshing import (
     MeshError,
     PolyMesh,
@@ -209,3 +217,185 @@ def test_scaled_mesh(cube2):
     m = cube2.scaled(2.0)
     assert np.isclose(mesh_size(m), 2.0 * mesh_size(cube2))
     assert m.euler_number() == cube2.euler_number()
+
+
+# -- the flat construction against the per-entity loops ----------------------
+
+TOPOLOGY = ("faces", "cells", "edges", "face_edges", "face_cells", "face_cell_signs",
+            "boundary_face", "boundary_vertex", "boundary_edge", "cell_vertices", "cell_edges")
+GEOMETRY_ERRORS = (r"degenerate edge|face \d+ has zero area|inverted cell|non-planar face"
+                   r"|cell \d+ is not closed")
+
+
+def _raw(mesh):
+    """The mesh's input: vertices, face loops and signed 1-based cells as lists."""
+    return (mesh.vertices.copy(), [f.tolist() for f in mesh.faces],
+            [((f + 1) * s).tolist() for f, s in mesh.cells])
+
+
+def _same(a, b) -> bool:
+    """Equal arrays of equal dtype, item by item through lists and tuples."""
+    if isinstance(a, (list, tuple)):
+        return isinstance(b, (list, tuple)) and len(a) == len(b) and all(map(_same, a, b))
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _assert_matches_oracles(mesh):
+    oracle = topology_loop(*_raw(mesh))
+    for name in TOPOLOGY:
+        assert _same(getattr(mesh, name), getattr(oracle, name)), name
+    assert _same(mesh.cell_groups(), oracle.cell_groups)
+    got, want = quality_check(mesh, 0.2), quality_check_loop(mesh, 0.2)
+    for name in ("edge_ratio", "face_ratio", "ball_ratio"):
+        assert _same(getattr(got, name), getattr(want, name)), name
+    assert (got.rho_hat, got.failing_cells) == (want.rho_hat, want.failing_cells)
+    assert mesh_size(mesh) == float(np.mean([g.h for g in mesh.cell_geom]))
+
+
+@pytest.mark.parametrize("name", ["cube1", "cube2", "cube3", "unit_tet", "tets2", "hex_cell",
+                                  "voronoi_cell"])
+def test_flat_topology_matches_loops_on_fixtures(request, name):
+    _assert_matches_oracles(request.getfixturevalue(name))
+
+
+def test_flat_topology_matches_loops_on_built_meshes(cube3, tmp_path):
+    ring = [i * 9 + j * 3 for i in range(3) for j in range(3) if not (i == 1 and j == 1)]
+    nodes = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    np.savetxt(tmp_path / "m.node", nodes)
+    np.savetxt(tmp_path / "m.ele", np.array([[0, 1, 2, 3], [1, 2, 3, 4]]), fmt="%d")
+    for mesh in (cube_and_pyramids(), extract_cells(cube3, ring),
+                 load_mesh(str(tmp_path / "m"), "tetra-list")):
+        _assert_matches_oracles(mesh)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tetra_generator_matches_loops(n):
+    for seed, jitter in ((0, 0.15), (1, 0.15), (9, 0.3), (48392, 0.2)):
+        mesh = generate_tetra_mesh(n, jitter, seed)
+        ref = generate_tetra_mesh_loop(n, jitter, seed)
+        assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+        assert _same(mesh.faces, ref.faces) and _same(mesh.cells, ref.cells)
+        _assert_matches_oracles(mesh)
+
+
+def test_mesh_from_tets_matches_loop():
+    """Tets listed in shuffled order with both orientations, so that the
+    flat build flips some of them as the loop does."""
+    base = generate_tetra_mesh(2, seed=5)
+    tets = np.array(base.cell_vertices)[np.random.default_rng(5).permutation(base.n_cells)]
+    v = base.vertices[tets]
+    vol6 = np.einsum("ij,ij->i", np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), v[:, 3] - v[:, 0])
+    assert np.any(vol6 < 0) and np.any(vol6 > 0)
+    mesh = mesh_from_tets(base.vertices, tets)
+    ref = mesh_from_tets_loop(base.vertices, tets)
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+    assert _same(mesh.faces, ref.faces) and _same(mesh.cells, ref.cells)
+    _assert_matches_oracles(mesh)
+
+
+_CORRUPTIONS = ("flip a sign", "drop a cell face", "vertex id out of range", "face id out of range",
+                "repeat a triangle vertex", "third cell on a face")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_errors_match_the_loop(seed, cube2):
+    """One seeded corruption of a small mesh, or two from seed 12 on: the flat
+    build raises the loop's MeshError, or both accept the topology (the
+    geometry checks may still object, as to a flipped boundary face)."""
+    rng = np.random.default_rng(seed)
+    kinds = [_CORRUPTIONS[seed % len(_CORRUPTIONS)]]
+    if seed >= 12:
+        kinds.append(_CORRUPTIONS[rng.integers(len(_CORRUPTIONS))])
+    tets = "repeat a triangle vertex" in kinds or seed % 4 == 3
+    v, faces, cells = _raw(generate_tetra_mesh(1, seed=seed) if tets else cube2)
+    for kind in kinds:
+        c = int(rng.integers(len(cells)))
+        j = int(rng.integers(len(cells[c])))
+        f = int(rng.integers(len(faces)))
+        if kind == "flip a sign":
+            cells[c][j] = -cells[c][j]
+        elif kind == "drop a cell face":
+            del cells[c][j]
+        elif kind == "vertex id out of range":
+            faces[f][int(rng.integers(len(faces[f])))] = int(rng.choice([-1, len(v)]))
+        elif kind == "face id out of range":
+            cells[c][j] = int(rng.choice([0, len(faces) + 1, -len(faces) - 1]))
+        elif kind == "repeat a triangle vertex":
+            faces[f][2] = faces[f][0]
+        else:
+            cells.append(list(cells[c]))
+    try:
+        oracle = topology_loop(v, faces, cells)
+    except MeshError as exc:
+        with pytest.raises(MeshError) as got:
+            PolyMesh(v, faces, cells)
+        assert str(got.value) == str(exc)
+        return
+    try:
+        mesh = PolyMesh(v, faces, cells)
+    except MeshError as exc:
+        assert re.match(GEOMETRY_ERRORS, str(exc)), str(exc)
+    else:
+        for name in TOPOLOGY:
+            assert _same(getattr(mesh, name), getattr(oracle, name)), name
+
+
+def test_first_face_with_either_fault_named(cube2):
+    """The loop finds a face in no cell and an interior face with equal signs
+    in one pass over the faces; faces 0-3 and 8-11 are on the boundary, 4-7
+    inside."""
+    for flip, drop, first in ((4, 8, "interior face 4 must have opposite orientation signs"),
+                              (5, 0, "face 0 belongs to no cell")):
+        v, faces, cells = _raw(cube2)
+        c = cube2.face_cells[flip, 0]
+        cells[c] = [-s if abs(s) == flip + 1 else s for s in cells[c]]
+        c = cube2.face_cells[drop, 0]
+        cells[c] = [s for s in cells[c] if abs(s) != drop + 1]
+        for build in (topology_loop, PolyMesh):
+            with pytest.raises(MeshError, match=f"^{first}$"):
+                build(v, faces, cells)
+
+
+def test_cell_listing_a_face_twice_rejected(cube1):
+    v, faces, cells = _raw(cube1)
+    faces.append([0, 1, 3])          # a triangle in the x = 0 face, listed as +f and -f
+    cells[0] += [7, -7]
+    assert topology_loop(v, faces, cells).face_cells[6].tolist() == [0, 0]
+    with pytest.raises(MeshError, match=r"^cell 0 lists face 6 twice$"):
+        PolyMesh(v, faces, cells)
+    v, faces, cells = _raw(cube1)
+    cells[0].append(cells[0][0])     # face 1 again, with the same sign
+    with pytest.raises(MeshError, match="interior face 1 must have opposite orientation signs"):
+        topology_loop(v, faces, cells)
+    with pytest.raises(MeshError, match=r"^cell 0 lists face 1 twice$"):
+        PolyMesh(v, faces, cells)
+
+
+def test_vertex_in_no_face_rejected(cube2, tmp_path):
+    v, faces, cells = _raw(cube2)
+    v = np.vstack([v, [0.5, 0.5, 2.0]])
+    assert len(v) - len(topology_loop(v, faces, cells).edges) + len(faces) - len(cells) == 2
+    with pytest.raises(MeshError, match=r"^vertex 27 belongs to no face$"):
+        PolyMesh(v, faces, cells)
+    nodes = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    np.savetxt(tmp_path / "m.node", nodes)
+    np.savetxt(tmp_path / "m.ele", np.array([[0, 1, 2, 3]]), fmt="%d")
+    with pytest.raises(MeshError, match=r"^vertex 4 belongs to no face$"):
+        load_mesh(str(tmp_path / "m"), "tetra-list")
+
+
+def test_non_integral_ids_rejected(cube1, tmp_path):
+    v, faces, cells = _raw(cube1)
+    bad = [list(c) for c in cells]
+    bad[0][2] = 2.5                  # was truncated to face 1, sign +1
+    with pytest.raises(MeshError, match=r"^cell 0: face ids must be integers$"):
+        PolyMesh(v, faces, bad)
+    bad = [list(f) for f in faces]
+    bad[3][1] = 0.25                 # was truncated to vertex 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": v.tolist(), "faces": bad, "cells": cells}))
+    with pytest.raises(MeshError, match=r"^face 3: vertex ids must be integers$"):
+        load_mesh(str(path))
+    mesh = PolyMesh(v, [[float(i) for i in f] for f in faces], [[float(i) for i in c] for c in cells])
+    for name in TOPOLOGY:
+        assert _same(getattr(mesh, name), getattr(cube1, name)), name

@@ -47,3 +47,46 @@ def test_private_import_check_catches_them():
            "from numpy import _core\nimport numpy.linalg\nfrom scipy.sparse import csc_matrix\n")
     assert _private_imports(ast.parse(src)) == [
         "scipy.sparse._sparsetools", "scipy.sparse._sparsetools.csr_tocsc", "numpy._core"]
+
+
+PERFBENCH = sorted((Path(vemflow.__file__).parents[2] / "perfbench").glob("*.py"))
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """What the tree reads by name: loaded names, attributes, and strings,
+    through which perfbench resolves the layer functions it wraps."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _unread_names(defining: list[str], reading: list[str], exported) -> list[str]:
+    """Top-level functions and classes of the `defining` sources that no
+    source in `reading` reads and `exported` does not list."""
+    read = set().union(*(_reads(ast.parse(src)) for src in reading))
+    return [node.name for src in defining for node in ast.parse(src).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in read and node.name not in exported]
+
+
+def test_no_test_only_code_in_the_package():
+    """Every top-level function and class of the package has a reader in the
+    package or in perfbench, or is exported: code that only tests call lives
+    in tests/helpers.py."""
+    package = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert PERFBENCH
+    readers = package + [path.read_text(encoding="utf-8") for path in PERFBENCH]
+    assert _unread_names(package, readers, vemflow.__all__) == []
+
+
+def test_unread_name_check_catches_them():
+    src = ("def used():\n    pass\n\n\ndef unused():\n    pass\n\n\nclass Exported:\n    pass\n\n\n"
+           "def by_name():\n    pass\n\n\nused()\n")
+    assert _unread_names([src], [src, 'getattr(module, "by_name")\n'], ["Exported"]) == ["unused"]
+    assert _unread_names([src], [src], ["Exported"]) == ["unused", "by_name"]
