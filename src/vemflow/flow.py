@@ -20,10 +20,11 @@ with u0 the lifted Dirichlet data; p and lam are scaled back by nu, and the
 pressure recovery reads A1 and F/nu likewise.  At nu = 1 the factored
 matrix and the solution are those of the solve in (u, p), bit for bit.  The
 DoF map keeps one equilibrated factor of K1 (`dofspace.FactorCache`): its
-key is the content of every input of K1 (A1, E, the flux rows B[::pq], the
-free mask, the zero-mean row, the order), compared array by array, and the
-factor is kept only once the same key comes a second time, so a map that
-serves one solve holds none past it.  The factor dies with the map.
+key is the content of every input of K1 (A1, E, B, the free mask, the
+zero-mean row, the order), which are the operators the map keeps, so a
+repeat compares them by identity.  The factor is kept only once the same
+key comes a second time, so a map that serves one solve holds none past it.
+The factor dies with the map.
 Nothing that depends on nu or the case (F, the boundary values, u, p) is
 kept, and Newton's Jacobians nu A1 + C + Cg, new at every step, are factored
 and dropped."""
@@ -135,14 +136,13 @@ def _factor(system: GlobalSystem, J: sp.spmatrix) -> tuple[sp.csr_matrix, _Equil
 
 def _stokes_key(system: GlobalSystem) -> tuple:
     """Every input of the nu-free reduced Stokes matrix E_f^T [A1 B^T; B 0] E_f
-    and of its factor: A1, E, the flux rows B[::pq], the free mask, the
-    zero-mean row (empty when absent) and the LU order."""
-    pq = system.pressure_ints.shape[1]
-    A1, E, flux = system.A1, system.E, system.B[::pq]
-    return (system.order, ~system.dirichlet_mask[system.red.keep],
-            np.empty(0) if system.e is None else system.e[::pq].copy(),
-            flux.data, flux.indices, flux.indptr, E.data, E.indices, E.indptr,
-            A1.indptr, A1.indices, A1.data)
+    and of its factor: A1, E, B (its flux rows), the Dirichlet mask and the
+    reduced DoFs (the free mask), the zero-mean row (empty when absent) and
+    the LU order."""
+    A1, E, B = system.A1, system.E, system.B
+    return (system.order, system.dirichlet_mask, system.red.keep,
+            np.empty(0) if system.e is None else system.e,
+            B.data, B.indices, B.indptr, E.data, E.indices, E.indptr, A1.indptr, A1.indices, A1.data)
 
 
 def _solve_step(system: GlobalSystem, Ef: sp.csr_matrix, lu: _EquilibratedLU, J: sp.spmatrix,

@@ -23,13 +23,17 @@ its constant-pressure rows are the cell-face flux incidence that the
 reduced embedding and the compatibility check read.
 
 The viscous block is assembled at nu = 1 (A1, with A = nu A1), since both
-stabilization recipes are linear in nu: the Stokes matrix in the unknowns
-(u, p/nu) does not depend on nu, and the solver factors it once per DoF map.
-The assembled system also carries what the solver needs for the reduced
-pair it solves on: the embedding E of the velocities without divergence
-moments, the cell volumes and pressure-monomial integrals for the pressure
-recovery, a nested-dissection order of the reduced saddle unknowns, and the
-DoF map's factor cache.
+stabilization recipes are linear in nu.  The assembled system also carries
+what the solver needs for the reduced pair it solves on: the embedding E of
+the velocities without divergence moments, the cell volumes and
+pressure-monomial integrals for the pressure recovery, a nested-dissection
+order of the reduced saddle unknowns, and the DoF map's factor cache.  These,
+A1, B, the Dirichlet mask and the zero-mean row depend on neither nu nor the
+case: the DoF map's `OperatorCache` keeps them, read-only, from their first
+build, keyed on the content of every input (the kernel `local_a` itself, the
+stabilization, the Neumann faces, and the projection arrays that local_a and
+the zero-mean row read and the mesh arrays that B, E, the Dirichlet mask and
+the order read).  Each call builds only the load, traction and boundary values.
 """
 
 from __future__ import annotations
@@ -195,23 +199,14 @@ def _check_compatibility(mesh: PolyMesh, flux: sp.csr_matrix, gvals: np.ndarray)
         )
 
 
-def _group_sum(slots: np.ndarray, blocks: np.ndarray, n: int) -> np.ndarray:
-    """The data array of length n that a group's blocks sum to over its slots.
-    `np.add.at` reads the int32 slots in place, where `np.bincount` would
-    copy them to int64; both add in the order of the slots."""
-    out = np.zeros(n)
-    np.add.at(out, slots.ravel(), blocks.ravel())
-    return out
-
-
 def _cell_matrix(mapv: DofMapV, blocks: list[np.ndarray]) -> sp.csc_matrix:
     """Sum the cell blocks (nc, ndof, ndof) of each group of the DoF map into
     a CSC matrix on the map's pattern: one scatter-add per group over its
-    slots, the groups' sums added in place in turn."""
-    parts = (_group_sum(g.slots, b, len(mapv.indices)) for g, b in zip(mapv.groups, blocks))
-    data = next(parts)
-    for part in parts:
-        data += part
+    slots into one data array.  `np.add.at` reads the int32 slots in place,
+    where `np.bincount` would copy them to int64."""
+    data = np.zeros(len(mapv.indices))
+    for g, b in zip(mapv.groups, blocks):
+        np.add.at(data, g.slots.ravel(), b.ravel())
     return sp.csc_matrix((data, mapv.indices, mapv.indptr), shape=(mapv.ndof, mapv.ndof))
 
 
@@ -276,6 +271,36 @@ def _saddle_order(mesh: PolyMesh, mapv: DofMapV, free: np.ndarray, mean_row: boo
     return np.append(order, nf + mesh.n_cells) if mean_row else order
 
 
+def _operators(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
+               projs: list[CellProjections], neumann: np.ndarray) -> dict:
+    """The fields of the system that depend on neither nu nor the load case,
+    their arrays read-only, since the DoF map shares them between systems."""
+    mapv, mapq = maps
+    pq = mapq.n_per_cell
+    A1 = _cell_matrix(mapv, [np.stack([local_a(projs[c], 1.0, spec.stabilization) for c in g.cells])
+                             for g in mapv.groups])
+    B = divergence_matrix(mesh, mapv)
+    e = np.concatenate([proj.mono_int[:pq] for proj in projs])
+    # Dirichlet DoFs: those of the vertices, edges and faces of the boundary
+    # faces that are not Neumann, so a vertex or an edge stays Dirichlet
+    # unless all its boundary faces are Neumann; entity flags expand to DoFs
+    dfaces = np.setdiff1d(np.flatnonzero(mesh.boundary_face), neumann)
+    verts, edges = mesh.face_closure(dfaces)
+    on = np.zeros(len(mapv.entity_size), dtype=bool)
+    on[np.concatenate([verts, mesh.n_vertices + edges, mesh.n_vertices + mesh.n_edges + dfaces])] = True
+    dir_mask = np.repeat(on, mapv.entity_size)
+    mean_row = len(neumann) == 0
+    red = build_reduced_maps(mesh, mapv.k, maps)
+    pressure_ints = e.reshape(mesh.n_cells, pq)
+    E = reduced_embedding(B, red, pressure_ints, mesh.cell_stack.volume)
+    order = _saddle_order(mesh, mapv, red.keep & ~dir_mask, mean_row=mean_row)
+    for a in (A1.data, B.data, B.indices, B.indptr, E.data, E.indices, E.indptr, e, pressure_ints,
+              dir_mask, red.keep, red.full_to_red, order):
+        a.flags.writeable = False
+    return dict(A1=A1, B=B, e=e if mean_row else None, dirichlet_mask=dir_mask, red=red, E=E,
+                volumes=mesh.cell_stack.volume, pressure_ints=pressure_ints, order=order)
+
+
 def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
              projs: list[CellProjections],
              faceprojs: dict[int, FaceProjections]) -> GlobalSystem:
@@ -286,15 +311,16 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     if not (np.isfinite(spec.nu) and spec.nu > 0):
         raise ValueError(f"viscosity must be finite and > 0, got nu = {spec.nu}")
     mapv, mapq = maps
-    pq = mapq.n_per_cell
-    A1 = _cell_matrix(mapv, [np.stack([local_a(projs[c], 1.0, spec.stabilization) for c in g.cells])
-                             for g in mapv.groups])
-    B = divergence_matrix(mesh, mapv)
+    neumann = classify_neumann(mesh, spec)
+    # every input of `_operators` besides the map (see the module notes)
+    key = (local_a, spec.stabilization, neumann, mesh.face_cells, mesh.face_cell_signs,
+           mesh.face_stack.area, mesh.boundary_face, mesh._face_loop[0], mesh._face_loop[3],
+           mesh._loop_edges, mesh.cell_stack.volume, mesh.cell_stack.barycenter,
+           *(getattr(p, name) for p in projs for name in ("D", "pi_d", "pi_0grad", "Hq", "sigma", "h",
+                                                         "mono_int")))
+    ops, _ = mapv.operators.get(key, lambda: _operators(mesh, maps, spec, projs, neumann))
     F = np.bincount(np.concatenate(mapv.cell_global),
                     np.concatenate([local_load(proj, spec.load) for proj in projs]), minlength=mapv.ndof)
-    e = np.concatenate([proj.mono_int[:pq] for proj in projs])
-
-    neumann = classify_neumann(mesh, spec)
     for f in neumann:
         ci = int(mesh.face_cells[f, 0])
         sign = int(mesh.face_cell_signs[f, 0])
@@ -307,32 +333,11 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
         for c in range(3):
             F[gdof] += FT[c].T @ (fp.w * tvals[:, c])
 
-    # Dirichlet DoFs: those of the vertices, edges and faces of the boundary
-    # faces that are not Neumann, so a vertex or an edge stays Dirichlet
-    # unless all its boundary faces are Neumann; entity flags expand to DoFs
-    dfaces = np.setdiff1d(np.flatnonzero(mesh.boundary_face), neumann)
-    verts, edges = mesh.face_closure(dfaces)
-    on = np.zeros(len(mapv.entity_size), dtype=bool)
-    on[np.concatenate([verts, mesh.n_vertices + edges, mesh.n_vertices + mesh.n_edges + dfaces])] = True
-    dir_mask = np.repeat(on, mapv.entity_size)
-
     gvals = interpolate_boundary(mesh, mapv, spec.dirichlet)
-    gvals[~dir_mask] = 0.0
-    mean_row = len(neumann) == 0
-    if mean_row:
-        _check_compatibility(mesh, B[::pq], gvals)
-
-    red = build_reduced_maps(mesh, mapv.k, maps)
-    pressure_ints = e.reshape(mesh.n_cells, pq)
-    return GlobalSystem(
-        A1=A1, nu=spec.nu, B=B, F=F,
-        e=e if mean_row else None,
-        dirichlet_mask=dir_mask, dirichlet_values=gvals,
-        red=red, E=reduced_embedding(B, red, pressure_ints, mesh.cell_stack.volume),
-        volumes=mesh.cell_stack.volume, pressure_ints=pressure_ints,
-        order=_saddle_order(mesh, mapv, red.keep & ~dir_mask, mean_row=mean_row),
-        factors=mapv.factors,
-    )
+    gvals[~ops["dirichlet_mask"]] = 0.0
+    if ops["e"] is not None:
+        _check_compatibility(mesh, ops["B"][::mapq.n_per_cell], gvals)
+    return GlobalSystem(nu=spec.nu, F=F, dirichlet_values=gvals, factors=mapv.factors, **ops)
 
 
 def assemble_convection(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],

@@ -61,6 +61,12 @@ def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return seg, np.arange(len(seg)) - (np.cumsum(sizes) - sizes)[seg]
 
 
+def _pieces(flat: np.ndarray, start: np.ndarray) -> list[np.ndarray]:
+    """The views of `flat` from each offset in `start` to the next, or to its end."""
+    b = start.tolist() + [len(flat)]
+    return [flat[i:j] for i, j in zip(b[:-1], b[1:])]
+
+
 def _by_appearance(keys: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct keys in order of first appearance: the position of
     each one's first occurrence, in that order, and the number of every key."""
@@ -128,6 +134,11 @@ class PolyMesh:
         out = np.bincount(owner, (loop < 0) | (loop >= nv), minlength=nf) > 0
         raise_first(bad_loop | out, lambda f: f"face {f} must be a loop of >= 3 distinct vertices"
                     if bad_loop[f] else f"face {f}: vertex index out of range")
+        sorted_loops = np.full((nf, sizes.max()), -1)        # padded past a face's last vertex
+        sorted_loops[owner, _segments(sizes)[1]] = loop[by_vertex]
+        first, same = _by_appearance(sorted_loops, axis=0)
+        raise_first(first[same] != np.arange(nf),
+                    lambda f: f"faces {first[same[f]]} and {f} have the same vertex set")
         out = np.bincount(inc_cell, inc_face >= nf, minlength=nc) > 0
         raise_first((n_inc < 4) | out, lambda c: f"cell {c}: face index out of range" if n_inc[c] >= 4
                     else f"cell {c} must have >= 4 faces")
@@ -171,12 +182,12 @@ class PolyMesh:
         ce = np.unique(sub_cell * ne + self._loop_edges[base + i])
         cv_bounds = np.searchsorted(cv, nv * np.arange(nc + 1))
         cv %= nv
-        self.faces = np.split(loop, start[1:])
-        self.cells = list(zip(*(np.split(x, np.cumsum(n_inc)[:-1]) for x in (inc_face, inc_sign))))
-        self.face_edges = list(zip(*(np.split(x, start[1:])
+        self.faces = _pieces(loop, start)
+        self.cells = list(zip(*(_pieces(x, np.cumsum(n_inc) - n_inc) for x in (inc_face, inc_sign))))
+        self.face_edges = list(zip(*(_pieces(x, start)
                                      for x in (self._loop_edges, np.where(loop < loop[nxt], 1, -1)))))
-        self.cell_vertices = np.split(cv, cv_bounds[1:-1])
-        self.cell_edges = np.split(ce % ne, np.searchsorted(ce, ne * np.arange(1, nc)))
+        self.cell_vertices = _pieces(cv, cv_bounds[:-1])
+        self.cell_edges = _pieces(ce % ne, np.searchsorted(ce, ne * np.arange(nc)))
         self._cell_sizes = np.diff(cv_bounds)                 # vertex count of each cell
 
         # geometry: one row per loop position (the fan triangle about the

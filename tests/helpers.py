@@ -1399,7 +1399,7 @@ def topology_loop(vertices, faces, signed_cells) -> SimpleNamespace:
     lists and cell groups, face by face and cell by cell: the reference for
     the flat topology of `PolyMesh`.  Raises the same `MeshError`s, except
     for the checks the flat build adds (non-integral ids, a face listed
-    twice by one cell, a vertex in no face)."""
+    twice by one cell, a vertex in no face, two faces with one vertex set)."""
     t = SimpleNamespace()
     t.faces = [np.asarray(f, dtype=int) for f in faces]
     t.cells = []

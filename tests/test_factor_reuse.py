@@ -1,6 +1,6 @@
-"""The Stokes factor kept on the DoF map: the nu-free solve, when a factor
-is reused, when it is not, and that a reused factor gives the fresh one's
-solution."""
+"""The Stokes factor and the case-free operators kept on the DoF map: the
+nu-free solve, when a factor or an operator is reused, when it is not, and
+that what is reused gives a fresh map's operators and solution."""
 
 import dataclasses
 
@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from helpers import cell_projection_loop
-from vemflow import flow
+from vemflow import flow, forms
 from vemflow.bench import case_spec
 from vemflow.cases import make_case
 from vemflow.dofspace import FactorCache, build_dof_maps
@@ -176,4 +176,115 @@ def test_cache_misses_on_a_changed_input(variant, mesh, request, splu_calls):
     _assert_close(got, solve_stokes(dataclasses.replace(other, factors=FactorCache())), 1e-12)
     assert solve_stokes(base).factored
     assert len(splu_calls) == 5
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of forms.<name>, which assembly looks up at call time."""
+    calls = []
+    fn = getattr(forms, name)
+    monkeypatch.setattr(forms, name, lambda *a, **kw: calls.append(1) or fn(*a, **kw))
+    return calls
+
+
+OPERATORS = ("A1", "B", "e", "dirichlet_mask", "red", "E", "pressure_ints", "order")
+
+
+def _same_operators(got, want):
+    for name in ("A1", "B", "E"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, part), getattr(b, part)), (name, part)
+    for name in ("dirichlet_mask", "order", "e", "pressure_ints"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_sweep_builds_the_operators_once(sweep_mesh, monkeypatch):
+    """Nine (case, nu) pairs on one map run the cell kernel once per cell
+    and the nested dissection once in all: every system holds the operators
+    of the first assembly, the same objects."""
+    a_calls = _counted(monkeypatch, "local_a")
+    nd_calls = _counted(monkeypatch, "nested_dissection")
+    disc = _maps(sweep_mesh, 3)
+    systems = [_system(disc, c, nu) for c, nu in SWEEP]
+    assert disc[0].n_cells == 48
+    assert (len(a_calls), len(nd_calls)) == (48, 1)
+    for system in systems[1:]:
+        assert all(getattr(system, name) is getattr(systems[0], name) for name in OPERATORS)
+
+
+def test_kept_operators_match_a_fresh_map(sweep_mesh):
+    """Every sweep pair's operators equal those of a fresh map's assembly bit
+    for bit, and its solution that map's solution."""
+    disc = _maps(sweep_mesh, 3)
+    for c, nu in SWEEP:
+        got, want = _system(disc, c, nu), _system(_maps(sweep_mesh, 3), c, nu)
+        _same_operators(got, want)
+        _assert_close(solve_stokes(got), solve_stokes(want), 1e-12)
+
+
+def _changed_input(variant, disc, monkeypatch):
+    """A system on the map of `disc` with one input of its operators changed."""
+    mesh, maps, projs, fps = disc
+    if variant == "unit":
+        return _system(disc, "ex1-stokes", stabilization="unit")
+    if variant == "kernel":
+        kernel = forms.local_a
+        monkeypatch.setattr(forms, "local_a", lambda *a, **kw: kernel(*a, **kw))
+        try:
+            return _system(disc, "ex1-stokes")
+        finally:
+            monkeypatch.setattr(forms, "local_a", kernel)
+    if variant == "neumann":
+        return _system(disc, "ex1-stokes", neumann=True)
+    if variant == "loop-projections":
+        loop = [cell_projection_loop(mesh, maps[0], c, fps) for c in range(mesh.n_cells)]
+        return _system((mesh, maps, loop, fps), "ex1-stokes")
+    # the sweep mesh at another seed has the same topology, so the map's
+    # numbering and pattern serve it; with the sweep mesh's projections, only
+    # the key's mesh arrays differ
+    return _system((generate_tetra_mesh(2, seed=6), maps, projs, fps), "ex1-stokes")
+
+
+@pytest.mark.parametrize("variant", ["unit", "kernel", "neumann", "loop-projections", "other-mesh"])
+def test_operator_cache_misses_on_a_changed_input(variant, sweep_mesh, monkeypatch):
+    """A system that differs in one input of the kept operators builds its
+    own, and the new key evicts the kept ones, so the first system builds
+    them again.  The calls count the cell kernel of each build."""
+    a_calls = _counted(monkeypatch, "local_a")
+    disc = _maps(sweep_mesh, 3)
+    first = _system(disc, "ex1-stokes")
+    assert _system(disc, "ex1-stokes").A1 is first.A1 and len(a_calls) == 48
+    other = _changed_input(variant, disc, monkeypatch)
+    assert len(a_calls) == 96 and other.A1 is not first.A1
+    again = _system(disc, "ex1-stokes")
+    assert len(a_calls) == 144 and again.A1 is not first.A1
+    _same_operators(again, first)
+
+
+def test_another_map_builds_its_own_operators(sweep_mesh, monkeypatch):
+    """Each map keeps its own operators: a second map of the same mesh
+    builds them, and the first map keeps its own."""
+    a_calls = _counted(monkeypatch, "local_a")
+    disc, disc2 = _maps(sweep_mesh, 3), _maps(sweep_mesh, 3)
+    first = _system(disc, "ex1-stokes")
+    second = _system(disc2, "ex1-stokes")
+    assert len(a_calls) == 96 and second.A1 is not first.A1
+    _same_operators(second, first)
+    assert _system(disc, "ex1-stokes").A1 is first.A1 and len(a_calls) == 96
+
+
+def test_kept_operators_and_key_arrays_are_read_only(sweep_mesh):
+    """No caller can write into an operator that other systems share, nor
+    into an array of the key that it was built for."""
+    disc = _maps(sweep_mesh, 3)
+    mesh, _, projs, _ = disc
+    system = _system(disc, "ex1-stokes")
+    kept = [system.A1.data, system.B.data, system.B.indices, system.E.data, system.E.indptr,
+            system.e, system.pressure_ints, system.dirichlet_mask, system.red.keep, system.order]
+    key = [mesh.face_cells, mesh.face_stack.area, mesh.cell_stack.barycenter, projs[0].D,
+           projs[0].pi_0grad, projs[-1].sigma, projs[-1].mono_int]
+    for a in kept + key:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = a[(0,) * a.ndim]
 

@@ -399,3 +399,34 @@ def test_non_integral_ids_rejected(cube1, tmp_path):
     mesh = PolyMesh(v, [[float(i) for i in f] for f in faces], [[float(i) for i in c] for c in cells])
     for name in TOPOLOGY:
         assert _same(getattr(mesh, name), getattr(cube1, name)), name
+
+
+def test_public_lists_view_the_flat_arrays(cube3, tets2, voronoi_cell):
+    """The per-entity lists are slices of one flat array each, not copies."""
+    for mesh in (cube3, tets2, voronoi_cell):
+        loop, _, _, _, _ = mesh._face_loop
+        _, inc_face, inc_sign = mesh._incidence
+        for pieces, flat in ((mesh.faces, loop), ([f for f, _ in mesh.cells], inc_face),
+                             ([s for _, s in mesh.cells], inc_sign),
+                             ([e for e, _ in mesh.face_edges], mesh._loop_edges)):
+            assert all(np.shares_memory(p, flat) for p in pieces)
+        for pieces in (mesh.cell_vertices, mesh.cell_edges, [d for _, d in mesh.face_edges]):
+            base = pieces[0].base
+            assert all(p.base is base for p in pieces) and len(base) == sum(map(len, pieces))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_face_given_twice_rejected(reverse, cube2):
+    """An interior face whose second cell lists a copy of its loop (the same
+    loop, or reversed and rotated with the sign flipped) would become two
+    boundary faces, and Dirichlet DoFs would land inside the domain."""
+    v, faces, cells = _raw(cube2)
+    f = 4                            # interior: faces 4-7 are inside
+    c = int(cube2.face_cells[f, 1])
+    faces.append(list(np.roll(faces[f], 1)[::-1]) if reverse else list(faces[f]))
+    cells[c] = [(-1 if reverse else 1) * int(np.sign(s)) * len(faces) if abs(s) == f + 1 else s
+                for s in cells[c]]
+    assert np.count_nonzero(topology_loop(v, faces, cells).boundary_face) == 26
+    with pytest.raises(MeshError, match=rf"^faces {f} and {len(faces) - 1} have the same vertex set$"):
+        PolyMesh(v, faces, cells)
+

@@ -1,4 +1,5 @@
 import ast
+import sys
 import warnings
 from pathlib import Path
 
@@ -47,6 +48,45 @@ def test_private_import_check_catches_them():
            "from numpy import _core\nimport numpy.linalg\nfrom scipy.sparse import csc_matrix\n")
     assert _private_imports(ast.parse(src)) == [
         "scipy.sparse._sparsetools", "scipy.sparse._sparsetools.csr_tocsc", "numpy._core"]
+
+
+# what the package may import when it is imported: anything else adds a
+# dependency, and its import time to every process that imports vemflow
+IMPORTABLE = sys.stdlib_module_names | {"numpy", "scipy", "sympy", "vemflow"}
+
+
+def _import_time_nodes(node: ast.AST):
+    """The nodes under `node` that run when the module is imported: all but
+    the bodies of functions and lambdas."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def _foreign_imports(tree: ast.AST) -> list[str]:
+    """Modules outside IMPORTABLE that the tree imports at import time;
+    relative imports are the package's own."""
+    found = []
+    for node in _import_time_nodes(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    return [name for name in found if name.split(".")[0] not in IMPORTABLE]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library_numpy_scipy_and_sympy(path):
+    assert _foreign_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_foreign_import_check_catches_them():
+    src = ("import os, numpy.linalg\nimport requests\nfrom scipy import sparse\nfrom . import forms\n"
+           "from pandas.core import frame\nimport sympy\nfrom vemflow import flow\n\n\n"
+           "def f():\n    import torch\n\n\nclass C:\n    import yaml\n\n\n"
+           "try:\n    import numba\nexcept ImportError:\n    pass\n")
+    assert _foreign_imports(ast.parse(src)) == ["requests", "pandas.core", "yaml", "numba"]
 
 
 PERFBENCH = sorted((Path(vemflow.__file__).parents[2] / "perfbench").glob("*.py"))
