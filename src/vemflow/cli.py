@@ -96,6 +96,8 @@ def cmd_solve(args):
             print(sol.diagnostic)
             return 1
         print(f"Newton converged in {sol.newton_iterations} iterations")
+        print("Newton linear solves (path, GMRES iterations): "
+              + ", ".join(f"{path} {its}" for path, its in sol.linear_solves))
     else:
         sol = solve_stokes(system)
     e1 = bench.error_h1_velocity(sol.u, case, mesh, mapv, projs)

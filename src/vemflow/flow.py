@@ -26,8 +26,18 @@ repeat compares them by identity.  The factor is kept only once the same
 key comes a second time, so a map that serves one solve holds none past it.
 The factor dies with the map.
 Nothing that depends on nu or the case (F, the boundary values, u, p) is
-kept, and Newton's Jacobians nu A1 + C + Cg, new at every step, are factored
-and dropped."""
+kept.
+
+Navier-Stokes factors once per solve: K1, for the Stokes initial guess (or
+from the map's cache on a zero guess), is held for the length of the solve.
+Each Newton step builds its reduced Jacobian saddle matrix
+E_f^T [nu A1 + C + Cg  B^T; B 0] E_f and solves it by GMRES preconditioned
+with K1's factor: K_nu = E_f^T [nu A1 B^T; B 0] E_f solves as K1 in
+(u, p/nu, lam), and in the diffusion-dominated regime it is close to the
+Jacobian (Elman, Silvester & Wathen, Finite Elements and Fast Iterative
+Solvers, ch. 8).  A step that misses KRYLOV_RTOL within KRYLOV_CAP
+iterations factors its Jacobian instead, and so does every later step of
+that solve."""
 
 from __future__ import annotations
 
@@ -51,6 +61,12 @@ from .projection import CellProjections
 # step (far from the basin) is also reported unconverged.
 DIVERGENCE_GROWTH = 1e2
 
+# A Newton step's GMRES runs one cycle of at most KRYLOV_CAP iterations and
+# must bring the residual of the reduced Jacobian system under KRYLOV_RTOL
+# times its right-hand side; otherwise the step factors the Jacobian.
+KRYLOV_CAP = 20
+KRYLOV_RTOL = 1e-13
+
 
 @dataclass
 class NSOptions:
@@ -71,7 +87,9 @@ class FlowSolution:
     diagnostic: str = ""
     saddle_rows: int = 0         # rows of the last saddle matrix solved
     lu_fill: int = 0             # L.nnz + U.nnz of its LU factor
-    factored: bool = True        # False when the DoF map's kept factor was reused
+    factored: bool = True        # False when no factorisation ran (the map's kept factor served)
+    linear_solves: list = field(default_factory=list)   # per Newton step: (path, Krylov iterations)
+    factor: tuple | None = field(default=None, repr=False, compare=False)   # Stokes: (E_f, K1's factor)
 
     @property
     def newton_iterations(self) -> int:
@@ -134,6 +152,47 @@ def _factor(system: GlobalSystem, J: sp.spmatrix) -> tuple[sp.csr_matrix, _Equil
     return Ef, _EquilibratedLU(K, system.order)
 
 
+class _NewtonSolve:
+    """The `_EquilibratedLU` interface (`K`, `solve`, `fill`) for a reduced
+    Jacobian saddle matrix K with nf free velocities and nc cell pressures.
+
+    With the factor `stokes` of K1 = E_f^T [A1 B^T; B 0] E_f, `solve` runs
+    GMRES (one cycle, at most KRYLOV_CAP iterations, relative tolerance
+    KRYLOV_RTOL) preconditioned by K_nu^-1, which is K1^-1 in the unknowns
+    (u, p/nu, lam): the momentum and zero-mean rows are divided by nu and
+    the pressures scaled back by nu.  Without it, or when GMRES misses,
+    K is factored in `order`.  `path` tells which ran ("gmres", "fallback"
+    or "direct"), `iterations` how many GMRES iterations, and `fill` the
+    fill of the factor that served."""
+
+    def __init__(self, K: sp.csc_matrix, order: np.ndarray, stokes: _EquilibratedLU | None,
+                 nu: float, nf: int, nc: int):
+        self.K, self.order, self.stokes = K, order, stokes
+        self.path, self.iterations, self.fill = "direct", 0, 0
+        if stokes is not None:
+            rows = np.full(K.shape[0], 1.0 / nu)
+            rows[nf: nf + nc] = 1.0
+            cols = np.ones(K.shape[0])
+            cols[nf: nf + nc] = nu
+            self.M = lambda r: cols * stokes.solve(rows * r)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.stokes is not None:
+            # right preconditioning: GMRES on K M y = rhs, whose residual is that of x = M y
+            KM = spla.LinearOperator(self.K.shape, lambda y: self.K @ self.M(y.ravel()))
+            residuals = []
+            y, info = spla.gmres(KM, rhs, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_CAP, maxiter=1,
+                                 callback=residuals.append, callback_type="pr_norm")
+            self.iterations = len(residuals)
+            if info == 0:
+                self.path, self.fill = "gmres", self.stokes.fill
+                return self.M(y)
+            self.path = "fallback"
+        lu = _EquilibratedLU(self.K, self.order)
+        self.fill = lu.fill
+        return lu.solve(rhs)
+
+
 def _stokes_key(system: GlobalSystem) -> tuple:
     """Every input of the nu-free reduced Stokes matrix E_f^T [A1 B^T; B 0] E_f
     and of its factor: A1, E, B (its flux rows), the Dirichlet mask and the
@@ -179,14 +238,21 @@ def _solve_step(system: GlobalSystem, Ef: sp.csr_matrix, lu: _EquilibratedLU, J:
                         lu_fill=lu.fill)
 
 
+def _stokes_factor(system: GlobalSystem) -> tuple[tuple[sp.csr_matrix, _EquilibratedLU], bool]:
+    """(E_f, the factor of K1) from the DoF map's cache, and whether this
+    call factored."""
+    return system.factors.get(_stokes_key(system), lambda: _factor(system, system.A1))
+
+
 def solve_stokes(system: GlobalSystem) -> FlowSolution:
     """Direct sparse solve of the assembled Stokes system on the reduced pair,
     in the unknowns (u, p/nu, lam/nu) of the nu-free matrix, with the factor
-    the DoF map keeps when it has seen the same matrix before."""
+    the DoF map keeps when it has seen the same matrix before.  The solution
+    carries (E_f, factor) as `factor`."""
     nu = system.nu
     u0 = system.E @ system.dirichlet_values[system.red.keep]
     try:
-        (Ef, lu), factored = system.factors.get(_stokes_key(system), lambda: _factor(system, system.A1))
+        (Ef, lu), factored = _stokes_factor(system)
         step = _solve_step(system, Ef, lu, system.A1, system.A1 @ u0 - system.F / nu, u0,
                            np.zeros(system.ndof_q), 0.0)
     except RuntimeError as exc:
@@ -198,19 +264,26 @@ def solve_stokes(system: GlobalSystem) -> FlowSolution:
     if not np.isfinite(res) or res > 1e-8:
         raise SolverError(f"direct solve failed: relative residual {res:.3e}")
     return FlowSolution(u=u0 + step.u, p=nu * step.p, lam=nu * step.lam, linear_residual=res,
-                        saddle_rows=step.saddle_rows, lu_fill=step.lu_fill, factored=factored)
+                        saddle_rows=step.saddle_rows, lu_fill=step.lu_fill, factored=factored,
+                        factor=(Ef, lu))
 
 
 def _newton_step(system: GlobalSystem, mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],
-                 u: np.ndarray, p: np.ndarray, lam: float) -> FlowSolution:
-    """The Newton increment at (u, p, lam), with the Jacobian nu A1 + C(u) +
-    Cg(u) factored here and dropped on return.  A1, C and Cg lie on the DoF
-    map's one pattern, so the Jacobian is the sum of their data."""
+                 stokes: _EquilibratedLU | None, u: np.ndarray, p: np.ndarray, lam: float) -> FlowSolution:
+    """The Newton increment at (u, p, lam) for the Jacobian nu A1 + C(u) +
+    Cg(u), solved by GMRES preconditioned with the factor `stokes` of K1, or
+    factored here and dropped on return (`_NewtonSolve`); its path is the
+    step's one `linear_solves` entry.  A1, C and Cg lie on the DoF map's one
+    pattern, so the Jacobian is the sum of their data."""
     C, Cg = assemble_convection(mesh, mapv, projs, u)
     A1, nu = system.A1, system.nu
     Rm = nu * (A1 @ u) + C @ u + system.B.T @ p - system.F
     J = sp.csc_matrix((nu * A1.data + C.data + Cg.data, A1.indices, A1.indptr), shape=A1.shape)
-    return _solve_step(system, *_factor(system, J), J, Rm, u, p, lam)
+    K, Ef = _saddle_matrix(system, J)
+    lin = _NewtonSolve(K, system.order, stokes, nu, Ef.shape[1], len(system.volumes))
+    step = _solve_step(system, Ef, lin, J, Rm, u, p, lam)
+    step.linear_solves = [(lin.path, lin.iterations)]
+    return step
 
 
 def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
@@ -233,22 +306,32 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
     if opts.initial_guess == "stokes":
         sol = solve_stokes(system)
         u, p, lam = sol.u, sol.p, sol.lam
+        (_, stokes), factored = sol.factor, sol.factored
     else:
         u = system.E @ system.dirichlet_values[system.red.keep]
         p = np.zeros(system.ndof_q)
         lam = 0.0
+        try:
+            (_, stokes), factored = _stokes_factor(system)
+        except RuntimeError as exc:
+            raise SolverError("singular Stokes system: the Newton preconditioner cannot be factored") from exc
 
     free = ~system.dirichlet_mask
     has_mean = system.e is not None
     increments = []
     residuals = []
+    linear_solves = []
     for it in range(opts.max_iter):
         try:
-            step = _newton_step(system, mesh, mapv, projs, u, p, lam)
+            step = _newton_step(system, mesh, mapv, projs, stokes, u, p, lam)
         except RuntimeError as exc:
             raise SolverError(f"linear solve failed in Newton step {it}") from exc
         residuals += step.residuals
-        report = dict(saddle_rows=step.saddle_rows, lu_fill=step.lu_fill)
+        linear_solves += step.linear_solves
+        if step.linear_solves[0][0] != "gmres":
+            stokes, factored = None, True       # later steps of this solve factor directly
+        report = dict(saddle_rows=step.saddle_rows, lu_fill=step.lu_fill, factored=factored,
+                      linear_solves=linear_solves)
 
         inc = float(np.linalg.norm(
             np.concatenate([step.u[free], step.p, [step.lam] if has_mean else []])))

@@ -15,12 +15,13 @@ pressure-basis integrals, added only when every boundary face is Dirichlet.
 The convective form c_h(w; u, v) pairs only projected polynomials, so C(w)
 and its Newton companion Cg(w) are built without quadrature points: exact
 contractions of Pi^0_k, the projected gradient and the cell's monomial
-integrals, batched over all cells that share a local DoF layout.
+integrals, batched over blocks of at most CONVECTION_BLOCK cells that
+share a local DoF layout.
 
-A, C and Cg are CSC on the DoF map's pattern, its index arrays shared, each
-filled by one scatter-add per group of cells; B is laid out row by row, and
-its constant-pressure rows are the cell-face flux incidence that the
-reduced embedding and the compatibility check read.
+A, C and Cg are CSC on the DoF map's pattern, its index arrays shared, A
+filled by one scatter-add per group of cells and C, Cg by one per block;
+B is laid out row by row, and its constant-pressure rows are the cell-face
+flux incidence that the reduced embedding and the compatibility check read.
 
 The viscous block is assembled at nu = 1 (A1, with A = nu A1), since both
 stabilization recipes are linear in nu.  The assembled system also carries
@@ -57,6 +58,10 @@ from .dofspace import (
 from .meshing import PolyMesh
 from .polynomials import _index_lookup, dim_poly, multi_indices
 from .projection import CellProjections, FaceProjections, face_extraction
+
+
+# cells per `local_convection` call in `assemble_convection`
+CONVECTION_BLOCK = 32
 
 
 @dataclass
@@ -199,6 +204,11 @@ def _check_compatibility(mesh: PolyMesh, flux: sp.csr_matrix, gvals: np.ndarray)
         )
 
 
+def _on_pattern(mapv: DofMapV, data: np.ndarray) -> sp.csc_matrix:
+    """The CSC matrix with `data` on the DoF map's pattern."""
+    return sp.csc_matrix((data, mapv.indices, mapv.indptr), shape=(mapv.ndof, mapv.ndof))
+
+
 def _cell_matrix(mapv: DofMapV, blocks: list[np.ndarray]) -> sp.csc_matrix:
     """Sum the cell blocks (nc, ndof, ndof) of each group of the DoF map into
     a CSC matrix on the map's pattern: one scatter-add per group over its
@@ -207,7 +217,7 @@ def _cell_matrix(mapv: DofMapV, blocks: list[np.ndarray]) -> sp.csc_matrix:
     data = np.zeros(len(mapv.indices))
     for g, b in zip(mapv.groups, blocks):
         np.add.at(data, g.slots.ravel(), b.ravel())
-    return sp.csc_matrix((data, mapv.indices, mapv.indptr), shape=(mapv.ndof, mapv.ndof))
+    return _on_pattern(mapv, data)
 
 
 def divergence_matrix(mesh: PolyMesh, mapv: DofMapV) -> sp.csr_matrix:
@@ -342,11 +352,20 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
 
 def assemble_convection(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],
                         u: np.ndarray) -> tuple[sp.csc_matrix, sp.csc_matrix]:
-    """Global C(u) and the gradient-slot matrix Cg(u) at the state u, one
-    batched contraction per group of cells of the DoF map, both CSC on its
-    pattern."""
-    batches = [local_convection([projs[c] for c in g.cells], u[g.dofs]) for g in mapv.groups]
-    return _cell_matrix(mapv, [C for C, _ in batches]), _cell_matrix(mapv, [Cg for _, Cg in batches])
+    """Global C(u) and the gradient-slot matrix Cg(u) at the state u, both CSC
+    on the DoF map's pattern: one batched contraction per block of at most
+    CONVECTION_BLOCK cells of a group, scattered into one data array each,
+    so the stacked temporaries do not grow with the group.  The sums run in
+    the order of the unblocked scatter, cell by cell."""
+    C, Cg = np.zeros(len(mapv.indices)), np.zeros(len(mapv.indices))
+    for g in mapv.groups:
+        for s in range(0, len(g.cells), CONVECTION_BLOCK):
+            b = slice(s, s + CONVECTION_BLOCK)
+            Cb, Cgb = local_convection([projs[c] for c in g.cells[b]], u[g.dofs[b]])
+            slots = g.slots[b].ravel()
+            np.add.at(C, slots, Cb.ravel())
+            np.add.at(Cg, slots, Cgb.ravel())
+    return _on_pattern(mapv, C), _on_pattern(mapv, Cg)
 
 
 def dump_matrix(system: GlobalSystem, path: str) -> None:

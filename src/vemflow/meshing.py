@@ -62,7 +62,9 @@ def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pieces(flat: np.ndarray, start: np.ndarray) -> list[np.ndarray]:
-    """The views of `flat` from each offset in `start` to the next, or to its end."""
+    """The views of `flat` from each offset in `start` to the next, or to its
+    end; `flat` is made read-only first, so the views are too."""
+    flat.flags.writeable = False
     b = start.tolist() + [len(flat)]
     return [flat[i:j] for i, j in zip(b[:-1], b[1:])]
 

@@ -375,6 +375,9 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     # D-recipe weights: the diagonal of the consistency matrix
     eps = _strains(pi_0grad)
     sigma = np.maximum(h[:, None], np.einsum("nsad,nsad->nd", eps, Hq[:, None] @ eps))
+    # the per-cell arrays view these stacks, and operator keys hold them
+    for a in (ints, Hq, Hk, div, D, pi_d, pi_0k, pi_0grad, sigma, *rule_vals):
+        a.flags.writeable = False
     return [CellProjections(
         c=c, k=k, ndof=ndof, h=hc, vol=vc, basis=MonomialBasis3(k + 1, xc, hc), rule=rules[i],
         mono_int=ints[i], Hq=Hq[i], Hk=Hk[i], div=div[i], D=D[i], pi_d=pi_d[i],

@@ -111,6 +111,17 @@ def test_solve_reports_newton_failure(capsys):
     assert "converged" not in out.replace("not converge", "")
 
 
+def test_solve_reports_newton_linear_solves(capsys):
+    """A converged Newton run prints each step's linear path and its GMRES
+    iterations after the iteration count."""
+    assert main(["solve", "--tets", "2", "--case", "ex2-ns"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("Newton converged in 3 iterations"))
+    head, steps = lines[i + 1].split(": ")
+    assert head == "Newton linear solves (path, GMRES iterations)"
+    assert [s.split()[0] for s in steps.split(", ")] == ["gmres"] * 3
+
+
 def test_mesh_error_is_one_line(tmp_path, capsys):
     """A mesh file with one mis-signed face is rejected with a one-line error."""
     out = tmp_path / "m.json"

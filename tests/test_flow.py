@@ -260,9 +260,24 @@ def test_saddle_systems_match_oracles(neumann, cube2, disc, monkeypatch):
     spec = case_spec(case, 2, neumann=neumann)
     system = assemble(cube2, maps, spec, projs, fps)
     solved = []
-    orig = flow._EquilibratedLU.solve
-    monkeypatch.setattr(flow._EquilibratedLU, "solve",
-                        lambda lu, rhs: solved.append((lu.K, rhs)) or orig(lu, rhs))
+
+    class Recorder:
+        """The linear solver of one step, recording its matrix and right-hand side."""
+
+        def __init__(self, lin):
+            self.lin, self.K = lin, lin.K
+
+        @property
+        def fill(self):
+            return self.lin.fill
+
+        def solve(self, rhs):
+            solved.append((self.K, rhs))
+            return self.lin.solve(rhs)
+
+    step = flow._solve_step
+    monkeypatch.setattr(flow, "_solve_step",
+                        lambda system, Ef, lin, *args: step(system, Ef, Recorder(lin), *args))
     solve_navier_stokes(cube2, maps, spec, projs, fps, NSOptions(max_iter=1), system=system)
     (K_s, rhs_s), (K_n, rhs_n) = solved
     # the reduced Stokes solve lifts the Dirichlet data into the range of E
