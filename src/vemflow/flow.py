@@ -12,11 +12,12 @@ sparse LU in a geometric nested-dissection order of its unknowns, computed
 once per assembled system.  The velocity block stays CSC, as assembled, and
 the equilibration and the permutation work on the saddle matrix's CSC arrays.
 
-The Stokes solve works in the unknowns (u, p/nu, lam/nu).  With the viscous
+The Stokes solve works in the unknowns (u, p/nu, lam).  With the viscous
 block A = nu A1 assembled as A1 (`forms.assemble`), its reduced matrix
 K1 = E_f^T [A1 B^T; B 0] E_f does not depend on nu or on the load case:
-    K1 (u, p/nu, lam/nu) = (E_f^T (F/nu - A1 u0), -B u0, 0)
-with u0 the lifted Dirichlet data; p and lam are scaled back by nu, and the
+    K1 (u, p/nu, lam) = (E_f^T (F/nu - A1 u0), -B u0, 0)
+with u0 the lifted Dirichlet data (the continuity rows are not divided by nu,
+so lam is the multiplier itself); p is scaled back by nu, and the
 pressure recovery reads A1 and F/nu likewise.  At nu = 1 the factored
 matrix and the solution are those of the solve in (u, p), bit for bit.  The
 DoF map keeps one equilibrated factor of K1 (`dofspace.FactorCache`): its
@@ -246,7 +247,7 @@ def _stokes_factor(system: GlobalSystem) -> tuple[tuple[sp.csr_matrix, _Equilibr
 
 def solve_stokes(system: GlobalSystem) -> FlowSolution:
     """Direct sparse solve of the assembled Stokes system on the reduced pair,
-    in the unknowns (u, p/nu, lam/nu) of the nu-free matrix, with the factor
+    in the unknowns (u, p/nu, lam) of the nu-free matrix, with the factor
     the DoF map keeps when it has seen the same matrix before.  The solution
     carries (E_f, factor) as `factor`."""
     nu = system.nu
@@ -263,7 +264,7 @@ def solve_stokes(system: GlobalSystem) -> FlowSolution:
     res = step.linear_residual
     if not np.isfinite(res) or res > 1e-8:
         raise SolverError(f"direct solve failed: relative residual {res:.3e}")
-    return FlowSolution(u=u0 + step.u, p=nu * step.p, lam=nu * step.lam, linear_residual=res,
+    return FlowSolution(u=u0 + step.u, p=nu * step.p, lam=step.lam, linear_residual=res,
                         saddle_rows=step.saddle_rows, lu_fill=step.lu_fill, factored=factored,
                         factor=(Ef, lu))
 

@@ -20,6 +20,22 @@ values, DoF matrices, factors and solves are stacked arrays over the group
 (one LAPACK call per entity, as a loop makes), which each entity's record
 views.  Only a cell's rule and monomial integrals are made cell by cell; its
 degree-k basis values at the rule (`rule_vals`) serve the load and errors.
+
+Within a group, translates share their projections.  A class of translates
+holds the entities whose geometry relative to their centre agrees once
+rounded to TRANSLATE_RTOL times their diameter: for a cell, about its
+barycentre, its vertices, its edge points (so edge orientation counts),
+every local face's loop in loop order, and its face signs; for a face, about
+its centroid, its loop and its edge points in loop-edge order.  The stacked
+algebra runs once per class, on its lowest-id member, and every member's
+record views that member's arrays: for cells `mono_int`, `Hk`, `Hq`, `div`,
+`D`, `pi_d`, `pi_0k`, `pi_0grad`, `sigma` and `rule_vals`, for faces
+`vals`, `dproj` and `l2`, all of them made from the rule in the entity's
+scaled frame.  What stays the entity's own is its rule (a cell still calls
+`quadrature.cell_quadrature`, a face group its one `face_quadrature`), its
+id, h, volume, points and basis.  The classes live for one kernel call; on
+a mesh without translates a first pass on cheap invariants leaves every
+entity alone before the full key is formed.
 """
 
 from __future__ import annotations
@@ -32,7 +48,7 @@ from scipy.linalg import cho_factor, cho_solve, solve
 
 from . import quadrature as quad
 from .dofspace import DofMapV
-from .meshing import MeshError, PolyMesh, raise_first
+from .meshing import MeshError, PolyMesh, _by_appearance, raise_first
 from .polynomials import (
     MonomialBasis2,
     MonomialBasis3,
@@ -41,6 +57,11 @@ from .polynomials import (
     dim_poly,
     multi_indices,
 )
+
+
+# Entities whose geometry relative to their centre agrees to this fraction of
+# their diameter are translates of one another and share their projections
+TRANSLATE_RTOL = 1e-12
 
 
 def cell_rule_exactness(k: int) -> int:
@@ -87,6 +108,31 @@ def _dof_projection(D: np.ndarray, ids: np.ndarray, message) -> np.ndarray:
     return np.linalg.solve(R, Q.transpose(0, 2, 1))
 
 
+def _translate_classes(h: np.ndarray, shape: np.ndarray, points,
+                       signs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Split a group of entities into classes of translates: the position of
+    each class's first member, its representative, in group order, and the
+    class of every entity.  Entities share a class when their coordinates
+    relative to their centre, `points(i)` (len(i), m) for the positions i,
+    agree once rounded to TRANSLATE_RTOL times their diameter `h`, and so do
+    their `signs` (n, j).  A first pass on the cheap invariants log h and
+    `shape` (a size over a power of h), rounded to TRANSLATE_RTOL, leaves
+    alone every entity that shares them with no other: `points` is asked
+    only for the others."""
+    n = len(h)
+    cheap = np.rint(np.stack([np.log(h), shape], axis=1) / TRANSLATE_RTOL).astype(np.int64)
+    order = np.lexsort(cheap.T)
+    tie = np.all(cheap[order[1:]] == cheap[order[:-1]], axis=1)
+    twins = np.sort(order[np.append(tie, False) | np.insert(tie, 0, False)])
+    if not len(twins):
+        return np.arange(n), np.arange(n)
+    rel = points(twins)
+    key = np.zeros((n, 2 + rel.shape[1]), dtype=np.int64)
+    key[:, :2] = cheap
+    key[twins, 2:] = np.rint(rel / (TRANSLATE_RTOL * h[twins, None]))
+    return _by_appearance(key if signs is None else np.hstack([key, signs]), axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Face projections (scalar members of the enhanced face space)
 # ---------------------------------------------------------------------------
@@ -119,23 +165,33 @@ class FaceProjections:
 def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
                            edge_points3: np.ndarray) -> list[FaceProjections]:
     """The projections of a group of faces with one vertex count (see
-    `PolyMesh.face_groups`), built as stacked arrays over the group."""
+    `PolyMesh.face_groups`), built as stacked arrays over the group's
+    classes of translates (see `_translate_classes`): each face has its own
+    rule, and `dproj`, `l2` and `vals` view those of its class's first face."""
     faces = np.asarray(faces, dtype=int)
     fs = mesh.face_stack
     h, area = fs.h[faces], fs.area[faces]
     loops = mesh.face_loops(faces)
-    nf, nv = loops.shape
+    nv = loops.shape[1]
     n_mom = dim_poly(k - 2, 2)
     ndof = nv * k + n_mom
     npk = dim_poly(k, 2)
     npk1 = dim_poly(k + 1, 2)
+    deg = 2 * (k + 1)
+    pts2_all, pts3, w_all = quad.face_quadrature(mesh, faces, deg)
+    # the DoF points, rows: the loop vertices, the edge points of each loop edge
+    eids = np.array([mesh.face_edges[f][0] for f in faces])
+    bpts = np.concatenate([mesh.vertices[loops], edge_points3[eids].reshape(len(faces), -1, 3)], axis=1)
+    bpts -= fs.centroid[faces][:, None]
+    rep, cls = _translate_classes(h, area / h ** 2, lambda i: bpts[i].reshape(len(i), -1))
+    ids, h_ids = faces, h
+    faces, h, area, bpts, pts2, w = (a[rep] for a in (faces, h, area, bpts, pts2_all, w_all))
+    nf = len(faces)
 
     # one evaluation per group at the quadrature points, scaled by each
     # face's h_f so that one unit basis serves every face: the degree k+1
     # basis values are the leading columns of the degree 2k+2 ones (graded
     # order, same centre and scale)
-    deg = 2 * (k + 1)
-    pts2, pts3, w = quad.face_quadrature(mesh, faces, deg)
     unit = MonomialBasis2(deg, np.zeros(2), 1.0)
     phi = unit.eval((pts2 / h[:, None, None]).reshape(-1, 2)).reshape(nf, -1, unit.n)
     ints = (w[:, None, :] @ phi)[:, 0]
@@ -143,12 +199,9 @@ def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
     a_k1 = multi_indices(k + 1, 2)
 
     # --- DoF-values matrix of the deg-k monomials -----------------------------
-    # rows: the loop vertices, the edge points of each loop edge, the moments
-    eids = np.array([mesh.face_edges[f][0] for f in faces])
-    bpts = np.concatenate([mesh.vertices[loops], edge_points3[eids].reshape(nf, -1, 3)], axis=1)
     # in-plane coordinates, one matrix-vector product per face and direction
     frame = np.stack([fs.tau1[faces], fs.tau2[faces]], axis=1)[..., None]     # (nf, 2, 3, 1)
-    b2 = ((bpts - fs.centroid[faces][:, None])[:, None] @ frame)[..., 0].transpose(0, 2, 1)
+    b2 = (bpts[:, None] @ frame)[..., 0].transpose(0, 2, 1)
     b2 /= h[:, None, None]
     D = np.concatenate([unit.eval(b2.reshape(-1, 2)).reshape(nf, nv * k, -1)[..., :npk],
                         _mass_from_integrals(ints, deg, 2, a_k[:n_mom], a_k) / area[:, None, None]],
@@ -163,10 +216,11 @@ def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
     MOM[:, n_mom:, :] = _mass_from_integrals(ints, deg, 2, a_k1[n_mom:], a_k) @ dproj
     l2 = solve(_mass_from_integrals(ints, deg, 2, a_k1, a_k1), MOM)
 
-    vals = np.ascontiguousarray(phi[..., :npk1])
-    return [FaceProjections(f=f, k=k, ndof=ndof, h=hf, dproj=dproj[i], l2=l2[i], pts2=pts2[i],
-                            pts3=pts3[i], w=w[i], vals=vals[i])
-            for i, (f, hf) in enumerate(zip(faces.tolist(), h.tolist()))]
+    # one view per class, which all its members hold
+    dproj, l2, vals = list(dproj), list(l2), list(np.ascontiguousarray(phi[..., :npk1]))
+    return [FaceProjections(f=f, k=k, ndof=ndof, h=hf, dproj=dproj[j], l2=l2[j], pts2=pts2_all[i],
+                            pts3=pts3[i], w=w_all[i], vals=vals[j])
+            for i, (f, hf, j) in enumerate(zip(ids.tolist(), h_ids.tolist(), cls.tolist()))]
 
 
 def _face_extractions(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray, slot: int,
@@ -264,16 +318,35 @@ class CellProjections:
 def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
                           faceprojs: dict[int, FaceProjections]) -> list[CellProjections]:
     """The projections of a group of cells with one face layout (see
-    `PolyMesh.cell_groups`), built as stacked arrays over the group.  Only
-    the cell rules and the monomial integrals are made cell by cell."""
+    `PolyMesh.cell_groups`), built as stacked arrays over the group's
+    classes of translates (see `_translate_classes`).  Each cell has its
+    own rule, basis and geometry; the arrays made from the rule in the
+    cell's scaled frame view those of its class's first cell, whose
+    monomial integrals are the only ones made cell by cell."""
     cells = np.asarray(cells, dtype=int)
-    n, k = len(cells), mapv.k
+    k = mapv.k
     lay = mapv.layouts[cells[0]]
     ndof = lay.ndof
     cs, fs = mesh.cell_stack, mesh.face_stack
     h, vol, xb = cs.h[cells], cs.volume[cells], cs.barycenter[cells]
     fids = np.array([mesh.cells[c][0] for c in cells])
     signs = np.array([mesh.cells[c][1] for c in cells])
+    cv = np.array([mesh.cell_vertices[c] for c in cells])
+    ce = np.array([mesh.cell_edges[c] for c in cells])
+    deg = cell_rule_exactness(k)
+    rules = [quad.cell_quadrature(mesh, c, deg) for c in cells.tolist()]
+
+    def about_barycentre(i):
+        """The class key's points: the vertices, the edge points (so edge
+        orientation counts) and every local face's loop in loop order."""
+        return (np.concatenate([mesh.vertices[cv[i]], mapv.edge_points[ce[i]].reshape(len(i), -1, 3)]
+                               + [mesh.vertices[mesh.face_loops(f)] for f in fids[i].T], axis=1)
+                - xb[i, None]).reshape(len(i), -1)
+
+    rep, cls = _translate_classes(h, vol / h ** 3, about_barycentre, signs)
+    ids, h_ids, vol_ids, xb_ids = cells, h, vol, xb
+    cells, h, vol, xb, fids, signs, cv, ce = (a[rep] for a in (cells, h, vol, xb, fids, signs, cv, ce))
+    n = len(cells)
     pk, pq = dim_poly(k, 3), dim_poly(k - 1, 3)
     a_k, a_q = multi_indices(k, 3), multi_indices(k - 1, 3)
     dec = decomp_basis(k)
@@ -282,14 +355,11 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     # the monomial integrals go to the rule's degree: the convective form
     # contracts them as triple products of degree 3k-1; the leading pi_k
     # columns of the same evaluation are kept for the load and the errors
-    deg = cell_rule_exactness(k)
     unit = MonomialBasis3(deg, np.zeros(3), 1.0)       # on points scaled by h_P
-    rules, ints, rule_vals = [], [], []
-    for c, xc, hc in zip(cells.tolist(), xb, h.tolist()):
-        rule = quad.cell_quadrature(mesh, c, deg)
-        phi = unit.eval((rule.points - xc) / hc)
-        rules.append(rule)
-        ints.append(phi.T @ rule.weights)
+    ints, rule_vals = [], []
+    for i, xc, hc in zip(rep.tolist(), xb, h.tolist()):
+        phi = unit.eval((rules[i].points - xc) / hc)
+        ints.append(phi.T @ rules[i].weights)
         rule_vals.append(phi[:, :pk].copy())
     ints = np.array(ints)
     Hk = _mass_from_integrals(ints, deg, 3, a_k, a_k)
@@ -309,8 +379,6 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     # every local face slot, in one evaluation; phi[i] (n, points, basis) views
     # the values at one kind of point --------------------------------------------
     unit = MonomialBasis3(k + 1, np.zeros(3), 1.0)
-    cv = np.array([mesh.cell_vertices[c] for c in cells])
-    ce = np.array([mesh.cell_edges[c] for c in cells])
     slots = [[faceprojs[f] for f in faces] for faces in fids.T.tolist()]
     pts = [mesh.vertices[cv], mapv.edge_points[ce].reshape(n, len(ce[0]) * (k - 1), 3)]
     pts += [np.array([fp.pts3 for fp in fps]) for fps in slots]
@@ -375,14 +443,16 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     # D-recipe weights: the diagonal of the consistency matrix
     eps = _strains(pi_0grad)
     sigma = np.maximum(h[:, None], np.einsum("nsad,nsad->nd", eps, Hq[:, None] @ eps))
-    # the per-cell arrays view these stacks, and operator keys hold them
-    for a in (ints, Hq, Hk, div, D, pi_d, pi_0k, pi_0grad, sigma, *rule_vals):
+    # the cells view these stacks, one view per class, and operator keys hold them
+    stacks = dict(mono_int=ints, Hq=Hq, Hk=Hk, div=div, D=D, pi_d=pi_d, pi_0k=pi_0k, pi_0grad=pi_0grad,
+                  sigma=sigma)
+    for a in (*stacks.values(), *rule_vals):
         a.flags.writeable = False
-    return [CellProjections(
-        c=c, k=k, ndof=ndof, h=hc, vol=vc, basis=MonomialBasis3(k + 1, xc, hc), rule=rules[i],
-        mono_int=ints[i], Hq=Hq[i], Hk=Hk[i], div=div[i], D=D[i], pi_d=pi_d[i],
-        pi_0k=pi_0k[i], pi_0grad=pi_0grad[i], sigma=sigma[i], rule_vals=rule_vals[i],
-    ) for i, (c, hc, vc, xc) in enumerate(zip(cells.tolist(), h.tolist(), vol.tolist(), xb))]
+    views = {name: list(a) for name, a in stacks.items()} | {"rule_vals": rule_vals}
+    return [CellProjections(c=c, k=k, ndof=ndof, h=hc, vol=vc, basis=MonomialBasis3(k + 1, xc, hc),
+                            rule=rule, **{name: v[j] for name, v in views.items()})
+            for c, hc, vc, xc, rule, j in zip(ids.tolist(), h_ids.tolist(), vol_ids.tolist(), xb_ids,
+                                              rules, cls.tolist())]
 
 
 def _strains(pi_0grad: np.ndarray) -> np.ndarray:

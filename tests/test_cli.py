@@ -122,6 +122,16 @@ def test_solve_reports_newton_linear_solves(capsys):
     assert [s.split()[0] for s in steps.split(", ")] == ["gmres"] * 3
 
 
+def test_solve_reports_projections_built(capsys):
+    """solve prints how many distinct cell and face projections it built:
+    the 2^3 cubes fall in 4 classes of translated cells and 3 of faces, a
+    jittered tetra mesh in none."""
+    assert main(["solve", "--cubes", "2"]) == 0
+    assert "projections built: 4 of 8 cells, 3 of 36 faces" in capsys.readouterr().out.splitlines()
+    assert main(["solve", "--tets", "2"]) == 0
+    assert "projections built: 48 of 48 cells, 120 of 120 faces" in capsys.readouterr().out.splitlines()
+
+
 def test_mesh_error_is_one_line(tmp_path, capsys):
     """A mesh file with one mis-signed face is rejected with a one-line error."""
     out = tmp_path / "m.json"

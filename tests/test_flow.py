@@ -318,6 +318,26 @@ def test_stokes_matches_full_oracle_on_jittered_tets(k, draw):
     _assert_matches_full(solve_stokes(system), solve_stokes_full(system), mesh, maps[0], projs)
 
 
+@pytest.mark.parametrize("nu", [0.1, 10.0])
+def test_stokes_multiplier_is_not_scaled_by_nu(nu, tets2, disc):
+    """With 1e-2 added to one boundary face's normal moment, the boundary
+    data carry a net flux that the zero-mean multiplier absorbs (|lam| about
+    1e-3).  The continuity rows of the nu-free matrix are not divided by
+    nu, so its solve returns the full system's lam itself."""
+    maps, projs, fps = disc(tets2, 2)
+    system = assemble(tets2, maps, _spec_for(make_case("ex3-p1", k=2, nu=nu), 2), projs, fps)
+    f = int(np.flatnonzero(tets2.boundary_face)[0])
+    c = int(tets2.face_cells[f, 0])
+    slot = list(tets2.cells[c][0]).index(f)
+    g = maps[0].cell_global[c][maps[0].layouts[c].face[slot, 0, 0]]
+    values = system.dirichlet_values.copy()
+    values[g] += 1e-2
+    system = dataclasses.replace(system, dirichlet_values=values)
+    got, want = solve_stokes(system).lam, solve_stokes_full(system).lam
+    assert abs(want) > 1e-4
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_stokes_matches_full_oracle_neumann(k, cube2, disc):
     maps, projs, fps = disc(cube2, k)

@@ -17,11 +17,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from helpers import (
+    cell_projection_loop,
     classify_neumann_loop,
     dirichlet_mask_loop,
     divergence_matrix_loop,
     dof_maps_loop,
     equilibrated_solve_oracle,
+    face_projections_loop,
     local_b,
     reduced_embedding_coo,
     reduced_keep_loop,
@@ -221,9 +223,27 @@ def test_lu_fill_on_cubes4():
     """The LU fill of the Stokes solve on 4^3 cubes at k = 2.  SuperLU picks
     pivots by value, so the fill moves with the last bits of the matrix:
     the closed-form B, which drops the round-off of the projections'
-    pairing, moved it from 244,472 to 244,416."""
+    pairing, moved it from 244,472 to 244,416.  Sharing the projections of
+    translated cells moved it to 244,405: every cell now carries its class
+    representative's local matrix, which differs from its own by round-off
+    (test_a1_from_classes_matches_per_cell_build bounds the difference)."""
     sol = flow.solve_stokes(_stokes_system(generate_structured_cubes(4), 2))
-    assert sol.lu_fill == 244416
+    assert sol.lu_fill == 244405
+
+
+def test_a1_from_classes_matches_per_cell_build():
+    """A1 on 4^3 cubes from the classed projections against A1 from the
+    per-face and per-cell loops: equal to 1e-13 relative, so the fill's
+    move above is the pivoting's reading of round-off."""
+    mesh = generate_structured_cubes(4)
+    system = _stokes_system(mesh, 2)
+    maps = build_dof_maps(mesh, 2)
+    fps = {f: face_projections_loop(mesh, f, 2, maps[0].edge_points) for f in range(mesh.n_faces)}
+    projs = [cell_projection_loop(mesh, maps[0], c, fps) for c in range(mesh.n_cells)]
+    case = make_case("ex1-stokes", k=2)
+    ref = assemble(mesh, maps, ProblemSpec(nu=case.nu, load=case.load, dirichlet=case.velocity, k=2),
+                   projs, fps)
+    assert _max_rel(system.A1, ref.A1) <= 1e-13
 
 
 def test_dump_matrix_row_major(tmp_path):
