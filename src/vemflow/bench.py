@@ -1,4 +1,6 @@
-"""Error norms, convergence studies and their CSV/JSON reports."""
+"""Error norms, convergence studies and their CSV/JSON reports.  A study
+discretises each of its meshes afresh (`family_meshes` builds a family's),
+so each level's DoF map keeps that level's operators and Stokes factor."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import numpy as np
 from .cases import ManufacturedCase, make_case, x_plane_neumann
 from .derham import check_divfree
 from .dofspace import build_dof_maps
-from .flow import NSOptions, SolverError, solve_navier_stokes, solve_stokes
+from .flow import SolverError, solve_navier_stokes, solve_stokes
 from .forms import ProblemSpec, assemble
 from .meshing import PolyMesh, generate_structured_cubes, generate_tetra_mesh, load_mesh, mesh_size
 from .polynomials import dim_poly
@@ -131,23 +133,17 @@ def case_spec(case: ManufacturedCase, k: int, stabilization: str = "drecipe",
 
 
 def solve_case(case: ManufacturedCase, mesh: PolyMesh, k: int,
-               stabilization: str = "drecipe", neumann: bool = False,
-               newton_tol: float = 1e-10, disc_cache: dict | None = None):
-    """Assemble and solve one manufactured problem on one mesh.
+               stabilization: str = "drecipe", neumann: bool = False):
+    """Discretise one mesh, then assemble and solve one manufactured problem
+    on it.
 
-    Returns (solution, maps, projs, faceprojs, newton_iters).  A disc_cache
-    dict memoizes (maps, projections) per (mesh, k) across repeated studies
-    on the same meshes."""
-    disc_cache = {} if disc_cache is None else disc_cache
-    if (mesh, k) not in disc_cache:
-        maps = build_dof_maps(mesh, k)
-        disc_cache[mesh, k] = (maps, *build_projections(mesh, maps[0]))
-    maps, projs, faceprojs = disc_cache[mesh, k]
+    Returns (solution, maps, projs, faceprojs, newton_iters)."""
+    maps = build_dof_maps(mesh, k)
+    projs, faceprojs = build_projections(mesh, maps[0])
     spec = case_spec(case, k, stabilization, neumann)
     system = assemble(mesh, maps, spec, projs, faceprojs)
     if case.convective:
-        sol = solve_navier_stokes(mesh, maps, spec, projs, faceprojs,
-                                  NSOptions(tol=newton_tol), system=system)
+        sol = solve_navier_stokes(mesh, maps, spec, projs, faceprojs, system=system)
         if not sol.converged:
             raise SolverError(sol.diagnostic)
         iters = sol.newton_iterations
@@ -157,23 +153,18 @@ def solve_case(case: ManufacturedCase, mesh: PolyMesh, k: int,
     return sol, maps, projs, faceprojs, iters
 
 
-def run_convergence(case_name: str, family: str, k: int, levels: int,
+def run_convergence(case_name: str, family: str, k: int, meshes: list[PolyMesh],
                     nu: float = 1.0, stabilization: str = "drecipe",
-                    neumann: bool = False, newton_tol: float = 1e-10,
-                    mesh_paths=None, out: str | None = None,
-                    meshes=None, disc_cache: dict | None = None) -> ErrorReport:
-    """Solve a manufactured case on a refinement sequence and fit rates."""
+                    neumann: bool = False, out: str | None = None) -> ErrorReport:
+    """Solve a manufactured case on a refinement sequence of meshes, the
+    levels of `family`, and fit rates."""
     case = make_case(case_name, k=k, nu=nu)
-    if meshes is None:
-        meshes = family_meshes(family, levels, mesh_paths=mesh_paths)
     report = ErrorReport(case=case_name, family=family, k=k, nu=nu)
     for lvl, mesh in enumerate(meshes):
         t0 = time.perf_counter()
         try:
             sol, maps, projs, faceprojs, iters = solve_case(
-                case, mesh, k, stabilization=stabilization, neumann=neumann,
-                newton_tol=newton_tol, disc_cache=disc_cache,
-            )
+                case, mesh, k, stabilization=stabilization, neumann=neumann)
         except SolverError as exc:
             report.failures.append({"level": lvl, "error": str(exc)})
             break

@@ -115,10 +115,10 @@ def cmd_solve(args):
 
 
 def cmd_bench_run(args):
+    meshes = bench.family_meshes(args.family, args.levels, args.mesh_paths)
     rep = bench.run_convergence(
-        args.case, args.family, args.k, args.levels, nu=args.nu,
-        stabilization=args.stab, neumann=args.neumann,
-        mesh_paths=args.mesh_paths, out=args.out,
+        args.case, args.family, args.k, meshes, nu=args.nu,
+        stabilization=args.stab, neumann=args.neumann, out=args.out,
     )
     sys.stdout.write(rep.to_csv())
     print("slopes:", json.dumps(rep.slopes()))

@@ -105,12 +105,12 @@ def certified_rank(B: sp.spmatrix, pq: int) -> int | None:
     return nq - int(np.count_nonzero(~grounded))
 
 
-def check_div_surjectivity(mesh: PolyMesh, k: int, maps=None) -> ComplexReport:
+def check_div_surjectivity(mesh: PolyMesh, k: int) -> ComplexReport:
     """Certified rank of the assembled divergence operator: the rank must
     equal dim Q_h and the kernel dimension the closed-form dim Z_h."""
     report = check_exactness_dims(mesh, k)
     dims = report.dims
-    mapv, mapq = maps or build_dof_maps(mesh, k)
+    mapv, mapq = build_dof_maps(mesh, k)
     rank = certified_rank(divergence_matrix(mesh, mapv), mapq.n_per_cell)
     if rank is None:
         report.notes.append("B is not a signed cell-face incidence plus |P| I: no rank certified")

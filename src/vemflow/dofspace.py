@@ -16,8 +16,9 @@ Shared entities are numbered once; moment scalings keep DoF values O(1).
 The velocity map lays the DoFs out per group of cells of one local layout
 and owns the CSC pattern of every matrix summed from cell blocks, built once
 from the entity pairs that share a cell, with each group's slots in it.  It
-also owns a factor cache and a cache of the operators that `forms.assemble`
-builds on it, so neither outlives the map.
+also owns the one cache of the operators that `forms.assemble` builds on it
+(with the slot of the Stokes factor that `flow` fills), so none of them
+outlives the map.
 """
 
 from __future__ import annotations
@@ -80,22 +81,18 @@ class DofGroup:
 
 
 @dataclass
-class FactorCache:
-    """One factor of a matrix built on a DoF map, with the key it was built
-    for: a tuple of every input the matrix is made from, compared by content
-    (`np.array_equal`, free when an entry is the kept object itself), never by
-    hash or object id; its arrays are made read-only.
-
-    The factor is kept only when the same key comes a second time, so a map
-    that serves one solve never holds a factor past it.  A new key evicts the
-    old factor before the new one is built."""
+class OperatorCache:
+    """The operators built on a DoF map for one key: a tuple of every input
+    they are made from, compared by content (`np.array_equal`, free when an
+    entry is the kept object itself), never by hash or object id; its arrays
+    are made read-only.  The value is kept from the first sight of its key,
+    and a new key evicts it before the new one is built."""
 
     key: tuple | None = None
     value: object = None
-    keep_first = False           # keep the value from the first sight of its key
 
-    def get(self, key: tuple, build: Callable[[], object]) -> tuple[object, bool]:
-        """The value for `key` and whether `build()` made it in this call."""
+    def get(self, key: tuple, build: Callable[[], object]) -> object:
+        """The value for `key`, built by `build()` unless the kept key is equal."""
         if self.key is None or len(self.key) != len(key) or not all(
                 a is b or np.array_equal(a, b) for a, b in zip(self.key, key)):
             # held without copies, so none of the key's arrays may change under it
@@ -103,19 +100,8 @@ class FactorCache:
                 if isinstance(a, np.ndarray):
                     a.setflags(write=False)
             self.key, self.value = key, None
-            if not self.keep_first:
-                return build(), True
-        if self.value is None:
             self.value = build()
-            return self.value, True
-        return self.value, False
-
-
-class OperatorCache(FactorCache):
-    """A FactorCache that keeps its value from the first sight of its key,
-    for values that their user holds anyway."""
-
-    keep_first = True
+        return self.value
 
 
 @dataclass
@@ -138,7 +124,6 @@ class DofMapV:
     indices: np.ndarray          # int32
     dirichlet: np.ndarray        # bool mask over global velocity DoFs
     edge_points: np.ndarray      # (L_e, k-1, 3) physical coordinates
-    factors: FactorCache = field(default_factory=FactorCache, repr=False, compare=False)
     operators: OperatorCache = field(default_factory=OperatorCache, repr=False, compare=False)
 
     def counts_by_family(self) -> dict:

@@ -19,19 +19,17 @@ K1 = E_f^T [A1 B^T; B 0] E_f does not depend on nu or on the load case:
 with u0 the lifted Dirichlet data (the continuity rows are not divided by nu,
 so lam is the multiplier itself); p is scaled back by nu, and the
 pressure recovery reads A1 and F/nu likewise.  At nu = 1 the factored
-matrix and the solution are those of the solve in (u, p), bit for bit.  The
-DoF map keeps one equilibrated factor of K1 (`dofspace.FactorCache`): its
-key is the content of every input of K1 (A1, E, B, the free mask, the
-zero-mean row, the order), which are the operators the map keeps, so a
-repeat compares them by identity.  The factor is kept only once the same
-key comes a second time, so a map that serves one solve holds none past it.
-The factor dies with the map.
-Nothing that depends on nu or the case (F, the boundary values, u, p) is
-kept.
+matrix and the solution are those of the solve in (u, p), bit for bit.  K1
+is made of the operators that the DoF map keeps (A1, E, B, the Dirichlet
+mask, the zero-mean row, the order), so its equilibrated factor is kept with
+them: the first solve on them builds it into the system's `stokes_factor`
+slot, which every system of those operators shares, and it goes when the
+map evicts them or dies.  Nothing that depends on nu or the case (F, the
+boundary values, u, p) is kept.
 
-Navier-Stokes factors once per solve: K1, for the Stokes initial guess (or
-from the map's cache on a zero guess), is held for the length of the solve.
-Each Newton step builds its reduced Jacobian saddle matrix
+Navier-Stokes factors at most once per solve: both initial guesses read
+K1's factor from that slot, and it serves the whole solve.  Each Newton
+step builds its reduced Jacobian saddle matrix
 E_f^T [nu A1 + C + Cg  B^T; B 0] E_f and solves it by GMRES preconditioned
 with K1's factor: K_nu = E_f^T [nu A1 B^T; B 0] E_f solves as K1 in
 (u, p/nu, lam), and in the diffusion-dominated regime it is close to the
@@ -90,7 +88,6 @@ class FlowSolution:
     lu_fill: int = 0             # L.nnz + U.nnz of its LU factor
     factored: bool = True        # False when no factorisation ran (the map's kept factor served)
     linear_solves: list = field(default_factory=list)   # per Newton step: (path, Krylov iterations)
-    factor: tuple | None = field(default=None, repr=False, compare=False)   # Stokes: (E_f, K1's factor)
 
     @property
     def newton_iterations(self) -> int:
@@ -194,17 +191,6 @@ class _NewtonSolve:
         return lu.solve(rhs)
 
 
-def _stokes_key(system: GlobalSystem) -> tuple:
-    """Every input of the nu-free reduced Stokes matrix E_f^T [A1 B^T; B 0] E_f
-    and of its factor: A1, E, B (its flux rows), the Dirichlet mask and the
-    reduced DoFs (the free mask), the zero-mean row (empty when absent) and
-    the LU order."""
-    A1, E, B = system.A1, system.E, system.B
-    return (system.order, system.dirichlet_mask, system.red.keep,
-            np.empty(0) if system.e is None else system.e,
-            B.data, B.indices, B.indptr, E.data, E.indices, E.indptr, A1.indptr, A1.indices, A1.data)
-
-
 def _solve_step(system: GlobalSystem, Ef: sp.csr_matrix, lu: _EquilibratedLU, J: sp.spmatrix,
                 Rm: np.ndarray, u: np.ndarray, p: np.ndarray, lam: float) -> FlowSolution:
     """The increment (du, dp, dlam) of [J B^T; B 0] (du, dp) = -(Rm, B u + lam e)
@@ -240,16 +226,18 @@ def _solve_step(system: GlobalSystem, Ef: sp.csr_matrix, lu: _EquilibratedLU, J:
 
 
 def _stokes_factor(system: GlobalSystem) -> tuple[tuple[sp.csr_matrix, _EquilibratedLU], bool]:
-    """(E_f, the factor of K1) from the DoF map's cache, and whether this
-    call factored."""
-    return system.factors.get(_stokes_key(system), lambda: _factor(system, system.A1))
+    """(E_f, the factor of K1) from the system's shared slot, built there by
+    the first call, and whether this call factored."""
+    if system.stokes_factor:
+        return system.stokes_factor[0], False
+    system.stokes_factor.append(_factor(system, system.A1))
+    return system.stokes_factor[0], True
 
 
 def solve_stokes(system: GlobalSystem) -> FlowSolution:
     """Direct sparse solve of the assembled Stokes system on the reduced pair,
     in the unknowns (u, p/nu, lam) of the nu-free matrix, with the factor
-    the DoF map keeps when it has seen the same matrix before.  The solution
-    carries (E_f, factor) as `factor`."""
+    kept with the DoF map's operators when an earlier solve built it."""
     nu = system.nu
     u0 = system.E @ system.dirichlet_values[system.red.keep]
     try:
@@ -265,8 +253,7 @@ def solve_stokes(system: GlobalSystem) -> FlowSolution:
     if not np.isfinite(res) or res > 1e-8:
         raise SolverError(f"direct solve failed: relative residual {res:.3e}")
     return FlowSolution(u=u0 + step.u, p=nu * step.p, lam=step.lam, linear_residual=res,
-                        saddle_rows=step.saddle_rows, lu_fill=step.lu_fill, factored=factored,
-                        factor=(Ef, lu))
+                        saddle_rows=step.saddle_rows, lu_fill=step.lu_fill, factored=factored)
 
 
 def _newton_step(system: GlobalSystem, mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],
@@ -300,22 +287,24 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
     opts = opts or NSOptions()
     if opts.max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if opts.initial_guess not in ("stokes", "zero"):
+        raise ValueError(f"initial_guess must be 'stokes' or 'zero', got {opts.initial_guess!r}")
     mapv, mapq = maps
     if system is None:
         system = assemble(mesh, maps, spec, projs, faceprojs)
 
     if opts.initial_guess == "stokes":
         sol = solve_stokes(system)
-        u, p, lam = sol.u, sol.p, sol.lam
-        (_, stokes), factored = sol.factor, sol.factored
+        u, p, lam, factored = sol.u, sol.p, sol.lam, sol.factored
     else:
         u = system.E @ system.dirichlet_values[system.red.keep]
         p = np.zeros(system.ndof_q)
-        lam = 0.0
-        try:
-            (_, stokes), factored = _stokes_factor(system)
-        except RuntimeError as exc:
-            raise SolverError("singular Stokes system: the Newton preconditioner cannot be factored") from exc
+        lam, factored = 0.0, False
+    try:
+        (_, stokes), built = _stokes_factor(system)
+    except RuntimeError as exc:
+        raise SolverError("singular Stokes system: the Newton preconditioner cannot be factored") from exc
+    factored |= built
 
     free = ~system.dirichlet_mask
     has_mean = system.e is not None

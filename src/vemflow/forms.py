@@ -27,19 +27,22 @@ The viscous block is assembled at nu = 1 (A1, with A = nu A1), since both
 stabilization recipes are linear in nu.  The assembled system also carries
 what the solver needs for the reduced pair it solves on: the embedding E of
 the velocities without divergence moments, the cell volumes and
-pressure-monomial integrals for the pressure recovery, a nested-dissection
-order of the reduced saddle unknowns, and the DoF map's factor cache.  These,
-A1, B, the Dirichlet mask and the zero-mean row depend on neither nu nor the
-case: the DoF map's `OperatorCache` keeps them, read-only, from their first
-build, keyed on the content of every input (the kernel `local_a` itself, the
+pressure-monomial integrals for the pressure recovery, and a
+nested-dissection order of the reduced saddle unknowns.  These, A1, B, the
+Dirichlet mask and the zero-mean row depend on neither nu nor the case: the
+DoF map's `OperatorCache` keeps them, read-only, from their first build,
+keyed on the content of every input (the kernel `local_a` itself, the
 stabilization, the Neumann faces, and the projection arrays that local_a and
 the zero-mean row read and the mesh arrays that B, E, the Dirichlet mask and
-the order read).  Each call builds only the load, traction and boundary values.
+the order read).  With them it keeps one slot for the factor of the nu-free
+Stokes matrix that they make, which `flow` fills on the first solve, so the
+factor goes when a new key evicts them.  Each call builds only the load,
+traction and boundary values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -49,7 +52,6 @@ import scipy.sparse as sp
 from .dofspace import (
     DofMapQ,
     DofMapV,
-    FactorCache,
     ReducedMaps,
     build_reduced_maps,
     interpolate_boundary,
@@ -172,7 +174,7 @@ class GlobalSystem:
     volumes: np.ndarray              # |P| per cell
     pressure_ints: np.ndarray        # (n_cells, pi_{k-1,3}) integrals of the pressure monomials
     order: np.ndarray                # LU order of the reduced saddle unknowns
-    factors: FactorCache = field(default_factory=FactorCache)   # the DoF map's
+    stokes_factor: list              # [(E_f, K1's factor)] once built, shared by the systems of its operators
 
     @property
     def A(self) -> sp.csc_matrix:
@@ -284,7 +286,8 @@ def _saddle_order(mesh: PolyMesh, mapv: DofMapV, free: np.ndarray, mean_row: boo
 def _operators(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
                projs: list[CellProjections], neumann: np.ndarray) -> dict:
     """The fields of the system that depend on neither nu nor the load case,
-    their arrays read-only, since the DoF map shares them between systems."""
+    their arrays read-only, since the DoF map shares them between systems,
+    and the empty slot of their Stokes factor."""
     mapv, mapq = maps
     pq = mapq.n_per_cell
     A1 = _cell_matrix(mapv, [np.stack([local_a(projs[c], 1.0, spec.stabilization) for c in g.cells])
@@ -308,7 +311,7 @@ def _operators(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
               dir_mask, red.keep, red.full_to_red, order):
         a.flags.writeable = False
     return dict(A1=A1, B=B, e=e if mean_row else None, dirichlet_mask=dir_mask, red=red, E=E,
-                volumes=mesh.cell_stack.volume, pressure_ints=pressure_ints, order=order)
+                volumes=mesh.cell_stack.volume, pressure_ints=pressure_ints, order=order, stokes_factor=[])
 
 
 def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
@@ -328,7 +331,7 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
            mesh._loop_edges, mesh.cell_stack.volume, mesh.cell_stack.barycenter,
            *(getattr(p, name) for p in projs for name in ("D", "pi_d", "pi_0grad", "Hq", "sigma", "h",
                                                          "mono_int")))
-    ops, _ = mapv.operators.get(key, lambda: _operators(mesh, maps, spec, projs, neumann))
+    ops = mapv.operators.get(key, lambda: _operators(mesh, maps, spec, projs, neumann))
     F = np.bincount(np.concatenate(mapv.cell_global),
                     np.concatenate([local_load(proj, spec.load) for proj in projs]), minlength=mapv.ndof)
     for f in neumann:
@@ -347,7 +350,7 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     gvals[~ops["dirichlet_mask"]] = 0.0
     if ops["e"] is not None:
         _check_compatibility(mesh, ops["B"][::mapq.n_per_cell], gvals)
-    return GlobalSystem(nu=spec.nu, F=F, dirichlet_values=gvals, factors=mapv.factors, **ops)
+    return GlobalSystem(nu=spec.nu, F=F, dirichlet_values=gvals, **ops)
 
 
 def assemble_convection(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],

@@ -638,7 +638,7 @@ def reduced_system_oracle(mesh, maps, spec, projs, red) -> GlobalSystem:
     # the full-system oracle solves it; it reads none of the reduced-pair fields
     return GlobalSystem(A1=A, nu=spec.nu, B=B, F=F, e=e,
                         dirichlet_mask=dir_mask, dirichlet_values=gvals,
-                        red=None, E=None, volumes=None, pressure_ints=None, order=None)
+                        red=None, E=None, volumes=None, pressure_ints=None, order=None, stokes_factor=[])
 
 
 # ---------------------------------------------------------------------------

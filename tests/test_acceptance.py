@@ -45,9 +45,6 @@ def _summary():
     print("\n" + "\n".join(_LINES))
 
 
-_CACHE: dict = {}
-
-
 @pytest.fixture(scope="module")
 def structured_meshes():
     return [generate_structured_cubes(n) for n in (2, 4, 8)]
@@ -55,27 +52,24 @@ def structured_meshes():
 
 @pytest.fixture(scope="module")
 def study_ex1_k2(structured_meshes):
-    return run_convergence("ex1-stokes", "structured", 2, 3,
-                           meshes=structured_meshes, disc_cache=_CACHE)
+    return run_convergence("ex1-stokes", "structured", 2, structured_meshes)
 
 
 @pytest.fixture(scope="module")
 def study_ex2_k2(structured_meshes):
-    return run_convergence("ex2-ns", "structured", 2, 3,
-                           meshes=structured_meshes, disc_cache=_CACHE)
+    return run_convergence("ex2-ns", "structured", 2, structured_meshes)
 
 
 @pytest.fixture(scope="module")
 def study_ex3p2_k2(structured_meshes):
-    return run_convergence("ex3-p2", "structured", 2, 3,
-                           meshes=structured_meshes, disc_cache=_CACHE)
+    return run_convergence("ex3-p2", "structured", 2, structured_meshes)
 
 
 @pytest.fixture(scope="module")
 def study_ex1_k3():
     meshes = [generate_structured_cubes(2), generate_structured_cubes(4),
               generate_tetra_mesh(4, seed=1)]
-    return run_convergence("ex1-stokes", "mixed", 3, 3, meshes=meshes, disc_cache=_CACHE)
+    return run_convergence("ex1-stokes", "mixed", 3, meshes)
 
 
 def test_criterion_1_stokes_convergence(study_ex1_k2, study_ex1_k3):
@@ -113,8 +107,8 @@ def test_criterion_3_benchmark_polynomial_pressure():
     scale on the coarsest structured (27 cells) and tetra meshes, k=2."""
     m_struct = generate_structured_cubes(3)
     m_tet = generate_tetra_mesh(2, seed=1)
-    rep_s = run_convergence("ex3-p1", "structured", 2, 1, meshes=[m_struct], disc_cache=_CACHE)
-    rep_t = run_convergence("ex3-p1", "tetra", 2, 1, meshes=[m_tet], disc_cache=_CACHE)
+    rep_s = run_convergence("ex3-p1", "structured", 2, [m_struct])
+    rep_t = run_convergence("ex3-p1", "tetra", 2, [m_tet])
     e_s = rep_s.levels[0].eH1u
     e_t = rep_t.levels[0].eH1u
     ok = e_s <= 1e-9 and e_t <= 1e-9
@@ -162,10 +156,8 @@ def test_criterion_6_divergence_freeness(study_ex1_k2, study_ex2_k2, study_ex3p2
         for lvl in rep.levels:
             worst = max(worst, lvl.max_div_coefficient)
     # criterion 3 solves
-    rep3s = run_convergence("ex3-p1", "structured", 2, 1,
-                            meshes=[generate_structured_cubes(3)], disc_cache=_CACHE)
-    rep3t = run_convergence("ex3-p1", "tetra", 2, 1,
-                            meshes=[generate_tetra_mesh(2, seed=1)], disc_cache=_CACHE)
+    rep3s = run_convergence("ex3-p1", "structured", 2, [generate_structured_cubes(3)])
+    rep3t = run_convergence("ex3-p1", "tetra", 2, [generate_tetra_mesh(2, seed=1)])
     worst = max(worst, rep3s.levels[0].max_div_coefficient, rep3t.levels[0].max_div_coefficient)
     _report(6, worst <= 1e-9, f"max div(u_h) over all solves = {worst:.3e} <= 1e-9")
 
@@ -296,9 +288,7 @@ def test_criterion_10_stabilization_robustness(study_ex1_k2, structured_meshes):
     strain seminorm on O(1) DoFs; constant weights would overscale by 1/h_P
     and cost the pressure one order.  The companion check below shows
     robustness to the stabilization CONSTANT: a 10x rescale of the D-recipe."""
-    rep = run_convergence("ex1-stokes", "structured", 2, 3,
-                          meshes=structured_meshes, stabilization="unit",
-                          disc_cache=_CACHE)
+    rep = run_convergence("ex1-stokes", "structured", 2, structured_meshes, stabilization="unit")
     s_ref = study_ex1_k2.slopes()
     s_unit = rep.slopes()
     d1 = abs(s_ref["eH1u"] - s_unit["eH1u"])
@@ -318,8 +308,7 @@ def test_criterion_10_stabilization_robustness(study_ex1_k2, structured_meshes):
 
     forms.local_a = scaled
     try:
-        rep10 = run_convergence("ex1-stokes", "structured", 2, 3,
-                                meshes=structured_meshes, disc_cache=_CACHE)
+        rep10 = run_convergence("ex1-stokes", "structured", 2, structured_meshes)
     finally:
         forms.local_a = orig
     # the rescale reaches assembly: one call per cell of each of the three

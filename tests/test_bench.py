@@ -67,7 +67,7 @@ def test_error_l2_pressure_oracle(cube2, disc):
 def test_error_ratio_halving(disc):
     """Halving h on the Stokes example at k=2 divides e_H1 by about 4, and
     both fitted slopes stay inside the [k - 0.25, k + 0.6] window."""
-    rep = run_convergence("ex1-stokes", "structured", 2, 2)
+    rep = run_convergence("ex1-stokes", "structured", 2, family_meshes("structured", 2))
     ratio = rep.levels[0].eH1u / rep.levels[1].eH1u
     assert 4.0 * 0.7 <= ratio <= 4.0 * 1.3
     ratio_p = rep.levels[0].eL2p / rep.levels[1].eL2p
@@ -108,8 +108,8 @@ def test_csv_slopes_match_report_with_zero_column(tmp_path):
 
 def test_csv_deterministic_modulo_walltime(tmp_path):
     meshes = [generate_structured_cubes(1), generate_structured_cubes(2)]
-    out1 = run_convergence("ex1-stokes", "structured", 2, 2, meshes=meshes).to_csv()
-    out2 = run_convergence("ex1-stokes", "structured", 2, 2, meshes=meshes).to_csv()
+    out1 = run_convergence("ex1-stokes", "structured", 2, meshes).to_csv()
+    out2 = run_convergence("ex1-stokes", "structured", 2, meshes).to_csv()
 
     def strip_time(csv):
         lines = csv.strip().splitlines()
@@ -120,7 +120,7 @@ def test_csv_deterministic_modulo_walltime(tmp_path):
 
 def test_csv_rates_round_trip(tmp_path):
     path = tmp_path / "res.csv"
-    rep = run_convergence("ex1-stokes", "structured", 2, 2, out=str(path))
+    rep = run_convergence("ex1-stokes", "structured", 2, family_meshes("structured", 2), out=str(path))
     fitted = rates_from_csv(str(path))
     assert abs(fitted["eH1u"] - rep.slopes()["eH1u"]) < 1e-12
     assert (tmp_path / "res.csv.json").exists()
@@ -129,7 +129,7 @@ def test_csv_rates_round_trip(tmp_path):
 def test_neumann_variant_converges():
     """The Neumann variant (traction on the x = 0, 1 faces) reproduces the
     manufactured solution at the same order as the Dirichlet one."""
-    rep = run_convergence("ex1-stokes", "structured", 2, 2, neumann=True)
+    rep = run_convergence("ex1-stokes", "structured", 2, family_meshes("structured", 2), neumann=True)
     s = rep.slopes()
     assert 1.6 <= s["eH1u"] <= 2.5
     assert 1.6 <= s["eL2p"] <= 2.5

@@ -103,8 +103,7 @@ def test_traction_consistency(cube2, disc):
     discretized weak form: the Neumann solve reproduces the solution."""
     from vemflow.bench import run_convergence
 
-    rep = run_convergence("ex1-stokes", "structured", 2, 1, neumann=True,
-                          meshes=[cube2])
+    rep = run_convergence("ex1-stokes", "structured", 2, [cube2], neumann=True)
     assert rep.levels[0].eH1u < 2.0   # converging variant; rate tested in bench
 
 

@@ -1,8 +1,11 @@
-"""The Stokes factor and the case-free operators kept on the DoF map: the
-nu-free solve, when a factor or an operator is reused, when it is not, and
-that what is reused gives a fresh map's operators and solution."""
+"""The case-free operators and their Stokes factor kept on the DoF map: the
+nu-free solve, when a factor or an operator is reused, when it is not, that
+what is reused gives a fresh map's operators and solution, and that the
+factor dies with its map."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from helpers import cell_projection_loop
 from vemflow import flow, forms
 from vemflow.bench import case_spec
 from vemflow.cases import make_case
-from vemflow.dofspace import FactorCache, build_dof_maps
+from vemflow.dofspace import build_dof_maps
 from vemflow.flow import NSOptions, solve_navier_stokes, solve_stokes
 from vemflow.forms import assemble
 from vemflow.meshing import generate_structured_cubes, generate_tetra_mesh
@@ -25,7 +28,7 @@ SWEEP = [(c, nu) for c in ("ex1-stokes", "ex3-p1", "ex3-p2") for nu in (0.1, 1.0
 @pytest.fixture(scope="module")
 def sweep_mesh():
     """The sweep's n = 2 tetra mesh at k = 3 with its projections; each test
-    takes a fresh DoF map, and so a fresh factor cache, from `_maps`."""
+    takes a fresh DoF map, and so a fresh operator cache, from `_maps`."""
     mesh = generate_tetra_mesh(2, seed=5)
     return (mesh, *build_projections(mesh, build_dof_maps(mesh, 3)[0]))
 
@@ -55,6 +58,11 @@ def splu_calls(monkeypatch):
     return calls
 
 
+def _fresh(system):
+    """The system with a fresh factor of its own in place of the shared slot."""
+    return dataclasses.replace(system, stokes_factor=[flow._factor(system, system.A1)])
+
+
 def _assert_close(got, ref, rtol_u, rtol_p=None):
     """Velocity within rtol_u, pressure and multiplier within rtol_p
     (default rtol_u), relative to the largest entry of the reference."""
@@ -63,30 +71,52 @@ def _assert_close(got, ref, rtol_u, rtol_p=None):
         assert np.max(np.abs(np.subtract(a, b))) <= rtol * max(np.max(np.abs(b)), 1.0)
 
 
-def test_sweep_factors_at_most_twice(sweep_mesh, splu_calls):
-    """Nine (case, nu) pairs on one map: the first solve stores the key, the
-    second keeps its factor, the other seven reuse it."""
+def test_sweep_factors_once(sweep_mesh, splu_calls):
+    """Nine (case, nu) pairs on one map: the first solve factors K1 and keeps
+    the factor with the map's operators, the other eight reuse it."""
     disc = _maps(sweep_mesh, 3)
     sols = [solve_stokes(_system(disc, c, nu)) for c, nu in SWEEP]
-    assert [s.factored for s in sols] == [True, True] + [False] * 7
-    assert len(splu_calls) == 2
+    assert [s.factored for s in sols] == [True] + [False] * 8
+    assert len(splu_calls) == 1
     assert len({(s.saddle_rows, s.lu_fill) for s in sols}) == 1
 
 
 def test_fresh_maps_factor_every_solve(cube_mesh, splu_calls):
-    """One solve per map: one factorisation each, and the map keeps none."""
+    """One solve per map: one factorisation each."""
     for nu in (0.5, 2.0):
         disc = _maps(cube_mesh, 2)
         assert solve_stokes(_system(disc, "ex1-stokes", nu)).factored
-        assert disc[1][0].factors.value is None
     assert len(splu_calls) == 2
+
+
+@pytest.mark.parametrize("name", ["ex1-stokes", "ex2-ns"])
+def test_factor_dies_with_its_map(name):
+    """With the cycle collector off, the factor of a fresh map's Stokes or
+    Navier-Stokes solve is freed by reference counting once the system, the
+    solution and the discretisation are gone: no reference cycle between
+    the map, its cache entry and the system keeps it past its op."""
+    mesh = generate_structured_cubes(2)
+    maps = build_dof_maps(mesh, 2)
+    projs, fps = build_projections(mesh, maps[0])
+    spec = case_spec(make_case(name), 2)
+    gc.disable()
+    try:
+        system = assemble(mesh, maps, spec, projs, fps)
+        sol = (solve_navier_stokes(mesh, maps, spec, projs, fps, system=system) if spec.convective
+               else solve_stokes(system))
+        assert sol.factored and sol.converged
+        lu = weakref.ref(system.stokes_factor[0][1])
+        assert isinstance(lu(), flow._EquilibratedLU)
+        del system, sol, mesh, maps, projs, fps
+        assert lu() is None
+    finally:
+        gc.enable()
 
 
 def test_newton_factors_once_per_solve(cube_mesh, splu_calls):
     """Newton factors only its Stokes guess and solves every Jacobian by
-    GMRES preconditioned with that factor; on a map that has seen the
-    Stokes matrix twice, the guess reuses the kept factor and the solve
-    factors nothing."""
+    GMRES preconditioned with that factor; later solves on the same map
+    read the kept factor for the guess and factor nothing."""
     disc = _maps(cube_mesh, 2)
     mesh, maps, projs, fps = disc
     spec = case_spec(make_case("ex2-ns"), 2)
@@ -100,7 +130,7 @@ def test_newton_factors_once_per_solve(cube_mesh, splu_calls):
         counts.append((len(splu_calls) - before, sol.newton_iterations))
     (n1, it1), (n2, it2), (n3, it3) = counts
     assert it1 == it2 == it3 > 1
-    assert (n1, n2, n3) == (1, 1, 0)
+    assert (n1, n2, n3) == (1, 0, 0)
 
 
 def test_reused_factor_matches_fresh(sweep_mesh):
@@ -110,9 +140,7 @@ def test_reused_factor_matches_fresh(sweep_mesh):
     for c, nu in SWEEP:
         system = _system(disc, c, nu)
         got = solve_stokes(system)
-        ref = solve_stokes(dataclasses.replace(system, factors=FactorCache()))
-        assert ref.factored
-        _assert_close(got, ref, 1e-12)
+        _assert_close(got, solve_stokes(_fresh(system)), 1e-12)
     assert not got.factored
 
 
@@ -143,22 +171,20 @@ def _y_plane_neumann(centroid, normal):
 
 
 def _variants(name, disc):
-    """A system and one with a single input of the nu-free Stokes matrix
-    changed, on the same map."""
-    if name == "unit":
-        return _system(disc, "ex1-stokes"), _system(disc, "ex1-stokes", stabilization="unit")
-    if name == "neumann":
-        return _system(disc, "ex1-stokes"), _system(disc, "ex1-stokes", neumann=True)
-    if name == "loop-projections":
-        mesh, maps, projs, fps = disc
-        loop = [cell_projection_loop(mesh, maps[0], c, fps) for c in range(mesh.n_cells)]
-        return _system(disc, "ex1-stokes"), _system((mesh, maps, loop, fps), "ex1-stokes")
-    # another Dirichlet mask, both without the mean row
+    """Assemblers of a system and of one with a single input of the nu-free
+    Stokes matrix changed, on the same map."""
     mesh, maps, projs, fps = disc
-    case = make_case("ex1-stokes")
-    base = case_spec(case, 2, neumann=True)
+    if name == "unit":
+        return lambda: _system(disc, "ex1-stokes"), lambda: _system(disc, "ex1-stokes", stabilization="unit")
+    if name == "neumann":
+        return lambda: _system(disc, "ex1-stokes"), lambda: _system(disc, "ex1-stokes", neumann=True)
+    if name == "loop-projections":
+        loop = [cell_projection_loop(mesh, maps[0], c, fps) for c in range(mesh.n_cells)]
+        return lambda: _system(disc, "ex1-stokes"), lambda: _system((mesh, maps, loop, fps), "ex1-stokes")
+    # another Dirichlet mask, both without the mean row
+    base = case_spec(make_case("ex1-stokes"), 2, neumann=True)
     other = dataclasses.replace(base, neumann_faces=_y_plane_neumann)
-    return tuple(assemble(mesh, maps, s, projs, fps) for s in (base, other))
+    return tuple((lambda s=s: assemble(mesh, maps, s, projs, fps)) for s in (base, other))
 
 
 @pytest.mark.parametrize("variant,mesh", [("unit", "sweep_mesh"), ("neumann", "sweep_mesh"),
@@ -166,20 +192,26 @@ def _variants(name, disc):
                                           ("dirichlet-mask", "cube_mesh")])
 def test_cache_misses_on_a_changed_input(variant, mesh, request, splu_calls):
     """A kept factor is not reused for a system that differs in one input of
-    the matrix; the new key evicts it, so the first system factors again."""
+    the matrix.  Its new key evicts the kept operators with their factor: a
+    system still held keeps its own factor, and a re-assembled one factors
+    again."""
     disc = _maps(request.getfixturevalue(mesh), 3 if mesh == "sweep_mesh" else 2)
-    base, other = _variants(variant, disc)
+    make_base, make_other = _variants(variant, disc)
+    base = make_base()
+    assert [solve_stokes(base).factored for _ in range(3)] == [True, False, False]
+    other = make_other()
     if variant == "loop-projections":
         assert not np.array_equal(base.A1.data, other.A1.data)
     if variant == "dirichlet-mask":
         assert base.e is None and other.e is None
         assert not np.array_equal(base.dirichlet_mask, other.dirichlet_mask)
-    assert [solve_stokes(base).factored for _ in range(3)] == [True, True, False]
     got = solve_stokes(other)
     assert got.factored
-    _assert_close(got, solve_stokes(dataclasses.replace(other, factors=FactorCache())), 1e-12)
-    assert solve_stokes(base).factored
-    assert len(splu_calls) == 5
+    _assert_close(got, solve_stokes(_fresh(other)), 1e-12)
+    assert not solve_stokes(base).factored
+    assert solve_stokes(make_base()).factored
+    # base, other, other's fresh reference, and base re-assembled
+    assert len(splu_calls) == 4
 
 
 def _counted(monkeypatch, name):

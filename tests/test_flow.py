@@ -154,6 +154,17 @@ def test_newton_options_validation(cube1, disc):
         solve_navier_stokes(cube1, maps, spec, projs, fps, NSOptions(max_iter=0))
 
 
+@pytest.mark.parametrize("guess", ["Stokes", "zeros", "none"])
+def test_unknown_initial_guess_raises(guess, cube1, disc, monkeypatch):
+    """A misspelt initial guess is an error naming both guesses, raised
+    before any assembly, not a silent zero guess."""
+    maps, projs, fps = disc(cube1, 2)
+    spec = _spec_for(make_case("ex2-ns"), 2)
+    monkeypatch.setattr(flow, "assemble", lambda *a, **kw: pytest.fail("assembled"))
+    with pytest.raises(ValueError, match="'stokes' or 'zero', got " + repr(guess)):
+        solve_navier_stokes(cube1, maps, spec, projs, fps, NSOptions(initial_guess=guess))
+
+
 def test_newton_nonconvergence_returns_last_iterate(cube2, disc):
     case = make_case("ex2-ns")
     maps, projs, fps = disc(cube2, 2)

@@ -130,3 +130,62 @@ def test_unread_name_check_catches_them():
            "def by_name():\n    pass\n\n\nused()\n")
     assert _unread_names([src], [src, 'getattr(module, "by_name")\n'], ["Exported"]) == ["unused"]
     assert _unread_names([src], [src], ["Exported"]) == ["unused", "by_name"]
+
+
+def _functions(tree: ast.AST):
+    """(name, positional parameters, parameters with a default) of every
+    function in the tree; a method's positional parameters leave out its
+    first, and `__init__` goes by its class's name, which its callers call."""
+    methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if id(node) in methods and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                               for d in node.decorator_list):
+                positional = positional[1:]
+            name = methods[id(node)] if node.name == "__init__" and id(node) in methods else node.name
+            yield name, positional, defaulted
+
+
+def _unpassed_defaults(defining: list[str], calling: list[str], exported) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter with a default, of a function
+    of the `defining` sources that `exported` does not list, that no call in
+    `calling` passes by keyword or by position.  A call is matched by the
+    name it calls (`f(...)` or `x.f(...)`); `*args` passes every position and
+    `**kwargs` every keyword."""
+    positions, keywords = {}, {}
+    for src in calling:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                n = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+                positions[name] = max(positions.get(name, 0), n)
+                keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)
+    return [(name, p) for src in defining for name, positional, defaulted in _functions(ast.parse(src))
+            if name not in exported for p in defaulted
+            if p not in keywords.get(name, ()) and None not in keywords.get(name, ())
+            and not (p in positional and positional.index(p) < positions.get(name, 0))]
+
+
+def test_no_parameter_only_tests_pass():
+    """Every parameter with a default, of a function that the package does
+    not export, is passed by some call in the package or in perfbench: a
+    parameter that only tests pass, or that nobody passes, is code without a
+    user (a test can reach the default, or a helper in tests/helpers.py)."""
+    package = [path.read_text(encoding="utf-8") for path in SOURCES]
+    callers = package + [path.read_text(encoding="utf-8") for path in PERFBENCH]
+    assert _unpassed_defaults(package, callers, vemflow.__all__) == []
+
+
+def test_unpassed_default_check_catches_them():
+    src = ("def f(a, b=1, c=2, *, d=3):\n    pass\n\n\ndef exported(x=0):\n    pass\n\n\n"
+           "class C:\n    def __init__(self, a, b=1):\n        pass\n\n    def m(self, x=0, y=1):\n"
+           "        pass\n\n\ndef g(u=0, v=1):\n    pass\n\n\n"
+           "f(0, 1)\nC(0)\nC(0).m(y=2)\ng(*args)\nopts = dict(u=1)\n")
+    assert _unpassed_defaults([src], [src], ["exported"]) == [
+        ("f", "c"), ("f", "d"), ("C", "b"), ("m", "x")]
+    assert _unpassed_defaults([src], [src, "f(0, 1, 2, d=4)\nC(0, b=1)\nx.m(**kw)\n"], ["exported"]) == []
