@@ -58,7 +58,7 @@ class LevelResult:
     eL2p: float
     newton_iters: int
     wall_time_s: float
-    max_div_coefficient: float
+    max_div: float
 
 
 @dataclass
@@ -106,17 +106,23 @@ def fit_slopes(levels: list[dict]) -> dict:
     return out
 
 
-def family_meshes(family: str, levels: int, mesh_paths=None):
-    """Mesh sequence for a family: structured n = 2, 4, 8, ...; tetra from the
-    jittered-grid Delaunay; cvt/random are import-only (paths required)."""
+def family_meshes(family: str, levels: int | None, mesh_paths=None):
+    """Mesh sequence for a family: structured n = 2, 4, 8, ... and tetra from
+    the jittered Kuhn subdivision of the same grids, `levels` of them (3 when
+    None); cvt/random are import-only, one level per mesh path, and a
+    `levels` that is given must match the number of paths."""
+    if family in ("cvt", "random"):
+        if not mesh_paths:
+            raise ValueError(f"family {family!r} is import-only: provide mesh paths")
+        if levels is not None and levels != len(mesh_paths):
+            raise ValueError(f"family {family!r} has one level per mesh path: "
+                             f"{levels} levels asked for, {len(mesh_paths)} paths given")
+        return [load_mesh(p) for p in mesh_paths]
+    levels = 3 if levels is None else levels
     if family == "structured":
         return [generate_structured_cubes(2 ** (i + 1)) for i in range(levels)]
     if family == "tetra":
         return [generate_tetra_mesh(2 ** (i + 1)) for i in range(levels)]
-    if family in ("cvt", "random"):
-        if not mesh_paths:
-            raise ValueError(f"family {family!r} is import-only: provide mesh paths")
-        return [load_mesh(p) for p in mesh_paths]
     raise ValueError(f"unknown mesh family {family!r}")
 
 
@@ -176,7 +182,7 @@ def run_convergence(case_name: str, family: str, k: int, meshes: list[PolyMesh],
             level=lvl, h=mesh_size(mesh), ndof_u=mapv.ndof, ndof_p=mapq.ndof,
             eH1u=e1, eL2p=e2, newton_iters=iters,
             wall_time_s=time.perf_counter() - t0,
-            max_div_coefficient=dv,
+            max_div=dv,
         ))
     if out:
         with open(out, "w", encoding="utf-8") as fh:

@@ -183,7 +183,9 @@ def main(argv=None) -> int:
     run.add_argument("--family", default="structured",
                      choices=["structured", "tetra", "cvt", "random"])
     run.add_argument("--k", type=int, default=2)
-    run.add_argument("--levels", type=int, default=3)
+    run.add_argument("--levels", type=int,
+                     help="levels of a generated family (default 3); import-only families "
+                          "take one per --mesh-paths file")
     run.add_argument("--nu", type=float, default=1.0)
     run.add_argument("--stab", default="drecipe", choices=["drecipe", "unit"],
                     help=STAB_HELP)

@@ -44,7 +44,6 @@ class ComplexReport:
     exactness_applicable: bool
     exactness_ok: bool | None
     rank: RankResult | None = None
-    max_div_coefficient: float | None = None
     notes: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
@@ -67,8 +66,6 @@ class ComplexReport:
                 "expected_kernel_dim": self.rank.expected_kernel_dim,
                 "passed": self.rank.passed,
             }
-        if self.max_div_coefficient is not None:
-            out["max_div_coefficient"] = self.max_div_coefficient
         return out
 
 

@@ -53,8 +53,7 @@ def edge_point_params(k: int) -> tuple[float, ...]:
 
 
 def cell_basis(mesh: PolyMesh, c: int, degree: int) -> MonomialBasis3:
-    g = mesh.cell_geom[c]
-    return MonomialBasis3(degree, g.barycenter, g.h)
+    return MonomialBasis3(degree, mesh.cell_stack.barycenter[c], mesh.cell_stack.h[c])
 
 
 @dataclass
@@ -145,16 +144,6 @@ class DofMapQ:
     ndof: int
 
 
-@dataclass
-class ReducedMaps:
-    """Velocity map without the divergence-moment family; constant pressures."""
-
-    keep: np.ndarray          # bool over full velocity DoFs
-    full_to_red: np.ndarray   # int, -1 on dropped DoFs
-    ndof_v: int
-    ndof_q: int               # = number of cells
-
-
 def build_dof_maps(mesh: PolyMesh, k: int) -> tuple[DofMapV, DofMapQ]:
     """The global DoF numbering, group by group of `mesh.cell_groups()`, and
     the CSC pattern of the cell-block matrices with each group's slots."""
@@ -215,17 +204,14 @@ def build_dof_maps(mesh: PolyMesh, k: int) -> tuple[DofMapV, DofMapQ]:
     return mapv, mapq
 
 
-def build_reduced_maps(mesh: PolyMesh, k: int, maps: tuple[DofMapV, DofMapQ] | None = None) -> ReducedMaps:
-    mapv = maps[0] if maps is not None else build_dof_maps(mesh, k)[0]
+def build_reduced_maps(mapv: DofMapV) -> np.ndarray:
+    """The velocity DoFs of the reduced pair, as a mask over the full ones:
+    all but the divergence moments (family 5).  Its pressures are one
+    constant per cell."""
     keep = np.ones(mapv.ndof, dtype=bool)
     # the cell blocks close the numbering: family 4, then family 5, per cell
-    keep[mapv.offsets["cell"]:].reshape(mesh.n_cells, -1)[:, mapv.n_d4:] = False
-    full_to_red = np.full(mapv.ndof, -1, dtype=int)
-    full_to_red[keep] = np.arange(int(keep.sum()))
-    return ReducedMaps(
-        keep=keep, full_to_red=full_to_red,
-        ndof_v=int(keep.sum()), ndof_q=mesh.n_cells,
-    )
+    keep[mapv.offsets["cell"]:].reshape(len(mapv.cell_global), -1)[:, mapv.n_d4:] = False
+    return keep
 
 
 def _cell_pattern(ents: list, dofs: list[np.ndarray], size: np.ndarray,
@@ -343,7 +329,7 @@ def interpolate_velocity(mesh: PolyMesh, mapv: DofMapV, u, div_u=None) -> np.nda
         base = mapv.offsets["cell"] + blk * ci
         dof[base: base + n4] = np.einsum("q,qc,qs,csj->j", rule.weights, u(rule.points), phi[:, :ns], C)
         dof[base + n4: base + blk] = (phi.T @ (rule.weights * dv))[1:]
-        dof[base: base + blk] /= mesh.cell_geom[ci].volume
+        dof[base: base + blk] /= mesh.cell_stack.volume[ci]
     return dof
 
 

@@ -27,16 +27,17 @@ slot, which every system of those operators shares, and it goes when the
 map evicts them or dies.  Nothing that depends on nu or the case (F, the
 boundary values, u, p) is kept.
 
-Navier-Stokes factors at most once per solve: both initial guesses read
-K1's factor from that slot, and it serves the whole solve.  Each Newton
-step builds its reduced Jacobian saddle matrix
-E_f^T [nu A1 + C + Cg  B^T; B 0] E_f and solves it by GMRES preconditioned
-with K1's factor: K_nu = E_f^T [nu A1 B^T; B 0] E_f solves as K1 in
-(u, p/nu, lam), and in the diffusion-dominated regime it is close to the
-Jacobian (Elman, Silvester & Wathen, Finite Elements and Fast Iterative
+Navier-Stokes factors at most once per solve: Newton starts from the
+Stokes solution, and the factor of K1 that the Stokes solve reads from that
+slot serves the whole solve.  Each Newton step builds its reduced Jacobian
+saddle matrix E_f^T [nu A1 + C + Cg  B^T; B 0] E_f and solves it by GMRES
+preconditioned with K1's factor: K_nu = E_f^T [nu A1 B^T; B 0] E_f solves
+as K1 in (u, p/nu, lam), and in the diffusion-dominated regime it is close
+to the Jacobian (Elman, Silvester & Wathen, Finite Elements and Fast Iterative
 Solvers, ch. 8).  A step that misses KRYLOV_RTOL within KRYLOV_CAP
 iterations factors its Jacobian instead, and so does every later step of
-that solve."""
+that solve.  A solve that has not converged after NEWTON_MAX_ITER steps
+returns its last iterate, marked unconverged."""
 
 from __future__ import annotations
 
@@ -66,12 +67,13 @@ DIVERGENCE_GROWTH = 1e2
 KRYLOV_CAP = 20
 KRYLOV_RTOL = 1e-13
 
+# Newton steps after which a solve that has not met its tolerance stops
+NEWTON_MAX_ITER = 25
+
 
 @dataclass
 class NSOptions:
     tol: float = 1e-10           # relative increment tolerance
-    max_iter: int = 25
-    initial_guess: str = "stokes"   # or "zero"
 
 
 @dataclass
@@ -135,19 +137,13 @@ def _saddle_matrix(system: GlobalSystem, J: sp.spmatrix) -> tuple[sp.csc_matrix,
     J is the velocity block, CSC: A1 for Stokes, the Newton Jacobian
     nu A1 + C + Cg for Navier-Stokes.  Returns (K, E_f)."""
     pq = system.pressure_ints.shape[1]
-    Ef = system.E[:, np.nonzero(~system.dirichlet_mask[system.red.keep])[0]]
+    Ef = system.E[:, np.nonzero(~system.dirichlet_mask[system.keep])[0]]
     J_r = Ef.T @ J @ Ef
     B_r = system.B[::pq] @ Ef
     if system.e is None:
         return sp.bmat([[J_r, B_r.T], [B_r, None]], format="csc"), Ef
     e = sp.csr_matrix(system.e[None, ::pq])
     return sp.bmat([[J_r, B_r.T, None], [B_r, None, e.T], [None, e, None]], format="csc"), Ef
-
-
-def _factor(system: GlobalSystem, J: sp.spmatrix) -> tuple[sp.csr_matrix, _EquilibratedLU]:
-    """E_f and the equilibrated LU factor of the reduced saddle matrix of J."""
-    K, Ef = _saddle_matrix(system, J)
-    return Ef, _EquilibratedLU(K, system.order)
 
 
 class _NewtonSolve:
@@ -192,12 +188,12 @@ class _NewtonSolve:
 
 
 def _solve_step(system: GlobalSystem, Ef: sp.csr_matrix, lu: _EquilibratedLU, J: sp.spmatrix,
-                Rm: np.ndarray, u: np.ndarray, p: np.ndarray, lam: float) -> FlowSolution:
+                Rm: np.ndarray, u: np.ndarray, p: np.ndarray,
+                lam: float) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """The increment (du, dp, dlam) of [J B^T; B 0] (du, dp) = -(Rm, B u + lam e)
-    with e . (p + dp) = 0, solved on the reduced pair with the factor `lu` of
-    its saddle matrix (from `_factor(system, J)`); returned as a
-    FlowSolution with the norm of the reduced right-hand side as its one
-    residual.
+    with e . (p + dp) = 0, solved on the reduced pair with the solver `lu`
+    of its saddle matrix (`_stokes_factor` or `_NewtonSolve`); returned with
+    the norm of the reduced right-hand side and the relative residual.
 
     u is in the range of E, and so is du.  The pressure comes back cell by
     cell from the divergence-moment rows of the momentum equation, where B^T
@@ -215,22 +211,22 @@ def _solve_step(system: GlobalSystem, Ef: sp.csr_matrix, lu: _EquilibratedLU, J:
     x = lu.solve(rhs)
     du = Ef @ x[:nf]
     dp = np.empty((nc, pq))
-    dp[:, 1:] = -(Rm + J @ du)[~system.red.keep].reshape(nc, pq - 1) / system.volumes[:, None]
+    dp[:, 1:] = -(Rm + J @ du)[~system.keep].reshape(nc, pq - 1) / system.volumes[:, None]
     dp[:, 0] = (x[nf: nf + nc]
                 - np.sum(system.pressure_ints[:, 1:] * dp[:, 1:], axis=1) / system.volumes)
     nrm = float(np.linalg.norm(rhs))
     res = float(np.linalg.norm(lu.K @ x - rhs)) / (nrm if nrm > 0 else 1.0)
-    return FlowSolution(u=du, p=dp.ravel(), lam=float(x[nf + nc]) if system.e is not None else 0.0,
-                        residuals=[nrm], linear_residual=res, saddle_rows=lu.K.shape[0],
-                        lu_fill=lu.fill)
+    return du, dp.ravel(), float(x[nf + nc]) if system.e is not None else 0.0, nrm, res
 
 
 def _stokes_factor(system: GlobalSystem) -> tuple[tuple[sp.csr_matrix, _EquilibratedLU], bool]:
-    """(E_f, the factor of K1) from the system's shared slot, built there by
-    the first call, and whether this call factored."""
+    """(E_f, the equilibrated LU factor of K1 = E_f^T [A1 B^T; B 0] E_f) from
+    the system's shared slot, built there by the first call, and whether
+    this call factored."""
     if system.stokes_factor:
         return system.stokes_factor[0], False
-    system.stokes_factor.append(_factor(system, system.A1))
+    K, Ef = _saddle_matrix(system, system.A1)
+    system.stokes_factor.append((Ef, _EquilibratedLU(K, system.order)))
     return system.stokes_factor[0], True
 
 
@@ -239,119 +235,95 @@ def solve_stokes(system: GlobalSystem) -> FlowSolution:
     in the unknowns (u, p/nu, lam) of the nu-free matrix, with the factor
     kept with the DoF map's operators when an earlier solve built it."""
     nu = system.nu
-    u0 = system.E @ system.dirichlet_values[system.red.keep]
+    u0 = system.E @ system.dirichlet_values[system.keep]
     try:
         (Ef, lu), factored = _stokes_factor(system)
-        step = _solve_step(system, Ef, lu, system.A1, system.A1 @ u0 - system.F / nu, u0,
-                           np.zeros(system.ndof_q), 0.0)
+        du, dp, lam, _, res = _solve_step(system, Ef, lu, system.A1, system.A1 @ u0 - system.F / nu, u0,
+                                          np.zeros(system.ndof_q), 0.0)
     except RuntimeError as exc:
         raise SolverError(
             "singular Stokes system: check the zero-mean pressure constraint "
             "and that not every velocity DoF is constrained"
         ) from exc
-    res = step.linear_residual
     if not np.isfinite(res) or res > 1e-8:
         raise SolverError(f"direct solve failed: relative residual {res:.3e}")
-    return FlowSolution(u=u0 + step.u, p=nu * step.p, lam=step.lam, linear_residual=res,
-                        saddle_rows=step.saddle_rows, lu_fill=step.lu_fill, factored=factored)
+    return FlowSolution(u=u0 + du, p=nu * dp, lam=lam, linear_residual=res,
+                        saddle_rows=lu.K.shape[0], lu_fill=lu.fill, factored=factored)
 
 
 def _newton_step(system: GlobalSystem, mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],
-                 stokes: _EquilibratedLU | None, u: np.ndarray, p: np.ndarray, lam: float) -> FlowSolution:
-    """The Newton increment at (u, p, lam) for the Jacobian nu A1 + C(u) +
-    Cg(u), solved by GMRES preconditioned with the factor `stokes` of K1, or
-    factored here and dropped on return (`_NewtonSolve`); its path is the
-    step's one `linear_solves` entry.  A1, C and Cg lie on the DoF map's one
-    pattern, so the Jacobian is the sum of their data."""
+                 stokes: _EquilibratedLU | None, u: np.ndarray, p: np.ndarray,
+                 lam: float) -> tuple[np.ndarray, np.ndarray, float, float, _NewtonSolve]:
+    """The Newton increment (du, dp, dlam) at (u, p, lam) for the Jacobian
+    nu A1 + C(u) + Cg(u), the norm of its reduced right-hand side, and the
+    `_NewtonSolve` that solved it: by GMRES preconditioned with the factor
+    `stokes` of K1, or by a factor built here and dropped on return.  A1, C
+    and Cg lie on the DoF map's one pattern, so the Jacobian is the sum of
+    their data."""
     C, Cg = assemble_convection(mesh, mapv, projs, u)
     A1, nu = system.A1, system.nu
     Rm = nu * (A1 @ u) + C @ u + system.B.T @ p - system.F
     J = sp.csc_matrix((nu * A1.data + C.data + Cg.data, A1.indices, A1.indptr), shape=A1.shape)
     K, Ef = _saddle_matrix(system, J)
     lin = _NewtonSolve(K, system.order, stokes, nu, Ef.shape[1], len(system.volumes))
-    step = _solve_step(system, Ef, lin, J, Rm, u, p, lam)
-    step.linear_solves = [(lin.path, lin.iterations)]
-    return step
+    du, dp, dlam, nrm, _ = _solve_step(system, Ef, lin, J, Rm, u, p, lam)
+    return du, dp, dlam, nrm, lin
 
 
 def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
                         projs: list[CellProjections], faceprojs: dict,
                         opts: NSOptions | None = None,
                         system: GlobalSystem | None = None) -> FlowSolution:
-    """Newton iteration on the reduced pair with the displacement stopping
-    criterion ||x_n - x_{n+1}|| < tol ||x_n|| on the combined full DoF
-    vector x = (free velocities, pressures, multiplier).
+    """Newton iteration on the reduced pair from the Stokes solution, with the
+    displacement stopping criterion ||x_n - x_{n+1}|| < tol ||x_n|| on the
+    combined full DoF vector x = (free velocities, pressures, multiplier).
 
     A non-finite increment, or one over DIVERGENCE_GROWTH times the smallest
     so far, stops the iteration as diverged; that step is not applied."""
     opts = opts or NSOptions()
-    if opts.max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if opts.initial_guess not in ("stokes", "zero"):
-        raise ValueError(f"initial_guess must be 'stokes' or 'zero', got {opts.initial_guess!r}")
-    mapv, mapq = maps
+    if not (np.isfinite(opts.tol) and opts.tol > 0):
+        raise ValueError(f"Newton tolerance must be finite and > 0, got tol = {opts.tol}")
+    mapv, _ = maps
     if system is None:
         system = assemble(mesh, maps, spec, projs, faceprojs)
-
-    if opts.initial_guess == "stokes":
-        sol = solve_stokes(system)
-        u, p, lam, factored = sol.u, sol.p, sol.lam, sol.factored
-    else:
-        u = system.E @ system.dirichlet_values[system.red.keep]
-        p = np.zeros(system.ndof_q)
-        lam, factored = 0.0, False
-    try:
-        (_, stokes), built = _stokes_factor(system)
-    except RuntimeError as exc:
-        raise SolverError("singular Stokes system: the Newton preconditioner cannot be factored") from exc
-    factored |= built
+    sol = solve_stokes(system)
+    u, p, lam, factored = sol.u, sol.p, sol.lam, sol.factored
+    stokes = system.stokes_factor[0][1]      # K1's factor, which the Stokes solve read
 
     free = ~system.dirichlet_mask
     has_mean = system.e is not None
-    increments = []
-    residuals = []
-    linear_solves = []
-    for it in range(opts.max_iter):
+    increments, residuals, linear_solves = [], [], []
+    converged, diagnostic = False, ""
+    for it in range(NEWTON_MAX_ITER):
         try:
-            step = _newton_step(system, mesh, mapv, projs, stokes, u, p, lam)
+            du, dp, dlam, nrm, lin = _newton_step(system, mesh, mapv, projs, stokes, u, p, lam)
         except RuntimeError as exc:
             raise SolverError(f"linear solve failed in Newton step {it}") from exc
-        residuals += step.residuals
-        linear_solves += step.linear_solves
-        if step.linear_solves[0][0] != "gmres":
+        residuals.append(nrm)
+        linear_solves.append((lin.path, lin.iterations))
+        if lin.path != "gmres":
             stokes, factored = None, True       # later steps of this solve factor directly
-        report = dict(saddle_rows=step.saddle_rows, lu_fill=step.lu_fill, factored=factored,
-                      linear_solves=linear_solves)
 
-        inc = float(np.linalg.norm(
-            np.concatenate([step.u[free], step.p, [step.lam] if has_mean else []])))
+        inc = float(np.linalg.norm(np.concatenate([du[free], dp, [dlam] if has_mean else []])))
         if not np.isfinite(inc) or (increments and inc > DIVERGENCE_GROWTH * min(increments)):
-            smallest = min(increments, default=float("nan"))
+            diagnostic = (f"Newton diverged at step {it + 1}: increment {inc:.3e}, "
+                          f"smallest earlier increment {min(increments, default=float('nan')):.3e}; "
+                          f"the iterate before that step is returned")
             increments.append(inc)
-            return FlowSolution(
-                u=u, p=p, lam=lam, increments=increments, residuals=residuals,
-                converged=False, **report,
-                diagnostic=(f"Newton diverged at step {it + 1}: increment {inc:.3e}, "
-                            f"smallest earlier increment {smallest:.3e}; "
-                            f"the iterate before that step is returned"),
-            )
+            break
 
-        state = np.concatenate([u[free], p, [lam] if has_mean else []])
-        u = u + step.u
-        p = p + step.p
-        lam += step.lam
+        base = float(np.linalg.norm(np.concatenate([u[free], p, [lam] if has_mean else []])))
+        u, p, lam = u + du, p + dp, lam + dlam
         increments.append(inc)
-        base = float(np.linalg.norm(state))
         if inc < opts.tol * max(base, 1e-300) or (base == 0.0 and inc == 0.0):
-            return FlowSolution(u=u, p=p, lam=lam, increments=increments,
-                                residuals=residuals, linear_residual=0.0, **report)
-    # non-convergence returns the last iterate with a diagnostic
-    return FlowSolution(
-        u=u, p=p, lam=lam, increments=increments, residuals=residuals,
-        converged=False, **report,
-        diagnostic=(f"Newton did not converge in {opts.max_iter} iterations; "
-                    f"last increment {increments[-1]:.3e}"),
-    )
+            converged = True
+            break
+    else:
+        diagnostic = (f"Newton did not converge in {NEWTON_MAX_ITER} iterations; "
+                      f"last increment {increments[-1]:.3e}")
+    return FlowSolution(u=u, p=p, lam=lam, increments=increments, residuals=residuals,
+                        converged=converged, diagnostic=diagnostic, saddle_rows=lin.K.shape[0],
+                        lu_fill=lin.fill, factored=factored, linear_solves=linear_solves)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +353,6 @@ def sample_fields_csv(mesh: PolyMesh, maps, projs: list[CellProjections],
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("cell,x,y,z,ux,uy,uz,p\n")
         for ci, proj in enumerate(projs):
-            row = [*mesh.cell_geom[ci].barycenter, *(proj.pi_0k[::pk] @ sol.u[mapv.cell_global[ci]]),
+            row = [*mesh.cell_stack.barycenter[ci], *(proj.pi_0k[::pk] @ sol.u[mapv.cell_global[ci]]),
                    sol.p[ci * mapq.n_per_cell]]
             fh.write(f"{ci}," + ",".join(f"{v:.17e}" for v in row) + "\n")

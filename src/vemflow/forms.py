@@ -52,7 +52,6 @@ import scipy.sparse as sp
 from .dofspace import (
     DofMapQ,
     DofMapV,
-    ReducedMaps,
     build_reduced_maps,
     interpolate_boundary,
     nested_dissection,
@@ -169,8 +168,8 @@ class GlobalSystem:
     e: np.ndarray | None             # pressure-integral vector (None: no mean row)
     dirichlet_mask: np.ndarray
     dirichlet_values: np.ndarray
-    red: ReducedMaps                 # reduced pair: no divergence moments, cell-mean pressures
-    E: sp.csr_matrix                 # reduced -> full velocity embedding, (ndof_v, red.ndof_v)
+    keep: np.ndarray                 # velocity DoFs of the reduced pair: all but the divergence moments
+    E: sp.csr_matrix                 # reduced -> full velocity embedding, (ndof_v, keep.sum())
     volumes: np.ndarray              # |P| per cell
     pressure_ints: np.ndarray        # (n_cells, pi_{k-1,3}) integrals of the pressure monomials
     order: np.ndarray                # LU order of the reduced saddle unknowns
@@ -248,20 +247,20 @@ def divergence_matrix(mesh: PolyMesh, mapv: DofMapV) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(nc * (1 + n5), mapv.ndof))
 
 
-def reduced_embedding(B: sp.csr_matrix, red: ReducedMaps, pressure_ints: np.ndarray,
+def reduced_embedding(B: sp.csr_matrix, keep: np.ndarray, pressure_ints: np.ndarray,
                       volumes: np.ndarray) -> sp.csr_matrix:
-    """Sparse embedding E of the reduced velocity DoFs (families 1-4) into the
-    full ones, (ndof_v, red.ndof_v).  E is the identity on the kept DoFs.  On
-    the reduced space div v is the constant boundary flux over the volume,
-    which fixes the divergence moments: D5_b(v) = (int m_b / vol^2) flux(v),
-    with flux(v) the cell's row of B against the constant pressure."""
+    """Sparse embedding E of the reduced velocity DoFs `keep` (families 1-4)
+    into the full ones, (ndof_v, keep.sum()).  E is the identity on the kept
+    DoFs.  On the reduced space div v is the constant boundary flux over the
+    volume, which fixes the divergence moments: D5_b(v) = (int m_b / vol^2)
+    flux(v), with flux(v) the cell's row of B against the constant pressure."""
     nc, pq = pressure_ints.shape
-    flux = B[::pq][:, red.keep]
+    flux = B[::pq][:, keep]
     # the dropped DoFs are the divergence moments, cell by cell
     mono = pressure_ints[:, 1:] / volumes[:, None] ** 2
     per_cell = sp.csr_matrix((mono.ravel(), np.arange(mono.size) // (pq - 1),
-                              np.concatenate([[0], np.cumsum(~red.keep)])), shape=(len(red.keep), nc))
-    return (sp.identity(len(red.keep), format="csr")[:, red.keep] + per_cell @ flux).tocsr()
+                              np.concatenate([[0], np.cumsum(~keep)])), shape=(len(keep), nc))
+    return (sp.identity(len(keep), format="csr")[:, keep] + per_cell @ flux).tocsr()
 
 
 def _saddle_order(mesh: PolyMesh, mapv: DofMapV, free: np.ndarray, mean_row: bool) -> np.ndarray:
@@ -303,14 +302,14 @@ def _operators(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     on[np.concatenate([verts, mesh.n_vertices + edges, mesh.n_vertices + mesh.n_edges + dfaces])] = True
     dir_mask = np.repeat(on, mapv.entity_size)
     mean_row = len(neumann) == 0
-    red = build_reduced_maps(mesh, mapv.k, maps)
+    keep = build_reduced_maps(mapv)
     pressure_ints = e.reshape(mesh.n_cells, pq)
-    E = reduced_embedding(B, red, pressure_ints, mesh.cell_stack.volume)
-    order = _saddle_order(mesh, mapv, red.keep & ~dir_mask, mean_row=mean_row)
+    E = reduced_embedding(B, keep, pressure_ints, mesh.cell_stack.volume)
+    order = _saddle_order(mesh, mapv, keep & ~dir_mask, mean_row=mean_row)
     for a in (A1.data, B.data, B.indices, B.indptr, E.data, E.indices, E.indptr, e, pressure_ints,
-              dir_mask, red.keep, red.full_to_red, order):
+              dir_mask, keep, order):
         a.flags.writeable = False
-    return dict(A1=A1, B=B, e=e if mean_row else None, dirichlet_mask=dir_mask, red=red, E=E,
+    return dict(A1=A1, B=B, e=e if mean_row else None, dirichlet_mask=dir_mask, keep=keep, E=E,
                 volumes=mesh.cell_stack.volume, pressure_ints=pressure_ints, order=order, stokes_factor=[])
 
 
@@ -320,10 +319,12 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     """Scatter-add the local contributions into the sparse saddle system.
 
     The viscosity must be finite and positive: the solver's unknowns divide
-    the pressure by it."""
+    the pressure by it.  The spec's degree must be the DoF map's."""
     if not (np.isfinite(spec.nu) and spec.nu > 0):
         raise ValueError(f"viscosity must be finite and > 0, got nu = {spec.nu}")
     mapv, mapq = maps
+    if spec.k != mapv.k:
+        raise ValueError(f"the problem is posed at k = {spec.k} but the DoF map has k = {mapv.k}")
     neumann = classify_neumann(mesh, spec)
     # every input of `_operators` besides the map (see the module notes)
     key = (local_a, spec.stabilization, neumann, mesh.face_cells, mesh.face_cell_signs,
@@ -339,8 +340,8 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
         sign = int(mesh.face_cell_signs[f, 0])
         fi_loc = int(np.nonzero(mesh.cells[ci][0] == f)[0][0])
         fp = faceprojs[f]
-        g = mesh.face_geom[f]
-        tvals = np.asarray(spec.traction(fp.pts3, sign * g.normal), dtype=float).reshape(-1, 3)
+        tvals = np.asarray(spec.traction(fp.pts3, sign * mesh.face_stack.normal[f]),
+                           dtype=float).reshape(-1, 3)
         gdof = mapv.cell_global[ci]
         FT = fp.vals @ face_extraction(mesh, mapv, ci, fi_loc, fp)
         for c in range(3):

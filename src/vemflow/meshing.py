@@ -13,10 +13,11 @@ incidence, and the checks, the edges, the face-cell incidence, the boundary
 flags, the sorted cell vertex and edge lists and the geometry (one row per
 loop position and one per sub-tetrahedron, reduced per entity) all derive
 from these two.  The lists `faces`, `cells`, `face_edges`, `cell_vertices`
-and `cell_edges` are views of flat arrays, and the records `edge_geom`,
-`face_geom` and `cell_geom` view the stacked fields `face_stack` and
-`cell_stack`.  `face_groups` and `cell_groups` split the faces by vertex
-count and the cells by face layout for the batched kernels.
+and `cell_edges` are views of flat arrays.  The geometry is held once, as
+stacked fields: `face_stack` (a `FaceGeom` of arrays with one row per face)
+and `cell_stack` (a `CellGeom`, one row per cell); an entity's values are
+its rows.  `face_groups` and `cell_groups` split the faces by vertex count
+and the cells by face layout for the batched kernels.
 """
 
 from __future__ import annotations
@@ -89,25 +90,23 @@ def _parse_ids(rows, entity: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class CellGeom:
-    h: float
-    volume: float
+    """Cell geometry, one row per cell."""
+
+    h: np.ndarray
+    volume: np.ndarray
     barycenter: np.ndarray
 
 
 @dataclass
 class FaceGeom:
-    h: float
-    area: float
+    """Face geometry, one row per face."""
+
+    h: np.ndarray
+    area: np.ndarray
     centroid: np.ndarray
     normal: np.ndarray   # intrinsic normal of the stored loop (right-hand rule)
     tau1: np.ndarray     # normalized (v1 - v0) of the loop
     tau2: np.ndarray     # normal /\ tau1
-
-
-@dataclass
-class EdgeGeom:
-    length: float
-    tangent: np.ndarray  # unit, from min to max vertex id
 
 
 class PolyMesh:
@@ -195,11 +194,9 @@ class PolyMesh:
         # geometry: one row per loop position (the fan triangle about the
         # face's vertex mean) and one per sub-tetrahedron {cell vertex mean,
         # face centroid, loop edge}, reduced per entity
-        vec = V[self.edges[:, 1]] - V[self.edges[:, 0]]
-        length = np.linalg.norm(vec, axis=1)
+        length = np.linalg.norm(V[self.edges[:, 1]] - V[self.edges[:, 0]], axis=1)
         raise_first(length <= 0, lambda e: f"degenerate edge {e} (vertices "
                      f"{self.edges[e, 0]}, {self.edges[e, 1]}) of zero length")
-        self.edge_geom = [EdgeGeom(*g) for g in zip(length.tolist(), vec / length[:, None])]
 
         # faces: fan triangles {vertex mean, loop[i], loop[i+1]}
         ctr0 = np.add.reduceat(V[loop], start) / sizes[:, None]
@@ -219,8 +216,6 @@ class PolyMesh:
         tau1 /= np.linalg.norm(tau1, axis=1)[:, None]
         fs = self.face_stack = FaceGeom(_diameters(V, loop, start, sizes), a2 / 2.0, centroid,
                                         normal, tau1, np.cross(normal, tau1))
-        self.face_geom = [FaceGeom(*g) for g in zip(fs.h.tolist(), fs.area.tolist(),
-                                                    centroid, normal, tau1, fs.tau2)]
 
         # cells: sub-tetrahedra {vertex mean, face centroid, a, b} over the
         # loop edges (a, b) of each face, taken in the cell's outward order
@@ -240,7 +235,6 @@ class PolyMesh:
                         for x in ((xref + cf + a + b) / 4.0).T], axis=1)
         cs = self.cell_stack = CellGeom(_diameters(V, cv, cv_bounds[:-1], self._cell_sizes), vol,
                                         mom / vol[:, None])
-        self.cell_geom = [CellGeom(*g) for g in zip(cs.h.tolist(), vol.tolist(), cs.barycenter)]
 
         dist = np.abs(np.einsum("ij,ij->i", V[loop] - centroid[owner], normal[owner]))
         dmax = np.maximum.reduceat(dist, start)

@@ -33,7 +33,7 @@ record views that member's arrays: for cells `mono_int`, `Hk`, `Hq`, `div`,
 `vals`, `dproj` and `l2`, all of them made from the rule in the entity's
 scaled frame.  What stays the entity's own is its rule (a cell still calls
 `quadrature.cell_quadrature`, a face group its one `face_quadrature`), its
-id, h, volume, points and basis.  The classes live for one kernel call; on
+id, h, volume and points.  The classes live for one kernel call; on
 a mesh without translates a first pass on cheap invariants leaves every
 entity alone before the full key is formed.
 """
@@ -282,7 +282,6 @@ class CellProjections:
     ndof: int
     h: float
     vol: float
-    basis: MonomialBasis3        # degree k+1
     rule: quad.QuadRule
     mono_int: np.ndarray         # integrals of monomials up to degree max(2k+2, 3k-1)
     Hq: np.ndarray               # mass matrix of the degree k-1 basis
@@ -320,7 +319,7 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     """The projections of a group of cells with one face layout (see
     `PolyMesh.cell_groups`), built as stacked arrays over the group's
     classes of translates (see `_translate_classes`).  Each cell has its
-    own rule, basis and geometry; the arrays made from the rule in the
+    own rule and geometry; the arrays made from the rule in the
     cell's scaled frame view those of its class's first cell, whose
     monomial integrals are the only ones made cell by cell."""
     cells = np.asarray(cells, dtype=int)
@@ -344,7 +343,7 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
                 - xb[i, None]).reshape(len(i), -1)
 
     rep, cls = _translate_classes(h, vol / h ** 3, about_barycentre, signs)
-    ids, h_ids, vol_ids, xb_ids = cells, h, vol, xb
+    ids, h_ids, vol_ids = cells, h, vol
     cells, h, vol, xb, fids, signs, cv, ce = (a[rep] for a in (cells, h, vol, xb, fids, signs, cv, ce))
     n = len(cells)
     pk, pq = dim_poly(k, 3), dim_poly(k - 1, 3)
@@ -449,10 +448,9 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     for a in (*stacks.values(), *rule_vals):
         a.flags.writeable = False
     views = {name: list(a) for name, a in stacks.items()} | {"rule_vals": rule_vals}
-    return [CellProjections(c=c, k=k, ndof=ndof, h=hc, vol=vc, basis=MonomialBasis3(k + 1, xc, hc),
-                            rule=rule, **{name: v[j] for name, v in views.items()})
-            for c, hc, vc, xc, rule, j in zip(ids.tolist(), h_ids.tolist(), vol_ids.tolist(), xb_ids,
-                                              rules, cls.tolist())]
+    return [CellProjections(c=c, k=k, ndof=ndof, h=hc, vol=vc, rule=rule,
+                            **{name: v[j] for name, v in views.items()})
+            for c, hc, vc, rule, j in zip(ids.tolist(), h_ids.tolist(), vol_ids.tolist(), rules, cls.tolist())]
 
 
 def _strains(pi_0grad: np.ndarray) -> np.ndarray:

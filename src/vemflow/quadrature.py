@@ -23,7 +23,6 @@ from .meshing import MeshError, raise_first
 class QuadRule:
     points: np.ndarray   # (n, dim) physical coordinates
     weights: np.ndarray  # (n,)
-    exactness: int
 
 
 def _gauss_01(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -112,4 +111,4 @@ def cell_quadrature(mesh, c: int, exactness: int) -> QuadRule:
     if np.any(w.sum(axis=1) <= 1e-300):
         raise MeshError(f"cell {c} not star-shaped about barycenter")
     pts = xb + ref_pts @ J.transpose(0, 2, 1)
-    return QuadRule(pts.reshape(-1, 3), w.ravel(), exactness)
+    return QuadRule(pts.reshape(-1, 3), w.ravel())

@@ -48,9 +48,9 @@ from vemflow.dofspace import (
     edge_point_params,
     interpolate_boundary,
 )
-from vemflow.flow import DIVERGENCE_GROWTH, FlowSolution, NSOptions, SolverError, solve_stokes
+from vemflow.flow import DIVERGENCE_GROWTH, NEWTON_MAX_ITER, FlowSolution, NSOptions, SolverError, solve_stokes
 from vemflow.forms import GlobalSystem, assemble, assemble_convection, divergence_matrix, local_a, local_load
-from vemflow.meshing import CellGeom, EdgeGeom, FaceGeom, MeshError, PolyMesh, QualityReport
+from vemflow.meshing import CellGeom, FaceGeom, MeshError, PolyMesh, QualityReport
 from vemflow.polynomials import (
     MonomialBasis2,
     MonomialBasis3,
@@ -162,19 +162,19 @@ def face_poly_dofs(mesh, mapv, f, fp, coef: np.ndarray) -> np.ndarray:
     phi = fp.basis.eval(fp.pts2)
     vals = phi[:, :npk] @ coef
     nm = dim_poly(k - 2, 2)
-    g = mesh.face_geom[f]
+    g = face_row(mesh, f)
     d[nv * k:] = (phi[:, :nm] * (fp.w * vals)[:, None]).sum(axis=0) / g.area
     return d
 
 
-def _projected_values(proj):
+def _projected_values(mesh, proj):
     """Evaluate the projected basis fields at the cell quadrature points.
 
     Returns (P, G): P is (nq, ndof, 3) values of Pi^0_k of each basis
     function, G is (nq, ndof, 3, 3) values of the projected gradients."""
     pk = proj.Hk.shape[0]
     pq = proj.Hq.shape[0]
-    phi = proj.basis.eval(proj.rule.points)
+    phi = cell_basis(mesh, proj.c, proj.k + 1).eval(proj.rule.points)
     phik = phi[:, :pk]
     phiq = phi[:, :pq]
     nq = phik.shape[0]
@@ -188,10 +188,10 @@ def _projected_values(proj):
     return P, G
 
 
-def convection_oracle(proj, w_loc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def convection_oracle(mesh, proj, w_loc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """C(w) and Cg(w) of one cell by the cell quadrature rule, evaluating the
     projected fields pointwise: the reference for the quadrature-free kernel."""
-    P, G = _projected_values(proj)
+    P, G = _projected_values(mesh, proj)
     wq = proj.rule.weights
     Pw = np.einsum("qjc,j->qc", P, w_loc)
     Gw = np.einsum("qjab,j->qab", G, w_loc)
@@ -203,13 +203,13 @@ def convection_oracle(proj, w_loc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return C, Cg
 
 
-def convection_oracle_scatter(mapv, projs, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def convection_oracle_scatter(mesh, mapv, projs, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense global C(u), Cg(u) scattered cell by cell from the oracle."""
     C = np.zeros((mapv.ndof, mapv.ndof))
     Cg = np.zeros((mapv.ndof, mapv.ndof))
     for ci, proj in enumerate(projs):
         gdof = mapv.cell_global[ci]
-        Cl, Cgl = convection_oracle(proj, u[gdof])
+        Cl, Cgl = convection_oracle(mesh, proj, u[gdof])
         C[np.ix_(gdof, gdof)] += Cl
         Cg[np.ix_(gdof, gdof)] += Cgl
     return C, Cg
@@ -253,7 +253,7 @@ def face_h1_projection(mesh, f: int, k: int, edge_points3) -> np.ndarray:
     """H1-seminorm projection onto P_k(f) of the scalar face DoF vector, by
     the in-plane Green identity with the boundary mean as fixing condition.
     Shape (pi_{k,2}, ndof)."""
-    g = mesh.face_geom[f]
+    g = face_row(mesh, f)
     loop = mesh.faces[f]
     nv = len(loop)
     n_mom = dim_poly(k - 2, 2)
@@ -276,7 +276,7 @@ def face_h1_projection(mesh, f: int, k: int, edge_points3) -> np.ndarray:
     B[:, nv * k:] -= g.area * lap[:n_mom, :].T
 
     tnodes = np.concatenate([[0.0], np.array(edge_point_params(k)), [1.0]])
-    perimeter = sum(mesh.edge_geom[e].length for e in eids)
+    perimeter = sum(np.linalg.norm(np.diff(mesh.vertices[mesh.edges[e]], axis=0)) for e in eids)
     P0_m = np.zeros(npk)     # boundary integrals of the monomials
     P0_dof = np.zeros(ndof)  # boundary integral functional on the DoFs
     for le in range(nv):
@@ -311,7 +311,8 @@ def cell_h1_projection(mesh, mapv, proj, faceprojs) -> np.ndarray:
     k = mapv.k
     ci = proj.c
     lay = mapv.layouts[ci]
-    h, ndof, basis, Hk, moments = proj.h, proj.ndof, proj.basis, proj.Hk, proj.moments
+    h, ndof, Hk, moments = proj.h, proj.ndof, proj.Hk, proj.moments
+    basis = cell_basis(mesh, ci, k + 1)
     pk = dim_poly(k, 3)
     fids, signs = mesh.cells[ci]
     Dm = basis.deriv_matrices()
@@ -325,7 +326,7 @@ def cell_h1_projection(mesh, mapv, proj, faceprojs) -> np.ndarray:
 
     Gs = sum(Dk[d].T @ Hk @ Dk[d] for d in range(3)) / h**2
     lap = sum(Dk[d] @ Dk[d] for d in range(3)) / h**2
-    area_tot = sum(mesh.face_geom[f].area for f in fids)
+    area_tot = sum(mesh.face_stack.area[f] for f in fids)
     bdry_int = np.zeros(pk)
     for fi_loc, f in enumerate(fids):
         bdry_int += phi3f[fi_loc][:, :pk].T @ faceprojs[fids[fi_loc]].w
@@ -337,14 +338,14 @@ def cell_h1_projection(mesh, mapv, proj, faceprojs) -> np.ndarray:
         Bnab[blk, :] = -(lap.T @ moments[blk, :])
         for fi_loc, f in enumerate(fids):
             fp = faceprojs[f]
-            dn = gphi3f[fi_loc] @ mesh.face_geom[f].normal
+            dn = gphi3f[fi_loc] @ mesh.face_stack.normal[f]
             Bnab[blk, :] += signs[fi_loc] * (dn * fp.w[:, None]).T @ FT[fi_loc][c]
         # boundary-mean fixing condition replaces the constant-monomial row
         Gnab[c * pk, :] = 0.0
         Gnab[c * pk, blk] = bdry_int / area_tot
         row = np.zeros(ndof)
         for fi_loc, f in enumerate(fids):
-            g = mesh.face_geom[f]
+            g = face_row(mesh, f)
             for d, direction in enumerate((g.normal, g.tau1, g.tau2)):
                 row[lay.face[fi_loc, d, 0]] += direction[c] * g.area
         Bnab[c * pk, :] = row / area_tot
@@ -366,7 +367,7 @@ def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjections:
     `projection.build_cell_projection`."""
     k = mapv.k
     lay = mapv.layouts[ci]
-    geom = mesh.cell_geom[ci]
+    geom = cell_row(mesh, ci)
     h, vol = geom.h, geom.volume
     basis = cell_basis(mesh, ci, k + 1)
     pk = dim_poly(k, 3)
@@ -404,7 +405,7 @@ def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjections:
         D[lay.edge[:, :, c].reshape(-1), c * pk: (c + 1) * pk] = edge_vals
     for fi_loc, f in enumerate(fids):
         fp = faceprojs[f]
-        g = mesh.face_geom[f]
+        g = face_row(mesh, f)
         phi2f = fp.vals[:, :mapv.n_face_moms]
         mom = np.einsum("q,qm,qs->ms", fp.w, phi2f, phi3f[fi_loc][:, :pk]) / g.area
         for d, direction in enumerate((g.normal, g.tau1, g.tau2)):
@@ -432,7 +433,7 @@ def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjections:
     # --- divergence reconstruction ---------------------------------------------
     rhs = np.zeros((pq, ndof))
     for fi_loc, f in enumerate(fids):
-        rhs[0, lay.face[fi_loc, 0, 0]] += signs[fi_loc] * mesh.face_geom[f].area
+        rhs[0, lay.face[fi_loc, 0, 0]] += signs[fi_loc] * mesh.face_stack.area[f]
     if mapv.n_d5:
         rhs[1:, lay.d5] = vol * np.eye(mapv.n_d5)
     div = _solve_blocks_loop(chol_q, [rhs])
@@ -445,7 +446,7 @@ def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjections:
         fp = faceprojs[f]
         trace = fp.vals @ face_extraction(mesh, mapv, ci, fi_loc, fp)
         FT.append(trace)
-        nrm = mesh.face_geom[f].normal
+        nrm = mesh.face_stack.normal[f]
         FTn.append(nrm[0] * trace[0] + nrm[1] * trace[1] + nrm[2] * trace[2])
 
     # --- interior moments via the adapted decomposition of [P_k]^3 -------------
@@ -480,7 +481,7 @@ def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjections:
         for fi_loc, f in enumerate(fids):
             fp = faceprojs[f]
             phiq_w = (phi3f[fi_loc][:, :pq] * fp.w[:, None]).T @ FT[fi_loc][i]
-            nrm = mesh.face_geom[f].normal
+            nrm = mesh.face_stack.normal[f]
             for j in range(3):
                 vterm[j] += signs[fi_loc] * nrm[j] * phiq_w
         vterms += vterm
@@ -497,7 +498,7 @@ def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjections:
     sigma = np.maximum(h, np.diag(cons))
 
     return CellProjections(
-        c=ci, k=k, ndof=ndof, h=h, vol=vol, basis=basis, rule=rule,
+        c=ci, k=k, ndof=ndof, h=h, vol=vol, rule=rule,
         mono_int=ints, Hq=Hq, Hk=Hk, div=div, D=D, pi_d=pi_d,
         pi_0k=pi_0k, pi_0grad=pi_0grad,
         sigma=sigma, rule_vals=phi_rule[:, :pk].copy(),
@@ -512,7 +513,7 @@ def face_extraction_loop(mesh, mapv, ci: int, fi_loc: int, comp: int) -> np.ndar
     k = mapv.k
     lay = mapv.layouts[ci]
     f = mesh.cells[ci][0][fi_loc]
-    g = mesh.face_geom[f]
+    g = face_row(mesh, f)
     loop = mesh.faces[f]
     nv = len(loop)
     n_mom = mapv.n_face_moms
@@ -595,23 +596,26 @@ def reduced_cell_embedding(mesh, mapv, projs, ci: int) -> np.ndarray:
         fids, signs = mesh.cells[ci]
         flux_row = np.zeros(lay.ndof)
         for fi_loc, f in enumerate(fids):
-            flux_row[lay.face[fi_loc, 0, 0]] += signs[fi_loc] * mesh.face_geom[f].area
+            flux_row[lay.face[fi_loc, 0, 0]] += signs[fi_loc] * mesh.face_stack.area[f]
         # D5_b(v) = (div v) * int m_b / vol^2 with div v = flux / vol
         mono = proj.mono_int[1: 1 + mapv.n_d5]
         E[lay.d5, :] = np.outer(mono / proj.vol**2, flux_row[np.nonzero(keep)[0]])
     return E
 
 
-def reduced_system_oracle(mesh, maps, spec, projs, red) -> GlobalSystem:
-    """The reduced Stokes system assembled cell by cell from the embedded
-    local matrices, with full Dirichlet conditions and the mean row: the
-    reference for the restriction in `flow.solve_stokes_reduced` (Dirichlet
-    data only; it ignores Neumann faces)."""
+def reduced_system_oracle(mesh, maps, spec, projs, keep) -> GlobalSystem:
+    """The reduced Stokes system on the velocity DoFs `keep` and one pressure
+    per cell, assembled cell by cell from the embedded local matrices, with
+    full Dirichlet conditions and the mean row: the reference for the
+    restriction in `flow.solve_stokes_reduced` (Dirichlet data only; it
+    ignores Neumann faces)."""
     mapv, mapq = maps
+    to_red = np.cumsum(keep) - 1                 # reduced number of each kept DoF
+    nv, nc = int(keep.sum()), mesh.n_cells
     rows_a, cols_a, vals_a = [], [], []
     rows_b, cols_b, vals_b = [], [], []
-    F = np.zeros(red.ndof_v)
-    e = np.zeros(red.ndof_q)
+    F = np.zeros(nv)
+    e = np.zeros(nc)
 
     for ci, proj in enumerate(projs):
         E = reduced_cell_embedding(mesh, mapv, projs, ci)
@@ -619,7 +623,7 @@ def reduced_system_oracle(mesh, maps, spec, projs, red) -> GlobalSystem:
         lay = mapv.layouts[ci]
         keep_loc = np.ones(lay.ndof, dtype=bool)
         keep_loc[lay.d5] = False
-        gred = red.full_to_red[gfull[keep_loc]]
+        gred = to_red[gfull[keep_loc]]
         A_loc = E.T @ local_a(proj, 1.0, spec.stabilization) @ E
         b_loc = (local_b(proj) @ E)[0:1, :]
         rc = np.meshgrid(gred, gred, indexing="ij")
@@ -629,16 +633,16 @@ def reduced_system_oracle(mesh, maps, spec, projs, red) -> GlobalSystem:
         e[ci] = proj.vol
 
     A = sp.csr_matrix((np.concatenate(vals_a), (np.concatenate(rows_a), np.concatenate(cols_a))),
-                      shape=(red.ndof_v, red.ndof_v))
+                      shape=(nv, nv))
     B = sp.csr_matrix((np.concatenate(vals_b), (np.concatenate(rows_b), np.concatenate(cols_b))),
-                      shape=(red.ndof_q, red.ndof_v))
-    dir_mask = mapv.dirichlet[red.keep]
-    gvals = interpolate_boundary(mesh, mapv, spec.dirichlet)[red.keep]
+                      shape=(nc, nv))
+    dir_mask = mapv.dirichlet[keep]
+    gvals = interpolate_boundary(mesh, mapv, spec.dirichlet)[keep]
     gvals[~dir_mask] = 0.0
     # the full-system oracle solves it; it reads none of the reduced-pair fields
     return GlobalSystem(A1=A, nu=spec.nu, B=B, F=F, e=e,
                         dirichlet_mask=dir_mask, dirichlet_values=gvals,
-                        red=None, E=None, volumes=None, pressure_ints=None, order=None, stokes_factor=[])
+                        keep=None, E=None, volumes=None, pressure_ints=None, order=None, stokes_factor=[])
 
 
 # ---------------------------------------------------------------------------
@@ -704,24 +708,18 @@ def solve_stokes_full(system) -> FlowSolution:
 
 def solve_navier_stokes_full(mesh, maps, spec, projs, faceprojs, opts=None,
                              system=None) -> FlowSolution:
-    """Newton iteration on the full system, with the production stopping
-    and divergence rules."""
+    """Newton iteration on the full system from its Stokes solution, with the
+    production stopping and divergence rules."""
     opts = opts or NSOptions()
     mapv, mapq = maps
     if system is None:
         system = assemble(mesh, maps, spec, projs, faceprojs)
 
-    if opts.initial_guess == "stokes":
-        sol = solve_stokes_full(system)
-        u, p, lam = sol.u, sol.p, sol.lam
-    else:
-        u = system.dirichlet_values.copy()
-        p = np.zeros(system.ndof_q)
-        lam = 0.0
-
+    sol = solve_stokes_full(system)
+    u, p, lam = sol.u, sol.p, sol.lam
     increments = []
     residuals = []
-    for it in range(opts.max_iter):
+    for it in range(NEWTON_MAX_ITER):
         C, Cg = assemble_convection(mesh, mapv, projs, u)
         K, free = saddle_matrix_full(system, system.A + C + Cg)
         Rm = system.A @ u + C @ u + system.B.T @ p - system.F
@@ -763,7 +761,7 @@ def restrict_to_reduced(system, K, rhs):
     free = ~system.dirichlet_mask
     nc, pq = system.pressure_ints.shape
     S = sp.csr_matrix((np.ones(nc), (pq * np.arange(nc), np.arange(nc))), shape=(nc * pq, nc))
-    blocks = [system.E[free][:, ~system.dirichlet_mask[system.red.keep]], S]
+    blocks = [system.E[free][:, ~system.dirichlet_mask[system.keep]], S]
     if system.e is not None:
         blocks.append(sp.identity(1))
     T = sp.block_diag(blocks, format="csr")
@@ -779,11 +777,11 @@ def cell_means(p: np.ndarray, system) -> np.ndarray:
 def solve_stokes_reduced(mesh, maps, spec, projs, faceprojs):
     """The reduced-pair solution of the production Stokes solve: the velocity
     without divergence moments and the cell-mean pressures.  Returns
-    (FlowSolution in reduced numbering, reduced maps)."""
+    (FlowSolution in reduced numbering, the reduced velocity DoFs' mask)."""
     system = assemble(mesh, maps, spec, projs, faceprojs)
     sol = solve_stokes(system)
-    return FlowSolution(u=sol.u[system.red.keep], p=cell_means(sol.p, system),
-                        lam=sol.lam, linear_residual=sol.linear_residual), system.red
+    return FlowSolution(u=sol.u[system.keep], p=cell_means(sol.p, system),
+                        lam=sol.lam, linear_residual=sol.linear_residual), system.keep
 
 
 @dataclass
@@ -810,7 +808,7 @@ def reduce_and_compare(mesh, maps, spec, projs, faceprojs) -> ReducedComparison:
     du = float(np.max(np.abs(full.u - sol.u)))
     dp = float(np.max(np.abs(cell_means(full.p, system) - cell_means(sol.p, system))))
     expected = (2 * dim_poly(mapv.k - 1, 3) - 2) * mesh.n_cells
-    return ReducedComparison(du, dp, reduced_saving(system.red, mapq), expected)
+    return ReducedComparison(du, dp, reduced_saving(system.keep, mapq), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -824,9 +822,10 @@ def grad_coeff(proj, comp: int, deriv: int) -> np.ndarray:
     return proj.pi_0grad[(3 * comp + deriv) * pq: (3 * comp + deriv + 1) * pq, :]
 
 
-def reduced_saving(red, mapq) -> int:
-    """Unknowns the reduced pair drops from the full one, whose pressure map is mapq."""
-    return (len(red.keep) - red.ndof_v) + (mapq.ndof - red.ndof_q)
+def reduced_saving(keep, mapq) -> int:
+    """Unknowns the reduced pair, with velocity DoFs `keep` and one pressure
+    per cell, drops from the full one, whose pressure map is mapq."""
+    return int(np.count_nonzero(~keep)) + mapq.ndof - mapq.ndof // mapq.n_per_cell
 
 
 def single_distorted_hex(top_scale: float = 0.6, shear: float = 0.25) -> PolyMesh:
@@ -889,13 +888,13 @@ def truncated_octahedron_cell() -> PolyMesh:
 
 def face_coords(mesh, f: int, pts3: np.ndarray) -> np.ndarray:
     """Coordinates of points in the (tau1, tau2) frame about face f's centroid."""
-    g = mesh.face_geom[f]
+    g = face_row(mesh, f)
     rel = np.atleast_2d(pts3) - g.centroid
     return np.stack([rel @ g.tau1, rel @ g.tau2], axis=1)
 
 
 def face_basis(mesh, f: int, degree: int) -> MonomialBasis2:
-    return MonomialBasis2(degree, np.zeros(2), mesh.face_geom[f].h)
+    return MonomialBasis2(degree, np.zeros(2), mesh.face_stack.h[f])
 
 
 def laplace_matrix(basis) -> np.ndarray:
@@ -1007,7 +1006,7 @@ def edge_quadrature(p0: np.ndarray, p1: np.ndarray, exactness: int) -> quad.Quad
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    return quad.QuadRule(pts, w * np.linalg.norm(p1 - p0), exactness)
+    return quad.QuadRule(pts, w * np.linalg.norm(p1 - p0))
 
 
 # ---------------------------------------------------------------------------
@@ -1015,14 +1014,21 @@ def edge_quadrature(p0: np.ndarray, p1: np.ndarray, exactness: int) -> quad.Quad
 # ---------------------------------------------------------------------------
 
 
-def geometry_loop(mesh: PolyMesh) -> tuple[list, list, list]:
-    """Edge, face and cell geometry of the mesh's topology, entity by
-    entity: the reference for `PolyMesh._build_geometry`."""
-    edge_geom = []
-    for a, b in mesh.edges:
-        vec = mesh.vertices[b] - mesh.vertices[a]
-        length = float(np.linalg.norm(vec))
-        edge_geom.append(EdgeGeom(length, vec / length))
+def face_row(mesh: PolyMesh, f: int) -> FaceGeom:
+    """Face f's geometry: its rows of `mesh.face_stack`."""
+    fs = mesh.face_stack
+    return FaceGeom(fs.h[f], fs.area[f], fs.centroid[f], fs.normal[f], fs.tau1[f], fs.tau2[f])
+
+
+def cell_row(mesh: PolyMesh, c: int) -> CellGeom:
+    """Cell c's geometry: its rows of `mesh.cell_stack`."""
+    cs = mesh.cell_stack
+    return CellGeom(cs.h[c], cs.volume[c], cs.barycenter[c])
+
+
+def geometry_loop(mesh: PolyMesh) -> tuple[list, list]:
+    """Face and cell geometry of the mesh's topology, entity by entity: the
+    reference for the stacked geometry of `PolyMesh`."""
     face_geom = []
     for f in mesh.faces:
         pts = mesh.vertices[f]
@@ -1062,13 +1068,13 @@ def geometry_loop(mesh: PolyMesh) -> tuple[list, list, list]:
         pts = mesh.vertices[mesh.cell_vertices[ci]]
         h = max(float(np.max(np.linalg.norm(pts - p, axis=1))) for p in pts)
         cell_geom.append(CellGeom(h, float(vol), mom / vol))
-    return edge_geom, face_geom, cell_geom
+    return face_geom, cell_geom
 
 
 def face_quadrature_loop(mesh, f: int, exactness: int):
     """Triangle-fan rule on one face, triangle by triangle: the reference
     for the group kernel `quadrature.face_quadrature`."""
-    g = mesh.face_geom[f]
+    g = face_row(mesh, f)
     loop = mesh.faces[f]
     verts2 = (mesh.vertices[loop] - g.centroid) @ np.stack([g.tau1, g.tau2], axis=1)
     pts2, wts = [], []
@@ -1086,11 +1092,11 @@ def face_quadrature_loop(mesh, f: int, exactness: int):
 def cell_quadrature_loop(mesh, c: int, exactness: int) -> quad.QuadRule:
     """Tetrahedral-subdivision rule on one cell, one `tet_rule` per
     sub-tetrahedron: the reference for `quadrature.cell_quadrature`."""
-    xb = mesh.cell_geom[c].barycenter
+    xb = mesh.cell_stack.barycenter[c]
     pts, wts = [], []
     for f, sign in zip(*mesh.cells[c]):
         loop = mesh.faces[f] if sign > 0 else mesh.faces[f][::-1]
-        cf = mesh.face_geom[f].centroid
+        cf = mesh.face_stack.centroid[f]
         for i in range(len(loop)):
             verts = np.array([xb, cf, mesh.vertices[loop[i]], mesh.vertices[loop[(i + 1) % len(loop)]]])
             p, w = tet_rule(verts, exactness)
@@ -1098,13 +1104,13 @@ def cell_quadrature_loop(mesh, c: int, exactness: int) -> quad.QuadRule:
                 raise MeshError(f"cell {c} not star-shaped about barycenter")
             pts.append(p)
             wts.append(w)
-    return quad.QuadRule(np.vstack(pts), np.concatenate(wts), exactness)
+    return quad.QuadRule(np.vstack(pts), np.concatenate(wts))
 
 
 def face_projections_loop(mesh, f: int, k: int, edge_points3) -> FaceProjections:
     """The face projections of one face, built alone: the reference for the
     group kernel `projection.build_face_projections`."""
-    g = mesh.face_geom[f]
+    g = face_row(mesh, f)
     loop = mesh.faces[f]
     nv = len(loop)
     n_mom = dim_poly(k - 2, 2)
@@ -1151,7 +1157,7 @@ def interpolate_boundary_loop(mesh, mapv, g) -> np.ndarray:
         dof[base: base + 3 * n_ep] = g(mapv.edge_points[e]).ravel()
     n_fm = mapv.n_face_moms
     for f in np.nonzero(mesh.boundary_face)[0]:
-        geom = mesh.face_geom[f]
+        geom = face_row(mesh, f)
         pts2, pts3, w = face_quadrature_loop(mesh, f, 2 * k + 2)
         phi = face_basis(mesh, f, k - 2).eval(pts2)
         vals = g(pts3)
@@ -1289,7 +1295,7 @@ def classify_neumann_loop(mesh, spec) -> list[int]:
         return []
     out = []
     for f in np.nonzero(mesh.boundary_face)[0]:
-        g = mesh.face_geom[f]
+        g = face_row(mesh, f)
         sign = mesh.face_cell_signs[f, 0]
         if spec.neumann_faces(g.centroid, sign * g.normal):
             out.append(int(f))
@@ -1320,20 +1326,20 @@ def reduced_keep_loop(mesh, mapv) -> np.ndarray:
     return keep
 
 
-def reduced_embedding_coo(mesh, mapv, projs, red) -> sp.csr_matrix:
-    """The reduced embedding from COO triplets and the per-face records:
+def reduced_embedding_coo(mesh, mapv, projs, keep) -> sp.csr_matrix:
+    """The reduced embedding from COO triplets and the per-face areas:
     the reference for `forms.reduced_embedding`."""
     fc, slot = np.nonzero(mesh.face_cells >= 0)
     normal0 = mapv.offsets["face"] + 3 * mapv.n_face_moms * fc
-    area = np.array([g.area for g in mesh.face_geom])[fc]
+    area = mesh.face_stack.area[fc]
     flux = sp.csr_matrix((mesh.face_cell_signs[fc, slot] * area,
-                          (mesh.face_cells[fc, slot], red.full_to_red[normal0])),
-                         shape=(mesh.n_cells, red.ndof_v))
-    d5 = np.nonzero(~red.keep)[0]
+                          (mesh.face_cells[fc, slot], (np.cumsum(keep) - 1)[normal0])),
+                         shape=(mesh.n_cells, int(keep.sum())))
+    d5 = np.nonzero(~keep)[0]
     mono = np.stack([pr.mono_int[1: 1 + mapv.n_d5] / pr.vol**2 for pr in projs])
     per_cell = sp.csr_matrix((mono.ravel(), (d5, np.arange(d5.size) // mapv.n_d5)),
                              shape=(mapv.ndof, mesh.n_cells))
-    return (sp.identity(mapv.ndof, format="csr")[:, red.keep] + per_cell @ flux).tocsr()
+    return (sp.identity(mapv.ndof, format="csr")[:, keep] + per_cell @ flux).tocsr()
 
 
 def local_b(proj) -> np.ndarray:
@@ -1353,9 +1359,9 @@ def divergence_matrix_loop(mesh, mapv) -> sp.csr_matrix:
     for ci, (fids, signs) in enumerate(mesh.cells):
         order = np.argsort(fids)
         rows.append((mapv.offsets["face"] + 3 * mapv.n_face_moms * fids[order],
-                     [s * mesh.face_geom[f].area for f, s in zip(fids[order], signs[order])]))
+                     [s * mesh.face_stack.area[f] for f, s in zip(fids[order], signs[order])]))
         for b in range(mapv.n_d5):
-            rows.append(([mapv.offsets["cell"] + blk * ci + mapv.n_d4 + b], [mesh.cell_geom[ci].volume]))
+            rows.append(([mapv.offsets["cell"] + blk * ci + mapv.n_d4 + b], [mesh.cell_stack.volume[ci]]))
     indptr = np.cumsum([0] + [len(cols) for cols, _ in rows])
     return sp.csr_matrix((np.concatenate([v for _, v in rows]), np.concatenate([c for c, _ in rows]), indptr),
                          shape=(len(rows), mapv.ndof))
@@ -1534,20 +1540,21 @@ def generate_tetra_mesh_loop(n: int, jitter: float = 0.15, seed: int = 0) -> Pol
 
 
 def quality_check_loop(mesh, rho: float) -> QualityReport:
-    """Cell by cell over the per-entity records: the reference for
+    """Cell by cell over the entities' geometry rows: the reference for
     `meshing.quality_check`."""
     nc = mesh.n_cells
     edge_ratio = np.empty(nc)
     face_ratio = np.empty(nc)
     ball_ratio = np.empty(nc)
+    length = np.linalg.norm(mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]], axis=1)
     for ci in range(nc):
-        h = mesh.cell_geom[ci].h
-        edge_ratio[ci] = min(mesh.edge_geom[e].length for e in mesh.cell_edges[ci]) / h
-        face_ratio[ci] = min(mesh.face_geom[f].h for f in mesh.cells[ci][0]) / h
-        xb = mesh.cell_geom[ci].barycenter
+        h = mesh.cell_stack.h[ci]
+        edge_ratio[ci] = min(length[e] for e in mesh.cell_edges[ci]) / h
+        face_ratio[ci] = min(mesh.face_stack.h[f] for f in mesh.cells[ci][0]) / h
+        xb = mesh.cell_stack.barycenter[ci]
         r = np.inf
         for f, s in zip(*mesh.cells[ci]):
-            g = mesh.face_geom[f]
+            g = face_row(mesh, f)
             r = min(r, s * np.dot(g.centroid - xb, g.normal))
         ball_ratio[ci] = r / h
     per_cell = np.minimum(edge_ratio, face_ratio)

@@ -7,6 +7,7 @@ and basis values 1e-14 relative, dproj 1e-12, l2 1e-9, every cell
 projection array 1e-10 relative to its largest entry, and the Stokes and
 Navier-Stokes solutions from either set of projections 1e-9."""
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +31,7 @@ from vemflow import quadrature as quad
 from vemflow.bench import error_h1_velocity, error_l2_pressure
 from vemflow.cases import CASE_NAMES, make_case, x_plane_neumann
 from vemflow.derham import check_divfree
-from vemflow.dofspace import build_dof_maps
+from vemflow.dofspace import build_dof_maps, cell_basis
 from vemflow.flow import NSOptions, solve_navier_stokes, solve_stokes
 from vemflow.forms import ProblemSpec, assemble
 from vemflow.meshing import (
@@ -78,12 +79,10 @@ def _rel(got, want) -> float:
 @pytest.mark.parametrize("name", MESHES)
 def test_geometry_matches_loop(name):
     mesh = _mesh(name)
-    edges, faces, cells = geometry_loop(mesh)
-    for got, want, fields in ((mesh.edge_geom, edges, ("length", "tangent")),
-                              (mesh.face_geom, faces, ("h", "area", "centroid", "normal", "tau1", "tau2")),
-                              (mesh.cell_geom, cells, ("h", "volume", "barycenter"))):
-        for field in fields:
-            assert _rel([getattr(g, field) for g in got], [getattr(g, field) for g in want]) <= 1e-14, field
+    faces, cells = geometry_loop(mesh)
+    for got, want in ((mesh.face_stack, faces), (mesh.cell_stack, cells)):
+        for field in dataclasses.fields(got):
+            assert _rel(getattr(got, field.name), [getattr(g, field.name) for g in want]) <= 1e-14, field.name
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -157,7 +156,8 @@ def test_cell_projections_match_loop(name, k):
 def test_rule_vals_are_the_basis_at_the_rule():
     _, projs, _ = _disc("mixed", 3)
     for pr in projs:
-        assert np.array_equal(pr.rule_vals, pr.basis.eval(pr.rule.points)[:, :pr.Hk.shape[0]])
+        basis = cell_basis(_mesh("mixed"), pr.c, 4)
+        assert np.array_equal(pr.rule_vals, basis.eval(pr.rule.points)[:, :pr.Hk.shape[0]])
 
 
 @pytest.mark.parametrize("name", ["cubes2", "mixed", *[n for n in MESHES if n.startswith("tets")]])

@@ -13,7 +13,7 @@ from vemflow.bench import (
     run_convergence,
 )
 from vemflow.cases import make_case
-from vemflow.dofspace import interpolate_velocity
+from vemflow.dofspace import cell_basis, interpolate_velocity
 from vemflow.meshing import generate_structured_cubes
 from vemflow.polynomials import dim_poly
 
@@ -55,7 +55,7 @@ def test_error_l2_pressure_oracle(cube2, disc):
     p_proj = np.zeros(mapq.ndof)
     pq = mapq.n_per_cell
     for ci, pr in enumerate(projs):
-        phi = pr.basis.eval(pr.rule.points)[:, :pq]
+        phi = cell_basis(cube2, ci, 3).eval(pr.rule.points)[:, :pq]
         p_proj[ci * pq: (ci + 1) * pq] = np.linalg.solve(
             pr.Hq, phi.T @ (pr.rule.weights * lin.pressure(pr.rule.points)))
     assert error_l2_pressure(p_proj, lin, cube2, mapq, projs) < 1e-10
@@ -140,8 +140,11 @@ def test_family_meshes():
     assert [m.n_cells for m in ms] == [8, 64]
     ts = family_meshes("tetra", 1)
     assert ts[0].n_cells == 6 * 8
+    assert len(family_meshes("structured", None)) == 3
     with pytest.raises(ValueError, match="import-only"):
         family_meshes("cvt", 1)
+    with pytest.raises(ValueError, match="one level per mesh path"):
+        family_meshes("random", 1, ["a.json", "b.json"])
     with pytest.raises(ValueError, match="unknown mesh family"):
         family_meshes("hexes", 1)
 

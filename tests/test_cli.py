@@ -52,6 +52,7 @@ def test_complex_check_at_benchmark_size(capsys):
     (["dofs", "--cubes", "0"], "n must be >= 1"),
     (["dofs", "--tets", "0"], "n must be >= 1"),
     (["solve", "--cubes", "2", "--nu", "0"], "viscosity must be finite and > 0"),
+    (["solve", "--cubes", "1", "--case", "ex2-ns", "--newton-tol", "0"], "tolerance must be finite and > 0"),
 ])
 def test_invalid_input_is_one_line(argv, message, capsys):
     """Invalid arguments end in a one-line error and exit code 2, not a
@@ -86,6 +87,21 @@ def test_bench_run_and_rates(tmp_path, capsys):
     assert main(["bench", "rates", str(out)]) == 0
     fitted = json.loads(capsys.readouterr().out)
     assert 1.5 < fitted["eH1u"] < 2.5
+
+
+def test_bench_run_import_only_levels(tmp_path, capsys):
+    """An import-only family has one level per mesh file: without --levels
+    the study fits them all, and a --levels that disagrees is an error."""
+    paths = [str(tmp_path / f"c{n}.json") for n in (1, 2)]
+    for n, path in zip((1, 2), paths):
+        assert main(["mesh", "gen", "--cubes", str(n), "--out", path]) == 0
+    argv = ["bench", "run", "--case", "ex1-stokes", "--family", "cvt", "--mesh-paths", *paths]
+    capsys.readouterr()
+    assert main(argv + ["--levels", "1"]) == 2
+    assert "one level per mesh path" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:3]] == ["0", "1"]
+    assert main(argv + ["--levels", "2"]) == 0
 
 
 def test_bench_rates_zero_error_is_null(tmp_path, capsys):

@@ -46,7 +46,7 @@ def _check_global(mesh, k, u_seed):
     projs, _ = build_projections(mesh, mapv)
     u = np.random.default_rng(u_seed).standard_normal(mapv.ndof)
     C, Cg = assemble_convection(mesh, mapv, projs, u)
-    C_ref, Cg_ref = convection_oracle_scatter(mapv, projs, u)
+    C_ref, Cg_ref = convection_oracle_scatter(mesh, mapv, projs, u)
     assert _rel(C.toarray(), C_ref) < RTOL
     assert _rel(Cg.toarray(), Cg_ref) < RTOL
     return projs
@@ -64,7 +64,7 @@ def test_batched_convection_matches_oracle_on_jittered_tets(seed, jitter, k, u_s
 def _single_cell(name: str, k: int):
     mesh = {"cube1": generate_structured_cubes(1), "hex_cell": single_distorted_hex(),
             "voronoi_cell": truncated_octahedron_cell()}[name]
-    return build_projections(mesh, build_dof_maps(mesh, k)[0])[0][0]
+    return mesh, build_projections(mesh, build_dof_maps(mesh, k)[0])[0][0]
 
 
 @pytest.mark.parametrize("name,k", [
@@ -74,10 +74,10 @@ def _single_cell(name: str, k: int):
 ])
 @pytest.mark.parametrize("w_seed", [0, 1, 2])     # C(w), Cg(w) are linear in w
 def test_local_convection_matches_oracle_on_polyhedra(name, k, w_seed):
-    pr = _single_cell(name, k)
+    mesh, pr = _single_cell(name, k)
     w = np.random.default_rng(w_seed).standard_normal(pr.ndof)
     (C,), (Cg,) = local_convection([pr], w[None])
-    C_ref, Cg_ref = convection_oracle(pr, w)
+    C_ref, Cg_ref = convection_oracle(mesh, pr, w)
     assert _rel(C, C_ref) < RTOL
     assert _rel(Cg, Cg_ref) < RTOL
 

@@ -7,6 +7,7 @@ from helpers import extract_cells, local_dofs, reduced_saving
 from vemflow.dofspace import (
     build_dof_maps,
     build_reduced_maps,
+    cell_basis,
     complex_dims,
     dof_summary,
     edge_point_params,
@@ -162,14 +163,10 @@ def test_complex_dims_noncontractible(cube3):
 def test_reduced_maps(cube2):
     for k in (2, 3):
         maps = build_dof_maps(cube2, k)
-        red = build_reduced_maps(cube2, k, maps)
+        keep = build_reduced_maps(maps[0])
         pk1 = dim_poly(k - 1, 3)
-        assert reduced_saving(red, maps[1]) == (2 * pk1 - 2) * cube2.n_cells
-        assert red.ndof_v == maps[0].ndof - (pk1 - 1) * cube2.n_cells
-        assert red.ndof_q == cube2.n_cells
-        # mapping round trip
-        kept = np.nonzero(red.keep)[0]
-        assert np.array_equal(red.full_to_red[kept], np.arange(len(kept)))
+        assert reduced_saving(keep, maps[1]) == (2 * pk1 - 2) * cube2.n_cells
+        assert np.count_nonzero(keep) == maps[0].ndof - (pk1 - 1) * cube2.n_cells
 
 
 def test_shared_face_dof_convention_agrees():
@@ -194,7 +191,7 @@ def test_shared_face_dof_convention_agrees():
         pr = projs[ci]
         # re-expand: match values at the cell quadrature points (exact since
         # both bases span [P_k]^3)
-        phi_local = pr.basis.eval(pr.rule.points)[:, :pk]
+        phi_local = cell_basis(mesh, ci, k + 1).eval(pr.rule.points)[:, :pk]
         phi_glob = gbasis.eval(pr.rule.points)
         coef_local = np.concatenate([
             np.linalg.lstsq(phi_local, phi_glob @ gcoef[c * pk: (c + 1) * pk], rcond=None)[0]

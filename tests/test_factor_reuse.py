@@ -60,7 +60,9 @@ def splu_calls(monkeypatch):
 
 def _fresh(system):
     """The system with a fresh factor of its own in place of the shared slot."""
-    return dataclasses.replace(system, stokes_factor=[flow._factor(system, system.A1)])
+    fresh = dataclasses.replace(system, stokes_factor=[])
+    flow._stokes_factor(fresh)
+    return fresh
 
 
 def _assert_close(got, ref, rtol_u, rtol_p=None):
@@ -155,13 +157,15 @@ def test_nu_free_solve_matches_direct_solve(nu, sweep_mesh):
     system = _system(_maps(sweep_mesh, 3), "ex3-p1", nu)
     sol = solve_stokes(system)
     A = system.A
-    u0 = system.E @ system.dirichlet_values[system.red.keep]
-    step = flow._solve_step(system, *flow._factor(system, A), A, A @ u0 - system.F, u0,
-                            np.zeros(system.ndof_q), 0.0)
-    direct = flow.FlowSolution(u=u0 + step.u, p=step.p, lam=step.lam)
+    u0 = system.E @ system.dirichlet_values[system.keep]
+    K, Ef = flow._saddle_matrix(system, A)
+    lu = flow._EquilibratedLU(K, system.order)
+    du, dp, lam, _, _ = flow._solve_step(system, Ef, lu, A, A @ u0 - system.F, u0,
+                                         np.zeros(system.ndof_q), 0.0)
+    direct = flow.FlowSolution(u=u0 + du, p=dp, lam=lam)
     if nu == 1.0:
         assert np.array_equal(sol.u, direct.u) and np.array_equal(sol.p, direct.p)
-        assert sol.lam == direct.lam and sol.lu_fill == step.lu_fill
+        assert sol.lam == direct.lam and sol.lu_fill == lu.fill
     else:
         _assert_close(sol, direct, 1e-11, 1e-9)
 
@@ -222,7 +226,7 @@ def _counted(monkeypatch, name):
     return calls
 
 
-OPERATORS = ("A1", "B", "e", "dirichlet_mask", "red", "E", "pressure_ints", "order")
+OPERATORS = ("A1", "B", "e", "dirichlet_mask", "keep", "E", "pressure_ints", "order")
 
 
 def _same_operators(got, want):
@@ -317,7 +321,7 @@ def test_kept_operators_and_key_arrays_are_read_only(sweep_mesh):
     mesh, _, projs, _ = disc
     system = _system(disc, "ex1-stokes")
     kept = [system.A1.data, system.B.data, system.B.indices, system.E.data, system.E.indptr,
-            system.e, system.pressure_ints, system.dirichlet_mask, system.red.keep, system.order]
+            system.e, system.pressure_ints, system.dirichlet_mask, system.keep, system.order]
     key = [mesh.face_cells, mesh.face_stack.area, mesh.cell_stack.barycenter, projs[0].D,
            projs[0].pi_0grad, projs[-1].sigma, projs[-1].mono_int]
     for a in kept + key:

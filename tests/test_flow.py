@@ -21,10 +21,11 @@ from vemflow import flow
 from vemflow.bench import case_spec
 from vemflow.cases import _build, make_case
 from vemflow.derham import check_divfree
-from vemflow.dofspace import build_dof_maps, interpolate_velocity
+from vemflow.dofspace import build_dof_maps, cell_basis, interpolate_velocity
 from vemflow.flow import (
     DIVERGENCE_GROWTH,
     NSOptions,
+    SolverError,
     export_solution_json,
     sample_fields_csv,
     solve_navier_stokes,
@@ -75,7 +76,7 @@ def test_patch_test_distorted_hex(k, hex_cell, disc):
     pq = maps[1].n_per_cell
     pr = projs[0]
     pmean = float(pr.rule.weights @ case.pressure(pr.rule.points)) / pr.vol
-    phi = pr.basis.eval(pr.rule.points)[:, :pq]
+    phi = cell_basis(hex_cell, 0, k + 1).eval(pr.rule.points)[:, :pq]
     ph = phi @ sol.p[:pq]
     err = np.sqrt(pr.rule.weights @ (case.pressure(pr.rule.points) - pmean - ph) ** 2)
     assert err < 1e-8
@@ -141,36 +142,28 @@ def test_navier_stokes_zero_data(cube1, disc):
     maps, projs, fps = disc(cube1, 2)
     zero3 = lambda p: np.zeros((len(np.atleast_2d(p)), 3))
     spec = ProblemSpec(nu=1.0, load=zero3, dirichlet=zero3, k=2, convective=True)
-    sol = solve_navier_stokes(cube1, maps, spec, projs, fps, NSOptions(initial_guess="zero"))
+    sol = solve_navier_stokes(cube1, maps, spec, projs, fps)
     assert sol.newton_iterations == 1
     assert np.max(np.abs(sol.u)) < 1e-13
 
 
-def test_newton_options_validation(cube1, disc):
-    maps, projs, fps = disc(cube1, 2)
-    zero3 = lambda p: np.zeros((len(np.atleast_2d(p)), 3))
-    spec = ProblemSpec(nu=1.0, load=zero3, dirichlet=zero3, k=2, convective=True)
-    with pytest.raises(ValueError):
-        solve_navier_stokes(cube1, maps, spec, projs, fps, NSOptions(max_iter=0))
-
-
-@pytest.mark.parametrize("guess", ["Stokes", "zeros", "none"])
-def test_unknown_initial_guess_raises(guess, cube1, disc, monkeypatch):
-    """A misspelt initial guess is an error naming both guesses, raised
-    before any assembly, not a silent zero guess."""
+def test_newton_options_validation(cube1, disc, monkeypatch):
+    """A Newton tolerance that is not finite and positive is an error,
+    raised before any assembly."""
     maps, projs, fps = disc(cube1, 2)
     spec = _spec_for(make_case("ex2-ns"), 2)
     monkeypatch.setattr(flow, "assemble", lambda *a, **kw: pytest.fail("assembled"))
-    with pytest.raises(ValueError, match="'stokes' or 'zero', got " + repr(guess)):
-        solve_navier_stokes(cube1, maps, spec, projs, fps, NSOptions(initial_guess=guess))
+    for tol in (0.0, -1e-10, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            solve_navier_stokes(cube1, maps, spec, projs, fps, NSOptions(tol=tol))
 
 
-def test_newton_nonconvergence_returns_last_iterate(cube2, disc):
+def test_newton_nonconvergence_returns_last_iterate(cube2, disc, monkeypatch):
     case = make_case("ex2-ns")
     maps, projs, fps = disc(cube2, 2)
     spec = _spec_for(case, 2)
-    sol = solve_navier_stokes(cube2, maps, spec, projs, fps,
-                              NSOptions(tol=1e-10, max_iter=1, initial_guess="zero"))
+    monkeypatch.setattr(flow, "NEWTON_MAX_ITER", 1)
+    sol = solve_navier_stokes(cube2, maps, spec, projs, fps, NSOptions(tol=1e-10))
     assert not sol.converged
     assert "did not converge" in sol.diagnostic
     assert sol.newton_iterations == 1
@@ -179,7 +172,7 @@ def test_newton_nonconvergence_returns_last_iterate(cube2, disc):
 
 def test_newton_stops_early_when_diverging():
     """At nu = 0.005 the increments grow by orders of magnitude; Newton stops
-    with a diagnostic long before max_iter and keeps a finite iterate."""
+    with a diagnostic long before NEWTON_MAX_ITER and keeps a finite iterate."""
     mesh = generate_tetra_mesh(2, seed=0)
     maps = build_dof_maps(mesh, 2)
     projs, fps = build_projections(mesh, maps[0])
@@ -188,7 +181,7 @@ def test_newton_stops_early_when_diverging():
     sol = solve_navier_stokes(mesh, maps, _spec_for(case, 2), projs, fps, opts)
     assert not sol.converged
     assert "diverged" in sol.diagnostic
-    assert sol.newton_iterations < opts.max_iter
+    assert sol.newton_iterations < flow.NEWTON_MAX_ITER
     assert sol.increments[-1] > DIVERGENCE_GROWTH * min(sol.increments[:-1])
     assert np.all(np.isfinite(sol.u)) and np.all(np.isfinite(sol.p))
     # the same mesh converges at nu = 0.02 without tripping the rule
@@ -197,16 +190,29 @@ def test_newton_stops_early_when_diverging():
     assert sol.converged and sol.newton_iterations == 6
 
 
-def test_newton_stops_on_nonfinite_increment(cube1, disc):
+def test_newton_stops_on_nonfinite_increment(cube1, disc, monkeypatch):
+    """A convection matrix of NaN makes the first increment non-finite: the
+    iteration stops as diverged and keeps the finite Stokes start."""
     maps, projs, fps = disc(cube1, 2)
-    zero3 = lambda p: np.zeros((len(np.atleast_2d(p)), 3))
-    nan3 = lambda p: np.full((len(np.atleast_2d(p)), 3), np.nan)
-    spec = ProblemSpec(nu=1.0, load=nan3, dirichlet=zero3, k=2, convective=True)
-    sol = solve_navier_stokes(cube1, maps, spec, projs, fps, NSOptions(initial_guess="zero"))
+    spec = _spec_for(make_case("ex2-ns"), 2)
+    start = solve_stokes(assemble(cube1, maps, spec, projs, fps))
+    monkeypatch.setattr(flow, "assemble_convection", lambda *args: tuple(
+        sp.csc_matrix((np.full_like(M.data, np.nan), M.indices, M.indptr), shape=M.shape)
+        for M in assemble_convection(*args)))
+    sol = solve_navier_stokes(cube1, maps, spec, projs, fps)
     assert not sol.converged
     assert "diverged" in sol.diagnostic
     assert sol.newton_iterations == 1 and not np.isfinite(sol.increments[0])
-    assert np.all(np.isfinite(sol.u))
+    assert np.array_equal(sol.u, start.u) and np.array_equal(sol.p, start.p)
+
+
+def test_navier_stokes_nan_load_fails_in_the_stokes_start(cube2, disc):
+    maps, projs, fps = disc(cube2, 2)
+    zero3 = lambda p: np.zeros((len(np.atleast_2d(p)), 3))
+    nan3 = lambda p: np.full((len(np.atleast_2d(p)), 3), np.nan)
+    spec = ProblemSpec(nu=1.0, load=nan3, dirichlet=zero3, k=2, convective=True)
+    with pytest.raises(SolverError, match="direct solve failed"):
+        solve_navier_stokes(cube2, maps, spec, projs, fps)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -242,12 +248,12 @@ def test_reduced_restriction_matches_cell_assembly(name, k, request, disc):
     maps, projs, fps = disc(mesh, k)
     spec = _spec_for(case, k)
     system = assemble(mesh, maps, spec, projs, fps)
-    red, E = system.red, system.E
+    keep, E = system.keep, system.E
     pq = maps[1].n_per_cell
     got = dict(A=E.T @ system.A @ E, B=system.B[::pq] @ E, F=E.T @ system.F,
-               e=system.e[::pq], dirichlet_mask=system.dirichlet_mask[red.keep],
-               dirichlet_values=system.dirichlet_values[red.keep])
-    want = reduced_system_oracle(mesh, maps, spec, projs, red)
+               e=system.e[::pq], dirichlet_mask=system.dirichlet_mask[keep],
+               dirichlet_values=system.dirichlet_values[keep])
+    want = reduced_system_oracle(mesh, maps, spec, projs, keep)
     for block in ("A", "B"):
         g, w = got[block].toarray(), getattr(want, block).toarray()
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
@@ -278,10 +284,6 @@ def test_saddle_systems_match_oracles(neumann, cube2, disc, monkeypatch):
         def __init__(self, lin):
             self.lin, self.K = lin, lin.K
 
-        @property
-        def fill(self):
-            return self.lin.fill
-
         def solve(self, rhs):
             solved.append((self.K, rhs))
             return self.lin.solve(rhs)
@@ -289,11 +291,12 @@ def test_saddle_systems_match_oracles(neumann, cube2, disc, monkeypatch):
     step = flow._solve_step
     monkeypatch.setattr(flow, "_solve_step",
                         lambda system, Ef, lin, *args: step(system, Ef, Recorder(lin), *args))
-    solve_navier_stokes(cube2, maps, spec, projs, fps, NSOptions(max_iter=1), system=system)
+    monkeypatch.setattr(flow, "NEWTON_MAX_ITER", 1)
+    solve_navier_stokes(cube2, maps, spec, projs, fps, system=system)
     (K_s, rhs_s), (K_n, rhs_n) = solved
     # the reduced Stokes solve lifts the Dirichlet data into the range of E
     lifted = dataclasses.replace(
-        system, dirichlet_values=system.E @ system.dirichlet_values[system.red.keep])
+        system, dirichlet_values=system.E @ system.dirichlet_values[system.keep])
     K, rhs, _ = saddle_matrix_oracle(lifted)
     K, rhs = restrict_to_reduced(system, K, rhs)
     assert np.array_equal(K_s.toarray(), K.toarray()) and np.array_equal(rhs_s, rhs)
@@ -395,7 +398,7 @@ def test_nested_dissection_beats_colamd():
 def test_reduced_zero_data(cube1, disc):
     maps, projs, fps = disc(cube1, 2)
     zero3 = lambda p: np.zeros((len(np.atleast_2d(p)), 3))
-    sol, red = solve_stokes_reduced(cube1, maps, ProblemSpec(nu=1.0, load=zero3, dirichlet=zero3, k=2), projs, fps)
+    sol, _ = solve_stokes_reduced(cube1, maps, ProblemSpec(nu=1.0, load=zero3, dirichlet=zero3, k=2), projs, fps)
     assert np.max(np.abs(sol.u)) < 1e-14
     assert np.max(np.abs(sol.p)) < 1e-14
 

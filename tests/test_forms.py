@@ -11,7 +11,7 @@ from helpers import (
     poly_field,
     strain_form_oracle,
 )
-from vemflow.dofspace import build_dof_maps, interpolate_velocity
+from vemflow.dofspace import build_dof_maps, cell_basis, interpolate_velocity
 from vemflow.forms import (
     ProblemSpec,
     assemble,
@@ -59,7 +59,7 @@ def test_local_a_polynomial_oracle(k, cube1, unit_tet, disc):
         maps, projs, fps = disc(mesh, k)
         mapv = maps[0]
         pr = projs[0]
-        basis = pr.basis
+        basis = cell_basis(mesh, 0, k + 1)
         pk = dim_poly(k, 3)
         coef = np.zeros(3 * basis.n)
         for c in range(3):
@@ -158,7 +158,7 @@ def test_local_b_matches_reconstruction_quadrature(cube1, disc):
     d = rng.standard_normal(pr.ndof)
     B = _cell_b_rows(cube1, maps)
     pq = dim_poly(1, 3)
-    phi = pr.basis.eval(pr.rule.points)[:, :pq]
+    phi = cell_basis(cube1, 0, 3).eval(pr.rule.points)[:, :pq]
     divvals = phi @ (pr.div @ d)
     direct = phi.T @ (pr.rule.weights * divvals)
     for got in (B @ d, local_b(pr) @ d):
@@ -186,7 +186,7 @@ def test_local_c_polynomial_oracle(cube1, disc):
     maps, projs, fps = disc(cube1, 2)
     mapv = maps[0]
     pr = projs[0]
-    basis = pr.basis
+    basis = cell_basis(cube1, 0, 3)
     pk = dim_poly(2, 3)
     rng = np.random.default_rng(41)
     fields = []
@@ -223,11 +223,12 @@ def test_local_load_examples(cube1, disc):
     assert abs(got - fconst @ vconst * pr.vol) < 1e-12
     # f polynomial, v polynomial -> exact integral
     rng = np.random.default_rng(43)
-    coef = np.zeros(3 * pr.basis.n)
+    basis = cell_basis(cube1, 0, 3)
+    coef = np.zeros(3 * basis.n)
     pk = dim_poly(2, 3)
     for c in range(3):
-        coef[c * pr.basis.n: c * pr.basis.n + pk] = rng.standard_normal(pk)
-    fpoly, _, _ = poly_field(pr.basis, coef)
+        coef[c * basis.n: c * basis.n + pk] = rng.standard_normal(pk)
+    fpoly, _, _ = poly_field(basis, coef)
     got2 = local_load(pr, fpoly) @ d
     exact = float(pr.rule.weights @ np.sum(fpoly(pr.rule.points) * v(pr.rule.points), axis=1))
     assert abs(got2 - exact) < 1e-10 * max(1.0, abs(exact))
@@ -319,6 +320,18 @@ def test_bad_viscosity_rejected(nu, cube1, disc, monkeypatch):
     monkeypatch.setattr(forms, "local_a", lambda *a, **kw: pytest.fail("assembly began"))
     with pytest.raises(ValueError, match="viscosity must be finite and > 0"):
         assemble(cube1, maps, ProblemSpec(nu=nu, load=zero3, dirichlet=zero3, k=2), projs, fps)
+
+
+def test_spec_of_another_degree_rejected(cube1, disc, monkeypatch):
+    """A problem posed at another degree than the DoF map's is refused before
+    any cell is assembled, not solved at the map's degree."""
+    import vemflow.forms as forms
+
+    maps, projs, fps = disc(cube1, 2)
+    zero3 = lambda p: np.zeros((len(np.atleast_2d(p)), 3))
+    monkeypatch.setattr(forms, "local_a", lambda *a, **kw: pytest.fail("assembly began"))
+    with pytest.raises(ValueError, match="posed at k = 3 but the DoF map has k = 2"):
+        assemble(cube1, maps, ProblemSpec(nu=1.0, load=zero3, dirichlet=zero3, k=3), projs, fps)
 
 
 @pytest.mark.parametrize("name,k", [("cube1", 2), ("tets2", 3)])

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     cube_and_pyramids,
     extract_cells,
+    face_row,
     generate_tetra_mesh_loop,
     mesh_from_tets_loop,
     quality_check_loop,
@@ -126,11 +127,11 @@ def test_divergence_volume_vs_subdivision(cube2, tets2, voronoi_cell):
             v_div = 0.0
             for f, s in zip(*mesh.cells[ci]):
                 _, (pts3,), (w,) = quad.face_quadrature(mesh, [f], 2)
-                nrm = mesh.face_geom[f].normal
+                nrm = mesh.face_stack.normal[f]
                 v_div += s * float(w @ (pts3 @ nrm)) / 3.0
             rule = quad.cell_quadrature(mesh, ci, 1)
             v_sub = float(np.sum(rule.weights))
-            ref = mesh.cell_geom[ci].volume
+            ref = mesh.cell_stack.volume[ci]
             assert abs(v_div - ref) <= 1e-10 * ref
             assert abs(v_sub - ref) <= 1e-10 * ref
 
@@ -140,21 +141,20 @@ def test_orientation_closure(cube2, tets2, hex_cell, voronoi_cell):
         for ci in range(mesh.n_cells):
             acc = np.zeros(3)
             for f, s in zip(*mesh.cells[ci]):
-                g = mesh.face_geom[f]
+                g = face_row(mesh, f)
                 acc += s * g.area * g.normal
-            assert np.linalg.norm(acc) <= 1e-10 * mesh.cell_geom[ci].h ** 2
+            assert np.linalg.norm(acc) <= 1e-10 * mesh.cell_stack.h[ci] ** 2
 
 
 def test_frames_orthonormal(cube2, tets2, voronoi_cell):
     for mesh in (cube2, tets2, voronoi_cell):
-        for g in mesh.face_geom:
+        for f in range(mesh.n_faces):
+            g = face_row(mesh, f)
             assert abs(np.linalg.norm(g.normal) - 1) < 1e-12
             assert abs(np.linalg.norm(g.tau1) - 1) < 1e-12
             assert abs(np.linalg.norm(g.tau2) - 1) < 1e-12
             assert abs(g.tau1 @ g.tau2) < 1e-12
             assert np.allclose(np.cross(g.tau1, g.tau2), g.normal, atol=1e-12)
-        for e in mesh.edge_geom:
-            assert abs(np.linalg.norm(e.tangent) - 1) < 1e-12
 
 
 def test_quality_cube(cube1):
@@ -187,7 +187,7 @@ def test_tetra_mesh_fills_cube():
     for n in (1, 2, 3):
         m = generate_tetra_mesh(n, seed=4)
         assert m.n_cells == 6 * n**3
-        assert abs(sum(g.volume for g in m.cell_geom) - 1.0) < 1e-12
+        assert abs(sum(m.cell_stack.volume) - 1.0) < 1e-12
         assert m.euler_number() == 1
         assert quality_check(m, 0.05).passed
 
@@ -207,10 +207,10 @@ def test_extract_cells_torus(cube3):
 
 def test_distorted_hex_and_voronoi_cell(hex_cell, voronoi_cell):
     assert hex_cell.n_cells == 1 and hex_cell.n_faces == 6
-    assert hex_cell.cell_geom[0].volume > 0
+    assert hex_cell.cell_stack.volume[0] > 0
     assert voronoi_cell.n_faces == 14 and voronoi_cell.n_vertices == 24
     assert voronoi_cell.euler_number() == 1
-    assert np.isclose(voronoi_cell.cell_geom[0].volume, 0.5)
+    assert np.isclose(voronoi_cell.cell_stack.volume[0], 0.5)
 
 
 def test_scaled_mesh(cube2):
@@ -249,7 +249,7 @@ def _assert_matches_oracles(mesh):
     for name in ("edge_ratio", "face_ratio", "ball_ratio"):
         assert _same(getattr(got, name), getattr(want, name)), name
     assert (got.rho_hat, got.failing_cells) == (want.rho_hat, want.failing_cells)
-    assert mesh_size(mesh) == float(np.mean([g.h for g in mesh.cell_geom]))
+    assert mesh_size(mesh) == float(np.mean(mesh.cell_stack.h))
 
 
 @pytest.mark.parametrize("name", ["cube1", "cube2", "cube3", "unit_tet", "tets2", "hex_cell",

@@ -107,10 +107,9 @@ def test_k4_jittered_tets_fall_back_with_the_direct_count(monkeypatch):
     assert got.newton_iterations == ref.newton_iterations
 
 
-@pytest.mark.parametrize("guess", ["stokes", "zero"])
-def test_one_factorisation_per_solve(guess, splu_calls):
-    """A fresh map factors the nu-free Stokes matrix once, for the guess or,
-    on a zero guess, for the preconditioner alone."""
-    sol = _solve(_disc(2, 2, seed=1), tol=1e-10, initial_guess=guess)
+def test_one_factorisation_per_solve(splu_calls):
+    """A fresh map factors the nu-free Stokes matrix once, for the Stokes
+    start, and that factor preconditions every Newton step."""
+    sol = _solve(_disc(2, 2, seed=1), tol=1e-10)
     assert _paths(sol) == ["gmres"] * sol.newton_iterations
     assert sol.factored and len(splu_calls) == 1

@@ -69,7 +69,7 @@ def test_dof_maps_match_loop(name, k):
     offsets, cell_global, layouts, dirichlet = dof_maps_loop(mesh, k)
     assert mapv.offsets == offsets
     assert np.array_equal(mapv.dirichlet, dirichlet)
-    assert np.array_equal(build_reduced_maps(mesh, k, _disc(name, k)[0]).keep, reduced_keep_loop(mesh, mapv))
+    assert np.array_equal(build_reduced_maps(mapv), reduced_keep_loop(mesh, mapv))
     for got, want in zip(mapv.cell_global, cell_global, strict=True):
         assert np.array_equal(got, want)
     for got, want in zip(mapv.layouts, layouts, strict=True):
@@ -149,7 +149,7 @@ def test_assembly_masks_and_embedding_match_loops(name, k, neumann):
         return      # no Dirichlet face left: nothing to assemble
     system = assemble(mesh, maps, spec, projs, fps)
     assert np.array_equal(system.dirichlet_mask, dirichlet_mask_loop(mesh, maps[0], faces.tolist()))
-    E = reduced_embedding_coo(mesh, maps[0], projs, system.red)
+    E = reduced_embedding_coo(mesh, maps[0], projs, system.keep)
     for field in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(system.E, field), getattr(E, field)), field
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import cross_basis, laplace_matrix
+from helpers import cell_row, cross_basis, laplace_matrix
 from vemflow.polynomials import (
     MonomialBasis2,
     MonomialBasis3,
@@ -101,7 +101,7 @@ def test_cross_basis_independent_by_gram_rank(cube1):
     from vemflow import quadrature as quad
 
     rule = quad.cell_quadrature(cube1, 0, 8)
-    g = cube1.cell_geom[0]
+    g = cell_row(cube1, 0)
     for n in (1, 2, 3):
         basis = MonomialBasis3(n, g.barycenter, g.h)
         fields = cross_basis(n, basis)
@@ -121,7 +121,7 @@ def test_decomposition_direct_sum(k, cube1):
     n = 3 * dim_poly(k, 3)
     assert dec.T.shape == (n, n)
     assert np.linalg.matrix_rank(dec.T) == n
-    g = cube1.cell_geom[0]
+    g = cell_row(cube1, 0)
     rule = quad.cell_quadrature(cube1, 0, 2 * k + 2)
     basis = MonomialBasis3(k, g.barycenter, g.h)
     ph = basis.eval(rule.points)
@@ -149,7 +149,7 @@ def test_scaled_monomial_magnitudes_mesh_independent():
         mesh = generate_structured_cubes(n)
         rng = np.random.default_rng(3)
         for ci in range(0, mesh.n_cells, max(1, mesh.n_cells // 4)):
-            g = mesh.cell_geom[ci]
+            g = cell_row(mesh, ci)
             basis = MonomialBasis3(3, g.barycenter, g.h)
             pts = g.barycenter + (rng.uniform(-0.5, 0.5, (200, 3))) / n
             vals = np.abs(basis.eval(pts)).max(axis=0)

@@ -75,7 +75,7 @@ def test_face_rule_unit_square(cube1):
 def test_face_rule_triangle(unit_tet):
     for f in range(unit_tet.n_faces):
         _, _, (w,) = quad.face_quadrature(unit_tet, [f], 5)
-        area = unit_tet.face_geom[f].area
+        area = unit_tet.face_stack.area[f]
         assert abs(np.sum(w) - area) < 1e-13
     # exactness on the in-plane frame: integrate centered monomials and
     # compare against a brute-force fine rule
@@ -114,7 +114,7 @@ def test_non_star_shaped_cell_rejected():
         faces.append([i, j, j + nvl, i + nvl])
     cells = [[f + 1 for f in range(len(faces))]]
     mesh = PolyMesh(verts, faces, cells)
-    xb = mesh.cell_geom[0].barycenter
+    xb = mesh.cell_stack.barycenter[0]
     assert not (0 <= xb[0] <= 4 and (xb[0] <= 1 or xb[1] <= 1))  # outside the L
     with pytest.raises(MeshError, match="star-shaped"):
         quad.cell_quadrature(mesh, 0, 2)

@@ -189,3 +189,57 @@ def test_unpassed_default_check_catches_them():
     assert _unpassed_defaults([src], [src], ["exported"]) == [
         ("f", "c"), ("f", "d"), ("C", "b"), ("m", "x")]
     assert _unpassed_defaults([src], [src, "f(0, 1, 2, d=4)\nC(0, b=1)\nx.m(**kw)\n"], ["exported"]) == []
+
+
+def _called(node: ast.AST) -> str | None:
+    """The name a call or a decorator calls: `f` of `f(...)`, `x.f(...)` and `@f`."""
+    func = node.func if isinstance(node, ast.Call) else node
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def _plain_defaults(tree: ast.AST):
+    """(class, field) of each dataclass field in the tree with a plain
+    default, not a `field(...)` one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(_called(d) == "dataclass" for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and item.value is not None and not (
+                        isinstance(item.value, ast.Call) and _called(item.value) == "field"):
+                    yield node.name, item.target.id
+
+
+def _unset_fields(defining: list[str], setting: list[str]) -> list[tuple[str, str]]:
+    """(class, field) for each dataclass field with a plain default, of the
+    `defining` sources, that no source in `setting` passes by keyword to a
+    construction of its class (a call by the class's name; `**kwargs` passes
+    every keyword) or assigns as an attribute of any object."""
+    keywords, assigned = {}, set()
+    for src in setting:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call):
+                keywords.setdefault(_called(node), set()).update(kw.arg for kw in node.keywords)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                assigned.add(node.attr)
+    return [(cls, name) for src in defining for cls, name in _plain_defaults(ast.parse(src))
+            if name not in assigned and not keywords.get(cls, set()) & {name, None}]
+
+
+def test_no_field_default_that_nothing_sets():
+    """Every dataclass field with a plain default is set by some code in the
+    package or in perfbench: a field that only tests set is code without a
+    user, and one that nothing sets is a constant, or a reader-less record
+    entry that every instance carries."""
+    package = [path.read_text(encoding="utf-8") for path in SOURCES]
+    setters = package + [path.read_text(encoding="utf-8") for path in PERFBENCH]
+    assert _unset_fields(package, setters) == []
+
+
+def test_unset_field_check_catches_them():
+    src = ("from dataclasses import dataclass, field\n\n\n"
+           "@dataclass\nclass A:\n    x: int\n    y: int = 0\n    z: list = field(default_factory=list)\n"
+           "    w: str = 'a'\n    v: float = 1.0\n\n\n"
+           "@dataclass(frozen=True)\nclass B:\n    s: int = 0\n    t: int = 1\n\n\n"
+           "class C:\n    u: int = 0\n\n\n"
+           "a = A(1, y=2)\na.v = 3.0\nB(**kw)\n")
+    assert _unset_fields([src], [src]) == [("A", "w")]
+    assert _unset_fields([src], ["x.w, y.s = 1, 2\n"]) == [("A", "y"), ("A", "v"), ("B", "t")]

@@ -16,7 +16,7 @@ from helpers import cell_projection_loop, cube_and_pyramids, face_projections_lo
 from test_batched import CELL_FIELDS, _count_calls, _rel
 from vemflow import polynomials
 from vemflow import quadrature as quad
-from vemflow.dofspace import build_dof_maps
+from vemflow.dofspace import build_dof_maps, cell_basis
 from vemflow.meshing import PolyMesh, generate_structured_cubes, generate_tetra_mesh
 from vemflow.projection import build_projections, cell_rule_exactness
 
@@ -172,4 +172,5 @@ def test_member_rules_and_rule_values_are_their_own(k):
     for c, pr in enumerate(projs):
         rule = quad.cell_quadrature(mesh, c, cell_rule_exactness(k))
         assert np.array_equal(pr.rule.points, rule.points) and np.array_equal(pr.rule.weights, rule.weights)
-        assert _rel(pr.rule_vals, pr.basis.eval(pr.rule.points)[:, :pr.Hk.shape[0]]) <= 1e-14
+        basis = cell_basis(mesh, c, k + 1)
+        assert _rel(pr.rule_vals, basis.eval(pr.rule.points)[:, :pr.Hk.shape[0]]) <= 1e-14
