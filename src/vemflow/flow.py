@@ -247,7 +247,12 @@ def solve_stokes(system: GlobalSystem) -> FlowSolution:
         ) from exc
     if not np.isfinite(res) or res > 1e-8:
         raise SolverError(f"direct solve failed: relative residual {res:.3e}")
-    return FlowSolution(u=u0 + du, p=nu * dp, lam=lam, linear_residual=res,
+    u, p = u0 + du, nu * dp
+    # the residual is that of the reduced system, which need not see every
+    # entry of the load (on one cell every reduced velocity is Dirichlet)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(p))):
+        raise SolverError("direct solve failed: non-finite velocity or pressure")
+    return FlowSolution(u=u, p=p, lam=lam, linear_residual=res,
                         saddle_rows=lu.K.shape[0], lu_fill=lu.fill, factored=factored)
 
 

@@ -32,12 +32,13 @@ nested-dissection order of the reduced saddle unknowns.  These, A1, B, the
 Dirichlet mask and the zero-mean row depend on neither nu nor the case: the
 DoF map's `OperatorCache` keeps them, read-only, from their first build,
 keyed on the content of every input (the kernel `local_a` itself, the
-stabilization, the Neumann faces, and the projection arrays that local_a and
-the zero-mean row read and the mesh arrays that B, E, the Dirichlet mask and
-the order read).  With them it keeps one slot for the factor of the nu-free
-Stokes matrix that they make, which `flow` fills on the first solve, so the
-factor goes when a new key evicts them.  Each call builds only the load,
-traction and boundary values.
+stabilization, the Neumann faces, the projection arrays that local_a and the
+zero-mean row read: `consistency`, `pi_d_dof`, `sigma`, `h` and `mono_int`,
+which translated cells share, and the mesh arrays that B, E, the Dirichlet
+mask and the order read).  With them it keeps one slot for the factor of the
+nu-free Stokes matrix that they make, which `flow` fills on the first solve,
+so the factor goes when a new key evicts them.  Each call builds only the
+load, traction and boundary values.
 """
 
 from __future__ import annotations
@@ -330,8 +331,7 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     key = (local_a, spec.stabilization, neumann, mesh.face_cells, mesh.face_cell_signs,
            mesh.face_stack.area, mesh.boundary_face, mesh._face_loop[0], mesh._face_loop[3],
            mesh._loop_edges, mesh.cell_stack.volume, mesh.cell_stack.barycenter,
-           *(getattr(p, name) for p in projs for name in ("D", "pi_d", "pi_0grad", "Hq", "sigma", "h",
-                                                         "mono_int")))
+           *(getattr(p, name) for p in projs for name in ("consistency", "pi_d_dof", "sigma", "h", "mono_int")))
     ops = mapv.operators.get(key, lambda: _operators(mesh, maps, spec, projs, neumann))
     F = np.bincount(np.concatenate(mapv.cell_global),
                     np.concatenate([local_load(proj, spec.load) for proj in projs]), minlength=mapv.ndof)

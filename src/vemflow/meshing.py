@@ -296,9 +296,6 @@ class PolyMesh:
     def euler_number(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces - self.n_cells
 
-    def scaled(self, factor: float) -> "PolyMesh":
-        return PolyMesh(self.vertices * factor, self.faces, [(f + 1) * s for f, s in self.cells])
-
     # -- I/O -------------------------------------------------------------------
 
     def to_json_dict(self) -> dict:

@@ -6,8 +6,9 @@ projection onto P_{k+1}(f), whose high-order moments come from the
 enhancement constraints.  Per cell: the divergence reconstruction in
 P_{k-1}(P), the interior moments against [P_k(P)]^3 assembled through the
 gradient/cross decomposition, and from those the L2 projection, the L2
-projection of the gradient, the DoF-euclidean projection and the consistency
-stiffness.
+projection of the gradient, the DoF-euclidean projection, Pi^D = D pi_d on the
+DoFs and the consistency stiffness: the last two are what assembly reads, so
+they are stored, not formed on each read.
 
 Enhancement constraints use the DoF-euclidean projection in place of the
 H1-seminorm one on both faces and cells (the space definitions admit any
@@ -16,9 +17,11 @@ H1-seminorm projections exist only as a test oracle.
 
 The face projections are built per group of faces with one vertex count and
 the cell projections per group of cells with one face layout: rules, basis
-values, DoF matrices, factors and solves are stacked arrays over the group
-(one LAPACK call per entity, as a loop makes), which each entity's record
-views.  Only a cell's rule and monomial integrals are made cell by cell; its
+values, DoF matrices and solves are stacked arrays over the group, which each
+entity's record views.  The QR and the mass solves go through numpy.linalg,
+which loops over the stack in C; the face L2 solve, on an ill-conditioned
+degree k+1 mass matrix, goes through scipy.linalg.solve, whose LU rounds as
+the per-face oracle's does.  Only a cell's rule and monomial integrals are made cell by cell; its
 degree-k basis values at the rule (`rule_vals`) serve the load and errors.
 
 Within a group, translates share their projections.  A class of translates
@@ -29,13 +32,13 @@ every local face's loop in loop order, and its face signs; for a face, about
 its centroid, its loop and its edge points in loop-edge order.  The stacked
 algebra runs once per class, on its lowest-id member, and every member's
 record views that member's arrays: for cells `mono_int`, `Hk`, `Hq`, `div`,
-`D`, `pi_d`, `pi_0k`, `pi_0grad`, `sigma` and `rule_vals`, for faces
-`vals`, `dproj` and `l2`, all of them made from the rule in the entity's
-scaled frame.  What stays the entity's own is its rule (a cell still calls
-`quadrature.cell_quadrature`, a face group its one `face_quadrature`), its
-id, h, volume and points.  The classes live for one kernel call; on
-a mesh without translates a first pass on cheap invariants leaves every
-entity alone before the full key is formed.
+`D`, `pi_d`, `pi_d_dof`, `pi_0k`, `pi_0grad`, `consistency`, `sigma` and
+`rule_vals`, for faces `vals`, `dproj` and `l2`, all of them made from the
+rule in the entity's scaled frame.  What stays the entity's own is its rule
+(a cell still calls `quadrature.cell_quadrature`, a face group its one
+`face_quadrature`), its id, h, volume and points.  The classes live for one
+kernel call; on a mesh without translates a first pass on cheap invariants
+leaves every entity alone before the full key is formed.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve
+from scipy.linalg import solve
 
 from . import quadrature as quad
 from .dofspace import DofMapV
@@ -86,14 +89,13 @@ def _mass_from_integrals(ints: np.ndarray, degree: int, dim: int, rows: tuple, c
     return ints[..., _mass_index(degree, dim, rows, cols)]
 
 
-def _solve_blocks(factor, blocks: np.ndarray) -> np.ndarray:
-    """Solutions for the right-hand side blocks (n, b, m, ndof) from each
-    cell's Cholesky factor in one call, stacked by rows in block order to
-    (n, b*m, ndof).  The result is C-ordered, as the stacked contractions of
-    the convection kernel expect (LAPACK returns Fortran order, which would
-    change their summation order)."""
+def _solve_blocks(H: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Solutions for the right-hand side blocks (n, b, m, ndof) against each
+    cell's mass matrix H (n, m, m) in one `np.linalg.solve`, stacked by rows
+    in block order to (n, b*m, ndof) and C-ordered, as the stacked
+    contractions of the convection kernel expect."""
     n, b, m, d = blocks.shape
-    X = cho_solve(factor, blocks.transpose(0, 2, 1, 3).reshape(n, m, b * d))
+    X = np.linalg.solve(H, blocks.transpose(0, 2, 1, 3).reshape(n, m, b * d))
     return np.ascontiguousarray(X.reshape(n, m, b, d).transpose(0, 2, 1, 3)).reshape(n, b * m, d)
 
 
@@ -155,11 +157,6 @@ class FaceProjections:
     pts3: np.ndarray                 # the same points in space
     w: np.ndarray                    # their weights
     vals: np.ndarray                 # (npts, pi_{k+1,2}) basis values at pts2
-
-    @property
-    def basis(self) -> MonomialBasis2:
-        """The degree k+1 face basis that `dproj`, `l2` and `vals` refer to."""
-        return MonomialBasis2(self.k + 1, np.zeros(2), self.h)
 
 
 def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
@@ -289,29 +286,12 @@ class CellProjections:
     div: np.ndarray              # (pi_{k-1,3}, ndof) coefficients of div v
     D: np.ndarray                # (ndof, 3 pi_{k,3}) DoF values of vector monomials
     pi_d: np.ndarray             # (3 pi_{k,3}, ndof) DoF-euclidean projection
+    pi_d_dof: np.ndarray         # (ndof, ndof) D pi_d, Pi^D acting on the DoFs
     pi_0k: np.ndarray            # (3 pi_{k,3}, ndof) L2 projection coefficients
     pi_0grad: np.ndarray         # (9 pi_{k-1,3}, ndof), row (3i+j)*pq+b: (grad v)_ij
+    consistency: np.ndarray      # (ndof, ndof) eps^T Hq eps summed over the strains
     sigma: np.ndarray            # D-recipe stabilization weights
     rule_vals: np.ndarray        # (n rule points, pi_{k,3}) degree k basis values at the rule
-
-    @property
-    def moments(self) -> np.ndarray:
-        """(3 pi_{k,3}, ndof) interior moments, Hk pi_0k per component."""
-        pk = self.Hk.shape[0]
-        return (self.Hk @ self.pi_0k.reshape(3, pk, -1)).reshape(3 * pk, -1)
-
-    @property
-    def pi_d_dof(self) -> np.ndarray:
-        return self.D @ self.pi_d
-
-    @property
-    def consistency(self) -> np.ndarray:
-        """(ndof, ndof) integral of the projected strains, eps^T Hq eps summed
-        over the strain components; formed when read (once per assembly)."""
-        cons = np.zeros((self.ndof, self.ndof))
-        for e in _strains(self.pi_0grad[None])[0]:
-            cons += e.T @ self.Hq @ e
-        return cons
 
 
 def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
@@ -363,16 +343,12 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     ints = np.array(ints)
     Hk = _mass_from_integrals(ints, deg, 3, a_k, a_k)
     Hq = Hk[:, :pq, :pq]
-    # Hq is the leading block of Hk, so its Cholesky factor is the leading
-    # block of Hk's: one factorisation serves both mass matrices
-    chol_k = cho_factor(Hk)
-    chol_q = (chol_k[0][:, :pq, :pq], chol_k[1])
 
     # --- divergence reconstruction ---------------------------------------------
     rhs = np.zeros((n, pq, ndof))
     rhs[:, 0, lay.face[:, 0, 0]] = signs * fs.area[fids]
     rhs[:, 1:, lay.d5] = vol[:, None, None] * np.eye(mapv.n_d5)
-    div = _solve_blocks(chol_q, rhs[:, None])
+    div = _solve_blocks(Hq, rhs[:, None])
 
     # --- basis values at the vertices, the edge points and the face points of
     # every local face slot, in one evaluation; phi[i] (n, points, basis) views
@@ -434,30 +410,29 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     moments = dec.Tinv_T @ adapted
 
     # --- L2 projections onto [P_k]^3 and of the gradient onto [P_{k-1}]^{3x3} ---
-    pi_0k = _solve_blocks(chol_k, moments.reshape(n, 3, pk, ndof))
+    pi_0k = _solve_blocks(Hk, moments.reshape(n, 3, pk, ndof))
     DT = np.stack([Dm[j][:pk, :pq].T for j in range(3)])                # [j]: (pq, pk)
     vterms -= DT @ moments.reshape(n, 3, 1, pk, ndof) / h[:, None, None, None, None]
-    pi_0grad = _solve_blocks(chol_q, vterms.reshape(n, 9, pq, ndof))
+    pi_0grad = _solve_blocks(Hq, vterms.reshape(n, 9, pq, ndof))
 
-    # D-recipe weights: the diagonal of the consistency matrix
-    eps = _strains(pi_0grad)
+    # the symmetric-gradient coefficients eps (n, 9, pq, ndof), the consistency
+    # matrix strain by strain (one stacked product over the strains would hold
+    # all nine at once), and the D-recipe weights, its diagonal
+    g = pi_0grad.reshape(n, 3, 3, pq, ndof)
+    eps = (0.5 * (g + g.transpose(0, 2, 1, 3, 4))).reshape(n, 9, pq, ndof)
+    consistency = np.zeros((n, ndof, ndof))
+    for e in eps.transpose(1, 0, 2, 3):
+        consistency += e.transpose(0, 2, 1) @ Hq @ e
     sigma = np.maximum(h[:, None], np.einsum("nsad,nsad->nd", eps, Hq[:, None] @ eps))
     # the cells view these stacks, one view per class, and operator keys hold them
-    stacks = dict(mono_int=ints, Hq=Hq, Hk=Hk, div=div, D=D, pi_d=pi_d, pi_0k=pi_0k, pi_0grad=pi_0grad,
-                  sigma=sigma)
+    stacks = dict(mono_int=ints, Hq=Hq, Hk=Hk, div=div, D=D, pi_d=pi_d, pi_d_dof=D @ pi_d, pi_0k=pi_0k,
+                  pi_0grad=pi_0grad, consistency=consistency, sigma=sigma)
     for a in (*stacks.values(), *rule_vals):
         a.flags.writeable = False
     views = {name: list(a) for name, a in stacks.items()} | {"rule_vals": rule_vals}
     return [CellProjections(c=c, k=k, ndof=ndof, h=hc, vol=vc, rule=rule,
                             **{name: v[j] for name, v in views.items()})
             for c, hc, vc, rule, j in zip(ids.tolist(), h_ids.tolist(), vol_ids.tolist(), rules, cls.tolist())]
-
-
-def _strains(pi_0grad: np.ndarray) -> np.ndarray:
-    """The symmetric-gradient coefficients (n, 9, pi_{k-1,3}, ndof) from the
-    stacked projected gradients (n, 9 pi_{k-1,3}, ndof)."""
-    g = pi_0grad.reshape(len(pi_0grad), 3, 3, -1, pi_0grad.shape[-1])
-    return (0.5 * (g + g.transpose(0, 2, 1, 3, 4))).reshape(len(g), 9, -1, g.shape[-1])
 
 
 def _by_group(groups: list[np.ndarray], kernel) -> dict:

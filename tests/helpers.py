@@ -153,13 +153,14 @@ def face_poly_dofs(mesh, mapv, f, fp, coef: np.ndarray) -> np.ndarray:
     npk = dim_poly(k, 2)
     loop = mesh.faces[f]
     nv = len(loop)
+    basis = face_basis(mesh, f, k + 1)
     d = np.zeros(fp.ndof)
-    d[:nv] = fp.basis.eval(face_coords(mesh, f, mesh.vertices[loop]))[:, :npk] @ coef
+    d[:nv] = basis.eval(face_coords(mesh, f, mesh.vertices[loop]))[:, :npk] @ coef
     eids, _ = mesh.face_edges[f]
     for le in range(nv):
         ep2 = face_coords(mesh, f, mapv.edge_points[eids[le]])
-        d[nv + le * (k - 1): nv + (le + 1) * (k - 1)] = fp.basis.eval(ep2)[:, :npk] @ coef
-    phi = fp.basis.eval(fp.pts2)
+        d[nv + le * (k - 1): nv + (le + 1) * (k - 1)] = basis.eval(ep2)[:, :npk] @ coef
+    phi = basis.eval(fp.pts2)
     vals = phi[:, :npk] @ coef
     nm = dim_poly(k - 2, 2)
     g = face_row(mesh, f)
@@ -215,6 +216,12 @@ def convection_oracle_scatter(mesh, mapv, projs, u: np.ndarray) -> tuple[np.ndar
     return C, Cg
 
 
+def cell_moments(proj) -> np.ndarray:
+    """(3 pi_{k,3}, ndof) interior moments of a cell, Hk pi_0k per component."""
+    pk = proj.Hk.shape[0]
+    return (proj.Hk @ proj.pi_0k.reshape(3, pk, -1)).reshape(3 * pk, -1)
+
+
 def local_load_loop(proj, load) -> np.ndarray:
     """(f_h, v)_P with one Hk solve per load component: the reference for the
     solve-free contraction with pi_0k in `forms.local_load`."""
@@ -224,7 +231,7 @@ def local_load_loop(proj, load) -> np.ndarray:
     rhs = np.zeros(proj.ndof)
     for c in range(3):
         cf = np.linalg.solve(proj.Hk, phi.T @ (proj.rule.weights * fvals[:, c]))
-        rhs += proj.moments[c * pk: (c + 1) * pk, :].T @ cf
+        rhs += cell_moments(proj)[c * pk: (c + 1) * pk, :].T @ cf
     return rhs
 
 
@@ -311,7 +318,7 @@ def cell_h1_projection(mesh, mapv, proj, faceprojs) -> np.ndarray:
     k = mapv.k
     ci = proj.c
     lay = mapv.layouts[ci]
-    h, ndof, Hk, moments = proj.h, proj.ndof, proj.Hk, proj.moments
+    h, ndof, Hk, moments = proj.h, proj.ndof, proj.Hk, cell_moments(proj)
     basis = cell_basis(mesh, ci, k + 1)
     pk = dim_poly(k, 3)
     fids, signs = mesh.cells[ci]
@@ -499,8 +506,8 @@ def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjections:
 
     return CellProjections(
         c=ci, k=k, ndof=ndof, h=h, vol=vol, rule=rule,
-        mono_int=ints, Hq=Hq, Hk=Hk, div=div, D=D, pi_d=pi_d,
-        pi_0k=pi_0k, pi_0grad=pi_0grad,
+        mono_int=ints, Hq=Hq, Hk=Hk, div=div, D=D, pi_d=pi_d, pi_d_dof=D @ pi_d,
+        pi_0k=pi_0k, pi_0grad=pi_0grad, consistency=cons,
         sigma=sigma, rule_vals=phi_rule[:, :pk].copy(),
     )
 
@@ -891,6 +898,10 @@ def face_coords(mesh, f: int, pts3: np.ndarray) -> np.ndarray:
     g = face_row(mesh, f)
     rel = np.atleast_2d(pts3) - g.centroid
     return np.stack([rel @ g.tau1, rel @ g.tau2], axis=1)
+
+
+def scaled_mesh(mesh: PolyMesh, factor: float) -> PolyMesh:
+    return PolyMesh(mesh.vertices * factor, mesh.faces, [(f + 1) * s for f, s in mesh.cells])
 
 
 def face_basis(mesh, f: int, degree: int) -> MonomialBasis2:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    cell_moments,
     cell_projection_loop,
     cell_quadrature_loop,
     cube_and_pyramids,
@@ -136,7 +137,7 @@ def test_stokes_from_loop_face_projections(name, k):
         assert check_divfree(sol.u, mesh, mapv, pr) <= 1e-9
 
 
-CELL_FIELDS = ("mono_int", "Hk", "div", "D", "pi_d", "moments", "pi_0k", "pi_0grad",
+CELL_FIELDS = ("mono_int", "Hk", "div", "D", "pi_d", "pi_d_dof", "pi_0k", "pi_0grad",
                "consistency", "sigma", "rule_vals")
 
 
@@ -151,6 +152,7 @@ def test_cell_projections_match_loop(name, k):
         assert _rel(pr.rule.points, ref.rule.points) == 0.0
         for field in CELL_FIELDS:
             assert _rel(getattr(pr, field), getattr(ref, field)) <= 1e-10, (c, field)
+        assert _rel(cell_moments(pr), cell_moments(ref)) <= 1e-10, (c, "moments")
 
 
 def test_rule_vals_are_the_basis_at_the_rule():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import DENSE_DOF_CAP, assemble_divergence, cube_and_pyramids, extract_cells, svd_rank
+from helpers import DENSE_DOF_CAP, assemble_divergence, cube_and_pyramids, extract_cells, scaled_mesh, svd_rank
 from vemflow import derham, forms, projection
 from vemflow.cases import make_case
 from vemflow.derham import (
@@ -95,8 +95,7 @@ def test_rank_invariance_scaling_permutation(unit_tet):
     base = assemble_divergence(unit_tet, 2)
     rank0 = np.linalg.matrix_rank(base, tol=1e-9 * np.linalg.norm(base))
     for lam in (0.5, 2.0):
-        scaled_mesh = unit_tet.scaled(lam)
-        B = assemble_divergence(scaled_mesh, 2)
+        B = assemble_divergence(scaled_mesh(unit_tet, lam), 2)
         assert np.linalg.matrix_rank(B, tol=1e-9 * np.linalg.norm(B)) == rank0
     rng = np.random.default_rng(0)
     perm = rng.permutation(base.shape[1])

@@ -11,6 +11,7 @@ from helpers import (
     generate_tetra_mesh_loop,
     mesh_from_tets_loop,
     quality_check_loop,
+    scaled_mesh,
     topology_loop,
 )
 from vemflow.meshing import (
@@ -214,7 +215,7 @@ def test_distorted_hex_and_voronoi_cell(hex_cell, voronoi_cell):
 
 
 def test_scaled_mesh(cube2):
-    m = cube2.scaled(2.0)
+    m = scaled_mesh(cube2, 2.0)
     assert np.isclose(mesh_size(m), 2.0 * mesh_size(cube2))
     assert m.euler_number() == cube2.euler_number()
 

@@ -243,3 +243,44 @@ def test_unset_field_check_catches_them():
            "a = A(1, y=2)\na.v = 3.0\nB(**kw)\n")
     assert _unset_fields([src], [src]) == [("A", "w")]
     assert _unset_fields([src], ["x.w, y.s = 1, 2\n"]) == [("A", "y"), ("A", "v"), ("B", "t")]
+
+
+def _member_reads(tree: ast.AST) -> set[str]:
+    """What the tree reads as a member: attribute names, and every dotted
+    part of its strings, through which perfbench names the methods it wraps
+    (`"_MonomialBasis.eval_grad"`).  A bare name is a local, not a member."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(node.value.split("."))
+    return found
+
+
+def _unread_members(defining: list[str], reading: list[str]) -> list[str]:
+    """`Class.member` for each method and property, dunders aside, of the
+    classes of the `defining` sources that no source in `reading` reads."""
+    read = set().union(*(_member_reads(ast.parse(src)) for src in reading))
+    return [f"{node.name}.{item.name}" for src in defining for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__")) and item.name not in read]
+
+
+def test_no_member_only_tests_read():
+    """Every method and property of the package's classes is read by some
+    code in the package or in perfbench: one that only tests read is code
+    without a user, and belongs in tests/helpers.py as a function."""
+    package = [path.read_text(encoding="utf-8") for path in SOURCES]
+    readers = package + [path.read_text(encoding="utf-8") for path in PERFBENCH]
+    assert _unread_members(package, readers) == []
+
+
+def test_unread_member_check_catches_them():
+    src = ("class A:\n    def __init__(self):\n        self.used()\n\n    def used(self):\n        pass\n\n"
+           "    def unused(self):\n        pass\n\n    @property\n    def prop(self):\n        return 0\n\n"
+           "    def traced(self):\n        pass\n\n    def local(self):\n        pass\n\n\n"
+           "def f():\n    local = 1\n    return local\n\n\nWRAPPED = ('module', 'A.traced')\n")
+    assert _unread_members([src], [src]) == ["A.unused", "A.prop", "A.local"]
+    assert _unread_members([src], [src, "a.prop, a.unused, a.local = 1, 2, 3\n"]) == []
