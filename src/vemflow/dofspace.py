@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from . import quadrature as quad
-from .meshing import PolyMesh
+from .meshing import PolyMesh, read_only
 from .polynomials import (
     MonomialBasis2,
     MonomialBasis3,
@@ -95,9 +95,7 @@ class OperatorCache:
         if self.key is None or len(self.key) != len(key) or not all(
                 a is b or np.array_equal(a, b) for a, b in zip(self.key, key)):
             # held without copies, so none of the key's arrays may change under it
-            for a in key:
-                if isinstance(a, np.ndarray):
-                    a.setflags(write=False)
+            read_only(*key)
             self.key, self.value = key, None
             self.value = build()
         return self.value
@@ -188,17 +186,20 @@ def build_dof_maps(mesh: PolyMesh, k: int) -> tuple[DofMapV, DofMapQ]:
 
     indptr, indices, slots = _cell_pattern(ents, [dofs for _, dofs, _ in groups], size, start)
     groups = [DofGroup(*g, g_slots) for g, g_slots in zip(groups, slots)]
-    indptr.flags.writeable = indices.flags.writeable = False    # shared by every matrix on the pattern
+    # read-only, and so the cells' views of the groups' rows; every matrix on the pattern shares it
+    boundary = np.concatenate([mesh.boundary_vertex, mesh.boundary_edge, mesh.boundary_face,
+                               np.zeros(mesh.n_cells, dtype=bool)])
+    dirichlet = np.repeat(boundary, size)
+    read_only(size, edge_points, dirichlet, indptr, indices,
+              *(a for g in groups for a in (g.cells, g.dofs, g.slots, *vars(g.layout).values())))
     of_cell = {c: (dofs, g.layout) for g in groups for c, dofs in zip(g.cells.tolist(), g.dofs)}
     cell_global, layouts = (list(x) for x in zip(*(of_cell[c] for c in range(mesh.n_cells))))
 
-    boundary = np.concatenate([mesh.boundary_vertex, mesh.boundary_edge, mesh.boundary_face,
-                               np.zeros(mesh.n_cells, dtype=bool)])
     mapv = DofMapV(
         k=k, ndof=int(size.sum()), n_edge_pts=n_ep, n_face_moms=n_fm, n_d4=n_d4, n_d5=n_d5,
         offsets=offsets, entity_size=size, groups=groups, cell_global=cell_global,
         layouts=layouts, indptr=indptr, indices=indices,
-        dirichlet=np.repeat(boundary, size), edge_points=edge_points,
+        dirichlet=dirichlet, edge_points=edge_points,
     )
     mapq = DofMapQ(k=k, n_per_cell=dim_poly(k - 1, 3), ndof=dim_poly(k - 1, 3) * mesh.n_cells)
     return mapv, mapq

@@ -70,6 +70,9 @@ KRYLOV_RTOL = 1e-13
 # Newton steps after which a solve that has not met its tolerance stops
 NEWTON_MAX_ITER = 25
 
+# the largest relative residual of a reduced linear solve, Stokes or Newton
+LINEAR_RTOL = 1e-8
+
 
 @dataclass
 class NSOptions:
@@ -245,7 +248,7 @@ def solve_stokes(system: GlobalSystem) -> FlowSolution:
             "singular Stokes system: check the zero-mean pressure constraint "
             "and that not every velocity DoF is constrained"
         ) from exc
-    if not np.isfinite(res) or res > 1e-8:
+    if not res <= LINEAR_RTOL:
         raise SolverError(f"direct solve failed: relative residual {res:.3e}")
     u, p = u0 + du, nu * dp
     # the residual is that of the reduced system, which need not see every
@@ -256,7 +259,7 @@ def solve_stokes(system: GlobalSystem) -> FlowSolution:
                         saddle_rows=lu.K.shape[0], lu_fill=lu.fill, factored=factored)
 
 
-def _newton_step(system: GlobalSystem, mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],
+def _newton_step(system: GlobalSystem, mapv: DofMapV, projs: list[CellProjections],
                  stokes: _EquilibratedLU | None, u: np.ndarray, p: np.ndarray,
                  lam: float) -> tuple[np.ndarray, np.ndarray, float, float, _NewtonSolve]:
     """The Newton increment (du, dp, dlam) at (u, p, lam) for the Jacobian
@@ -264,14 +267,17 @@ def _newton_step(system: GlobalSystem, mesh: PolyMesh, mapv: DofMapV, projs: lis
     `_NewtonSolve` that solved it: by GMRES preconditioned with the factor
     `stokes` of K1, or by a factor built here and dropped on return.  A1, C
     and Cg lie on the DoF map's one pattern, so the Jacobian is the sum of
-    their data."""
-    C, Cg = assemble_convection(mesh, mapv, projs, u)
+    their data.  A relative residual of the reduced solve over LINEAR_RTOL
+    raises `SolverError`."""
+    C, Cg = assemble_convection(mapv, projs, u)
     A1, nu = system.A1, system.nu
     Rm = nu * (A1 @ u) + C @ u + system.B.T @ p - system.F
     J = sp.csc_matrix((nu * A1.data + C.data + Cg.data, A1.indices, A1.indptr), shape=A1.shape)
     K, Ef = _saddle_matrix(system, J)
     lin = _NewtonSolve(K, system.order, stokes, nu, Ef.shape[1], len(system.volumes))
-    du, dp, dlam, nrm, _ = _solve_step(system, Ef, lin, J, Rm, u, p, lam)
+    du, dp, dlam, nrm, res = _solve_step(system, Ef, lin, J, Rm, u, p, lam)
+    if not res <= LINEAR_RTOL:
+        raise SolverError(f"linear solve failed: relative residual {res:.3e}")
     return du, dp, dlam, nrm, lin
 
 
@@ -301,7 +307,7 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
     converged, diagnostic = False, ""
     for it in range(NEWTON_MAX_ITER):
         try:
-            du, dp, dlam, nrm, lin = _newton_step(system, mesh, mapv, projs, stokes, u, p, lam)
+            du, dp, dlam, nrm, lin = _newton_step(system, mapv, projs, stokes, u, p, lam)
         except RuntimeError as exc:
             raise SolverError(f"linear solve failed in Newton step {it}") from exc
         residuals.append(nrm)

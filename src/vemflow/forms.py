@@ -57,8 +57,8 @@ from .dofspace import (
     interpolate_boundary,
     nested_dissection,
 )
-from .meshing import PolyMesh
-from .polynomials import _index_lookup, dim_poly, multi_indices
+from .meshing import PolyMesh, read_only
+from .polynomials import _positions, dim_poly, multi_indices
 from .projection import CellProjections, FaceProjections, face_extraction
 
 
@@ -74,6 +74,8 @@ class ProblemSpec:
     load: Callable                       # (n,3) points -> (n,3)
     dirichlet: Callable                  # (n,3) points -> (n,3) boundary velocity
     k: int
+    # informational: nothing in the package reads it (`bench` and the
+    # benchmark set it); the caller's choice of solve decides
     convective: bool = False
     neumann_faces: Callable | None = None   # (centroid, normal) -> bool
     traction: Callable | None = None        # (pts (n,3), normal) -> (n,3)
@@ -106,14 +108,8 @@ def local_a(proj: CellProjections, nu: float, stabilization: str = "drecipe") ->
 def _triple_index(k: int) -> np.ndarray:
     """Positions in the cell monomial integrals of m_a m_b m_c for |a| <= k,
     |b| <= k-1, |c| <= k: the (pi_k, pi_{k-1}, pi_k) triple-product table."""
-    lookup = _index_lookup(3 * k - 1, 3)
-    a_k = multi_indices(k, 3)
-    a_q = multi_indices(k - 1, 3)
-    table = np.empty((len(a_k), len(a_q), len(a_k)), dtype=int)
-    for i, a in enumerate(a_k):
-        for j, b in enumerate(a_q):
-            for l, c in enumerate(a_k):
-                table[i, j, l] = lookup[tuple(x + y + z for x, y, z in zip(a, b, c))]
+    a_k, a_q = (np.array(multi_indices(n, 3), dtype=int) for n in (k, k - 1))
+    table = _positions(a_k[:, None, None] + a_q[None, :, None] + a_k[None, None, :], 3 * k - 1)
     table.flags.writeable = False
     return table
 
@@ -307,9 +303,8 @@ def _operators(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     pressure_ints = e.reshape(mesh.n_cells, pq)
     E = reduced_embedding(B, keep, pressure_ints, mesh.cell_stack.volume)
     order = _saddle_order(mesh, mapv, keep & ~dir_mask, mean_row=mean_row)
-    for a in (A1.data, B.data, B.indices, B.indptr, E.data, E.indices, E.indptr, e, pressure_ints,
-              dir_mask, keep, order):
-        a.flags.writeable = False
+    read_only(A1.data, B.data, B.indices, B.indptr, E.data, E.indices, E.indptr, e, pressure_ints,
+              dir_mask, keep, order)
     return dict(A1=A1, B=B, e=e if mean_row else None, dirichlet_mask=dir_mask, keep=keep, E=E,
                 volumes=mesh.cell_stack.volume, pressure_ints=pressure_ints, order=order, stokes_factor=[])
 
@@ -354,7 +349,7 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     return GlobalSystem(nu=spec.nu, F=F, dirichlet_values=gvals, **ops)
 
 
-def assemble_convection(mesh: PolyMesh, mapv: DofMapV, projs: list[CellProjections],
+def assemble_convection(mapv: DofMapV, projs: list[CellProjections],
                         u: np.ndarray) -> tuple[sp.csc_matrix, sp.csc_matrix]:
     """Global C(u) and the gradient-slot matrix Cg(u) at the state u, both CSC
     on the DoF map's pattern: one batched contraction per block of at most

@@ -5,7 +5,8 @@ A mesh stores vertices, oriented face loops and cells as signed face lists
 (sign +1 when the stored loop is counterclockwise seen from outside the
 cell).  Edges are derived from the face loops with the canonical key
 (min vertex, max vertex); they are never stored in input files.  Meshes are
-immutable after construction and safe to share read-only across workers.
+immutable: every array a mesh holds, the vertices a copy of the caller's,
+is made read-only as it is built, so it is safe to share across workers.
 
 `PolyMesh` is built one way, without per-entity loops: the faces are parsed
 into one flat loop array and the signed cells into one flat cell-face
@@ -62,10 +63,18 @@ def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return seg, np.arange(len(seg)) - (np.cumsum(sizes) - sizes)[seg]
 
 
+def read_only(*objs) -> None:
+    """Make each array among `objs` read-only, so that a write into it raises
+    `ValueError`; other objects are left alone."""
+    for a in objs:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+
+
 def _pieces(flat: np.ndarray, start: np.ndarray) -> list[np.ndarray]:
     """The views of `flat` from each offset in `start` to the next, or to its
     end; `flat` is made read-only first, so the views are too."""
-    flat.flags.writeable = False
+    read_only(flat)
     b = start.tolist() + [len(flat)]
     return [flat[i:j] for i, j in zip(b[:-1], b[1:])]
 
@@ -117,7 +126,7 @@ class PolyMesh:
         flat cell-face incidence, and derive and check the topology and the
         geometry from these.  Each check names the first offending entity in
         the order a loop over the entities would meet it."""
-        V = self.vertices = np.asarray(vertices, dtype=float)
+        V = self.vertices = np.array(vertices, dtype=float)     # a copy: it is made read-only
         if V.ndim != 2 or V.shape[1] != 3:
             raise MeshError("vertices must be an (n, 3) array")
         nv = len(V)
@@ -244,6 +253,9 @@ class PolyMesh:
         closure = np.stack([np.bincount(inc_cell, x, minlength=nc) for x in flux.T], axis=1)
         raise_first(np.linalg.norm(closure, axis=1) > 1e-8 * cs.h ** 2,
                      lambda c: f"cell {c} is not closed: inconsistent face orientations")
+        read_only(V, self.face_cells, self.face_cell_signs, self.edges, self.boundary_face, self.boundary_vertex,
+                  self.boundary_edge, self.subtets, self.subtet_start, self._cell_sizes, *self._face_loop,
+                  *self._incidence, *vars(fs).values(), *vars(cs).values())
 
     # -- counts and derived quantities ----------------------------------------
 

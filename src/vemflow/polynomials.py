@@ -4,12 +4,21 @@ All local polynomial algebra runs in scaled coordinates (x - center)/scale so
 that basis values stay O(1) on the owning mesh entity.  Multi-indices are
 ordered graded-lexicographically, which fixes every matrix layout in the
 package.
+
+Every table over multi-indices reads one position array: `_index_array(n, d)`
+holds at each exponent tuple a its graded position among the degree-n
+multi-indices in d variables, and -1 past degree n.  The derivative,
+gradient and cross tables scatter at the positions of multi-indices shifted
+down or up by one, and the mass and triple-product tables
+(`projection._mass_index`, `forms._triple_index`) gather the positions of
+sums of multi-indices, all as array expressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -17,53 +26,49 @@ import numpy as np
 
 def dim_poly(n: int, d: int) -> int:
     """Dimension of polynomials of degree <= n in d variables; 0 for n < 0."""
-    if n < 0:
-        return 0
-    return comb(n + d, d)
+    return comb(n + d, d) if n >= 0 else 0
 
 
 @lru_cache(maxsize=None)
 def multi_indices(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Graded-lexicographic multi-indices with |alpha| <= n in d variables."""
-    out: list[tuple[int, ...]] = []
-    for total in range(n + 1):
-        out.extend(_fixed_degree(total, d))
-    return tuple(out)
-
-
-def _fixed_degree(total: int, d: int) -> list[tuple[int, ...]]:
-    if d == 1:
-        return [(total,)]
-    out = []
-    for first in range(total, -1, -1):
-        for rest in _fixed_degree(total - first, d - 1):
-            out.append((first,) + rest)
-    return out
+    """Graded-lexicographic multi-indices with |alpha| <= n in d variables:
+    by degree, then by decreasing exponents."""
+    return tuple(sorted((a for a in product(range(n + 1), repeat=d) if sum(a) <= n),
+                        key=lambda a: (sum(a), [-x for x in a])))
 
 
 @lru_cache(maxsize=None)
-def _index_lookup(n: int, d: int) -> dict:
-    return {a: i for i, a in enumerate(multi_indices(n, d))}
+def _index_array(n: int, d: int) -> np.ndarray:
+    """The position array of the degree-n multi-indices in d variables,
+    shape (n + 1,) * d and read-only: entry a holds the graded position of
+    the multi-index a, or -1 where |a| > n."""
+    idx = np.full((n + 1,) * d, -1)
+    idx[tuple(np.array(multi_indices(n, d), dtype=int).reshape(-1, d).T)] = np.arange(dim_poly(n, d))
+    idx.flags.writeable = False
+    return idx
+
+
+def _positions(alphas, n: int) -> np.ndarray:
+    """Graded positions among the multi-indices of degree <= n of the rows of
+    `alphas` (..., d), each entry in 0..n; a row of degree > n raises."""
+    alphas = np.asarray(alphas, dtype=int)
+    pos = _index_array(n, alphas.shape[-1])[tuple(np.moveaxis(alphas, -1, 0))]
+    if np.any(pos < 0):
+        raise ValueError(f"a multi-index has degree > {n}")
+    return pos
 
 
 @lru_cache(maxsize=None)
 def _derivative_matrices(n: int, d: int) -> tuple[np.ndarray, ...]:
     """Unscaled derivative matrices D_j with (D_j c) the coefficients of
-    d/dxhat_j of the polynomial with coefficients c (same degree-n basis)."""
-    alphas = multi_indices(n, d)
-    lookup = _index_lookup(n, d)
-    nm = len(alphas)
-    mats = []
-    for j in range(d):
-        D = np.zeros((nm, nm))
-        for src, a in enumerate(alphas):
-            if a[j] == 0:
-                continue
-            tgt = list(a)
-            tgt[j] -= 1
-            D[lookup[tuple(tgt)], src] = a[j]
-        mats.append(D)
-    return tuple(mats)
+    d/dxhat_j of the polynomial with coefficients c (same degree-n basis):
+    one scatter of a_j at (position of a - e_j, position of a) per variable."""
+    alphas = np.array(multi_indices(n, d), dtype=int).reshape(-1, d)
+    mats = tuple(np.zeros((len(alphas), len(alphas))) for _ in range(d))
+    for j, D in enumerate(mats):
+        src = np.flatnonzero(alphas[:, j])
+        D[_positions(alphas[src] - np.eye(d, dtype=int)[j], n), src] = alphas[src, j]
+    return mats
 
 
 class _MonomialBasis:
@@ -78,14 +83,11 @@ class _MonomialBasis:
         self.alphas = np.array(multi_indices(self.degree, self.dim_space), dtype=int)
         self.n = len(self.alphas)
 
-    def local_coords(self, points: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(points) - self.center) / self.scale
-
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Evaluate all monomials at physical points -> (npts, n), a
         Fortran-ordered array: the values are built one monomial row at a
         time, which gathers and multiplies contiguous rows."""
-        xi = self.local_coords(points).T
+        xi = ((np.atleast_2d(points) - self.center) / self.scale).T
         # pw[p, j] = xi_j ** p by repeated multiplication, as np.vander does
         pw = np.empty((self.degree + 1,) + xi.shape)
         pw[0] = 1.0
@@ -99,18 +101,16 @@ class _MonomialBasis:
     def eval_grad(self, points: np.ndarray) -> np.ndarray:
         """Physical-coordinate gradients at points -> (npts, n, d)."""
         vals = self.eval(points)
-        D = self.deriv_matrices()
-        out = np.empty(vals.shape + (self.dim_space,))
-        for j in range(self.dim_space):
-            out[:, :, j] = vals @ (D[j] / self.scale)
-        return out
+        return np.stack([vals @ (D / self.scale) for D in self.deriv_matrices()], axis=2)
 
     def deriv_matrices(self) -> tuple[np.ndarray, ...]:
         """Coefficient maps of d/dxhat_j (divide by scale for physical d/dx_j)."""
         return _derivative_matrices(self.degree, self.dim_space)
 
-    def index_of(self, alpha) -> int:
-        return _index_lookup(self.degree, self.dim_space)[tuple(alpha)]
+    def index_of(self, alpha):
+        """The position of the multi-index alpha in the basis, or an array of
+        the positions of the rows of an array of them."""
+        return _positions(alpha, self.degree)
 
 
 class MonomialBasis3(_MonomialBasis):
@@ -137,21 +137,13 @@ class MonomialBasis2(_MonomialBasis):
 
 def cross_field_descriptors(n: int) -> list[tuple[int, tuple[int, int, int]]]:
     r"""Descriptors (component i, alpha) of an independent basis of
-    xhat /\ [P_{n-1}]^3 as fields of degree <= n.
+    xhat /\ [P_{n-1}]^3 as fields of degree <= n, in the graded order of alpha.
 
     Candidates xhat /\ (m_a e_i) for |a| <= n-1 span the space; the kernel of
     p -> xhat /\ p is xhat * P_{n-2} and is transversal to the subset where
     i = z is kept only for alpha_z = 0.  Size: 3*pi_{n-1,3} - pi_{n-2,3}.
     """
-    if n <= 0:
-        return []
-    out: list[tuple[int, tuple[int, int, int]]] = []
-    for a in multi_indices(n - 1, 3):
-        out.append((0, a))
-        out.append((1, a))
-        if a[2] == 0:
-            out.append((2, a))
-    return out
+    return [(i, a) for a in multi_indices(n - 1, 3) for i in range(3) if i < 2 or a[2] == 0]
 
 
 def cross_dimension(n: int) -> int:
@@ -159,55 +151,34 @@ def cross_dimension(n: int) -> int:
     return 3 * dim_poly(n - 1, 3) - dim_poly(n - 2, 3)
 
 
+# the two terms of xhat /\ (m e_i), row i: (component, variable whose
+# exponent the term raises, sign); xhat /\ (m e_x) = (0, m*zhat, -m*yhat)
+_CROSS_TERMS = np.array([[(1, 2, 1), (2, 1, -1)], [(0, 2, -1), (2, 0, 1)], [(0, 1, 1), (1, 0, -1)]])
+
+
 def cross_coefficients(n: int, target_degree: int) -> np.ndarray:
     """Coefficient columns of the cross basis over vector monomials of degree
     <= target_degree (>= n).  Shape (3*pi_target, n_cross)."""
     descr = cross_field_descriptors(n)
-    lookup = _index_lookup(target_degree, 3)
+    comp, var, sign = _CROSS_TERMS[[i for i, _ in descr]].reshape(-1, 2, 3).transpose(2, 0, 1)
+    raised = np.array([a for _, a in descr], dtype=int).reshape(-1, 1, 3) + np.eye(3, dtype=int)[var]
     ns = dim_poly(target_degree, 3)
     C = np.zeros((3 * ns, len(descr)))
-
-    def put(col, comp, alpha, val):
-        C[comp * ns + lookup[tuple(alpha)], col] = val
-
-    for col, (i, a) in enumerate(descr):
-        a = np.array(a)
-        if i == 0:     # xhat /\ (m e_x) = (0, m*zhat, -m*yhat)
-            put(col, 1, a + (0, 0, 1), 1.0)
-            put(col, 2, a + (0, 1, 0), -1.0)
-        elif i == 1:   # xhat /\ (m e_y) = (-m*zhat, 0, m*xhat)
-            put(col, 0, a + (0, 0, 1), -1.0)
-            put(col, 2, a + (1, 0, 0), 1.0)
-        else:          # xhat /\ (m e_z) = (m*yhat, -m*xhat, 0)
-            put(col, 0, a + (0, 1, 0), 1.0)
-            put(col, 1, a + (1, 0, 0), -1.0)
+    C[comp * ns + _positions(raised, target_degree), np.arange(len(descr))[:, None]] = sign
     return C
 
 
-def gradient_coefficients(k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def gradient_coefficients(k: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     """Coefficient columns of h*grad(m_s) for scalar monomials 1 <= |s| <= k+1,
-    over vector monomials of degree <= k.  Returns (matrix, source indices)."""
-    scal_hi = multi_indices(k + 1, 3)
-    lookup = _index_lookup(k, 3)
+    over vector monomials of degree <= k: the rows of degree <= k and the
+    columns of degree >= 1 of the degree-(k+1) derivative matrices, stacked
+    by component.  Returns (matrix, source indices)."""
     ns = dim_poly(k, 3)
-    cols = []
-    sources = []
-    for s in scal_hi:
-        if sum(s) == 0:
-            continue
-        col = np.zeros(3 * ns)
-        for j in range(3):
-            if s[j] == 0:
-                continue
-            tgt = list(s)
-            tgt[j] -= 1
-            col[j * ns + lookup[tuple(tgt)]] = s[j]
-        cols.append(col)
-        sources.append(s)
-    return np.array(cols).T, sources
+    return (np.vstack([D[:ns, 1:] for D in _derivative_matrices(k + 1, 3)]),
+            multi_indices(k + 1, 3)[1:])
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecompBasis:
     """Basis of [P_k]^3 adapted to the gradient/cross splitting.
 
@@ -216,40 +187,28 @@ class DecompBasis:
     not depend on the cell (scaled coordinates cancel the geometry).
     """
 
-    k: int
     T: np.ndarray
     n_grad: int
     n_cross_low: int
     n_cross_high: int
-    grad_sources: tuple = ()
-    Tinv_T: np.ndarray | None = None
+    grad_sources: tuple             # the multi-indices s of the gradient columns h*grad(m_s)
+    Tinv_T: np.ndarray              # (T^T)^-1
 
     @property
     def slices(self):
-        g = slice(0, self.n_grad)
-        lo = slice(self.n_grad, self.n_grad + self.n_cross_low)
-        hi = slice(self.n_grad + self.n_cross_low, self.n_grad + self.n_cross_low + self.n_cross_high)
-        return g, lo, hi
+        lo, hi = self.n_grad, self.n_grad + self.n_cross_low
+        return slice(0, lo), slice(lo, hi), slice(hi, hi + self.n_cross_high)
 
 
 @lru_cache(maxsize=None)
 def decomp_basis(k: int) -> DecompBasis:
+    """The decomposition basis of [P_k]^3: the cross descriptors come in the
+    graded order of their multi-indices, so those of degree <= k-3 lead."""
     G, sources = gradient_coefficients(k)
-    all_cross = cross_field_descriptors(k)
-    low = [(i, a) for (i, a) in all_cross if sum(a) <= k - 3]
-    high = [(i, a) for (i, a) in all_cross if k - 2 <= sum(a) <= k - 1]
-    Call = cross_coefficients(k, k)
-    ncols = {d: c for c, d in enumerate(all_cross)}
-    Clow = Call[:, [ncols[d] for d in low]] if low else np.zeros((Call.shape[0], 0))
-    Chigh = Call[:, [ncols[d] for d in high]]
-    T = np.hstack([G, Clow, Chigh])
-    ns3 = 3 * dim_poly(k, 3)
-    if T.shape != (ns3, ns3):
+    C = cross_coefficients(k, k)
+    T = np.hstack([G, C])
+    if T.shape[0] != T.shape[1]:
         raise ValueError(f"decomposition basis of [P_{k}]^3 is not square: {T.shape}")
-    dec = DecompBasis(
-        k=k, T=T, n_grad=G.shape[1], n_cross_low=Clow.shape[1], n_cross_high=Chigh.shape[1],
-        grad_sources=tuple(sources),
-    )
-    dec.Tinv_T = np.linalg.inv(T.T)
-    return dec
-
+    n_low = cross_dimension(k - 2)
+    return DecompBasis(T=T, n_grad=G.shape[1], n_cross_low=n_low, n_cross_high=C.shape[1] - n_low,
+                       grad_sources=sources, Tinv_T=np.linalg.inv(T.T))

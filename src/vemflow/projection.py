@@ -51,11 +51,11 @@ from scipy.linalg import solve
 
 from . import quadrature as quad
 from .dofspace import DofMapV
-from .meshing import MeshError, PolyMesh, _by_appearance, raise_first
+from .meshing import MeshError, PolyMesh, _by_appearance, raise_first, read_only
 from .polynomials import (
     MonomialBasis2,
     MonomialBasis3,
-    _index_lookup,
+    _positions,
     decomp_basis,
     dim_poly,
     multi_indices,
@@ -77,8 +77,8 @@ def cell_rule_exactness(k: int) -> int:
 def _mass_index(degree: int, dim: int, rows: tuple, cols: tuple) -> np.ndarray:
     """Positions of the products m_a m_b (a in rows, b in cols) among the
     monomials of degree <= `degree` in `dim` variables."""
-    lookup = _index_lookup(degree, dim)
-    idx = np.array([[lookup[tuple(x + y for x, y in zip(a, b))] for b in cols] for a in rows])
+    rows, cols = (np.array(x, dtype=int).reshape(-1, dim) for x in (rows, cols))
+    idx = _positions(rows[:, None] + cols[None], degree)
     idx.flags.writeable = False
     return idx
 
@@ -145,7 +145,8 @@ class FaceProjections:
     """Projection matrices acting on the scalar face DoF vector
     [vertex values (loop order) | per loop edge k-1 canonical values |
     moments against face monomials of degree <= k-2, divided by area].
-    The arrays are views into the stacked arrays of the face's group."""
+    The arrays are read-only views into the stacked arrays of the face's
+    group."""
 
     f: int
     k: int
@@ -213,8 +214,10 @@ def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
     MOM[:, n_mom:, :] = _mass_from_integrals(ints, deg, 2, a_k1[n_mom:], a_k) @ dproj
     l2 = solve(_mass_from_integrals(ints, deg, 2, a_k1, a_k1), MOM)
 
-    # one view per class, which all its members hold
-    dproj, l2, vals = list(dproj), list(l2), list(np.ascontiguousarray(phi[..., :npk1]))
+    # one read-only view per class, which all its members hold, and one per face of its rule
+    vals = np.ascontiguousarray(phi[..., :npk1])
+    read_only(dproj, l2, vals, pts2_all, pts3, w_all)
+    dproj, l2, vals = list(dproj), list(l2), list(vals)
     return [FaceProjections(f=f, k=k, ndof=ndof, h=hf, dproj=dproj[j], l2=l2[j], pts2=pts2_all[i],
                             pts3=pts3[i], w=w_all[i], vals=vals[j])
             for i, (f, hf, j) in enumerate(zip(ids.tolist(), h_ids.tolist(), cls.tolist()))]
@@ -369,15 +372,14 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
         cols = slice(c * pk, (c + 1) * pk)
         D[:, lay.vertex[:, c], cols] = phi[0][..., :pk]
         D[:, lay.edge[:, :, c].ravel(), cols] = phi[1][..., :pk]
-        if mapv.n_d4:
-            D[:, lay.d4, cols] = dec.T[cols, losl].T @ Hk / vol[:, None, None]
-        if mapv.n_d5:   # div of m e_c, coefficients over deg k+1
-            D[:, lay.d5, cols] = (Hq_k1 @ (Dm[c][:, :pk] / h[:, None, None]))[:, 1:] / vol[:, None, None]
+        D[:, lay.d4, cols] = dec.T[cols, losl].T @ Hk / vol[:, None, None]
+        # the divergence of m e_c has the coefficients Dm[c] over deg k+1
+        D[:, lay.d5, cols] = (Hq_k1 @ (Dm[c][:, :pk] / h[:, None, None]))[:, 1:] / vol[:, None, None]
 
     # --- per local face slot: the face moment rows of D, and the moments of
     # the projected traces against the cell basis for the gradient terms -------
     sn = signs[..., None] * fs.normal[fids]                  # signed normals
-    srcidx = [unit.index_of(s) for s in dec.grad_sources]
+    srcidx = unit.index_of(dec.grad_sources)
     grad_rows = np.zeros((n, dec.n_grad, ndof))
     vterms = np.zeros((n, 3, 3, pq, ndof))                    # [i, j]: (grad v)_ij against P_{k-1}
     for slot, (fps, phif) in enumerate(zip(slots, phi[2:])):
@@ -402,11 +404,9 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     adapted = np.zeros((n, 3 * pk, ndof))
     adapted[:, gsl] = grad_rows - h[:, None, None] * (
         _mass_from_integrals(ints, deg, 3, dec.grad_sources, a_q) @ div)
-    if dec.n_cross_low:
-        adapted[:, losl, lay.d4] = vol[:, None, None] * np.eye(dec.n_cross_low)
-    if dec.n_cross_high:
-        Chi = dec.T[:, hisl].reshape(3, pk, -1).transpose(0, 2, 1)      # [c]: (n_hi, pk)
-        adapted[:, hisl] = (Chi @ Hk[:, None] @ pi_d.reshape(n, 3, pk, ndof)).sum(axis=1)
+    adapted[:, losl, lay.d4] = vol[:, None, None] * np.eye(dec.n_cross_low)
+    Chi = dec.T[:, hisl].reshape(3, pk, -1).transpose(0, 2, 1)          # [c]: (n_hi, pk)
+    adapted[:, hisl] = (Chi @ Hk[:, None] @ pi_d.reshape(n, 3, pk, ndof)).sum(axis=1)
     moments = dec.Tinv_T @ adapted
 
     # --- L2 projections onto [P_k]^3 and of the gradient onto [P_{k-1}]^{3x3} ---
@@ -427,8 +427,7 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     # the cells view these stacks, one view per class, and operator keys hold them
     stacks = dict(mono_int=ints, Hq=Hq, Hk=Hk, div=div, D=D, pi_d=pi_d, pi_d_dof=D @ pi_d, pi_0k=pi_0k,
                   pi_0grad=pi_0grad, consistency=consistency, sigma=sigma)
-    for a in (*stacks.values(), *rule_vals):
-        a.flags.writeable = False
+    read_only(*stacks.values(), *rule_vals)
     views = {name: list(a) for name, a in stacks.items()} | {"rule_vals": rule_vals}
     return [CellProjections(c=c, k=k, ndof=ndof, h=hc, vol=vc, rule=rule,
                             **{name: v[j] for name, v in views.items()})

@@ -43,17 +43,10 @@ def reference_tet_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
     x1, w1 = _jacobi_01(n, 2)
     x2, w2 = _jacobi_01(n, 1)
     x3, w3 = _gauss_01(n)
-    pts = []
-    wts = []
-    for a, wa in zip(x1, w1):
-        for b, wb in zip(x2, w2):
-            for c, wc in zip(x3, w3):
-                u = a
-                v = b * (1 - a)
-                w = c * (1 - a) * (1 - b)
-                pts.append((u, v, w))
-                wts.append(wa * wb * wc)
-    return np.array(pts), np.array(wts)
+    a, b, c = np.meshgrid(x1, x2, x3, indexing="ij")
+    wa, wb, wc = np.meshgrid(w1, w2, w3, indexing="ij")
+    return (np.stack([a, b * (1 - a), c * (1 - a) * (1 - b)], axis=-1).reshape(-1, 3),
+            (wa * wb * wc).ravel())
 
 
 @lru_cache(maxsize=None)
@@ -62,13 +55,9 @@ def reference_triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
     n = max(1, (exactness + 2) // 2)
     x1, w1 = _jacobi_01(n, 1)
     x2, w2 = _gauss_01(n)
-    pts = []
-    wts = []
-    for a, wa in zip(x1, w1):
-        for b, wb in zip(x2, w2):
-            pts.append((a, b * (1 - a)))
-            wts.append(wa * wb)
-    return np.array(pts), np.array(wts)
+    a, b = np.meshgrid(x1, x2, indexing="ij")
+    wa, wb = np.meshgrid(w1, w2, indexing="ij")
+    return np.stack([a, b * (1 - a)], axis=-1).reshape(-1, 2), (wa * wb).ravel()
 
 
 def face_quadrature(mesh, faces, exactness: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,6 +23,10 @@ with its DoF cap and singular-value gap, is the oracle of the rank that
 cell-by-cell loops of the mesh topology and its checks, the tet-by-tet
 tetra-list dedupe, the point-by-point tetra generator and the cell-by-cell
 quality report are the oracles of the flat construction in `meshing`.
+The multi-index tables built by loops over the multi-indices through a dict
+of positions, and the reference rules built point by point, are the
+oracles of the array expressions in `polynomials`, `projection`, `forms`
+and `quadrature`.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from vemflow.meshing import CellGeom, FaceGeom, MeshError, PolyMesh, QualityRepo
 from vemflow.polynomials import (
     MonomialBasis2,
     MonomialBasis3,
-    _index_lookup,
     cross_coefficients,
     cross_dimension,
     decomp_basis,
@@ -243,6 +246,169 @@ def mass_from_integrals_loop(ints: np.ndarray, lookup: dict, rows, cols) -> np.n
         for j, b in enumerate(cols):
             H[i, j] = ints[lookup[tuple(x + y for x, y in zip(a, b))]]
     return H
+
+
+# ---------------------------------------------------------------------------
+# Multi-index tables by loops over the multi-indices through a dict of
+# positions: the references for the array expressions of `polynomials`,
+# `projection._mass_index`, `forms._triple_index` and the reference rules
+# of `quadrature`, which must match them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _fixed_degree(total: int, d: int) -> list[tuple[int, ...]]:
+    if d == 1:
+        return [(total,)]
+    out = []
+    for first in range(total, -1, -1):
+        for rest in _fixed_degree(total - first, d - 1):
+            out.append((first,) + rest)
+    return out
+
+
+def multi_indices_loop(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Graded-lexicographic multi-indices by recursion on the first exponent."""
+    out: list[tuple[int, ...]] = []
+    for total in range(n + 1):
+        out.extend(_fixed_degree(total, d))
+    return tuple(out)
+
+
+def _index_lookup(n: int, d: int) -> dict:
+    return {a: i for i, a in enumerate(multi_indices_loop(n, d))}
+
+
+def derivative_matrices_loop(n: int, d: int) -> tuple[np.ndarray, ...]:
+    alphas = multi_indices_loop(n, d)
+    lookup = _index_lookup(n, d)
+    nm = len(alphas)
+    mats = []
+    for j in range(d):
+        D = np.zeros((nm, nm))
+        for src, a in enumerate(alphas):
+            if a[j] == 0:
+                continue
+            tgt = list(a)
+            tgt[j] -= 1
+            D[lookup[tuple(tgt)], src] = a[j]
+        mats.append(D)
+    return tuple(mats)
+
+
+def cross_field_descriptors_loop(n: int) -> list[tuple[int, tuple[int, int, int]]]:
+    if n <= 0:
+        return []
+    out = []
+    for a in multi_indices_loop(n - 1, 3):
+        out.append((0, a))
+        out.append((1, a))
+        if a[2] == 0:
+            out.append((2, a))
+    return out
+
+
+def cross_coefficients_loop(n: int, target_degree: int) -> np.ndarray:
+    descr = cross_field_descriptors_loop(n)
+    lookup = _index_lookup(target_degree, 3)
+    ns = dim_poly(target_degree, 3)
+    C = np.zeros((3 * ns, len(descr)))
+
+    def put(col, comp, alpha, val):
+        C[comp * ns + lookup[tuple(alpha)], col] = val
+
+    for col, (i, a) in enumerate(descr):
+        a = np.array(a)
+        if i == 0:     # xhat /\ (m e_x) = (0, m*zhat, -m*yhat)
+            put(col, 1, a + (0, 0, 1), 1.0)
+            put(col, 2, a + (0, 1, 0), -1.0)
+        elif i == 1:   # xhat /\ (m e_y) = (-m*zhat, 0, m*xhat)
+            put(col, 0, a + (0, 0, 1), -1.0)
+            put(col, 2, a + (1, 0, 0), 1.0)
+        else:          # xhat /\ (m e_z) = (m*yhat, -m*xhat, 0)
+            put(col, 0, a + (0, 1, 0), 1.0)
+            put(col, 1, a + (1, 0, 0), -1.0)
+    return C
+
+
+def gradient_coefficients_loop(k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    lookup = _index_lookup(k, 3)
+    ns = dim_poly(k, 3)
+    cols = []
+    sources = []
+    for s in multi_indices_loop(k + 1, 3):
+        if sum(s) == 0:
+            continue
+        col = np.zeros(3 * ns)
+        for j in range(3):
+            if s[j] == 0:
+                continue
+            tgt = list(s)
+            tgt[j] -= 1
+            col[j * ns + lookup[tuple(tgt)]] = s[j]
+        cols.append(col)
+        sources.append(s)
+    return np.array(cols).T, sources
+
+
+def decomp_basis_loop(k: int) -> SimpleNamespace:
+    """T from the gradient columns and the cross columns picked by degree,
+    with Tinv_T, the block sizes and the gradient sources."""
+    G, sources = gradient_coefficients_loop(k)
+    all_cross = cross_field_descriptors_loop(k)
+    low = [(i, a) for (i, a) in all_cross if sum(a) <= k - 3]
+    high = [(i, a) for (i, a) in all_cross if k - 2 <= sum(a) <= k - 1]
+    Call = cross_coefficients_loop(k, k)
+    ncols = {d: c for c, d in enumerate(all_cross)}
+    Clow = Call[:, [ncols[d] for d in low]] if low else np.zeros((Call.shape[0], 0))
+    Chigh = Call[:, [ncols[d] for d in high]]
+    T = np.hstack([G, Clow, Chigh])
+    return SimpleNamespace(T=T, Tinv_T=np.linalg.inv(T.T), n_grad=G.shape[1], n_cross_low=Clow.shape[1],
+                           n_cross_high=Chigh.shape[1], grad_sources=tuple(sources))
+
+
+def mass_index_loop(degree: int, dim: int, rows, cols) -> np.ndarray:
+    lookup = _index_lookup(degree, dim)
+    return np.array([[lookup[tuple(x + y for x, y in zip(a, b))] for b in cols] for a in rows])
+
+
+def triple_index_loop(k: int) -> np.ndarray:
+    lookup = _index_lookup(3 * k - 1, 3)
+    a_k = multi_indices_loop(k, 3)
+    a_q = multi_indices_loop(k - 1, 3)
+    table = np.empty((len(a_k), len(a_q), len(a_k)), dtype=int)
+    for i, a in enumerate(a_k):
+        for j, b in enumerate(a_q):
+            for l, c in enumerate(a_k):
+                table[i, j, l] = lookup[tuple(x + y + z for x, y, z in zip(a, b, c))]
+    return table
+
+
+def reference_tet_rule_loop(exactness: int) -> tuple[np.ndarray, np.ndarray]:
+    n = max(1, (exactness + 2) // 2)
+    x1, w1 = quad._jacobi_01(n, 2)
+    x2, w2 = quad._jacobi_01(n, 1)
+    x3, w3 = quad._gauss_01(n)
+    pts = []
+    wts = []
+    for a, wa in zip(x1, w1):
+        for b, wb in zip(x2, w2):
+            for c, wc in zip(x3, w3):
+                pts.append((a, b * (1 - a), c * (1 - a) * (1 - b)))
+                wts.append(wa * wb * wc)
+    return np.array(pts), np.array(wts)
+
+
+def reference_triangle_rule_loop(exactness: int) -> tuple[np.ndarray, np.ndarray]:
+    n = max(1, (exactness + 2) // 2)
+    x1, w1 = quad._jacobi_01(n, 1)
+    x2, w2 = quad._gauss_01(n)
+    pts = []
+    wts = []
+    for a, wa in zip(x1, w1):
+        for b, wb in zip(x2, w2):
+            pts.append((a, b * (1 - a)))
+            wts.append(wa * wb)
+    return np.array(pts), np.array(wts)
 
 
 def _lagrange_values(nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -727,7 +893,7 @@ def solve_navier_stokes_full(mesh, maps, spec, projs, faceprojs, opts=None,
     increments = []
     residuals = []
     for it in range(NEWTON_MAX_ITER):
-        C, Cg = assemble_convection(mesh, mapv, projs, u)
+        C, Cg = assemble_convection(mapv, projs, u)
         K, free = saddle_matrix_full(system, system.A + C + Cg)
         Rm = system.A @ u + C @ u + system.B.T @ p - system.F
         Rc = system.B @ u

@@ -45,7 +45,7 @@ def _check_global(mesh, k, u_seed):
     mapv = maps[0]
     projs, _ = build_projections(mesh, mapv)
     u = np.random.default_rng(u_seed).standard_normal(mapv.ndof)
-    C, Cg = assemble_convection(mesh, mapv, projs, u)
+    C, Cg = assemble_convection(mapv, projs, u)
     C_ref, Cg_ref = convection_oracle_scatter(mesh, mapv, projs, u)
     assert _rel(C.toarray(), C_ref) < RTOL
     assert _rel(Cg.toarray(), Cg_ref) < RTOL
@@ -101,6 +101,6 @@ def test_blocked_convection_equals_one_contraction_per_group(k):
     assert [len(g.cells) for g in mapv.groups] == [48] and 48 > CONVECTION_BLOCK
     u = np.random.default_rng(k).standard_normal(mapv.ndof)
     whole = [local_convection([projs[c] for c in g.cells], u[g.dofs]) for g in mapv.groups]
-    for got, i in zip(assemble_convection(mesh, mapv, projs, u), (0, 1)):
+    for got, i in zip(assemble_convection(mapv, projs, u), (0, 1)):
         want = forms._cell_matrix(mapv, [w[i] for w in whole])
         assert np.array_equal(got.data, want.data)

@@ -206,6 +206,17 @@ def test_newton_stops_on_nonfinite_increment(cube1, disc, monkeypatch):
     assert np.array_equal(sol.u, start.u) and np.array_equal(sol.p, start.p)
 
 
+def test_newton_step_checks_the_linear_residual(cube2, disc, monkeypatch):
+    """A Newton step whose linear solve leaves a relative residual over
+    LINEAR_RTOL raises SolverError, which names the step."""
+    maps, projs, fps = disc(cube2, 2)
+    solve = flow._NewtonSolve.solve
+    monkeypatch.setattr(flow._NewtonSolve, "solve", lambda self, rhs: 1.001 * solve(self, rhs))
+    with pytest.raises(SolverError, match="Newton step 0") as err:
+        solve_navier_stokes(cube2, maps, _spec_for(make_case("ex2-ns"), 2), projs, fps)
+    assert "relative residual" in str(err.value.__cause__)
+
+
 def _nan_load_spec(convective):
     zero3 = lambda p: np.zeros((len(np.atleast_2d(p)), 3))
     nan3 = lambda p: np.full((len(np.atleast_2d(p)), 3), np.nan)
@@ -317,7 +328,7 @@ def test_saddle_systems_match_oracles(neumann, cube2, disc, monkeypatch):
     K, rhs = restrict_to_reduced(system, K, rhs)
     assert np.array_equal(K_s.toarray(), K.toarray()) and np.array_equal(rhs_s, rhs)
     stokes = solve_stokes(system)
-    C, Cg = assemble_convection(cube2, maps[0], projs, stokes.u)
+    C, Cg = assemble_convection(maps[0], projs, stokes.u)
     K, rhs = newton_step_oracle(system, C, Cg, stokes.u, stokes.p, stokes.lam)
     K, rhs = restrict_to_reduced(system, K, rhs)
     assert np.array_equal(K_n.toarray(), K.toarray()) and np.array_equal(rhs_n, rhs)

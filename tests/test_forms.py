@@ -342,8 +342,8 @@ def test_assemble_convection_jacobian_fd(name, k, request, disc):
     mapv = maps[0]
     rng = np.random.default_rng(47)
     u = rng.standard_normal(mapv.ndof)
-    C, Cg = assemble_convection(mesh, mapv, projs, u)
-    N = lambda w: assemble_convection(mesh, mapv, projs, w)[0] @ w
+    C, Cg = assemble_convection(mapv, projs, u)
+    N = lambda w: assemble_convection(mapv, projs, w)[0] @ w
     J = (C + Cg).toarray()
     # N is quadratic in u, so the central difference is exact for any step;
     # a unit step keeps the 1/eps amplification of round-off out of the check

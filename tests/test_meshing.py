@@ -24,6 +24,8 @@ from vemflow.meshing import (
     mesh_size,
     quality_check,
 )
+from vemflow.dofspace import build_dof_maps
+from vemflow.projection import build_projections
 
 
 def test_unit_cube_counts(cube1):
@@ -431,3 +433,43 @@ def test_face_given_twice_rejected(reverse, cube2):
     with pytest.raises(MeshError, match=rf"^faces {f} and {len(faces) - 1} have the same vertex set$"):
         PolyMesh(v, faces, cells)
 
+
+
+def _arrays(obj, seen):
+    """Every ndarray reachable from obj through attributes, dataclass
+    fields, lists, tuples and dicts, each object visited once."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _arrays(x, seen)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            yield from _arrays(x, seen)
+    elif hasattr(obj, "__dict__") and not callable(obj):
+        yield from _arrays(vars(obj), seen)
+
+
+@pytest.mark.parametrize("mesh,k", [(generate_tetra_mesh(1), 2), (generate_structured_cubes(2), 3)],
+                         ids=["tets1-k2", "cubes2-k3"])
+def test_mesh_dof_map_and_face_projections_are_read_only(mesh, k):
+    """No array that a mesh, its DoF map or its face projections hold takes
+    a write, so none can fall out of step with what was built from it."""
+    maps = build_dof_maps(mesh, k)
+    _, faceprojs = build_projections(mesh, maps[0])
+    arrays = list(_arrays((mesh, maps, faceprojs), set()))
+    assert len(arrays) > 100
+    assert [a.shape for a in arrays if a.flags.writeable] == []
+    for a in (mesh.vertices, mesh.face_stack.normal, maps[0].groups[0].slots, faceprojs[0].l2):
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+
+
+def test_mesh_copies_the_callers_vertices():
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    mesh = PolyMesh(verts, [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]], [[1, 2, 3, 4]])
+    verts[0, 0] = 0.5
+    assert verts.flags.writeable and mesh.vertices[0, 0] == 0.0

@@ -33,8 +33,8 @@ def _solve(disc, nu=1.0, direct=False, monkeypatch=None, **opts):
     maps = build_dof_maps(mesh, k)
     if direct:
         step = flow._newton_step
-        monkeypatch.setattr(flow, "_newton_step", lambda system, mesh, mapv, projs, stokes, *args:
-                            step(system, mesh, mapv, projs, None, *args))
+        monkeypatch.setattr(flow, "_newton_step", lambda system, mapv, projs, stokes, *args:
+                            step(system, mapv, projs, None, *args))
     sol = solve_navier_stokes(mesh, maps, case_spec(make_case("ex2-ns", k=k, nu=nu), k), projs, fps,
                               NSOptions(**opts))
     if direct:

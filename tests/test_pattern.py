@@ -124,7 +124,7 @@ def test_cell_matrices_match_scatter(name, k):
     u = np.random.default_rng(k).standard_normal(mapv.ndof)
     batches = [local_convection([projs[c] for c in cells], u[d]) for cells, d in zip(groups, dofs)]
     C, Cg = scatter_oracle((mapv.ndof,) * 2, dofs, dofs, [b[0] for b in batches], [b[1] for b in batches])
-    got_C, got_Cg = assemble_convection(mesh, mapv, projs, u)
+    got_C, got_Cg = assemble_convection(mapv, projs, u)
     for got, want in ((system.A, A), (got_C, C), (got_Cg, Cg)):
         assert _max_rel(got, want) <= 1e-15
     closed = divergence_matrix_loop(mesh, mapv)
@@ -194,7 +194,7 @@ def test_cell_matrices_share_the_pattern():
     maps = build_dof_maps(mesh, 2)
     projs, fps = build_projections(mesh, maps[0])
     system = assemble(mesh, maps, _spec(2), projs, fps)
-    C, Cg = assemble_convection(mesh, maps[0], projs, np.ones(maps[0].ndof))
+    C, Cg = assemble_convection(maps[0], projs, np.ones(maps[0].ndof))
     for M in (system.A, C, Cg):
         assert np.shares_memory(M.indices, maps[0].indices)
         assert np.shares_memory(M.indptr, maps[0].indptr)
@@ -213,7 +213,7 @@ def test_assembly_builds_no_coo(monkeypatch):
     for neumann in (False, True):
         assemble(mesh, maps, _spec(2, neumann), projs, fps)
     for seed in range(3):
-        assemble_convection(mesh, maps[0], projs, np.random.default_rng(seed).standard_normal(maps[0].ndof))
+        assemble_convection(maps[0], projs, np.random.default_rng(seed).standard_normal(maps[0].ndof))
     assert made == []
     sp.csr_matrix((np.ones(1), ([0], [0])), shape=(1, 1))     # the count sees a matrix built from COO
     assert made == [sp.coo_matrix]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    _index_lookup,
     cell_h1_projection,
     cell_moments,
     face_basis,
@@ -14,7 +15,7 @@ from helpers import (
 )
 from vemflow import quadrature as quad
 from vemflow.dofspace import build_dof_maps, cell_basis, interpolate_velocity
-from vemflow.polynomials import _index_lookup, decomp_basis, dim_poly, multi_indices
+from vemflow.polynomials import decomp_basis, dim_poly, multi_indices
 from vemflow.projection import (
     _mass_from_integrals,
     build_face_projections,
