@@ -90,7 +90,7 @@ class FlowSolution:
     converged: bool = True
     diagnostic: str = ""
     saddle_rows: int = 0         # rows of the last saddle matrix solved
-    lu_fill: int = 0             # L.nnz + U.nnz of its LU factor
+    lu_fill: int = 0             # entries SuperLU stores for its LU factor (`SuperLU.nnz`)
     factored: bool = True        # False when no factorisation ran (the map's kept factor served)
     linear_solves: list = field(default_factory=list)   # per Newton step: (path, Krylov iterations)
 
@@ -110,7 +110,11 @@ class _EquilibratedLU:
     Saddle systems mix strain-scaled velocity rows with volume-scaled
     constraint rows; rescaling keeps the factorization accurate on the
     constraint block (the diagonal is zero there, so plain Jacobi would not
-    apply).  The scaling and the permutation work on K's CSC arrays."""
+    apply).  The scaling and the permutation work on K's CSC arrays.
+
+    `fill` is the count of entries SuperLU stores for L and U.  Reading the
+    factor's `L` or `U` would have scipy copy both into CSC matrices that
+    live as long as the factor, so nothing reads them."""
 
     def __init__(self, K: sp.csc_matrix, order: np.ndarray):
         rowmax = np.zeros(K.shape[0])
@@ -123,7 +127,7 @@ class _EquilibratedLU:
         Ks.sort_indices()
         self.K, self.order = K, order
         self.lu = spla.splu(Ks, permc_spec="NATURAL")
-        self.fill = self.lu.L.nnz + self.lu.U.nnz
+        self.fill = self.lu.nnz
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = np.empty_like(rhs)

@@ -62,12 +62,14 @@ def _positions(alphas, n: int) -> np.ndarray:
 def _derivative_matrices(n: int, d: int) -> tuple[np.ndarray, ...]:
     """Unscaled derivative matrices D_j with (D_j c) the coefficients of
     d/dxhat_j of the polynomial with coefficients c (same degree-n basis):
-    one scatter of a_j at (position of a - e_j, position of a) per variable."""
+    one scatter of a_j at (position of a - e_j, position of a) per variable.
+    Read-only, since every basis of degree n shares them."""
     alphas = np.array(multi_indices(n, d), dtype=int).reshape(-1, d)
     mats = tuple(np.zeros((len(alphas), len(alphas))) for _ in range(d))
     for j, D in enumerate(mats):
         src = np.flatnonzero(alphas[:, j])
         D[_positions(alphas[src] - np.eye(d, dtype=int)[j], n), src] = alphas[src, j]
+        D.flags.writeable = False
     return mats
 
 
@@ -202,13 +204,16 @@ class DecompBasis:
 
 @lru_cache(maxsize=None)
 def decomp_basis(k: int) -> DecompBasis:
-    """The decomposition basis of [P_k]^3: the cross descriptors come in the
-    graded order of their multi-indices, so those of degree <= k-3 lead."""
+    """The decomposition basis of [P_k]^3, with read-only T and Tinv_T: the
+    cross descriptors come in the graded order of their multi-indices, so
+    those of degree <= k-3 lead."""
     G, sources = gradient_coefficients(k)
     C = cross_coefficients(k, k)
     T = np.hstack([G, C])
     if T.shape[0] != T.shape[1]:
         raise ValueError(f"decomposition basis of [P_{k}]^3 is not square: {T.shape}")
     n_low = cross_dimension(k - 2)
+    Tinv_T = np.linalg.inv(T.T)
+    T.flags.writeable = Tinv_T.flags.writeable = False
     return DecompBasis(T=T, n_grad=G.shape[1], n_cross_low=n_low, n_cross_high=C.shape[1] - n_low,
-                       grad_sources=sources, Tinv_T=np.linalg.inv(T.T))
+                       grad_sources=sources, Tinv_T=Tinv_T)

@@ -67,10 +67,16 @@ from .polynomials import (
 TRANSLATE_RTOL = 1e-12
 
 
+def cell_integral_degree(k: int) -> int:
+    # the highest degree of the monomial integrals that are read: 2k for the
+    # mass pairings, 3k-1 for the projected trilinear convective integrand
+    return max(2 * k, 3 * k - 1)
+
+
 def cell_rule_exactness(k: int) -> int:
-    # 2k+2 covers every mass/consistency pairing; the projected trilinear
-    # convective integrand has degree 3k-1
-    return max(2 * k + 2, 3 * k - 1)
+    # the monomial integrals, and 2k+2 for the load and error integrands,
+    # which are not polynomials
+    return max(2 * k + 2, cell_integral_degree(k))
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +289,7 @@ class CellProjections:
     h: float
     vol: float
     rule: quad.QuadRule
-    mono_int: np.ndarray         # integrals of monomials up to degree max(2k+2, 3k-1)
+    mono_int: np.ndarray         # integrals of monomials up to degree max(2k, 3k-1)
     Hq: np.ndarray               # mass matrix of the degree k-1 basis
     Hk: np.ndarray               # mass matrix of the degree k basis
     div: np.ndarray              # (pi_{k-1,3}, ndof) coefficients of div v
@@ -315,8 +321,7 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     signs = np.array([mesh.cells[c][1] for c in cells])
     cv = np.array([mesh.cell_vertices[c] for c in cells])
     ce = np.array([mesh.cell_edges[c] for c in cells])
-    deg = cell_rule_exactness(k)
-    rules = [quad.cell_quadrature(mesh, c, deg) for c in cells.tolist()]
+    rules = [quad.cell_quadrature(mesh, c, cell_rule_exactness(k)) for c in cells.tolist()]
 
     def about_barycentre(i):
         """The class key's points: the vertices, the edge points (so edge
@@ -334,9 +339,11 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     dec = decomp_basis(k)
     gsl, losl, hisl = dec.slices
 
-    # the monomial integrals go to the rule's degree: the convective form
-    # contracts them as triple products of degree 3k-1; the leading pi_k
-    # columns of the same evaluation are kept for the load and the errors
+    # the monomial integrals go to the highest degree read, below the rule's
+    # exactness at k = 2: the convective form contracts them as triple
+    # products of degree 3k-1; the leading pi_k columns of the same
+    # evaluation are kept for the load and the errors
+    deg = cell_integral_degree(k)
     unit = MonomialBasis3(deg, np.zeros(3), 1.0)       # on points scaled by h_P
     ints, rule_vals = [], []
     for i, xc, hc in zip(rep.tolist(), xb, h.tolist()):

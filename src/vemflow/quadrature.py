@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .meshing import MeshError, raise_first
+from .meshing import MeshError, raise_first, read_only
 
 
 @dataclass
@@ -38,26 +38,31 @@ def _jacobi_01(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def reference_tet_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rule on the unit tetrahedron x,y,z >= 0, x+y+z <= 1 (volume 1/6)."""
+    """Rule on the unit tetrahedron x,y,z >= 0, x+y+z <= 1 (volume 1/6),
+    read-only, since every caller shares it."""
     n = max(1, (exactness + 2) // 2)
     x1, w1 = _jacobi_01(n, 2)
     x2, w2 = _jacobi_01(n, 1)
     x3, w3 = _gauss_01(n)
     a, b, c = np.meshgrid(x1, x2, x3, indexing="ij")
     wa, wb, wc = np.meshgrid(w1, w2, w3, indexing="ij")
-    return (np.stack([a, b * (1 - a), c * (1 - a) * (1 - b)], axis=-1).reshape(-1, 3),
+    rule = (np.stack([a, b * (1 - a), c * (1 - a) * (1 - b)], axis=-1).reshape(-1, 3),
             (wa * wb * wc).ravel())
+    read_only(*rule)
+    return rule
 
 
 @lru_cache(maxsize=None)
 def reference_triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rule on the unit triangle x,y >= 0, x+y <= 1 (area 1/2)."""
+    """Rule on the unit triangle x,y >= 0, x+y <= 1 (area 1/2), read-only."""
     n = max(1, (exactness + 2) // 2)
     x1, w1 = _jacobi_01(n, 1)
     x2, w2 = _gauss_01(n)
     a, b = np.meshgrid(x1, x2, indexing="ij")
     wa, wb = np.meshgrid(w1, w2, indexing="ij")
-    return np.stack([a, b * (1 - a)], axis=-1).reshape(-1, 2), (wa * wb).ravel()
+    rule = np.stack([a, b * (1 - a)], axis=-1).reshape(-1, 2), (wa * wb).ravel()
+    read_only(*rule)
+    return rule
 
 
 def face_quadrature(mesh, faces, exactness: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

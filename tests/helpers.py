@@ -68,6 +68,7 @@ from vemflow.projection import (
     CellProjections,
     FaceProjections,
     _mass_from_integrals,
+    cell_integral_degree,
     cell_rule_exactness,
     face_extraction,
 )
@@ -549,10 +550,11 @@ def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjections:
     fids, signs = mesh.cells[ci]
     dec = decomp_basis(k)
 
-    # the monomial integrals go to the rule's degree: the convective form
-    # contracts them as triple products of degree 3k-1
-    deg = cell_rule_exactness(k)
-    rule = quad.cell_quadrature(mesh, ci, deg)
+    # the monomial integrals go to the highest degree read, on the rule of
+    # the cell's exactness: the convective form contracts them as triple
+    # products of degree 3k-1
+    deg = cell_integral_degree(k)
+    rule = quad.cell_quadrature(mesh, ci, cell_rule_exactness(k))
     phi_rule = MonomialBasis3(deg, geom.barycenter, h).eval(rule.points)
     ints = phi_rule.T @ rule.weights
     a_k = multi_indices(k, 3)
@@ -1452,7 +1454,8 @@ def scatter_oracle(shape: tuple[int, int], rows: list[np.ndarray], cols: list[np
 
 def equilibrated_solve_oracle(K, rhs: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, int]:
     """The equilibrated, permuted solve through scipy's products and format
-    conversions: the reference for `flow._EquilibratedLU`."""
+    conversions, and the entries SuperLU stores for its factor: the
+    reference for `flow._EquilibratedLU`."""
     absK = abs(K)
     rowmax = np.asarray(absK.max(axis=1).todense()).ravel()
     rowmax[rowmax == 0] = 1.0
@@ -1462,7 +1465,7 @@ def equilibrated_solve_oracle(K, rhs: np.ndarray, order: np.ndarray) -> tuple[np
     lu = spla.splu(Ks, permc_spec="NATURAL")
     x = np.empty_like(rhs)
     x[order] = lu.solve((d * rhs)[order])
-    return d * x, lu.L.nnz + lu.U.nnz
+    return d * x, lu.nnz
 
 
 def classify_neumann_loop(mesh, spec) -> list[int]:

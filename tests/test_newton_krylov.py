@@ -1,6 +1,7 @@
 """Newton steps solved by GMRES preconditioned with the Stokes factor: the
 Krylov path against the direct one (every Jacobian factored), the fallback
-to the direct path, and one factorisation per solve on a fresh map."""
+to the direct path, one factorisation per solve on a fresh map, and no
+solve that reads a factor's L or U."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from vemflow.cases import make_case
 from vemflow.dofspace import build_dof_maps
 from vemflow.flow import KRYLOV_CAP, NSOptions, solve_navier_stokes
 from vemflow.forms import assemble
-from vemflow.meshing import generate_tetra_mesh
+from vemflow.meshing import generate_structured_cubes, generate_tetra_mesh
 from vemflow.projection import build_projections
 
 # seeded draws of (mesh seed, jitter) for the differential test
@@ -47,12 +48,34 @@ def _paths(sol):
     return [path for path, _ in sol.linear_solves]
 
 
+class _FactorProxy:
+    """A SuperLU factor that forwards `solve`, `nnz` and `shape` and records
+    every attribute read, the forwarded ones included."""
+
+    FORWARD = ("solve", "nnz", "shape")
+
+    def __init__(self, lu, reads):
+        self._lu, self._reads = lu, reads
+
+    def __getattr__(self, name):
+        self._reads.append(name)
+        if name not in self.FORWARD:
+            raise AttributeError(name)
+        return getattr(self._lu, name)
+
+
 @pytest.fixture
-def splu_calls(monkeypatch):
-    calls = []
+def factor_reads(monkeypatch):
+    """(shapes factored, attributes read from the factors) of every `splu`."""
+    made, reads = [], []
     splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda A, **kw: calls.append(A.shape) or splu(A, **kw))
-    return calls
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: made.append(A.shape) or _FactorProxy(splu(A, **kw), reads))
+    return made, reads
+
+
+@pytest.fixture
+def splu_calls(factor_reads):
+    return factor_reads[0]
 
 
 @pytest.mark.parametrize("nu", [0.3, 0.02])
@@ -113,3 +136,19 @@ def test_one_factorisation_per_solve(splu_calls):
     sol = _solve(_disc(2, 2, seed=1), tol=1e-10)
     assert _paths(sol) == ["gmres"] * sol.newton_iterations
     assert sol.factored and len(splu_calls) == 1
+
+
+def test_no_solve_reads_l_or_u(factor_reads):
+    """Reading a factor's L or U makes scipy copy both into CSC matrices kept
+    for the factor's life: the Stokes solve on 2^3 cubes and a Newton solve
+    that falls back to factoring read neither."""
+    made, reads = factor_reads
+    mesh = generate_structured_cubes(2)
+    maps = build_dof_maps(mesh, 2)
+    projs, fps = build_projections(mesh, maps[0])
+    sol = flow.solve_stokes(assemble(mesh, maps, case_spec(make_case("ex1-stokes"), 2), projs, fps))
+    assert sol.factored and len(made) == 1 and sol.lu_fill > 0
+    ns = _solve(_disc(2, 2, seed=0), nu=0.02, tol=1e-10)
+    assert _paths(ns) == ["fallback"] + ["direct"] * 5 and len(made) == 1 + 1 + 6
+    assert "solve" in reads and "nnz" in reads
+    assert reads.count("L") == reads.count("U") == 0

@@ -20,7 +20,7 @@ from vemflow.projection import (
     _mass_from_integrals,
     build_face_projections,
     build_projections,
-    cell_rule_exactness,
+    cell_integral_degree,
     face_extraction,
 )
 
@@ -247,7 +247,7 @@ def _mass_sets(k: int, dim: int):
         n_mom = dim_poly(k - 2, 2)
         return 2 * (k + 1), [(a_k[:n_mom], a_k), (a_k1[n_mom:], a_k), (a_k1, a_k1)]
     a_k, a_q, a_k1 = multi_indices(k, 3), multi_indices(k - 1, 3), multi_indices(k + 1, 3)
-    return cell_rule_exactness(k), [(a_k, a_k), (a_q, a_k1), (decomp_basis(k).grad_sources, a_q)]
+    return cell_integral_degree(k), [(a_k, a_k), (a_q, a_k1), (decomp_basis(k).grad_sources, a_q)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

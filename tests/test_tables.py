@@ -2,12 +2,18 @@
 `polynomials` and must equal, bit for bit, in shape, values and dtype kind,
 the table that a loop over the multi-indices through a dict of positions
 builds (the loop builders in helpers.py).  Equal tables keep every
-projection, operator and LU fill unchanged."""
+projection, operator and LU fill unchanged.  Every cached table is
+read-only, since all its callers share it."""
+
+import dataclasses
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
 import helpers
+import vemflow
 from vemflow import forms, projection
 from vemflow import quadrature as quad
 from vemflow.dofspace import build_dof_maps
@@ -88,7 +94,7 @@ def test_every_mass_index_the_kernels_form(k, monkeypatch):
     monkeypatch.setattr(projection, "_mass_index", record)
     for mesh in (generate_tetra_mesh(1), generate_structured_cubes(1)):
         projection.build_projections(mesh, build_dof_maps(mesh, k)[0])
-    assert {(degree, dim) for degree, dim, _, _ in seen} == {(2 * k + 2, 2), (projection.cell_rule_exactness(k), 3)}
+    assert {(degree, dim) for degree, dim, _, _ in seen} == {(2 * k + 2, 2), (projection.cell_integral_degree(k), 3)}
     for args in seen:
         got = mass_index(*args)
         _same(got, helpers.mass_index_loop(*args))
@@ -101,3 +107,50 @@ def test_reference_rules(rule, loop):
     for exactness in range(16):
         for got, ref in zip(rule(exactness), loop(exactness), strict=True):
             _same(got, ref)
+
+
+# every lru_cache'd builder in src/, with arguments to call it on
+_CACHED_BUILDERS = {
+    "cases.make_case": ("ex1-stokes",),
+    "dofspace.edge_point_params": (3,),
+    "forms._triple_index": (2,),
+    "polynomials._derivative_matrices": (3, 3),
+    "polynomials._index_array": (3, 3),
+    "polynomials.decomp_basis": (3,),
+    "polynomials.multi_indices": (3, 3),
+    "projection._mass_index": (4, 3, multi_indices(2, 3), multi_indices(2, 3)),
+    "quadrature.reference_tet_rule": (5,),
+    "quadrature.reference_triangle_rule": (5,),
+}
+# the builders whose results hold no array
+_NO_ARRAYS = {"cases.make_case", "dofspace.edge_point_params", "polynomials.multi_indices"}
+
+
+def _arrays(obj):
+    """The arrays in a builder's result: in it, its tuples and lists, and the
+    fields of its dataclasses."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in _arrays(item)]
+    if dataclasses.is_dataclass(obj):
+        return [a for f in dataclasses.fields(obj) for a in _arrays(getattr(obj, f.name))]
+    return []
+
+
+def test_cached_tables_are_read_only():
+    """One caller's write into a cached table would change it for every
+    later caller: each array an lru_cache'd builder returns refuses writes."""
+    found = {}
+    for info in pkgutil.iter_modules(vemflow.__path__):
+        module = importlib.import_module(f"vemflow.{info.name}")
+        found |= {f"{info.name}.{name}": obj for name, obj in vars(module).items()
+                  if hasattr(obj, "cache_info") and obj.__module__ == module.__name__}
+    assert set(found) == set(_CACHED_BUILDERS)
+    for name, args in _CACHED_BUILDERS.items():
+        arrays = _arrays(found[name](*args))
+        assert bool(arrays) != (name in _NO_ARRAYS), name
+        for a in arrays:
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a[...] = a
