@@ -111,6 +111,11 @@ class _EquilibratedLU:
     constraint rows; rescaling keeps the factorization accurate on the
     constraint block (the diagonal is zero there, so plain Jacobi would not
     apply).  The scaling and the permutation work on K's CSC arrays.
+    SuperLU keeps a diagonal pivot unless it is under 1% of its column's
+    largest entry (scipy's default threshold is 1, partial pivoting): the
+    order is symmetric, so taking the diagonal keeps the fill near that
+    order's.  A threshold of 0, static pivoting, gives a wrong factor of
+    the saddle matrix on 6^3 cubes.
 
     `fill` is the count of entries SuperLU stores for L and U.  Reading the
     factor's `L` or `U` would have scipy copy both into CSC matrices that
@@ -126,7 +131,7 @@ class _EquilibratedLU:
                             np.argsort(order)[Kc.indices], Kc.indptr), shape=K.shape)
         Ks.sort_indices()
         self.K, self.order = K, order
-        self.lu = spla.splu(Ks, permc_spec="NATURAL")
+        self.lu = spla.splu(Ks, permc_spec="NATURAL", diag_pivot_thresh=0.01)
         self.fill = self.lu.nnz
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

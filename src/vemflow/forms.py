@@ -286,7 +286,9 @@ def _operators(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     and the empty slot of their Stokes factor."""
     mapv, mapq = maps
     pq = mapq.n_per_cell
-    A1 = _cell_matrix(mapv, [np.stack([local_a(projs[c], 1.0, spec.stabilization) for c in g.cells])
+    # each local matrix is written into its group's stack as it is made
+    A1 = _cell_matrix(mapv, [np.fromiter((local_a(projs[c], 1.0, spec.stabilization) for c in g.cells),
+                                         np.dtype((float, g.slots.shape[1:])), len(g.cells))
                              for g in mapv.groups])
     B = divergence_matrix(mesh, mapv)
     e = np.concatenate([proj.mono_int[:pq] for proj in projs])

@@ -21,8 +21,9 @@ values, DoF matrices and solves are stacked arrays over the group, which each
 entity's record views.  The QR and the mass solves go through numpy.linalg,
 which loops over the stack in C; the face L2 solve, on an ill-conditioned
 degree k+1 mass matrix, goes through scipy.linalg.solve, whose LU rounds as
-the per-face oracle's does.  Only a cell's rule and monomial integrals are made cell by cell; its
-degree-k basis values at the rule (`rule_vals`) serve the load and errors.
+the per-face oracle's does.  Only a class representative's rule and monomial
+integrals are made cell by cell; its degree-k basis values at the rule
+(`rule_vals`) serve the load and errors.
 
 Within a group, translates share their projections.  A class of translates
 holds the entities whose geometry relative to their centre agrees once
@@ -34,11 +35,14 @@ algebra runs once per class, on its lowest-id member, and every member's
 record views that member's arrays: for cells `mono_int`, `Hk`, `Hq`, `div`,
 `D`, `pi_d`, `pi_d_dof`, `pi_0k`, `pi_0grad`, `consistency`, `sigma` and
 `rule_vals`, for faces `vals`, `dproj` and `l2`, all of them made from the
-rule in the entity's scaled frame.  What stays the entity's own is its rule
-(a cell still calls `quadrature.cell_quadrature`, a face group its one
-`face_quadrature`), its id, h, volume and points.  The classes live for one
-kernel call; on a mesh without translates a first pass on cheap invariants
-leaves every entity alone before the full key is formed.
+rule in the entity's scaled frame.  A cell's rule is its class's too:
+`quadrature.cell_quadrature` runs on the representative only, and a member
+holds that rule moved by the shift of its barycentre, sharing the read-only
+weights and forming its points when read (a face group still makes its one
+`face_quadrature`).  What stays the entity's own is its id, h, volume and
+points.  The classes live for one kernel call; on a mesh without translates
+a first pass on cheap invariants leaves every entity alone before the full
+key is formed.
 """
 
 from __future__ import annotations
@@ -288,7 +292,7 @@ class CellProjections:
     ndof: int
     h: float
     vol: float
-    rule: quad.QuadRule
+    rule: quad.QuadRule | quad.TranslatedRule   # on a member, its class's rule moved to it
     mono_int: np.ndarray         # integrals of monomials up to degree max(2k, 3k-1)
     Hq: np.ndarray               # mass matrix of the degree k-1 basis
     Hk: np.ndarray               # mass matrix of the degree k basis
@@ -308,8 +312,9 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     """The projections of a group of cells with one face layout (see
     `PolyMesh.cell_groups`), built as stacked arrays over the group's
     classes of translates (see `_translate_classes`).  Each cell has its
-    own rule and geometry; the arrays made from the rule in the
-    cell's scaled frame view those of its class's first cell, whose
+    own geometry; its rule is its class's first cell's, moved by the
+    shift of its barycentre, and the arrays made from the rule in the
+    cell's scaled frame view those of the first cell, whose rule and
     monomial integrals are the only ones made cell by cell."""
     cells = np.asarray(cells, dtype=int)
     k = mapv.k
@@ -321,7 +326,6 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     signs = np.array([mesh.cells[c][1] for c in cells])
     cv = np.array([mesh.cell_vertices[c] for c in cells])
     ce = np.array([mesh.cell_edges[c] for c in cells])
-    rules = [quad.cell_quadrature(mesh, c, cell_rule_exactness(k)) for c in cells.tolist()]
 
     def about_barycentre(i):
         """The class key's points: the vertices, the edge points (so edge
@@ -331,9 +335,12 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
                 - xb[i, None]).reshape(len(i), -1)
 
     rep, cls = _translate_classes(h, vol / h ** 3, about_barycentre, signs)
-    ids, h_ids, vol_ids = cells, h, vol
+    ids, h_ids, vol_ids, xb_ids = cells, h, vol, xb
     cells, h, vol, xb, fids, signs, cv, ce = (a[rep] for a in (cells, h, vol, xb, fids, signs, cv, ce))
     n = len(cells)
+    # one rule per class, on its representative, read-only since its members share it
+    rules = [quad.cell_quadrature(mesh, c, cell_rule_exactness(k)) for c in cells.tolist()]
+    read_only(*(a for rule in rules for a in (rule.points, rule.weights)))
     pk, pq = dim_poly(k, 3), dim_poly(k - 1, 3)
     a_k, a_q = multi_indices(k, 3), multi_indices(k - 1, 3)
     dec = decomp_basis(k)
@@ -346,9 +353,9 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     deg = cell_integral_degree(k)
     unit = MonomialBasis3(deg, np.zeros(3), 1.0)       # on points scaled by h_P
     ints, rule_vals = [], []
-    for i, xc, hc in zip(rep.tolist(), xb, h.tolist()):
-        phi = unit.eval((rules[i].points - xc) / hc)
-        ints.append(phi.T @ rules[i].weights)
+    for rule, xc, hc in zip(rules, xb, h.tolist()):
+        phi = unit.eval((rule.points - xc) / hc)
+        ints.append(phi.T @ rule.weights)
         rule_vals.append(phi[:, :pk].copy())
     ints = np.array(ints)
     Hk = _mass_from_integrals(ints, deg, 3, a_k, a_k)
@@ -436,9 +443,11 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
                   pi_0grad=pi_0grad, consistency=consistency, sigma=sigma)
     read_only(*stacks.values(), *rule_vals)
     views = {name: list(a) for name, a in stacks.items()} | {"rule_vals": rule_vals}
-    return [CellProjections(c=c, k=k, ndof=ndof, h=hc, vol=vc, rule=rule,
+    # a member's rule is its class's moved by the shift of its barycentre
+    return [CellProjections(c=c, k=k, ndof=ndof, h=hc, vol=vc,
+                            rule=rules[j] if i == rep[j] else quad.TranslatedRule(rules[j], xb_ids[i] - xb[j]),
                             **{name: v[j] for name, v in views.items()})
-            for c, hc, vc, rule, j in zip(ids.tolist(), h_ids.tolist(), vol_ids.tolist(), rules, cls.tolist())]
+            for i, (c, hc, vc, j) in enumerate(zip(ids.tolist(), h_ids.tolist(), vol_ids.tolist(), cls.tolist()))]
 
 
 def _by_group(groups: list[np.ndarray], kernel) -> dict:

@@ -25,6 +25,22 @@ class QuadRule:
     weights: np.ndarray  # (n,)
 
 
+@dataclass(frozen=True)
+class TranslatedRule:
+    """`rule` moved by `shift` (dim,): its weights are the rule's own array,
+    its points are formed on each read."""
+    rule: QuadRule
+    shift: np.ndarray
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.rule.points + self.shift
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.rule.weights
+
+
 def _gauss_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = roots_legendre(n)
     return (x + 1.0) / 2.0, w / 2.0

@@ -1462,7 +1462,7 @@ def equilibrated_solve_oracle(K, rhs: np.ndarray, order: np.ndarray) -> tuple[np
     d = 1.0 / np.sqrt(rowmax)
     Dm = sp.diags(d)
     Ks = (Dm @ K @ Dm).tocsr()[order][:, order].tocsc()
-    lu = spla.splu(Ks, permc_spec="NATURAL")
+    lu = spla.splu(Ks, permc_spec="NATURAL", diag_pivot_thresh=0.01)
     x = np.empty_like(rhs)
     x[order] = lu.solve((d * rhs)[order])
     return d * x, lu.nnz

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import cell_projection_loop, cube_and_pyramids, face_projections_loop
-from test_batched import CELL_FIELDS, _count_calls, _rel
+from test_batched import CELL_FIELDS, _count_calls, _rel, assert_class_rule
 from vemflow import polynomials
 from vemflow import quadrature as quad
 from vemflow.dofspace import build_dof_maps, cell_basis
@@ -163,14 +163,38 @@ def test_cubes6_builds_four_cells_and_three_faces(monkeypatch):
     assert len(evals) <= 16
 
 
+def test_cubes6_makes_one_rule_per_class(monkeypatch):
+    mesh = generate_structured_cubes(6)
+    mapv = build_dof_maps(mesh, 2)[0]
+    calls = _count_calls(monkeypatch, quad, "cell_quadrature")
+    build_projections(mesh, mapv)
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_member_rules_and_rule_values_are_their_own(k):
-    """Every member keeps the rule quadrature makes for it, and the shared
-    rule values are its own basis at that rule to round-off."""
+    """Every member's rule is its class representative's moved by the shift
+    of its barycentre, which agrees with the rule quadrature makes for the
+    member to round-off (see `assert_class_rule`), and the shared rule
+    values are the member's own basis at its rule to round-off."""
     mesh = generate_structured_cubes(3)
     projs, _ = build_projections(mesh, build_dof_maps(mesh, k)[0])
+    reps = {}
     for c, pr in enumerate(projs):
-        rule = quad.cell_quadrature(mesh, c, cell_rule_exactness(k))
-        assert np.array_equal(pr.rule.points, rule.points) and np.array_equal(pr.rule.weights, rule.weights)
+        assert_class_rule(mesh, projs, c, reps.setdefault(id(pr.pi_d), c),
+                          quad.cell_quadrature(mesh, c, cell_rule_exactness(k)))
         basis = cell_basis(mesh, c, k + 1)
         assert _rel(pr.rule_vals, basis.eval(pr.rule.points)[:, :pr.Hk.shape[0]]) <= 1e-14
+    assert len(reps) == 4
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_jittered_cells_keep_their_own_rules(k):
+    """Without translates every cell is its class's representative: its rule
+    is the one quadrature makes for it, bit for bit, and held, not formed
+    on each read."""
+    mesh = generate_tetra_mesh(2, seed=3)
+    projs, _ = build_projections(mesh, build_dof_maps(mesh, k)[0])
+    for c, pr in enumerate(projs):
+        assert_class_rule(mesh, projs, c, c, quad.cell_quadrature(mesh, c, cell_rule_exactness(k)))
+        assert np.shares_memory(pr.rule.points, pr.rule.points)
