@@ -103,6 +103,8 @@ def cmd_solve(args):
               + ", ".join(f"{path} {its}" for path, its in sol.linear_solves))
     else:
         sol = solve_stokes(system)
+        (path, its), = sol.linear_solves
+        print(f"Stokes linear solve (path, GMRES iterations): {path} {its}")
     e1 = bench.error_h1_velocity(sol.u, case, mesh, mapv, projs)
     e2 = bench.error_l2_pressure(sol.p, case, mesh, mapq, projs)
     dv = derham.check_divfree(sol.u, mesh, mapv, projs)

@@ -42,6 +42,10 @@ from .polynomials import (
 
 SUPPORTED_DEGREES = (2, 3, 4)
 
+# barycentre coordinates closer than this times the extent of their part
+# are one layer to the nested dissection: round-off, not geometry
+LAYER_TOL = 1e-9
+
 
 @lru_cache(maxsize=None)
 def edge_point_params(k: int) -> tuple[float, ...]:
@@ -253,25 +257,37 @@ def nested_dissection(centres: np.ndarray, cells: np.ndarray, unknowns: np.ndarr
     """Geometric nested-dissection positions (George, SIAM J. Numer. Anal.
     1973) of n unknowns, where unknown unknowns[i] lies on cell cells[i].
 
-    The cells are bisected recursively at the median of their barycentres
-    along the longest axis of their bounding box, down to single cells.  An
-    unknown goes with the smallest part that holds all its cells, which
-    comes after both its halves.  Returns one sort key per unknown: sorting
-    by it orders the parts in post-order.  Every unknown needs a cell."""
+    The cells are bisected recursively along the longest axis of their
+    bounding box, down to single cells, at the gap between two distinct
+    barycentre coordinates nearest the median (the first of two equally
+    near), so that a layer of cells with one coordinate, as in a block of
+    cubes, stays in one part.  A gap counts only in the middle half of the
+    part, else the cut is at the median: no part has more than 3/4 of its
+    parent's cells, and the tree's depth stays within log_{4/3} of the
+    cell count.  An unknown goes with the smallest part that holds
+    all its cells, which comes after both its halves.  Returns one sort key
+    per unknown: sorting by it orders the parts in post-order.  Every
+    unknown needs a cell."""
     nc = len(centres)
-    depth = max(1, int(np.ceil(np.log2(nc))))
-    code = np.empty(nc, dtype=np.int64)    # a cell's path in the bisection tree, left-aligned
+    path = np.empty(nc, dtype=np.int64)    # a cell's path in the bisection tree
     level = np.empty(nc, dtype=np.int64)   # its length
     stack = [(np.arange(nc), 0, 0)]
     while stack:
-        part, path, d = stack.pop()
+        part, p, d = stack.pop()
         if len(part) == 1:
-            code[part], level[part] = path << (depth - d), d
+            path[part], level[part] = p, d
             continue
         x = centres[part]
-        part = part[np.argsort(x[:, np.argmax(np.ptp(x, axis=0))], kind="stable")]
-        half = len(part) // 2
-        stack += [(part[:half], 2 * path, d + 1), (part[half:], 2 * path + 1, d + 1)]
+        extent = np.ptp(x, axis=0)
+        x = x[:, np.argmax(extent)]
+        order = np.argsort(x, kind="stable")
+        part = part[order]
+        gaps = np.nonzero(np.diff(x[order]) > LAYER_TOL * extent.max())[0] + 1
+        off = np.abs(2 * gaps - len(part))
+        half = gaps[np.argmin(off)] if len(gaps) and off.min() <= len(part) / 2 else len(part) // 2
+        stack += [(part[:half], 2 * p, d + 1), (part[half:], 2 * p + 1, d + 1)]
+    depth = max(1, int(level.max()))
+    code = path << (depth - level)         # the path, left-aligned
     # the smallest part holding all cells of an unknown: the common prefix of
     # the smallest and the largest path, or the cell itself when it is one
     lo = np.full(n, np.int64(1) << depth)

@@ -8,8 +8,15 @@ constant pressure per cell.  The solution of the full system lies in the
 range of E, so the velocity is E u_r; the full pressure comes back cell by
 cell from the divergence-moment rows of the momentum equation and the
 reduced cell mean.  The reduced matrix is equilibrated and factored by
-sparse LU in a geometric nested-dissection order of its unknowns, computed
-once per assembled system.  The velocity block stays CSC, as assembled, and
+sparse LU in float32, in a geometric nested-dissection order of its
+unknowns computed once per assembled system.  Every reduced solve is
+right-preconditioned flexible GMRES in float64 (`_fgmres`: one cycle of at
+most KRYLOV_CAP iterations to a relative residual of KRYLOV_RTOL) with a
+float32 factor's solve as its preconditioner, which recovers float64
+accuracy in a few iterations; GMRES proper stalls there, since a float32
+solve is not linear at float64 rounding.  When FGMRES preconditioned by a
+float32 factor of the matrix itself misses, the matrix is factored in
+float64 (dsgesv's rule).  The velocity block stays CSC, as assembled, and
 the equilibration and the permutation work on the saddle matrix's CSC arrays.
 
 The Stokes solve works in the unknowns (u, p/nu, lam).  With the viscous
@@ -30,14 +37,14 @@ boundary values, u, p) is kept.
 Navier-Stokes factors at most once per solve: Newton starts from the
 Stokes solution, and the factor of K1 that the Stokes solve reads from that
 slot serves the whole solve.  Each Newton step builds its reduced Jacobian
-saddle matrix E_f^T [nu A1 + C + Cg  B^T; B 0] E_f and solves it by GMRES
+saddle matrix E_f^T [nu A1 + C + Cg  B^T; B 0] E_f and solves it by FGMRES
 preconditioned with K1's factor: K_nu = E_f^T [nu A1 B^T; B 0] E_f solves
 as K1 in (u, p/nu, lam), and in the diffusion-dominated regime it is close
 to the Jacobian (Elman, Silvester & Wathen, Finite Elements and Fast Iterative
 Solvers, ch. 8).  A step that misses KRYLOV_RTOL within KRYLOV_CAP
-iterations factors its Jacobian instead, and so does every later step of
-that solve.  A solve that has not converged after NEWTON_MAX_ITER steps
-returns its last iterate, marked unconverged."""
+iterations factors its Jacobian instead, in float32 as K1, and so does
+every later step of that solve.  A solve that has not converged after
+NEWTON_MAX_ITER steps returns its last iterate, marked unconverged."""
 
 from __future__ import annotations
 
@@ -47,6 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .dofspace import DofMapQ, DofMapV
 from .forms import GlobalSystem, ProblemSpec, assemble, assemble_convection
@@ -61,9 +69,11 @@ from .projection import CellProjections
 # step (far from the basin) is also reported unconverged.
 DIVERGENCE_GROWTH = 1e2
 
-# A Newton step's GMRES runs one cycle of at most KRYLOV_CAP iterations and
-# must bring the residual of the reduced Jacobian system under KRYLOV_RTOL
-# times its right-hand side; otherwise the step factors the Jacobian.
+# Every FGMRES solve runs one cycle of at most KRYLOV_CAP iterations and
+# must bring the residual of its reduced system under KRYLOV_RTOL times its
+# right-hand side; otherwise a Newton step preconditioned by K1's factor
+# factors its Jacobian, and a solve by a float32 factor of the matrix itself
+# factors it in float64.
 KRYLOV_CAP = 20
 KRYLOV_RTOL = 1e-13
 
@@ -90,9 +100,10 @@ class FlowSolution:
     converged: bool = True
     diagnostic: str = ""
     saddle_rows: int = 0         # rows of the last saddle matrix solved
-    lu_fill: int = 0             # entries SuperLU stores for its LU factor (`SuperLU.nnz`)
+    lu_fill: int = 0             # entries SuperLU stores for its LU factor, either precision (`SuperLU.nnz`)
     factored: bool = True        # False when no factorisation ran (the map's kept factor served)
-    linear_solves: list = field(default_factory=list)   # per Newton step: (path, Krylov iterations)
+    # (path, FGMRES iterations) of the Stokes solve, or of each Newton step
+    linear_solves: list = field(default_factory=list)
 
     @property
     def newton_iterations(self) -> int:
@@ -104,8 +115,9 @@ class SolverError(RuntimeError):
 
 
 class _EquilibratedLU:
-    """The LU factor of a saddle matrix K after one pass of symmetric
-    inf-norm equilibration, taken in the given symmetric order.
+    """A solver of a saddle matrix K: its LU factor, in float32, after one
+    pass of symmetric inf-norm equilibration and in the given symmetric
+    order, preconditioning flexible GMRES on K in float64.
 
     Saddle systems mix strain-scaled velocity rows with volume-scaled
     constraint rows; rescaling keeps the factorization accurate on the
@@ -117,7 +129,15 @@ class _EquilibratedLU:
     order's.  A threshold of 0, static pivoting, gives a wrong factor of
     the saddle matrix on 6^3 cubes.
 
-    `fill` is the count of entries SuperLU stores for L and U.  Reading the
+    `precondition` is the factor's own solve, accurate to float32; `solve`
+    is K^-1 to KRYLOV_RTOL by `_fgmres` preconditioned with it
+    (mixed-precision refinement: Carson & Higham, SIAM J. Sci. Comput.
+    40(2), 2018).  When that misses with the float32 factor, K is factored
+    again in float64 (LAPACK dsgesv's rule), for this and every later
+    solve.  `iterations` is the FGMRES iterations of the last `solve`.
+
+    `fill` is the count of entries SuperLU stores for L and U; with the
+    same pivots it is the same in float32 and float64.  Reading the
     factor's `L` or `U` would have scipy copy both into CSC matrices that
     live as long as the factor, so nothing reads them."""
 
@@ -125,19 +145,75 @@ class _EquilibratedLU:
         rowmax = np.zeros(K.shape[0])
         np.maximum.at(rowmax, K.indices, np.abs(K.data))
         self.d = 1.0 / np.sqrt(np.where(rowmax == 0, 1.0, rowmax))
+        self.K, self.order, self.iterations = K, order, 0
+        self._factor(np.float32)
+
+    def _factor(self, dtype) -> None:
         # d_i K_ij d_j on the columns taken in `order`, their rows renumbered
+        K, order, d = self.K, self.order, self.d
         Kc = K[:, order]
-        Ks = sp.csc_matrix((self.d[Kc.indices] * Kc.data * np.repeat(self.d[order], np.diff(Kc.indptr)),
+        Ks = sp.csc_matrix(((d[Kc.indices] * Kc.data * np.repeat(d[order], np.diff(Kc.indptr))).astype(dtype),
                             np.argsort(order)[Kc.indices], Kc.indptr), shape=K.shape)
         Ks.sort_indices()
-        self.K, self.order = K, order
+        self.dtype = np.dtype(dtype)
         self.lu = spla.splu(Ks, permc_spec="NATURAL", diag_pivot_thresh=0.01)
         self.fill = self.lu.nnz
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def precondition(self, rhs: np.ndarray) -> np.ndarray:
         x = np.empty_like(rhs)
-        x[self.order] = self.lu.solve((self.d * rhs)[self.order])
+        x[self.order] = self.lu.solve((self.d * rhs)[self.order].astype(self.dtype, copy=False))
         return self.d * x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, self.iterations, converged = _fgmres(self.K, self.precondition, rhs)
+        if not converged and self.dtype == np.float32:
+            self._factor(np.float64)
+            x, more, _ = _fgmres(self.K, self.precondition, rhs)
+            self.iterations += more
+        return x
+
+
+def _fgmres(K: sp.spmatrix, M, b: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Right-preconditioned flexible GMRES (Saad, SIAM J. Sci. Comput. 14(2),
+    1993) for K x = b from x = 0: one cycle of at most KRYLOV_CAP
+    iterations, stopping once the residual is at most KRYLOV_RTOL ||b||.
+    Returns (x, the iterations, whether it stopped by the tolerance).
+
+    FGMRES keeps every preconditioned vector z_j = M(v_j) and builds x from
+    them, so M need not be linear: a float32 factor's solve is not linear
+    at float64 rounding, which stalls plain GMRES.  The Arnoldi basis is
+    orthogonalised in float64 by classical Gram-Schmidt, twice, and the
+    least-squares problem is updated by Givens rotations, whose last sine
+    product is the residual of x."""
+    n, cap = len(b), KRYLOV_CAP
+    beta = float(np.linalg.norm(b))
+    if not beta > 0.0:      # b = 0, or not finite: 0 * b, which no iteration improves
+        return 0.0 * b, 0, True
+    V, Z = np.empty((cap + 1, n)), np.empty((cap, n))
+    R, cs, sn = np.zeros((cap + 1, cap)), np.zeros(cap), np.zeros(cap)
+    g = np.zeros(cap + 1)
+    V[0], g[0] = b / beta, beta
+    for j in range(cap):
+        Z[j] = M(V[j])
+        w = K @ Z[j]
+        h = np.zeros(j + 2)
+        for _ in range(2):
+            c = V[: j + 1] @ w
+            w -= c @ V[: j + 1]
+            h[: j + 1] += c
+        h[j + 1] = np.linalg.norm(w)
+        for i in range(j):
+            h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], -sn[i] * h[i] + cs[i] * h[i + 1]
+        r = np.hypot(h[j], h[j + 1])
+        cs[j], sn[j] = h[j] / r, h[j + 1] / r
+        R[: j + 1, j] = h[: j + 1]
+        R[j, j] = r
+        g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+        done = abs(g[j + 1]) <= KRYLOV_RTOL * beta or h[j + 1] == 0.0
+        if done or j + 1 == cap:
+            y = solve_triangular(R[: j + 1, : j + 1], g[: j + 1], check_finite=False)
+            return y @ Z[: j + 1], j + 1, bool(done)
+        V[j + 1] = w / h[j + 1]
 
 
 def _saddle_matrix(system: GlobalSystem, J: sp.spmatrix) -> tuple[sp.csc_matrix, sp.csr_matrix]:
@@ -163,13 +239,14 @@ class _NewtonSolve:
     Jacobian saddle matrix K with nf free velocities and nc cell pressures.
 
     With the factor `stokes` of K1 = E_f^T [A1 B^T; B 0] E_f, `solve` runs
-    GMRES (one cycle, at most KRYLOV_CAP iterations, relative tolerance
-    KRYLOV_RTOL) preconditioned by K_nu^-1, which is K1^-1 in the unknowns
-    (u, p/nu, lam): the momentum and zero-mean rows are divided by nu and
-    the pressures scaled back by nu.  Without it, or when GMRES misses,
-    K is factored in `order`.  `path` tells which ran ("gmres", "fallback"
-    or "direct"), `iterations` how many GMRES iterations, and `fill` the
-    fill of the factor that served."""
+    `_fgmres` preconditioned by K_nu^-1, which is K1's factor in the
+    unknowns (u, p/nu, lam): the momentum and zero-mean rows are divided by
+    nu and the pressures scaled back by nu.  Without it, or when FGMRES
+    misses, K is factored in `order` and solved as `_EquilibratedLU` does.
+    `path` tells which ran ("gmres", "fallback" or "direct"; "float64" when
+    K's float32 factor missed and K was factored in float64), `iterations`
+    how many FGMRES iterations in all, and `fill` the fill of the factor
+    that served."""
 
     def __init__(self, K: sp.csc_matrix, order: np.ndarray, stokes: _EquilibratedLU | None,
                  nu: float, nf: int, nc: int):
@@ -180,23 +257,22 @@ class _NewtonSolve:
             rows[nf: nf + nc] = 1.0
             cols = np.ones(K.shape[0])
             cols[nf: nf + nc] = nu
-            self.M = lambda r: cols * stokes.solve(rows * r)
+            self.M = lambda r: cols * stokes.precondition(rows * r)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.stokes is not None:
-            # right preconditioning: GMRES on K M y = rhs, whose residual is that of x = M y
-            KM = spla.LinearOperator(self.K.shape, lambda y: self.K @ self.M(y.ravel()))
-            residuals = []
-            y, info = spla.gmres(KM, rhs, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_CAP, maxiter=1,
-                                 callback=residuals.append, callback_type="pr_norm")
-            self.iterations = len(residuals)
-            if info == 0:
+            x, self.iterations, converged = _fgmres(self.K, self.M, rhs)
+            if converged:
                 self.path, self.fill = "gmres", self.stokes.fill
-                return self.M(y)
+                return x
             self.path = "fallback"
         lu = _EquilibratedLU(self.K, self.order)
+        x = lu.solve(rhs)
+        self.iterations += lu.iterations
         self.fill = lu.fill
-        return lu.solve(rhs)
+        if lu.dtype == np.float64:
+            self.path = "float64"
+        return x
 
 
 def _solve_step(system: GlobalSystem, Ef: sp.csr_matrix, lu: _EquilibratedLU, J: sp.spmatrix,
@@ -243,9 +319,12 @@ def _stokes_factor(system: GlobalSystem) -> tuple[tuple[sp.csr_matrix, _Equilibr
 
 
 def solve_stokes(system: GlobalSystem) -> FlowSolution:
-    """Direct sparse solve of the assembled Stokes system on the reduced pair,
-    in the unknowns (u, p/nu, lam) of the nu-free matrix, with the factor
-    kept with the DoF map's operators when an earlier solve built it."""
+    """Solve of the assembled Stokes system on the reduced pair, in the
+    unknowns (u, p/nu, lam) of the nu-free matrix, by FGMRES preconditioned
+    with its factor, kept with the DoF map's operators when an earlier
+    solve built it.  `linear_solves` holds the one solve's path, "direct"
+    for the float32 factor or "float64" once K1 had to be factored in
+    float64, and its FGMRES iterations."""
     nu = system.nu
     u0 = system.E @ system.dirichlet_values[system.keep]
     try:
@@ -264,8 +343,9 @@ def solve_stokes(system: GlobalSystem) -> FlowSolution:
     # entry of the load (on one cell every reduced velocity is Dirichlet)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(p))):
         raise SolverError("direct solve failed: non-finite velocity or pressure")
-    return FlowSolution(u=u, p=p, lam=lam, linear_residual=res,
-                        saddle_rows=lu.K.shape[0], lu_fill=lu.fill, factored=factored)
+    return FlowSolution(u=u, p=p, lam=lam, linear_residual=res, saddle_rows=lu.K.shape[0],
+                        lu_fill=lu.fill, factored=factored,
+                        linear_solves=[("direct" if lu.dtype == np.float32 else "float64", lu.iterations)])
 
 
 def _newton_step(system: GlobalSystem, mapv: DofMapV, projs: list[CellProjections],
@@ -273,7 +353,7 @@ def _newton_step(system: GlobalSystem, mapv: DofMapV, projs: list[CellProjection
                  lam: float) -> tuple[np.ndarray, np.ndarray, float, float, _NewtonSolve]:
     """The Newton increment (du, dp, dlam) at (u, p, lam) for the Jacobian
     nu A1 + C(u) + Cg(u), the norm of its reduced right-hand side, and the
-    `_NewtonSolve` that solved it: by GMRES preconditioned with the factor
+    `_NewtonSolve` that solved it: by FGMRES preconditioned with the factor
     `stokes` of K1, or by a factor built here and dropped on return.  A1, C
     and Cg lie on the DoF map's one pattern, so the Jacobian is the sum of
     their data.  A relative residual of the reduced solve over LINEAR_RTOL

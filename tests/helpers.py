@@ -1453,18 +1453,19 @@ def scatter_oracle(shape: tuple[int, int], rows: list[np.ndarray], cols: list[np
 
 
 def equilibrated_solve_oracle(K, rhs: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, int]:
-    """The equilibrated, permuted solve through scipy's products and format
-    conversions, and the entries SuperLU stores for its factor: the
-    reference for `flow._EquilibratedLU`."""
+    """The equilibrated, permuted solve by the float32 factor, through
+    scipy's products and format conversions, and the entries SuperLU stores
+    for that factor: the reference for `flow._EquilibratedLU.precondition`
+    and `fill`."""
     absK = abs(K)
     rowmax = np.asarray(absK.max(axis=1).todense()).ravel()
     rowmax[rowmax == 0] = 1.0
     d = 1.0 / np.sqrt(rowmax)
     Dm = sp.diags(d)
-    Ks = (Dm @ K @ Dm).tocsr()[order][:, order].tocsc()
+    Ks = (Dm @ K @ Dm).tocsr()[order][:, order].tocsc().astype(np.float32)
     lu = spla.splu(Ks, permc_spec="NATURAL", diag_pivot_thresh=0.01)
     x = np.empty_like(rhs)
-    x[order] = lu.solve((d * rhs)[order])
+    x[order] = lu.solve((d * rhs)[order].astype(np.float32))
     return d * x, lu.nnz
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from vemflow.cli import main
+from vemflow.flow import KRYLOV_CAP
 
 
 def test_mesh_gen_and_check(tmp_path, capsys):
@@ -136,6 +137,17 @@ def test_solve_reports_newton_linear_solves(capsys):
     head, steps = lines[i + 1].split(": ")
     assert head == "Newton linear solves (path, GMRES iterations)"
     assert [s.split()[0] for s in steps.split(", ")] == ["gmres"] * 3
+
+
+def test_solve_reports_the_stokes_linear_solve(capsys):
+    """A Stokes run prints its one linear solve: the float32 factor of K1
+    preconditioning FGMRES ("direct"), and its iterations."""
+    assert main(["solve", "--cubes", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    head, solve = next(line for line in lines if line.startswith("Stokes linear solve")).split(": ")
+    assert head == "Stokes linear solve (path, GMRES iterations)"
+    path, its = solve.split()
+    assert path == "direct" and 0 < int(its) <= KRYLOV_CAP
 
 
 def test_solve_reports_projections_built(capsys):

@@ -13,8 +13,10 @@ from vemflow.dofspace import (
     edge_point_params,
     interpolate_boundary,
     interpolate_velocity,
+    nested_dissection,
 )
-from vemflow.meshing import generate_structured_cubes
+from vemflow import dofspace
+from vemflow.meshing import generate_structured_cubes, generate_tetra_mesh
 from vemflow.polynomials import dim_poly
 
 
@@ -212,3 +214,39 @@ def test_dof_summary_json(cube1):
     assert json.loads(js)["velocity"]["total"] == 81
     fam = s["velocity"]["per_family"]
     assert sum(fam.values()) == 81
+
+
+def _cell_order(mesh):
+    """The cells in nested-dissection order, one unknown per cell."""
+    cells = np.arange(mesh.n_cells)
+    return np.argsort(nested_dissection(mesh.cell_stack.barycenter, cells, cells, mesh.n_cells),
+                      kind="stable")
+
+
+def test_nested_dissection_keeps_layers_whole(monkeypatch):
+    """On 3^3 cubes, whose barycentres of one layer differ by round-off
+    (1e-17), the first cut falls between two layers across the longest
+    axis, the first of the two gaps nearest the median, 9 cells before it
+    and 18 after: a cut at the median cell would split the middle layer,
+    13 against 14, and so it does when round-off counts as a gap."""
+    mesh = generate_structured_cubes(3)
+    centres = mesh.cell_stack.barycenter
+    x = centres[:, np.argmax(np.ptp(centres, axis=0))]
+    assert np.ptp(x[np.abs(x - x.min()) < 1e-9]) > 0      # one layer, not one value
+    layer = np.round(x * 3 - 0.5).astype(int)
+    assert np.array_equal(layer[_cell_order(mesh)[:9]], [0] * 9)
+    monkeypatch.setattr(dofspace, "LAYER_TOL", 0.0)
+    assert set(layer[_cell_order(mesh)[:13]]) == {0, 1}
+
+
+def test_nested_dissection_on_distinct_coordinates_cuts_at_the_median():
+    """Where no two barycentres share a coordinate the gap nearest the
+    median is the median: a jittered tetra mesh's order is the median
+    split's, cut by cut."""
+    mesh = generate_tetra_mesh(2, seed=5)
+    centres = mesh.cell_stack.barycenter
+    order = _cell_order(mesh)
+    # the median split's first cut: the lower half along the longest axis
+    axis = np.argmax(np.ptp(centres, axis=0))
+    lower = np.argsort(centres[:, axis], kind="stable")[: mesh.n_cells // 2]
+    assert set(order[: mesh.n_cells // 2]) == set(lower)

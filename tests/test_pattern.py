@@ -168,8 +168,10 @@ def _stokes_system(mesh, k):
                          ids=["cube2", "tets2-k3", "cubes4"])
 def test_equilibrated_solve_matches_oracle(mesh, k, monkeypatch):
     """The scaling and the permutation on K's CSC arrays hand SuperLU the
-    matrix of scipy's products and conversions, bit for bit, and the
-    reduced matrix is the same from a CSC and a CSR velocity block."""
+    matrix of scipy's products and conversions, in float32, bit for bit,
+    and the reduced matrix is the same from a CSC and a CSR velocity block.
+    The factor's own solve is the oracle's bit for bit; the FGMRES solve it
+    preconditions is a float64 direct solve's to 1e-12."""
     system = _stokes_system(mesh(), k)
     K, _ = flow._saddle_matrix(system, system.A)
     K_csr, _ = flow._saddle_matrix(system, system.A.tocsr())
@@ -180,12 +182,15 @@ def test_equilibrated_solve_matches_oracle(mesh, k, monkeypatch):
     monkeypatch.setattr(spla, "splu", lambda A, **kw: factored.append(A) or splu(A, **kw))
     rhs = np.random.default_rng(k).standard_normal(K.shape[0])
     lu = flow._EquilibratedLU(K, system.order)
-    x, fill = lu.solve(rhs), lu.fill
+    x32, x, fill = lu.precondition(rhs), lu.solve(rhs), lu.fill
     x_ref, fill_ref = equilibrated_solve_oracle(K, rhs, system.order)
     got, want = factored
+    assert got.dtype == want.dtype == np.float32
     for field in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
-    assert np.array_equal(x, x_ref) and fill == fill_ref
+    assert np.array_equal(x32, x_ref) and fill == fill_ref
+    x64 = spla.spsolve(K, rhs)
+    assert np.max(np.abs(x - x64)) <= 1e-12 * np.max(np.abs(x64))
 
 
 def test_cell_matrices_share_the_pattern():
@@ -231,11 +236,13 @@ def test_lu_fill_on_cubes4():
     above is of the entries of scipy's CSC copies of L and U, which the test
     builds from the kept factor.  A diagonal pivot threshold of 0.01, which
     keeps a diagonal pivot unless it is under 1% of its column's largest
-    entry, moved them to 232,159 and 232,538."""
+    entry, moved them to 232,159 and 232,538.  The float32 factor has the
+    float64 one's pivots and SuperLU's count, 232,538; scipy's CSC copies
+    drop the entries that are zero in float32 and hold 231,786."""
     system = _stokes_system(generate_structured_cubes(4), 2)
     sol = flow.solve_stokes(system)
     lu = system.stokes_factor[0][1].lu
-    assert lu.L.nnz + lu.U.nnz == 232159
+    assert lu.L.nnz + lu.U.nnz == 231786
     assert sol.lu_fill == 232538
 
 
