@@ -2,49 +2,50 @@
 problem, and solution export.
 
 Every linear solve runs on the reduced pair (Beirao da Veiga, Lovadina &
-Vacca, ESAIM:M2AN 2017): the restriction E^T [J B^T; B 0] E of the full
-saddle system to the velocities without divergence moments and to one
-constant pressure per cell.  The solution of the full system lies in the
-range of E, so the velocity is E u_r; the full pressure comes back cell by
-cell from the divergence-moment rows of the momentum equation and the
-reduced cell mean.  The reduced matrix is equilibrated and factored by
-sparse LU in float32, in a geometric nested-dissection order of its
-unknowns computed once per assembled system.  Every reduced solve is
-right-preconditioned flexible GMRES in float64 (`_fgmres`: one cycle of at
-most KRYLOV_CAP iterations to a relative residual of KRYLOV_RTOL) with a
-float32 factor's solve as its preconditioner, which recovers float64
-accuracy in a few iterations; GMRES proper stalls there, since a float32
-solve is not linear at float64 rounding.  When FGMRES preconditioned by a
-float32 factor of the matrix itself misses, the matrix is factored in
-float64 (dsgesv's rule).  The velocity block stays CSC, as assembled, and
-the equilibration and the permutation work on the saddle matrix's CSC arrays.
+Vacca, ESAIM:M2AN 2017): the restriction E_f^T [J B^T; B 0] E_f of the full
+saddle system to the free velocities without divergence moments (E_f, the
+system's `Ef`) and to one constant pressure per cell.  The solution of the
+full system lies in the range of E, so the velocity is E u_r; the full
+pressure comes back cell by cell from the divergence-moment rows of the
+momentum equation and the reduced cell mean.
 
-The Stokes solve works in the unknowns (u, p/nu, lam).  With the viscous
-block A = nu A1 assembled as A1 (`forms.assemble`), its reduced matrix
-K1 = E_f^T [A1 B^T; B 0] E_f does not depend on nu or on the load case:
+Every reduced solve, Stokes or Newton, is in the unknowns (u, p/nu, lam):
+the momentum and zero-mean rows are divided by nu and p is scaled back by
+nu; the continuity rows are not divided, so lam is the multiplier itself.
+With the viscous block A = nu A1 assembled as A1 (`forms.assemble`), the
+Stokes matrix K1 = E_f^T [A1 B^T; B 0] E_f depends on neither nu nor the
+load case:
     K1 (u, p/nu, lam) = (E_f^T (F/nu - A1 u0), -B u0, 0)
-with u0 the lifted Dirichlet data (the continuity rows are not divided by nu,
-so lam is the multiplier itself); p is scaled back by nu, and the
-pressure recovery reads A1 and F/nu likewise.  At nu = 1 the factored
-matrix and the solution are those of the solve in (u, p), bit for bit.  K1
-is made of the operators that the DoF map keeps (A1, E, B, the Dirichlet
-mask, the zero-mean row, the order), so its equilibrated factor is kept with
-them: the first solve on them builds it into the system's `stokes_factor`
-slot, which every system of those operators shares, and it goes when the
-map evicts them or dies.  Nothing that depends on nu or the case (F, the
-boundary values, u, p) is kept.
+with u0 the lifted Dirichlet data.  A Newton step's velocity block is the
+Jacobian over nu, (nu A1 + C + Cg) / nu, which at C = 0 is A1, so its
+matrix is then K1.  At nu = 1 every division is by 1, and the matrices and
+solutions are those of the solve in (u, p), bit for bit.
+
+One solver, `_EquilibratedLU`, solves every reduced matrix K by
+right-preconditioned flexible GMRES in float64 (`_fgmres`: one cycle of at
+most KRYLOV_CAP iterations to a relative residual of KRYLOV_RTOL).  It
+tries up to three preconditioners, each built only once the one before it
+has missed: K1's kept solver, for a Newton step; K's own sparse LU factor
+in float32, equilibrated and in the system's geometric nested-dissection
+order; that factor in float64 (dsgesv's rule).  FGMRES recovers float64
+accuracy from a float32 factor in a few iterations, where GMRES proper
+stalls, since a float32 solve is not linear at float64 rounding.
+
+K1 is made of the operators that the DoF map keeps (A1, E_f, B, the
+zero-mean row, the order), so its solver is kept with them: the first solve
+on them builds it into the system's `stokes_factor` slot, which every
+system of those operators shares, and it goes when the map evicts them or
+dies.  Nothing that depends on nu or the case (F, the boundary values, u,
+p) is kept.
 
 Navier-Stokes factors at most once per solve: Newton starts from the
-Stokes solution, and the factor of K1 that the Stokes solve reads from that
-slot serves the whole solve.  Each Newton step builds its reduced Jacobian
-saddle matrix E_f^T [nu A1 + C + Cg  B^T; B 0] E_f and solves it by FGMRES
-preconditioned with K1's factor: K_nu = E_f^T [nu A1 B^T; B 0] E_f solves
-as K1 in (u, p/nu, lam), and in the diffusion-dominated regime it is close
-to the Jacobian (Elman, Silvester & Wathen, Finite Elements and Fast Iterative
-Solvers, ch. 8).  A step that misses KRYLOV_RTOL within KRYLOV_CAP
-iterations factors its Jacobian instead, in float32 as K1, and so does
-every later step of that solve.  A solve that has not converged after
-NEWTON_MAX_ITER steps returns its last iterate, marked unconverged."""
+Stokes solution, and K1's solver, which the Stokes solve read from that
+slot, preconditions every step; in the diffusion-dominated regime K1 is
+close to the Jacobian (Elman, Silvester & Wathen, Finite Elements and Fast
+Iterative Solvers, ch. 8).  A step that misses with it factors its own
+matrix, and so does every later step of that solve.  A solve that has not
+converged after NEWTON_MAX_ITER steps returns its last iterate, marked
+unconverged."""
 
 from __future__ import annotations
 
@@ -71,9 +72,8 @@ DIVERGENCE_GROWTH = 1e2
 
 # Every FGMRES solve runs one cycle of at most KRYLOV_CAP iterations and
 # must bring the residual of its reduced system under KRYLOV_RTOL times its
-# right-hand side; otherwise a Newton step preconditioned by K1's factor
-# factors its Jacobian, and a solve by a float32 factor of the matrix itself
-# factors it in float64.
+# right-hand side; otherwise the solver builds its next preconditioner: a
+# float32 factor of the matrix after K1's solver, a float64 one after that.
 KRYLOV_CAP = 20
 KRYLOV_RTOL = 1e-13
 
@@ -95,7 +95,6 @@ class FlowSolution:
     p: np.ndarray                # pressure coefficients per cell
     lam: float                   # zero-mean multiplier (0.0 when absent)
     increments: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
     linear_residual: float = 0.0
     converged: bool = True
     diagnostic: str = ""
@@ -115,42 +114,54 @@ class SolverError(RuntimeError):
 
 
 class _EquilibratedLU:
-    """A solver of a saddle matrix K: its LU factor, in float32, after one
-    pass of symmetric inf-norm equilibration and in the given symmetric
-    order, preconditioning flexible GMRES on K in float64.
+    """The solver of a reduced saddle matrix K: flexible GMRES on K in
+    float64, preconditioned in turn by an optional `guess` (K1's kept
+    solver, for a Newton step), by K's own LU factor in float32 and by that
+    factor in float64, each built only once the one before it has missed.
+    Without a guess K is factored when the solver is built; with one, a
+    solve that the guess serves builds neither the equilibration nor a
+    factor.
 
-    Saddle systems mix strain-scaled velocity rows with volume-scaled
-    constraint rows; rescaling keeps the factorization accurate on the
-    constraint block (the diagonal is zero there, so plain Jacobi would not
-    apply).  The scaling and the permutation work on K's CSC arrays.
-    SuperLU keeps a diagonal pivot unless it is under 1% of its column's
-    largest entry (scipy's default threshold is 1, partial pivoting): the
-    order is symmetric, so taking the diagonal keeps the fill near that
-    order's.  A threshold of 0, static pivoting, gives a wrong factor of
-    the saddle matrix on 6^3 cubes.
+    K's factor is taken after one pass of symmetric inf-norm equilibration
+    and in the given symmetric order.  Saddle systems mix strain-scaled
+    velocity rows with volume-scaled constraint rows; rescaling keeps the
+    factorization accurate on the constraint block (the diagonal is zero
+    there, so plain Jacobi would not apply).  The scaling and the
+    permutation work on K's CSC arrays.  SuperLU keeps a diagonal pivot
+    unless it is under 1% of its column's largest entry (scipy's default
+    threshold is 1, partial pivoting): the order is symmetric, so taking
+    the diagonal keeps the fill near that order's.  A threshold of 0,
+    static pivoting, gives a wrong factor of the saddle matrix on 6^3
+    cubes.
 
     `precondition` is the factor's own solve, accurate to float32; `solve`
-    is K^-1 to KRYLOV_RTOL by `_fgmres` preconditioned with it
-    (mixed-precision refinement: Carson & Higham, SIAM J. Sci. Comput.
-    40(2), 2018).  When that misses with the float32 factor, K is factored
-    again in float64 (LAPACK dsgesv's rule), for this and every later
-    solve.  `iterations` is the FGMRES iterations of the last `solve`.
+    is K^-1 to KRYLOV_RTOL by `_fgmres` (mixed-precision refinement: Carson
+    & Higham, SIAM J. Sci. Comput. 40(2), 2018).  Once the float32 factor
+    misses, K is factored again in float64 (LAPACK dsgesv's rule) for this
+    and every later solve.  `path` names the preconditioner that served:
+    "gmres" the guess, "fallback" K's float32 factor after the guess
+    missed, "direct" that factor without a guess, "float64" the float64
+    factor.  `iterations` is the FGMRES iterations of the last `solve`, all
+    its preconditioners' together.
 
-    `fill` is the count of entries SuperLU stores for L and U; with the
-    same pivots it is the same in float32 and float64.  Reading the
-    factor's `L` or `U` would have scipy copy both into CSC matrices that
-    live as long as the factor, so nothing reads them."""
+    `fill` is the count of entries SuperLU stores for L and U of the factor
+    that served; with the same pivots it is the same in float32 and
+    float64.  Reading the factor's `L` or `U` would have scipy copy both
+    into CSC matrices that live as long as the factor, so nothing reads
+    them."""
 
-    def __init__(self, K: sp.csc_matrix, order: np.ndarray):
-        rowmax = np.zeros(K.shape[0])
-        np.maximum.at(rowmax, K.indices, np.abs(K.data))
-        self.d = 1.0 / np.sqrt(np.where(rowmax == 0, 1.0, rowmax))
-        self.K, self.order, self.iterations = K, order, 0
-        self._factor(np.float32)
+    def __init__(self, K: sp.csc_matrix, order: np.ndarray, guess: _EquilibratedLU | None = None):
+        self.K, self.order, self.guess = K, order, guess
+        self.path, self.iterations, self.fill = "direct", 0, 0
+        if guess is None:
+            self._factor(np.float32)
 
     def _factor(self, dtype) -> None:
         # d_i K_ij d_j on the columns taken in `order`, their rows renumbered
-        K, order, d = self.K, self.order, self.d
+        K, order = self.K, self.order
+        rowmax = np.zeros(K.shape[0])
+        np.maximum.at(rowmax, K.indices, np.abs(K.data))
+        d = self.d = 1.0 / np.sqrt(np.where(rowmax == 0, 1.0, rowmax))
         Kc = K[:, order]
         Ks = sp.csc_matrix(((d[Kc.indices] * Kc.data * np.repeat(d[order], np.diff(Kc.indptr))).astype(dtype),
                             np.argsort(order)[Kc.indices], Kc.indptr), shape=K.shape)
@@ -165,8 +176,18 @@ class _EquilibratedLU:
         return self.d * x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, self.iterations, converged = _fgmres(self.K, self.precondition, rhs)
+        self.iterations = 0
+        if self.guess is not None:
+            x, self.iterations, converged = _fgmres(self.K, self.guess.precondition, rhs)
+            if converged:
+                self.path, self.fill = "gmres", self.guess.fill
+                return x
+            self.path, self.guess = "fallback", None
+            self._factor(np.float32)
+        x, more, converged = _fgmres(self.K, self.precondition, rhs)
+        self.iterations += more
         if not converged and self.dtype == np.float32:
+            self.path = "float64"
             self._factor(np.float64)
             x, more, _ = _fgmres(self.K, self.precondition, rhs)
             self.iterations += more
@@ -216,72 +237,30 @@ def _fgmres(K: sp.spmatrix, M, b: np.ndarray) -> tuple[np.ndarray, int, bool]:
         V[j + 1] = w / h[j + 1]
 
 
-def _saddle_matrix(system: GlobalSystem, J: sp.spmatrix) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+def _saddle_matrix(system: GlobalSystem, J: sp.spmatrix) -> sp.csc_matrix:
     """The reduced saddle matrix E_f^T [J B^T; B 0] E_f: the velocity block
-    J restricted to the free reduced velocities (E_f = E[:, free]), tested
+    J restricted to the free reduced velocities (`system.Ef`), tested
     against the cells' constant pressure rows B[::pq], bordered by the
     zero-mean row e[::pq] when present.
 
-    J is the velocity block, CSC: A1 for Stokes, the Newton Jacobian
-    nu A1 + C + Cg for Navier-Stokes.  Returns (K, E_f)."""
+    J is the velocity block over nu, CSC: A1 for Stokes, the Newton
+    Jacobian (nu A1 + C + Cg) / nu for Navier-Stokes."""
     pq = system.pressure_ints.shape[1]
-    Ef = system.E[:, np.nonzero(~system.dirichlet_mask[system.keep])[0]]
+    Ef = system.Ef
     J_r = Ef.T @ J @ Ef
     B_r = system.B[::pq] @ Ef
     if system.e is None:
-        return sp.bmat([[J_r, B_r.T], [B_r, None]], format="csc"), Ef
+        return sp.bmat([[J_r, B_r.T], [B_r, None]], format="csc")
     e = sp.csr_matrix(system.e[None, ::pq])
-    return sp.bmat([[J_r, B_r.T, None], [B_r, None, e.T], [None, e, None]], format="csc"), Ef
+    return sp.bmat([[J_r, B_r.T, None], [B_r, None, e.T], [None, e, None]], format="csc")
 
 
-class _NewtonSolve:
-    """The `_EquilibratedLU` interface (`K`, `solve`, `fill`) for a reduced
-    Jacobian saddle matrix K with nf free velocities and nc cell pressures.
-
-    With the factor `stokes` of K1 = E_f^T [A1 B^T; B 0] E_f, `solve` runs
-    `_fgmres` preconditioned by K_nu^-1, which is K1's factor in the
-    unknowns (u, p/nu, lam): the momentum and zero-mean rows are divided by
-    nu and the pressures scaled back by nu.  Without it, or when FGMRES
-    misses, K is factored in `order` and solved as `_EquilibratedLU` does.
-    `path` tells which ran ("gmres", "fallback" or "direct"; "float64" when
-    K's float32 factor missed and K was factored in float64), `iterations`
-    how many FGMRES iterations in all, and `fill` the fill of the factor
-    that served."""
-
-    def __init__(self, K: sp.csc_matrix, order: np.ndarray, stokes: _EquilibratedLU | None,
-                 nu: float, nf: int, nc: int):
-        self.K, self.order, self.stokes = K, order, stokes
-        self.path, self.iterations, self.fill = "direct", 0, 0
-        if stokes is not None:
-            rows = np.full(K.shape[0], 1.0 / nu)
-            rows[nf: nf + nc] = 1.0
-            cols = np.ones(K.shape[0])
-            cols[nf: nf + nc] = nu
-            self.M = lambda r: cols * stokes.precondition(rows * r)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.stokes is not None:
-            x, self.iterations, converged = _fgmres(self.K, self.M, rhs)
-            if converged:
-                self.path, self.fill = "gmres", self.stokes.fill
-                return x
-            self.path = "fallback"
-        lu = _EquilibratedLU(self.K, self.order)
-        x = lu.solve(rhs)
-        self.iterations += lu.iterations
-        self.fill = lu.fill
-        if lu.dtype == np.float64:
-            self.path = "float64"
-        return x
-
-
-def _solve_step(system: GlobalSystem, Ef: sp.csr_matrix, lu: _EquilibratedLU, J: sp.spmatrix,
-                Rm: np.ndarray, u: np.ndarray, p: np.ndarray,
-                lam: float) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+def _solve_step(system: GlobalSystem, lu: _EquilibratedLU, J: sp.spmatrix, Rm: np.ndarray,
+                u: np.ndarray, p: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The increment (du, dp, dlam) of [J B^T; B 0] (du, dp) = -(Rm, B u + lam e)
     with e . (p + dp) = 0, solved on the reduced pair with the solver `lu`
-    of its saddle matrix (`_stokes_factor` or `_NewtonSolve`); returned with
-    the norm of the reduced right-hand side and the relative residual.
+    of its saddle matrix, and the relative residual of that solve.  In the
+    unknowns (u, p/nu, lam) J, Rm and p are over nu, and so is dp.
 
     u is in the range of E, and so is du.  The pressure comes back cell by
     cell from the divergence-moment rows of the momentum equation, where B^T
@@ -289,6 +268,7 @@ def _solve_step(system: GlobalSystem, Ef: sp.csr_matrix, lu: _EquilibratedLU, J:
         dp_b = (-Rm - J du)[d5_b] / |P|                      (b >= 1)
         dp_0 = mean - sum_{b>=1} int m_b dp_b / |P|
     with `mean` the reduced (cell-mean) pressure increment."""
+    Ef = system.Ef
     nf, nc = Ef.shape[1], len(system.volumes)
     pq = system.pressure_ints.shape[1]
     Rc = system.B[::pq] @ u
@@ -304,33 +284,25 @@ def _solve_step(system: GlobalSystem, Ef: sp.csr_matrix, lu: _EquilibratedLU, J:
                 - np.sum(system.pressure_ints[:, 1:] * dp[:, 1:], axis=1) / system.volumes)
     nrm = float(np.linalg.norm(rhs))
     res = float(np.linalg.norm(lu.K @ x - rhs)) / (nrm if nrm > 0 else 1.0)
-    return du, dp.ravel(), float(x[nf + nc]) if system.e is not None else 0.0, nrm, res
-
-
-def _stokes_factor(system: GlobalSystem) -> tuple[tuple[sp.csr_matrix, _EquilibratedLU], bool]:
-    """(E_f, the equilibrated LU factor of K1 = E_f^T [A1 B^T; B 0] E_f) from
-    the system's shared slot, built there by the first call, and whether
-    this call factored."""
-    if system.stokes_factor:
-        return system.stokes_factor[0], False
-    K, Ef = _saddle_matrix(system, system.A1)
-    system.stokes_factor.append((Ef, _EquilibratedLU(K, system.order)))
-    return system.stokes_factor[0], True
+    return du, dp.ravel(), float(x[nf + nc]) if system.e is not None else 0.0, res
 
 
 def solve_stokes(system: GlobalSystem) -> FlowSolution:
     """Solve of the assembled Stokes system on the reduced pair, in the
-    unknowns (u, p/nu, lam) of the nu-free matrix, by FGMRES preconditioned
-    with its factor, kept with the DoF map's operators when an earlier
-    solve built it.  `linear_solves` holds the one solve's path, "direct"
-    for the float32 factor or "float64" once K1 had to be factored in
-    float64, and its FGMRES iterations."""
+    unknowns (u, p/nu, lam) of the nu-free matrix K1, by FGMRES
+    preconditioned with K1's factor: the one in the system's shared slot,
+    or one factored here into it.  `linear_solves` holds the one solve's
+    path, "direct" for the float32 factor or "float64" once K1 had to be
+    factored in float64, and its FGMRES iterations."""
     nu = system.nu
     u0 = system.E @ system.dirichlet_values[system.keep]
+    factored = not system.stokes_factor
     try:
-        (Ef, lu), factored = _stokes_factor(system)
-        du, dp, lam, _, res = _solve_step(system, Ef, lu, system.A1, system.A1 @ u0 - system.F / nu, u0,
-                                          np.zeros(system.ndof_q), 0.0)
+        if factored:
+            system.stokes_factor.append(_EquilibratedLU(_saddle_matrix(system, system.A1), system.order))
+        lu = system.stokes_factor[0]
+        du, dp, lam, res = _solve_step(system, lu, system.A1, system.A1 @ u0 - system.F / nu, u0,
+                                       np.zeros(system.ndof_q), 0.0)
     except RuntimeError as exc:
         raise SolverError(
             "singular Stokes system: check the zero-mean pressure constraint "
@@ -344,30 +316,27 @@ def solve_stokes(system: GlobalSystem) -> FlowSolution:
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(p))):
         raise SolverError("direct solve failed: non-finite velocity or pressure")
     return FlowSolution(u=u, p=p, lam=lam, linear_residual=res, saddle_rows=lu.K.shape[0],
-                        lu_fill=lu.fill, factored=factored,
-                        linear_solves=[("direct" if lu.dtype == np.float32 else "float64", lu.iterations)])
+                        lu_fill=lu.fill, factored=factored, linear_solves=[(lu.path, lu.iterations)])
 
 
 def _newton_step(system: GlobalSystem, mapv: DofMapV, projs: list[CellProjections],
                  stokes: _EquilibratedLU | None, u: np.ndarray, p: np.ndarray,
-                 lam: float) -> tuple[np.ndarray, np.ndarray, float, float, _NewtonSolve]:
+                 lam: float) -> tuple[np.ndarray, np.ndarray, float, _EquilibratedLU]:
     """The Newton increment (du, dp, dlam) at (u, p, lam) for the Jacobian
-    nu A1 + C(u) + Cg(u), the norm of its reduced right-hand side, and the
-    `_NewtonSolve` that solved it: by FGMRES preconditioned with the factor
-    `stokes` of K1, or by a factor built here and dropped on return.  A1, C
+    nu A1 + C(u) + Cg(u), solved in (u, p/nu, lam), and the solver that
+    solved it, preconditioned with K1's solver `stokes` when given.  A1, C
     and Cg lie on the DoF map's one pattern, so the Jacobian is the sum of
     their data.  A relative residual of the reduced solve over LINEAR_RTOL
     raises `SolverError`."""
     C, Cg = assemble_convection(mapv, projs, u)
     A1, nu = system.A1, system.nu
     Rm = nu * (A1 @ u) + C @ u + system.B.T @ p - system.F
-    J = sp.csc_matrix((nu * A1.data + C.data + Cg.data, A1.indices, A1.indptr), shape=A1.shape)
-    K, Ef = _saddle_matrix(system, J)
-    lin = _NewtonSolve(K, system.order, stokes, nu, Ef.shape[1], len(system.volumes))
-    du, dp, dlam, nrm, res = _solve_step(system, Ef, lin, J, Rm, u, p, lam)
+    J = sp.csc_matrix(((nu * A1.data + C.data + Cg.data) / nu, A1.indices, A1.indptr), shape=A1.shape)
+    lin = _EquilibratedLU(_saddle_matrix(system, J), system.order, stokes)
+    du, dp, dlam, res = _solve_step(system, lin, J, Rm / nu, u, p / nu, lam)
     if not res <= LINEAR_RTOL:
         raise SolverError(f"linear solve failed: relative residual {res:.3e}")
-    return du, dp, dlam, nrm, lin
+    return du, nu * dp, dlam, lin
 
 
 def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
@@ -388,18 +357,17 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
         system = assemble(mesh, maps, spec, projs, faceprojs)
     sol = solve_stokes(system)
     u, p, lam, factored = sol.u, sol.p, sol.lam, sol.factored
-    stokes = system.stokes_factor[0][1]      # K1's factor, which the Stokes solve read
+    stokes = system.stokes_factor[0]      # K1's solver, which the Stokes solve read
 
     free = ~system.dirichlet_mask
     has_mean = system.e is not None
-    increments, residuals, linear_solves = [], [], []
+    increments, linear_solves = [], []
     converged, diagnostic = False, ""
     for it in range(NEWTON_MAX_ITER):
         try:
-            du, dp, dlam, nrm, lin = _newton_step(system, mapv, projs, stokes, u, p, lam)
+            du, dp, dlam, lin = _newton_step(system, mapv, projs, stokes, u, p, lam)
         except RuntimeError as exc:
             raise SolverError(f"linear solve failed in Newton step {it}") from exc
-        residuals.append(nrm)
         linear_solves.append((lin.path, lin.iterations))
         if lin.path != "gmres":
             stokes, factored = None, True       # later steps of this solve factor directly
@@ -421,7 +389,7 @@ def solve_navier_stokes(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: Pro
     else:
         diagnostic = (f"Newton did not converge in {NEWTON_MAX_ITER} iterations; "
                       f"last increment {increments[-1]:.3e}")
-    return FlowSolution(u=u, p=p, lam=lam, increments=increments, residuals=residuals,
+    return FlowSolution(u=u, p=p, lam=lam, increments=increments,
                         converged=converged, diagnostic=diagnostic, saddle_rows=lin.K.shape[0],
                         lu_fill=lin.fill, factored=factored, linear_solves=linear_solves)
 

@@ -26,19 +26,19 @@ flux incidence that the reduced embedding and the compatibility check read.
 The viscous block is assembled at nu = 1 (A1, with A = nu A1), since both
 stabilization recipes are linear in nu.  The assembled system also carries
 what the solver needs for the reduced pair it solves on: the embedding E of
-the velocities without divergence moments, the cell volumes and
-pressure-monomial integrals for the pressure recovery, and a
-nested-dissection order of the reduced saddle unknowns.  These, A1, B, the
-Dirichlet mask and the zero-mean row depend on neither nu nor the case: the
-DoF map's `OperatorCache` keeps them, read-only, from their first build,
-keyed on the content of every input (the kernel `local_a` itself, the
-stabilization, the Neumann faces, the projection arrays that local_a and the
-zero-mean row read: `consistency`, `pi_d_dof`, `sigma`, `h` and `mono_int`,
-which translated cells share, and the mesh arrays that B, E, the Dirichlet
-mask and the order read).  With them it keeps one slot for the factor of the
-nu-free Stokes matrix that they make, which `flow` fills on the first solve,
-so the factor goes when a new key evicts them.  Each call builds only the
-load, traction and boundary values.
+the velocities without divergence moments and its columns E_f of the free
+ones, the cell volumes and pressure-monomial integrals for the pressure
+recovery, and a nested-dissection order of the reduced saddle unknowns.
+These, A1, B, the Dirichlet mask and the zero-mean row depend on neither nu
+nor the case: the DoF map's `OperatorCache` keeps them, read-only, from
+their first build, keyed on the content of every input (the kernel
+`local_a` itself, the stabilization, the Neumann faces, the projection
+arrays that local_a and the zero-mean row read: `consistency`, `pi_d_dof`,
+`sigma`, `h` and `mono_int`, which translated cells share, and the mesh
+arrays that B, E, the Dirichlet mask and the order read).  With them it
+keeps one slot for the solver of the nu-free Stokes matrix that they make,
+which `flow` fills on the first solve, so the factor goes when a new key
+evicts them.  Each call builds only the load, traction and boundary values.
 """
 
 from __future__ import annotations
@@ -167,10 +167,11 @@ class GlobalSystem:
     dirichlet_values: np.ndarray
     keep: np.ndarray                 # velocity DoFs of the reduced pair: all but the divergence moments
     E: sp.csr_matrix                 # reduced -> full velocity embedding, (ndof_v, keep.sum())
+    Ef: sp.csr_matrix                # E's columns of the free (non-Dirichlet) reduced velocities
     volumes: np.ndarray              # |P| per cell
     pressure_ints: np.ndarray        # (n_cells, pi_{k-1,3}) integrals of the pressure monomials
     order: np.ndarray                # LU order of the reduced saddle unknowns
-    stokes_factor: list              # [(E_f, K1's factor)] once built, shared by the systems of its operators
+    stokes_factor: list              # [K1's solver] once built, shared by the systems of its operators
 
     @property
     def A(self) -> sp.csc_matrix:
@@ -304,10 +305,11 @@ def _operators(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     keep = build_reduced_maps(mapv)
     pressure_ints = e.reshape(mesh.n_cells, pq)
     E = reduced_embedding(B, keep, pressure_ints, mesh.cell_stack.volume)
+    Ef = E[:, np.flatnonzero(~dir_mask[keep])]
     order = _saddle_order(mesh, mapv, keep & ~dir_mask, mean_row=mean_row)
-    read_only(A1.data, B.data, B.indices, B.indptr, E.data, E.indices, E.indptr, e, pressure_ints,
-              dir_mask, keep, order)
-    return dict(A1=A1, B=B, e=e if mean_row else None, dirichlet_mask=dir_mask, keep=keep, E=E,
+    read_only(A1.data, B.data, B.indices, B.indptr, E.data, E.indices, E.indptr, Ef.data, Ef.indices,
+              Ef.indptr, e, pressure_ints, dir_mask, keep, order)
+    return dict(A1=A1, B=B, e=e if mean_row else None, dirichlet_mask=dir_mask, keep=keep, E=E, Ef=Ef,
                 volumes=mesh.cell_stack.volume, pressure_ints=pressure_ints, order=order, stokes_factor=[])
 
 

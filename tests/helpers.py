@@ -817,7 +817,7 @@ def reduced_system_oracle(mesh, maps, spec, projs, keep) -> GlobalSystem:
     # the full-system oracle solves it; it reads none of the reduced-pair fields
     return GlobalSystem(A1=A, nu=spec.nu, B=B, F=F, e=e,
                         dirichlet_mask=dir_mask, dirichlet_values=gvals,
-                        keep=None, E=None, volumes=None, pressure_ints=None, order=None, stokes_factor=[])
+                        keep=None, E=None, Ef=None, volumes=None, pressure_ints=None, order=None, stokes_factor=[])
 
 
 # ---------------------------------------------------------------------------
@@ -893,7 +893,6 @@ def solve_navier_stokes_full(mesh, maps, spec, projs, faceprojs, opts=None,
     sol = solve_stokes_full(system)
     u, p, lam = sol.u, sol.p, sol.lam
     increments = []
-    residuals = []
     for it in range(NEWTON_MAX_ITER):
         C, Cg = assemble_convection(mapv, projs, u)
         K, free = saddle_matrix_full(system, system.A + C + Cg)
@@ -903,14 +902,13 @@ def solve_navier_stokes_full(mesh, maps, spec, projs, faceprojs, opts=None,
             rhs = -np.concatenate([Rm[free], Rc + lam * system.e, [system.e @ p]])
         else:
             rhs = -np.concatenate([Rm[free], Rc])
-        residuals.append(float(np.linalg.norm(rhs)))
         dx = equilibrated_solve_full(K, rhs)
 
         inc = float(np.linalg.norm(dx))
         if not np.isfinite(inc) or (increments and inc > DIVERGENCE_GROWTH * min(increments)):
             increments.append(inc)
             return FlowSolution(u=u, p=p, lam=lam, increments=increments,
-                                residuals=residuals, converged=False, diagnostic="Newton diverged")
+                                converged=False, diagnostic="Newton diverged")
 
         nf = len(free)
         state = np.concatenate([u[free], p, [lam] if system.e is not None else []])
@@ -922,9 +920,8 @@ def solve_navier_stokes_full(mesh, maps, spec, projs, faceprojs, opts=None,
         increments.append(inc)
         base = float(np.linalg.norm(state))
         if inc < opts.tol * max(base, 1e-300) or (base == 0.0 and inc == 0.0):
-            return FlowSolution(u=u, p=p, lam=lam, increments=increments,
-                                residuals=residuals, linear_residual=0.0)
-    return FlowSolution(u=u, p=p, lam=lam, increments=increments, residuals=residuals,
+            return FlowSolution(u=u, p=p, lam=lam, increments=increments, linear_residual=0.0)
+    return FlowSolution(u=u, p=p, lam=lam, increments=increments,
                         converged=False, diagnostic="Newton did not converge")
 
 

@@ -1,0 +1,51 @@
+"""The CI workflow tests on the oldest versions of the dependencies that
+pyproject.toml admits."""
+
+import re
+from pathlib import Path
+
+import vemflow
+
+ROOT = Path(vemflow.__file__).parents[2]
+
+
+def _version(text: str) -> tuple[int, ...]:
+    """A version as a tuple of ints without trailing zeros, so that 1.24 and
+    1.24.0 are one version."""
+    parts = [int(x) for x in text.split(".")]
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return tuple(parts)
+
+
+def _floors(pyproject: str) -> dict:
+    """{package: version} of each `name>=version` of pyproject.toml's
+    `dependencies`, read by regex: tomllib is not in Python 3.10."""
+    deps = re.search(r"^dependencies\s*=\s*\[(.*?)\]", pyproject, re.M | re.S).group(1)
+    return {name: _version(v) for name, v in re.findall(r'"([\w.-]+)\s*>=\s*([\d.]+)"', deps)}
+
+
+def _drift(pyproject: str, workflow: str) -> dict:
+    """{package: (floor, pin)} for each dependency floor that the workflow
+    does not install as `"name==floor"`; the pin is None where there is
+    none."""
+    pins = {name: _version(v) for name, v in re.findall(r'"([\w.-]+)==([\d.]+)"', workflow)}
+    return {name: (floor, pins.get(name)) for name, floor in _floors(pyproject).items()
+            if pins.get(name) != floor}
+
+
+def test_ci_pins_the_dependency_floors():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert set(_floors(pyproject)) == {"numpy", "scipy", "sympy"}
+    assert _drift(pyproject, workflow) == {}
+
+
+def test_drift_check_catches_them():
+    pyproject = ('[build-system]\nrequires = ["setuptools>=68"]\n\n[project]\n'
+                 'dependencies = [\n    "numpy>=1.24",\n    "scipy>=1.15",\n    "sympy>=1.12",\n]\n\n'
+                 '[project.optional-dependencies]\ntest = ["pytest>=7"]\n')
+    assert _floors(pyproject) == {"numpy": (1, 24), "scipy": (1, 15), "sympy": (1, 12)}
+    assert _drift(pyproject, 'pip install "numpy==1.24.0" "scipy==1.15" "sympy==1.12.0" "pytest==7.4.4"') == {}
+    assert _drift(pyproject, 'pip install "numpy==1.24.1" "scipy==1.14.0" "pytest==7.4.4"') == {
+        "numpy": ((1, 24), (1, 24, 1)), "scipy": ((1, 15), (1, 14)), "sympy": ((1, 12), None)}

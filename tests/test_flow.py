@@ -208,13 +208,35 @@ def test_newton_stops_on_nonfinite_increment(cube1, disc, monkeypatch):
 
 def test_newton_step_checks_the_linear_residual(cube2, disc, monkeypatch):
     """A Newton step whose linear solve leaves a relative residual over
-    LINEAR_RTOL raises SolverError, which names the step."""
+    LINEAR_RTOL raises SolverError, which names the step.  Only the solves
+    that K1's solver preconditions, the Newton steps', are perturbed."""
     maps, projs, fps = disc(cube2, 2)
-    solve = flow._NewtonSolve.solve
-    monkeypatch.setattr(flow._NewtonSolve, "solve", lambda self, rhs: 1.001 * solve(self, rhs))
+    solve = flow._EquilibratedLU.solve
+
+    def perturbed(self, rhs):
+        newton = self.guess is not None
+        x = solve(self, rhs)
+        return 1.001 * x if newton else x
+
+    monkeypatch.setattr(flow._EquilibratedLU, "solve", perturbed)
     with pytest.raises(SolverError, match="Newton step 0") as err:
         solve_navier_stokes(cube2, maps, _spec_for(make_case("ex2-ns"), 2), projs, fps)
     assert "relative residual" in str(err.value.__cause__)
+
+
+def test_singular_factor_raises_solver_error(cube2, disc, monkeypatch):
+    """SuperLU's RuntimeError on a singular matrix, raised while the Stokes
+    solve factors K1, surfaces as a SolverError that names the likely cause."""
+    maps, projs, fps = disc(cube2, 2)
+    system = assemble(cube2, maps, _spec_for(make_case("ex1-stokes"), 2), projs, fps)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    with pytest.raises(SolverError, match="singular Stokes system") as err:
+        solve_stokes(dataclasses.replace(system, stokes_factor=[]))
+    assert "exactly singular" in str(err.value.__cause__)
 
 
 def _nan_load_spec(convective):
@@ -316,8 +338,7 @@ def test_saddle_systems_match_oracles(neumann, cube2, disc, monkeypatch):
             return self.lin.solve(rhs)
 
     step = flow._solve_step
-    monkeypatch.setattr(flow, "_solve_step",
-                        lambda system, Ef, lin, *args: step(system, Ef, Recorder(lin), *args))
+    monkeypatch.setattr(flow, "_solve_step", lambda system, lin, *args: step(system, Recorder(lin), *args))
     monkeypatch.setattr(flow, "NEWTON_MAX_ITER", 1)
     solve_navier_stokes(cube2, maps, spec, projs, fps, system=system)
     (K_s, rhs_s), (K_n, rhs_n) = solved
@@ -413,7 +434,7 @@ def test_nested_dissection_beats_colamd():
     maps = build_dof_maps(mesh, 2)
     projs, fps = build_projections(mesh, maps[0])
     system = assemble(mesh, maps, _spec_for(make_case("ex1-stokes"), 2), projs, fps)
-    K, _ = flow._saddle_matrix(system, system.A)
+    K = flow._saddle_matrix(system, system.A)
     n = K.shape[0]
     assert np.array_equal(np.sort(system.order), np.arange(n)) and system.order[-1] == n - 1
     fill_nd = flow._EquilibratedLU(K, system.order).fill

@@ -83,8 +83,8 @@ def test_float32_miss_factors_in_float64(splu_calls):
     """The float32 factor of a matrix conditioned past float32 leaves
     FGMRES short of KRYLOV_RTOL after KRYLOV_CAP iterations; K is then
     factored in float64, which FGMRES needs one iteration with, and the
-    factor stays float64 for later solves.  A Newton step that factors
-    such a Jacobian reports the path "float64"."""
+    factor stays float64 for later solves.  A solver that factors such a
+    matrix reports the path "float64"."""
     K, b = _ill_conditioned(1)
     lu = flow._EquilibratedLU(K, np.arange(K.shape[0]))
     assert lu.dtype == np.float32
@@ -93,9 +93,25 @@ def test_float32_miss_factors_in_float64(splu_calls):
     assert np.linalg.norm(K @ x - b) <= 1e-13 * np.linalg.norm(b)
     lu.solve(2.0 * b)
     assert lu.iterations == 1 and len(splu_calls) == 2
-    lin = flow._NewtonSolve(K, np.arange(K.shape[0]), None, 1.0, 0, 0)
+    lin = flow._EquilibratedLU(K, np.arange(K.shape[0]))
     lin.solve(b)
     assert (lin.path, lin.iterations, lin.fill) == ("float64", KRYLOV_CAP + 1, lu.fill)
+
+
+def test_each_preconditioner_is_built_after_a_miss(splu_calls):
+    """A solver with a guess factors nothing when built.  With the float32
+    solver of the ill-conditioned matrix as its guess, the guess misses,
+    then the solver's own float32 factor, and its float64 factor serves:
+    2 KRYLOV_CAP + 1 iterations, path "float64", one factorisation per
+    preconditioner tried."""
+    K, b = _ill_conditioned(1)
+    guess = flow._EquilibratedLU(K, np.arange(K.shape[0]))
+    lin = flow._EquilibratedLU(K, np.arange(K.shape[0]), guess)
+    assert (lin.path, lin.fill, len(splu_calls)) == ("direct", 0, 1)
+    x = lin.solve(b)
+    assert (lin.path, lin.iterations, len(splu_calls)) == ("float64", 2 * KRYLOV_CAP + 1, 3)
+    assert lin.guess is None and guess.dtype == np.float32
+    assert np.linalg.norm(K @ x - b) <= 1e-13 * np.linalg.norm(b)
 
 
 def _disc(n, k, **kw):
@@ -157,32 +173,41 @@ def splu_calls(factor_reads):
 @pytest.mark.parametrize("nu", [0.3, 0.02])
 @pytest.mark.parametrize("neumann", [False, True])
 def test_preconditioner_inverts_the_stokes_matrix(nu, neumann):
-    """K1's factor in (u, p/nu, lam) inverts the Stokes matrix
-    K_nu = E_f^T [nu A1 B^T; B 0] E_f to float32 rounding, with and without
-    the mean row: one application leaves a relative residual of about 1e-6,
-    so FGMRES on K_nu itself misses KRYLOV_RTOL = 1e-13 after two
-    iterations (about 1e-12) and meets it after three."""
+    """K1's factor inverts the Stokes matrix in (u, p/nu, lam),
+    E_f^T [nu A1 / nu  B^T; B 0] E_f, which is K1 up to the rounding of
+    nu A1 / nu, to float32 rounding, with and without the mean row: one
+    application leaves a relative residual of about 1e-6, so FGMRES on that
+    matrix misses KRYLOV_RTOL = 1e-13 after two iterations (about 1e-12)
+    and meets it after three."""
     mesh, k, projs, fps = _disc(2, 2, jitter=0.1, seed=4)
     maps = build_dof_maps(mesh, k)
     system = assemble(mesh, maps, case_spec(make_case("ex2-ns", k=k, nu=nu), k, neumann=neumann), projs, fps)
-    (_, stokes), _ = flow._stokes_factor(system)
-    K, Ef = flow._saddle_matrix(system, system.A)
-    lin = flow._NewtonSolve(K, system.order, stokes, nu, Ef.shape[1], len(system.volumes))
+    flow.solve_stokes(system)
+    stokes = system.stokes_factor[0]
+    K = flow._saddle_matrix(system, system.A / nu)
+    lin = flow._EquilibratedLU(K, system.order, stokes)
     rhs = np.random.default_rng(0).standard_normal(K.shape[0])
-    assert np.linalg.norm(K @ lin.M(rhs) - rhs) <= 1e-5 * np.linalg.norm(rhs)
+    assert np.linalg.norm(K @ stokes.precondition(rhs) - rhs) <= 1e-5 * np.linalg.norm(rhs)
     x = lin.solve(rhs)
     assert (lin.path, lin.iterations) == ("gmres", 3)
     assert np.linalg.norm(K @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
 
-@pytest.mark.parametrize("k,draw", [(2, _DRAWS[0]), (3, _DRAWS[1])])
-def test_krylov_matches_direct_on_jittered_tets(k, draw, monkeypatch):
+@pytest.mark.parametrize("k,draw,nu", [
+    pytest.param(k, _DRAWS[i], nu, id=f"{k}-draw{i}" + ("" if nu == 1.0 else f"-{nu}"))
+    for nu in (1.0, 0.1) for i, k in enumerate((2, 3))])
+def test_krylov_matches_direct_on_jittered_tets(k, draw, nu, monkeypatch):
+    """Newton preconditioned by K1's solver against Newton that factors
+    every step: the same step count and solution.  At nu = 1 every step is
+    served by K1's solver; at nu = 0.1 the k = 3 draw falls back in its
+    first step."""
     seed, jitter = draw
     disc = _disc(2, k, jitter=jitter, seed=seed)
-    got = _solve(disc, tol=1e-10)
-    ref = _solve(disc, direct=True, monkeypatch=monkeypatch, tol=1e-10)
-    assert _paths(got) == ["gmres"] * got.newton_iterations
-    assert all(0 < its <= KRYLOV_CAP for _, its in got.linear_solves)
+    got = _solve(disc, nu=nu, tol=1e-10)
+    ref = _solve(disc, nu=nu, direct=True, monkeypatch=monkeypatch, tol=1e-10)
+    if nu == 1.0:
+        assert _paths(got) == ["gmres"] * got.newton_iterations
+        assert all(0 < its <= KRYLOV_CAP for _, its in got.linear_solves)
     assert _paths(ref) == ["direct"] * ref.newton_iterations
     assert got.newton_iterations == ref.newton_iterations
     for a, b in ((got.u, ref.u), (got.p, ref.p), ([got.lam], [ref.lam])):

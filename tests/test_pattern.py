@@ -173,8 +173,8 @@ def test_equilibrated_solve_matches_oracle(mesh, k, monkeypatch):
     The factor's own solve is the oracle's bit for bit; the FGMRES solve it
     preconditions is a float64 direct solve's to 1e-12."""
     system = _stokes_system(mesh(), k)
-    K, _ = flow._saddle_matrix(system, system.A)
-    K_csr, _ = flow._saddle_matrix(system, system.A.tocsr())
+    K = flow._saddle_matrix(system, system.A)
+    K_csr = flow._saddle_matrix(system, system.A.tocsr())
     for field in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(K, field), getattr(K_csr, field)), field
     factored = []
@@ -241,7 +241,7 @@ def test_lu_fill_on_cubes4():
     drop the entries that are zero in float32 and hold 231,786."""
     system = _stokes_system(generate_structured_cubes(4), 2)
     sol = flow.solve_stokes(system)
-    lu = system.stokes_factor[0][1].lu
+    lu = system.stokes_factor[0].lu
     assert lu.L.nnz + lu.U.nnz == 231786
     assert sol.lu_fill == 232538
 

@@ -90,6 +90,7 @@ def test_foreign_import_check_catches_them():
 
 
 PERFBENCH = sorted((Path(vemflow.__file__).parents[2] / "perfbench").glob("*.py"))
+TESTS = sorted((Path(vemflow.__file__).parents[2] / "tests").glob("*.py"))
 
 
 def _reads(tree: ast.AST) -> set[str]:
@@ -284,3 +285,33 @@ def test_unread_member_check_catches_them():
            "def f():\n    local = 1\n    return local\n\n\nWRAPPED = ('module', 'A.traced')\n")
     assert _unread_members([src], [src]) == ["A.unused", "A.prop", "A.local"]
     assert _unread_members([src], [src, "a.prop, a.unused, a.local = 1, 2, 3\n"]) == []
+
+
+def _unread_fields(defining: list[str], reading: list[str]) -> list[str]:
+    """`Class.field` for each dataclass field of the `defining` sources that
+    no source in `reading` reads as a member (`_member_reads`)."""
+    read = set().union(*(_member_reads(ast.parse(src)) for src in reading))
+    return [f"{node.name}.{item.target.id}" for src in defining for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.ClassDef) and any(_called(d) == "dataclass" for d in node.decorator_list)
+            for item in node.body if isinstance(item, ast.AnnAssign) and item.target.id not in read]
+
+
+def test_no_field_that_nothing_reads():
+    """Every dataclass field of the package is read by some code in the
+    package, in perfbench or in the tests: a field that nothing reads is a
+    record entry that every instance carries and that its producer fills
+    for nobody."""
+    package = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert PERFBENCH and TESTS
+    readers = package + [path.read_text(encoding="utf-8") for path in PERFBENCH + TESTS]
+    assert _unread_fields(package, readers) == []
+
+
+def test_unread_field_check_catches_them():
+    src = ("from dataclasses import dataclass, field\n\n\n"
+           "@dataclass\nclass A:\n    x: int\n    y: int = 0\n    z: list = field(default_factory=list)\n\n\n"
+           "@dataclass(frozen=True)\nclass B:\n    s: int = 0\n\n\n"
+           "class C:\n    u: int = 0\n\n\n"
+           "a = A(1, y=2, z=[])\nprint(a.x)\nNAMED = 'B.s'\n")
+    assert _unread_fields([src], [src]) == ["A.y", "A.z"]
+    assert _unread_fields([src], [src, "a.y, a.z = 1, []\n"]) == []
