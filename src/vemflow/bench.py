@@ -119,6 +119,8 @@ def family_meshes(family: str, levels: int | None, mesh_paths=None):
                              f"{levels} levels asked for, {len(mesh_paths)} paths given")
         return [load_mesh(p) for p in mesh_paths]
     levels = 3 if levels is None else levels
+    if levels < 1:
+        raise ValueError(f"a generated family needs levels >= 1, got {levels}")
     if family == "structured":
         return [generate_structured_cubes(2 ** (i + 1)) for i in range(levels)]
     if family == "tetra":

@@ -29,7 +29,6 @@ class ManufacturedCase:
     nu: float
     velocity: Callable           # (n,3) -> (n,3)
     grad_velocity: Callable      # (n,3) -> (n,3,3), [i,j] = du_i/dx_j
-    div_velocity: Callable       # (n,3) -> (n,)
     pressure: Callable           # (n,3) -> (n,)
     load: Callable               # (n,3) -> (n,3)
     traction: Callable           # ((n,3), normal) -> (n,3)
@@ -80,7 +79,6 @@ def _build(name: str, u_expr, p_expr, nu: float, convective: bool) -> Manufactur
     return ManufacturedCase(
         name=name, convective=convective, nu=nu,
         velocity=_lambdify(u, (3,)), grad_velocity=_lambdify(grad_u, (3, 3)),
-        div_velocity=lambda pts: np.zeros(len(np.atleast_2d(pts))),
         pressure=p_fun, load=_lambdify(f, (3,)), traction=traction,
     )
 

@@ -86,7 +86,7 @@ def cmd_solve(args):
     mapv, mapq = maps
     projs, faceprojs = build_projections(mesh, mapv)
     # translated cells and faces share one set of arrays, built once
-    print(f"projections built: {len({id(pr.pi_d) for pr in projs})} of {len(projs)} cells, "
+    print(f"projections built: {len({id(pr.pi_0k) for pr in projs})} of {len(projs)} cells, "
           f"{len({id(fp.l2) for fp in faceprojs.values()})} of {len(faceprojs)} faces")
     spec = bench.case_spec(case, args.k, args.stab, args.neumann)
     system = assemble(mesh, maps, spec, projs, faceprojs)

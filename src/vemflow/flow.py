@@ -95,7 +95,6 @@ class FlowSolution:
     p: np.ndarray                # pressure coefficients per cell
     lam: float                   # zero-mean multiplier (0.0 when absent)
     increments: list = field(default_factory=list)
-    linear_residual: float = 0.0
     converged: bool = True
     diagnostic: str = ""
     saddle_rows: int = 0         # rows of the last saddle matrix solved
@@ -315,7 +314,7 @@ def solve_stokes(system: GlobalSystem) -> FlowSolution:
     # entry of the load (on one cell every reduced velocity is Dirichlet)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(p))):
         raise SolverError("direct solve failed: non-finite velocity or pressure")
-    return FlowSolution(u=u, p=p, lam=lam, linear_residual=res, saddle_rows=lu.K.shape[0],
+    return FlowSolution(u=u, p=p, lam=lam, saddle_rows=lu.K.shape[0],
                         lu_fill=lu.fill, factored=factored, linear_solves=[(lu.path, lu.iterations)])
 
 

@@ -129,6 +129,7 @@ class PolyMesh:
         V = self.vertices = np.array(vertices, dtype=float)     # a copy: it is made read-only
         if V.ndim != 2 or V.shape[1] != 3:
             raise MeshError("vertices must be an (n, 3) array")
+        raise_first(~np.isfinite(V).all(axis=1), lambda v: f"vertex {v} has a non-finite coordinate")
         nv = len(V)
         loop, sizes = _parse_ids(faces, "face", "vertex")
         signed, n_inc = _parse_ids(signed_cells, "cell", "face")
@@ -434,16 +435,15 @@ def mesh_size(mesh: PolyMesh) -> float:
 class QualityReport:
     """Shape-regularity diagnostics.
 
-    `edge_ratio` and `face_ratio` are min(h_e/h_P) and min(h_f/h_P) per cell;
-    `ball_ratio` is the inscribed-ball-about-barycenter proxy radius over h_P
-    (a proxy for star-shapedness, reported but not gated: deciding exact
-    star-shapedness is a nonconvex feasibility problem).  The pass/fail gate
-    compares min(edge_ratio, face_ratio) against the configured threshold.
+    The pass/fail gate compares each cell's min(h_e/h_P, h_f/h_P) over its
+    edges e and faces f against the threshold `rho`; `rho_hat` is the
+    smallest over the mesh.  `ball_ratio` is the inscribed-ball-about-
+    barycenter proxy radius over h_P per cell (a proxy for star-shapedness,
+    reported but not gated: deciding exact star-shapedness is a nonconvex
+    feasibility problem).
     """
 
     rho: float
-    edge_ratio: np.ndarray
-    face_ratio: np.ndarray
     ball_ratio: np.ndarray
     rho_hat: float
     passed: bool
@@ -451,23 +451,21 @@ class QualityReport:
 
 
 def quality_check(mesh: PolyMesh, rho: float) -> QualityReport:
+    if not (np.isfinite(rho) and rho >= 0):
+        raise ValueError(f"rho must be finite and >= 0, got rho = {rho}")
     inc_cell, inc_face, inc_sign = mesh._incidence
     fs, cs = mesh.face_stack, mesh.cell_stack
     length = np.linalg.norm(np.diff(mesh.vertices[mesh.edges], axis=1)[:, 0], axis=1)
     shortest = np.minimum.reduceat(length[mesh._loop_edges], mesh._face_loop[1])   # per face
     cell_start = np.searchsorted(inc_cell, np.arange(mesh.n_cells))
     ratio = lambda x: np.minimum.reduceat(x, cell_start) / cs.h      # min over each cell's faces
-    edge_ratio = ratio(shortest[inc_face])
-    face_ratio = ratio(fs.h[inc_face])
     # stacked 1x3 by 3x1 products round as np.dot of each pair
     ball = (fs.centroid[inc_face] - cs.barycenter[inc_cell])[:, None] @ fs.normal[inc_face, :, None]
     ball_ratio = ratio(inc_sign * ball[:, 0, 0])
-    per_cell = np.minimum(edge_ratio, face_ratio)
+    per_cell = np.minimum(ratio(shortest[inc_face]), ratio(fs.h[inc_face]))
     failing = [int(i) for i in np.nonzero(per_cell < rho)[0]]
     return QualityReport(
         rho=rho,
-        edge_ratio=edge_ratio,
-        face_ratio=face_ratio,
         ball_ratio=ball_ratio,
         rho_hat=float(per_cell.min()),
         passed=not failing,

@@ -32,17 +32,18 @@ barycentre, its vertices, its edge points (so edge orientation counts),
 every local face's loop in loop order, and its face signs; for a face, about
 its centroid, its loop and its edge points in loop-edge order.  The stacked
 algebra runs once per class, on its lowest-id member, and every member's
-record views that member's arrays: for cells `mono_int`, `Hk`, `Hq`, `div`,
-`D`, `pi_d`, `pi_d_dof`, `pi_0k`, `pi_0grad`, `consistency`, `sigma` and
-`rule_vals`, for faces `vals`, `dproj` and `l2`, all of them made from the
-rule in the entity's scaled frame.  A cell's rule is its class's too:
+record views that member's arrays: for cells `mono_int`, `Hq`, `div`,
+`pi_d_dof`, `pi_0k`, `pi_0grad`, `consistency`, `sigma` and `rule_vals`, for
+faces `vals` and `l2`, all of them made from the rule in the entity's scaled
+frame (Hk, D, pi_d and the face DoF-euclidean projection are formed but not
+kept: nothing reads them).  A cell's rule is its class's too:
 `quadrature.cell_quadrature` runs on the representative only, and a member
 holds that rule moved by the shift of its barycentre, sharing the read-only
 weights and forming its points when read (a face group still makes its one
-`face_quadrature`).  What stays the entity's own is its id, h, volume and
-points.  The classes live for one kernel call; on a mesh without translates
-a first pass on cheap invariants leaves every entity alone before the full
-key is formed.
+`face_quadrature`).  What stays the entity's own is its h, volume and rule
+points for a cell, and its rule for a face.  The classes live for one kernel
+call; on a mesh without translates a first pass on cheap invariants leaves
+every entity alone before the full key is formed.
 """
 
 from __future__ import annotations
@@ -158,16 +159,10 @@ class FaceProjections:
     The arrays are read-only views into the stacked arrays of the face's
     group."""
 
-    f: int
-    k: int
-    ndof: int
-    h: float                         # face diameter, the scale of the face basis
-    dproj: np.ndarray                # (pi_{k,2}, ndof) DoF-euclidean projection
     l2: np.ndarray                   # (pi_{k+1,2}, ndof) enhanced L2 projection
-    pts2: np.ndarray                 # face quadrature points, face frame
-    pts3: np.ndarray                 # the same points in space
+    pts3: np.ndarray                 # face quadrature points in space
     w: np.ndarray                    # their weights
-    vals: np.ndarray                 # (npts, pi_{k+1,2}) basis values at pts2
+    vals: np.ndarray                 # (npts, pi_{k+1,2}) basis values at the points
 
 
 def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
@@ -175,7 +170,7 @@ def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
     """The projections of a group of faces with one vertex count (see
     `PolyMesh.face_groups`), built as stacked arrays over the group's
     classes of translates (see `_translate_classes`): each face has its own
-    rule, and `dproj`, `l2` and `vals` view those of its class's first face."""
+    rule, and `l2` and `vals` view those of its class's first face."""
     faces = np.asarray(faces, dtype=int)
     fs = mesh.face_stack
     h, area = fs.h[faces], fs.area[faces]
@@ -192,7 +187,6 @@ def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
     bpts = np.concatenate([mesh.vertices[loops], edge_points3[eids].reshape(len(faces), -1, 3)], axis=1)
     bpts -= fs.centroid[faces][:, None]
     rep, cls = _translate_classes(h, area / h ** 2, lambda i: bpts[i].reshape(len(i), -1))
-    ids, h_ids = faces, h
     faces, h, area, bpts, pts2, w = (a[rep] for a in (faces, h, area, bpts, pts2_all, w_all))
     nf = len(faces)
 
@@ -226,11 +220,10 @@ def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
 
     # one read-only view per class, which all its members hold, and one per face of its rule
     vals = np.ascontiguousarray(phi[..., :npk1])
-    read_only(dproj, l2, vals, pts2_all, pts3, w_all)
-    dproj, l2, vals = list(dproj), list(l2), list(vals)
-    return [FaceProjections(f=f, k=k, ndof=ndof, h=hf, dproj=dproj[j], l2=l2[j], pts2=pts2_all[i],
-                            pts3=pts3[i], w=w_all[i], vals=vals[j])
-            for i, (f, hf, j) in enumerate(zip(ids.tolist(), h_ids.tolist(), cls.tolist()))]
+    read_only(l2, vals, pts3, w_all)
+    l2, vals = list(l2), list(vals)
+    return [FaceProjections(l2=l2[j], pts3=pts3[i], w=w_all[i], vals=vals[j])
+            for i, j in enumerate(cls.tolist())]
 
 
 def _face_extractions(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray, slot: int,
@@ -287,7 +280,6 @@ class CellProjections:
     """Per-cell projector and moment matrices acting on the local DoF vector.
     The matrices are views into the stacked arrays of the cell's group."""
 
-    c: int
     k: int
     ndof: int
     h: float
@@ -295,10 +287,7 @@ class CellProjections:
     rule: quad.QuadRule | quad.TranslatedRule   # on a member, its class's rule moved to it
     mono_int: np.ndarray         # integrals of monomials up to degree max(2k, 3k-1)
     Hq: np.ndarray               # mass matrix of the degree k-1 basis
-    Hk: np.ndarray               # mass matrix of the degree k basis
     div: np.ndarray              # (pi_{k-1,3}, ndof) coefficients of div v
-    D: np.ndarray                # (ndof, 3 pi_{k,3}) DoF values of vector monomials
-    pi_d: np.ndarray             # (3 pi_{k,3}, ndof) DoF-euclidean projection
     pi_d_dof: np.ndarray         # (ndof, ndof) D pi_d, Pi^D acting on the DoFs
     pi_0k: np.ndarray            # (3 pi_{k,3}, ndof) L2 projection coefficients
     pi_0grad: np.ndarray         # (9 pi_{k-1,3}, ndof), row (3i+j)*pq+b: (grad v)_ij
@@ -335,7 +324,7 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
                 - xb[i, None]).reshape(len(i), -1)
 
     rep, cls = _translate_classes(h, vol / h ** 3, about_barycentre, signs)
-    ids, h_ids, vol_ids, xb_ids = cells, h, vol, xb
+    h_ids, vol_ids, xb_ids = h, vol, xb
     cells, h, vol, xb, fids, signs, cv, ce = (a[rep] for a in (cells, h, vol, xb, fids, signs, cv, ce))
     n = len(cells)
     # one rule per class, on its representative, read-only since its members share it
@@ -439,15 +428,15 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
         consistency += e.transpose(0, 2, 1) @ Hq @ e
     sigma = np.maximum(h[:, None], np.einsum("nsad,nsad->nd", eps, Hq[:, None] @ eps))
     # the cells view these stacks, one view per class, and operator keys hold them
-    stacks = dict(mono_int=ints, Hq=Hq, Hk=Hk, div=div, D=D, pi_d=pi_d, pi_d_dof=D @ pi_d, pi_0k=pi_0k,
+    stacks = dict(mono_int=ints, Hq=Hq, div=div, pi_d_dof=D @ pi_d, pi_0k=pi_0k,
                   pi_0grad=pi_0grad, consistency=consistency, sigma=sigma)
     read_only(*stacks.values(), *rule_vals)
     views = {name: list(a) for name, a in stacks.items()} | {"rule_vals": rule_vals}
     # a member's rule is its class's moved by the shift of its barycentre
-    return [CellProjections(c=c, k=k, ndof=ndof, h=hc, vol=vc,
+    return [CellProjections(k=k, ndof=ndof, h=hc, vol=vc,
                             rule=rules[j] if i == rep[j] else quad.TranslatedRule(rules[j], xb_ids[i] - xb[j]),
                             **{name: v[j] for name, v in views.items()})
-            for i, (c, hc, vc, j) in enumerate(zip(ids.tolist(), h_ids.tolist(), vol_ids.tolist(), cls.tolist()))]
+            for i, (hc, vc, j) in enumerate(zip(h_ids.tolist(), vol_ids.tolist(), cls.tolist()))]
 
 
 def _by_group(groups: list[np.ndarray], kernel) -> dict:

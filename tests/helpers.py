@@ -119,6 +119,12 @@ def poly_field(basis, coef: np.ndarray):
     return u, grad_u, div_u
 
 
+def zero_divergence(pts) -> np.ndarray:
+    """The divergence of every manufactured velocity, which `cases` checks
+    symbolically to be zero: (n,) zeros for (n, 3) points."""
+    return np.zeros(len(np.atleast_2d(pts)))
+
+
 def random_poly_field(basis, rng, degree: int | None = None):
     """Random vector polynomial of the requested degree on the cell of `basis`."""
     ns = basis.n
@@ -150,36 +156,36 @@ def local_dofs(mapv, ci: int, global_vec: np.ndarray) -> np.ndarray:
     return global_vec[mapv.cell_global[ci]]
 
 
-def face_poly_dofs(mesh, mapv, f, fp, coef: np.ndarray) -> np.ndarray:
+def face_poly_dofs(mesh, mapv, f, coef: np.ndarray) -> np.ndarray:
     """Scalar face DoF vector sampled from the 2D polynomial with the given
-    coefficients over the face basis of fp (degree k part)."""
+    coefficients over the degree k face basis of face f."""
     k = mapv.k
     npk = dim_poly(k, 2)
+    nm = dim_poly(k - 2, 2)
     loop = mesh.faces[f]
     nv = len(loop)
     basis = face_basis(mesh, f, k + 1)
-    d = np.zeros(fp.ndof)
+    d = np.zeros(nv * k + nm)
     d[:nv] = basis.eval(face_coords(mesh, f, mesh.vertices[loop]))[:, :npk] @ coef
     eids, _ = mesh.face_edges[f]
     for le in range(nv):
         ep2 = face_coords(mesh, f, mapv.edge_points[eids[le]])
         d[nv + le * (k - 1): nv + (le + 1) * (k - 1)] = basis.eval(ep2)[:, :npk] @ coef
-    phi = basis.eval(fp.pts2)
+    pts2, _, w = face_quadrature_loop(mesh, f, 2 * k + 2)
+    phi = basis.eval(pts2)
     vals = phi[:, :npk] @ coef
-    nm = dim_poly(k - 2, 2)
-    g = face_row(mesh, f)
-    d[nv * k:] = (phi[:, :nm] * (fp.w * vals)[:, None]).sum(axis=0) / g.area
+    d[nv * k:] = (phi[:, :nm] * (w * vals)[:, None]).sum(axis=0) / face_row(mesh, f).area
     return d
 
 
-def _projected_values(mesh, proj):
-    """Evaluate the projected basis fields at the cell quadrature points.
+def _projected_values(mesh, ci: int, proj):
+    """Evaluate the projected basis fields of cell ci at its quadrature points.
 
     Returns (P, G): P is (nq, ndof, 3) values of Pi^0_k of each basis
     function, G is (nq, ndof, 3, 3) values of the projected gradients."""
-    pk = proj.Hk.shape[0]
+    pk = dim_poly(proj.k, 3)
     pq = proj.Hq.shape[0]
-    phi = cell_basis(mesh, proj.c, proj.k + 1).eval(proj.rule.points)
+    phi = cell_basis(mesh, ci, proj.k + 1).eval(proj.rule.points)
     phik = phi[:, :pk]
     phiq = phi[:, :pq]
     nq = phik.shape[0]
@@ -193,10 +199,10 @@ def _projected_values(mesh, proj):
     return P, G
 
 
-def convection_oracle(mesh, proj, w_loc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C(w) and Cg(w) of one cell by the cell quadrature rule, evaluating the
+def convection_oracle(mesh, ci: int, proj, w_loc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C(w) and Cg(w) of cell ci by its quadrature rule, evaluating the
     projected fields pointwise: the reference for the quadrature-free kernel."""
-    P, G = _projected_values(mesh, proj)
+    P, G = _projected_values(mesh, ci, proj)
     wq = proj.rule.weights
     Pw = np.einsum("qjc,j->qc", P, w_loc)
     Gw = np.einsum("qjab,j->qab", G, w_loc)
@@ -214,27 +220,36 @@ def convection_oracle_scatter(mesh, mapv, projs, u: np.ndarray) -> tuple[np.ndar
     Cg = np.zeros((mapv.ndof, mapv.ndof))
     for ci, proj in enumerate(projs):
         gdof = mapv.cell_global[ci]
-        Cl, Cgl = convection_oracle(mesh, proj, u[gdof])
+        Cl, Cgl = convection_oracle(mesh, ci, proj, u[gdof])
         C[np.ix_(gdof, gdof)] += Cl
         Cg[np.ix_(gdof, gdof)] += Cgl
     return C, Cg
 
 
+def cell_mass(proj) -> np.ndarray:
+    """Hk, the mass matrix of a cell's degree k basis, gathered from its
+    monomial integrals as the cell kernel gathers it (Hq is its leading
+    block)."""
+    a_k = multi_indices(proj.k, 3)
+    return _mass_from_integrals(proj.mono_int, cell_integral_degree(proj.k), 3, a_k, a_k)
+
+
 def cell_moments(proj) -> np.ndarray:
     """(3 pi_{k,3}, ndof) interior moments of a cell, Hk pi_0k per component."""
-    pk = proj.Hk.shape[0]
-    return (proj.Hk @ proj.pi_0k.reshape(3, pk, -1)).reshape(3 * pk, -1)
+    pk = dim_poly(proj.k, 3)
+    return (cell_mass(proj) @ proj.pi_0k.reshape(3, pk, -1)).reshape(3 * pk, -1)
 
 
 def local_load_loop(proj, load) -> np.ndarray:
     """(f_h, v)_P with one Hk solve per load component: the reference for the
     solve-free contraction with pi_0k in `forms.local_load`."""
-    pk = proj.Hk.shape[0]
+    pk = dim_poly(proj.k, 3)
     phi = proj.rule_vals
     fvals = np.asarray(load(proj.rule.points), dtype=float).reshape(-1, 3)
     rhs = np.zeros(proj.ndof)
+    Hk = cell_mass(proj)
     for c in range(3):
-        cf = np.linalg.solve(proj.Hk, phi.T @ (proj.rule.weights * fvals[:, c]))
+        cf = np.linalg.solve(Hk, phi.T @ (proj.rule.weights * fvals[:, c]))
         rhs += cell_moments(proj)[c * pk: (c + 1) * pk, :].T @ cf
     return rhs
 
@@ -478,14 +493,14 @@ def face_h1_projection(mesh, f: int, k: int, edge_points3) -> np.ndarray:
     return solve(G, B)
 
 
-def cell_h1_projection(mesh, mapv, proj, faceprojs) -> np.ndarray:
-    """H1-seminorm projection onto [P_k]^3 of the cell-local DoF vector, from
-    the interior moments and the projected face traces, with the boundary
-    mean of each component as fixing condition.  Shape (3 pi_{k,3}, ndof)."""
+def cell_h1_projection(mesh, mapv, ci: int, proj, faceprojs) -> np.ndarray:
+    """H1-seminorm projection onto [P_k]^3 of the local DoF vector of cell
+    ci, from the interior moments and the projected face traces, with the
+    boundary mean of each component as fixing condition.  Shape
+    (3 pi_{k,3}, ndof)."""
     k = mapv.k
-    ci = proj.c
     lay = mapv.layouts[ci]
-    h, ndof, Hk, moments = proj.h, proj.ndof, proj.Hk, cell_moments(proj)
+    h, ndof, Hk, moments = proj.h, proj.ndof, cell_mass(proj), cell_moments(proj)
     basis = cell_basis(mesh, ci, k + 1)
     pk = dim_poly(k, 3)
     fids, signs = mesh.cells[ci]
@@ -535,7 +550,20 @@ def _solve_blocks_loop(factor, blocks: list[np.ndarray]) -> np.ndarray:
     return np.vstack(np.hsplit(X, len(blocks)))
 
 
-def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjections:
+@dataclass
+class CellProjectionsLoop(CellProjections):
+    """A cell's projections with what the group kernel forms but does not
+    keep: the cell's id, the mass matrix Hk of the degree k basis, the DoF
+    values D (ndof, 3 pi_{k,3}) of the vector monomials and their
+    DoF-euclidean projection pi_d (3 pi_{k,3}, ndof)."""
+
+    c: int
+    Hk: np.ndarray
+    D: np.ndarray
+    pi_d: np.ndarray
+
+
+def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjectionsLoop:
     """The projections of one cell, built alone with one basis evaluation and
     one face extraction per face: the reference for the group kernel
     `projection.build_cell_projection`."""
@@ -672,7 +700,7 @@ def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjections:
             cons += eij.T @ Hq @ eij
     sigma = np.maximum(h, np.diag(cons))
 
-    return CellProjections(
+    return CellProjectionsLoop(
         c=ci, k=k, ndof=ndof, h=h, vol=vol, rule=rule,
         mono_int=ints, Hq=Hq, Hk=Hk, div=div, D=D, pi_d=pi_d, pi_d_dof=D @ pi_d,
         pi_0k=pi_0k, pi_0grad=pi_0grad, consistency=cons,
@@ -878,7 +906,7 @@ def solve_stokes_full(system) -> FlowSolution:
     res = np.linalg.norm(K @ x - rhs) / (nrm if nrm > 0 else 1.0)
     if not np.isfinite(res) or res > 1e-8:
         raise SolverError(f"direct solve failed: relative residual {res:.3e}")
-    return FlowSolution(u=u, p=p, lam=lam, linear_residual=float(res))
+    return FlowSolution(u=u, p=p, lam=lam)
 
 
 def solve_navier_stokes_full(mesh, maps, spec, projs, faceprojs, opts=None,
@@ -920,7 +948,7 @@ def solve_navier_stokes_full(mesh, maps, spec, projs, faceprojs, opts=None,
         increments.append(inc)
         base = float(np.linalg.norm(state))
         if inc < opts.tol * max(base, 1e-300) or (base == 0.0 and inc == 0.0):
-            return FlowSolution(u=u, p=p, lam=lam, increments=increments, linear_residual=0.0)
+            return FlowSolution(u=u, p=p, lam=lam, increments=increments)
     return FlowSolution(u=u, p=p, lam=lam, increments=increments,
                         converged=False, diagnostic="Newton did not converge")
 
@@ -952,8 +980,7 @@ def solve_stokes_reduced(mesh, maps, spec, projs, faceprojs):
     (FlowSolution in reduced numbering, the reduced velocity DoFs' mask)."""
     system = assemble(mesh, maps, spec, projs, faceprojs)
     sol = solve_stokes(system)
-    return FlowSolution(u=sol.u[system.keep], p=cell_means(sol.p, system),
-                        lam=sol.lam, linear_residual=sol.linear_residual), system.keep
+    return FlowSolution(u=sol.u[system.keep], p=cell_means(sol.p, system), lam=sol.lam), system.keep
 
 
 @dataclass
@@ -1283,7 +1310,22 @@ def cell_quadrature_loop(mesh, c: int, exactness: int) -> quad.QuadRule:
     return quad.QuadRule(np.vstack(pts), np.concatenate(wts))
 
 
-def face_projections_loop(mesh, f: int, k: int, edge_points3) -> FaceProjections:
+@dataclass
+class FaceProjectionsLoop(FaceProjections):
+    """A face's projections with what the group kernel forms but does not
+    keep: the face's id, k, the face DoF count, the face diameter h (the
+    scale of the face basis), the DoF-euclidean projection dproj
+    (pi_{k,2}, ndof) and the quadrature points pts2 in the face frame."""
+
+    f: int
+    k: int
+    ndof: int
+    h: float
+    dproj: np.ndarray
+    pts2: np.ndarray
+
+
+def face_projections_loop(mesh, f: int, k: int, edge_points3) -> FaceProjectionsLoop:
     """The face projections of one face, built alone: the reference for the
     group kernel `projection.build_face_projections`."""
     g = face_row(mesh, f)
@@ -1315,8 +1357,8 @@ def face_projections_loop(mesh, f: int, k: int, edge_points3) -> FaceProjections
     MOM[:n_mom, nv * k:] = g.area * np.eye(n_mom)
     MOM[n_mom:, :] = _mass_from_integrals(ints, deg, 2, a_k1[n_mom:], a_k) @ dproj
     l2 = solve(_mass_from_integrals(ints, deg, 2, a_k1, a_k1), MOM)
-    return FaceProjections(f=f, k=k, ndof=ndof, h=g.h, dproj=dproj, l2=l2,
-                           pts2=pts2, pts3=pts3, w=w, vals=phi[:, :npk1].copy())
+    return FaceProjectionsLoop(f=f, k=k, ndof=ndof, h=g.h, dproj=dproj, l2=l2,
+                               pts2=pts2, pts3=pts3, w=w, vals=phi[:, :npk1].copy())
 
 
 def interpolate_boundary_loop(mesh, mapv, g) -> np.ndarray:
@@ -1717,7 +1759,17 @@ def generate_tetra_mesh_loop(n: int, jitter: float = 0.15, seed: int = 0) -> Pol
     return mesh_from_tets_loop(pts, np.array(tets))
 
 
-def quality_check_loop(mesh, rho: float) -> QualityReport:
+@dataclass
+class QualityReportLoop(QualityReport):
+    """A quality report with the per-cell ratios min(h_e/h_P) over the
+    cell's edges and min(h_f/h_P) over its faces, whose minimum the gate
+    compares against rho."""
+
+    edge_ratio: np.ndarray
+    face_ratio: np.ndarray
+
+
+def quality_check_loop(mesh, rho: float) -> QualityReportLoop:
     """Cell by cell over the entities' geometry rows: the reference for
     `meshing.quality_check`."""
     nc = mesh.n_cells
@@ -1737,7 +1789,7 @@ def quality_check_loop(mesh, rho: float) -> QualityReport:
         ball_ratio[ci] = r / h
     per_cell = np.minimum(edge_ratio, face_ratio)
     failing = [int(i) for i in np.nonzero(per_cell < rho)[0]]
-    return QualityReport(
+    return QualityReportLoop(
         rho=rho,
         edge_ratio=edge_ratio,
         face_ratio=face_ratio,

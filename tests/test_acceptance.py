@@ -167,7 +167,7 @@ def test_criterion_7_projector_suite():
     drawn from structured, tetra and an imported Voronoi cell; coefficient
     error <= 1e-10 and DoF-projection idempotency <= 1e-10."""
     import tempfile
-    from helpers import cell_h1_projection
+    from helpers import cell_h1_projection, cell_projection_loop
     from vemflow.meshing import load_mesh
 
     k = 2
@@ -195,13 +195,14 @@ def test_criterion_7_projector_suite():
             maps = build_dof_maps(mesh, k)
             built[id(mesh)] = (maps, *build_projections(mesh, maps[0]))
         maps, projs, fps = built[id(mesh)]
-        pr = projs[int(ci)]
+        pr, ref = projs[int(ci)], cell_projection_loop(mesh, maps[0], int(ci), fps)
         coef = rng.standard_normal(3 * pk)
-        d = pr.D @ coef
-        for M in (pr.pi_d, pr.pi_0k, cell_h1_projection(mesh, maps[0], pr, fps)):
+        d = ref.D @ coef
+        for M in (ref.pi_d, pr.pi_0k, cell_h1_projection(mesh, maps[0], int(ci), pr, fps)):
             worst_rep = max(worst_rep, float(np.max(np.abs(M @ d - coef))))
+        worst_rep = max(worst_rep, float(np.max(np.abs(pr.pi_d_dof @ d - d))))
         # gradient projection against the exact derivative coefficients
-        Dm = cell_basis(mesh, pr.c, k + 1).deriv_matrices()
+        Dm = cell_basis(mesh, int(ci), k + 1).deriv_matrices()
         for i in range(3):
             for j in range(3):
                 exact = (Dm[j][:pq, :pk] / pr.h) @ coef[i * pk: (i + 1) * pk]
@@ -218,7 +219,7 @@ def test_criterion_7_projector_suite():
         fp = fps[f]
         npk2 = dim_poly(k, 2)
         cf = rng.standard_normal(npk2)
-        df = face_poly_dofs(mesh, maps[0], f, fp, cf)
+        df = face_poly_dofs(mesh, maps[0], f, cf)
         nabla = face_h1_projection(mesh, f, k, maps[0].edge_points)
         worst_rep = max(worst_rep, float(np.max(np.abs(nabla @ df - cf))))
         l2c = fp.l2 @ df
@@ -302,7 +303,7 @@ def test_criterion_10_stabilization_robustness(study_ex1_k2, structured_meshes):
     calls = []
 
     def scaled(proj, nu, stabilization="drecipe"):
-        calls.append(proj.c)
+        calls.append(proj)
         Qd = np.eye(proj.ndof) - proj.pi_d_dof
         return nu * (proj.consistency + Qd.T @ ((10.0 * proj.sigma)[:, None] * Qd))
 

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import cell_projection_loop, zero_divergence
 from vemflow.bench import (
     ErrorReport,
     LevelResult,
@@ -22,7 +23,7 @@ def test_error_h1_exact_for_interpolated_polynomial(cube2, disc):
     k = 2
     case = make_case("ex3-p1", k=k)     # velocity in [P_k]^3
     maps, projs, fps = disc(cube2, k)
-    d = interpolate_velocity(cube2, maps[0], case.velocity, case.div_velocity)
+    d = interpolate_velocity(cube2, maps[0], case.velocity, zero_divergence)
     assert error_h1_velocity(d, case, cube2, maps[0], projs) < 1e-10
 
 
@@ -141,6 +142,9 @@ def test_family_meshes():
     ts = family_meshes("tetra", 1)
     assert ts[0].n_cells == 6 * 8
     assert len(family_meshes("structured", None)) == 3
+    for family, levels in (("structured", 0), ("tetra", -1)):
+        with pytest.raises(ValueError, match="levels >= 1"):
+            family_meshes(family, levels)
     with pytest.raises(ValueError, match="import-only"):
         family_meshes("cvt", 1)
     with pytest.raises(ValueError, match="one level per mesh path"):
@@ -163,5 +167,5 @@ def test_voronoi_import_projection(tmp_path, voronoi_cell, disc):
     pr = projs[0]
     rng = np.random.default_rng(8)
     coef = rng.standard_normal(3 * dim_poly(2, 3))
-    d = pr.D @ coef
+    d = cell_projection_loop(mesh, maps[0], 0, fps).D @ coef
     assert np.max(np.abs(pr.pi_0k @ d - coef)) < 1e-10

@@ -1,5 +1,5 @@
-"""The CI workflow tests on the oldest versions of the dependencies that
-pyproject.toml admits."""
+"""The CI workflow tests on the oldest Python and the oldest versions of
+the dependencies that pyproject.toml admits."""
 
 import re
 from pathlib import Path
@@ -34,11 +34,21 @@ def _drift(pyproject: str, workflow: str) -> dict:
             if pins.get(name) != floor}
 
 
+def _python_drift(pyproject: str, workflow: str) -> tuple | None:
+    """(floor, pins) when the workflow's `python-version`s are not exactly
+    the `requires-python` floor of pyproject.toml, quoted (YAML reads an
+    unquoted 3.10 as the number 3.1), else None."""
+    floor = re.search(r'^requires-python\s*=\s*">=\s*([\d.]+)"', pyproject, re.M).group(1)
+    pins = re.findall(r"python-version:\s*(\S+)", workflow)
+    return None if pins == [f'"{floor}"'] else (floor, pins)
+
+
 def test_ci_pins_the_dependency_floors():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     assert set(_floors(pyproject)) == {"numpy", "scipy", "sympy"}
     assert _drift(pyproject, workflow) == {}
+    assert _python_drift(pyproject, workflow) is None
 
 
 def test_drift_check_catches_them():
@@ -49,3 +59,10 @@ def test_drift_check_catches_them():
     assert _drift(pyproject, 'pip install "numpy==1.24.0" "scipy==1.15" "sympy==1.12.0" "pytest==7.4.4"') == {}
     assert _drift(pyproject, 'pip install "numpy==1.24.1" "scipy==1.14.0" "pytest==7.4.4"') == {
         "numpy": ((1, 24), (1, 24, 1)), "scipy": ((1, 15), (1, 14)), "sympy": ((1, 12), None)}
+    pyproject = '[project]\nrequires-python = ">=3.10"\n'
+    assert _python_drift(pyproject, '        with:\n          python-version: "3.10"\n') is None
+    assert _python_drift(pyproject, "python-version: 3.10\n") == ("3.10", ["3.10"])
+    assert _python_drift(pyproject, 'python-version: "3.11"\n') == ("3.10", ['"3.11"'])
+    assert _python_drift(pyproject, 'python-version: "3.10"\npython-version: "3.12"\n') == (
+        "3.10", ['"3.10"', '"3.12"'])
+    assert _python_drift(pyproject, "steps: []\n") == ("3.10", [])

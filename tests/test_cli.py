@@ -16,6 +16,16 @@ def test_mesh_gen_and_check(tmp_path, capsys):
     assert main(["mesh", "check", "--rho", "0.9", str(out)]) == 1
 
 
+@pytest.mark.parametrize("rho", ["nan", "-1", "inf"])
+def test_mesh_check_rejects_a_bad_rho(rho, tmp_path, capsys):
+    out = tmp_path / "c1.json"
+    assert main(["mesh", "gen", "--cubes", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["mesh", "check", str(out), "--rho", rho]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rho must be finite and >= 0") and err.count("\n") == 1
+
+
 def test_mesh_gen_tets(tmp_path):
     out = tmp_path / "t.json"
     assert main(["mesh", "gen", "--tets", "2", "--seed", "3", "--out", str(out)]) == 0
@@ -54,6 +64,7 @@ def test_complex_check_at_benchmark_size(capsys):
     (["dofs", "--tets", "0"], "n must be >= 1"),
     (["solve", "--cubes", "2", "--nu", "0"], "viscosity must be finite and > 0"),
     (["solve", "--cubes", "1", "--case", "ex2-ns", "--newton-tol", "0"], "tolerance must be finite and > 0"),
+    (["bench", "run", "--case", "ex1-stokes", "--levels", "0"], "levels >= 1, got 0"),
 ])
 def test_invalid_input_is_one_line(argv, message, capsys):
     """Invalid arguments end in a one-line error and exit code 2, not a

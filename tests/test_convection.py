@@ -77,7 +77,7 @@ def test_local_convection_matches_oracle_on_polyhedra(name, k, w_seed):
     mesh, pr = _single_cell(name, k)
     w = np.random.default_rng(w_seed).standard_normal(pr.ndof)
     (C,), (Cg,) = local_convection([pr], w[None])
-    C_ref, Cg_ref = convection_oracle(mesh, pr, w)
+    C_ref, Cg_ref = convection_oracle(mesh, 0, pr, w)
     assert _rel(C, C_ref) < RTOL
     assert _rel(Cg, Cg_ref) < RTOL
 

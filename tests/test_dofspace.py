@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import extract_cells, local_dofs, reduced_saving
+from helpers import cell_projection_loop, extract_cells, local_dofs, reduced_saving
 from vemflow.dofspace import (
     build_dof_maps,
     build_reduced_maps,
@@ -180,7 +180,7 @@ def test_shared_face_dof_convention_agrees():
     mesh = extract_cells(generate_structured_cubes(2), [0, 1])
     k = 2
     mapv, _ = build_dof_maps(mesh, k)
-    projs, _ = build_projections(mesh, mapv)
+    projs, fps = build_projections(mesh, mapv)
     rng = np.random.default_rng(12)
     # one global polynomial, expanded in each cell's own scaled basis
     pk = dim_poly(k, 3)
@@ -199,7 +199,7 @@ def test_shared_face_dof_convention_agrees():
             np.linalg.lstsq(phi_local, phi_glob @ gcoef[c * pk: (c + 1) * pk], rcond=None)[0]
             for c in range(3)
         ])
-        vals[ci] = (mapv.cell_global[ci], pr.D @ coef_local)
+        vals[ci] = (mapv.cell_global[ci], cell_projection_loop(mesh, mapv, ci, fps).D @ coef_local)
     g0, d0 = vals[0]
     g1, d1 = vals[1]
     shared, i0, i1 = np.intersect1d(g0, g1, return_indices=True)

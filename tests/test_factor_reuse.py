@@ -319,7 +319,7 @@ def test_kept_operators_and_key_arrays_are_read_only(sweep_mesh):
     system = _system(disc, "ex1-stokes")
     kept = [system.A1.data, system.B.data, system.B.indices, system.E.data, system.E.indptr,
             system.e, system.pressure_ints, system.dirichlet_mask, system.keep, system.order]
-    key = [mesh.face_cells, mesh.face_stack.area, mesh.cell_stack.barycenter, projs[0].D,
+    key = [mesh.face_cells, mesh.face_stack.area, mesh.cell_stack.barycenter, projs[0].pi_d_dof,
            projs[0].pi_0grad, projs[-1].sigma, projs[-1].mono_int]
     for a in kept + key:
         with pytest.raises(ValueError, match="read-only"):
@@ -335,8 +335,8 @@ def test_operator_key_views_are_read_only(sweep_mesh):
     views = [mesh.faces[0], *mesh.cells[0], *mesh.face_edges[0], mesh.cell_vertices[0],
              mesh.cell_edges[0]]
     pr = projs[0]
-    views += [pr.D.base, *(getattr(pr, name) for name in ("D", "pi_d", "pi_0grad", "pi_0k", "Hq", "Hk",
-                                                          "div", "sigma", "mono_int", "rule_vals"))]
+    views += [pr.pi_d_dof.base, *(getattr(pr, name) for name in ("pi_d_dof", "pi_0grad", "pi_0k", "Hq",
+                                                                 "div", "sigma", "mono_int", "rule_vals"))]
     for v in views:
         with pytest.raises(ValueError):
             v[(0,) * v.ndim] = 0

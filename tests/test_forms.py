@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import (
+    cell_projection_loop,
     convective_form_oracle,
     extract_cells,
     local_b,
@@ -113,7 +114,7 @@ def test_stabilization_vanishes_on_polynomials(cube1, disc):
     pr = projs[0]
     rng = np.random.default_rng(29)
     coef = rng.standard_normal(3 * dim_poly(2, 3))
-    d_poly = pr.D @ coef
+    d_poly = cell_projection_loop(cube1, maps[0], 0, fps).D @ coef
     A = local_a(pr, 1.0)
     d_any = rng.standard_normal(pr.ndof)
     consistency_only = d_any @ pr.consistency @ d_poly

@@ -20,11 +20,11 @@ from vemflow.dofspace import build_dof_maps, cell_basis
 from vemflow.meshing import PolyMesh, generate_structured_cubes, generate_tetra_mesh
 from vemflow.projection import build_projections, cell_rule_exactness
 
-FACE_FIELDS = ("dproj", "l2", "vals")
+FACE_FIELDS = ("l2", "vals")
 
 
 def _classes(projs, fps) -> tuple[int, int]:
-    return len({id(pr.pi_d) for pr in projs}), len({id(fp.l2) for fp in fps.values()})
+    return len({id(pr.pi_0k) for pr in projs}), len({id(fp.l2) for fp in fps.values()})
 
 
 def _classed_against_loops(mesh, k):
@@ -69,7 +69,7 @@ def test_jittered_meshes_share_nothing():
     mesh = generate_tetra_mesh(2, seed=3)
     projs, fps = build_projections(mesh, build_dof_maps(mesh, 2)[0])
     assert _classes(projs, fps) == (mesh.n_cells, mesh.n_faces)
-    for field in ("mono_int", "pi_d", "pi_0grad", "rule_vals"):
+    for field in ("mono_int", "pi_d_dof", "pi_0grad", "rule_vals"):
         arrays = [getattr(pr, field) for pr in projs]
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i]), field
     arrays = [fp.l2 for fp in fps.values()]
@@ -84,7 +84,7 @@ def test_rotated_loop_start_splits_its_face_and_cells():
     projs, fps = _classed_against_loops(_rebuilt(base, faces=faces), 2)
     assert _alone([fp.l2 for fp in fps.values()], f)
     for c in base.face_cells[f]:
-        assert _alone([pr.pi_d for pr in projs], c)
+        assert _alone([pr.pi_0k for pr in projs], c)
 
 
 def test_reversed_face_with_flipped_signs_splits_its_face_and_cells():
@@ -97,7 +97,7 @@ def test_reversed_face_with_flipped_signs_splits_its_face_and_cells():
     projs, fps = _classed_against_loops(_rebuilt(base, faces=faces, cells=cells), 2)
     assert _alone([fp.l2 for fp in fps.values()], f)
     for c in base.face_cells[f]:
-        assert _alone([pr.pi_d for pr in projs], c)
+        assert _alone([pr.pi_0k for pr in projs], c)
 
 
 def test_moved_vertex_splits_its_cells():
@@ -108,7 +108,7 @@ def test_moved_vertex_splits_its_cells():
     mesh = _rebuilt(base, vertices=vertices)
     projs, fps = _classed_against_loops(mesh, 2)
     touched = [c for c in range(mesh.n_cells) if v in mesh.cell_vertices[c]]
-    assert all(_alone([pr.pi_d for pr in projs], c) for c in touched)
+    assert all(_alone([pr.pi_0k for pr in projs], c) for c in touched)
     assert _classes(projs, fps)[0] > 22
 
 
@@ -148,7 +148,7 @@ def test_face_signs_are_in_the_key():
     fids, signs = mesh.cells[1]
     mesh.cells[1] = (fids, -signs)
     projs, fps = build_projections(mesh, mapv)
-    assert _alone([pr.pi_d for pr in projs], 1)
+    assert _alone([pr.pi_0k for pr in projs], 1)
     ref = cell_projection_loop(mesh, mapv, 1, fps)
     for field in ("div", "pi_0k", "pi_0grad"):
         assert _rel(getattr(projs[1], field), getattr(ref, field)) <= 1e-12, field
@@ -181,10 +181,10 @@ def test_member_rules_and_rule_values_are_their_own(k):
     projs, _ = build_projections(mesh, build_dof_maps(mesh, k)[0])
     reps = {}
     for c, pr in enumerate(projs):
-        assert_class_rule(mesh, projs, c, reps.setdefault(id(pr.pi_d), c),
+        assert_class_rule(mesh, projs, c, reps.setdefault(id(pr.pi_0k), c),
                           quad.cell_quadrature(mesh, c, cell_rule_exactness(k)))
         basis = cell_basis(mesh, c, k + 1)
-        assert _rel(pr.rule_vals, basis.eval(pr.rule.points)[:, :pr.Hk.shape[0]]) <= 1e-14
+        assert _rel(pr.rule_vals, basis.eval(pr.rule.points)[:, :polynomials.dim_poly(k, 3)]) <= 1e-14
     assert len(reps) == 4
 
 
