@@ -46,6 +46,11 @@ SUPPORTED_DEGREES = (2, 3, 4)
 # are one layer to the nested dissection: round-off, not geometry
 LAYER_TOL = 1e-9
 
+# cells per block of every stacked per-cell build: the slot build here, the
+# cell projection kernel, the scatter of A1 and the convection kernel, so
+# that their temporaries do not grow with a group
+CELL_BLOCK = 32
+
 
 @lru_cache(maxsize=None)
 def edge_point_params(k: int) -> tuple[float, ...]:
@@ -54,6 +59,11 @@ def edge_point_params(k: int) -> tuple[float, ...]:
     coef[k] = 1.0
     interior = np.sort(legendre.legroots(legendre.legder(coef)))
     return tuple((interior + 1.0) / 2.0)
+
+
+def cell_blocks(n: int) -> list[slice]:
+    """The blocks of at most CELL_BLOCK of n cells, in turn."""
+    return [slice(s, s + CELL_BLOCK) for s in range(0, n, CELL_BLOCK)]
 
 
 def cell_basis(mesh: PolyMesh, c: int, degree: int) -> MonomialBasis3:
@@ -247,8 +257,10 @@ def _cell_pattern(ents: list, dofs: list[np.ndarray], size: np.ndarray,
     slots = []
     for (ent, local, offset), d, pp in zip(ents, dofs, pairs):
         pp = pp.reshape(-1, ent.shape[1], ent.shape[1]).transpose(0, 2, 1)
-        within = col_offset[pp][:, local][:, :, local]
-        slots.append((indptr[d][:, None, :] + within + offset[:, None]).astype(idx))
+        offset = offset.astype(idx)[:, None]
+        slots.append(np.empty((len(d), len(local), len(local)), dtype=idx))
+        for b in cell_blocks(len(d)):
+            slots[-1][b] = indptr[d[b]][:, None, :] + col_offset[pp[b]][:, local][:, :, local] + offset
     return indptr, indices.astype(idx), slots
 
 

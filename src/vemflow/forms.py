@@ -15,13 +15,15 @@ pressure-basis integrals, added only when every boundary face is Dirichlet.
 The convective form c_h(w; u, v) pairs only projected polynomials, so C(w)
 and its Newton companion Cg(w) are built without quadrature points: exact
 contractions of Pi^0_k, the projected gradient and the cell's monomial
-integrals, batched over blocks of at most CONVECTION_BLOCK cells that
+integrals, batched over blocks of at most `dofspace.CELL_BLOCK` cells that
 share a local DoF layout.
 
-A, C and Cg are CSC on the DoF map's pattern, its index arrays shared, A
-filled by one scatter-add per group of cells and C, Cg by one per block;
-B is laid out row by row, and its constant-pressure rows are the cell-face
-flux incidence that the reduced embedding and the compatibility check read.
+A, C and Cg are CSC on the DoF map's pattern, its index arrays shared, each
+filled by one scatter-add per block of at most CELL_BLOCK cells of a group
+(the block of every stacked per-cell build), so that the stacked local
+matrices do not grow with the group; B is laid out row by row, and its
+constant-pressure rows are the cell-face flux incidence that the reduced
+embedding and the compatibility check read.
 
 The viscous block is assembled at nu = 1 (A1, with A = nu A1), since both
 stabilization recipes are linear in nu.  The assembled system also carries
@@ -54,16 +56,13 @@ from .dofspace import (
     DofMapQ,
     DofMapV,
     build_reduced_maps,
+    cell_blocks,
     interpolate_boundary,
     nested_dissection,
 )
 from .meshing import PolyMesh, read_only
 from .polynomials import _positions, dim_poly, multi_indices
 from .projection import CellProjections, FaceProjections, face_extraction
-
-
-# cells per `local_convection` call in `assemble_convection`
-CONVECTION_BLOCK = 32
 
 
 @dataclass
@@ -208,15 +207,21 @@ def _on_pattern(mapv: DofMapV, data: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix((data, mapv.indices, mapv.indptr), shape=(mapv.ndof, mapv.ndof))
 
 
-def _cell_matrix(mapv: DofMapV, blocks: list[np.ndarray]) -> sp.csc_matrix:
-    """Sum the cell blocks (nc, ndof, ndof) of each group of the DoF map into
-    a CSC matrix on the map's pattern: one scatter-add per group over its
-    slots into one data array.  `np.add.at` reads the int32 slots in place,
-    where `np.bincount` would copy them to int64."""
-    data = np.zeros(len(mapv.indices))
-    for g, b in zip(mapv.groups, blocks):
-        np.add.at(data, g.slots.ravel(), b.ravel())
-    return _on_pattern(mapv, data)
+def _cell_matrices(mapv: DofMapV, local: Callable) -> list[sp.csc_matrix]:
+    """Sum cell blocks into CSC matrices on the DoF map's pattern: for each
+    block b of `cell_blocks` of each group g, `local(g, b)` gives one stack
+    (nb, ndof, ndof) per matrix for the cells g.cells[b], and each stack
+    goes into its matrix's data array by one scatter-add, so the sums run in
+    the order of an unblocked scatter, cell by cell.  `np.add.at` reads the
+    int32 slots in place, where `np.bincount` would copy them to int64."""
+    data = []
+    for g in mapv.groups:
+        for b in cell_blocks(len(g.cells)):
+            stacks = local(g, b)
+            data = data or [np.zeros(len(mapv.indices)) for _ in stacks]
+            for d, stack in zip(data, stacks):
+                np.add.at(d, g.slots[b].ravel(), stack.ravel())
+    return [_on_pattern(mapv, d) for d in data]
 
 
 def divergence_matrix(mesh: PolyMesh, mapv: DofMapV) -> sp.csr_matrix:
@@ -287,10 +292,10 @@ def _operators(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     and the empty slot of their Stokes factor."""
     mapv, mapq = maps
     pq = mapq.n_per_cell
-    # each local matrix is written into its group's stack as it is made
-    A1 = _cell_matrix(mapv, [np.fromiter((local_a(projs[c], 1.0, spec.stabilization) for c in g.cells),
-                                         np.dtype((float, g.slots.shape[1:])), len(g.cells))
-                             for g in mapv.groups])
+    # each local matrix is written into its block's stack as it is made
+    [A1] = _cell_matrices(mapv, lambda g, b: [np.fromiter(
+        (local_a(projs[c], 1.0, spec.stabilization) for c in g.cells[b]),
+        np.dtype((float, g.slots.shape[1:])), len(g.cells[b]))])
     B = divergence_matrix(mesh, mapv)
     e = np.concatenate([proj.mono_int[:pq] for proj in projs])
     # Dirichlet DoFs: those of the vertices, edges and faces of the boundary
@@ -356,19 +361,11 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
 def assemble_convection(mapv: DofMapV, projs: list[CellProjections],
                         u: np.ndarray) -> tuple[sp.csc_matrix, sp.csc_matrix]:
     """Global C(u) and the gradient-slot matrix Cg(u) at the state u, both CSC
-    on the DoF map's pattern: one batched contraction per block of at most
-    CONVECTION_BLOCK cells of a group, scattered into one data array each,
-    so the stacked temporaries do not grow with the group.  The sums run in
-    the order of the unblocked scatter, cell by cell."""
-    C, Cg = np.zeros(len(mapv.indices)), np.zeros(len(mapv.indices))
-    for g in mapv.groups:
-        for s in range(0, len(g.cells), CONVECTION_BLOCK):
-            b = slice(s, s + CONVECTION_BLOCK)
-            Cb, Cgb = local_convection([projs[c] for c in g.cells[b]], u[g.dofs[b]])
-            slots = g.slots[b].ravel()
-            np.add.at(C, slots, Cb.ravel())
-            np.add.at(Cg, slots, Cgb.ravel())
-    return _on_pattern(mapv, C), _on_pattern(mapv, Cg)
+    on the DoF map's pattern: one batched contraction per block of cells of
+    a group (see `_cell_matrices`), so the stacked temporaries do not grow
+    with the group."""
+    C, Cg = _cell_matrices(mapv, lambda g, b: local_convection([projs[c] for c in g.cells[b]], u[g.dofs[b]]))
+    return C, Cg
 
 
 def dump_matrix(system: GlobalSystem, path: str) -> None:

@@ -18,7 +18,11 @@ H1-seminorm projections exist only as a test oracle.
 The face projections are built per group of faces with one vertex count and
 the cell projections per group of cells with one face layout: rules, basis
 values, DoF matrices and solves are stacked arrays over the group, which each
-entity's record views.  The QR and the mass solves go through numpy.linalg,
+entity's record views.  The cell kernel's stacked algebra runs one block of
+at most `dofspace.CELL_BLOCK` classes at a time, as every per-cell build
+does, and drops each temporary after its last reader, so its transient
+memory is bounded by the block, not the group; a block's cells view that
+block's stacks.  The QR and the mass solves go through numpy.linalg,
 which loops over the stack in C; the face L2 solve, on an ill-conditioned
 degree k+1 mass matrix, goes through scipy.linalg.solve, whose LU rounds as
 the per-face oracle's does.  Only a class representative's rule and monomial
@@ -55,7 +59,7 @@ import numpy as np
 from scipy.linalg import solve
 
 from . import quadrature as quad
-from .dofspace import DofMapV
+from .dofspace import DofMapV, cell_blocks
 from .meshing import MeshError, PolyMesh, _by_appearance, raise_first, read_only
 from .polynomials import (
     MonomialBasis2,
@@ -299,17 +303,17 @@ class CellProjections:
 def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
                           faceprojs: dict[int, FaceProjections]) -> list[CellProjections]:
     """The projections of a group of cells with one face layout (see
-    `PolyMesh.cell_groups`), built as stacked arrays over the group's
-    classes of translates (see `_translate_classes`).  Each cell has its
+    `PolyMesh.cell_groups`), built over the group's classes of translates
+    (see `_translate_classes`) as stacked arrays, one block of at most
+    CELL_BLOCK classes at a time (see `_cell_stacks`).  Each cell has its
     own geometry; its rule is its class's first cell's, moved by the
     shift of its barycentre, and the arrays made from the rule in the
     cell's scaled frame view those of the first cell, whose rule and
     monomial integrals are the only ones made cell by cell."""
     cells = np.asarray(cells, dtype=int)
     k = mapv.k
-    lay = mapv.layouts[cells[0]]
-    ndof = lay.ndof
-    cs, fs = mesh.cell_stack, mesh.face_stack
+    ndof = mapv.layouts[cells[0]].ndof
+    cs = mesh.cell_stack
     h, vol, xb = cs.h[cells], cs.volume[cells], cs.barycenter[cells]
     fids = np.array([mesh.cells[c][0] for c in cells])
     signs = np.array([mesh.cells[c][1] for c in cells])
@@ -326,27 +330,57 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     rep, cls = _translate_classes(h, vol / h ** 3, about_barycentre, signs)
     h_ids, vol_ids, xb_ids = h, vol, xb
     cells, h, vol, xb, fids, signs, cv, ce = (a[rep] for a in (cells, h, vol, xb, fids, signs, cv, ce))
-    n = len(cells)
     # one rule per class, on its representative, read-only since its members share it
     rules = [quad.cell_quadrature(mesh, c, cell_rule_exactness(k)) for c in cells.tolist()]
     read_only(*(a for rule in rules for a in (rule.points, rule.weights)))
-    pk, pq = dim_poly(k, 3), dim_poly(k - 1, 3)
-    a_k, a_q = multi_indices(k, 3), multi_indices(k - 1, 3)
-    dec = decomp_basis(k)
-    gsl, losl, hisl = dec.slices
 
     # the monomial integrals go to the highest degree read, below the rule's
     # exactness at k = 2: the convective form contracts them as triple
     # products of degree 3k-1; the leading pi_k columns of the same
     # evaluation are kept for the load and the errors
-    deg = cell_integral_degree(k)
-    unit = MonomialBasis3(deg, np.zeros(3), 1.0)       # on points scaled by h_P
+    pk = dim_poly(k, 3)
+    unit = MonomialBasis3(cell_integral_degree(k), np.zeros(3), 1.0)       # on points scaled by h_P
     ints, rule_vals = [], []
     for rule, xc, hc in zip(rules, xb, h.tolist()):
         phi = unit.eval((rule.points - xc) / hc)
         ints.append(phi.T @ rule.weights)
         rule_vals.append(phi[:, :pk].copy())
     ints = np.array(ints)
+    read_only(ints, *rule_vals)
+
+    # the cells view the stacks of their class's block, one view per class,
+    # and operator keys hold them
+    views = {"rule_vals": rule_vals}
+    for b in cell_blocks(len(cells)):
+        stacks = _cell_stacks(mesh, mapv, faceprojs,
+                              *(a[b] for a in (cells, h, vol, xb, fids, signs, cv, ce, ints)))
+        read_only(*stacks.values())
+        for name, a in stacks.items():
+            views.setdefault(name, []).extend(a)
+    # a member's rule is its class's moved by the shift of its barycentre
+    return [CellProjections(k=k, ndof=ndof, h=hc, vol=vc,
+                            rule=rules[j] if i == rep[j] else quad.TranslatedRule(rules[j], xb_ids[i] - xb[j]),
+                            **{name: v[j] for name, v in views.items()})
+            for i, (hc, vc, j) in enumerate(zip(h_ids.tolist(), vol_ids.tolist(), cls.tolist()))]
+
+
+def _cell_stacks(mesh: PolyMesh, mapv: DofMapV, faceprojs: dict[int, FaceProjections],
+                 cells: np.ndarray, h: np.ndarray, vol: np.ndarray, xb: np.ndarray, fids: np.ndarray,
+                 signs: np.ndarray, cv: np.ndarray, ce: np.ndarray, ints: np.ndarray) -> dict:
+    """The stacked arrays that the cell records view, for `cells` of one
+    face layout, given with their h, volumes, barycentres, local faces and
+    face signs, vertices, edges and monomial integrals.  Each temporary goes
+    after its last reader, so that the peak holds few of them at a time."""
+    k = mapv.k
+    lay = mapv.layouts[cells[0]]
+    ndof = lay.ndof
+    fs = mesh.face_stack
+    n = len(cells)
+    pk, pq = dim_poly(k, 3), dim_poly(k - 1, 3)
+    a_k, a_q = multi_indices(k, 3), multi_indices(k - 1, 3)
+    dec = decomp_basis(k)
+    gsl, losl, hisl = dec.slices
+    deg = cell_integral_degree(k)
     Hk = _mass_from_integrals(ints, deg, 3, a_k, a_k)
     Hq = Hk[:, :pq, :pq]
 
@@ -355,6 +389,7 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     rhs[:, 0, lay.face[:, 0, 0]] = signs * fs.area[fids]
     rhs[:, 1:, lay.d5] = vol[:, None, None] * np.eye(mapv.n_d5)
     div = _solve_blocks(Hq, rhs[:, None])
+    del rhs
 
     # --- basis values at the vertices, the edge points and the face points of
     # every local face slot, in one evaluation; phi[i] (n, points, basis) views
@@ -399,24 +434,30 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
         traces = _place(cols, phiw[:, None] @ (fvals[:, None] @ ext), ndof)   # (n, 3, pi_{k+1,3}, ndof)
         grad_rows += h[:, None, None] * np.einsum("nc,ncad->nad", sn[:, slot], traces[:, :, srcidx])
         vterms += sn[:, slot, None, :, None, None] * traces[:, :, None, :pq]
-    del vals, phi, phif, traces
+    del pts, vals, phi, phif, phiw, ext, traces
     pi_d = _dof_projection(D, cells, lambda c: f"DoF set does not separate [P_{k}]^3 on cell {c} "
                                                "(geometry degeneracy)")
+    pi_d_dof = D @ pi_d
+    del D
 
     # --- interior moments via the adapted decomposition of [P_k]^3 -------------
     adapted = np.zeros((n, 3 * pk, ndof))
     adapted[:, gsl] = grad_rows - h[:, None, None] * (
         _mass_from_integrals(ints, deg, 3, dec.grad_sources, a_q) @ div)
+    del grad_rows
     adapted[:, losl, lay.d4] = vol[:, None, None] * np.eye(dec.n_cross_low)
     Chi = dec.T[:, hisl].reshape(3, pk, -1).transpose(0, 2, 1)          # [c]: (n_hi, pk)
     adapted[:, hisl] = (Chi @ Hk[:, None] @ pi_d.reshape(n, 3, pk, ndof)).sum(axis=1)
     moments = dec.Tinv_T @ adapted
+    del adapted, pi_d
 
     # --- L2 projections onto [P_k]^3 and of the gradient onto [P_{k-1}]^{3x3} ---
     pi_0k = _solve_blocks(Hk, moments.reshape(n, 3, pk, ndof))
     DT = np.stack([Dm[j][:pk, :pq].T for j in range(3)])                # [j]: (pq, pk)
     vterms -= DT @ moments.reshape(n, 3, 1, pk, ndof) / h[:, None, None, None, None]
+    del moments
     pi_0grad = _solve_blocks(Hq, vterms.reshape(n, 9, pq, ndof))
+    del vterms
 
     # the symmetric-gradient coefficients eps (n, 9, pq, ndof), the consistency
     # matrix strain by strain (one stacked product over the strains would hold
@@ -427,16 +468,8 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     for e in eps.transpose(1, 0, 2, 3):
         consistency += e.transpose(0, 2, 1) @ Hq @ e
     sigma = np.maximum(h[:, None], np.einsum("nsad,nsad->nd", eps, Hq[:, None] @ eps))
-    # the cells view these stacks, one view per class, and operator keys hold them
-    stacks = dict(mono_int=ints, Hq=Hq, div=div, pi_d_dof=D @ pi_d, pi_0k=pi_0k,
-                  pi_0grad=pi_0grad, consistency=consistency, sigma=sigma)
-    read_only(*stacks.values(), *rule_vals)
-    views = {name: list(a) for name, a in stacks.items()} | {"rule_vals": rule_vals}
-    # a member's rule is its class's moved by the shift of its barycentre
-    return [CellProjections(k=k, ndof=ndof, h=hc, vol=vc,
-                            rule=rules[j] if i == rep[j] else quad.TranslatedRule(rules[j], xb_ids[i] - xb[j]),
-                            **{name: v[j] for name, v in views.items()})
-            for i, (hc, vc, j) in enumerate(zip(h_ids.tolist(), vol_ids.tolist(), cls.tolist()))]
+    return dict(mono_int=ints, Hq=Hq, div=div, pi_d_dof=pi_d_dof, pi_0k=pi_0k,
+                pi_0grad=pi_0grad, consistency=consistency, sigma=sigma)
 
 
 def _by_group(groups: list[np.ndarray], kernel) -> dict:

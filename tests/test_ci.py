@@ -66,3 +66,13 @@ def test_drift_check_catches_them():
     assert _python_drift(pyproject, 'python-version: "3.10"\npython-version: "3.12"\n') == (
         "3.10", ['"3.10"', '"3.12"'])
     assert _python_drift(pyproject, "steps: []\n") == ("3.10", [])
+
+
+
+def test_ci_job_has_a_timeout():
+    """A hung test would otherwise run for GitHub's default of 6 hours; a
+    local tier-1 run takes about 70 s."""
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    jobs = workflow.split("\njobs:\n", 1)[1]
+    assert re.findall(r"^  (\w+):$", jobs, re.M) == ["tier1"]
+    assert re.findall(r"^    timeout-minutes: (\d+)$", jobs, re.M) == ["20"]

@@ -15,9 +15,8 @@ from helpers import (
     single_distorted_hex,
     truncated_octahedron_cell,
 )
-from vemflow import forms
-from vemflow.dofspace import build_dof_maps
-from vemflow.forms import CONVECTION_BLOCK, assemble_convection, local_convection
+from vemflow.dofspace import CELL_BLOCK, build_dof_maps
+from vemflow.forms import assemble_convection, local_convection
 from vemflow.meshing import (
     generate_structured_cubes,
     generate_tetra_mesh,
@@ -92,15 +91,18 @@ def test_batched_convection_groups_mixed_layouts(k):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_blocked_convection_equals_one_contraction_per_group(k):
-    """assemble_convection's blocks of CONVECTION_BLOCK cells give, bit for
-    bit, the matrices of one contraction over the whole group (48 cells of
-    one layout on the n = 2 tetrahedra: a full block and a partial one)."""
+    """assemble_convection's blocks of CELL_BLOCK cells give, bit for bit,
+    the matrices of one contraction and one scatter over the whole group (48
+    cells of one layout on the n = 2 tetrahedra: a full block and a partial
+    one)."""
     mesh = generate_tetra_mesh(2, jitter=0.1, seed=7)
     mapv = build_dof_maps(mesh, k)[0]
     projs, _ = build_projections(mesh, mapv)
-    assert [len(g.cells) for g in mapv.groups] == [48] and 48 > CONVECTION_BLOCK
+    assert [len(g.cells) for g in mapv.groups] == [48] and 48 > CELL_BLOCK
     u = np.random.default_rng(k).standard_normal(mapv.ndof)
-    whole = [local_convection([projs[c] for c in g.cells], u[g.dofs]) for g in mapv.groups]
-    for got, i in zip(assemble_convection(mapv, projs, u), (0, 1)):
-        want = forms._cell_matrix(mapv, [w[i] for w in whole])
-        assert np.array_equal(got.data, want.data)
+    g = mapv.groups[0]
+    whole = local_convection([projs[c] for c in g.cells], u[g.dofs])
+    for got, w in zip(assemble_convection(mapv, projs, u), whole):
+        want = np.zeros(len(mapv.indices))
+        np.add.at(want, g.slots.ravel(), w.ravel())
+        assert np.array_equal(got.data, want)
