@@ -16,16 +16,15 @@ Shared entities are numbered once; moment scalings keep DoF values O(1).
 The velocity map lays the DoFs out per group of cells of one local layout
 and owns the CSC pattern of every matrix summed from cell blocks, built once
 from the entity pairs that share a cell, with each group's slots in it.  It
-also owns the one cache of the operators that `forms.assemble` builds on it
-(with the slot of the Stokes factor that `flow` fills), so none of them
-outlives the map.
+also keeps, as `operators`, the operators that `forms.assemble` last built
+on it with the key they were built for (see `forms`), and so the slot of
+the Stokes factor that `flow` fills: none of them outlives the map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -94,28 +93,6 @@ class DofGroup:
 
 
 @dataclass
-class OperatorCache:
-    """The operators built on a DoF map for one key: a tuple of every input
-    they are made from, compared by content (`np.array_equal`, free when an
-    entry is the kept object itself), never by hash or object id; its arrays
-    are made read-only.  The value is kept from the first sight of its key,
-    and a new key evicts it before the new one is built."""
-
-    key: tuple | None = None
-    value: object = None
-
-    def get(self, key: tuple, build: Callable[[], object]) -> object:
-        """The value for `key`, built by `build()` unless the kept key is equal."""
-        if self.key is None or len(self.key) != len(key) or not all(
-                a is b or np.array_equal(a, b) for a, b in zip(self.key, key)):
-            # held without copies, so none of the key's arrays may change under it
-            read_only(*key)
-            self.key, self.value = key, None
-            self.value = build()
-        return self.value
-
-
-@dataclass
 class DofMapV:
     """Global numbering of the five velocity DoF families, and the CSC
     pattern (`indptr`, `indices`) of every matrix summed from cell blocks."""
@@ -135,7 +112,8 @@ class DofMapV:
     indices: np.ndarray          # int32
     dirichlet: np.ndarray        # bool mask over global velocity DoFs
     edge_points: np.ndarray      # (L_e, k-1, 3) physical coordinates
-    operators: OperatorCache = field(default_factory=OperatorCache, repr=False, compare=False)
+    # (key, operators) of the last `forms.assemble` on the map, or None
+    operators: tuple | None = field(default=None, repr=False, compare=False)
 
     def counts_by_family(self) -> dict:
         return {

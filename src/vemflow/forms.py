@@ -32,15 +32,16 @@ the velocities without divergence moments and its columns E_f of the free
 ones, the cell volumes and pressure-monomial integrals for the pressure
 recovery, and a nested-dissection order of the reduced saddle unknowns.
 These, A1, B, the Dirichlet mask and the zero-mean row depend on neither nu
-nor the case: the DoF map's `OperatorCache` keeps them, read-only, from
-their first build, keyed on the content of every input (the kernel
-`local_a` itself, the stabilization, the Neumann faces, the projection
-arrays that local_a and the zero-mean row read: `consistency`, `pi_d_dof`,
-`sigma`, `h` and `mono_int`, which translated cells share, and the mesh
-arrays that B, E, the Dirichlet mask and the order read).  With them it
-keeps one slot for the solver of the nu-free Stokes matrix that they make,
-which `flow` fills on the first solve, so the factor goes when a new key
-evicts them.  Each call builds only the load, traction and boundary values.
+nor the case: the DoF map keeps them, read-only, from their first build,
+with their key: the kernel `local_a` itself, the stabilization, the Neumann
+faces, the mesh and the projection records.  The arrays of a mesh and of a
+record are read-only from their construction, and a record's fields cannot
+be rebound, so these objects fix all that the operators are made from; the
+key is compared object by object, and since it holds them, no id is reused
+while it is kept.  With the operators the map keeps one slot for the
+solver of the nu-free Stokes matrix that they make, which `flow` fills on
+the first solve, so the factor goes when a new key evicts them.  Each call
+builds only the load, traction and boundary values.
 """
 
 from __future__ import annotations
@@ -134,9 +135,10 @@ def local_convection(projs: list[CellProjections], w: np.ndarray) -> tuple[np.nd
     M3 = np.stack([pr.mono_int for pr in projs])[:, _triple_index(k)]
     Pw = np.einsum("cbln,cn->cbl", P, w)
     Gw = np.einsum("cakn,cn->cak", G, w)
-    # C: sum over (b, n) of G[a,b,n,j] against sum_l M3[m,n,l] Pw[b,l]
-    MW = np.einsum("cmnl,cbl->cmbn", M3, Pw).reshape(nc, 1, pk, 3 * pq)
-    Y = MW @ G                                                   # (nc, 3, pk, nd)
+    # C: sum over (b, n) of G[a,b,n,j] against MW[m,n,b] = sum_l M3[m,n,l] Pw[b,l],
+    # a batched product, whose sums do not depend on the number of cells stacked
+    MW = (M3.reshape(nc, pk * pq, pk) @ Pw.transpose(0, 2, 1)).reshape(nc, pk, pq, 3)
+    Y = MW.transpose(0, 1, 3, 2).reshape(nc, 1, pk, 3 * pq) @ G     # (nc, 3, pk, nd)
     # Cg: sum over (b, l) of Z[a,m,b,l] P[b,l,j], Z = sum_n Gw[a,b,n] M3[m,n,l]
     Z = np.einsum("cabn,cmnl->cambl", Gw.reshape(nc, 3, 3, pq), M3)
     Yg = Z.reshape(nc, 3 * pk, 3 * pk) @ P.reshape(nc, 3 * pk, nd)
@@ -285,7 +287,7 @@ def _saddle_order(mesh: PolyMesh, mapv: DofMapV, free: np.ndarray, mean_row: boo
     return np.append(order, nf + mesh.n_cells) if mean_row else order
 
 
-def _operators(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
+def _operators(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], stabilization: str,
                projs: list[CellProjections], neumann: np.ndarray) -> dict:
     """The fields of the system that depend on neither nu nor the load case,
     their arrays read-only, since the DoF map shares them between systems,
@@ -294,7 +296,7 @@ def _operators(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
     pq = mapq.n_per_cell
     # each local matrix is written into its block's stack as it is made
     [A1] = _cell_matrices(mapv, lambda g, b: [np.fromiter(
-        (local_a(projs[c], 1.0, spec.stabilization) for c in g.cells[b]),
+        (local_a(projs[c], 1.0, stabilization) for c in g.cells[b]),
         np.dtype((float, g.slots.shape[1:])), len(g.cells[b]))])
     B = divergence_matrix(mesh, mapv)
     e = np.concatenate([proj.mono_int[:pq] for proj in projs])
@@ -332,11 +334,11 @@ def assemble(mesh: PolyMesh, maps: tuple[DofMapV, DofMapQ], spec: ProblemSpec,
         raise ValueError(f"the problem is posed at k = {spec.k} but the DoF map has k = {mapv.k}")
     neumann = classify_neumann(mesh, spec)
     # every input of `_operators` besides the map (see the module notes)
-    key = (local_a, spec.stabilization, neumann, mesh.face_cells, mesh.face_cell_signs,
-           mesh.face_stack.area, mesh.boundary_face, mesh._face_loop[0], mesh._face_loop[3],
-           mesh._loop_edges, mesh.cell_stack.volume, mesh.cell_stack.barycenter,
-           *(getattr(p, name) for p in projs for name in ("consistency", "pi_d_dof", "sigma", "h", "mono_int")))
-    ops = mapv.operators.get(key, lambda: _operators(mesh, maps, spec, projs, neumann))
+    key = (local_a, spec.stabilization, tuple(neumann.tolist()), mesh, *projs)
+    if mapv.operators is None or mapv.operators[0] != key:
+        mapv.operators = None                 # the old operators and their factor go first
+        mapv.operators = key, _operators(mesh, maps, spec.stabilization, projs, neumann)
+    ops = mapv.operators[1]
     F = np.bincount(np.concatenate(mapv.cell_global),
                     np.concatenate([local_load(proj, spec.load) for proj in projs]), minlength=mapv.ndof)
     for f in neumann:

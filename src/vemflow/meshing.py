@@ -87,14 +87,32 @@ def _by_appearance(keys: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]
     return first[order], np.argsort(order)[inverse.ravel()]
 
 
+def _integral(ids) -> bool:
+    """Whether `ids` is a flat list of integral numbers that int64 holds; 3.0 is one."""
+    try:
+        a = np.asarray(ids)
+        ok = np.isfinite(a) & (a == np.round(a)) & (np.abs(a) < 2.0 ** 63)
+        return a.ndim == 1 and a.dtype.kind in "iuf" and bool(np.all(ok))
+    except (TypeError, ValueError):        # ragged rows, or ids that are not numbers
+        return False
+
+
 def _parse_ids(rows, entity: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """The ids of `rows`, one row per `entity`, laid end to end, and the row
-    lengths.  A non-integral id raises; integral floats such as 3.0 pass."""
-    sizes = np.array([len(r) for r in rows], dtype=int)
-    flat = np.concatenate(rows)
-    raise_first(~np.isfinite(flat) | (flat != np.round(flat)),
-                lambda i: f"{entity} {i}: {kind} ids must be integers", ids=_segments(sizes)[0])
-    return flat.astype(int), sizes
+    lengths.  Rows that are no list, no rows, or a row that is not a flat
+    list of integral numbers raise `MeshError`, naming the first such row."""
+    if not isinstance(rows, (list, tuple, np.ndarray)):
+        raise MeshError(f"the {entity}s must be a list of {kind} id lists")
+    if len(rows) == 0:
+        raise MeshError(f"the mesh has no {entity}s")
+    try:
+        flat = np.concatenate(rows)
+    except (TypeError, ValueError):
+        flat = None
+    if flat is None or not _integral(flat):
+        raise_first(np.array([not _integral(r) for r in rows]),
+                    lambda i: f"{entity} {i}: {kind} ids must be integers")
+    return flat.astype(int), np.array([len(r) for r in rows], dtype=int)
 
 
 @dataclass
@@ -338,7 +356,7 @@ def load_mesh(path: str, fmt: str = "json-poly") -> PolyMesh:
         except (OSError, json.JSONDecodeError) as exc:
             raise MeshError(f"cannot parse mesh file {path}: {exc}") from exc
         for key in ("vertices", "faces", "cells"):
-            if key not in data:
+            if not isinstance(data, dict) or key not in data:
                 raise MeshError(f"mesh file {path} lacks '{key}'")
         return PolyMesh(data["vertices"], data["faces"], data["cells"])
     if fmt == "tetra-list":

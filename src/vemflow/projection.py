@@ -279,10 +279,11 @@ def face_extraction(mesh: PolyMesh, mapv: DofMapV, ci: int, fi_loc: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CellProjections:
     """Per-cell projector and moment matrices acting on the local DoF vector.
-    The matrices are views into the stacked arrays of the cell's group."""
+    The matrices are views into the stacked arrays of the cell's group.  A
+    record is immutable, fields and arrays alike, and compares by identity."""
 
     k: int
     ndof: int
@@ -348,8 +349,7 @@ def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
     ints = np.array(ints)
     read_only(ints, *rule_vals)
 
-    # the cells view the stacks of their class's block, one view per class,
-    # and operator keys hold them
+    # the cells view the stacks of their class's block, one view per class
     views = {"rule_vals": rule_vals}
     for b in cell_blocks(len(cells)):
         stacks = _cell_stacks(mesh, mapv, faceprojs,

@@ -550,7 +550,7 @@ def _solve_blocks_loop(factor, blocks: list[np.ndarray]) -> np.ndarray:
     return np.vstack(np.hsplit(X, len(blocks)))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CellProjectionsLoop(CellProjections):
     """A cell's projections with what the group kernel forms but does not
     keep: the cell's id, the mass matrix Hk of the degree k basis, the DoF

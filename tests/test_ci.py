@@ -1,6 +1,8 @@
 """The CI workflow tests on the oldest Python and the oldest versions of
-the dependencies that pyproject.toml admits."""
+the dependencies that pyproject.toml admits, and every source parses with
+that Python's grammar."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -34,11 +36,16 @@ def _drift(pyproject: str, workflow: str) -> dict:
             if pins.get(name) != floor}
 
 
+def _python_floor(pyproject: str) -> str:
+    """The `requires-python` floor of pyproject.toml, as "3.10"."""
+    return re.search(r'^requires-python\s*=\s*">=\s*([\d.]+)"', pyproject, re.M).group(1)
+
+
 def _python_drift(pyproject: str, workflow: str) -> tuple | None:
     """(floor, pins) when the workflow's `python-version`s are not exactly
     the `requires-python` floor of pyproject.toml, quoted (YAML reads an
     unquoted 3.10 as the number 3.1), else None."""
-    floor = re.search(r'^requires-python\s*=\s*">=\s*([\d.]+)"', pyproject, re.M).group(1)
+    floor = _python_floor(pyproject)
     pins = re.findall(r"python-version:\s*(\S+)", workflow)
     return None if pins == [f'"{floor}"'] else (floor, pins)
 
@@ -76,3 +83,33 @@ def test_ci_job_has_a_timeout():
     jobs = workflow.split("\njobs:\n", 1)[1]
     assert re.findall(r"^  (\w+):$", jobs, re.M) == ["tier1"]
     assert re.findall(r"^    timeout-minutes: (\d+)$", jobs, re.M) == ["20"]
+
+
+def _above_floor(sources: dict, floor: tuple[int, int]) -> list[str]:
+    """The names of the `sources` that the grammar of Python `floor` rejects."""
+    bad = []
+    for name, src in sources.items():
+        try:
+            ast.parse(src, filename=name, feature_version=floor)
+        except SyntaxError:
+            bad.append(name)
+    return bad
+
+
+def test_sources_parse_at_the_python_floor():
+    """CI runs on the `requires-python` floor, but a local run may use a
+    newer Python, whose grammar admits what the floor's rejects: every file
+    of src/, tests/ and perfbench/ parses with the floor's grammar."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = tuple(int(x) for x in _python_floor(pyproject).split("."))
+    files = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(files) > 30
+    assert _above_floor({str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in files}, floor) == []
+
+
+def test_floor_grammar_check_catches_them():
+    sources = {"match": "match x:\n    case 1:\n        pass\n",
+               "except-star": "try:\n    pass\nexcept* ValueError:\n    pass\n",
+               "type-params": "def f[T](x: T) -> T:\n    return x\n"}
+    assert _above_floor(sources, (3, 10)) == ["except-star", "type-params"]
+    assert _above_floor(sources, (3, 9)) == ["match", "except-star", "type-params"]

@@ -279,7 +279,7 @@ def _changed_input(variant, disc, monkeypatch):
         return _system((mesh, maps, loop, fps), "ex1-stokes")
     # the sweep mesh at another seed has the same topology, so the map's
     # numbering and pattern serve it; with the sweep mesh's projections, only
-    # the key's mesh arrays differ
+    # the key's mesh differs
     return _system((generate_tetra_mesh(2, seed=6), maps, projs, fps), "ex1-stokes")
 
 

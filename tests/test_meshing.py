@@ -24,6 +24,7 @@ from vemflow.meshing import (
     mesh_size,
     quality_check,
 )
+from vemflow.cli import main
 from vemflow.dofspace import build_dof_maps
 from vemflow.projection import build_projections
 
@@ -424,6 +425,52 @@ def test_non_integral_ids_rejected(cube1, tmp_path):
     mesh = PolyMesh(v, [[float(i) for i in f] for f in faces], [[float(i) for i in c] for c in cells])
     for name in TOPOLOGY:
         assert _same(getattr(mesh, name), getattr(cube1, name)), name
+
+
+def _with(rows, i, j, value):
+    """A copy of `rows` with rows[i][j] set to `value`."""
+    rows = [list(r) for r in rows]
+    rows[i][j] = value
+    return rows
+
+
+# edits of the unit cube's face loops and signed cells, and the error they raise
+MALFORMED = {
+    "no-faces": (lambda f, c: ([], []), "the mesh has no faces"),
+    "no-cells": (lambda f, c: (f, []), "the mesh has no cells"),
+    "no-list": (lambda f, c: (5, c), "the faces must be a list of vertex id lists"),
+    "string-id": (lambda f, c: (_with(f, 3, 1, "0"), c), "face 3: vertex ids must be integers"),
+    "none-id": (lambda f, c: (f, _with(c, 0, 2, None)), "cell 0: face ids must be integers"),
+    "nested-row": (lambda f, c: (_with(f, 2, 0, [1, 2]), c), "face 2: vertex ids must be integers"),
+    "huge-id": (lambda f, c: (_with(f, 5, 2, 10 ** 30), c), "face 5: vertex ids must be integers"),
+}
+
+
+@pytest.mark.parametrize("route", ["PolyMesh", "load_mesh", "cli"])
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_id_lists_raise_a_mesh_error(name, route, cube1, tmp_path, capsys):
+    """Missing rows and ids that are not integral numbers are a `MeshError`
+    naming the first offending face or cell, not numpy's TypeError or
+    ValueError, and `vemflow mesh check` reports it in one line."""
+    v, faces, cells = _raw(cube1)
+    edit, message = MALFORMED[name]
+    faces, cells = edit(faces, cells)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": v.tolist(), "faces": faces, "cells": cells}))
+    if route == "cli":
+        capsys.readouterr()
+        assert main(["mesh", "check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        return
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        PolyMesh(v, faces, cells) if route == "PolyMesh" else load_mesh(str(path))
+
+
+def test_json_mesh_that_is_no_object_is_rejected(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("7")
+    with pytest.raises(MeshError, match=r"lacks 'vertices'$"):
+        load_mesh(str(path))
 
 
 def test_public_lists_view_the_flat_arrays(cube3, tets2, voronoi_cell):

@@ -314,3 +314,29 @@ def test_unread_field_check_catches_them():
            "a = A(1, y=2, z=[])\nprint(a.x)\nNAMED = 'B.s'\n")
     assert _unread_fields([src], [src]) == ["A.y", "A.z"]
     assert _unread_fields([src], [src, "a.y, a.z = 1, []\n"]) == []
+
+
+def _foreign_private_reads(src: str) -> list[str]:
+    """`x._name` for each attribute read of the source whose object is not
+    `self`, whose name starts with an underscore but is no dunder, and which
+    the source does not assign as `self._name`: a read of another module's
+    internals, which their owner may change without a look at the reader."""
+    tree = ast.parse(src)
+    own = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+           and isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return [f"{ast.unparse(node.value)}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_") and not node.attr.startswith("__") and node.attr not in own
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_attributes(path):
+    assert _foreign_private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_private_read_check_catches_them():
+    src = ("class A:\n    def __init__(self, m):\n        self._own, self.pub = 1, 2\n"
+           "        print(self._own, self._other, m._own, m.__class__)\n\n\n"
+           "def f(mesh, quad):\n    return mesh._face_loop[0], quad._rule(), mesh.cells, A.__init__\n")
+    assert _foreign_private_reads(src) == ["mesh._face_loop", "quad._rule"]
