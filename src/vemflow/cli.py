@@ -124,6 +124,9 @@ def cmd_bench_run(args):
     )
     sys.stdout.write(rep.to_csv())
     print("slopes:", json.dumps(rep.slopes()))
+    for failure in rep.failures:
+        print(f"level {failure['level']}: {failure['error']}", file=sys.stderr)
+    return 1 if rep.failures else 0
 
 
 def cmd_bench_rates(args):

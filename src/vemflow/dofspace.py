@@ -13,9 +13,11 @@ Velocity DoFs per cell, in local order:
             divided by the cell volume.
 Shared entities are numbered once; moment scalings keep DoF values O(1).
 
-The velocity map lays the DoFs out per group of cells of one local layout
-and owns the CSC pattern of every matrix summed from cell blocks, built once
-from the entity pairs that share a cell, with each group's slots in it.  It
+The velocity map lays the DoFs out per group of cells of one local layout,
+whose vertex, edge and face tables in local order the group keeps for the
+cell projections, and owns the CSC pattern of every matrix summed from cell
+blocks, built once from the entity pairs that share a cell, with each
+group's slots in it.  It
 also keeps, as `operators`, the operators that `forms.assemble` last built
 on it with the key they were built for (see `forms`), and so the slot of
 the Stokes factor that `flow` fills: none of them outlives the map.
@@ -84,9 +86,12 @@ class CellDofLayout:
 @dataclass
 class DofGroup:
     """The cells of one `PolyMesh.cell_groups` group, which share one local
-    layout, with their global DoFs and their blocks' slots in the pattern."""
+    layout, with their entities, global DoFs and blocks' slots in the pattern."""
 
     cells: np.ndarray            # (nc,) cell ids
+    vertices: np.ndarray         # (nc, l_V) vertex ids, in local order: ascending
+    edges: np.ndarray            # (nc, l_e) edge ids, in local order: ascending
+    faces: np.ndarray            # (nc, l_f) face ids, in local order: the cell's
     dofs: np.ndarray             # (nc, ndof) global velocity DoFs, in local order
     layout: CellDofLayout        # shared by the group's cells
     slots: np.ndarray            # (nc, ndof, ndof) int32: local entry (i, j) -> CSC data index
@@ -159,11 +164,10 @@ def build_dof_maps(mesh: PolyMesh, k: int) -> tuple[DofMapV, DofMapQ]:
     # edges, faces in cell order, the cell), and their DoFs in that order
     groups, ents = [], []
     for cells in mesh.cell_groups():
-        ent = [np.array([mesh.cell_vertices[c] for c in cells]),
-               first[1] + np.array([mesh.cell_edges[c] for c in cells]),
-               first[2] + np.array([mesh.cells[c][0] for c in cells]), first[3] + cells[:, None]]
-        nv, ne, nf = (e.shape[1] for e in ent[:3])
-        ent = np.concatenate(ent, axis=1)
+        tables = [np.array([mesh.cell_vertices[c] for c in cells]),
+                  np.array([mesh.cell_edges[c] for c in cells]), np.array([mesh.cells[c][0] for c in cells])]
+        nv, ne, nf = (t.shape[1] for t in tables)
+        ent = np.concatenate([t + f for t, f in zip(tables, first)] + [first[3] + cells[:, None]], axis=1)
         pos = np.cumsum([0, 3 * nv, 3 * n_ep * ne, 3 * n_fm * nf, n_d4, n_d5])
         layout = CellDofLayout(np.arange(pos[1]).reshape(nv, 3),
                                np.arange(pos[1], pos[2]).reshape(ne, n_ep, 3),
@@ -173,17 +177,17 @@ def build_dof_maps(mesh: PolyMesh, k: int) -> tuple[DofMapV, DofMapQ]:
         local = np.repeat(np.arange(len(lsize)), lsize)             # entity of each local DoF
         offset = np.arange(pos[5]) - (np.cumsum(lsize) - lsize)[local]    # and its place in the block
         # in C order: the convection kernel's sums follow the memory order of u[dofs]
-        groups.append((cells, np.ascontiguousarray(start[ent][:, local] + offset), layout))
+        groups.append((cells, *tables, np.ascontiguousarray(start[ent][:, local] + offset), layout))
         ents.append((ent, local, offset))
 
-    indptr, indices, slots = _cell_pattern(ents, [dofs for _, dofs, _ in groups], size, start)
+    indptr, indices, slots = _cell_pattern(ents, [dofs for *_, dofs, _ in groups], size, start)
     groups = [DofGroup(*g, g_slots) for g, g_slots in zip(groups, slots)]
     # read-only, and so the cells' views of the groups' rows; every matrix on the pattern shares it
     boundary = np.concatenate([mesh.boundary_vertex, mesh.boundary_edge, mesh.boundary_face,
                                np.zeros(mesh.n_cells, dtype=bool)])
     dirichlet = np.repeat(boundary, size)
     read_only(size, edge_points, dirichlet, indptr, indices,
-              *(a for g in groups for a in (g.cells, g.dofs, g.slots, *vars(g.layout).values())))
+              *(a for g in groups for a in (*vars(g).values(), *vars(g.layout).values())))
     of_cell = {c: (dofs, g.layout) for g in groups for c, dofs in zip(g.cells.tolist(), g.dofs)}
     cell_global, layouts = (list(x) for x in zip(*(of_cell[c] for c in range(mesh.n_cells))))
 

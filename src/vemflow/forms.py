@@ -47,7 +47,6 @@ builds only the load, traction and boundary values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -62,7 +61,7 @@ from .dofspace import (
     nested_dissection,
 )
 from .meshing import PolyMesh, read_only
-from .polynomials import _positions, dim_poly, multi_indices
+from .polynomials import dim_poly, multi_indices, product_positions
 from .projection import CellProjections, FaceProjections, face_extraction
 
 
@@ -104,16 +103,6 @@ def local_a(proj: CellProjections, nu: float, stabilization: str = "drecipe") ->
     return nu * (proj.consistency + Qd.T @ (sig[:, None] * Qd))
 
 
-@lru_cache(maxsize=None)
-def _triple_index(k: int) -> np.ndarray:
-    """Positions in the cell monomial integrals of m_a m_b m_c for |a| <= k,
-    |b| <= k-1, |c| <= k: the (pi_k, pi_{k-1}, pi_k) triple-product table."""
-    a_k, a_q = (np.array(multi_indices(n, 3), dtype=int) for n in (k, k - 1))
-    table = _positions(a_k[:, None, None] + a_q[None, :, None] + a_k[None, None, :], 3 * k - 1)
-    table.flags.writeable = False
-    return table
-
-
 def local_convection(projs: list[CellProjections], w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """C(w)[i,j] = c_h(w; phi_j, phi_i) and the Newton linearization's
     transposed slot Cg(w)[i,j] = c_h(phi_j; w, phi_i) of cells sharing one
@@ -132,7 +121,8 @@ def local_convection(projs: list[CellProjections], w: np.ndarray) -> tuple[np.nd
     nc = len(projs)
     P = np.stack([pr.pi_0k for pr in projs]).reshape(nc, 3, pk, nd)
     G = np.stack([pr.pi_0grad for pr in projs]).reshape(nc, 3, 3 * pq, nd)
-    M3 = np.stack([pr.mono_int for pr in projs])[:, _triple_index(k)]
+    M3 = np.stack([pr.mono_int for pr in projs])[:, product_positions(
+        3 * k - 1, 3, *(multi_indices(n, 3) for n in (k, k - 1, k)))]
     Pw = np.einsum("cbln,cn->cbl", P, w)
     Gw = np.einsum("cakn,cn->cak", G, w)
     # C: sum over (b, n) of G[a,b,n,j] against MW[m,n,b] = sum_l M3[m,n,l] Pw[b,l],

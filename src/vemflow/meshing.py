@@ -24,6 +24,7 @@ and the cells by face layout for the batched kernels.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,7 @@ def _pieces(flat: np.ndarray, start: np.ndarray) -> list[np.ndarray]:
     return [flat[i:j] for i, j in zip(b[:-1], b[1:])]
 
 
-def _by_appearance(keys: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
+def by_appearance(keys: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct keys in order of first appearance: the position of
     each one's first occurrence, in that order, and the number of every key."""
     _, first, inverse = np.unique(keys, axis=axis, return_index=True, return_inverse=True)
@@ -87,14 +88,34 @@ def _by_appearance(keys: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]
     return first[order], np.argsort(order)[inverse.ravel()]
 
 
+def _numbers(x) -> np.ndarray | None:
+    """`x` as an array when it holds only integer or floating numbers, else
+    None: ragged rows, strings, None and complex numbers are no such array."""
+    try:
+        a = np.asarray(x)
+    except (TypeError, ValueError):        # ragged rows
+        return None
+    return a if a.dtype.kind in "iuf" else None
+
+
 def _integral(ids) -> bool:
     """Whether `ids` is a flat list of integral numbers that int64 holds; 3.0 is one."""
-    try:
-        a = np.asarray(ids)
-        ok = np.isfinite(a) & (a == np.round(a)) & (np.abs(a) < 2.0 ** 63)
-        return a.ndim == 1 and a.dtype.kind in "iuf" and bool(np.all(ok))
-    except (TypeError, ValueError):        # ragged rows, or ids that are not numbers
-        return False
+    a = _numbers(ids)
+    flat = a is not None and a.ndim == 1
+    return flat and bool(np.all(np.isfinite(a) & (a == np.round(a)) & (np.abs(a) < 2.0 ** 63)))
+
+
+def _parse_vertices(vertices) -> np.ndarray:
+    """The vertex coordinates as a new float array (n, 3).  A vertex that is
+    not three integer or floating numbers raises `MeshError`, naming the
+    first such vertex; so do vertices that are no list of rows."""
+    V = _numbers(vertices)
+    if V is None or V.shape[1:] != (3,):
+        if isinstance(vertices, (list, tuple)) or getattr(vertices, "ndim", 0):
+            raise_first(np.array([getattr(_numbers(v), "shape", None) != (3,) for v in vertices]),
+                        lambda v: f"vertex {v}: coordinates must be three integer or floating numbers")
+        raise MeshError("vertices must be an (n, 3) array")
+    return np.array(V, dtype=float)
 
 
 def _parse_ids(rows, entity: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -144,9 +165,7 @@ class PolyMesh:
         flat cell-face incidence, and derive and check the topology and the
         geometry from these.  Each check names the first offending entity in
         the order a loop over the entities would meet it."""
-        V = self.vertices = np.array(vertices, dtype=float)     # a copy: it is made read-only
-        if V.ndim != 2 or V.shape[1] != 3:
-            raise MeshError("vertices must be an (n, 3) array")
+        V = self.vertices = _parse_vertices(vertices)            # a copy: it is made read-only
         raise_first(~np.isfinite(V).all(axis=1), lambda v: f"vertex {v} has a non-finite coordinate")
         nv = len(V)
         loop, sizes = _parse_ids(faces, "face", "vertex")
@@ -165,7 +184,7 @@ class PolyMesh:
                     if bad_loop[f] else f"face {f}: vertex index out of range")
         sorted_loops = np.full((nf, sizes.max()), -1)        # padded past a face's last vertex
         sorted_loops[owner, _segments(sizes)[1]] = loop[by_vertex]
-        first, same = _by_appearance(sorted_loops, axis=0)
+        first, same = by_appearance(sorted_loops, axis=0)
         raise_first(first[same] != np.arange(nf),
                     lambda f: f"faces {first[same[f]]} and {f} have the same vertex set")
         out = np.bincount(inc_cell, inc_face >= nf, minlength=nc) > 0
@@ -194,7 +213,7 @@ class PolyMesh:
         nxt = np.arange(len(loop)) + 1                        # next position in its loop
         nxt[start + sizes - 1] = start
         lo, hi = np.minimum(loop, loop[nxt]), np.maximum(loop, loop[nxt])
-        first, self._loop_edges = _by_appearance(lo * nv + hi)        # by loop position
+        first, self._loop_edges = by_appearance(lo * nv + hi)        # by loop position
         self.edges = np.stack([lo, hi], axis=1)[first]
         ne = len(first)
         self.boundary_face = self.face_cells[:, 1] < 0
@@ -311,7 +330,7 @@ class PolyMesh:
         keys = np.full((self.n_cells, local.max() + 2), -1)    # padded past a cell's last face
         keys[:, 0] = self._cell_sizes
         keys[inc_cell, local + 1] = self._face_loop[2][inc_face]
-        first, key = _by_appearance(keys, axis=0)
+        first, key = by_appearance(keys, axis=0)
         return [np.flatnonzero(key == g) for g in range(len(first))]
 
     def face_closure(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,9 +381,11 @@ def load_mesh(path: str, fmt: str = "json-poly") -> PolyMesh:
     if fmt == "tetra-list":
         base = path[:-5] if path.endswith(".node") else path
         try:
-            nodes = np.loadtxt(base + ".node", dtype=float, ndmin=2)
-            eles = np.loadtxt(base + ".ele", dtype=int, ndmin=2)
-        except (OSError, ValueError) as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)     # numpy's warning of an empty file
+                nodes = np.loadtxt(base + ".node", dtype=float, ndmin=2)
+                eles = np.loadtxt(base + ".ele", dtype=int, ndmin=2)
+        except (OSError, ValueError, UserWarning) as exc:
             raise MeshError(f"cannot parse tetra-list files at {base}: {exc}") from exc
         if nodes.shape[1] != 3 or eles.shape[1] != 4:
             raise MeshError("tetra-list files must be (x y z) and 4 vertex ids per line")
@@ -385,7 +406,7 @@ def mesh_from_tets(nodes: np.ndarray, tets: np.ndarray) -> PolyMesh:
     t[flip, 2:] = t[flip, 3:1:-1]
     # outward-oriented faces of the positively oriented tets
     loops = t[:, [0, 2, 1, 0, 1, 3, 1, 2, 3, 0, 3, 2]].reshape(-1, 3)
-    first, face_id = _by_appearance(np.sort(loops, axis=1), axis=0)
+    first, face_id = by_appearance(np.sort(loops, axis=1), axis=0)
     sign = np.where(first[face_id] == np.arange(len(loops)), 1, -1)
     return PolyMesh(nodes, loops[first], (sign * (face_id + 1)).reshape(-1, 4))
 

@@ -9,9 +9,9 @@ Every table over multi-indices reads one position array: `_index_array(n, d)`
 holds at each exponent tuple a its graded position among the degree-n
 multi-indices in d variables, and -1 past degree n.  The derivative,
 gradient and cross tables scatter at the positions of multi-indices shifted
-down or up by one, and the mass and triple-product tables
-(`projection._mass_index`, `forms._triple_index`) gather the positions of
-sums of multi-indices, all as array expressions.
+down or up by one, and the gathers of the mass and triple-product integrals
+read the positions of sums of multi-indices (`product_positions`), all as
+array expressions.
 """
 
 from __future__ import annotations
@@ -56,6 +56,18 @@ def _positions(alphas, n: int) -> np.ndarray:
     if np.any(pos < 0):
         raise ValueError(f"a multi-index has degree > {n}")
     return pos
+
+
+@lru_cache(maxsize=None)
+def product_positions(degree: int, dim: int, *factors: tuple) -> np.ndarray:
+    """Positions among the monomials of degree <= `degree` in `dim` variables
+    of the products m_a m_b (m_c ...), one axis per factor of multi-indices
+    that a (b, c, ...) runs over; read-only, since every caller shares it."""
+    rows = [np.array(f, dtype=int).reshape(-1, dim) for f in factors]
+    idx = _positions(sum(r.reshape((1,) * i + (-1,) + (1,) * (len(rows) - 1 - i) + (dim,))
+                         for i, r in enumerate(rows)), degree)
+    idx.flags.writeable = False
+    return idx
 
 
 @lru_cache(maxsize=None)

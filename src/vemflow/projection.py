@@ -16,18 +16,18 @@ computable polynomial projection there), which is cheaper to build; the
 H1-seminorm projections exist only as a test oracle.
 
 The face projections are built per group of faces with one vertex count and
-the cell projections per group of cells with one face layout: rules, basis
-values, DoF matrices and solves are stacked arrays over the group, which each
-entity's record views.  The cell kernel's stacked algebra runs one block of
-at most `dofspace.CELL_BLOCK` classes at a time, as every per-cell build
-does, and drops each temporary after its last reader, so its transient
-memory is bounded by the block, not the group; a block's cells view that
-block's stacks.  The QR and the mass solves go through numpy.linalg,
-which loops over the stack in C; the face L2 solve, on an ill-conditioned
-degree k+1 mass matrix, goes through scipy.linalg.solve, whose LU rounds as
-the per-face oracle's does.  Only a class representative's rule and monomial
-integrals are made cell by cell; its degree-k basis values at the rule
-(`rule_vals`) serve the load and errors.
+the cell projections per group of the DoF map, whose local entity tables they
+read: rules, basis values, DoF matrices and solves are stacked arrays over
+the group, which each entity's record views.  The cell kernel's stacked
+algebra runs one block of at most `dofspace.CELL_BLOCK` classes at a time, as
+every per-cell build does, and drops each temporary after its last reader, so
+its transient memory is bounded by the block, not the group; a block's cells
+view that block's stacks.  The QR and the mass solves go through
+numpy.linalg, which loops over the stack in C; the face L2 solve, on an
+ill-conditioned degree k+1 mass matrix, goes through scipy.linalg.solve,
+whose LU rounds as the per-face oracle's does.  Only a class representative's
+rule and monomial integrals are made cell by cell; its degree-k basis values
+at the rule (`rule_vals`) serve the load and errors.
 
 Within a group, translates share their projections.  A class of translates
 holds the entities whose geometry relative to their centre agrees once
@@ -53,21 +53,20 @@ every entity alone before the full key is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve
 
 from . import quadrature as quad
-from .dofspace import DofMapV, cell_blocks
-from .meshing import MeshError, PolyMesh, _by_appearance, raise_first, read_only
+from .dofspace import CellDofLayout, DofGroup, DofMapV, cell_blocks
+from .meshing import MeshError, PolyMesh, by_appearance, raise_first, read_only
 from .polynomials import (
     MonomialBasis2,
     MonomialBasis3,
-    _positions,
     decomp_basis,
     dim_poly,
     multi_indices,
+    product_positions,
 )
 
 
@@ -86,22 +85,6 @@ def cell_rule_exactness(k: int) -> int:
     # the monomial integrals, and 2k+2 for the load and error integrands,
     # which are not polynomials
     return max(2 * k + 2, cell_integral_degree(k))
-
-
-@lru_cache(maxsize=None)
-def _mass_index(degree: int, dim: int, rows: tuple, cols: tuple) -> np.ndarray:
-    """Positions of the products m_a m_b (a in rows, b in cols) among the
-    monomials of degree <= `degree` in `dim` variables."""
-    rows, cols = (np.array(x, dtype=int).reshape(-1, dim) for x in (rows, cols))
-    idx = _positions(rows[:, None] + cols[None], degree)
-    idx.flags.writeable = False
-    return idx
-
-
-def _mass_from_integrals(ints: np.ndarray, degree: int, dim: int, rows: tuple, cols: tuple) -> np.ndarray:
-    """Gram matrix [int m_a m_b] gathered from the monomial integrals `ints`
-    (stacked over a leading axis when `ints` is)."""
-    return ints[..., _mass_index(degree, dim, rows, cols)]
 
 
 def _solve_blocks(H: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -147,7 +130,7 @@ def _translate_classes(h: np.ndarray, shape: np.ndarray, points,
     key = np.zeros((n, 2 + rel.shape[1]), dtype=np.int64)
     key[:, :2] = cheap
     key[twins, 2:] = np.rint(rel / (TRANSLATE_RTOL * h[twins, None]))
-    return _by_appearance(key if signs is None else np.hstack([key, signs]), axis=0)
+    return by_appearance(key if signs is None else np.hstack([key, signs]), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +193,7 @@ def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
     b2 = (bpts[:, None] @ frame)[..., 0].transpose(0, 2, 1)
     b2 /= h[:, None, None]
     D = np.concatenate([unit.eval(b2.reshape(-1, 2)).reshape(nf, nv * k, -1)[..., :npk],
-                        _mass_from_integrals(ints, deg, 2, a_k[:n_mom], a_k) / area[:, None, None]],
+                        ints[..., product_positions(deg, 2, a_k[:n_mom], a_k)] / area[:, None, None]],
                        axis=1)
 
     # --- DoF-euclidean projection ---------------------------------------------
@@ -219,8 +202,8 @@ def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
     # --- enhanced L2 projection onto P_{k+1}(f) --------------------------------
     MOM = np.zeros((nf, npk1, ndof))
     MOM[:, :n_mom, nv * k:] = area[:, None, None] * np.eye(n_mom)
-    MOM[:, n_mom:, :] = _mass_from_integrals(ints, deg, 2, a_k1[n_mom:], a_k) @ dproj
-    l2 = solve(_mass_from_integrals(ints, deg, 2, a_k1, a_k1), MOM)
+    MOM[:, n_mom:, :] = ints[..., product_positions(deg, 2, a_k1[n_mom:], a_k)] @ dproj
+    l2 = solve(ints[..., product_positions(deg, 2, a_k1, a_k1)], MOM)
 
     # one read-only view per class, which all its members hold, and one per face of its rule
     vals = np.ascontiguousarray(phi[..., :npk1])
@@ -230,20 +213,17 @@ def build_face_projections(mesh: PolyMesh, faces: np.ndarray, k: int,
             for i, j in enumerate(cls.tolist())]
 
 
-def _face_extractions(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray, slot: int,
-                      l2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The projections `l2` (n, pi_{k+1,2}, face ndof) of local face `slot` of
-    a group of cells acting on the cell-local DoF vectors, per velocity
-    component, as local DoF columns (n, 3, m) and values (n, 3, pi_{k+1,2}, m)
+def _face_extractions(mesh: PolyMesh, lay: CellDofLayout, slot: int, faces: np.ndarray, cv: np.ndarray,
+                      ce: np.ndarray, l2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projections `l2` (n, pi_{k+1,2}, face ndof) of local face `slot`,
+    `faces`, of n cells of layout `lay` with local vertices `cv` and edges
+    `ce`, on the cell-local DoF vectors, per velocity component, as local
+    DoF columns (n, 3, m) and values (n, 3, pi_{k+1,2}, m)
     for `_place`: l2's vertex and edge columns go to the cell's DoFs on the
     face, its moment columns to the normal and tangential face moments, scaled
     by the component of each direction."""
-    n = len(cells)
-    lay = mapv.layouts[cells[0]]
-    faces = np.array([mesh.cells[c][0][slot] for c in cells])
+    n = len(faces)
     # local position of each face vertex and edge among the cell's
-    cv = np.array([mesh.cell_vertices[c] for c in cells])
-    ce = np.array([mesh.cell_edges[c] for c in cells])
     fe = np.array([mesh.face_edges[f][0] for f in faces])
     vpos = np.argmax(cv[:, :, None] == mesh.face_loops(faces)[:, None], axis=1)
     epos = np.argmax(ce[:, :, None] == fe[:, None], axis=1)
@@ -269,8 +249,10 @@ def _place(cols: np.ndarray, values: np.ndarray, ndof: int) -> np.ndarray:
 def face_extraction(mesh: PolyMesh, mapv: DofMapV, ci: int, fi_loc: int,
                     fp: FaceProjections) -> np.ndarray:
     """The enhanced L2 projection of local face fi_loc of cell ci acting on the
-    cell-local DoF vector, one slice per velocity component: (3, pi_{k+1,2}, ndof)."""
-    cols, values = _face_extractions(mesh, mapv, np.array([ci]), fi_loc, fp.l2[None])
+    cell-local DoF vector, one slice per velocity component: (3, pi_{k+1,2}, ndof).
+    The cell's mesh lists of vertices and edges are in its local order."""
+    cols, values = _face_extractions(mesh, mapv.layouts[ci], fi_loc, mesh.cells[ci][0][[fi_loc]],
+                                     mesh.cell_vertices[ci][None], mesh.cell_edges[ci][None], fp.l2[None])
     return _place(cols, values, mapv.layouts[ci].ndof)[0]
 
 
@@ -301,25 +283,22 @@ class CellProjections:
     rule_vals: np.ndarray        # (n rule points, pi_{k,3}) degree k basis values at the rule
 
 
-def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, cells: np.ndarray,
+def build_cell_projection(mesh: PolyMesh, mapv: DofMapV, group: DofGroup,
                           faceprojs: dict[int, FaceProjections]) -> list[CellProjections]:
-    """The projections of a group of cells with one face layout (see
-    `PolyMesh.cell_groups`), built over the group's classes of translates
+    """The projections of a group of the DoF map, from its local entity
+    tables, built over the group's classes of translates
     (see `_translate_classes`) as stacked arrays, one block of at most
     CELL_BLOCK classes at a time (see `_cell_stacks`).  Each cell has its
     own geometry; its rule is its class's first cell's, moved by the
     shift of its barycentre, and the arrays made from the rule in the
     cell's scaled frame view those of the first cell, whose rule and
     monomial integrals are the only ones made cell by cell."""
-    cells = np.asarray(cells, dtype=int)
+    cells, fids, cv, ce = group.cells, group.faces, group.vertices, group.edges
     k = mapv.k
-    ndof = mapv.layouts[cells[0]].ndof
+    ndof = group.layout.ndof
     cs = mesh.cell_stack
     h, vol, xb = cs.h[cells], cs.volume[cells], cs.barycenter[cells]
-    fids = np.array([mesh.cells[c][0] for c in cells])
     signs = np.array([mesh.cells[c][1] for c in cells])
-    cv = np.array([mesh.cell_vertices[c] for c in cells])
-    ce = np.array([mesh.cell_edges[c] for c in cells])
 
     def about_barycentre(i):
         """The class key's points: the vertices, the edge points (so edge
@@ -381,7 +360,7 @@ def _cell_stacks(mesh: PolyMesh, mapv: DofMapV, faceprojs: dict[int, FaceProject
     dec = decomp_basis(k)
     gsl, losl, hisl = dec.slices
     deg = cell_integral_degree(k)
-    Hk = _mass_from_integrals(ints, deg, 3, a_k, a_k)
+    Hk = ints[..., product_positions(deg, 3, a_k, a_k)]
     Hq = Hk[:, :pq, :pq]
 
     # --- divergence reconstruction ---------------------------------------------
@@ -405,7 +384,7 @@ def _cell_stacks(mesh: PolyMesh, mapv: DofMapV, faceprojs: dict[int, FaceProject
     # --- DoF values of the 3 pi_k vector monomials ------------------------------
     D = np.zeros((n, ndof, 3 * pk))
     Dm = unit.deriv_matrices()
-    Hq_k1 = _mass_from_integrals(ints, deg, 3, a_q, multi_indices(k + 1, 3))
+    Hq_k1 = ints[..., product_positions(deg, 3, a_q, multi_indices(k + 1, 3))]
     for c in range(3):
         cols = slice(c * pk, (c + 1) * pk)
         D[:, lay.vertex[:, c], cols] = phi[0][..., :pk]
@@ -429,7 +408,7 @@ def _cell_stacks(mesh: PolyMesh, mapv: DofMapV, faceprojs: dict[int, FaceProject
             "ndc,nms->ndmcs", frame, mom / fs.area[f, None, None]).reshape(n, -1, 3 * pk)
         # the trace values at the face points first, then their moments; the
         # other orders lose up to 75 times more to round-off at k = 4
-        cols, ext = _face_extractions(mesh, mapv, cells, slot, l2)
+        cols, ext = _face_extractions(mesh, lay, slot, f, cv, ce, l2)
         phiw = (phif * w[..., None]).transpose(0, 2, 1)
         traces = _place(cols, phiw[:, None] @ (fvals[:, None] @ ext), ndof)   # (n, 3, pi_{k+1,3}, ndof)
         grad_rows += h[:, None, None] * np.einsum("nc,ncad->nad", sn[:, slot], traces[:, :, srcidx])
@@ -443,7 +422,7 @@ def _cell_stacks(mesh: PolyMesh, mapv: DofMapV, faceprojs: dict[int, FaceProject
     # --- interior moments via the adapted decomposition of [P_k]^3 -------------
     adapted = np.zeros((n, 3 * pk, ndof))
     adapted[:, gsl] = grad_rows - h[:, None, None] * (
-        _mass_from_integrals(ints, deg, 3, dec.grad_sources, a_q) @ div)
+        ints[..., product_positions(deg, 3, dec.grad_sources, a_q)] @ div)
     del grad_rows
     adapted[:, losl, lay.d4] = vol[:, None, None] * np.eye(dec.n_cross_low)
     Chi = dec.T[:, hisl].reshape(3, pk, -1).transpose(0, 2, 1)          # [c]: (n_hi, pk)
@@ -472,13 +451,13 @@ def _cell_stacks(mesh: PolyMesh, mapv: DofMapV, faceprojs: dict[int, FaceProject
                 pi_0grad=pi_0grad, consistency=consistency, sigma=sigma)
 
 
-def _by_group(groups: list[np.ndarray], kernel) -> dict:
-    """kernel(ids) for each group of entity ids, keyed by id; the error raised
-    is that of the lowest offending id of the mesh, not of the first group."""
+def _by_group(groups: list[tuple], kernel) -> dict:
+    """kernel(group) for each pair (entity ids, group), keyed by id; the error
+    raised is that of the lowest offending id of the mesh, not the first."""
     out, failed = {}, []
-    for ids in groups:
+    for ids, group in groups:
         try:
-            out.update(zip(ids.tolist(), kernel(ids)))
+            out.update(zip(ids.tolist(), kernel(group)))
         except (np.linalg.LinAlgError, MeshError) as exc:
             failed.append(exc)
     if failed:
@@ -491,8 +470,8 @@ def build_projections(mesh: PolyMesh, mapv: DofMapV) -> tuple[list[CellProjectio
     `build_face_projections` call per group of faces of equal vertex count,
     then one `build_cell_projection` call per group of cells of one face
     layout, the DoF map's groups."""
-    faceprojs = _by_group(mesh.face_groups(),
+    faceprojs = _by_group([(faces, faces) for faces in mesh.face_groups()],
                           lambda faces: build_face_projections(mesh, faces, mapv.k, mapv.edge_points))
-    cells = _by_group([g.cells for g in mapv.groups],
-                      lambda ids: build_cell_projection(mesh, mapv, ids, faceprojs))
+    cells = _by_group([(g.cells, g) for g in mapv.groups],
+                      lambda g: build_cell_projection(mesh, mapv, g, faceprojs))
     return [cells[c] for c in range(mesh.n_cells)], faceprojs

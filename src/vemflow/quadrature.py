@@ -1,8 +1,9 @@
 """Quadrature on polygonal faces and polyhedral cells.
 
 Cells are subdivided into tetrahedra {barycenter, face centroid, edge
-endpoints}; faces into the triangle fan about their centroid.  Simplex rules
-are conical (collapsed Gauss-Jacobi) products, exact to any requested degree.
+endpoints}; faces into the triangle fan about their centroid.  One simplex
+rule serves both: a conical (collapsed Gauss-Jacobi) product, exact to any
+requested degree.
 A face call builds the rules of a whole group of faces with one vertex count
 as stacked arrays; a cell call maps all sub-tetrahedra of its cell in one
 broadcast.
@@ -53,30 +54,19 @@ def _jacobi_01(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def reference_tet_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rule on the unit tetrahedron x,y,z >= 0, x+y+z <= 1 (volume 1/6),
-    read-only, since every caller shares it."""
+def reference_simplex_rule(dim: int, exactness: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rule on the unit simplex x_i >= 0, x_1 + ... + x_dim <= 1, read-only,
+    since every caller shares it: the Gauss-Jacobi rules of weight
+    (1-x)^(dim-1), ..., (1-x) and Gauss-Legendre, collapsed by (1 - x_i)."""
     n = max(1, (exactness + 2) // 2)
-    x1, w1 = _jacobi_01(n, 2)
-    x2, w2 = _jacobi_01(n, 1)
-    x3, w3 = _gauss_01(n)
-    a, b, c = np.meshgrid(x1, x2, x3, indexing="ij")
-    wa, wb, wc = np.meshgrid(w1, w2, w3, indexing="ij")
-    rule = (np.stack([a, b * (1 - a), c * (1 - a) * (1 - b)], axis=-1).reshape(-1, 3),
-            (wa * wb * wc).ravel())
-    read_only(*rule)
-    return rule
-
-
-@lru_cache(maxsize=None)
-def reference_triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rule on the unit triangle x,y >= 0, x+y <= 1 (area 1/2), read-only."""
-    n = max(1, (exactness + 2) // 2)
-    x1, w1 = _jacobi_01(n, 1)
-    x2, w2 = _gauss_01(n)
-    a, b = np.meshgrid(x1, x2, indexing="ij")
-    wa, wb = np.meshgrid(w1, w2, indexing="ij")
-    rule = np.stack([a, b * (1 - a)], axis=-1).reshape(-1, 2), (wa * wb).ravel()
+    rules = [_jacobi_01(n, dim - 1 - i) for i in range(dim - 1)] + [_gauss_01(n)]
+    x, w = (np.meshgrid(*r, indexing="ij") for r in zip(*rules))
+    pts, weights = list(x), w[0]
+    for j in range(1, dim):
+        for xi in x[:j]:
+            pts[j] = pts[j] * (1 - xi)
+        weights = weights * w[j]
+    rule = np.stack(pts, axis=-1).reshape(-1, dim), weights.ravel()
     read_only(*rule)
     return rule
 
@@ -96,7 +86,7 @@ def face_quadrature(mesh, faces, exactness: int) -> tuple[np.ndarray, np.ndarray
     verts2 = (mesh.vertices[mesh.face_loops(faces)] - ctr[:, None]) @ frame
     # fan triangle i is {centroid, v_i, v_i+1}: Jacobian columns v_i, v_i+1
     J = np.stack([verts2, np.roll(verts2, -1, axis=1)], axis=3)          # (nf, nv, 2, 2)
-    ref_pts, ref_w = reference_triangle_rule(exactness)
+    ref_pts, ref_w = reference_simplex_rule(2, exactness)
     w = ref_w * np.linalg.det(J)[..., None]                               # (nf, nv, nref)
     raise_first(np.any(w.sum(axis=2) <= 0, axis=1),
                 lambda f: f"degenerate fan triangle on face {f}", ids=faces)
@@ -116,7 +106,7 @@ def cell_quadrature(mesh, c: int, exactness: int) -> QuadRule:
     xb = mesh.cell_stack.barycenter[c]
     J = np.stack([mesh.face_stack.centroid[sub[:, 0]] - xb,
                   mesh.vertices[sub[:, 1]] - xb, mesh.vertices[sub[:, 2]] - xb], axis=2)
-    ref_pts, ref_w = reference_tet_rule(exactness)
+    ref_pts, ref_w = reference_simplex_rule(3, exactness)
     w = ref_w * np.linalg.det(J)[:, None]
     if np.any(w.sum(axis=1) <= 1e-300):
         raise MeshError(f"cell {c} not star-shaped about barycenter")

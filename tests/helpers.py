@@ -63,11 +63,11 @@ from vemflow.polynomials import (
     decomp_basis,
     dim_poly,
     multi_indices,
+    product_positions,
 )
 from vemflow.projection import (
     CellProjections,
     FaceProjections,
-    _mass_from_integrals,
     cell_integral_degree,
     cell_rule_exactness,
     face_extraction,
@@ -231,7 +231,7 @@ def cell_mass(proj) -> np.ndarray:
     monomial integrals as the cell kernel gathers it (Hq is its leading
     block)."""
     a_k = multi_indices(proj.k, 3)
-    return _mass_from_integrals(proj.mono_int, cell_integral_degree(proj.k), 3, a_k, a_k)
+    return proj.mono_int[..., product_positions(cell_integral_degree(proj.k), 3, a_k, a_k)]
 
 
 def cell_moments(proj) -> np.ndarray:
@@ -256,7 +256,7 @@ def local_load_loop(proj, load) -> np.ndarray:
 
 def mass_from_integrals_loop(ints: np.ndarray, lookup: dict, rows, cols) -> np.ndarray:
     """Gram matrix [int m_a m_b] by a loop over the multi-index pairs: the
-    reference for the gather in `projection._mass_from_integrals`."""
+    reference for the gathers at `polynomials.product_positions`."""
     H = np.empty((len(rows), len(cols)))
     for i, a in enumerate(rows):
         for j, b in enumerate(cols):
@@ -267,7 +267,7 @@ def mass_from_integrals_loop(ints: np.ndarray, lookup: dict, rows, cols) -> np.n
 # ---------------------------------------------------------------------------
 # Multi-index tables by loops over the multi-indices through a dict of
 # positions: the references for the array expressions of `polynomials`,
-# `projection._mass_index`, `forms._triple_index` and the reference rules
+# `polynomials.product_positions` and the reference rule
 # of `quadrature`, which must match them bit for bit.
 # ---------------------------------------------------------------------------
 
@@ -588,7 +588,7 @@ def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjectionsLoop:
     a_k = multi_indices(k, 3)
     a_q = multi_indices(k - 1, 3)
     a_k1 = multi_indices(k + 1, 3)
-    Hk = _mass_from_integrals(ints, deg, 3, a_k, a_k)
+    Hk = ints[..., product_positions(deg, 3, a_k, a_k)]
     Hq = Hk[:pq, :pq]
     # Hq is the leading block of Hk, so its Cholesky factor is the leading
     # block of Hk's: one factorisation serves both mass matrices
@@ -621,7 +621,7 @@ def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjectionsLoop:
             D[lay.d4, c * pk: (c + 1) * pk] += Clo[c * pk: (c + 1) * pk, :].T @ Hk / vol
     Dm = basis.deriv_matrices()
     if mapv.n_d5:
-        Hq_k1 = _mass_from_integrals(ints, deg, 3, a_q, a_k1)
+        Hq_k1 = ints[..., product_positions(deg, 3, a_q, a_k1)]
         for c in range(3):
             dcoef = Dm[c][:, :pk] / h    # div of m e_c, coefficients over deg k+1
             D[lay.d5, c * pk: (c + 1) * pk] = (Hq_k1 @ dcoef)[1:, :] / vol
@@ -655,7 +655,7 @@ def cell_projection_loop(mesh, mapv, ci: int, faceprojs) -> CellProjectionsLoop:
     # --- interior moments via the adapted decomposition of [P_k]^3 -------------
     adapted = np.zeros((3 * pk, ndof))
     srcidx = [basis.index_of(s) for s in dec.grad_sources]
-    Hgq = _mass_from_integrals(ints, deg, 3, dec.grad_sources, a_q)
+    Hgq = ints[..., product_positions(deg, 3, dec.grad_sources, a_q)]
     grad_rows = -h * (Hgq @ div)
     for fi_loc, f in enumerate(fids):
         fp = faceprojs[f]
@@ -1189,7 +1189,7 @@ def cube_and_pyramids() -> PolyMesh:
 
 def tet_rule(verts: np.ndarray, exactness: int) -> tuple[np.ndarray, np.ndarray]:
     """The reference rule mapped to the tetrahedron with rows `verts` (4, 3)."""
-    ref_pts, ref_w = quad.reference_tet_rule(exactness)
+    ref_pts, ref_w = quad.reference_simplex_rule(3, exactness)
     v0 = verts[0]
     J = np.stack([verts[1] - v0, verts[2] - v0, verts[3] - v0], axis=1)
     return v0 + ref_pts @ J.T, ref_w * np.linalg.det(J)
@@ -1197,7 +1197,7 @@ def tet_rule(verts: np.ndarray, exactness: int) -> tuple[np.ndarray, np.ndarray]
 
 def triangle_rule_2d(verts: np.ndarray, exactness: int) -> tuple[np.ndarray, np.ndarray]:
     """The reference rule mapped to a 2D triangle (3, 2)."""
-    ref_pts, ref_w = quad.reference_triangle_rule(exactness)
+    ref_pts, ref_w = quad.reference_simplex_rule(2, exactness)
     v0 = verts[0]
     J = np.stack([verts[1] - v0, verts[2] - v0], axis=1)
     return v0 + ref_pts @ J.T, ref_w * np.linalg.det(J)
@@ -1348,15 +1348,15 @@ def face_projections_loop(mesh, f: int, k: int, edge_points3) -> FaceProjections
     for le in range(nv):
         ep2 = face_coords(mesh, f, edge_points3[eids[le]])
         D[nv + le * (k - 1): nv + (le + 1) * (k - 1), :] = basis.eval(ep2)[:, :npk]
-    D[nv * k:, :] = _mass_from_integrals(ints, deg, 2, a_k[:n_mom], a_k) / g.area
+    D[nv * k:, :] = ints[..., product_positions(deg, 2, a_k[:n_mom], a_k)] / g.area
     Q, R = qr(D, mode="economic")
     if np.min(np.abs(np.diag(R))) < 1e-12 * np.max(np.abs(np.diag(R))):
         raise np.linalg.LinAlgError(f"rank-deficient DoF system on face {f}")
     dproj = solve_triangular(R, Q.T)
     MOM = np.zeros((npk1, ndof))
     MOM[:n_mom, nv * k:] = g.area * np.eye(n_mom)
-    MOM[n_mom:, :] = _mass_from_integrals(ints, deg, 2, a_k1[n_mom:], a_k) @ dproj
-    l2 = solve(_mass_from_integrals(ints, deg, 2, a_k1, a_k1), MOM)
+    MOM[n_mom:, :] = ints[..., product_positions(deg, 2, a_k1[n_mom:], a_k)] @ dproj
+    l2 = solve(ints[..., product_positions(deg, 2, a_k1, a_k1)], MOM)
     return FaceProjectionsLoop(f=f, k=k, ndof=ndof, h=g.h, dproj=dproj, l2=l2,
                                pts2=pts2, pts3=pts3, w=w, vals=phi[:, :npk1].copy())
 

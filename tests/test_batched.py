@@ -124,8 +124,8 @@ def test_stokes_from_loop_face_projections(name, k):
     maps, projs, fps = _disc(name, k)
     mapv = maps[0]
     fps_loop = {f: face_projections_loop(mesh, f, k, mapv.edge_points) for f in range(mesh.n_faces)}
-    by_cell = {c: pr for cells in mesh.cell_groups()
-               for c, pr in zip(cells.tolist(), build_cell_projection(mesh, mapv, cells, fps_loop))}
+    by_cell = {c: pr for g in mapv.groups
+               for c, pr in zip(g.cells.tolist(), build_cell_projection(mesh, mapv, g, fps_loop))}
     projs_loop = [by_cell[c] for c in range(mesh.n_cells)]
     case = make_case("ex3-p1", k=k)
     spec = ProblemSpec(nu=1.0, load=case.load, dirichlet=case.velocity, k=k)

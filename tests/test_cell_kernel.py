@@ -99,5 +99,5 @@ def test_cell_kernel_calls_no_scipy_linalg(mesh, monkeypatch):
     assert calls == ["solve"] * len(mesh.face_groups())
     calls.clear()
     for g in mapv.groups:
-        projection.build_cell_projection(mesh, mapv, g.cells, fps)
+        projection.build_cell_projection(mesh, mapv, g, fps)
     assert calls == []

@@ -22,9 +22,11 @@ def _version(text: str) -> tuple[int, ...]:
 
 def _floors(pyproject: str) -> dict:
     """{package: version} of each `name>=version` of pyproject.toml's
-    `dependencies`, read by regex: tomllib is not in Python 3.10."""
-    deps = re.search(r"^dependencies\s*=\s*\[(.*?)\]", pyproject, re.M | re.S).group(1)
-    return {name: _version(v) for name, v in re.findall(r'"([\w.-]+)\s*>=\s*([\d.]+)"', deps)}
+    `dependencies` and of its `test` extra, which CI installs too, read by
+    regex: tomllib is not in Python 3.10."""
+    lists = re.findall(r"^(?:dependencies|test)\s*=\s*\[(.*?)\]", pyproject, re.M | re.S)
+    return {name: _version(v) for deps in lists
+            for name, v in re.findall(r'"([\w.-]+)\s*>=\s*([\d.]+)"', deps)}
 
 
 def _drift(pyproject: str, workflow: str) -> dict:
@@ -53,7 +55,7 @@ def _python_drift(pyproject: str, workflow: str) -> tuple | None:
 def test_ci_pins_the_dependency_floors():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
-    assert set(_floors(pyproject)) == {"numpy", "scipy", "sympy"}
+    assert set(_floors(pyproject)) == {"numpy", "scipy", "sympy", "pytest"}
     assert _drift(pyproject, workflow) == {}
     assert _python_drift(pyproject, workflow) is None
 
@@ -61,11 +63,14 @@ def test_ci_pins_the_dependency_floors():
 def test_drift_check_catches_them():
     pyproject = ('[build-system]\nrequires = ["setuptools>=68"]\n\n[project]\n'
                  'dependencies = [\n    "numpy>=1.24",\n    "scipy>=1.15",\n    "sympy>=1.12",\n]\n\n'
-                 '[project.optional-dependencies]\ntest = ["pytest>=7"]\n')
-    assert _floors(pyproject) == {"numpy": (1, 24), "scipy": (1, 15), "sympy": (1, 12)}
+                 '[project.optional-dependencies]\ntest = ["pytest>=7.4.4"]\n')
+    assert _floors(pyproject) == {"numpy": (1, 24), "scipy": (1, 15), "sympy": (1, 12), "pytest": (7, 4, 4)}
     assert _drift(pyproject, 'pip install "numpy==1.24.0" "scipy==1.15" "sympy==1.12.0" "pytest==7.4.4"') == {}
     assert _drift(pyproject, 'pip install "numpy==1.24.1" "scipy==1.14.0" "pytest==7.4.4"') == {
         "numpy": ((1, 24), (1, 24, 1)), "scipy": ((1, 15), (1, 14)), "sympy": ((1, 12), None)}
+    assert _drift(pyproject.replace("pytest>=7.4.4", "pytest>=7"),
+                  'pip install "numpy==1.24" "scipy==1.15" "sympy==1.12" "pytest==7.4.4"') == {
+        "pytest": ((7,), (7, 4, 4))}
     pyproject = '[project]\nrequires-python = ">=3.10"\n'
     assert _python_drift(pyproject, '        with:\n          python-version: "3.10"\n') is None
     assert _python_drift(pyproject, "python-version: 3.10\n") == ("3.10", ["3.10"])

@@ -116,6 +116,46 @@ def test_bench_run_import_only_levels(tmp_path, capsys):
     assert main(argv + ["--levels", "2"]) == 0
 
 
+def test_bench_run_reports_a_failed_level(tmp_path, capsys):
+    """A level whose Newton run diverges is reported on standard error, one
+    line per failed level, and the study fails, as `solve` does; the levels
+    before it are printed, and the JSON summary records the failure."""
+    out = tmp_path / "f.csv"
+    capsys.readouterr()
+    assert main(["bench", "run", "--case", "ex2-ns", "--family", "tetra", "--levels", "1",
+                 "--nu", "0.005", "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.out.splitlines() == ["level,h,ndof_u,ndof_p,eH1u,eL2p,newton_iters,wall_time_s",
+                                        'slopes: {"eH1u": null, "eL2p": null}']
+    assert printed.err.startswith("level 0: Newton diverged at step ") and printed.err.count("\n") == 1
+    [failure] = json.loads((tmp_path / "f.csv.json").read_text())["failures"]
+    assert printed.err == f"level {failure['level']}: {failure['error']}\n"
+
+
+def test_bench_rates_needs_two_levels(tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    path.write_text("level,h,ndof_u,ndof_p,eH1u,eL2p,newton_iters,wall_time_s\n0,0.5,1,1,0.25,0.1,0,0.0\n")
+    capsys.readouterr()
+    assert main(["bench", "rates", str(path)]) == 2
+    assert capsys.readouterr().err == "error: need at least two levels to fit a slope\n"
+
+
+def test_mesh_file_as_the_mesh_source(tmp_path, capsys):
+    """`--mesh` reads the mesh that `--cubes` would generate."""
+    path = tmp_path / "m.json"
+    assert main(["mesh", "gen", "--cubes", "2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["dofs", "--mesh", str(path), "--k", "3"]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["dofs", "--cubes", "2", "--k", "3"]) == 0
+    assert json.loads(from_file) == json.loads(capsys.readouterr().out)
+
+
+def test_no_mesh_source_exits_with_a_message():
+    with pytest.raises(SystemExit, match="^no mesh specified: use --mesh, --cubes or --tets$"):
+        main(["dofs"])
+
+
 def test_bench_rates_zero_error_is_null(tmp_path, capsys):
     """A column with an error of 0 has no slope: `bench rates` prints null,
     valid JSON, as the report's own slopes do."""

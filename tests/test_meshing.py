@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -464,6 +465,95 @@ def test_malformed_id_lists_raise_a_mesh_error(name, route, cube1, tmp_path, cap
         return
     with pytest.raises(MeshError, match=f"^{message}$"):
         PolyMesh(v, faces, cells) if route == "PolyMesh" else load_mesh(str(path))
+
+
+COORDINATES = "coordinates must be three integer or floating numbers"
+# edits of the unit cube's vertex rows, and the error they raise
+MALFORMED_VERTICES = {
+    "ragged-row": (lambda v: v[:3] + [[0.0, 1.0]] + v[4:], f"vertex 3: {COORDINATES}"),
+    "string": (lambda v: _with(v, 2, 1, "a"), f"vertex 2: {COORDINATES}"),
+    "numeric-string": (lambda v: _with(v, 5, 0, "1"), f"vertex 5: {COORDINATES}"),
+    "none": (lambda v: _with(v, 1, 0, None), f"vertex 1: {COORDINATES}"),
+    "nested": (lambda v: _with(v, 4, 2, [1, 2]), f"vertex 4: {COORDINATES}"),
+    "two-columns": (lambda v: [r[:2] for r in v], f"vertex 0: {COORDINATES}"),
+    "no-list": (lambda v: 5, r"vertices must be an \(n, 3\) array"),
+    "empty": (lambda v: [], r"vertices must be an \(n, 3\) array"),
+    "complex-array": (lambda v: np.array(v, dtype=complex), f"vertex 0: {COORDINATES}"),
+    "python-complex": (lambda v: _with(v, 7, 1, 1j), f"vertex 7: {COORDINATES}"),
+}
+# inputs that JSON cannot hold, which only the constructor can be given
+NOT_JSON = {"complex-array", "python-complex"}
+
+
+@pytest.mark.parametrize("name,route", [(name, route) for name in MALFORMED_VERTICES
+                                        for route in ("PolyMesh", "load_mesh", "cli")
+                                        if route == "PolyMesh" or name not in NOT_JSON])
+def test_malformed_vertices_raise_a_mesh_error(name, route, cube1, tmp_path, capsys):
+    """Vertices that are not rows of three integer or floating numbers are a
+    `MeshError` naming the first offending vertex, as malformed ids are: not
+    numpy's ValueError or a TypeError, not a numeric string parsed, not a
+    complex coordinate cut to its real part."""
+    v, faces, cells = _raw(cube1)
+    edit, message = MALFORMED_VERTICES[name]
+    vertices = edit(v.tolist())
+    if route == "PolyMesh":
+        with pytest.raises(MeshError, match=f"^{message}$"):
+            PolyMesh(vertices, faces, cells)
+        return
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": vertices, "faces": faces, "cells": cells}))
+    if route == "cli":
+        capsys.readouterr()
+        assert main(["mesh", "check", str(path)]) == 2
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+        return
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        load_mesh(str(path))
+
+
+NODES = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+# (.node, .ele) contents of a tetra-list pair, None for a missing file, and the error they raise
+BAD_TETRA_LISTS = {
+    "missing": (NODES, None, "cannot parse tetra-list files at "),
+    "not-a-number": ("0 0 0\n1 0 x\n0 1 0\n0 0 1\n", "0 1 2 3\n", "cannot parse tetra-list files at "),
+    "empty-node": ("", "0 1 2 3\n", "cannot parse tetra-list files at .*input contained no data"),
+    "empty-ele": (NODES, "", "cannot parse tetra-list files at .*input contained no data"),
+    "node-columns": ("0 0\n1 0\n0 1\n0 0\n", "0 1 2 3\n",
+                     r"tetra-list files must be \(x y z\) and 4 vertex ids per line"),
+    "ele-columns": (NODES, "0 1 2\n", r"tetra-list files must be \(x y z\) and 4 vertex ids per line"),
+    "id-too-large": (NODES, "0 1 2 4\n", "tetra-list: vertex index out of range"),
+    "negative-id": (NODES, "0 1 2 -1\n", "tetra-list: vertex index out of range"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_TETRA_LISTS)
+def test_bad_tetra_list_files_raise_a_mesh_error(name, tmp_path):
+    """Unreadable, misshapen and out-of-range tetra-list files are a
+    `MeshError` alone: an empty file leaks no numpy warning."""
+    node, ele, message = BAD_TETRA_LISTS[name]
+    (tmp_path / "m.node").write_text(node)
+    if ele is not None:
+        (tmp_path / "m.ele").write_text(ele)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(MeshError, match=message):
+            load_mesh(str(tmp_path / "m.node"), "tetra-list")
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("text", [None, "{", '{"vertices": [[0, 0, 0]]'])
+def test_unreadable_json_mesh_is_rejected(text, tmp_path):
+    """A missing file and one that is no JSON are a `MeshError`."""
+    path = tmp_path / "m.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(MeshError, match=f"^cannot parse mesh file {re.escape(str(path))}: "):
+        load_mesh(str(path))
+
+
+def test_unknown_mesh_format_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="^unknown mesh format 'off'$"):
+        load_mesh(str(tmp_path / "m.off"), "off")
 
 
 def test_json_mesh_that_is_no_object_is_rejected(tmp_path):

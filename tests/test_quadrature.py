@@ -95,7 +95,7 @@ def test_edge_rule():
 
 
 def test_triangle_reference_closed_form():
-    pts, w = quad.reference_triangle_rule(6)
+    pts, w = quad.reference_simplex_rule(2, 6)
     for a, b in multi_indices(6, 2):
         val = w @ (pts[:, 0] ** a * pts[:, 1] ** b)
         assert abs(val - triangle_monomial_integral(a, b)) < 1e-13

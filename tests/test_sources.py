@@ -340,3 +340,27 @@ def test_foreign_private_read_check_catches_them():
            "        print(self._own, self._other, m._own, m.__class__)\n\n\n"
            "def f(mesh, quad):\n    return mesh._face_loop[0], quad._rule(), mesh.cells, A.__init__\n")
     assert _foreign_private_reads(src) == ["mesh._face_loop", "quad._rule"]
+
+
+def _foreign_private_imports(src: str) -> list[str]:
+    """`module._name` for each name that the source imports from a module of
+    its own package (`from .module import _name`) whose name starts with an
+    underscore but is no dunder: another module's internals, which their
+    owner may change without a look at the importer."""
+    return ["." * node.level + ".".join(filter(None, (node.module, a.name)))
+            for node in ast.walk(ast.parse(src)) if isinstance(node, ast.ImportFrom) and node.level > 0
+            for a in node.names
+            if a.name.startswith("_") and not a.name.startswith("__")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_names(path):
+    assert _foreign_private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_private_import_check_catches_them():
+    src = ("from .meshing import MeshError, _by_appearance\nfrom . import _private, forms\n"
+           "from .polynomials import (\n    _positions,\n    dim_poly,\n)\nfrom .x import __version__\n"
+           "from numpy import _core\nimport vemflow._hidden\n\n\ndef f():\n    from ..y import _z\n")
+    assert _foreign_private_imports(src) == [".meshing._by_appearance", "._private", ".polynomials._positions",
+                                             "..y._z"]

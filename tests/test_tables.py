@@ -14,7 +14,7 @@ import pytest
 
 import helpers
 import vemflow
-from vemflow import forms, projection
+from vemflow import projection
 from vemflow import quadrature as quad
 from vemflow.dofspace import build_dof_maps
 from vemflow.meshing import generate_structured_cubes, generate_tetra_mesh
@@ -26,6 +26,7 @@ from vemflow.polynomials import (
     decomp_basis,
     gradient_coefficients,
     multi_indices,
+    product_positions,
 )
 
 
@@ -75,7 +76,8 @@ def test_decomposition_gradient_and_cross(k):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_triple_index(k):
-    got = forms._triple_index(k)
+    a_k, a_q = multi_indices(k, 3), multi_indices(k - 1, 3)
+    got = product_positions(3 * k - 1, 3, a_k, a_q, a_k)
     _same(got, helpers.triple_index_loop(k))
     assert not got.flags.writeable
 
@@ -85,27 +87,26 @@ def test_every_mass_index_the_kernels_form(k, monkeypatch):
     """The mass indices that the face and cell kernels ask for on a tetra
     and a cube mesh, recorded as they are formed."""
     seen = set()
-    mass_index = projection._mass_index
 
     def record(*args):
         seen.add(args)
-        return mass_index(*args)
+        return product_positions(*args)
 
-    monkeypatch.setattr(projection, "_mass_index", record)
+    monkeypatch.setattr(projection, "product_positions", record)
     for mesh in (generate_tetra_mesh(1), generate_structured_cubes(1)):
         projection.build_projections(mesh, build_dof_maps(mesh, k)[0])
     assert {(degree, dim) for degree, dim, _, _ in seen} == {(2 * k + 2, 2), (projection.cell_integral_degree(k), 3)}
     for args in seen:
-        got = mass_index(*args)
+        got = product_positions(*args)
         _same(got, helpers.mass_index_loop(*args))
         assert not got.flags.writeable
 
 
-@pytest.mark.parametrize("rule,loop", [(quad.reference_tet_rule, helpers.reference_tet_rule_loop),
-                                       (quad.reference_triangle_rule, helpers.reference_triangle_rule_loop)])
-def test_reference_rules(rule, loop):
+@pytest.mark.parametrize("dim,loop", [(3, helpers.reference_tet_rule_loop),
+                                      (2, helpers.reference_triangle_rule_loop)])
+def test_reference_rules(dim, loop):
     for exactness in range(16):
-        for got, ref in zip(rule(exactness), loop(exactness), strict=True):
+        for got, ref in zip(quad.reference_simplex_rule(dim, exactness), loop(exactness), strict=True):
             _same(got, ref)
 
 
@@ -113,14 +114,12 @@ def test_reference_rules(rule, loop):
 _CACHED_BUILDERS = {
     "cases.make_case": ("ex1-stokes",),
     "dofspace.edge_point_params": (3,),
-    "forms._triple_index": (2,),
     "polynomials._derivative_matrices": (3, 3),
     "polynomials._index_array": (3, 3),
     "polynomials.decomp_basis": (3,),
     "polynomials.multi_indices": (3, 3),
-    "projection._mass_index": (4, 3, multi_indices(2, 3), multi_indices(2, 3)),
-    "quadrature.reference_tet_rule": (5,),
-    "quadrature.reference_triangle_rule": (5,),
+    "polynomials.product_positions": (4, 3, multi_indices(2, 3), multi_indices(2, 3)),
+    "quadrature.reference_simplex_rule": (3, 5),
 }
 # the builders whose results hold no array
 _NO_ARRAYS = {"cases.make_case", "dofspace.edge_point_params", "polynomials.multi_indices"}
